@@ -4,8 +4,10 @@
 Usage: check_perf_gate.py <bench.json> <min_backend_speedup>
 
 Fails (exit 1) when the bytecode backend's warm-dispatch speedup over
-the interpreter falls below the threshold, or when the two backends
-stopped producing bitwise-identical outputs. Malformed input — an
+the interpreter falls below the threshold, when the two backends
+stopped producing bitwise-identical outputs, or when the native tier
+serves fewer warm requests per second than bytecode on any op family
+of the "tiers" object (experiment [11]). Malformed input — an
 unreadable or syntactically invalid JSON file, missing fields, or
 nonsense measurements (non-positive timings) — exits 2 with a
 diagnostic, so CI can tell "the gate tripped" (1) from "the gate
@@ -14,9 +16,8 @@ the speedup trajectory (and the batched-throughput numbers, when
 present) is trackable across commits. The "warm_latency" object
 (experiment [9]) is printed as an informational per-op p50/p95/p99
 trajectory, and the "tiers" object (experiment [11]) as an
-informational interpreter -> bytecode -> native req/s trajectory per
-op family — malformed fields in either exit 2 like any other bad
-input.
+interpreter -> bytecode -> native req/s trajectory per op family —
+malformed fields in either exit 2 like any other bad input.
 """
 
 import json
@@ -192,12 +193,12 @@ def main() -> int:
                 "static verification: off for this build "
                 "(0 kernels verified)"
             )
-    # Tiered-execution trajectory (experiment [11], informational —
-    # no hard gate until the three-tier numbers have a trajectory;
-    # the gated speedup stays bytecode-vs-interpreter above). Prints
-    # warm req/s per op family for interpreter -> bytecode -> native,
-    # plus the native tier's one-time compile cost. Malformed fields
+    # Tiered-execution trajectory (experiment [11]): warm req/s per op
+    # family for interpreter -> bytecode -> native, plus the native
+    # tier's one-time compile cost. Gated: a native tier slower than
+    # bytecode on any family does not earn its code. Malformed fields
     # are still bad input, not a tripped gate.
+    native_losses = []
     if "tiers" in data:
         tiers = data["tiers"]
         if not isinstance(tiers, dict):
@@ -231,6 +232,10 @@ def main() -> int:
                 f"bitwise_identical="
                 f"{row.get('bitwise_identical', 'n/a')}"
             )
+            if native_rps < bytecode_rps:
+                native_losses.append(
+                    f"{op} ({native_rps:.1f} < {bytecode_rps:.1f} req/s)"
+                )
         try:
             compiles = int(data.get("native_compiles", 0))
             disk_hits = int(data.get("native_disk_hits", 0))
@@ -297,6 +302,13 @@ def main() -> int:
         print(
             f"FAIL: backend speedup {speedup:.2f}x below the "
             f"{threshold:.1f}x gate",
+            file=sys.stderr,
+        )
+        return 1
+    if native_losses:
+        print(
+            "FAIL: native tier slower than bytecode on "
+            + ", ".join(native_losses),
             file=sys.stderr,
         )
         return 1

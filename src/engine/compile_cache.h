@@ -79,6 +79,19 @@ class Artifact
 
     /** Cached static-verification verdict (see VerifyReport). */
     VerifyReport verify;
+
+    /**
+     * Native-tier promotion state (see Engine::maybePromote). It lives
+     * and dies with the artifact: when LRU eviction drops an artifact,
+     * its rebuild starts from zero warm hits and is promoted again.
+     */
+    struct NativePromotion
+    {
+        std::mutex mu;
+        int warmHits = 0;
+        bool launched = false;
+    };
+    NativePromotion promotion;
 };
 
 /**

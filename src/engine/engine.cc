@@ -1002,20 +1002,14 @@ Engine::maybePromote(const CacheKey &key,
     if (options_.nativePromoteAfter < 0) {
         return;
     }
-    bool launch = false;
     {
-        std::lock_guard<std::mutex> lock(promoMu_);
-        PromoState &state = promo_[key];
-        if (state.launched) {
+        Artifact::NativePromotion &state = artifact->promotion;
+        std::lock_guard<std::mutex> lock(state.mu);
+        if (state.launched ||
+            ++state.warmHits <= options_.nativePromoteAfter) {
             return;
         }
-        if (++state.warmHits > options_.nativePromoteAfter) {
-            state.launched = true;
-            launch = true;
-        }
-    }
-    if (!launch) {
-        return;
+        state.launched = true;
     }
     if (options_.nativePromoteAfter == 0) {
         // Synchronous promotion: deterministic for tests — the first
@@ -1032,6 +1026,13 @@ Engine::maybePromote(const CacheKey &key,
             promoteNow(promoted_key, keep);
         });
     std::lock_guard<std::mutex> lock(promoMu_);
+    promoFutures_.erase(
+        std::remove_if(promoFutures_.begin(), promoFutures_.end(),
+                       [](const std::future<void> &f) {
+                           return f.wait_for(std::chrono::seconds(0)) ==
+                                  std::future_status::ready;
+                       }),
+        promoFutures_.end());
     promoFutures_.push_back(std::move(done));
 }
 

@@ -478,7 +478,7 @@ class Engine
 
     /**
      * Promotion policy hook, called on every resolve when the session
-     * backend is kNative: counts warm resolves of `key` and, when the
+     * backend is kNative: counts resolves of `artifact` and, when the
      * count crosses EngineOptions::nativePromoteAfter, promotes the
      * artifact — inline for threshold 0, as a background pool task
      * otherwise (the artifact is kept alive by the captured
@@ -518,15 +518,11 @@ class Engine
     /** Indexed by OpKind; [0] = warm, [1] = cold. */
     observe::LatencyHistogram *opLatency_[2][8] = {};
 
-    // Native-tier promotion state and instruments.
-    struct PromoState
-    {
-        int warmHits = 0;
-        bool launched = false;
-    };
+    // Native-tier promotion instruments. Per-artifact promotion state
+    // lives on the Artifact itself.
     std::mutex promoMu_;
-    std::unordered_map<CacheKey, PromoState, CacheKeyHash> promo_;
-    /** Futures of background promotion tasks, joined by ~Engine. */
+    /** Futures of in-flight background promotion tasks, joined by
+     *  ~Engine; finished ones are dropped at each new launch. */
     std::vector<std::future<void>> promoFutures_;
     observe::Counter *nativePromotions_;
     observe::Counter *nativeCompiles_;

@@ -3,12 +3,13 @@
  * C ABI shared between the host and emitted native kernels.
  *
  * A native kernel is a self-contained C translation unit compiled
- * out-of-process (`cc -O2 -fPIC -shared`) and dlopen'd back into the
- * serving process. The host and the kernel communicate through the
- * two structs below: the emitted source contains a textually
- * identical definition of each (see c_emitter.cc's preamble), so both
- * sides are laid out by the same platform C ABI and stay compatible
- * as long as the field order here and in the preamble match.
+ * out-of-process (`cc -O2 -fPIC -shared -ffp-contract=off`) and
+ * dlopen'd back into the serving process. The host and the kernel
+ * communicate through the two structs below: the emitted source
+ * contains a textually identical definition of each (see
+ * c_emitter.cc's preamble), so both sides are laid out by the same
+ * platform C ABI and stay compatible as long as the field order here
+ * and in the preamble match.
  *
  * Error handling crosses the boundary as integer return codes, never
  * exceptions: emitted code records (fault code, slot, offset) in the
@@ -33,7 +34,7 @@ namespace native {
  * and cache filename, so a persisted .so built against an older ABI
  * can never be loaded by newer host code.
  */
-constexpr int kNativeAbiVersion = 1;
+constexpr int kNativeAbiVersion = 2;
 
 /** Entry symbol every emitted kernel exports. */
 constexpr const char *kEntrySymbol = "sparsetir_kernel_run";

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/expr.h"
+#include "ir/functor.h"
 #include "ir/stmt.h"
 #include "runtime/bytecode/program.h"
 #include "runtime/interpreter.h"
@@ -30,6 +32,12 @@ namespace {
  * scratch allocation. Helpers return a fault code (0 = ok) and record
  * (slot, offset) in the context; the host turns codes back into the
  * VM's diagnostics.
+ *
+ * The fast path sits in front of the helpers: st_view hoists one
+ * typed view per slot out of the loops, and ST_LD/ST_ST make each
+ * access a single compare plus a typed load or store, calling the
+ * helper for every offset outside the view. The helper then returns
+ * the same value or raises the same fault, so no check is dropped.
  */
 const char kPreamble[] = R"(#include <math.h>
 #include <stdint.h>
@@ -221,6 +229,60 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
     return ST_OK;
 }
 
+/* A slot's typed storage as seen by one emitted element kind. */
+typedef struct {
+    void *p;
+    int64_t lo;
+    int64_t len;
+} StView;
+
+/* Typed view of a slot, hoisted out of the loops: offsets in
+   [lo, lo + len) address p[off - lo] and pass every check st_resolve
+   would make. len is 0 (every access takes the checked helper) for
+   unbound slots, multi-span OffsetViews and bound arrays whose kind
+   differs from the emitted one. */
+static StView st_view(const StCtx *ctx, int32_t slot, int32_t kind) {
+    const StSlot *s = &ctx->slots[slot];
+    StView v = {s->base, 0, 0};
+    if (!s->bound || s->kind != kind) { return v; }
+    if (!s->has_view) {
+        v.len = s->numel;
+    } else if (s->num_spans == 1) {
+        int64_t width = s->spans[1] - s->spans[0];
+        v.lo = s->spans[0];
+        v.len = width < s->numel ? width : s->numel;
+        if (v.len < 0) { v.len = 0; }
+    }
+    return v;
+}
+
+/* Metadata of a stack scratch slot, set once at entry. Its storage
+   lives in the kernel's frame (base stays NULL) and its view covers
+   every in-range offset, so only faulting accesses reach the helpers,
+   which then report this numel. */
+static void st_stack(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
+                     int32_t ebytes) {
+    StSlot *s = &ctx->slots[slot];
+    s->numel = n;
+    s->kind = kind;
+    s->ebytes = ebytes;
+    s->bound = 1;
+}
+
+/* Checked access through a view: one unsigned compare, then either a
+   typed load/store or the slot's helper, which returns the same value
+   or raises the same fault the helper-only code would. */
+#define ST_LD(w, T, helper, slot, off, out) do { \
+        uint64_t st_o_ = (uint64_t)(off) - (uint64_t)(w).lo; \
+        if (st_o_ < (uint64_t)(w).len) { (out) = ((const T *)(w).p)[st_o_]; } \
+        else { ST_CALL(helper(ctx, (slot), (off), &(out))); } \
+    } while (0)
+#define ST_ST(w, T, helper, slot, off, val) do { \
+        uint64_t st_o_ = (uint64_t)(off) - (uint64_t)(w).lo; \
+        if (st_o_ < (uint64_t)(w).len) { ((T *)(w).p)[st_o_] = (T)(val); } \
+        else { ST_CALL(helper(ctx, (slot), (off), (val))); } \
+    } while (0)
+
 )";
 
 /**
@@ -231,6 +293,11 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
  * reorder faults or atomic side effects. Short-circuit And/Or and
  * one-armed Select compile to if/else over temporaries. The typing
  * mirrors the bytecode compiler's isFloatExpr exactly.
+ *
+ * Buffer accesses go through typed views whose element type is the
+ * buffer's dtype, known here; atomics, binary searches and bool
+ * buffers stay on the helpers alone. Constant-size scratch (at most
+ * 1024 elements) is a zeroed stack array instead of a calloc.
  */
 class Emitter
 {
@@ -281,6 +348,12 @@ class Emitter
             result.scalarNames.push_back(scalars_[i]);
             ++published;
         }
+        decls += stackMeta_;
+        for (const auto &[slot, kind] : paramViews_) {
+            decls += "    const StView " + viewName(slot, kind) +
+                     " = st_view(ctx, " + slotTok(slot) + ", " +
+                     kindToken(kind) + ");\n";
+        }
 
         std::string meta = "sparsetir-native;abi=" +
                            std::to_string(kNativeAbiVersion) +
@@ -289,8 +362,8 @@ class Emitter
         src += "/* SparseTIR native kernel: " + func_->name +
                " (generated) */\n";
         src += kPreamble;
-        src += "const char sparsetir_kernel_meta[] = \"" + meta +
-               "\";\n\n";
+        src += "const char sparsetir_kernel_meta[] = \"" +
+               cStringBody(meta) + "\";\n\n";
         src += "int32_t sparsetir_kernel_run(StCtx *ctx) {\n";
         src += "    (void)ctx;\n";
         src += decls;
@@ -330,6 +403,27 @@ class Emitter
     slotTok(int slot) const
     {
         return std::to_string(slot);
+    }
+
+    /** `text` escaped for a C string literal (the meta string carries
+     *  the user's compiler command verbatim). */
+    static std::string
+    cStringBody(const std::string &text)
+    {
+        std::string out;
+        for (unsigned char c : text) {
+            if (c == '\\' || c == '"' || c == '?') {
+                out += '\\';
+                out += static_cast<char>(c);
+            } else if (c < 0x20 || c >= 0x7f) {
+                char buf[5];
+                std::snprintf(buf, sizeof(buf), "\\%03o", c);
+                out += buf;
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+        return out;
     }
 
     static std::string
@@ -493,16 +587,8 @@ class Emitter
             // Int-targeted cast of an int value is the identity;
             // float sources took the conversion path above.
             return emitI(static_cast<const CastNode *>(e.get())->value);
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            std::string off = emitOffset(op->buffer, op->indices);
-            int slot = slotFor(op->buffer);
-            std::string t = tmp();
-            line("int64_t " + t + " = 0;");
-            line("ST_CALL(st_ld_i(ctx, " + slotTok(slot) + ", " + off +
-                 ", &" + t + "));");
-            return t;
-          }
+          case ExprKind::kBufferLoad:
+            return emitLoad(static_cast<const BufferLoadNode *>(e.get()));
           case ExprKind::kCall:
             return emitCallI(static_cast<const CallNode *>(e.get()));
           case ExprKind::kAnd:
@@ -577,16 +663,8 @@ class Emitter
             // Float-targeted cast: int sources converted above;
             // float-of-float is the identity.
             return emitF(static_cast<const CastNode *>(e.get())->value);
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            std::string off = emitOffset(op->buffer, op->indices);
-            int slot = slotFor(op->buffer);
-            std::string t = tmp();
-            line("double " + t + " = 0;");
-            line("ST_CALL(st_ld_f(ctx, " + slotTok(slot) + ", " + off +
-                 ", &" + t + "));");
-            return t;
-          }
+          case ExprKind::kBufferLoad:
+            return emitLoad(static_cast<const BufferLoadNode *>(e.get()));
           case ExprKind::kCall:
             return emitCallF(static_cast<const CallNode *>(e.get()));
           case ExprKind::kAdd:
@@ -726,6 +804,143 @@ class Emitter
         return t;
     }
 
+    // -----------------------------------------------------------------
+    // Buffer access: a hoisted typed view with the checked helper as
+    // the fallback for every offset outside it.
+    // -----------------------------------------------------------------
+
+    /** C element type of a kind (bool only ever reaches helpers). */
+    static const char *
+    cType(bytecode::ElemKind kind)
+    {
+        static const char *const kTypes[] = {
+            "float", "double", "int8_t", "int16_t", "int32_t", "int64_t",
+            "unsigned char"};
+        return kTypes[static_cast<int>(kind)];
+    }
+
+    /** The preamble's ST_K* macro of a kind. */
+    static const char *
+    kindToken(bytecode::ElemKind kind)
+    {
+        static const char *const kTokens[] = {
+            "ST_KF32", "ST_KF64", "ST_KI8", "ST_KI16", "ST_KI32", "ST_KI64",
+            "ST_KBOOL"};
+        return kTokens[static_cast<int>(kind)];
+    }
+
+    /** View of `slot` as `kind`; one per (slot, kind) pair, since two
+     *  buffers of different dtypes may share a parameter. */
+    static std::string
+    viewName(int slot, bytecode::ElemKind kind)
+    {
+        return "w" + std::to_string(slot) + "_" +
+               std::to_string(static_cast<int>(kind));
+    }
+
+    /**
+     * View serving `kind` accesses to `slot`, or "" when they take the
+     * checked helper alone: bool slots, and scratch slots accessed as
+     * another kind. Parameter views are declared at entry on first
+     * use; scratch views at their Allocate.
+     */
+    std::string
+    viewFor(int slot, bytecode::ElemKind kind)
+    {
+        if (kind == bytecode::ElemKind::kBool) {
+            return "";
+        }
+        if (slot < numParamSlots_) {
+            paramViews_.emplace(slot, kind);
+            return viewName(slot, kind);
+        }
+        auto it = scratchKind_.find(slot);
+        return it != scratchKind_.end() && it->second == kind
+                   ? viewName(slot, kind)
+                   : "";
+    }
+
+    /**
+     * One checked load (`value` is the destination temporary) or
+     * store of `buffer` at flat offset `off`, typed by the buffer's
+     * dtype.
+     */
+    void
+    emitAccess(int slot, const Buffer &buffer, const std::string &off,
+               const std::string &value, bool store)
+    {
+        bytecode::ElemKind kind =
+            bytecode::elemKindOfDtype(buffer->dtype);
+        bool flt = bytecode::elemKindIsFloat(kind);
+        std::string helper = std::string(store ? "st_st_" : "st_ld_") +
+                             (flt ? "f" : "i");
+        std::string view = viewFor(slot, kind);
+        if (view.empty()) {
+            line("ST_CALL(" + helper + "(ctx, " + slotTok(slot) + ", " +
+                 off + ", " + (store ? "" : "&") + value + "));");
+            return;
+        }
+        line(std::string(store ? "ST_ST(" : "ST_LD(") + view + ", " +
+             cType(kind) + ", " + helper + ", " + slotTok(slot) + ", " +
+             off + ", " + value + ");");
+    }
+
+    std::string
+    emitLoad(const BufferLoadNode *op)
+    {
+        std::string off = emitOffset(op->buffer, op->indices);
+        int slot = slotFor(op->buffer);
+        std::string t = tmp();
+        line(std::string(op->buffer->dtype.isFloat() ? "double "
+                                                     : "int64_t ") +
+             t + " = 0;");
+        emitAccess(slot, op->buffer, off, t, /*store=*/false);
+        return t;
+    }
+
+    /**
+     * Element count of an Allocate served from the kernel's stack, or
+     * 0 when it stays on st_alloc: a non-constant or oversized extent,
+     * a bool buffer, or one handed to an atomic or binary search —
+     * those helpers read storage through ctx->slots, where a stack
+     * slot has none.
+     */
+    static int64_t
+    stackExtent(const AllocateNode *op, bytecode::ElemKind kind)
+    {
+        constexpr int64_t kMaxStackElems = 1024;
+        if (kind == bytecode::ElemKind::kBool) {
+            return 0;
+        }
+        int64_t n = 1;
+        for (const Expr &dim : op->buffer->shape) {
+            if (dim->kind != ExprKind::kIntImm) {
+                return 0;
+            }
+            int64_t d = static_cast<const IntImmNode *>(dim.get())->value;
+            if (d < 1 || d > kMaxStackElems / n) {
+                return 0;
+            }
+            n *= d;
+        }
+        struct HelperUse : StmtVisitor
+        {
+            const VarNode *data = nullptr;
+            bool found = false;
+
+            void
+            visitCall(const CallNode *call) override
+            {
+                found = found || (call->bufferArg != nullptr &&
+                                  call->bufferArg->data.get() == data);
+                StmtVisitor::visitCall(call);
+            }
+        } use;
+        use.data = op->buffer->data.get();
+        use.visitStmt(op->body);
+        return use.found ? 0 : n;
+    }
+
     /**
      * Flat element offset of an access: Stage III accesses carry one
      * index; multi-dimensional dense accesses emit the row-major
@@ -852,17 +1067,10 @@ class Emitter
             // Value before indices, mirroring the interpreter's
             // evaluation order (observable when the value contains
             // an atomic update the indices then read).
-            if (op->buffer->dtype.isFloat()) {
-                std::string v = emitF(op->value);
-                std::string off = emitOffset(op->buffer, op->indices);
-                line("ST_CALL(st_st_f(ctx, " + slotTok(slot) + ", " +
-                     off + ", " + v + "));");
-            } else {
-                std::string v = emitI(op->value);
-                std::string off = emitOffset(op->buffer, op->indices);
-                line("ST_CALL(st_st_i(ctx, " + slotTok(slot) + ", " +
-                     off + ", " + v + "));");
-            }
+            bool flt = op->buffer->dtype.isFloat();
+            std::string v = flt ? emitF(op->value) : emitI(op->value);
+            std::string off = emitOffset(op->buffer, op->indices);
+            emitAccess(slot, op->buffer, off, v, /*store=*/true);
             break;
           }
           case StmtKind::kSeq: {
@@ -937,20 +1145,47 @@ class Emitter
             slotNames_.push_back(op->buffer->name);
             bytecode::ElemKind kind =
                 bytecode::elemKindOfDtype(op->buffer->dtype);
-            Expr size = op->buffer->shape.empty()
-                            ? intImm(1)
-                            : op->buffer->shape[0];
-            for (size_t d = 1; d < op->buffer->shape.size(); ++d) {
-                size = mul(size, op->buffer->shape[d]);
+            std::string meta =
+                std::string(kindToken(kind)) + ", " +
+                std::to_string(bytecode::elemKindBytes(kind));
+            std::string view = viewName(slot, kind);
+            line("{");
+            ++indent_;
+            int64_t stack = stackExtent(op, kind);
+            if (stack > 0) {
+                // Constant-size scratch lives in the kernel's frame,
+                // re-zeroed on every entry like st_alloc's calloc.
+                std::string arr = "a" + slotTok(slot);
+                stackMeta_ += "    st_stack(ctx, " + slotTok(slot) +
+                              ", " + intLiteral(stack) + ", " + meta +
+                              ");\n";
+                line(std::string(cType(kind)) + " " + arr + "[" +
+                     std::to_string(stack) + "];");
+                line("memset(" + arr + ", 0, sizeof " + arr + ");");
+                line("const StView " + view + " = {" + arr + ", 0, " +
+                     intLiteral(stack) + "};");
+            } else {
+                Expr size = op->buffer->shape.empty()
+                                ? intImm(1)
+                                : op->buffer->shape[0];
+                for (size_t d = 1; d < op->buffer->shape.size(); ++d) {
+                    size = mul(size, op->buffer->shape[d]);
+                }
+                std::string n = emitI(size);
+                line("ST_CALL(st_alloc(ctx, " + slotTok(slot) + ", " +
+                     n + ", " + meta + "));");
+                if (kind != bytecode::ElemKind::kBool) {
+                    line("const StView " + view + " = st_view(ctx, " +
+                         slotTok(slot) + ", " + kindToken(kind) +
+                         ");");
+                }
             }
-            std::string n = emitI(size);
-            line("ST_CALL(st_alloc(ctx, " + slotTok(slot) + ", " + n +
-                 ", " + std::to_string(static_cast<int>(kind)) + ", " +
-                 std::to_string(bytecode::elemKindBytes(kind)) +
-                 "));");
+            scratchKind_[slot] = kind;
             slotOf_[op->buffer->data.get()] = slot;
             emitStmt(op->body);
             slotOf_.erase(op->buffer->data.get());
+            --indent_;
+            line("}");
             break;
           }
           case StmtKind::kEvaluate: {
@@ -1023,6 +1258,12 @@ class Emitter
     std::vector<bool> scalarUsed_;
     std::unordered_map<const VarNode *, CVar> vars_;
     std::unordered_map<const VarNode *, int> slotOf_;
+    /** Element kind of every scratch slot allocated so far. */
+    std::unordered_map<int, bytecode::ElemKind> scratchKind_;
+    /** Parameter views the body uses, declared at entry. */
+    std::set<std::pair<int, bytecode::ElemKind>> paramViews_;
+    /** Entry-time st_stack() calls of the stack scratch slots. */
+    std::string stackMeta_;
     const ForNode *blockLoop_ = nullptr;
 };
 

@@ -80,11 +80,22 @@ makeDirs(const std::string &path)
     }
 }
 
+/**
+ * The full compiler invocation minus file arguments: the
+ * SPARSETIR_NATIVE_CC command (default "cc") plus fixed flags. It is
+ * folded into every artifact's meta string and source hash, so an
+ * artifact built by another compiler or with other flags is rebuilt,
+ * never loaded. -ffp-contract=off comes last so it wins over the
+ * command's own flags: a contracted multiply-add rounds once where
+ * the interpreter rounds twice, and GNU C contracts by default on any
+ * target with FMA (e.g. under -march=native).
+ */
 std::string
 compilerCommand()
 {
     const char *cc = std::getenv("SPARSETIR_NATIVE_CC");
-    return (cc != nullptr && cc[0] != '\0') ? cc : "cc";
+    std::string command = (cc != nullptr && cc[0] != '\0') ? cc : "cc";
+    return command + " -O2 -fPIC -shared -ffp-contract=off";
 }
 
 std::string
@@ -181,10 +192,12 @@ nativeEnabledByEnv()
 std::shared_ptr<const NativeKernel>
 compileNative(const ir::PrimFunc &func, const std::string &key_tag)
 {
-    EmitResult emitted = emitC(func, key_tag);
+    std::string command = compilerCommand();
+    std::string build_tag = key_tag + ";cc=" + command;
+    EmitResult emitted = emitC(func, build_tag);
     std::string expected_meta =
         "sparsetir-native;abi=" + std::to_string(kNativeAbiVersion) +
-        ";tag=" + key_tag + ";kernel=" + emitted.name;
+        ";tag=" + build_tag + ";kernel=" + emitted.name;
     std::string dir = nativeCacheDir();
     std::string so_path =
         dir + "/st_" + hex16(fnv1a(emitted.source)) + ".so";
@@ -227,13 +240,12 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag)
                                << c_path << "'";
     }
 
-    std::string command = compilerCommand() +
-                          " -O2 -fPIC -shared -o '" + tmp_so + "' '" +
-                          c_path + "' 2>'" + err_path + "'";
+    std::string shell = command + " -o '" + tmp_so + "' '" + c_path +
+                        "' 2>'" + err_path + "'";
     int rc;
     {
         SPARSETIR_TRACE_SCOPE("native", "native.compile");
-        rc = std::system(command.c_str());
+        rc = std::system(shell.c_str());
     }
     std::string cc_err = readFile(err_path);
     ::unlink(c_path.c_str());
@@ -242,8 +254,7 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag)
         ::unlink(tmp_so.c_str());
         USER_CHECK(false)
             << "native compilation of '" << kernel->name
-            << "' failed (command: " << compilerCommand()
-            << " -O2 -fPIC -shared): " << cc_err;
+            << "' failed (command: " << command << "): " << cc_err;
     }
     compileCounter().fetch_add(1, std::memory_order_relaxed);
     // Atomic install: concurrent processes either see the old file or
@@ -324,8 +335,9 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
 
     int32_t rc = kernel.entry(&ctx);
 
-    // Scratch slots are calloc'd inside the kernel; release them on
-    // success and fault paths alike (metadata survives for messages).
+    // Scratch slots the kernel calloc'd (st_alloc) are released here on
+    // success and fault paths alike; stack scratch leaves base null.
+    // Metadata survives either way for the messages below.
     for (size_t i = static_cast<size_t>(kernel.numParamSlots);
          i < slots.size(); ++i) {
         std::free(slots[i].base);

@@ -59,7 +59,8 @@ struct NativeKernel
 /**
  * Compile `func` to a native kernel, reusing a persisted artifact
  * when one with a matching meta string (source hash + key tag + ABI
- * version) exists in the cache directory. Throws UserError when the
+ * version + compiler command and flags) exists in the cache
+ * directory. Throws UserError when the
  * function is outside the native subset or the C compiler fails /
  * is missing — callers treat that as "stay on bytecode". Safe to
  * call concurrently: a process-wide lock serializes the cache, so

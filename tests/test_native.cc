@@ -25,11 +25,14 @@
 #include <vector>
 
 #include "core/ops.h"
+#include "dfg/lower.h"
+#include "dfg/op_graph.h"
 #include "core/pipeline.h"
 #include "engine/engine.h"
 #include "format/hyb.h"
 #include "graph/generator.h"
 #include "ir/stmt.h"
+#include "model/attention.h"
 #include "runtime/interpreter.h"
 #include "runtime/native/c_emitter.h"
 #include "runtime/native/native_compiler.h"
@@ -177,6 +180,38 @@ engineSpmmReference(const Csr &a, int64_t feat,
     return c;
 }
 
+/** The emitted entry function, without the fixed preamble. */
+std::string
+kernelBody(const native::EmitResult &emitted)
+{
+    size_t at = emitted.source.find("int32_t sparsetir_kernel_run(");
+    EXPECT_NE(at, std::string::npos);
+    return at == std::string::npos ? "" : emitted.source.substr(at);
+}
+
+/** Message of the InternalError `run` raises; "" (and a test
+ *  failure) when it raises nothing. */
+template <typename Fn>
+std::string
+faultMessage(Fn run)
+{
+    try {
+        run();
+    } catch (const InternalError &err) {
+        return err.what();
+    }
+    ADD_FAILURE() << "expected an InternalError";
+    return "";
+}
+
+bool
+endsWith(const std::string &text, const std::string &suffix)
+{
+    return text.size() >= suffix.size() &&
+           text.compare(text.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
+}
+
 // ---------------------------------------------------------------------
 // Emitter golden-source checks
 // ---------------------------------------------------------------------
@@ -221,12 +256,17 @@ TEST(NativeEmitter, GoldenSourceAcrossSixKernelFamilies)
                                       family.tag),
                   std::string::npos);
 
-        // Every family writes a float output through the checked
-        // store helper, and every buffer access goes through the
-        // faultable resolve path.
-        EXPECT_NE(emitted.source.find("st_st_f"), std::string::npos);
-        EXPECT_NE(emitted.source.find("st_resolve"),
-                  std::string::npos);
+        // Every buffer access is a typed view with the checked
+        // helper as its fallback: views are hoisted to kernel entry,
+        // the float output is stored through ST_ST with st_st_f
+        // behind it, and no access calls a helper unconditionally.
+        std::string body = kernelBody(emitted);
+        EXPECT_NE(body.find("const StView w"), std::string::npos);
+        EXPECT_NE(body.find("= st_view(ctx, "), std::string::npos);
+        EXPECT_NE(body.find("ST_LD("), std::string::npos);
+        EXPECT_NE(body.find(", float, st_st_f, "), std::string::npos);
+        EXPECT_EQ(body.find("ST_CALL(st_ld_"), std::string::npos);
+        EXPECT_EQ(body.find("ST_CALL(st_st_"), std::string::npos);
 
         // All six kernels carry a blockIdx.x grid, so the emitted
         // outer loop must honor the kBlockWindow contract.
@@ -237,6 +277,30 @@ TEST(NativeEmitter, GoldenSourceAcrossSixKernelFamilies)
         EXPECT_GT(emitted.numParamSlots, 0);
         EXPECT_GE(static_cast<int>(emitted.slotNames.size()),
                   emitted.numParamSlots);
+    }
+
+    // The serving kernels' scratch (hyb bucket and CSR accumulators,
+    // the fused attention kernel's per-row temporaries) has constant
+    // extents, so it lives on the stack: no calloc per element.
+    format::Hyb hyb =
+        format::hybFromCsr(graph::powerLawGraph(120, 700, 1.8, 5), 4);
+    std::vector<ir::PrimFunc> scratch_kernels = {
+        core::compileSpmmCsrFunc(16, core::SpmmSchedule())};
+    for (const core::HybKernelPlan &plan :
+         core::compileSpmmHybFuncs(hyb, 32)) {
+        scratch_kernels.push_back(plan.func);
+    }
+    auto mask = dfg::SparsityPattern::fromCsr(
+        graph::powerLawGraph(64, 512, 1.8, 6));
+    dfg::GraphLowering attention =
+        dfg::lowerGraph(model::buildAttentionGraph(mask, 32), true);
+    ASSERT_EQ(attention.funcs.size(), 1u);
+    scratch_kernels.push_back(attention.funcs[0]);
+    for (const ir::PrimFunc &func : scratch_kernels) {
+        SCOPED_TRACE(func->name);
+        std::string body = kernelBody(native::emitC(func, "scratch"));
+        EXPECT_NE(body.find("st_stack(ctx, "), std::string::npos);
+        EXPECT_EQ(body.find("st_alloc("), std::string::npos);
     }
 
     // Family-specific binding metadata: the spmm kernel's parameter
@@ -404,6 +468,122 @@ TEST(NativeKernel, OffsetViewRebasedRunMatchesInterpreterBitwise)
     EXPECT_EQ(full.floatAt(7), 4.0);
 }
 
+// Every access is one compare against a hoisted typed view, with the
+// checked helper behind it. Each fault the helper path raised before
+// must still surface, lazily and with the bytecode VM's exact text.
+TEST(NativeKernel, TypedViewFallbackKeepsEveryFaultAndDiagnostic)
+{
+    CacheDirGuard cache;
+    // f(base, n, k, out, v): for i in [0, n):
+    //   acc = scratch float[4] (zeroed); acc[k] = v[i];
+    //   out[base + i] = acc[k]
+    auto func = ir::primFunc("contract");
+    ir::Var base = ir::var("base");
+    ir::Var n = ir::var("n");
+    ir::Var k = ir::var("k");
+    ir::Var i = ir::var("i");
+    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(64)},
+                                     ir::DataType::float32());
+    ir::Buffer v = ir::denseBuffer("v", {ir::intImm(64)},
+                                   ir::DataType::float32());
+    ir::Buffer acc = ir::denseBuffer("acc", {ir::intImm(4)},
+                                     ir::DataType::float32());
+    func->params = {base, n, k, out->data, v->data};
+    func->bufferMap.emplace_back(out->data, out);
+    func->bufferMap.emplace_back(v->data, v);
+    func->body = ir::forLoop(
+        i, ir::intImm(0), n,
+        ir::allocate(
+            acc,
+            ir::seq({ir::bufferStore(acc, {k}, ir::bufferLoad(v, {i})),
+                     ir::bufferStore(out, {ir::add(base, i)},
+                                     ir::bufferLoad(acc, {k}))})));
+    func->stage = ir::IrStage::kStage3;
+
+    // Typed views and a stack scratch slot, not a helper per access.
+    std::string body = kernelBody(native::emitC(func, "contract"));
+    EXPECT_NE(body.find("st_stack(ctx, "), std::string::npos);
+    EXPECT_EQ(body.find("st_alloc("), std::string::npos);
+    auto kernel = native::compileNative(func, "contract");
+    ASSERT_NE(kernel, nullptr);
+
+    NDArray vals = NDArray::fromFloat({1, 2, 3, 4, 5, 6, 7, 8});
+    NDArray ints = NDArray::fromInt32({1, 2, 3, 4, 5, 6, 7, 8});
+    // Runs one configuration on native and on the bytecode VM; both
+    // must raise the diagnostic `expected` (after the check prefix).
+    auto expectFault = [&](const Bindings &bindings,
+                           runtime::RunOptions options,
+                           const std::string &expected) {
+        std::string native_text = faultMessage(
+            [&] { native::execute(*kernel, bindings, options); });
+        EXPECT_TRUE(endsWith(native_text, expected)) << native_text;
+        options.backend = Backend::kBytecode;
+        std::string vm_text = faultMessage(
+            [&] { runtime::run(func, bindings, options); });
+        EXPECT_TRUE(endsWith(vm_text, expected)) << vm_text;
+    };
+    auto bind = [&](int64_t b, int64_t count, int64_t slot,
+                    NDArray *dst, NDArray *src) {
+        Bindings bindings;
+        bindings.scalars = {{"base", b}, {"n", count}, {"k", slot}};
+        bindings.arrays = {{"out_data", dst}};
+        if (src != nullptr) {
+            bindings.arrays["v_data"] = src;
+        }
+        return bindings;
+    };
+
+    // In-range run: every access on the typed path.
+    NDArray full({8}, ir::DataType::float32());
+    native::execute(*kernel, bind(2, 6, 3, &full, &vals),
+                    runtime::RunOptions());
+    EXPECT_EQ(full.floatAt(2), 1.0);
+    EXPECT_EQ(full.floatAt(7), 6.0);
+
+    // A typed slot accessed past its end: the helper's bounds fault.
+    expectFault(bind(6, 4, 0, &full, &vals), {},
+                "offset 8 out of bounds for buffer 'out_data' (numel 8)");
+    expectFault(bind(-1, 1, 0, &full, &vals), {},
+                "negative offset into out_data");
+
+    // A single-span view: outside the window is the window fault; a
+    // span wider than the packed array is still bounded by numel.
+    auto narrow = runtime::OffsetView::fromSpans({{4, 8}});
+    runtime::RunOptions narrow_options;
+    narrow_options.offsetViews.push_back(
+        runtime::BufferView{"out_data", &narrow});
+    NDArray packed({4}, ir::DataType::float32());
+    expectFault(bind(2, 4, 0, &packed, &vals), narrow_options,
+                "offset 2 of buffer 'out_data' lies outside its "
+                "rebased window (write-set spans must cover every "
+                "touched element)");
+    auto wide = runtime::OffsetView::fromSpans({{4, 12}});
+    runtime::RunOptions wide_options;
+    wide_options.offsetViews.push_back(
+        runtime::BufferView{"out_data", &wide});
+    expectFault(bind(4, 8, 0, &packed, &vals), wide_options,
+                "offset 4 out of bounds for buffer 'out_data' (numel 4)");
+
+    // An int32 array bound to the float parameter: no view, so the
+    // class fault comes from the helper, and only once v is touched.
+    native::execute(*kernel, bind(0, 0, 0, &full, &ints),
+                    runtime::RunOptions());
+    expectFault(bind(0, 1, 0, &full, &ints), {},
+                "float access to integer buffer 'v_data'");
+
+    // An unbound parameter faults lazily too.
+    native::execute(*kernel, bind(0, 0, 0, &full, nullptr),
+                    runtime::RunOptions());
+    expectFault(bind(0, 1, 0, &full, nullptr), {},
+                "no storage bound for buffer 'v_data'");
+
+    // The stack scratch slot reports its own numel.
+    expectFault(bind(0, 1, 4, &full, &vals), {},
+                "offset 4 out of bounds for buffer 'acc' (numel 4)");
+    expectFault(bind(0, 1, -1, &full, &vals), {},
+                "negative offset into acc");
+}
+
 // ---------------------------------------------------------------------
 // Persistent artifact cache
 // ---------------------------------------------------------------------
@@ -533,6 +713,32 @@ TEST(NativeCompiler, MissingCompilerFailsAsUserError)
     uint64_t before = native::nativeCompileCount();
     EXPECT_THROW(native::compileNative(func, "no-cc"), UserError);
     EXPECT_EQ(native::nativeCompileCount(), before);
+}
+
+// Bitwise parity must not depend on how the compiler is configured:
+// -ffp-contract=off keeps `acc + a * b` from fusing into one FMA under
+// -march=native, and the compiler command is part of the artifact's
+// identity, so a .so built under other flags is never reused.
+TEST(NativeCompiler, CompilerCommandKeepsParityAndIdentity)
+{
+    CacheDirGuard cache;
+    SpmmFixture fx(300, 3600, 75);
+    auto func = core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
+    auto plain = native::compileNative(func, "flags");
+    ASSERT_NE(plain, nullptr);
+
+    EnvGuard cc("SPARSETIR_NATIVE_CC", "cc -march=native");
+    uint64_t before = native::nativeCompileCount();
+    auto tuned = native::compileNative(func, "flags");
+    ASSERT_NE(tuned, nullptr);
+    EXPECT_NE(tuned->soPath, plain->soPath);
+    EXPECT_FALSE(tuned->diskHit);
+    EXPECT_EQ(native::nativeCompileCount(), before + 1);
+
+    NDArray c_native({fx.a.rows * fx.feat}, ir::DataType::float32());
+    native::execute(*tuned, fx.bindings(&c_native),
+                    runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
 }
 
 // ---------------------------------------------------------------------
@@ -734,6 +940,44 @@ TEST(NativeEngine, HybBucketsPromoteEveryKernel)
     NDArray c_warm({a.rows * feat}, ir::DataType::float32());
     eng.spmmHyb(a, feat, &b, &c_warm, config);
     EXPECT_TRUE(bitwiseEqual(reference, c_warm));
+}
+
+// Promotion state rides on the artifact: once LRU eviction drops an
+// artifact, its rebuild must be promoted again rather than silently
+// serving bytecode for the rest of the session.
+TEST(NativeEngine, EvictedArtifactIsPromotedAgainOnRebuild)
+{
+    CacheDirGuard cache;
+    int64_t feat = 16;
+    Csr a = graph::powerLawGraph(240, 2800, 1.8, 95);
+    Csr b_graph = graph::powerLawGraph(260, 3000, 1.8, 96);
+    auto a_host = randomVector(a.cols * feat, 97);
+    auto b_host = randomVector(b_graph.cols * feat, 98);
+    NDArray a_reference = engineSpmmReference(a, feat, a_host);
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 0;
+    options.cacheCapacity = 1;
+    engine::Engine eng(options);
+
+    NDArray a_b = NDArray::fromFloat(a_host);
+    NDArray b_b = NDArray::fromFloat(b_host);
+    NDArray a_c({a.rows * feat}, ir::DataType::float32());
+    NDArray b_c({b_graph.rows * feat}, ir::DataType::float32());
+    eng.spmmCsr(a, feat, &a_b, &a_c);
+    eng.spmmCsr(b_graph, feat, &b_b, &b_c);  // evicts A
+    NDArray a_again({a.rows * feat}, ir::DataType::float32());
+    eng.spmmCsr(a, feat, &a_b, &a_again);  // rebuilds A, evicts B
+    EXPECT_EQ(eng.cacheStats().evictions, 2u);
+    EXPECT_TRUE(bitwiseEqual(a_reference, a_again));
+
+    // The rebuilt A was promoted: its kernel loaded A's persisted .so.
+    engine::NativeStats stats = eng.nativeStats();
+    EXPECT_EQ(stats.promotions, 3u);
+    EXPECT_EQ(stats.compiles, 2u);
+    EXPECT_EQ(stats.diskHits, 1u);
+    EXPECT_EQ(stats.fallbacks, 0u);
 }
 
 TEST(NativeEngine, MissingCompilerDegradesToBytecode)
