@@ -40,14 +40,8 @@
  *     subset: the workload where span-sized privatization leases
  *     shrink scratch the most. Informational, in BENCH_JSON.
  *
- *  7. Fused task-graph dispatch — the same warm batched-hyb stream
- *     executed with EngineOptions::fusedDispatch on (one unit pool
- *     over every request x bucket x grid-chunk, no barrier between
- *     hyb buckets or requests) vs off (the barriered per-segment
- *     schedule), bitwise-checked per request. Reports req/s both
- *     ways plus the fused scratch peak; rides in BENCH_JSON for
- *     trajectory tracking (informational — no gate until two runs
- *     of trajectory exist).
+ *  (No 7: it compared the fused task graph with a barriered
+ *  schedule that no longer exists.)
  *
  *  8. Engine metrics snapshot — the observability registry's view of
  *     the session used by [1]/[3]: every named counter and gauge.
@@ -464,71 +458,6 @@ main()
                 rg_naive_bytes / 1e6);
 
     // ------------------------------------------------------------------
-    // 7. Fused task-graph dispatch vs barriered schedule (warm batch)
-    // ------------------------------------------------------------------
-    int fused_rounds = benchutil::fastMode() ? 3 : 5;
-    std::printf("\n[7] fused task-graph dispatch: %d in-flight "
-                "requests (%d rounds each way, 4 workers)\n",
-                batch_requests, fused_rounds);
-    std::vector<NDArray> fused_c;
-    std::vector<NDArray> barriered_c;
-    for (int i = 0; i < batch_requests; ++i) {
-        fused_c.emplace_back(std::vector<int64_t>{g.rows * feat},
-                             ir::DataType::float32());
-        barriered_c.emplace_back(std::vector<int64_t>{g.rows * feat},
-                                 ir::DataType::float32());
-    }
-    double sched_ms[2] = {0.0, 0.0};  // [0]=barriered, [1]=fused
-    long long fused_scratch_peak = 0;
-    for (int which = 0; which < 2; ++which) {
-        bool fused = which == 1;
-        engine::EngineOptions options;
-        options.numThreads = 4;
-        options.fusedDispatch = fused;
-        engine::Engine eng(options);
-        std::vector<engine::SpmmRequest> reqs;
-        for (int i = 0; i < batch_requests; ++i) {
-            reqs.push_back(engine::SpmmRequest{
-                &batch_b[i], fused ? &fused_c[i] : &barriered_c[i]});
-        }
-        engine::PreparedSpmmHyb handle =
-            eng.prepareSpmmHyb(g, feat, config);
-        eng.spmmHybBatch(handle, reqs);  // warm
-        eng.resetScratchPeak();
-        sched_ms[which] = benchutil::timedRoundsMs(
-            fused_rounds,
-            [&] { eng.spmmHybBatch(handle, reqs); });
-        if (fused) {
-            fused_scratch_peak = static_cast<long long>(
-                eng.scratchStats().peakLeasedBytes);
-        }
-        std::printf("  %-10s %8.2f ms/batch  (%.1f req/s)\n",
-                    fused ? "fused:" : "barriered:", sched_ms[which],
-                    sched_ms[which] > 0.0
-                        ? 1000.0 * batch_requests / sched_ms[which]
-                        : 0.0);
-    }
-    bool fused_equal = true;
-    for (int i = 0; i < batch_requests; ++i) {
-        fused_equal =
-            fused_equal && bitwiseEqual(barriered_c[i], fused_c[i]) &&
-            bitwiseEqual(seq_out[i], fused_c[i]);
-    }
-    double barriered_rps =
-        sched_ms[0] > 0.0 ? 1000.0 * batch_requests / sched_ms[0]
-                          : 0.0;
-    double fused_rps =
-        sched_ms[1] > 0.0 ? 1000.0 * batch_requests / sched_ms[1]
-                          : 0.0;
-    double fused_speedup =
-        sched_ms[1] > 0.0 ? sched_ms[0] / sched_ms[1] : 0.0;
-    std::printf("  fused vs barriered: %.2fx, bitwise identical to "
-                "barriered AND sequential: %s\n",
-                fused_speedup, fused_equal ? "yes" : "NO");
-    std::printf("  fused scratch high-water mark: %.2f MB\n",
-                fused_scratch_peak / 1e6);
-
-    // ------------------------------------------------------------------
     // 8. Engine metrics snapshot (registry counters + gauges)
     // ------------------------------------------------------------------
     std::printf("\n[8] metrics snapshot of the [1]/[3] engine "
@@ -819,11 +748,6 @@ main()
             "  \"scratch_naive_bytes\": %lld,\n"
             "  \"rgcn_scratch_peak_bytes\": %lld,\n"
             "  \"rgcn_scratch_naive_bytes\": %lld,\n"
-            "  \"barriered_req_per_s\": %.2f,\n"
-            "  \"fused_req_per_s\": %.2f,\n"
-            "  \"fused_speedup\": %.4f,\n"
-            "  \"fused_bitwise_identical\": %s,\n"
-            "  \"fused_scratch_peak_bytes\": %lld,\n"
             "  \"graph_attention_chain_req_per_s\": %.2f,\n"
             "  \"graph_attention_fused_req_per_s\": %.2f,\n"
             "  \"graph_attention_speedup\": %.4f,\n"
@@ -845,9 +769,7 @@ main()
             static_cast<long long>(batch_scratch.peakLeasedBytes),
             naive_bytes,
             static_cast<long long>(rg_scratch.peakLeasedBytes),
-            rg_naive_bytes, barriered_rps, fused_rps, fused_speedup,
-            fused_equal ? "true" : "false", fused_scratch_peak,
-            att_chain_rps, att_fused_rps, att_speedup,
+            rg_naive_bytes, att_chain_rps, att_fused_rps, att_speedup,
             att_equal ? "true" : "false", att_scratch[0],
             att_scratch[1], sage_chain_rps, sage_fused_rps,
             sage_speedup, sage_equal ? "true" : "false");
@@ -929,7 +851,7 @@ main()
         }
         std::printf("%s", recorder.textSummary().c_str());
     }
-    return backend_equal && batch_equal && fused_equal && att_equal &&
+    return backend_equal && batch_equal && att_equal &&
                    sage_equal && tier_equal
                ? 0
                : 1;

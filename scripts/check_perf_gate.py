@@ -93,26 +93,6 @@ def main() -> int:
             f"bitwise_identical="
             f"{data.get('batch_bitwise_identical', 'n/a')}"
         )
-    # Fused task-graph trajectory (experiment [7], informational —
-    # gate it once two runs of trajectory exist). Malformed fields
-    # are still bad input, not a tripped gate.
-    if "fused_req_per_s" in data:
-        try:
-            barriered_rps = float(data.get("barriered_req_per_s", 0.0))
-            fused_rps = float(data["fused_req_per_s"])
-            fused_speedup = float(data.get("fused_speedup", 0.0))
-        except (TypeError, ValueError) as err:
-            return fail_input(
-                f"{path} holds a non-numeric fused field: {err}"
-            )
-        print(
-            f"fused task-graph dispatch: "
-            f"{barriered_rps:.1f} req/s barriered -> "
-            f"{fused_rps:.1f} req/s fused "
-            f"({fused_speedup:.2f}x), "
-            f"bitwise_identical="
-            f"{data.get('fused_bitwise_identical', 'n/a')}"
-        )
     # Graph-compilation trajectory (experiment [10], informational —
     # fused whole-model pipelines vs per-node chains). Malformed
     # fields are still bad input, not a tripped gate.

@@ -73,6 +73,7 @@ CompileCache::getOrBuild(
             std::chrono::steady_clock::now() - start)
             .count();
     ICHECK(built != nullptr) << "cache builder returned null artifact";
+    built->key = key;
     buildMs_->record(elapsed_ms);
     // The verdict rides on the artifact (paid once, at build); the
     // registry keeps the aggregate verify cost and outcome counters.

@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/fingerprint.h"
 #include "observe/metrics.h"
@@ -57,25 +58,33 @@ struct VerifyReport
 };
 
 /** Base of all cached compile results (immutable after build —
- *  except the atomic native-kernel boxes, see nativeKernels()). */
+ *  except the atomic native-kernel boxes, see kernels()). */
 class Artifact
 {
   public:
     virtual ~Artifact() = default;
 
     /**
-     * The artifact's compiled kernels, for the engine's native-tier
-     * promotion: each kernel's NativeBox is the one mutable cell of
-     * an artifact, swapped from empty to a dlopen'd kernel when a
-     * background native build completes. Artifact types that hold no
-     * CompiledKernels (or predate the native tier) report none and
-     * are simply never promoted.
+     * The artifact's compiled kernels in execution order: the one
+     * kernel list both dispatch and native-tier promotion use. Each
+     * kernel's NativeBox is the one mutable cell of an artifact,
+     * swapped from empty to a dlopen'd kernel when a background
+     * native build completes. Artifact types that hold no
+     * CompiledKernels report none.
      */
-    virtual std::vector<CompiledKernel *>
-    nativeKernels()
+    virtual std::vector<const CompiledKernel *>
+    kernels() const
     {
         return {};
     }
+
+    /**
+     * The cache key this artifact was built under (set by
+     * CompileCache::getOrBuild before insertion). Native promotion
+     * tags each persisted kernel with it, so handles that bypass the
+     * cache lookup can still promote.
+     */
+    CacheKey key;
 
     /** Cached static-verification verdict (see VerifyReport). */
     VerifyReport verify;

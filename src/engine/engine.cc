@@ -191,53 +191,19 @@ csrVerifyContext(const Csr &a, int64_t feat)
     return ctx;
 }
 
-struct SpmmCsrArtifact : Artifact
+/**
+ * Artifact of the single-kernel ops (CSR/BSR/SR-BCRS SpMM, SDDMM): the
+ * kernel plus its two structure arrays — row pointer and column
+ * indices (SR-BCRS: group pointer and tile columns).
+ */
+struct KernelArtifact : Artifact
 {
     CompiledKernel kernel;
     NDArray indptr;
     NDArray indices;
 
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        return {&kernel};
-    }
-};
-
-struct SddmmArtifact : Artifact
-{
-    CompiledKernel kernel;
-    NDArray indptr;
-    NDArray indices;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        return {&kernel};
-    }
-};
-
-struct BsrArtifact : Artifact
-{
-    CompiledKernel kernel;
-    NDArray indptr;
-    NDArray indices;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
-    {
-        return {&kernel};
-    }
-};
-
-struct SrbcrsArtifact : Artifact
-{
-    CompiledKernel kernel;
-    NDArray groupIndptr;
-    NDArray tileCols;
-
-    std::vector<CompiledKernel *>
-    nativeKernels() override
+    std::vector<const CompiledKernel *>
+    kernels() const override
     {
         return {&kernel};
     }
@@ -261,14 +227,14 @@ struct SpmmHybArtifact : Artifact
     NDArray indices;
     std::vector<HybBucketData> buckets;
 
-    std::vector<CompiledKernel *>
-    nativeKernels() override
+    std::vector<const CompiledKernel *>
+    kernels() const override
     {
-        std::vector<CompiledKernel *> kernels;
-        for (HybBucketData &bucket : buckets) {
-            kernels.push_back(&bucket.kernel);
+        std::vector<const CompiledKernel *> out;
+        for (const HybBucketData &bucket : buckets) {
+            out.push_back(&bucket.kernel);
         }
-        return kernels;
+        return out;
     }
 };
 
@@ -287,14 +253,14 @@ struct RgcnArtifact : Artifact
 {
     std::vector<RgcnUnit> units;
 
-    std::vector<CompiledKernel *>
-    nativeKernels() override
+    std::vector<const CompiledKernel *>
+    kernels() const override
     {
-        std::vector<CompiledKernel *> kernels;
-        for (RgcnUnit &unit : units) {
-            kernels.push_back(&unit.kernel);
+        std::vector<const CompiledKernel *> out;
+        for (const RgcnUnit &unit : units) {
+            out.push_back(&unit.kernel);
         }
-        return kernels;
+        return out;
     }
 };
 
@@ -316,17 +282,18 @@ struct GraphArtifact : Artifact
     bool fused = false;
     /** Why fusion bailed to the chain; empty when fused. */
     std::string modeReason;
-    std::vector<CompiledKernel> kernels;
+    /** Dataflow order: chain kernels consume earlier outputs. */
+    std::vector<CompiledKernel> program;
     std::map<std::string, NDArray> structures;
     std::vector<GraphTemp> temps;
     /** Bytes of scratch a chain dispatch leases (0 when fused). */
     int64_t tempBytes = 0;
 
-    std::vector<CompiledKernel *>
-    nativeKernels() override
+    std::vector<const CompiledKernel *>
+    kernels() const override
     {
-        std::vector<CompiledKernel *> out;
-        for (CompiledKernel &kernel : kernels) {
+        std::vector<const CompiledKernel *> out;
+        for (const CompiledKernel &kernel : program) {
             out.push_back(&kernel);
         }
         return out;
@@ -347,21 +314,18 @@ class ScratchLeaseGuard
     }
     ScratchLeaseGuard(const ScratchLeaseGuard &) = delete;
     ScratchLeaseGuard &operator=(const ScratchLeaseGuard &) = delete;
-    ~ScratchLeaseGuard() { releaseAll(); }
+
+    ~ScratchLeaseGuard()
+    {
+        for (NDArray *array : arrays_) {
+            executor_->releaseScratch(array);
+        }
+    }
 
     void
     add(NDArray *array)
     {
         arrays_.push_back(array);
-    }
-
-    void
-    releaseAll()
-    {
-        for (NDArray *array : arrays_) {
-            executor_->releaseScratch(array);
-        }
-        arrays_.clear();
     }
 
   private:
@@ -378,7 +342,7 @@ buildSpmmCsrArtifact(const Csr &a, int64_t feat,
                      const core::SpmmSchedule &schedule,
                      bool bytecode, bool verify)
 {
-    auto artifact = std::make_shared<SpmmCsrArtifact>();
+    auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel = compileKernel(
         core::compileSpmmCsrFunc(feat, schedule), bytecode);
     if (verify) {
@@ -397,7 +361,7 @@ buildSddmmArtifact(const Csr &a, int64_t feat,
                    const core::SddmmSchedule &schedule, bool bytecode,
                    bool verify)
 {
-    auto artifact = std::make_shared<SddmmArtifact>();
+    auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel = compileKernel(
         core::compileSddmmFunc(feat, schedule), bytecode);
     if (verify) {
@@ -415,7 +379,7 @@ std::shared_ptr<Artifact>
 buildBsrArtifact(const format::Bsr &a, int64_t feat,
                  const BsrConfig &config, bool bytecode, bool verify)
 {
-    auto artifact = std::make_shared<BsrArtifact>();
+    auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel = compileKernel(
         core::compileBsrSpmmFunc(a.blockSize, feat,
                                  config.tensorCores),
@@ -441,7 +405,7 @@ std::shared_ptr<Artifact>
 buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
                     bool bytecode, bool verify)
 {
-    auto artifact = std::make_shared<SrbcrsArtifact>();
+    auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel = compileKernel(
         core::compileSrbcrsSpmmFunc(a.tileHeight, a.groupSize, feat),
         bytecode);
@@ -457,8 +421,8 @@ buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
         verifyKernelInto(artifact.get(), artifact->kernel, ctx,
                          "srbcrs_spmm");
     }
-    artifact->groupIndptr = NDArray::fromInt32(a.groupIndptr);
-    artifact->tileCols = NDArray::fromInt32(a.tileCols);
+    artifact->indptr = NDArray::fromInt32(a.groupIndptr);
+    artifact->indices = NDArray::fromInt32(a.tileCols);
     return artifact;
 }
 
@@ -583,9 +547,9 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse,
     }
     artifact->fused = lowering.fused;
     artifact->modeReason = lowering.reason;
-    artifact->kernels.reserve(lowering.funcs.size());
+    artifact->program.reserve(lowering.funcs.size());
     for (const ir::PrimFunc &func : lowering.funcs) {
-        artifact->kernels.push_back(compileKernel(func, bytecode));
+        artifact->program.push_back(compileKernel(func, bytecode));
     }
     if (verify) {
         verify::VerifyContext base;
@@ -593,7 +557,7 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse,
             base.int32Array(s.indptrName, s.pattern->indptr);
             base.int32Array(s.indicesName, s.pattern->indices);
         }
-        for (const CompiledKernel &kernel : artifact->kernels) {
+        for (const CompiledKernel &kernel : artifact->program) {
             verify::VerifyContext ctx = base;
             declareAccumSpec(&ctx, kernel, "", nullptr, 0);
             verifyKernelInto(artifact.get(), kernel, ctx,
@@ -737,6 +701,20 @@ spmmSrbcrsKey(const format::SrBcrs &a, int64_t feat)
     return key;
 }
 
+/** Scalars, structure arrays and values of a CSR-backed dispatch. */
+void
+bindCsrShared(BindingSet *bindings, KernelArtifact &artifact,
+              const Csr &a, int64_t feat)
+{
+    bindings->scalar("m", a.rows);
+    bindings->scalar("n", a.cols);
+    bindings->scalar("nnz", a.nnz());
+    bindings->scalar("feat_size", feat);
+    bindings->external("J_indptr", &artifact.indptr);
+    bindings->external("J_indices", &artifact.indices);
+    bindings->own("A_data", NDArray::fromFloat(a.values));
+}
+
 /**
  * Bindings for a hyb SpMM request over a cached artifact. The bucket
  * compute kernels only read the gathered A_ell_* arrays (the copy
@@ -774,7 +752,7 @@ bindSpmmHyb(SpmmHybArtifact &artifact, const Csr &a, int64_t feat,
 
 /** Scalars, structure arrays and values shared by a BSR dispatch. */
 void
-bindBsrShared(BindingSet *bindings, BsrArtifact &artifact,
+bindBsrShared(BindingSet *bindings, KernelArtifact &artifact,
               const format::Bsr &a, int64_t feat)
 {
     bindings->scalar("mb", a.blockRows);
@@ -788,36 +766,38 @@ bindBsrShared(BindingSet *bindings, BsrArtifact &artifact,
 
 /** Scalars, structure arrays and values of an SR-BCRS dispatch. */
 void
-bindSrbcrsShared(BindingSet *bindings, SrbcrsArtifact &artifact,
+bindSrbcrsShared(BindingSet *bindings, KernelArtifact &artifact,
                  const format::SrBcrs &a, int64_t feat)
 {
     bindings->scalar("stripes", a.stripes);
     bindings->scalar("n", a.cols);
     bindings->scalar("total_groups", a.numGroups());
     bindings->scalar("feat_size", feat);
-    bindings->external("G_indptr", &artifact.groupIndptr);
-    bindings->external("T_indices", &artifact.tileCols);
+    bindings->external("G_indptr", &artifact.indptr);
+    bindings->external("T_indices", &artifact.indices);
     bindings->own("A_data", NDArray::fromFloat(a.values));
 }
 
 /**
- * Per-request binding views of a batch: the shared base plus each
- * request's private B/C. Outputs must be distinct, and no output may
- * alias any request's input — requests run concurrently, so a write
- * into another request's (or its own) feature matrix would race and
- * break the bitwise contract. Sharing one read-only B across
- * requests is fine.
+ * Per-request binding views of an SpMM dispatch: the shared base plus
+ * each request's private B/C. Outputs must be distinct, and no output
+ * may alias any request's input — requests run concurrently (and a
+ * kernel reading its own output races with itself), so such a write
+ * would break the bitwise contract. Sharing one read-only B across
+ * requests is fine. With `zero_outputs` (hyb: the bucket kernels
+ * accumulate, the dispatch owns the overwrite contract C = A @ B)
+ * every output is cleared — only after the whole batch validated, so
+ * a rejected batch leaves every caller array untouched.
  */
 std::vector<runtime::Bindings>
 requestViews(const runtime::Bindings &base,
-             const std::vector<SpmmRequest> &requests)
+             const std::vector<SpmmRequest> &requests, bool zero_outputs)
 {
     std::unordered_set<const NDArray *> outputs;
     outputs.reserve(requests.size());
     for (const SpmmRequest &request : requests) {
         USER_CHECK(request.b != nullptr && request.c != nullptr)
-            << "batched SpMM request is missing a feature or output "
-               "array";
+            << "SpMM request is missing a feature or output array";
         USER_CHECK(outputs.insert(request.c).second)
             << "batched SpMM requests must bind distinct output "
                "arrays";
@@ -826,12 +806,17 @@ requestViews(const runtime::Bindings &base,
     views.reserve(requests.size());
     for (const SpmmRequest &request : requests) {
         USER_CHECK(outputs.count(request.b) == 0)
-            << "batched SpMM request aliases a feature matrix with "
-               "an output array";
+            << "SpMM request aliases a feature matrix with an output "
+               "array";
         runtime::Bindings view = base;
         view.arrays["B_data"] = request.b;
         view.arrays["C_data"] = request.c;
         views.push_back(std::move(view));
+    }
+    if (zero_outputs) {
+        for (const SpmmRequest &request : requests) {
+            request.c->zero();
+        }
     }
     return views;
 }
@@ -932,39 +917,11 @@ Engine::execOptions() const
     exec.parallel = options_.parallel;
     exec.minBlocksPerChunk = options_.minBlocksPerChunk;
     exec.backend = options_.backend;
-    exec.fusedDispatch = options_.fusedDispatch;
     return exec;
 }
 
-void
-Engine::runMultiKernel(
-    const std::vector<const CompiledKernel *> &kernels,
-    const runtime::Bindings &bindings)
-{
-    ExecOptions exec = execOptions();
-    if (exec.fusedDispatch) {
-        executor_.runKernelsFused(kernels, bindings, exec);
-    } else {
-        executor_.runKernels(kernels, bindings, exec);
-    }
-}
-
-void
-Engine::runMultiKernelBatch(
-    const std::vector<const CompiledKernel *> &kernels,
-    const std::vector<runtime::Bindings> &requests)
-{
-    ExecOptions exec = execOptions();
-    if (exec.fusedDispatch) {
-        executor_.runKernelsFused(kernels, requests, exec);
-    } else {
-        executor_.runKernelsBatch(kernels, requests, exec);
-    }
-}
-
 std::shared_ptr<Artifact>
-Engine::resolve(const CacheKey &key,
-                const std::function<std::shared_ptr<Artifact>()> &builder,
+Engine::resolve(const CacheKey &key, const Builder &builder,
                 DispatchInfo *info)
 {
     SPARSETIR_TRACE_SCOPE1("engine", "engine.resolve", "op",
@@ -989,17 +946,62 @@ Engine::resolve(const CacheKey &key,
     }
     info->cacheHit = hit;
     info->compileMs = msSince(start);
-    if (options_.backend == runtime::Backend::kNative) {
-        maybePromote(key, artifact);
-    }
+    maybePromote(artifact);
     return artifact;
 }
 
-void
-Engine::maybePromote(const CacheKey &key,
-                     const std::shared_ptr<Artifact> &artifact)
+DispatchInfo
+Engine::dispatch(OpKind op, const CacheKey &key, const Builder &builder,
+                 const Binder &bind)
 {
-    if (options_.nativePromoteAfter < 0) {
+    SPARSETIR_TRACE_SCOPE1("engine", "engine.dispatch", "op",
+                           static_cast<int64_t>(op));
+    DispatchInfo info;
+    std::shared_ptr<Artifact> artifact = resolve(key, builder, &info);
+    return execute(op, *artifact, bind, info);
+}
+
+DispatchInfo
+Engine::execute(OpKind op, Artifact &artifact, const Binder &bind,
+                DispatchInfo info)
+{
+    auto bind_start = std::chrono::steady_clock::now();
+    std::vector<runtime::Bindings> views = bind(artifact);
+    std::vector<const runtime::Bindings *> requests;
+    requests.reserve(views.size());
+    for (const runtime::Bindings &view : views) {
+        requests.push_back(&view);
+    }
+    std::vector<const CompiledKernel *> kernels = artifact.kernels();
+    info.bindMs = msSince(bind_start);
+    auto kernel_start = std::chrono::steady_clock::now();
+    {
+        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
+        ExecOptions exec = execOptions();
+        if (op == OpKind::kGraph) {
+            // Chain-mode graph kernels consume each other's outputs,
+            // so each runs as its own task graph, in dataflow order
+            // (a fused graph is a single kernel either way).
+            for (const CompiledKernel *kernel : kernels) {
+                executor_.run({kernel}, requests, exec);
+            }
+        } else {
+            executor_.run(kernels, requests, exec);
+        }
+    }
+    info.kernelMs = msSince(kernel_start);
+    info.execMs = info.bindMs + info.kernelMs;
+    info.numRequests = static_cast<int>(views.size());
+    info.numKernels = static_cast<int>(kernels.size());
+    finish(info, op);
+    return info;
+}
+
+void
+Engine::maybePromote(const std::shared_ptr<Artifact> &artifact)
+{
+    if (options_.backend != runtime::Backend::kNative ||
+        options_.nativePromoteAfter < 0) {
         return;
     }
     {
@@ -1014,17 +1016,15 @@ Engine::maybePromote(const CacheKey &key,
     if (options_.nativePromoteAfter == 0) {
         // Synchronous promotion: deterministic for tests — the first
         // resolve already serves native.
-        promoteNow(key, artifact);
+        promoteNow(*artifact);
         return;
     }
     std::shared_ptr<Artifact> keep = artifact;
-    CacheKey promoted_key = key;
-    std::future<void> done =
-        pool_->submit([this, promoted_key, keep] {
-            // promoteNow never submits to or waits on the pool, so a
-            // promotion task cannot deadlock behind dispatch work.
-            promoteNow(promoted_key, keep);
-        });
+    std::future<void> done = pool_->submit([this, keep] {
+        // promoteNow never submits to or waits on the pool, so a
+        // promotion task cannot deadlock behind dispatch work.
+        promoteNow(*keep);
+    });
     std::lock_guard<std::mutex> lock(promoMu_);
     promoFutures_.erase(
         std::remove_if(promoFutures_.begin(), promoFutures_.end(),
@@ -1037,20 +1037,18 @@ Engine::maybePromote(const CacheKey &key,
 }
 
 void
-Engine::promoteNow(const CacheKey &key,
-                   const std::shared_ptr<Artifact> &artifact)
+Engine::promoteNow(const Artifact &artifact)
 {
     SPARSETIR_TRACE_SCOPE1("native", "native.promote", "op",
-                           static_cast<int64_t>(key.op));
-    std::vector<CompiledKernel *> kernels = artifact->nativeKernels();
+                           static_cast<int64_t>(artifact.key.op));
     int index = 0;
-    for (CompiledKernel *kernel : kernels) {
+    for (const CompiledKernel *kernel : artifact.kernels()) {
         int kernel_index = index++;
         if (kernel->native == nullptr ||
             kernel->native->get() != nullptr) {
             continue;
         }
-        std::string tag = nativeKeyTag(key, kernel_index);
+        std::string tag = nativeKeyTag(artifact.key, kernel_index);
         auto start = std::chrono::steady_clock::now();
         try {
             auto native =
@@ -1080,39 +1078,24 @@ Engine::nativeStats() const
 }
 
 void
-Engine::finishDispatch(const DispatchInfo &info, OpKind op)
+Engine::finish(const DispatchInfo &info, OpKind op)
 {
-    requests_->add(1);
-    (info.cacheHit ? cacheHits_ : cacheMisses_)->add(1);
+    uint64_t requests = static_cast<uint64_t>(info.numRequests);
+    requests_->add(requests);
+    // One resolve serves the whole batch: on a miss exactly one
+    // request paid the compile, the rest rode the fresh artifact.
+    cacheHits_->add(info.cacheHit ? requests : requests - 1);
+    if (!info.cacheHit) {
+        cacheMisses_->add(1);
+    }
     compileMs_->record(info.compileMs);
     execMs_->record(info.execMs);
     // prepareSpmmHyb finishes with no kernels executed; keep its
     // zero-latency "dispatch" out of the latency distributions.
     if (info.numKernels > 0) {
-        opLatency(op, info.cacheHit)->record(info.execMs);
-    }
-}
-
-void
-Engine::finishBatch(const BatchDispatchInfo &info, OpKind op)
-{
-    requests_->add(static_cast<uint64_t>(info.numRequests));
-    if (info.numRequests > 0) {
-        // One resolve serves the whole batch: on a miss exactly one
-        // request paid the compile, the rest rode the fresh artifact.
-        cacheHits_->add(static_cast<uint64_t>(
-            info.cacheHit ? info.numRequests : info.numRequests - 1));
-        if (!info.cacheHit) {
-            cacheMisses_->add(1);
-        }
-    }
-    compileMs_->record(info.compileMs);
-    execMs_->record(info.execMs);
-    if (info.numRequests > 0 && info.numKernels > 0) {
         double per_request =
             info.execMs / static_cast<double>(info.numRequests);
-        observe::LatencyHistogram *hist =
-            opLatency(op, info.cacheHit);
+        observe::LatencyHistogram *hist = opLatency(op, info.cacheHit);
         for (int i = 0; i < info.numRequests; ++i) {
             hist->record(per_request);
         }
@@ -1131,85 +1114,36 @@ Engine::stats() const
     return stats;
 }
 
+// ---------------------------------------------------------------------
+// Entry points: a key, a builder and a bind step each
+// ---------------------------------------------------------------------
+
 DispatchInfo
 Engine::spmmCsr(const Csr &a, int64_t feat, NDArray *b, NDArray *c,
                 const core::SpmmSchedule &schedule)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_csr");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SpmmCsrArtifact>(
-        resolve(spmmCsrKey(a, feat, schedule),
-                [&] {
-                    return buildSpmmCsrArtifact(
-                        a, feat, schedule, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindings.scalar("m", a.rows);
-    bindings.scalar("n", a.cols);
-    bindings.scalar("nnz", a.nnz());
-    bindings.scalar("feat_size", feat);
-    bindings.external("J_indptr", &artifact->indptr);
-    bindings.external("J_indices", &artifact->indices);
-    bindings.own("A_data", NDArray::fromFloat(a.values));
-    bindings.external("B_data", b);
-    bindings.external("C_data", c);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSpmmCsr);
-    return info;
+    return spmmCsrBatch(a, feat, {SpmmRequest{b, c}}, schedule);
 }
 
 DispatchInfo
 Engine::spmmHyb(const Csr &a, int64_t feat, NDArray *b, NDArray *c,
                 const HybConfig &config)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_hyb");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
-        resolve(spmmHybKey(a, feat, config),
-                [&] {
-                    return buildSpmmHybArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
+    return spmmHybBatch(a, feat, {SpmmRequest{b, c}}, config);
+}
 
-    auto bind_start = std::chrono::steady_clock::now();
-    // Bucket kernels accumulate partial sums; the dispatch owns the
-    // overwrite contract (C = A @ B), so clear the output here.
-    c->zero();
-    auto shared =
-        bindSpmmHyb(*artifact, a, feat, /*for_simulation=*/false);
-    shared->external("B_data", b);
-    shared->external("C_data", c);
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->buckets.size());
-    for (const HybBucketData &bucket : artifact->buckets) {
-        kernels.push_back(&bucket.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernel(kernels, shared->view());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishDispatch(info, OpKind::kSpmmHyb);
-    return info;
+DispatchInfo
+Engine::spmmBsr(const format::Bsr &a, int64_t feat, NDArray *b,
+                NDArray *c, const BsrConfig &config)
+{
+    return spmmBsrBatch(a, feat, {SpmmRequest{b, c}}, config);
+}
+
+DispatchInfo
+Engine::spmmSrbcrs(const format::SrBcrs &a, int64_t feat, NDArray *b,
+                   NDArray *c)
+{
+    return spmmSrbcrsBatch(a, feat, {SpmmRequest{b, c}});
 }
 
 DispatchInfo
@@ -1217,118 +1151,83 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                       const std::map<std::string, NDArray *> &io,
                       const GraphDispatchOptions &options)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.graph");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<GraphArtifact>(
-        resolve(graphKey(graph, options.fuse),
-                [&] {
-                    return buildGraphArtifact(
-                        graph, options.fuse, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    // Every named value (graph input or marked output) needs an array
-    // of the exact element count; unknown names are request bugs.
-    size_t named = 0;
-    for (const dfg::ValueDesc &desc : graph.values()) {
-        if (desc.name.empty()) {
-            continue;
-        }
-        named += 1;
-        auto it = io.find(desc.name);
-        USER_CHECK(it != io.end() && it->second != nullptr)
-            << "graph dispatch is missing an array for value '"
-            << desc.name << "'";
-        int64_t numel = desc.edge ? desc.pattern->nnz()
-                                  : desc.rows * desc.cols;
-        USER_CHECK(it->second->numel() == numel)
-            << "array for graph value '" << desc.name << "' has "
-            << it->second->numel() << " elements, graph expects "
-            << numel;
-    }
-    USER_CHECK(io.size() == named)
-        << "graph dispatch got " << io.size() << " arrays for "
-        << named << " named values — unknown names in the io map";
-
     BindingSet bindings;
-    for (auto &kv : artifact->structures) {
-        bindings.external(kv.first, &kv.second);
-    }
-    for (const auto &kv : io) {
-        bindings.external(kv.first, kv.second);
-    }
-    // Chain mode materializes interior tensors in pooled scratch; the
-    // fused kernel has none (per-row locals), so its dispatch leases
-    // nothing and the scratch peak stays at zero. No zeroing needed:
-    // every element a chain kernel reads was written by its producer.
     ScratchLeaseGuard leased(&executor_);
-    for (const GraphTemp &temp : artifact->temps) {
-        ScratchPool::Lease lease = executor_.leaseScratch(
-            temp.numel, ir::DataType::float32());
-        leased.add(lease.array);
-        bindings.external(temp.name, lease.array);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        // Chain kernels run in dataflow order, each internally
-        // parallel over rows — the barriered oracle the fused program
-        // is bitwise-checked against.
-        for (const CompiledKernel &kernel : artifact->kernels) {
-            executor_.runKernel(kernel, bindings.view(),
-                                execOptions());
-        }
-    }
-    leased.releaseAll();
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(artifact->kernels.size());
-    finishDispatch(info, OpKind::kGraph);
-    return info;
+    return dispatch(
+        OpKind::kGraph, graphKey(graph, options.fuse),
+        [&] {
+            return buildGraphArtifact(graph, options.fuse,
+                                      usesBytecode(),
+                                      options_.verifyArtifacts);
+        },
+        [&](Artifact &resolved) {
+            auto &artifact = static_cast<GraphArtifact &>(resolved);
+            // Every named value (graph input or marked output) needs
+            // an array of the exact element count; unknown names are
+            // request bugs.
+            size_t named = 0;
+            for (const dfg::ValueDesc &desc : graph.values()) {
+                if (desc.name.empty()) {
+                    continue;
+                }
+                named += 1;
+                auto it = io.find(desc.name);
+                USER_CHECK(it != io.end() && it->second != nullptr)
+                    << "graph dispatch is missing an array for value '"
+                    << desc.name << "'";
+                int64_t numel = desc.edge ? desc.pattern->nnz()
+                                          : desc.rows * desc.cols;
+                USER_CHECK(it->second->numel() == numel)
+                    << "array for graph value '" << desc.name
+                    << "' has " << it->second->numel()
+                    << " elements, graph expects " << numel;
+            }
+            USER_CHECK(io.size() == named)
+                << "graph dispatch got " << io.size()
+                << " arrays for " << named
+                << " named values — unknown names in the io map";
+
+            for (auto &kv : artifact.structures) {
+                bindings.external(kv.first, &kv.second);
+            }
+            for (const auto &kv : io) {
+                bindings.external(kv.first, kv.second);
+            }
+            // Chain mode materializes interior tensors in pooled
+            // scratch; the fused kernel has none (per-row locals), so
+            // its dispatch leases nothing and the scratch peak stays
+            // at zero. No zeroing needed: every element a chain
+            // kernel reads was written by its producer.
+            for (const GraphTemp &temp : artifact.temps) {
+                ScratchPool::Lease lease = executor_.leaseScratch(
+                    temp.numel, ir::DataType::float32());
+                leased.add(lease.array);
+                bindings.external(temp.name, lease.array);
+            }
+            return std::vector<runtime::Bindings>{bindings.view()};
+        });
 }
 
 DispatchInfo
 Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
               NDArray *out, const core::SddmmSchedule &schedule)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.sddmm");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SddmmArtifact>(
-        resolve(sddmmKey(a, feat, schedule),
-                [&] {
-                    return buildSddmmArtifact(
-                        a, feat, schedule, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
     BindingSet bindings;
-    bindings.scalar("m", a.rows);
-    bindings.scalar("n", a.cols);
-    bindings.scalar("nnz", a.nnz());
-    bindings.scalar("feat_size", feat);
-    bindings.external("J_indptr", &artifact->indptr);
-    bindings.external("J_indices", &artifact->indices);
-    bindings.own("A_data", NDArray::fromFloat(a.values));
-    bindings.external("X_data", x);
-    bindings.external("Y_data", y);
-    bindings.external("B_data", out);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSddmm);
-    return info;
+    return dispatch(
+        OpKind::kSddmm, sddmmKey(a, feat, schedule),
+        [&] {
+            return buildSddmmArtifact(a, feat, schedule, usesBytecode(),
+                                      options_.verifyArtifacts);
+        },
+        [&](Artifact &artifact) {
+            bindCsrShared(&bindings,
+                          static_cast<KernelArtifact &>(artifact), a,
+                          feat);
+            bindings.external("X_data", x);
+            bindings.external("Y_data", y);
+            bindings.external("B_data", out);
+            return std::vector<runtime::Bindings>{bindings.view()};
+        });
 }
 
 DispatchInfo
@@ -1344,351 +1243,154 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
              int64_t featOut, NDArray *x, NDArray *w, NDArray *y,
              const RgcnConfig &config)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.rgcn_hyb");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<RgcnArtifact>(
-        resolve(rgcnKey(graph, featIn, featOut, config),
-                [&] {
-                    return buildRgcnArtifact(
-                        graph, featIn, featOut, config,
-                        usesBytecode(), options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
     BindingSet bindings;
-    bindings.scalar("m", graph.rows);
-    bindings.scalar("n", graph.cols);
-    bindings.scalar("feat_in", featIn);
-    bindings.scalar("feat_out", featOut);
-    bindings.external("X_data", x);
-    bindings.external("W_data", w);
-    bindings.external("Y_data", y);
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->units.size());
-    for (RgcnUnit &unit : artifact->units) {
-        bindings.external(core::ellRowIndicesParam(unit.suffix),
-                          &unit.rowIndices);
-        bindings.external(core::ellColIndicesParam(unit.suffix),
-                          &unit.colIndices);
-        bindings.own(core::rgmsValuesParam(unit.suffix),
-                     NDArray::fromFloat(gatherValues(
-                         unit.gather,
-                         graph.relations[unit.relation].values)));
-        kernels.push_back(&unit.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernel(kernels, bindings.view());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishDispatch(info, OpKind::kRgcnHyb);
-    return info;
+    return dispatch(
+        OpKind::kRgcnHyb, rgcnKey(graph, featIn, featOut, config),
+        [&] {
+            return buildRgcnArtifact(graph, featIn, featOut, config,
+                                     usesBytecode(),
+                                     options_.verifyArtifacts);
+        },
+        [&](Artifact &artifact) {
+            bindings.scalar("m", graph.rows);
+            bindings.scalar("n", graph.cols);
+            bindings.scalar("feat_in", featIn);
+            bindings.scalar("feat_out", featOut);
+            bindings.external("X_data", x);
+            bindings.external("W_data", w);
+            bindings.external("Y_data", y);
+            for (RgcnUnit &unit :
+                 static_cast<RgcnArtifact &>(artifact).units) {
+                bindings.external(core::ellRowIndicesParam(unit.suffix),
+                                  &unit.rowIndices);
+                bindings.external(core::ellColIndicesParam(unit.suffix),
+                                  &unit.colIndices);
+                bindings.own(core::rgmsValuesParam(unit.suffix),
+                             NDArray::fromFloat(gatherValues(
+                                 unit.gather,
+                                 graph.relations[unit.relation].values)));
+            }
+            return std::vector<runtime::Bindings>{bindings.view()};
+        });
 }
 
 DispatchInfo
-Engine::spmmBsr(const format::Bsr &a, int64_t feat, NDArray *b,
-                NDArray *c, const BsrConfig &config)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_bsr");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<BsrArtifact>(
-        resolve(spmmBsrKey(a, feat, config),
-                [&] {
-                    return buildBsrArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindBsrShared(&bindings, *artifact, a, feat);
-    bindings.external("B_data", b);
-    bindings.external("C_data", c);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSpmmBsr);
-    return info;
-}
-
-DispatchInfo
-Engine::spmmSrbcrs(const format::SrBcrs &a, int64_t feat, NDArray *b,
-                   NDArray *c)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_srbcrs");
-    DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SrbcrsArtifact>(
-        resolve(spmmSrbcrsKey(a, feat),
-                [&] {
-                    return buildSrbcrsArtifact(
-                        a, feat, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &info));
-
-    auto bind_start = std::chrono::steady_clock::now();
-    BindingSet bindings;
-    bindSrbcrsShared(&bindings, *artifact, a, feat);
-    bindings.external("B_data", b);
-    bindings.external("C_data", c);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernel(artifact->kernel, bindings.view(),
-                            execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishDispatch(info, OpKind::kSpmmSrbcrs);
-    return info;
-}
-
-// ---------------------------------------------------------------------
-// Batched dispatch
-// ---------------------------------------------------------------------
-
-BatchDispatchInfo
 Engine::spmmCsrBatch(const Csr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const core::SpmmSchedule &schedule)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_csr_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
     if (requests.empty()) {
-        return info;
+        return DispatchInfo();
     }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<SpmmCsrArtifact>(
-        resolve(spmmCsrKey(a, feat, schedule),
-                [&] {
-                    return buildSpmmCsrArtifact(
-                        a, feat, schedule, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
     BindingSet base;
-    base.scalar("m", a.rows);
-    base.scalar("n", a.cols);
-    base.scalar("nnz", a.nnz());
-    base.scalar("feat_size", feat);
-    base.external("J_indptr", &artifact->indptr);
-    base.external("J_indices", &artifact->indices);
-    base.own("A_data", NDArray::fromFloat(a.values));
-    std::vector<runtime::Bindings> views =
-        requestViews(base.view(), requests);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernelBatch(artifact->kernel, views,
-                                 execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishBatch(info, OpKind::kSpmmCsr);
-    return info;
+    return dispatch(
+        OpKind::kSpmmCsr, spmmCsrKey(a, feat, schedule),
+        [&] {
+            return buildSpmmCsrArtifact(a, feat, schedule,
+                                        usesBytecode(),
+                                        options_.verifyArtifacts);
+        },
+        [&](Artifact &artifact) {
+            bindCsrShared(&base, static_cast<KernelArtifact &>(artifact),
+                          a, feat);
+            return requestViews(base.view(), requests,
+                                /*zero_outputs=*/false);
+        });
 }
 
-BatchDispatchInfo
+DispatchInfo
 Engine::spmmHybBatch(const Csr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const HybConfig &config)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_hyb_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
     if (requests.empty()) {
-        return info;
+        return DispatchInfo();
     }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
-        resolve(spmmHybKey(a, feat, config),
-                [&] {
-                    return buildSpmmHybArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    auto shared =
-        bindSpmmHyb(*artifact, a, feat, /*for_simulation=*/false);
-    // Validate the whole batch (requestViews throws on aliasing)
-    // BEFORE mutating any caller array; only then apply the
-    // per-request overwrite contract, exactly like the serial
-    // spmmHyb (bucket kernels accumulate).
-    std::vector<runtime::Bindings> views =
-        requestViews(shared->view(), requests);
-    for (const SpmmRequest &request : requests) {
-        request.c->zero();
-    }
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->buckets.size());
-    for (const HybBucketData &bucket : artifact->buckets) {
-        kernels.push_back(&bucket.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernelBatch(kernels, views);
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishBatch(info, OpKind::kSpmmHyb);
-    return info;
+    std::shared_ptr<BindingSet> base;
+    return dispatch(
+        OpKind::kSpmmHyb, spmmHybKey(a, feat, config),
+        [&] {
+            return buildSpmmHybArtifact(a, feat, config, usesBytecode(),
+                                        options_.verifyArtifacts);
+        },
+        [&](Artifact &artifact) {
+            base = bindSpmmHyb(static_cast<SpmmHybArtifact &>(artifact),
+                               a, feat, /*for_simulation=*/false);
+            return requestViews(base->view(), requests,
+                                /*zero_outputs=*/true);
+        });
 }
 
-BatchDispatchInfo
+DispatchInfo
 Engine::spmmHybBatch(const PreparedSpmmHyb &prepared,
                      const std::vector<SpmmRequest> &requests)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_hyb_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
     if (requests.empty()) {
-        return info;
+        return DispatchInfo();
     }
     USER_CHECK(prepared.artifact != nullptr &&
                prepared.bindings != nullptr)
         << "batched dispatch needs a handle from prepareSpmmHyb";
-    // prepareSpmmHyb is the only producer of this handle type, so
-    // the artifact is a hyb artifact by construction.
-    auto artifact =
-        std::static_pointer_cast<SpmmHybArtifact>(prepared.artifact);
+    SPARSETIR_TRACE_SCOPE1("engine", "engine.dispatch", "op",
+                           static_cast<int64_t>(OpKind::kSpmmHyb));
+    // The handle pins a resolved artifact: no cache lookup, but it
+    // still counts toward native promotion like a warm resolve.
+    maybePromote(prepared.artifact);
+    DispatchInfo info;
     info.cacheHit = true;
-
-    auto bind_start = std::chrono::steady_clock::now();
-    // Validate before zeroing: a rejected batch must leave every
-    // caller array untouched.
-    std::vector<runtime::Bindings> views =
-        requestViews(prepared.bindings->view(), requests);
-    for (const SpmmRequest &request : requests) {
-        request.c->zero();
-    }
-    std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact->buckets.size());
-    for (const HybBucketData &bucket : artifact->buckets) {
-        kernels.push_back(&bucket.kernel);
-    }
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        runMultiKernelBatch(kernels, views);
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = static_cast<int>(kernels.size());
-    finishBatch(info, OpKind::kSpmmHyb);
-    return info;
+    return execute(OpKind::kSpmmHyb, *prepared.artifact,
+                   [&](Artifact &) {
+                       return requestViews(prepared.bindings->view(),
+                                           requests,
+                                           /*zero_outputs=*/true);
+                   },
+                   info);
 }
 
-BatchDispatchInfo
+DispatchInfo
 Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const BsrConfig &config)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_bsr_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
     if (requests.empty()) {
-        return info;
+        return DispatchInfo();
     }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<BsrArtifact>(
-        resolve(spmmBsrKey(a, feat, config),
-                [&] {
-                    return buildBsrArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
     BindingSet base;
-    bindBsrShared(&base, *artifact, a, feat);
-    std::vector<runtime::Bindings> views =
-        requestViews(base.view(), requests);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernelBatch(artifact->kernel, views,
-                                 execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishBatch(info, OpKind::kSpmmBsr);
-    return info;
+    return dispatch(
+        OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
+        [&] {
+            return buildBsrArtifact(a, feat, config, usesBytecode(),
+                                    options_.verifyArtifacts);
+        },
+        [&](Artifact &artifact) {
+            bindBsrShared(&base, static_cast<KernelArtifact &>(artifact),
+                          a, feat);
+            return requestViews(base.view(), requests,
+                                /*zero_outputs=*/false);
+        });
 }
 
-BatchDispatchInfo
+DispatchInfo
 Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                         const std::vector<SpmmRequest> &requests)
 {
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.spmm_srbcrs_batch");
-    BatchDispatchInfo info;
-    info.numRequests = static_cast<int>(requests.size());
     if (requests.empty()) {
-        return info;
+        return DispatchInfo();
     }
-    DispatchInfo resolved;
-    auto artifact = std::static_pointer_cast<SrbcrsArtifact>(
-        resolve(spmmSrbcrsKey(a, feat),
-                [&] {
-                    return buildSrbcrsArtifact(
-                        a, feat, usesBytecode(),
-                        options_.verifyArtifacts);
-                },
-                &resolved));
-    info.cacheHit = resolved.cacheHit;
-    info.compileMs = resolved.compileMs;
-
-    auto bind_start = std::chrono::steady_clock::now();
     BindingSet base;
-    bindSrbcrsShared(&base, *artifact, a, feat);
-    std::vector<runtime::Bindings> views =
-        requestViews(base.view(), requests);
-    info.bindMs = msSince(bind_start);
-    auto kernel_start = std::chrono::steady_clock::now();
-    {
-        SPARSETIR_TRACE_SCOPE("engine", "engine.exec");
-        executor_.runKernelBatch(artifact->kernel, views,
-                                 execOptions());
-    }
-    info.kernelMs = msSince(kernel_start);
-    info.execMs = info.bindMs + info.kernelMs;
-    info.numKernels = 1;
-    finishBatch(info, OpKind::kSpmmSrbcrs);
-    return info;
+    return dispatch(
+        OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
+        [&] {
+            return buildSrbcrsArtifact(a, feat, usesBytecode(),
+                                       options_.verifyArtifacts);
+        },
+        [&](Artifact &artifact) {
+            bindSrbcrsShared(&base,
+                             static_cast<KernelArtifact &>(artifact), a,
+                             feat);
+            return requestViews(base.view(), requests,
+                                /*zero_outputs=*/false);
+        });
 }
 
 PreparedSpmmHyb
@@ -1705,7 +1407,9 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
                         options_.verifyArtifacts);
                 },
                 &info));
-    finishDispatch(info, OpKind::kSpmmHyb);
+    // Counted as one request that executed nothing.
+    info.numRequests = 1;
+    finish(info, OpKind::kSpmmHyb);
 
     PreparedSpmmHyb prepared;
     prepared.cacheHit = info.cacheHit;

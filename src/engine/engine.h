@@ -16,10 +16,13 @@
  * the spilled block-extent expression that sizes the launch grid
  * without an interpreter probe.
  *
- * Batched dispatch (`spmm*Batch`) is the multi-tenant serving shape:
- * N in-flight requests against one sparsity structure resolve ONE
- * cached artifact, get private per-request bindings, and are striped
- * across the pool as (request x grid-chunk / kernel) units — each
+ * Every public entry point is a thin adapter over ONE internal
+ * dispatch path — resolve (with native promotion) -> bind -> execute
+ * -> account — in which a single request is a batch of one. Batched
+ * dispatch (`spmm*Batch`) is the multi-tenant serving shape: N
+ * in-flight requests against one sparsity structure resolve ONE
+ * cached artifact, get private per-request bindings, and run as one
+ * fused task graph over (request x kernel x grid-chunk) units — each
  * request's output bitwise identical to its own serial dispatch.
  *
  * Thread-safety contract: an Engine may be shared by any number of
@@ -34,6 +37,7 @@
 #define SPARSETIR_ENGINE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,12 +91,9 @@ struct EngineOptions
      */
     int nativePromoteAfter = 3;
     /**
-     * Launch multi-kernel dispatches (hyb buckets, RGCN units) and
-     * batched requests as ONE fused task graph instead of the
-     * barriered per-bucket schedule. Results are bitwise identical
-     * either way (the fused fold replays the serial addition order
-     * per element; see executor.h); the barriered path stays
-     * available as the differential oracle.
+     * Ignored: the fused task graph is the only parallel schedule
+     * (see executor.h). Kept only for source compatibility with
+     * callers that still set it.
      */
     bool fusedDispatch = true;
     /**
@@ -120,47 +121,36 @@ struct EngineOptions
     bool verifyArtifacts = core::verifyEnabledByDefault();
 };
 
-/** Outcome of one dispatch. */
+/** Outcome of one dispatch (N requests, one artifact; N = 1 for the
+ *  single-request entry points). */
 struct DispatchInfo
 {
+    /** Whether the single artifact resolve was served from cache. */
     bool cacheHit = false;
-    /** Time spent resolving the artifact (compile on miss). */
+    /** Artifact resolve time — at most ONE compile per dispatch. */
     double compileMs = 0.0;
-    /** Time spent gathering and binding the request's values. */
+    /** Gathering values and building the per-request bindings. */
     double bindMs = 0.0;
     /**
      * Time spent executing kernels on the session's backend (the
-     * bytecode VM by default; the interpreter when
-     * EngineOptions::backend selects the reference oracle).
+     * bytecode VM by default; native once promoted; the interpreter
+     * when EngineOptions::backend selects the reference oracle).
      */
     double kernelMs = 0.0;
     /** bindMs + kernelMs. */
     double execMs = 0.0;
+    /** Requests served (0 only for an empty batch). */
+    int numRequests = 0;
+    /** Kernels executed per request. */
     int numKernels = 0;
 
     /** The serving-path overhead the compile cache eliminates. */
     double dispatchOverheadMs() const { return compileMs + bindMs; }
 };
 
-/** Outcome of one batched dispatch (N requests, one artifact). */
-struct BatchDispatchInfo
-{
-    /** Whether the single artifact resolve was served from cache. */
-    bool cacheHit = false;
-    /** Artifact resolve time — at most ONE compile per batch. */
-    double compileMs = 0.0;
-    /** Building the shared base + per-request binding views. */
-    double bindMs = 0.0;
-    /** Executing the striped (request x unit) work on the pool. */
-    double kernelMs = 0.0;
-    /** bindMs + kernelMs. */
-    double execMs = 0.0;
-    int numRequests = 0;
-    /** Kernels executed per request. */
-    int numKernels = 0;
-
-    double dispatchOverheadMs() const { return compileMs + bindMs; }
-};
+/** Batched dispatches report the same fields (kept for source
+ *  compatibility). */
+using BatchDispatchInfo = DispatchInfo;
 
 /**
  * Session-cumulative counters — a view assembled by Engine::stats()
@@ -360,19 +350,21 @@ class Engine
     // -----------------------------------------------------------------
     // Batched dispatch: one artifact, many feature matrices in flight.
     // Each batch performs at most ONE compile (cache resolve), builds
-    // a private binding view per request, and stripes the cross
-    // product of (requests x grid chunks / kernels) across the pool.
+    // a private binding view per request, and runs the cross product
+    // of (requests x kernels x grid chunks) as one fused task graph.
     // Every request's output is bitwise identical to dispatching it
-    // alone through the corresponding serial entry point.
+    // alone through the corresponding single-request entry point
+    // (which is this path with a batch of one). An empty batch
+    // resolves nothing and reports numRequests == 0.
     // -----------------------------------------------------------------
 
-    BatchDispatchInfo
+    DispatchInfo
     spmmCsrBatch(const format::Csr &a, int64_t feat,
                  const std::vector<SpmmRequest> &requests,
                  const core::SpmmSchedule &schedule =
                      core::SpmmSchedule());
 
-    BatchDispatchInfo
+    DispatchInfo
     spmmHybBatch(const format::Csr &a, int64_t feat,
                  const std::vector<SpmmRequest> &requests,
                  const HybConfig &config = HybConfig());
@@ -380,19 +372,20 @@ class Engine
     /**
      * Batched dispatch over an already-prepared hyb SpMM: skips even
      * the cache lookup and value gather — the handle pins the
-     * artifact and the gathered bucket values. Requests' outputs are
-     * zeroed by the dispatch (overwrite contract, like spmmHyb).
+     * artifact and the gathered bucket values — but still counts
+     * toward native promotion. Requests' outputs are zeroed by the
+     * dispatch (overwrite contract, like spmmHyb).
      */
-    BatchDispatchInfo
+    DispatchInfo
     spmmHybBatch(const PreparedSpmmHyb &prepared,
                  const std::vector<SpmmRequest> &requests);
 
-    BatchDispatchInfo
+    DispatchInfo
     spmmBsrBatch(const format::Bsr &a, int64_t feat,
                  const std::vector<SpmmRequest> &requests,
                  const BsrConfig &config = BsrConfig());
 
-    BatchDispatchInfo
+    DispatchInfo
     spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                     const std::vector<SpmmRequest> &requests);
 
@@ -433,40 +426,48 @@ class Engine
     int numThreads() const { return pool_->size(); }
 
   private:
-    std::shared_ptr<Artifact>
-    resolve(const CacheKey &key,
-            const std::function<std::shared_ptr<Artifact>()> &builder,
-            DispatchInfo *info);
-
-    void finishDispatch(const DispatchInfo &info, OpKind op);
+    using Builder = std::function<std::shared_ptr<Artifact>()>;
 
     /**
-     * Account a batch: numRequests logical requests, at most one of
-     * which paid the (single) compile; the rest count as hits on the
-     * artifact it produced. The per-op latency histogram records the
-     * batch's per-request exec latency (execMs / numRequests), once
-     * per request.
+     * Bind step of a dispatch, run against the resolved artifact: one
+     * binding view per request. The views may point into storage the
+     * calling entry point owns (it outlives the dispatch).
      */
-    void finishBatch(const BatchDispatchInfo &info, OpKind op);
+    using Binder =
+        std::function<std::vector<runtime::Bindings>(Artifact &)>;
+
+    /**
+     * The one dispatch path: resolve `key` (compiling via `builder`
+     * on a miss, promotion hook included), then execute().
+     */
+    DispatchInfo dispatch(OpKind op, const CacheKey &key,
+                          const Builder &builder, const Binder &bind);
+
+    /**
+     * The second half of dispatch(), entered directly by prepared
+     * handles: timed bind -> executor run -> finish(). `info` carries
+     * the resolve outcome.
+     */
+    DispatchInfo execute(OpKind op, Artifact &artifact,
+                         const Binder &bind, DispatchInfo info);
+
+    std::shared_ptr<Artifact> resolve(const CacheKey &key,
+                                      const Builder &builder,
+                                      DispatchInfo *info);
+
+    /**
+     * Account a dispatch: numRequests logical requests, at most one
+     * of which paid the (single) compile; the rest count as hits on
+     * the artifact it produced. The per-op latency histogram records
+     * the per-request exec latency (execMs / numRequests), once per
+     * request.
+     */
+    void finish(const DispatchInfo &info, OpKind op);
 
     /** Warm/cold dispatch-latency histogram of one op kind. */
     observe::LatencyHistogram *opLatency(OpKind op, bool warm);
 
     ExecOptions execOptions() const;
-
-    /**
-     * Execute a multi-kernel dispatch (hyb buckets, RGCN units) on
-     * the session's configured schedule: the fused task graph when
-     * EngineOptions::fusedDispatch is set, the barriered
-     * runKernels/runKernelsBatch oracle otherwise. Bitwise-identical
-     * results either way.
-     */
-    void runMultiKernel(
-        const std::vector<const CompiledKernel *> &kernels,
-        const runtime::Bindings &bindings);
-    void runMultiKernelBatch(
-        const std::vector<const CompiledKernel *> &kernels,
-        const std::vector<runtime::Bindings> &requests);
 
     /** Whether artifacts should carry compiled bytecode programs
      *  (the native tier serves on bytecode until promoted). */
@@ -477,15 +478,15 @@ class Engine
     }
 
     /**
-     * Promotion policy hook, called on every resolve when the session
-     * backend is kNative: counts resolves of `artifact` and, when the
-     * count crosses EngineOptions::nativePromoteAfter, promotes the
-     * artifact — inline for threshold 0, as a background pool task
-     * otherwise (the artifact is kept alive by the captured
-     * shared_ptr; dispatches keep serving bytecode meanwhile).
+     * Promotion policy hook, called on every resolve (and every
+     * prepared-handle dispatch) of a kNative session: counts uses of
+     * `artifact` and, when the count crosses
+     * EngineOptions::nativePromoteAfter, promotes the artifact —
+     * inline for threshold 0, as a background pool task otherwise
+     * (the artifact is kept alive by the captured shared_ptr;
+     * dispatches keep serving bytecode meanwhile).
      */
-    void maybePromote(const CacheKey &key,
-                      const std::shared_ptr<Artifact> &artifact);
+    void maybePromote(const std::shared_ptr<Artifact> &artifact);
 
     /**
      * Compile every kernel of `artifact` to the native tier and swap
@@ -494,8 +495,7 @@ class Engine
      * bytecode permanently — transparent degradation, never an error
      * on the request path.
      */
-    void promoteNow(const CacheKey &key,
-                    const std::shared_ptr<Artifact> &artifact);
+    void promoteNow(const Artifact &artifact);
 
     EngineOptions options_;
     std::shared_ptr<ThreadPool> pool_;

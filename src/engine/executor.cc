@@ -228,6 +228,19 @@ execOne(const CompiledKernel &kernel, const Bindings &bindings,
     runtime::run(kernel.func, bindings, run);
 }
 
+/** The serial oracle itself: kernels in list order per request. */
+void
+runSerial(const std::vector<const CompiledKernel *> &kernels,
+          const std::vector<const Bindings *> &requests,
+          const ExecOptions &options)
+{
+    for (const Bindings *request : requests) {
+        for (const CompiledKernel *kernel : kernels) {
+            execOne(*kernel, *request, options);
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -440,20 +453,10 @@ ParallelExecutor::ParallelExecutor(std::shared_ptr<ThreadPool> pool)
     ICHECK(pool_ != nullptr);
 }
 
-void
-ParallelExecutor::forCapped(int64_t n, int workers,
-                            const std::function<void(int64_t)> &fn) const
+bool
+ParallelExecutor::serial(const ExecOptions &options) const
 {
-    if (workers >= pool_->size()) {
-        // No per-call cap below pool capacity: enqueue everything,
-        // the pool bounds concurrency.
-        pool_->parallelFor(n, fn);
-        return;
-    }
-    for (int64_t wave = 0; wave < n; wave += workers) {
-        int64_t count = std::min<int64_t>(workers, n - wave);
-        pool_->parallelFor(count, [&](int64_t j) { fn(wave + j); });
-    }
+    return !options.parallel || pool_->size() <= 1;
 }
 
 std::vector<std::string>
@@ -552,367 +555,24 @@ ParallelExecutor::releaseAll(
 }
 
 void
-ParallelExecutor::runKernel(const CompiledKernel &kernel,
-                            const Bindings &bindings,
-                            const ExecOptions &options) const
+ParallelExecutor::run(const std::vector<const CompiledKernel *> &kernels,
+                      const std::vector<const Bindings *> &requests,
+                      const ExecOptions &options) const
 {
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    // An exclusive kernel may write one element twice; both writes
-    // inside one chunk's private would fold as pre + (a1 + a2) where
-    // serial computed ((pre + a1) + a2), so it must not be split.
-    if (!options.parallel || workers <= 1 || kernel.exclusive) {
-        execOne(kernel, bindings, options);
+    if (serial(options)) {
+        // Serial sessions skip graph construction entirely — the
+        // plan (extent evaluations, unit/chain vectors) would be
+        // built per dispatch only to be ignored by the fallback.
+        runSerial(kernels, requests, options);
         return;
     }
-    int64_t block_extent = blockExtentOf(kernel, bindings);
-    int64_t min_chunk = std::max<int64_t>(options.minBlocksPerChunk, 1);
-    int64_t chunks =
-        block_extent > 0
-            ? std::min<int64_t>(workers, block_extent / min_chunk)
-            : 0;
-    if (chunks < 2) {
-        execOne(kernel, bindings, options);
-        return;
-    }
-
-    // Chunk windows cover the kernel's whole write set between them,
-    // so privatization uses the kernel-level spans.
-    std::vector<std::vector<Private>> privates(chunks);
-    std::vector<Bindings> locals;
-    locals.reserve(chunks);
-    std::vector<runtime::RunOptions> windows(chunks);
-    try {
-        int64_t base = block_extent / chunks;
-        int64_t rem = block_extent % chunks;
-        int64_t begin = 0;
-        for (int64_t c = 0; c < chunks; ++c) {
-            int64_t extent = base + (c < rem ? 1 : 0);
-            windows[c].blockBegin = begin;
-            windows[c].blockEnd = begin + extent;
-            begin += extent;
-            locals.push_back(privatize(kernel, bindings, &privates[c],
-                                       &windows[c]));
-        }
-        pool_->parallelFor(chunks, [&](int64_t c) {
-            SPARSETIR_TRACE_SCOPE1("exec", "kernel.chunk", "chunk", c);
-            execOne(kernel, locals[c], options, windows[c]);
-        });
-        // Fold privates in chunk order: per element this replays the
-        // serial order of block contributions.
-        for (int64_t c = 0; c < chunks; ++c) {
-            foldAndRelease(bindings, &privates[c]);
-        }
-    } catch (...) {
-        releaseAll(&privates);
-        throw;
-    }
-}
-
-void
-ParallelExecutor::runKernels(
-    const std::vector<const CompiledKernel *> &kernels,
-    const Bindings &bindings, const ExecOptions &options) const
-{
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    if (!options.parallel || workers <= 1) {
-        for (const CompiledKernel *kernel : kernels) {
-            execOne(*kernel, bindings, options);
-        }
-        return;
-    }
-    if (kernels.size() == 1) {
-        // A lone kernel still gets grid-level parallelism (window
-        // splitting is bitwise-safe for non-exclusive kernels;
-        // runKernel keeps exclusive ones serial).
-        runKernel(*kernels[0], bindings, options);
-        return;
-    }
-
-    // Run a contiguous batch of single-write-back kernels in
-    // parallel on privatized accumulators, then fold the privates in
-    // list order: per output element this replays the serial
-    // addition sequence exactly.
-    auto run_batch = [&](int64_t begin, int64_t end) {
-        int64_t n = end - begin;
-        if (n <= 0) {
-            return;
-        }
-        if (n == 1) {
-            // Sole kernel of its batch: grid-split it instead of
-            // running serially (non-exclusive by construction).
-            runKernel(*kernels[begin], bindings, options);
-            return;
-        }
-        std::vector<std::vector<Private>> privates(n);
-        std::vector<Bindings> locals;
-        locals.reserve(n);
-        std::vector<runtime::RunOptions> runs(n);
-        try {
-            for (int64_t i = 0; i < n; ++i) {
-                locals.push_back(privatize(*kernels[begin + i],
-                                           bindings, &privates[i],
-                                           &runs[i]));
-            }
-            forCapped(n, workers, [&](int64_t i) {
-                execOne(*kernels[begin + i], locals[i], options,
-                        runs[i]);
-            });
-            for (int64_t i = 0; i < n; ++i) {
-                foldAndRelease(bindings, &privates[i]);
-            }
-        } catch (...) {
-            releaseAll(&privates);
-            throw;
-        }
-    };
-
-    int64_t total = static_cast<int64_t>(kernels.size());
-    int64_t batch_begin = 0;
-    for (int64_t i = 0; i < total; ++i) {
-        if (kernels[i]->exclusive) {
-            run_batch(batch_begin, i);
-            // Exclusive kernels observe the true pre-values, so they
-            // run at their serial position on shared storage.
-            execOne(*kernels[i], bindings, options);
-            batch_begin = i + 1;
-        }
-    }
-    run_batch(batch_begin, total);
-}
-
-// ---------------------------------------------------------------------
-// Multi-request (batched) dispatch
-// ---------------------------------------------------------------------
-
-void
-ParallelExecutor::runKernelBatch(const CompiledKernel &kernel,
-                                 const std::vector<Bindings> &requests,
-                                 const ExecOptions &options) const
-{
-    int64_t num_requests = static_cast<int64_t>(requests.size());
-    if (num_requests == 0) {
-        return;
-    }
-    if (num_requests == 1) {
-        runKernel(kernel, requests[0], options);
-        return;
-    }
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    if (!options.parallel || workers <= 1) {
-        for (const Bindings &request : requests) {
-            execOne(kernel, request, options);
-        }
-        return;
-    }
-
-    // Spread the workers across in-flight requests: each request is
-    // split into at most ceil(workers / requests) grid chunks, so the
-    // unit count stays near the worker count. Once requests alone
-    // saturate the pool, every request runs unsplit (pure request
-    // parallelism, no privatization at all). Exclusive kernels are
-    // never split, but distinct requests write distinct outputs, so
-    // they still run concurrently across the batch.
-    int64_t per_request_cap =
-        kernel.exclusive
-            ? 1
-            : std::max<int64_t>(
-                  1, (workers + num_requests - 1) / num_requests);
-    int64_t min_chunk = std::max<int64_t>(options.minBlocksPerChunk, 1);
-    std::vector<int64_t> extents(num_requests, 0);
-    std::vector<int64_t> chunks_per(num_requests, 1);
-    int64_t total_units = 0;
-    for (int64_t r = 0; r < num_requests; ++r) {
-        if (per_request_cap >= 2) {
-            extents[r] = blockExtentOf(kernel, requests[r]);
-            if (extents[r] > 0) {
-                chunks_per[r] =
-                    std::max<int64_t>(1, std::min(per_request_cap,
-                                                  extents[r] /
-                                                      min_chunk));
-            }
-        }
-        total_units += chunks_per[r];
-    }
-
-    /** One pool task: a (request, grid window) pair. */
-    struct Unit
-    {
-        const Bindings *bindings = nullptr;
-        runtime::RunOptions window;
-    };
-    std::vector<Unit> units;
-    units.reserve(total_units);
-    std::vector<Bindings> locals;
-    locals.reserve(total_units);
-    std::vector<std::vector<Private>> privates(total_units);
-    /** Per request: its privatized unit indices, in chunk order. */
-    std::vector<std::vector<size_t>> fold_plan(num_requests);
-    try {
-        for (int64_t r = 0; r < num_requests; ++r) {
-            int64_t chunks = chunks_per[r];
-            if (chunks < 2) {
-                // Sole unit of its request: serial semantics on the
-                // request's own buffers, nothing to privatize.
-                units.push_back(Unit{&requests[r], {}});
-                continue;
-            }
-            int64_t base = extents[r] / chunks;
-            int64_t rem = extents[r] % chunks;
-            int64_t begin = 0;
-            for (int64_t c = 0; c < chunks; ++c) {
-                int64_t extent = base + (c < rem ? 1 : 0);
-                size_t index = units.size();
-                Unit unit;
-                unit.window.blockBegin = begin;
-                unit.window.blockEnd = begin + extent;
-                begin += extent;
-                locals.push_back(privatize(kernel, requests[r],
-                                           &privates[index],
-                                           &unit.window));
-                unit.bindings = &locals.back();
-                units.push_back(std::move(unit));
-                fold_plan[r].push_back(index);
-            }
-        }
-        forCapped(static_cast<int64_t>(units.size()), workers,
-                  [&](int64_t i) {
-                      const Unit &unit = units[i];
-                      execOne(kernel, *unit.bindings, options,
-                              unit.window);
-                  });
-        // Fold each request's privates in chunk order: per output
-        // element this replays that request's serial block order.
-        for (int64_t r = 0; r < num_requests; ++r) {
-            for (size_t index : fold_plan[r]) {
-                foldAndRelease(requests[r], &privates[index]);
-            }
-        }
-    } catch (...) {
-        releaseAll(&privates);
-        throw;
-    }
-}
-
-void
-ParallelExecutor::runKernelsBatch(
-    const std::vector<const CompiledKernel *> &kernels,
-    const std::vector<Bindings> &requests,
-    const ExecOptions &options) const
-{
-    int64_t num_requests = static_cast<int64_t>(requests.size());
-    if (num_requests == 0 || kernels.empty()) {
-        return;
-    }
-    if (num_requests == 1) {
-        runKernels(kernels, requests[0], options);
-        return;
-    }
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    if (!options.parallel || workers <= 1) {
-        for (const Bindings &request : requests) {
-            for (const CompiledKernel *kernel : kernels) {
-                execOne(*kernel, request, options);
-            }
-        }
-        return;
-    }
-
-    // Stripe the cross product (request x kernel) of one contiguous
-    // run of non-exclusive kernels across the pool, privatizing each
-    // unit and folding per request in kernel-list order.
-    auto run_segment = [&](int64_t begin, int64_t end) {
-        int64_t n = end - begin;
-        if (n <= 0) {
-            return;
-        }
-        if (n == 1) {
-            // Sole kernel of its segment: add grid splitting to the
-            // request axis (non-exclusive by construction).
-            runKernelBatch(*kernels[begin], requests, options);
-            return;
-        }
-        int64_t total = num_requests * n;
-        std::vector<std::vector<Private>> privates(total);
-        std::vector<Bindings> locals;
-        locals.reserve(total);
-        std::vector<runtime::RunOptions> runs(total);
-        try {
-            for (int64_t r = 0; r < num_requests; ++r) {
-                for (int64_t i = 0; i < n; ++i) {
-                    locals.push_back(privatize(*kernels[begin + i],
-                                               requests[r],
-                                               &privates[r * n + i],
-                                               &runs[r * n + i]));
-                }
-            }
-            forCapped(total, workers, [&](int64_t idx) {
-                execOne(*kernels[begin + idx % n], locals[idx],
-                        options, runs[idx]);
-            });
-            for (int64_t r = 0; r < num_requests; ++r) {
-                for (int64_t i = 0; i < n; ++i) {
-                    foldAndRelease(requests[r],
-                                   &privates[r * n + i]);
-                }
-            }
-        } catch (...) {
-            releaseAll(&privates);
-            throw;
-        }
-    };
-
-    int64_t total = static_cast<int64_t>(kernels.size());
-    int64_t segment_begin = 0;
-    for (int64_t i = 0; i < total; ++i) {
-        if (kernels[i]->exclusive) {
-            run_segment(segment_begin, i);
-            // Serial at its list position within each request; the
-            // requests themselves are independent.
-            forCapped(num_requests, workers, [&](int64_t r) {
-                execOne(*kernels[i], requests[r], options);
-            });
-            segment_begin = i + 1;
-        }
-    }
-    run_segment(segment_begin, total);
+    runTaskGraph(buildTaskGraph(kernels, requests, options), requests,
+                 options);
 }
 
 // ---------------------------------------------------------------------
 // Fused task-graph dispatch
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** Borrow a value-request vector as the pointer form. */
-std::vector<const Bindings *>
-asPointers(const std::vector<Bindings> &requests)
-{
-    std::vector<const Bindings *> pointers;
-    pointers.reserve(requests.size());
-    for (const Bindings &request : requests) {
-        pointers.push_back(&request);
-    }
-    return pointers;
-}
-
-} // namespace
-
-TaskGraph
-ParallelExecutor::buildTaskGraph(
-    const std::vector<const CompiledKernel *> &kernels,
-    const std::vector<Bindings> &requests,
-    const ExecOptions &options) const
-{
-    return buildTaskGraph(kernels, asPointers(requests), options);
-}
 
 TaskGraph
 ParallelExecutor::buildTaskGraph(
@@ -927,9 +587,7 @@ ParallelExecutor::buildTaskGraph(
     if (kernels.empty() || requests.empty()) {
         return graph;
     }
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
+    int workers = pool_->size();
     int64_t num_splittable = 0;
     for (const CompiledKernel *kernel : kernels) {
         if (!kernel->exclusive) {
@@ -994,14 +652,6 @@ ParallelExecutor::buildTaskGraph(
 }
 
 void
-ParallelExecutor::runTaskGraph(const TaskGraph &graph,
-                               const std::vector<Bindings> &requests,
-                               const ExecOptions &options) const
-{
-    runTaskGraph(graph, asPointers(requests), options);
-}
-
-void
 ParallelExecutor::runTaskGraph(
     const TaskGraph &graph,
     const std::vector<const Bindings *> &requests,
@@ -1012,16 +662,8 @@ ParallelExecutor::runTaskGraph(
     if (graph.kernels.empty() || requests.empty()) {
         return;
     }
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    if (!options.parallel || workers <= 1) {
-        // The serial oracle itself: kernels in list order per request.
-        for (const Bindings *request : requests) {
-            for (const CompiledKernel *kernel : graph.kernels) {
-                execOne(*kernel, *request, options);
-            }
-        }
+    if (serial(options)) {
+        runSerial(graph.kernels, requests, options);
         return;
     }
 
@@ -1120,11 +762,9 @@ ParallelExecutor::runTaskGraph(
 
         // ONE pool over everything: a kickoff task per request (so a
         // chain headed by an exclusive kernel starts without waiting
-        // on any compute unit) plus every compute unit. A worker cap
-        // below the pool size is honored by launching that many
-        // self-replenishing runners over a shared task counter — not
-        // by forCapped's waves, whose per-wave joins would be exactly
-        // the barriers the fused schedule exists to remove.
+        // on any compute unit) plus every compute unit, drained by at
+        // most one self-replenishing runner per worker over a shared
+        // task counter.
         int64_t total_tasks =
             num_requests + static_cast<int64_t>(num_units);
         std::atomic<int64_t> next_task{0};
@@ -1148,7 +788,8 @@ ParallelExecutor::runTaskGraph(
             }
         };
         pool_->parallelFor(
-            std::min<int64_t>(workers, total_tasks), [&](int64_t) {
+            std::min<int64_t>(pool_->size(), total_tasks),
+            [&](int64_t) {
                 for (;;) {
                     int64_t t = next_task.fetch_add(
                         1, std::memory_order_relaxed);
@@ -1167,113 +808,6 @@ ParallelExecutor::runTaskGraph(
         releaseAll(&privates);
         throw;
     }
-}
-
-void
-ParallelExecutor::runKernelsFused(
-    const std::vector<const CompiledKernel *> &kernels,
-    const std::vector<Bindings> &requests,
-    const ExecOptions &options) const
-{
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    if (!options.parallel || workers <= 1) {
-        // Serial sessions skip graph construction entirely — the
-        // plan (extent evaluations, unit/chain vectors) would be
-        // built per dispatch only to be ignored by the fallback.
-        for (const Bindings &request : requests) {
-            for (const CompiledKernel *kernel : kernels) {
-                execOne(*kernel, request, options);
-            }
-        }
-        return;
-    }
-    std::vector<const Bindings *> pointers = asPointers(requests);
-    TaskGraph graph = buildTaskGraph(kernels, pointers, options);
-    runTaskGraph(graph, pointers, options);
-}
-
-void
-ParallelExecutor::runKernelsFused(
-    const std::vector<const CompiledKernel *> &kernels,
-    const Bindings &bindings, const ExecOptions &options) const
-{
-    int workers = options.workers > 0
-                      ? std::min(options.workers, pool_->size())
-                      : pool_->size();
-    if (!options.parallel || workers <= 1) {
-        for (const CompiledKernel *kernel : kernels) {
-            execOne(*kernel, bindings, options);
-        }
-        return;
-    }
-    std::vector<const Bindings *> one{&bindings};
-    TaskGraph graph = buildTaskGraph(kernels, one, options);
-    runTaskGraph(graph, one, options);
-}
-
-// ---------------------------------------------------------------------
-// Raw-PrimFunc convenience overloads
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** One-off CompiledKernel with an optional precomputed accum list. */
-CompiledKernel
-transientKernel(const PrimFunc &func, const ExecOptions &options,
-                const std::vector<std::string> *accum)
-{
-    CompiledKernel kernel = compileKernel(
-        func, options.backend != runtime::Backend::kInterpreter,
-        /*analyze_accums=*/accum == nullptr);
-    if (accum != nullptr) {
-        for (const std::string &name : *accum) {
-            AccumOutput out;
-            out.name = name;
-            kernel.accums.push_back(std::move(out));
-        }
-    }
-    return kernel;
-}
-
-} // namespace
-
-void
-ParallelExecutor::runKernel(const PrimFunc &func,
-                            const Bindings &bindings,
-                            const ExecOptions &options,
-                            const std::vector<std::string> *accum) const
-{
-    runKernel(transientKernel(func, options, accum), bindings,
-              options);
-}
-
-void
-ParallelExecutor::runKernels(
-    const std::vector<PrimFunc> &funcs, const Bindings &bindings,
-    const ExecOptions &options, const std::vector<uint8_t> &exclusive,
-    const std::vector<std::vector<std::string>> *accums) const
-{
-    ICHECK(exclusive.empty() || exclusive.size() == funcs.size())
-        << "exclusive mask does not match kernel count";
-    ICHECK(accums == nullptr || accums->size() == funcs.size())
-        << "precomputed accumulation lists do not match kernel count";
-    std::vector<CompiledKernel> owned;
-    owned.reserve(funcs.size());
-    for (size_t i = 0; i < funcs.size(); ++i) {
-        owned.push_back(transientKernel(
-            funcs[i], options,
-            accums != nullptr ? &(*accums)[i] : nullptr));
-        owned.back().exclusive =
-            !exclusive.empty() && exclusive[i] != 0;
-    }
-    std::vector<const CompiledKernel *> pointers;
-    pointers.reserve(owned.size());
-    for (const CompiledKernel &kernel : owned) {
-        pointers.push_back(&kernel);
-    }
-    runKernels(pointers, bindings, options);
 }
 
 } // namespace engine

@@ -1,50 +1,43 @@
 /**
  * @file
  * Deterministic parallel execution of lowered kernels on the host
- * backends (bytecode VM by default, tree-walking interpreter as the
- * reference oracle).
+ * backends (native .so tier when promoted, bytecode VM by default,
+ * tree-walking interpreter as the reference oracle).
  *
- * Two axes of parallelism, both preserving the serial interpreter's
- * results exactly (bitwise, up to IEEE signed-zero identity):
+ * One entry point, ParallelExecutor::run(kernels, requests), and one
+ * parallel schedule: the fused task graph. A dispatch of N kernels
+ * (hyb buckets, RGCN units, or a single kernel) over M requests (each
+ * with its own bindings over shared structure) is flattened into ONE
+ * pool of compute units — a kernel's grid chunk under one request's
+ * bindings — with no barrier between kernels or requests. Serial
+ * sessions (parallel off, or a pool of one) run the kernels in list
+ * order per request instead; that serial order is the oracle every
+ * parallel result is bitwise-equal to (up to IEEE signed-zero
+ * identity).
  *
- *  - runKernel: one kernel's outermost blockIdx.x loop is split into
- *    contiguous chunks executed on worker threads — one VM instance
- *    per block window over the kernel's shared Program. Plain
- *    (overwrite) stores to bound buffers are per-block disjoint by
- *    the lowering contract, so chunks write shared storage directly.
- *    Read-modify-write outputs (cache_write accumulate, rfactor
- *    write-back, atomic_add) are privatized: each chunk accumulates
- *    into a private zero copy, and the privates are folded into the
- *    shared buffer in chunk order. Per output element the sequence of
- *    additions is exactly the serial one, so float results match the
- *    serial interpreter.
- *
- *  - runKernels: independent kernels of one request (hyb bucket
- *    kernels, RGCN per-relation-bucket kernels) run concurrently,
- *    with the same privatization applied per kernel and privates
- *    folded in kernel-list order. Non-accumulated writes of kernels
- *    in one batch must target disjoint elements (true for every
- *    kernel family the engine emits, which share outputs only
- *    through accumulation).
- *
- * A third axis composes with both: runKernelBatch / runKernelsBatch
- * execute one compiled artifact for MANY in-flight requests, each
- * request carrying its own bindings (its own feature/output arrays
- * over shared structure). Units from the cross product of (requests x
- * chunks-or-kernels) share the pool; requests never share written
- * storage, so the per-request guarantees above hold unchanged.
+ * Determinism lives in per-request fold chains (see TaskGraph).
+ * Plain (overwrite) stores to bound buffers are per-block disjoint by
+ * the lowering contract, so units write shared storage directly.
+ * Read-modify-write outputs (cache_write accumulate, rfactor
+ * write-back, atomic_add) are privatized: each unit accumulates into
+ * a private zero copy, and the privates are folded into the shared
+ * buffer in kernel-list order, chunk order within a kernel. Per
+ * output element the sequence of additions is exactly the serial one.
+ * Non-accumulated writes of different kernels must target disjoint
+ * elements (true for every kernel family the engine emits, which
+ * share outputs only through accumulation), and requests must bind
+ * disjoint outputs.
  *
  * Privatization replays the serial addition order per element only
- * when each parallel unit performs at most ONE read-modify-write
- * write-back per output element: folding a private that accumulated
- * two write-backs (a1 + a2) onto a non-zero pre-value computes
+ * when each unit performs at most ONE read-modify-write write-back
+ * per output element: folding a private that accumulated two
+ * write-backs (a1 + a2) onto a non-zero pre-value computes
  * pre + (a1 + a2) where serial computed ((pre + a1) + a2) — an
  * ULP-level reassociation. Kernels that can write one element twice
  * (hyb's widest bucket when long rows were split into several ELL
  * rows) are therefore marked `exclusive` by the caller — the engine
  * derives the mask from format provenance (duplicate row indices) —
- * and runKernels executes them at their exact list position directly
- * on shared storage, parallelizing the kernels between them.
+ * and run unsplit on shared storage at their exact chain position.
  *
  * Privatization cost — scratch bytes AND zero/fold work — is bounded
  * by each kernel's write set, not the output size: a CompiledKernel's
@@ -60,9 +53,9 @@
  * zero-byte lease and folds nothing — its output is left
  * bit-identical (the whole-array fallback is an explicit AccumOutput
  * flag, never inferred from an empty span list). Accesses outside
- * the declared
- * spans fault on both backends, turning the "spans MUST cover every
- * element the kernel updates" contract into a checked one.
+ * the declared spans fault on every backend, turning the "spans MUST
+ * cover every element the kernel updates" contract into a checked
+ * one.
  *
  * The write-set classification is computed from the IR, not trusted
  * from callers: accumulatedParams() scans for read-modify-write
@@ -72,7 +65,6 @@
 #ifndef SPARSETIR_ENGINE_EXECUTOR_H_
 #define SPARSETIR_ENGINE_EXECUTOR_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -96,26 +88,15 @@ struct NativeKernel;
 
 namespace engine {
 
-/** Per-call execution controls. */
+/** Per-call execution controls (the pool size is the worker cap). */
 struct ExecOptions
 {
-    /** Worker cap for this call; 0 means the pool size. */
-    int workers = 0;
     /** Do not split a grid into chunks smaller than this. */
     int64_t minBlocksPerChunk = 8;
     /** Master switch; false forces serial in-order execution. */
     bool parallel = true;
     /** Host backend kernels execute on. */
     runtime::Backend backend = runtime::Backend::kBytecode;
-    /**
-     * Route multi-kernel / multi-request dispatches through the fused
-     * task graph (runTaskGraph): one work pool over every (request,
-     * kernel, grid-chunk) unit with no barrier between kernels or
-     * requests. The engine entry points honor this; runKernels /
-     * runKernelsBatch themselves always run the barriered schedule
-     * and stay available as the differential oracle.
-     */
-    bool fusedDispatch = true;
 };
 
 /** Element range [begin, end) of a flat buffer. */
@@ -390,44 +371,17 @@ class ParallelExecutor
     static std::vector<std::string>
     accumulatedParams(const ir::PrimFunc &func);
 
-    /** Execute one kernel, splitting its blockIdx range if profitable. */
-    void runKernel(const CompiledKernel &kernel,
-                   const runtime::Bindings &bindings,
-                   const ExecOptions &options = ExecOptions()) const;
-
     /**
-     * Execute a batch of kernels over shared bindings. Results are
-     * bitwise identical to running the kernels serially in list
-     * order; exclusive kernels run serially at their list position.
+     * Execute every kernel once per request. Results are bitwise
+     * identical to running the kernels serially in list order under
+     * each request's bindings; requests are borrowed and must bind
+     * disjoint output arrays (they may share read-only inputs).
+     * Serial sessions run exactly that order; every other session
+     * builds and runs the fused task graph.
      */
-    void runKernels(const std::vector<const CompiledKernel *> &kernels,
-                    const runtime::Bindings &bindings,
-                    const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Multi-request dispatch: execute ONE kernel once per request,
-     * each request under its own bindings. Work is striped across
-     * the cross product of (in-flight requests x grid-split chunks)
-     * on the pool; per request the result is bitwise identical to a
-     * serial run of the kernel under that request's bindings.
-     * Requests must bind disjoint output arrays (they may — and on
-     * the engine's batched path do — share read-only inputs).
-     */
-    void runKernelBatch(const CompiledKernel &kernel,
-                        const std::vector<runtime::Bindings> &requests,
-                        const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Multi-request, multi-kernel dispatch: for every request,
-     * execute all kernels as runKernels would under that request's
-     * bindings, striping (request, kernel) units across the pool.
-     * Exclusive kernels stay serial *within* their request but still
-     * run concurrently across requests, whose outputs are disjoint.
-     */
-    void
-    runKernelsBatch(const std::vector<const CompiledKernel *> &kernels,
-                    const std::vector<runtime::Bindings> &requests,
-                    const ExecOptions &options = ExecOptions()) const;
+    void run(const std::vector<const CompiledKernel *> &kernels,
+             const std::vector<const runtime::Bindings *> &requests,
+             const ExecOptions &options = ExecOptions()) const;
 
     /**
      * Plan a fused dispatch of `kernels` x `requests` (see TaskGraph):
@@ -436,20 +390,11 @@ class ParallelExecutor
      * request's scalar bindings via the spilled block extent, never an
      * interpreter probe — so the unit count stays near the worker
      * count; once the cross product alone saturates the pool nothing
-     * is split. The graph borrows `kernels`; both it and `requests`
-     * must outlive every runTaskGraph call, which must receive the
-     * same requests and compatible options.
-     */
-    TaskGraph
-    buildTaskGraph(const std::vector<const CompiledKernel *> &kernels,
-                   const std::vector<runtime::Bindings> &requests,
-                   const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Pointer form of the fused entry points: requests are borrowed,
-     * not copied. This is the engine's single-request hot path —
-     * wrapping one Bindings in a value vector would deep-copy its
-     * maps on every warm dispatch.
+     * is split. A lone kernel under one request thus gets
+     * min(workers, extent / minBlocksPerChunk) chunks. The graph
+     * borrows `kernels`; both it and `requests` must outlive every
+     * runTaskGraph call, which must receive the same requests and
+     * compatible options.
      */
     TaskGraph buildTaskGraph(
         const std::vector<const CompiledKernel *> &kernels,
@@ -464,54 +409,12 @@ class ParallelExecutor
      * pool, and each request's fold chain advances opportunistically
      * as its kernels' units complete — no barrier between hyb buckets
      * or between batch requests. Results are bitwise identical to
-     * serial dispatch and to the barriered runKernels/runKernelsBatch
-     * schedules (same per-element fold order; see TaskGraph).
-     * Requests must bind disjoint output arrays.
+     * serial dispatch (same per-element fold order; see TaskGraph).
      */
-    void runTaskGraph(const TaskGraph &graph,
-                      const std::vector<runtime::Bindings> &requests,
-                      const ExecOptions &options = ExecOptions()) const;
-
-    /** Pointer form (see the pointer buildTaskGraph overload). */
     void runTaskGraph(
         const TaskGraph &graph,
         const std::vector<const runtime::Bindings *> &requests,
         const ExecOptions &options = ExecOptions()) const;
-
-    /** buildTaskGraph + runTaskGraph in one call. */
-    void
-    runKernelsFused(const std::vector<const CompiledKernel *> &kernels,
-                    const std::vector<runtime::Bindings> &requests,
-                    const ExecOptions &options = ExecOptions()) const;
-
-    /** Single-request fused dispatch; `bindings` is borrowed. */
-    void
-    runKernelsFused(const std::vector<const CompiledKernel *> &kernels,
-                    const runtime::Bindings &bindings,
-                    const ExecOptions &options = ExecOptions()) const;
-
-    /**
-     * Convenience overload: compile-and-run one function. `accum`,
-     * when non-null, is the precomputed accumulatedParams() of
-     * `func`; null recomputes it on the fly.
-     */
-    void runKernel(const ir::PrimFunc &func,
-                   const runtime::Bindings &bindings,
-                   const ExecOptions &options = ExecOptions(),
-                   const std::vector<std::string> *accum = nullptr) const;
-
-    /**
-     * Convenience overload over raw functions. `exclusive`, when
-     * non-empty, must parallel `funcs`; `accums`, when non-null,
-     * must parallel `funcs` with precomputed accumulatedParams().
-     */
-    void runKernels(const std::vector<ir::PrimFunc> &funcs,
-                    const runtime::Bindings &bindings,
-                    const ExecOptions &options = ExecOptions(),
-                    const std::vector<uint8_t> &exclusive =
-                        std::vector<uint8_t>(),
-                    const std::vector<std::vector<std::string>>
-                        *accums = nullptr) const;
 
     /** Scratch accounting of this executor's privatization pool. */
     ScratchStats
@@ -563,13 +466,8 @@ class ParallelExecutor
         runtime::NDArray *array = nullptr;
     };
 
-    /**
-     * parallelFor over [0, n) honoring a per-call worker cap below
-     * the pool size by fanning out in waves of at most `workers`
-     * units. The single implementation behind every fan-out site.
-     */
-    void forCapped(int64_t n, int workers,
-                   const std::function<void(int64_t)> &fn) const;
+    /** Whether `options` (or a pool of one) forces serial order. */
+    bool serial(const ExecOptions &options) const;
 
     /**
      * Swap each accumulated output for a zeroed scratch lease:

@@ -25,6 +25,7 @@
 #include "graph/generator.h"
 #include "ir/expr.h"
 #include "ir/stmt.h"
+#include "observe/metrics.h"
 #include "support/rng.h"
 #include "test_util.h"
 
@@ -305,6 +306,36 @@ serialHybSpmm(const Csr &a, int64_t feat,
     return c;
 }
 
+/**
+ * The bucket kernels of `hyb` in executable form, buckets holding
+ * split rows marked exclusive (as the engine's builder marks them).
+ */
+std::vector<engine::CompiledKernel>
+compileHybKernels(const format::Hyb &hyb, int64_t feat)
+{
+    std::vector<engine::CompiledKernel> kernels;
+    for (const auto &plan : core::compileSpmmHybFuncs(hyb, feat)) {
+        const format::Ell &ell =
+            hyb.buckets[plan.partition][plan.bucket];
+        engine::CompiledKernel kernel = engine::compileKernel(plan.func);
+        std::set<int32_t> unique(ell.rowIndices.begin(),
+                                 ell.rowIndices.end());
+        kernel.exclusive = unique.size() != ell.rowIndices.size();
+        kernels.push_back(std::move(kernel));
+    }
+    return kernels;
+}
+
+std::vector<const engine::CompiledKernel *>
+pointersTo(const std::vector<engine::CompiledKernel> &kernels)
+{
+    std::vector<const engine::CompiledKernel *> out;
+    for (const engine::CompiledKernel &kernel : kernels) {
+        out.push_back(&kernel);
+    }
+    return out;
+}
+
 TEST(Engine, ParallelSpmmBitwiseMatchesSerial)
 {
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 13);
@@ -411,49 +442,71 @@ TEST(Engine, SddmmOverwritesDirtyOutputInParallel)
         << "second dispatch into a dirty buffer diverged";
 }
 
-TEST(Executor, WorkerCapWavesStayBitwiseExact)
-{
-    // ExecOptions.workers below the pool size takes the wave-capped
-    // fan-out path; results must still replay serial order exactly.
-    Csr a = graph::powerLawGraph(250, 3000, 1.8, 27);
-    int64_t feat = 8;
-    auto b_host = randomVector(a.cols * feat, 28);
-    NDArray serial = serialHybSpmm(a, feat, b_host, 2);
-
-    format::Hyb hyb = format::hybFromCsr(a, 2, -1);
-    auto plans = core::compileSpmmHybFuncs(hyb, feat);
-    std::vector<ir::PrimFunc> funcs;
-    std::vector<uint8_t> exclusive;
-    for (const auto &plan : plans) {
-        const format::Ell &ell =
-            hyb.buckets[plan.partition][plan.bucket];
-        funcs.push_back(plan.func);
-        std::set<int32_t> unique(ell.rowIndices.begin(),
-                                 ell.rowIndices.end());
-        exclusive.push_back(
-            unique.size() != ell.rowIndices.size() ? 1 : 0);
-    }
-
-    engine::ParallelExecutor executor(
-        std::make_shared<engine::ThreadPool>(4));
-    auto shared = std::make_shared<BindingSet>();
-    NDArray b = NDArray::fromFloat(b_host);
-    NDArray c({a.rows * feat}, ir::DataType::float32());
-    shared->external("B_data", &b);
-    shared->external("C_data", &c);
-    core::HybSpmm compiled = core::compileSpmmHyb(a, feat, 2, -1,
-                                                  shared);
-    (void)compiled;  // binds bucket arrays into `shared`
-
-    engine::ExecOptions options;
-    options.workers = 2;  // below the 4-thread pool: wave path
-    executor.runKernels(funcs, shared->view(), options, exclusive);
-    EXPECT_TRUE(bitwiseEqual(serial, c));
-}
-
 // ---------------------------------------------------------------------
 // Session behavior
 // ---------------------------------------------------------------------
+
+TEST(Engine, SingleRequestRejectsOutputAliasingInput)
+{
+    // Single-request calls are batches of one, so they get the batch
+    // path's input checks: an output aliasing the feature matrix
+    // would race under grid splitting and is refused up front.
+    Csr a = randomCsr(24, 24, 0.2, 61);
+    int64_t feat = 4;
+    NDArray bc = NDArray::fromFloat(randomVector(a.rows * feat, 62));
+    NDArray before = bc;  // copy
+    Engine eng(EngineOptions{});
+    EXPECT_THROW(eng.spmmCsr(a, feat, &bc, &bc), UserError);
+    EXPECT_TRUE(bitwiseEqual(before, bc))
+        << "a rejected dispatch touched the caller's array";
+    EXPECT_THROW(eng.spmmCsr(a, feat, nullptr, &bc), UserError);
+}
+
+TEST(Engine, SingleRequestMatchesBatchOfOneInOutputAndAccounting)
+{
+    Csr a = graph::powerLawGraph(120, 1400, 1.7, 63);
+    int64_t feat = 8;
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 64));
+
+    // Identical sessions: one serves spmmCsr, the other the same
+    // request as a batch of one. A cold then a warm dispatch each.
+    EngineOptions options;
+    options.numThreads = 4;
+    options.minBlocksPerChunk = 2;
+    Engine single(options);
+    Engine batch(options);
+    auto counts = [](const Engine &eng) {
+        observe::MetricsSnapshot snap = eng.metricsSnapshot();
+        return std::vector<uint64_t>{
+            snap.counters["engine.requests"],
+            snap.counters["engine.cache_hits"],
+            snap.counters["engine.cache_misses"],
+            snap.histograms["engine.warm_dispatch_ms.spmm_csr"].count,
+            snap.histograms["engine.cold_dispatch_ms.spmm_csr"].count,
+        };
+    };
+    for (int round = 0; round < 2; ++round) {
+        std::vector<uint64_t> single_before = counts(single);
+        std::vector<uint64_t> batch_before = counts(batch);
+        NDArray c1({a.rows * feat}, ir::DataType::float32());
+        NDArray c2({a.rows * feat}, ir::DataType::float32());
+        engine::DispatchInfo one = single.spmmCsr(a, feat, &b, &c1);
+        engine::DispatchInfo many = batch.spmmCsrBatch(
+            a, feat, {engine::SpmmRequest{&b, &c2}});
+        EXPECT_TRUE(bitwiseEqual(c1, c2)) << "round " << round;
+        EXPECT_EQ(one.cacheHit, many.cacheHit);
+        EXPECT_EQ(one.numRequests, 1);
+        EXPECT_EQ(many.numRequests, 1);
+        EXPECT_EQ(one.numKernels, many.numKernels);
+        std::vector<uint64_t> single_after = counts(single);
+        std::vector<uint64_t> batch_after = counts(batch);
+        for (size_t i = 0; i < single_after.size(); ++i) {
+            EXPECT_EQ(single_after[i] - single_before[i],
+                      batch_after[i] - batch_before[i])
+                << "round " << round << ", instrument " << i;
+        }
+    }
+}
 
 TEST(Engine, ConcurrentDispatchFromManyThreads)
 {
@@ -696,12 +749,9 @@ TEST(Executor, ThrowingKernelReleasesEveryLease)
     Csr a = graph::powerLawGraph(200, 2400, 1.8, 91);
     int64_t feat = 8;
     format::Hyb hyb = format::hybFromCsr(a, 2, -1);
-    auto plans = core::compileSpmmHybFuncs(hyb, feat);
-    std::vector<ir::PrimFunc> funcs;
-    for (const auto &plan : plans) {
-        funcs.push_back(plan.func);
-    }
-    ASSERT_GE(funcs.size(), 2u);
+    std::vector<engine::CompiledKernel> kernels =
+        compileHybKernels(hyb, feat);
+    ASSERT_GE(kernels.size(), 2u);
 
     engine::ParallelExecutor executor(
         std::make_shared<engine::ThreadPool>(4));
@@ -714,8 +764,8 @@ TEST(Executor, ThrowingKernelReleasesEveryLease)
         core::compileSpmmHyb(a, feat, 2, -1, shared);
     (void)compiled;  // binds bucket arrays into `shared`
 
-    EXPECT_THROW(executor.runKernels(funcs, shared->view(),
-                                     engine::ExecOptions()),
+    EXPECT_THROW(executor.run(pointersTo(kernels), {&shared->view()},
+                              engine::ExecOptions()),
                  InternalError);
     auto stats = executor.scratchStats();
     EXPECT_GT(stats.leases, 0u) << "dispatch never privatized";
@@ -734,18 +784,8 @@ TEST(Executor, PoisonedPoolScratchIsRezeroedOnLease)
     NDArray serial = serialHybSpmm(a, feat, b_host, 2);
 
     format::Hyb hyb = format::hybFromCsr(a, 2, -1);
-    auto plans = core::compileSpmmHybFuncs(hyb, feat);
-    std::vector<ir::PrimFunc> funcs;
-    std::vector<uint8_t> exclusive;
-    for (const auto &plan : plans) {
-        const format::Ell &ell =
-            hyb.buckets[plan.partition][plan.bucket];
-        funcs.push_back(plan.func);
-        std::set<int32_t> unique(ell.rowIndices.begin(),
-                                 ell.rowIndices.end());
-        exclusive.push_back(
-            unique.size() != ell.rowIndices.size() ? 1 : 0);
-    }
+    std::vector<engine::CompiledKernel> kernels =
+        compileHybKernels(hyb, feat);
 
     engine::ParallelExecutor executor(
         std::make_shared<engine::ThreadPool>(4));
@@ -758,14 +798,14 @@ TEST(Executor, PoisonedPoolScratchIsRezeroedOnLease)
         core::compileSpmmHyb(a, feat, 2, -1, shared);
     (void)compiled;
 
-    executor.runKernels(funcs, shared->view(), engine::ExecOptions(),
-                        exclusive);
+    executor.run(pointersTo(kernels), {&shared->view()},
+                 engine::ExecOptions());
     EXPECT_TRUE(bitwiseEqual(serial, c));
 
     c.zero();
     executor.poisonScratch(0xAB);
-    executor.runKernels(funcs, shared->view(), engine::ExecOptions(),
-                        exclusive);
+    executor.run(pointersTo(kernels), {&shared->view()},
+                 engine::ExecOptions());
     EXPECT_TRUE(bitwiseEqual(serial, c))
         << "a reused lease leaked poisoned pool contents";
 }
@@ -825,7 +865,7 @@ TEST(Executor, EmptyWriteSetLeavesOutputBitwiseUntouched)
     engine::ParallelExecutor executor(
         std::make_shared<engine::ThreadPool>(2));
     std::vector<const engine::CompiledKernel *> kernels = {&k1, &k2};
-    executor.runKernels(kernels, bindings, engine::ExecOptions());
+    executor.run(kernels, {&bindings}, engine::ExecOptions());
     EXPECT_TRUE(bitwiseEqual(before, out))
         << "zero-touched-rows units disturbed the output";
     // Zero-extent leases contribute nothing to the high-water mark.

@@ -1,9 +1,8 @@
 /**
  * @file
  * Fused task-graph dispatch: bitwise equality of the fused schedule
- * against both the serial oracle and the barriered parallel path, on
- * hyb SpMM (single and batched, including the prepared-handle
- * overload) and RGCN; structural properties of built TaskGraphs;
+ * against the serial oracle on hyb SpMM (single and batched,
+ * including the prepared-handle overload) and RGCN; structural properties of built TaskGraphs;
  * chains headed by exclusive kernels; and determinism under
  * contention — many threads hammering one shared fused session must
  * produce bit-identical results from exactly one compile, without
@@ -51,23 +50,22 @@ randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
 
 /** Engine with every schedule knob explicit. */
 Engine
-makeEngine(runtime::Backend backend, bool parallel, bool fused,
-           int threads, int64_t min_chunk = 8)
+makeEngine(runtime::Backend backend, bool parallel, int threads,
+           int64_t min_chunk = 8)
 {
     EngineOptions options;
     options.backend = backend;
     options.parallel = parallel;
-    options.fusedDispatch = fused;
     options.numThreads = threads;
     options.minBlocksPerChunk = min_chunk;
     return Engine(options);
 }
 
 // ---------------------------------------------------------------------
-// Fused vs barriered vs serial, single request
+// Fused vs serial, single request
 // ---------------------------------------------------------------------
 
-TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
+TEST(EngineFused, HybBitwiseMatchesSerial)
 {
     // Power-law structure: several buckets per partition, split rows
     // (an exclusive kernel) in the widest one.
@@ -80,7 +78,7 @@ TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
 
     // Serial interpreter oracle.
     Engine serial = makeEngine(runtime::Backend::kInterpreter,
-                               /*parallel=*/false, /*fused=*/false, 1);
+                               /*parallel=*/false, 1);
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b, &expected, config);
 
@@ -88,18 +86,13 @@ TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
     {
         const char *name;
         runtime::Backend backend;
-        bool fused;
     };
     const Variant variants[] = {
-        {"bytecode fused", runtime::Backend::kBytecode, true},
-        {"bytecode barriered", runtime::Backend::kBytecode, false},
-        {"interpreter fused", runtime::Backend::kInterpreter, true},
-        {"interpreter barriered", runtime::Backend::kInterpreter,
-         false},
+        {"bytecode fused", runtime::Backend::kBytecode},
+        {"interpreter fused", runtime::Backend::kInterpreter},
     };
     for (const Variant &variant : variants) {
-        Engine eng = makeEngine(variant.backend, /*parallel=*/true,
-                                variant.fused, 4,
+        Engine eng = makeEngine(variant.backend, /*parallel=*/true, 4,
                                 /*min_chunk=*/4);
         NDArray c({a.rows * feat}, ir::DataType::float32());
         auto info = eng.spmmHyb(a, feat, &b, &c, config);
@@ -114,7 +107,7 @@ TEST(EngineFused, HybBitwiseMatchesSerialAndBarriered)
     }
 }
 
-TEST(EngineFused, RgcnBitwiseMatchesSerialAndBarriered)
+TEST(EngineFused, RgcnBitwiseMatchesSerial)
 {
     format::RelationalCsr graph;
     graph.rows = 60;
@@ -129,25 +122,21 @@ TEST(EngineFused, RgcnBitwiseMatchesSerialAndBarriered)
     NDArray w = NDArray::fromFloat(randomVector(feat * feat, 42));
 
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     NDArray expected({graph.rows * feat}, ir::DataType::float32());
     serial.rgcn(graph, feat, &x, &w, &expected);
 
-    for (bool fused : {true, false}) {
-        for (runtime::Backend backend :
-             {runtime::Backend::kBytecode,
-              runtime::Backend::kInterpreter}) {
-            Engine eng = makeEngine(backend, true, fused, 4);
-            NDArray y({graph.rows * feat}, ir::DataType::float32());
-            auto info = eng.rgcn(graph, feat, &x, &w, &y);
-            EXPECT_GE(info.numKernels, 3);
-            EXPECT_TRUE(bitwiseEqual(expected, y))
-                << (fused ? "fused" : "barriered") << " rgcn on "
-                << (backend == runtime::Backend::kBytecode
-                        ? "bytecode"
-                        : "interpreter")
-                << " diverged from the serial oracle";
-        }
+    for (runtime::Backend backend :
+         {runtime::Backend::kBytecode, runtime::Backend::kInterpreter}) {
+        Engine eng = makeEngine(backend, true, 4);
+        NDArray y({graph.rows * feat}, ir::DataType::float32());
+        auto info = eng.rgcn(graph, feat, &x, &w, &y);
+        EXPECT_GE(info.numKernels, 3);
+        EXPECT_TRUE(bitwiseEqual(expected, y))
+            << "fused rgcn on "
+            << (backend == runtime::Backend::kBytecode ? "bytecode"
+                                                       : "interpreter")
+            << " diverged from the serial oracle";
     }
 }
 
@@ -155,7 +144,7 @@ TEST(EngineFused, RgcnBitwiseMatchesSerialAndBarriered)
 // Batched fused dispatch
 // ---------------------------------------------------------------------
 
-TEST(EngineFused, HybBatchBitwiseMatchesSequentialAndBarriered)
+TEST(EngineFused, HybBatchBitwiseMatchesSequential)
 {
     Csr a = graph::powerLawGraph(250, 3000, 1.8, 53);
     int64_t feat = 8;
@@ -165,44 +154,33 @@ TEST(EngineFused, HybBatchBitwiseMatchesSequentialAndBarriered)
 
     std::vector<NDArray> b;
     std::vector<NDArray> fused_c;
-    std::vector<NDArray> barriered_c;
     std::vector<NDArray> expected;
     for (int i = 0; i < kRequests; ++i) {
         b.push_back(
             NDArray::fromFloat(randomVector(a.cols * feat, 60 + i)));
         fused_c.emplace_back(std::vector<int64_t>{a.rows * feat},
                              ir::DataType::float32());
-        barriered_c.emplace_back(std::vector<int64_t>{a.rows * feat},
-                                 ir::DataType::float32());
         expected.emplace_back(std::vector<int64_t>{a.rows * feat},
                               ir::DataType::float32());
     }
 
     // Per-request serial ground truth.
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     for (int i = 0; i < kRequests; ++i) {
         serial.spmmHyb(a, feat, &b[i], &expected[i], config);
     }
 
     Engine fused_eng = makeEngine(runtime::Backend::kBytecode, true,
-                                  true, 4);
-    Engine barriered_eng = makeEngine(runtime::Backend::kBytecode,
-                                      true, false, 4);
+                                  4);
     std::vector<SpmmRequest> fused_requests;
-    std::vector<SpmmRequest> barriered_requests;
     for (int i = 0; i < kRequests; ++i) {
         fused_requests.push_back(SpmmRequest{&b[i], &fused_c[i]});
-        barriered_requests.push_back(
-            SpmmRequest{&b[i], &barriered_c[i]});
     }
     fused_eng.spmmHybBatch(a, feat, fused_requests, config);
-    barriered_eng.spmmHybBatch(a, feat, barriered_requests, config);
     for (int i = 0; i < kRequests; ++i) {
         EXPECT_TRUE(bitwiseEqual(expected[i], fused_c[i]))
             << "fused batch request " << i << " diverged";
-        EXPECT_TRUE(bitwiseEqual(expected[i], barriered_c[i]))
-            << "barriered batch request " << i << " diverged";
     }
 
     // Prepared-handle overload through the fused path.
@@ -240,13 +218,12 @@ TEST(EngineFused, ChainHeadedByExclusiveKernelRunsViaKickoff)
     config.bucketCapLog2 = 0;
 
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 72));
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b, &expected, config);
 
-    Engine fused = makeEngine(runtime::Backend::kBytecode, true, true,
-                              4);
+    Engine fused = makeEngine(runtime::Backend::kBytecode, true, 4);
     NDArray c({a.rows * feat}, ir::DataType::float32());
     fused.spmmHyb(a, feat, &b, &c, config);
     EXPECT_TRUE(bitwiseEqual(expected, c));
@@ -297,7 +274,8 @@ TEST(EngineFused, TaskGraphSplitsGridsAndOrdersChains)
     bindings.scalars["n"] = 32;
     bindings.scalars["nnz"] = 100;
     bindings.scalars["feat_size"] = 4;
-    std::vector<runtime::Bindings> requests{bindings, bindings};
+    std::vector<const runtime::Bindings *> requests{&bindings,
+                                                    &bindings};
 
     engine::ExecOptions options;
     options.minBlocksPerChunk = 8;
@@ -339,6 +317,53 @@ TEST(EngineFused, TaskGraphSplitsGridsAndOrdersChains)
     EXPECT_LE(graph.units.size(), 16u);
 }
 
+TEST(EngineFused, LoneKernelChunksToMinOfWorkersAndExtentOverMinChunk)
+{
+    // One kernel under one request: the task graph splits its grid
+    // into min(workers, extent / minBlocksPerChunk) chunks (unsplit
+    // below two), the grid-parallel shape single-kernel dispatch has
+    // always had.
+    engine::CompiledKernel kernel =
+        engine::compileKernel(
+            core::compileSpmmCsrFunc(4, core::SpmmSchedule()));
+    runtime::Bindings bindings;
+    bindings.scalars["m"] = 64;
+    bindings.scalars["n"] = 32;
+    bindings.scalars["nnz"] = 100;
+    bindings.scalars["feat_size"] = 4;
+    std::vector<const engine::CompiledKernel *> kernels{&kernel};
+    std::vector<const runtime::Bindings *> requests{&bindings};
+
+    struct Shape
+    {
+        int workers;
+        int64_t minChunk;
+        int chunks;
+    };
+    const Shape shapes[] = {
+        {8, 4, 8},    // worker-bound: min(8, 16)
+        {8, 16, 4},   // extent-bound: min(8, 4)
+        {4, 8, 4},    // min(4, 8)
+        {2, 64, 1},   // 64 / 64 = 1 chunk: unsplit
+    };
+    for (const Shape &shape : shapes) {
+        engine::ParallelExecutor executor(
+            std::make_shared<engine::ThreadPool>(shape.workers));
+        engine::ExecOptions options;
+        options.minBlocksPerChunk = shape.minChunk;
+        engine::TaskGraph graph =
+            executor.buildTaskGraph(kernels, requests, options);
+        ASSERT_EQ(graph.chains.size(), 1u);
+        ASSERT_EQ(graph.chains[0].size(), 1u);
+        EXPECT_EQ(graph.chains[0][0].numUnits, shape.chunks)
+            << shape.workers << " workers, minChunk " << shape.minChunk;
+        EXPECT_EQ(graph.units.size(), static_cast<size_t>(shape.chunks));
+        if (shape.chunks == 1) {
+            EXPECT_EQ(graph.units[0].blockEnd, -1) << "unsplit unit";
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Determinism under contention
 // ---------------------------------------------------------------------
@@ -352,7 +377,7 @@ TEST(EngineFused, DeterministicUnderContentionWithOneCompile)
     auto b_host = randomVector(a.cols * feat, 92);
 
     Engine serial = makeEngine(runtime::Backend::kInterpreter, false,
-                               false, 1);
+                               1);
     NDArray b_ref = NDArray::fromFloat(b_host);
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b_ref, &expected, config);
@@ -360,8 +385,7 @@ TEST(EngineFused, DeterministicUnderContentionWithOneCompile)
     // One shared fused session. Prime the artifact first: racing
     // first-time builders may each compile (documented CompileCache
     // behavior); the warm contention run must hit one artifact.
-    Engine eng = makeEngine(runtime::Backend::kBytecode, true, true,
-                            4);
+    Engine eng = makeEngine(runtime::Backend::kBytecode, true, 4);
     {
         NDArray b = NDArray::fromFloat(b_host);
         NDArray c({a.rows * feat}, ir::DataType::float32());

@@ -10,7 +10,7 @@
  * serial tree-walking interpreter across the full execution matrix:
  *
  *   backend axis:   interpreter vs bytecode VM vs native (.so) tier
- *   schedule axis:  serial vs barriered parallel vs fused task graph
+ *   schedule axis:  serial vs fused task graph
  *
  * Native engines promote synchronously (nativePromoteAfter = 0), so
  * every native-variant dispatch really runs the dlopen'd kernels; the
@@ -108,7 +108,6 @@ struct Config
     const char *name;
     runtime::Backend backend;
     bool parallel;
-    bool fused;
 };
 
 /** Point every native engine of the run at ONE fresh scratch cache
@@ -141,14 +140,12 @@ class EnginePool
             workers = 1;
             min_chunk = 0;
         }
-        Key key{config.backend, config.parallel, config.fused,
-                workers, min_chunk};
+        Key key{config.backend, config.parallel, workers, min_chunk};
         auto it = engines_.find(key);
         if (it == engines_.end()) {
             EngineOptions options;
             options.backend = config.backend;
             options.parallel = config.parallel;
-            options.fusedDispatch = config.fused;
             options.numThreads = config.parallel ? workers : 1;
             options.minBlocksPerChunk = min_chunk;
             // Every artifact the fuzzer compiles goes through the
@@ -186,28 +183,22 @@ class EnginePool
     }
 
   private:
-    using Key =
-        std::tuple<runtime::Backend, bool, bool, int, int64_t>;
+    using Key = std::tuple<runtime::Backend, bool, int, int64_t>;
     std::map<Key, std::unique_ptr<Engine>> engines_;
 };
 
 /** The serial interpreter — ground truth for every case. */
 constexpr Config kReference = {"serial interpreter",
-                               runtime::Backend::kInterpreter, false,
-                               false};
+                               runtime::Backend::kInterpreter, false};
 
-/** The differential matrix: all three backends x the three schedule
- * shapes (serial / barriered parallel / fused task graph). */
+/** The differential matrix: all three backends x the two schedule
+ * shapes (serial / fused task graph), the reference excepted. */
 constexpr Config kVariants[] = {
-    {"serial bytecode", runtime::Backend::kBytecode, false, false},
-    {"barriered interpreter", runtime::Backend::kInterpreter, true,
-     false},
-    {"fused interpreter", runtime::Backend::kInterpreter, true, true},
-    {"barriered bytecode", runtime::Backend::kBytecode, true, false},
-    {"fused bytecode", runtime::Backend::kBytecode, true, true},
-    {"serial native", runtime::Backend::kNative, false, false},
-    {"barriered native", runtime::Backend::kNative, true, false},
-    {"fused native", runtime::Backend::kNative, true, true},
+    {"serial bytecode", runtime::Backend::kBytecode, false},
+    {"fused interpreter", runtime::Backend::kInterpreter, true},
+    {"fused bytecode", runtime::Backend::kBytecode, true},
+    {"serial native", runtime::Backend::kNative, false},
+    {"fused native", runtime::Backend::kNative, true},
 };
 
 /** Random structure with deliberate corner-shape injection. */
@@ -353,7 +344,7 @@ describe(uint64_t seed, uint64_t index, const std::string &structure,
     return out.str();
 }
 
-/** Hyb SpMM: the full 2-backend x 3-schedule differential. */
+/** Hyb SpMM: the full 3-backend x 2-schedule differential. */
 void
 runHybCase(EnginePool *pool, const Csr &a, const CaseParams &params,
            Rng *rng, const std::string &what)
@@ -374,7 +365,7 @@ runHybCase(EnginePool *pool, const Csr &a, const CaseParams &params,
     }
 }
 
-/** Batched hyb: per-request equality across fused and barriered. */
+/** Batched hyb: per-request equality across the whole matrix. */
 void
 runBatchCase(EnginePool *pool, const Csr &a, const CaseParams &params,
              Rng *rng, const std::string &what)
@@ -648,8 +639,8 @@ TEST(FuzzDifferential, ThreeWayBitwiseEquality)
 
 TEST(FuzzDifferential, AllZeroMatrixRejectedOnEveryPath)
 {
-    // The hyb pipeline refuses a matrix with no non-zeros; fused and
-    // barriered sessions must agree (and leave the output untouched).
+    // The hyb pipeline refuses a matrix with no non-zeros; serial and
+    // fused sessions must agree.
     Csr empty;
     empty.rows = 6;
     empty.cols = 5;
@@ -657,9 +648,9 @@ TEST(FuzzDifferential, AllZeroMatrixRejectedOnEveryPath)
     int64_t feat = 4;
     NDArray b = NDArray::fromFloat(
         testutil::randomVector(empty.cols * feat, 3));
-    for (bool fused : {true, false}) {
+    for (bool parallel : {true, false}) {
         EngineOptions options;
-        options.fusedDispatch = fused;
+        options.parallel = parallel;
         options.numThreads = 2;
         Engine eng(options);
         NDArray c({empty.rows * feat}, ir::DataType::float32());
@@ -693,7 +684,7 @@ TEST(FuzzDifferential, WarmFuzzPathsNeverProbeTheGrid)
 {
     // A replay of one fuzz-style case, then the no-probe assertion
     // the process-global counter reset makes possible: EVERY warm
-    // dispatch (serial, barriered, fused, both backends) must size
+    // dispatch (serial and fused, every backend) must size
     // its grid from the spilled block-extent expression.
     Rng rng(mix(kDefaultSeed, 0xABCDEF));
     std::string structure;

@@ -942,6 +942,73 @@ TEST(NativeEngine, HybBucketsPromoteEveryKernel)
     EXPECT_TRUE(bitwiseEqual(reference, c_warm));
 }
 
+// A prepared handle skips the cache lookup, but its dispatches still
+// count toward promotion: a caller that prepares once and then serves
+// prepared batches must reach the native tier, not stay on bytecode
+// forever.
+TEST(NativeEngine, PreparedHandleBatchesReachNative)
+{
+    CacheDirGuard cache;
+    Csr a = graph::powerLawGraph(200, 2400, 1.9, 99);
+    int64_t feat = 8;
+    engine::HybConfig config;
+    config.partitions = 2;
+    constexpr int kRequests = 3;
+
+    std::vector<NDArray> bs;
+    std::vector<NDArray> cs;
+    std::vector<NDArray> references;
+    for (int i = 0; i < kRequests; ++i) {
+        bs.push_back(
+            NDArray::fromFloat(randomVector(a.cols * feat, 100 + i)));
+        cs.emplace_back(std::vector<int64_t>{a.rows * feat},
+                        ir::DataType::float32());
+        references.emplace_back(std::vector<int64_t>{a.rows * feat},
+                                ir::DataType::float32());
+    }
+    std::vector<engine::SpmmRequest> requests;
+    std::vector<engine::SpmmRequest> reference_requests;
+    for (int i = 0; i < kRequests; ++i) {
+        requests.push_back(engine::SpmmRequest{&bs[i], &cs[i]});
+        reference_requests.push_back(
+            engine::SpmmRequest{&bs[i], &references[i]});
+    }
+    {
+        engine::EngineOptions options;
+        options.backend = Backend::kInterpreter;
+        engine::Engine eng(options);
+        eng.spmmHybBatch(a, feat, reference_requests, config);
+    }
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 2;  // background, third use
+    engine::Engine eng(options);
+    engine::PreparedSpmmHyb prepared =
+        eng.prepareSpmmHyb(a, feat, config);  // the only resolve
+    for (int round = 0; round < 3; ++round) {
+        eng.spmmHybBatch(prepared, requests);
+        for (int i = 0; i < kRequests; ++i) {
+            EXPECT_TRUE(bitwiseEqual(references[i], cs[i]))
+                << "round " << round << ", request " << i;
+        }
+    }
+    ASSERT_TRUE(waitFor(
+        [&] { return eng.nativeStats().promotions >= 1; }))
+        << "prepared-handle batches never triggered promotion";
+    engine::NativeStats stats = eng.nativeStats();
+    EXPECT_EQ(stats.promotions, 1u);
+    EXPECT_GE(stats.compiles, 2u);
+    EXPECT_EQ(stats.fallbacks, 0u);
+
+    // Post-swap prepared batches run native; still bitwise.
+    eng.spmmHybBatch(prepared, requests);
+    for (int i = 0; i < kRequests; ++i) {
+        EXPECT_TRUE(bitwiseEqual(references[i], cs[i]))
+            << "native request " << i;
+    }
+}
+
 // Promotion state rides on the artifact: once LRU eviction drops an
 // artifact, its rebuild must be promoted again rather than silently
 // serving bytecode for the rest of the session.

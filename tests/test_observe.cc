@@ -478,7 +478,7 @@ TEST(Observe, FusedDispatchTracesOneComputeSpanPerUnit)
 
     constexpr int kRequests = 2;
     std::vector<NDArray> outs;
-    std::vector<runtime::Bindings> requests;
+    std::vector<runtime::Bindings> views;
     for (int r = 0; r < kRequests; ++r) {
         outs.emplace_back(std::vector<int64_t>{a.rows * feat},
                           ir::DataType::float32());
@@ -486,8 +486,10 @@ TEST(Observe, FusedDispatchTracesOneComputeSpanPerUnit)
     for (int r = 0; r < kRequests; ++r) {
         runtime::Bindings view = base;
         view.arrays["C_data"] = &outs[r];
-        requests.push_back(view);
+        views.push_back(view);
     }
+    std::vector<const runtime::Bindings *> requests{&views[0],
+                                                    &views[1]};
 
     engine::ExecOptions options;
     options.minBlocksPerChunk = 8;
