@@ -31,7 +31,8 @@
  *     through spmmHybBatch vs the same N requests re-dispatched
  *     sequentially, bitwise-checked per request. Reports requests/s
  *     both ways plus the privatization-scratch high-water mark
- *     (span-sized leases vs the naive units x output bytes); the
+ *     (span-sized leases vs the naive units x output bytes; 0 when
+ *     the batch fills the pool and runs request chains); the
  *     batched numbers ride in BENCH_JSON for trajectory tracking
  *     (informational — the CI gate stays on the backend speedup).
  *
@@ -391,11 +392,13 @@ main()
                 batch_speedup, batch_equal ? "yes" : "NO");
 
     // Privatization scratch high-water mark of one batched dispatch
-    // (span-sized leases). Measured on a dedicated 4-worker session
-    // so privatization engages even on single-core boxes (a size-1
-    // pool runs serially and leases nothing). The naive figure is
-    // what full-output leases would have peaked at: one output-sized
-    // buffer per (request x kernel) unit.
+    // on a dedicated 4-worker session (a size-1 pool runs serially
+    // and leases nothing on any box). A batch with at least as many
+    // requests as workers runs one kernel chain per request on shared
+    // storage, so the mark is 0 unless the batch is smaller than the
+    // pool. The naive figure is what full-output leases would have
+    // peaked at: one output-sized buffer per (request x kernel)
+    // unit.
     engine::EngineOptions scratch_options;
     scratch_options.numThreads = 4;
     engine::Engine scratch_eng(scratch_options);

@@ -846,6 +846,7 @@ Engine::Engine(EngineOptions options)
     requests_ = metrics_->counter("engine.requests");
     cacheHits_ = metrics_->counter("engine.cache_hits");
     cacheMisses_ = metrics_->counter("engine.cache_misses");
+    privatizedUnits_ = metrics_->counter("engine.privatized_units");
     compileMs_ = metrics_->histogram("engine.compile_ms");
     execMs_ = metrics_->histogram("engine.exec_ms");
     launchProbes_ = metrics_->counter("runtime.launch_probes");
@@ -983,10 +984,11 @@ Engine::execute(OpKind op, Artifact &artifact, const Binder &bind,
             // so each runs as its own task graph, in dataflow order
             // (a fused graph is a single kernel either way).
             for (const CompiledKernel *kernel : kernels) {
-                executor_.run({kernel}, requests, exec);
+                info.privatizedUnits +=
+                    executor_.run({kernel}, requests, exec);
             }
         } else {
-            executor_.run(kernels, requests, exec);
+            info.privatizedUnits = executor_.run(kernels, requests, exec);
         }
     }
     info.kernelMs = msSince(kernel_start);
@@ -1088,6 +1090,7 @@ Engine::finish(const DispatchInfo &info, OpKind op)
     if (!info.cacheHit) {
         cacheMisses_->add(1);
     }
+    privatizedUnits_->add(static_cast<uint64_t>(info.privatizedUnits));
     compileMs_->record(info.compileMs);
     execMs_->record(info.execMs);
     // prepareSpmmHyb finishes with no kernels executed; keep its

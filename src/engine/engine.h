@@ -143,6 +143,14 @@ struct DispatchInfo
     int numRequests = 0;
     /** Kernels executed per request. */
     int numKernels = 0;
+    /**
+     * Compute units that ran on privatized scratch: 0 when the
+     * dispatch ran serially or its requests filled the pool (request
+     * chains on shared storage), > 0 when kernels were split into
+     * privatized, folded units. Also summed into the
+     * `engine.privatized_units` counter.
+     */
+    int privatizedUnits = 0;
 
     /** The serving-path overhead the compile cache eliminates. */
     double dispatchOverheadMs() const { return compileMs + bindMs; }
@@ -510,6 +518,7 @@ class Engine
     observe::Counter *requests_;
     observe::Counter *cacheHits_;
     observe::Counter *cacheMisses_;
+    observe::Counter *privatizedUnits_;
     observe::LatencyHistogram *compileMs_;
     observe::LatencyHistogram *execMs_;
     /** This engine's (non-aliased) launch probes; fed through a

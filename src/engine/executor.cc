@@ -145,28 +145,81 @@ class AccumFinder : public StmtVisitor
     std::set<std::string> found_;
 };
 
+/** dst[i] += src[i] for i in [0, count), in the element type T. */
+template <typename T>
+void
+addRange(void *dst, const void *src, int64_t count)
+{
+    T *d = static_cast<T *>(dst);
+    const T *s = static_cast<const T *>(src);
+    for (int64_t i = 0; i < count; ++i) {
+        d[i] = static_cast<T>(d[i] + s[i]);
+    }
+}
+
 /**
  * Fold a private accumulator into the shared array element-wise: the
  * whole array for whole-array privates, otherwise each packed span
  * of the compact window back onto its absolute position. An empty
  * window folds nothing.
+ *
+ * Typed loops over raw storage, checked per range. Each one matches
+ * the per-element floatAt/setFloat (intAt/setInt) round trip bit for
+ * bit: a float32 sum formed in double and rounded back equals the
+ * float32 add, and integer sums truncated to the storage width equal
+ * the wrapping add in the unsigned type of that width.
  */
 void
 foldInto(NDArray *shared, const NDArray &priv, const AccumOutput &out)
 {
+    ir::DataType dtype = shared->dtype();
+    ICHECK(dtype == priv.dtype()) << "fold of mismatched dtypes";
+    int bytes = shared->elemBytes();
     auto fold_range = [&](int64_t shared_begin, int64_t priv_begin,
                           int64_t count) {
-        if (shared->dtype().isFloat()) {
+        ICHECK(shared_begin >= 0 && priv_begin >= 0 && count >= 0 &&
+               shared_begin + count <= shared->numel() &&
+               priv_begin + count <= priv.numel())
+            << "fold range outside its arrays";
+        void *dst = static_cast<unsigned char *>(shared->rawData()) +
+                    shared_begin * bytes;
+        const void *src =
+            static_cast<const unsigned char *>(priv.rawData()) +
+            priv_begin * bytes;
+        if (dtype.isFloat()) {
+            ICHECK(bytes == 4 || bytes == 8)
+                << "fold of unsupported float dtype " << dtype.str();
+            if (bytes == 4) {
+                addRange<float>(dst, src, count);
+            } else {
+                addRange<double>(dst, src, count);
+            }
+        } else if (dtype.isBool()) {
+            // setInt stores (a + b) != 0: a logical or.
+            auto *d = static_cast<unsigned char *>(dst);
+            auto *s = static_cast<const unsigned char *>(src);
             for (int64_t i = 0; i < count; ++i) {
-                shared->setFloat(shared_begin + i,
-                                 shared->floatAt(shared_begin + i) +
-                                     priv.floatAt(priv_begin + i));
+                d[i] = (d[i] != 0 || s[i] != 0) ? 1 : 0;
             }
         } else {
-            for (int64_t i = 0; i < count; ++i) {
-                shared->setInt(shared_begin + i,
-                               shared->intAt(shared_begin + i) +
-                                   priv.intAt(priv_begin + i));
+            ICHECK(dtype.isInt() || dtype.isUInt())
+                << "fold of unsupported dtype " << dtype.str();
+            switch (bytes) {
+              case 1:
+                addRange<uint8_t>(dst, src, count);
+                break;
+              case 2:
+                addRange<uint16_t>(dst, src, count);
+                break;
+              case 4:
+                addRange<uint32_t>(dst, src, count);
+                break;
+              case 8:
+                addRange<uint64_t>(dst, src, count);
+                break;
+              default:
+                ICHECK(false) << "fold of unsupported int width "
+                              << dtype.str();
             }
         }
     };
@@ -554,7 +607,7 @@ ParallelExecutor::releaseAll(
     }
 }
 
-void
+int
 ParallelExecutor::run(const std::vector<const CompiledKernel *> &kernels,
                       const std::vector<const Bindings *> &requests,
                       const ExecOptions &options) const
@@ -564,10 +617,10 @@ ParallelExecutor::run(const std::vector<const CompiledKernel *> &kernels,
         // plan (extent evaluations, unit/chain vectors) would be
         // built per dispatch only to be ignored by the fallback.
         runSerial(kernels, requests, options);
-        return;
+        return 0;
     }
-    runTaskGraph(buildTaskGraph(kernels, requests, options), requests,
-                 options);
+    return runTaskGraph(buildTaskGraph(kernels, requests, options),
+                        requests, options);
 }
 
 // ---------------------------------------------------------------------
@@ -588,6 +641,12 @@ ParallelExecutor::buildTaskGraph(
         return graph;
     }
     int workers = pool_->size();
+    // Requests alone fill the pool: parallelize across requests only.
+    // Each chain runs its kernels in list order on shared storage —
+    // the serial order, so bitwise by construction — and nothing is
+    // privatized, zeroed, windowed or folded.
+    bool all_on_shared =
+        static_cast<int64_t>(requests.size()) >= workers;
     int64_t num_splittable = 0;
     for (const CompiledKernel *kernel : kernels) {
         if (!kernel->exclusive) {
@@ -609,10 +668,10 @@ ParallelExecutor::buildTaskGraph(
         for (size_t k = 0; k < kernels.size(); ++k) {
             TaskGraph::ChainEntry entry;
             entry.kernel = static_cast<int>(k);
-            if (kernels[k]->exclusive) {
+            if (all_on_shared || kernels[k]->exclusive) {
                 // Never split, never privatized: executes on shared
                 // storage at its chain position.
-                entry.exclusive = true;
+                entry.onShared = true;
                 graph.chains[r].push_back(entry);
                 continue;
             }
@@ -651,7 +710,7 @@ ParallelExecutor::buildTaskGraph(
     return graph;
 }
 
-void
+int
 ParallelExecutor::runTaskGraph(
     const TaskGraph &graph,
     const std::vector<const Bindings *> &requests,
@@ -660,11 +719,11 @@ ParallelExecutor::runTaskGraph(
     ICHECK_EQ(static_cast<size_t>(graph.numRequests), requests.size())
         << "task graph was built for a different request set";
     if (graph.kernels.empty() || requests.empty()) {
-        return;
+        return 0;
     }
     if (serial(options)) {
         runSerial(graph.kernels, requests, options);
-        return;
+        return 0;
     }
 
     int64_t num_requests = static_cast<int64_t>(requests.size());
@@ -672,7 +731,7 @@ ParallelExecutor::runTaskGraph(
     size_t num_units = graph.units.size();
 
     // Per-(request, kernel) count of unfinished compute units. A
-    // non-exclusive fold entry is ready exactly when its count hits
+    // fold entry is ready exactly when its count hits
     // zero; the release-decrement / acquire-load pair makes the
     // finishing unit's private writes visible to whichever thread
     // folds them.
@@ -685,7 +744,7 @@ ParallelExecutor::runTaskGraph(
     }
     for (int64_t r = 0; r < num_requests; ++r) {
         for (const TaskGraph::ChainEntry &entry : graph.chains[r]) {
-            if (!entry.exclusive) {
+            if (!entry.onShared) {
                 pending[r * num_kernels + entry.kernel].store(
                     entry.numUnits, std::memory_order_relaxed);
             }
@@ -693,7 +752,7 @@ ParallelExecutor::runTaskGraph(
     }
     std::vector<std::mutex> chain_mu(num_requests);
     std::vector<size_t> cursor(num_requests, 0);
-    // Chain has a thread inside an exclusive kernel (lock dropped
+    // Chain has a thread inside an on-shared kernel (lock dropped
     // for the duration); other advances return and the busy thread
     // re-walks when it finishes.
     std::vector<uint8_t> busy(num_requests, 0);
@@ -702,6 +761,7 @@ ParallelExecutor::runTaskGraph(
     std::vector<Bindings> locals;
     locals.reserve(num_units);
     std::vector<runtime::RunOptions> runs(num_units);
+    int privatized = 0;
     try {
         for (size_t i = 0; i < num_units; ++i) {
             const TaskGraph::Unit &unit = graph.units[i];
@@ -710,13 +770,16 @@ ParallelExecutor::runTaskGraph(
             locals.push_back(privatize(*graph.kernels[unit.kernel],
                                        *requests[unit.request],
                                        &privates[i], &runs[i]));
+            if (!privates[i].empty()) {
+                ++privatized;
+            }
         }
 
         // Walk request r's chain as far as readiness allows. Every
         // pending-hit-zero event calls this, so the chain drains: the
         // mutex totally orders the walks, each decrement precedes its
         // own walk, hence the last walk in lock order sees every
-        // earlier kernel ready and runs to the end. An exclusive
+        // earlier kernel ready and runs to the end. An on-shared
         // kernel executes with the lock DROPPED (`busy` keeps later
         // folds of the same request ordered behind it while
         // concurrent advances return instead of idling on the
@@ -731,12 +794,12 @@ ParallelExecutor::runTaskGraph(
                 graph.chains[r];
             while (cursor[r] < chain.size()) {
                 const TaskGraph::ChainEntry &entry = chain[cursor[r]];
-                if (entry.exclusive) {
+                if (entry.onShared) {
                     busy[r] = 1;
                     lock.unlock();
                     {
                         SPARSETIR_TRACE_SCOPE2(
-                            "exec", "fused.exclusive", "kernel",
+                            "exec", "fused.shared", "kernel",
                             entry.kernel, "request", r);
                         execOne(*graph.kernels[entry.kernel],
                                 *requests[r], options);
@@ -761,7 +824,7 @@ ParallelExecutor::runTaskGraph(
         };
 
         // ONE pool over everything: a kickoff task per request (so a
-        // chain headed by an exclusive kernel starts without waiting
+        // chain headed by an on-shared entry starts without waiting
         // on any compute unit) plus every compute unit, drained by at
         // most one self-replenishing runner per worker over a shared
         // task counter.
@@ -808,6 +871,7 @@ ParallelExecutor::runTaskGraph(
         releaseAll(&privates);
         throw;
     }
+    return privatized;
 }
 
 } // namespace engine

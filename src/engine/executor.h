@@ -15,6 +15,16 @@
  * parallel result is bitwise-equal to (up to IEEE signed-zero
  * identity).
  *
+ * When the requests alone fill the pool (M >= workers), the graph has
+ * no compute units at all: each request's chain runs its kernels in
+ * list order on shared storage — the serial order, so bitwise by
+ * construction — and the parallelism is across requests. Nothing is
+ * privatized, zeroed, windowed or folded, so every kernel keeps its
+ * backend's fast path for plain (unwindowed) outputs; the native
+ * tier's typed view covers single-span windows only, and a
+ * privatized unit's multi-span window sends each of its output
+ * accesses through the checked span-search helper instead.
+ *
  * Determinism lives in per-request fold chains (see TaskGraph).
  * Plain (overwrite) stores to bound buffers are per-block disjoint by
  * the lowering contract, so units write shared storage directly.
@@ -37,7 +47,8 @@
  * (hyb's widest bucket when long rows were split into several ELL
  * rows) are therefore marked `exclusive` by the caller — the engine
  * derives the mask from format provenance (duplicate row indices) —
- * and run unsplit on shared storage at their exact chain position.
+ * and run unsplit on shared storage at their exact chain position,
+ * like every kernel of a dispatch whose requests fill the pool.
  *
  * Privatization cost — scratch bytes AND zero/fold work — is bounded
  * by each kernel's write set, not the output size: a CompiledKernel's
@@ -315,13 +326,14 @@ class ScratchPool
  * constraints at all: a unit of hyb bucket 3 / request 2 may run
  * before a unit of bucket 0 / request 0. Determinism lives entirely
  * in the chains: per request, privates fold in kernel list order
- * (chunk order within a kernel), and an exclusive kernel (one that
- * may write an element twice, see the file comment) executes on
- * shared storage at its exact list position — after every earlier
- * kernel's fold, before every later one's — while OTHER requests'
- * units keep flowing through the pool. Per (request, output) element
- * the addition sequence is therefore exactly the serial one; there is
- * no barrier anywhere.
+ * (chunk order within a kernel), and an on-shared entry (an
+ * exclusive kernel, see the file comment) executes on shared storage
+ * at its exact list position — after every earlier kernel's fold,
+ * before every later one's — while OTHER requests' units keep flowing
+ * through the pool. Per (request, output) element the addition
+ * sequence is therefore exactly the serial one; there is no barrier
+ * anywhere. When the requests alone fill the pool, every entry is on shared
+ * storage and each chain is simply its request's serial sequence.
  */
 struct TaskGraph
 {
@@ -337,15 +349,16 @@ struct TaskGraph
 
     /**
      * One link of a request's fold chain, in kernel list order:
-     * either the in-order fold of a non-exclusive kernel's privatized
-     * chunk units, or the serial execution of an exclusive kernel on
-     * shared storage at its list position.
+     * either the in-order fold of a kernel's privatized chunk units,
+     * or the execution of the kernel on shared storage at its list
+     * position (exclusive kernels, and every kernel of a dispatch
+     * whose requests fill the pool).
      */
     struct ChainEntry
     {
         int kernel = 0;
-        bool exclusive = false;
-        /** First unit index + count (chunk order); 0/0 if exclusive. */
+        bool onShared = false;
+        /** First unit index + count (chunk order); 0/0 if onShared. */
         size_t firstUnit = 0;
         int numUnits = 0;
     };
@@ -377,24 +390,29 @@ class ParallelExecutor
      * each request's bindings; requests are borrowed and must bind
      * disjoint output arrays (they may share read-only inputs).
      * Serial sessions run exactly that order; every other session
-     * builds and runs the fused task graph.
+     * builds and runs the fused task graph. Returns the number of
+     * compute units that ran on privatized scratch (0 for serial
+     * sessions and for dispatches whose requests fill the pool).
      */
-    void run(const std::vector<const CompiledKernel *> &kernels,
-             const std::vector<const runtime::Bindings *> &requests,
-             const ExecOptions &options = ExecOptions()) const;
+    int run(const std::vector<const CompiledKernel *> &kernels,
+            const std::vector<const runtime::Bindings *> &requests,
+            const ExecOptions &options = ExecOptions()) const;
 
     /**
-     * Plan a fused dispatch of `kernels` x `requests` (see TaskGraph):
-     * each non-exclusive (request, kernel) pair is split into at most
-     * ceil(workers / pairs) grid chunks — evaluated against that
-     * request's scalar bindings via the spilled block extent, never an
-     * interpreter probe — so the unit count stays near the worker
-     * count; once the cross product alone saturates the pool nothing
-     * is split. A lone kernel under one request thus gets
-     * min(workers, extent / minBlocksPerChunk) chunks. The graph
-     * borrows `kernels`; both it and `requests` must outlive every
-     * runTaskGraph call, which must receive the same requests and
-     * compatible options.
+     * Plan a fused dispatch of `kernels` x `requests` (see TaskGraph).
+     * When the requests alone fill the pool (requests >= workers),
+     * every entry runs on shared storage and the plan has no units:
+     * request-level parallelism with nothing privatized. Otherwise
+     * each non-exclusive (request, kernel) pair becomes privatized
+     * units, split into at most ceil(workers / pairs) grid chunks —
+     * evaluated against that request's scalar bindings via the
+     * spilled block extent, never an interpreter probe — so the unit
+     * count stays near the worker count; once the cross product alone
+     * saturates the pool nothing is split. A lone kernel under one
+     * request thus gets min(workers, extent / minBlocksPerChunk)
+     * chunks. The graph borrows `kernels`; both it and `requests`
+     * must outlive every runTaskGraph call, which must receive the
+     * same requests and compatible options.
      */
     TaskGraph buildTaskGraph(
         const std::vector<const CompiledKernel *> &kernels,
@@ -404,14 +422,15 @@ class ParallelExecutor
     /**
      * Execute a fused dispatch plan as ONE work pool: every compute
      * unit is privatized up front, all units (plus one chain-kickoff
-     * task per request, so a chain headed by an exclusive kernel
+     * task per request, so a chain headed by an on-shared entry
      * starts without waiting on any compute) are striped across the
      * pool, and each request's fold chain advances opportunistically
      * as its kernels' units complete — no barrier between hyb buckets
      * or between batch requests. Results are bitwise identical to
      * serial dispatch (same per-element fold order; see TaskGraph).
+     * Returns the number of units that ran on privatized scratch.
      */
-    void runTaskGraph(
+    int runTaskGraph(
         const TaskGraph &graph,
         const std::vector<const runtime::Bindings *> &requests,
         const ExecOptions &options = ExecOptions()) const;

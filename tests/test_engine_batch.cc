@@ -470,12 +470,14 @@ TEST(EngineBatch, PeakScratchScalesWithTouchedSpansNotOutputs)
     // Every row lands in exactly one bucket per column partition,
     // hence one request's units lease at most partitions x output
     // bytes BETWEEN THEM — where full-output privatization would
-    // have peaked at (requests x kernels) x output bytes.
+    // have peaked at (requests x kernels) x output bytes. The batch
+    // is smaller than the pool: a batch that fills it runs request
+    // chains on shared storage and leases nothing.
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 97);
     int64_t feat = 8;
     engine::HybConfig config;
     config.partitions = 2;
-    constexpr int kRequests = 4;
+    constexpr int kRequests = 2;
     Batch batch(kRequests, a.cols * feat, a.rows * feat, 800);
 
     EngineOptions options;

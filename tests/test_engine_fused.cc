@@ -3,7 +3,8 @@
  * Fused task-graph dispatch: bitwise equality of the fused schedule
  * against the serial oracle on hyb SpMM (single and batched,
  * including the prepared-handle overload) and RGCN; structural properties of built TaskGraphs;
- * chains headed by exclusive kernels; and determinism under
+ * chains headed by exclusive kernels; request chains on shared
+ * storage for batches that fill the pool; and determinism under
  * contention — many threads hammering one shared fused session must
  * produce bit-identical results from exactly one compile, without
  * ever probing the launch grid through the interpreter.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -290,10 +292,10 @@ TEST(EngineFused, TaskGraphSplitsGridsAndOrdersChains)
         // One entry per kernel, in list order.
         ASSERT_EQ(chain.size(), kernels.size());
         EXPECT_EQ(chain[0].kernel, 0);
-        EXPECT_FALSE(chain[0].exclusive);
+        EXPECT_FALSE(chain[0].onShared);
         EXPECT_GE(chain[0].numUnits, 1);
         EXPECT_EQ(chain[1].kernel, 1);
-        EXPECT_TRUE(chain[1].exclusive);
+        EXPECT_TRUE(chain[1].onShared);
         EXPECT_EQ(chain[1].numUnits, 0);
         // Chunk windows of the non-exclusive kernel tile the grid
         // contiguously in chunk order.
@@ -362,6 +364,180 @@ TEST(EngineFused, LoneKernelChunksToMinOfWorkersAndExtentOverMinChunk)
             EXPECT_EQ(graph.units[0].blockEnd, -1) << "unsplit unit";
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Request chains: a batch that fills the pool privatizes nothing
+// ---------------------------------------------------------------------
+
+/** A plain kernel, an exclusive copy of it, and bindings to plan on. */
+struct PlanFixture
+{
+    engine::CompiledKernel kernel = engine::compileKernel(
+        core::compileSpmmCsrFunc(4, core::SpmmSchedule()));
+    engine::CompiledKernel exclusive;
+    runtime::Bindings bindings;
+
+    PlanFixture()
+    {
+        exclusive = kernel;
+        exclusive.exclusive = true;
+        bindings.scalars["m"] = 64;
+        bindings.scalars["n"] = 32;
+        bindings.scalars["nnz"] = 100;
+        bindings.scalars["feat_size"] = 4;
+    }
+
+    engine::TaskGraph
+    plan(int workers, int requests) const
+    {
+        engine::ParallelExecutor executor(
+            std::make_shared<engine::ThreadPool>(workers));
+        std::vector<const engine::CompiledKernel *> kernels{
+            &kernel, &exclusive, &kernel};
+        std::vector<const runtime::Bindings *> views(requests,
+                                                     &bindings);
+        return executor.buildTaskGraph(kernels, views);
+    }
+};
+
+TEST(EngineFused, FullBatchPlansRequestChainsOnSharedStorage)
+{
+    PlanFixture fixture;
+    engine::TaskGraph graph = fixture.plan(/*workers=*/4,
+                                           /*requests=*/4);
+    EXPECT_TRUE(graph.units.empty()) << "a full batch privatized units";
+    ASSERT_EQ(graph.chains.size(), 4u);
+    for (const auto &chain : graph.chains) {
+        ASSERT_EQ(chain.size(), 3u);
+        for (size_t k = 0; k < chain.size(); ++k) {
+            EXPECT_EQ(chain[k].kernel, static_cast<int>(k));
+            EXPECT_TRUE(chain[k].onShared);
+            EXPECT_EQ(chain[k].numUnits, 0);
+        }
+    }
+}
+
+TEST(EngineFused, BatchBelowPoolSizeStillPrivatizes)
+{
+    PlanFixture fixture;
+    engine::TaskGraph graph = fixture.plan(/*workers=*/4,
+                                           /*requests=*/3);
+    // Two non-exclusive kernels per request, one unit each at least.
+    EXPECT_GE(graph.units.size(), 6u);
+    ASSERT_EQ(graph.chains.size(), 3u);
+    for (const auto &chain : graph.chains) {
+        ASSERT_EQ(chain.size(), 3u);
+        EXPECT_FALSE(chain[0].onShared);
+        EXPECT_GE(chain[0].numUnits, 1);
+        EXPECT_TRUE(chain[1].onShared) << "exclusive kernel";
+        EXPECT_FALSE(chain[2].onShared);
+        EXPECT_GE(chain[2].numUnits, 1);
+    }
+}
+
+/** Point native engines of this process at one fresh artifact dir:
+ *  never load .so files persisted by other processes. */
+void
+isolateNativeCacheDir()
+{
+    static const bool done = [] {
+        static char tmpl[] = "/tmp/sparsetir-fused-native-XXXXXX";
+        if (::mkdtemp(tmpl) != nullptr) {
+            ::setenv("SPARSETIR_NATIVE_CACHE_DIR", tmpl, 1);
+        }
+        return true;
+    }();
+    (void)done;
+}
+
+TEST(EngineFused, FullBatchLeasesNoScratchAndMatchesSerial)
+{
+    Csr a = graph::powerLawGraph(300, 4000, 1.8, 101);
+    int64_t feat = 8;
+    engine::HybConfig config;
+    config.partitions = 2;
+    constexpr int kThreads = 4;
+
+    std::vector<NDArray> b;
+    std::vector<NDArray> expected;
+    for (int i = 0; i < kThreads; ++i) {
+        b.push_back(
+            NDArray::fromFloat(randomVector(a.cols * feat, 110 + i)));
+        expected.emplace_back(std::vector<int64_t>{a.rows * feat},
+                              ir::DataType::float32());
+    }
+    Engine serial = makeEngine(runtime::Backend::kBytecode,
+                               /*parallel=*/false, 1);
+    for (int i = 0; i < kThreads; ++i) {
+        serial.spmmHyb(a, feat, &b[i], &expected[i], config);
+    }
+
+    isolateNativeCacheDir();
+    for (runtime::Backend backend :
+         {runtime::Backend::kBytecode, runtime::Backend::kNative}) {
+        const char *name =
+            backend == runtime::Backend::kNative ? "native" : "bytecode";
+        EngineOptions options;
+        options.backend = backend;
+        options.numThreads = kThreads;
+        options.nativePromoteAfter = 0;  // native from the first resolve
+        Engine eng(options);
+
+        std::vector<NDArray> c;
+        std::vector<SpmmRequest> requests;
+        for (int i = 0; i < kThreads; ++i) {
+            c.emplace_back(std::vector<int64_t>{a.rows * feat},
+                           ir::DataType::float32());
+        }
+        for (int i = 0; i < kThreads; ++i) {
+            requests.push_back(SpmmRequest{&b[i], &c[i]});
+        }
+        uint64_t leases_before = eng.scratchStats().leases;
+        auto info = eng.spmmHybBatch(a, feat, requests, config);
+        ASSERT_GE(info.numKernels, 3) << name;
+        EXPECT_EQ(info.privatizedUnits, 0) << name;
+        EXPECT_EQ(eng.scratchStats().leases, leases_before)
+            << name << ": a full batch leased scratch";
+        EXPECT_EQ(eng.metricsSnapshot().counters.at(
+                      "engine.privatized_units"),
+                  0u)
+            << name;
+        for (int i = 0; i < kThreads; ++i) {
+            EXPECT_TRUE(bitwiseEqual(expected[i], c[i]))
+                << name << " request " << i << " diverged";
+        }
+        if (backend == runtime::Backend::kNative) {
+            EXPECT_GT(eng.nativeStats().compiles +
+                          eng.nativeStats().diskHits,
+                      0u);
+            EXPECT_EQ(eng.nativeStats().fallbacks, 0u);
+        }
+    }
+}
+
+TEST(EngineFused, SingleRequestHybReportsPrivatizedUnits)
+{
+    Csr a = graph::powerLawGraph(300, 4000, 1.8, 103);
+    int64_t feat = 8;
+    engine::HybConfig config;
+    config.partitions = 2;
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 104));
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+
+    Engine eng = makeEngine(runtime::Backend::kBytecode,
+                            /*parallel=*/true, 2);
+    auto info = eng.spmmHyb(a, feat, &b, &c, config);
+    EXPECT_GT(info.privatizedUnits, 0);
+    EXPECT_EQ(eng.metricsSnapshot().counters.at(
+                  "engine.privatized_units"),
+              static_cast<uint64_t>(info.privatizedUnits));
+
+    // A serial session runs no units at all.
+    Engine serial = makeEngine(runtime::Backend::kBytecode,
+                               /*parallel=*/false, 2);
+    EXPECT_EQ(serial.spmmHyb(a, feat, &b, &c, config).privatizedUnits,
+              0);
 }
 
 // ---------------------------------------------------------------------
