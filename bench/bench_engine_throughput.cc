@@ -4,7 +4,8 @@
  * cache removes from the dispatch path, and what the thread-pool
  * executor buys on multi-kernel requests.
  *
- * Three experiments over a >= 10k-row synthetic power-law graph:
+ * Experiments over a >= 10k-row synthetic power-law graph ([2] and
+ * [6] use small dedicated structures):
  *
  *  1. Compile cache — cold dispatch (Stage I -> III compile +
  *     bucketing + bind + run) vs cached re-dispatch (value gather +
@@ -13,9 +14,10 @@
  *     ratio is the serving claim (kernel execution itself is
  *     identical work in both cases and hardware-bound).
  *
- *  2. Parallel executor — hyb bucket kernels of one request executed
- *     with 1 vs 4 worker threads, results checked bitwise against
- *     the serial interpreter. Speedup tracks physical cores.
+ *  2. Single-request hyb SpMM — median of 50 warm dispatches of one
+ *     request over a 1000-row power-law graph (feat 32, hyb(c=4)),
+ *     at 1 worker and at pool size, on bytecode and on native; every
+ *     output checked bitwise against the 1-worker (serial) run.
  *
  *  3. Sustained throughput — warm re-dispatch rate over a stream of
  *     value-varying requests on one cached structure.
@@ -30,16 +32,14 @@
  *     cached artifact, private feature/output arrays) dispatched
  *     through spmmHybBatch vs the same N requests re-dispatched
  *     sequentially, bitwise-checked per request. Reports requests/s
- *     both ways plus the privatization-scratch high-water mark
- *     (span-sized leases vs the naive units x output bytes; 0 when
- *     the batch fills the pool and runs request chains); the
- *     batched numbers ride in BENCH_JSON for trajectory tracking
- *     (informational — the CI gate stays on the backend speedup).
+ *     both ways; the batched numbers ride in BENCH_JSON for
+ *     trajectory tracking (informational — the CI gate stays on the
+ *     backend speedup).
  *
- *  6. RGCN scratch high-water mark — one fused RGCN dispatch whose
- *     (relation, bucket) scatter units each touch a small row
- *     subset: the workload where span-sized privatization leases
- *     shrink scratch the most. Informational, in BENCH_JSON.
+ *  6. Single-request RGCN layer — the same timing as [2] for one
+ *     RGCN dispatch over 3 relations of a 300-node graph (feat 8),
+ *     whose (relation, bucket) scatter kernels all accumulate into
+ *     one output.
  *
  *  (No 7: it compared the fused task graph with a barriered
  *  schedule that no longer exists.)
@@ -78,6 +78,7 @@
  * self-time summary on stdout.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -120,6 +121,98 @@ bitwiseEqual(const NDArray &a, const NDArray &b)
            std::memcmp(a.rawData(), b.rawData(),
                        static_cast<size_t>(a.numel()) *
                            sizeof(float)) == 0;
+}
+
+/** Median wall milliseconds of `rounds` calls of `fn`. */
+double
+medianMs(int rounds, const std::function<void()> &fn)
+{
+    std::vector<double> ms;
+    for (int round = 0; round < rounds; ++round) {
+        ms.push_back(benchutil::timedRoundsMs(1, fn));
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    return ms[ms.size() / 2];
+}
+
+/** Medians of one warm single-request dispatch per backend x pool. */
+struct SingleRequestTiming
+{
+    /** [backend: bytecode, native][workers: 1, pool size]. */
+    double ms[2][2] = {};
+    /** Every output bitwise equal to the bytecode 1-worker run. */
+    bool bitwiseIdentical = true;
+};
+
+/**
+ * Time `dispatch` (one request into `out`, which it may accumulate
+ * into) on fresh engines at 1 worker and at `pool_workers`, on
+ * bytecode and on native. After the timed rounds each engine zeroes
+ * `out`, dispatches once more and compares with the serial run.
+ */
+SingleRequestTiming
+timeSingleRequest(
+    int rounds, int pool_workers, int64_t out_numel,
+    const std::function<void(engine::Engine &, NDArray *)> &dispatch)
+{
+    SingleRequestTiming timing;
+    NDArray reference({out_numel}, ir::DataType::float32());
+    const runtime::Backend backends[2] = {runtime::Backend::kBytecode,
+                                          runtime::Backend::kNative};
+    for (int t = 0; t < 2; ++t) {
+        for (int w = 0; w < 2; ++w) {
+            engine::EngineOptions options;
+            options.backend = backends[t];
+            options.numThreads = w == 0 ? 1 : pool_workers;
+            options.nativePromoteAfter = 0;  // native from the prime
+            engine::Engine eng(options);
+            NDArray out({out_numel}, ir::DataType::float32());
+            dispatch(eng, &out);  // prime: compile (and promote)
+            timing.ms[t][w] =
+                medianMs(rounds, [&] { dispatch(eng, &out); });
+            out.zero();
+            dispatch(eng, &out);
+            if (t == 0 && w == 0) {
+                reference = out;
+            } else {
+                timing.bitwiseIdentical =
+                    timing.bitwiseIdentical && bitwiseEqual(reference, out);
+            }
+        }
+    }
+    return timing;
+}
+
+void
+printSingleRequest(const SingleRequestTiming &timing, int pool_workers)
+{
+    const char *names[2] = {"bytecode", "native"};
+    for (int t = 0; t < 2; ++t) {
+        std::printf("  %-8s  1 worker %8.3f ms   %d workers %8.3f ms  "
+                    "(%.2fx)\n",
+                    names[t], timing.ms[t][0], pool_workers,
+                    timing.ms[t][1],
+                    timing.ms[t][1] > 0.0
+                        ? timing.ms[t][0] / timing.ms[t][1]
+                        : 0.0);
+    }
+    std::printf("  bitwise-equal to the serial run: %s\n",
+                timing.bitwiseIdentical ? "yes" : "NO");
+}
+
+void
+writeSingleRequestJson(std::FILE *json, const char *name,
+                       const SingleRequestTiming &timing,
+                       const char *trailer)
+{
+    std::fprintf(json,
+                 "    \"%s\": {\"bytecode_1w_ms\": %.4f, "
+                 "\"bytecode_pool_ms\": %.4f, \"native_1w_ms\": %.4f, "
+                 "\"native_pool_ms\": %.4f, "
+                 "\"bitwise_identical\": %s}%s\n",
+                 name, timing.ms[0][0], timing.ms[0][1], timing.ms[1][0],
+                 timing.ms[1][1],
+                 timing.bitwiseIdentical ? "true" : "false", trailer);
 }
 
 double
@@ -212,53 +305,29 @@ main()
                 warm_total > 0.0 ? cold_total / warm_total : 0.0);
 
     // ------------------------------------------------------------------
-    // 2. Parallel executor: 1 vs 4 workers, bitwise-checked
+    // 2. Single-request hyb SpMM: 1 worker vs pool size, per backend
     // ------------------------------------------------------------------
-    std::printf("\n[2] parallel hyb bucket execution (%u hardware "
-                "threads available)\n",
-                std::thread::hardware_concurrency());
-
-    // Serial interpreter ground truth via the core pipeline.
-    NDArray serial_c({g.rows * feat}, ir::DataType::float32());
-    {
-        auto shared = std::make_shared<core::BindingSet>();
-        NDArray b_serial = NDArray::fromFloat(b_host);
-        shared->external("B_data", &b_serial);
-        shared->external("C_data", &serial_c);
-        core::HybSpmm compiled = core::compileSpmmHyb(
-            g, feat, config.partitions, config.bucketCapLog2, shared);
-        for (auto &kernel : compiled.kernels) {
-            kernel->execute();
-        }
-    }
-
-    double time_1t = 0.0;
-    for (int workers : {1, 4}) {
-        engine::EngineOptions options;
-        options.numThreads = workers;
-        engine::Engine worker_eng(options);
-        NDArray bw = NDArray::fromFloat(b_host);
-        NDArray cw({g.rows * feat}, ir::DataType::float32());
-        // Prime the cache so the measurement isolates execution.
-        worker_eng.spmmHyb(g, feat, &bw, &cw, config);
-        cw.zero();
-        engine::DispatchInfo run_info;
-        double elapsed = wallMs([&] {
-            run_info = worker_eng.spmmHyb(g, feat, &bw, &cw, config);
+    // Pool size is the hardware concurrency, but at least 2 so the
+    // parallel schedule runs even on a one-core box.
+    int pool_workers = std::max(
+        2, static_cast<int>(std::thread::hardware_concurrency()));
+    constexpr int kSingleRounds = 50;
+    format::Csr single_g = graph::powerLawGraph(1000, 6000, 1.8, 11);
+    int64_t single_feat = 32;
+    std::printf("\n[2] single-request hyb(c=%d) SpMM: %lld rows, %lld "
+                "nnz, feat %lld (median of %d warm dispatches)\n",
+                config.partitions,
+                static_cast<long long>(single_g.rows),
+                static_cast<long long>(single_g.nnz()),
+                static_cast<long long>(single_feat), kSingleRounds);
+    NDArray single_b = NDArray::fromFloat(
+        randomVector(single_g.cols * single_feat, 12));
+    SingleRequestTiming single_hyb = timeSingleRequest(
+        kSingleRounds, pool_workers, single_g.rows * single_feat,
+        [&](engine::Engine &e, NDArray *out) {
+            e.spmmHyb(single_g, single_feat, &single_b, out, config);
         });
-        bool exact = bitwiseEqual(serial_c, cw);
-        std::printf("  %d worker(s): %8.2f ms   bitwise-equal to "
-                    "serial interpreter: %s\n",
-                    workers, elapsed, exact ? "yes" : "NO");
-        if (workers == 1) {
-            time_1t = elapsed;
-        } else {
-            std::printf("  speedup %d-thread vs 1-thread: %.2fx "
-                        "(target > 1x on >= %d physical cores)\n",
-                        workers, elapsed > 0.0 ? time_1t / elapsed : 0.0,
-                        workers);
-        }
-    }
+    printSingleRequest(single_hyb, pool_workers);
 
     // ------------------------------------------------------------------
     // 3. Sustained warm throughput
@@ -391,43 +460,12 @@ main()
                 "identical: %s\n",
                 batch_speedup, batch_equal ? "yes" : "NO");
 
-    // Privatization scratch high-water mark of one batched dispatch
-    // on a dedicated 4-worker session (a size-1 pool runs serially
-    // and leases nothing on any box). A batch with at least as many
-    // requests as workers runs one kernel chain per request on shared
-    // storage, so the mark is 0 unless the batch is smaller than the
-    // pool. The naive figure is what full-output leases would have
-    // peaked at: one output-sized buffer per (request x kernel)
-    // unit.
-    engine::EngineOptions scratch_options;
-    scratch_options.numThreads = 4;
-    engine::Engine scratch_eng(scratch_options);
-    engine::PreparedSpmmHyb scratch_prepared =
-        scratch_eng.prepareSpmmHyb(g, feat, config);
-    scratch_eng.spmmHybBatch(scratch_prepared, requests);  // warm
-    scratch_eng.resetScratchPeak();
-    engine::BatchDispatchInfo peak_info =
-        scratch_eng.spmmHybBatch(scratch_prepared, requests);
-    engine::ScratchStats batch_scratch = scratch_eng.scratchStats();
-    long long output_bytes = static_cast<long long>(g.rows) * feat *
-                             static_cast<long long>(sizeof(float));
-    long long naive_bytes = static_cast<long long>(batch_requests) *
-                            peak_info.numKernels * output_bytes;
-    std::printf("  scratch high-water mark: %.2f MB "
-                "(naive full-output leases: %.2f MB = %d requests x "
-                "%d kernels x %.2f MB)\n",
-                batch_scratch.peakLeasedBytes / 1e6,
-                naive_bytes / 1e6, batch_requests,
-                peak_info.numKernels, output_bytes / 1e6);
-
     // ------------------------------------------------------------------
-    // 6. RGCN scratch high-water mark (scatter units, span leases)
+    // 6. Single-request RGCN layer: 1 worker vs pool size, per backend
     // ------------------------------------------------------------------
-    int64_t rg_nodes = benchutil::fastMode() ? 500 : 2000;
+    int64_t rg_nodes = 300;
+    int64_t rg_feat = 8;
     int rg_relations = 3;
-    std::printf("\n[6] rgcn scratch high-water mark (%lld nodes, %d "
-                "relations)\n",
-                static_cast<long long>(rg_nodes), rg_relations);
     format::RelationalCsr rgraph;
     rgraph.rows = rg_nodes;
     rgraph.cols = rg_nodes;
@@ -436,29 +474,20 @@ main()
             rg_nodes, rg_nodes * 6, 1.8, 200 + r));
         rgraph.relations.back().cols = rg_nodes;
     }
-    engine::EngineOptions rgcn_options;
-    rgcn_options.numThreads = 4;  // privatization needs a real pool
-    engine::Engine rgcn_eng(rgcn_options);
+    std::printf("\n[6] single-request rgcn: %lld nodes, %d relations, "
+                "feat %lld (median of %d warm dispatches)\n",
+                static_cast<long long>(rg_nodes), rg_relations,
+                static_cast<long long>(rg_feat), kSingleRounds);
     NDArray rg_x =
-        NDArray::fromFloat(randomVector(rg_nodes * feat, 210));
-    NDArray rg_w = NDArray::fromFloat(randomVector(feat * feat, 211));
-    NDArray rg_y({rg_nodes * feat}, ir::DataType::float32());
-    rgcn_eng.rgcn(rgraph, feat, &rg_x, &rg_w, &rg_y);  // prime
-    rgcn_eng.resetScratchPeak();
-    rg_y.zero();
-    engine::DispatchInfo rg_info =
-        rgcn_eng.rgcn(rgraph, feat, &rg_x, &rg_w, &rg_y);
-    engine::ScratchStats rg_scratch = rgcn_eng.scratchStats();
-    long long rg_output_bytes = static_cast<long long>(rg_nodes) *
-                                feat *
-                                static_cast<long long>(sizeof(float));
-    long long rg_naive_bytes =
-        static_cast<long long>(rg_info.numKernels) * rg_output_bytes;
-    std::printf("  %d scatter units: scratch peak %.2f MB (naive "
-                "full-output leases: %.2f MB)\n",
-                rg_info.numKernels,
-                rg_scratch.peakLeasedBytes / 1e6,
-                rg_naive_bytes / 1e6);
+        NDArray::fromFloat(randomVector(rg_nodes * rg_feat, 210));
+    NDArray rg_w =
+        NDArray::fromFloat(randomVector(rg_feat * rg_feat, 211));
+    SingleRequestTiming single_rgcn = timeSingleRequest(
+        kSingleRounds, pool_workers, rg_nodes * rg_feat,
+        [&](engine::Engine &e, NDArray *out) {
+            e.rgcn(rgraph, rg_feat, &rg_x, &rg_w, out);
+        });
+    printSingleRequest(single_rgcn, pool_workers);
 
     // ------------------------------------------------------------------
     // 8. Engine metrics snapshot (registry counters + gauges)
@@ -747,10 +776,6 @@ main()
             "  \"batched_req_per_s\": %.2f,\n"
             "  \"batched_speedup\": %.4f,\n"
             "  \"batch_bitwise_identical\": %s,\n"
-            "  \"scratch_peak_bytes\": %lld,\n"
-            "  \"scratch_naive_bytes\": %lld,\n"
-            "  \"rgcn_scratch_peak_bytes\": %lld,\n"
-            "  \"rgcn_scratch_naive_bytes\": %lld,\n"
             "  \"graph_attention_chain_req_per_s\": %.2f,\n"
             "  \"graph_attention_fused_req_per_s\": %.2f,\n"
             "  \"graph_attention_speedup\": %.4f,\n"
@@ -769,13 +794,18 @@ main()
             backend_speedup, backend_equal ? "true" : "false",
             batch_requests, sequential_rps, batched_rps,
             batch_speedup, batch_equal ? "true" : "false",
-            static_cast<long long>(batch_scratch.peakLeasedBytes),
-            naive_bytes,
-            static_cast<long long>(rg_scratch.peakLeasedBytes),
-            rg_naive_bytes, att_chain_rps, att_fused_rps, att_speedup,
+            att_chain_rps, att_fused_rps, att_speedup,
             att_equal ? "true" : "false", att_scratch[0],
             att_scratch[1], sage_chain_rps, sage_fused_rps,
             sage_speedup, sage_equal ? "true" : "false");
+        // Single-request timings of [2] and [6].
+        std::fprintf(json,
+                     "  \"single_request_pool_workers\": %d,\n"
+                     "  \"single_request\": {\n",
+                     pool_workers);
+        writeSingleRequestJson(json, "spmm_hyb", single_hyb, ",");
+        writeSingleRequestJson(json, "rgcn", single_rgcn, "");
+        std::fprintf(json, "  },\n");
         // Build-time verify cost of the warm-latency engine's
         // artifacts (csr + hyb buckets + bsr). Zero kernels means
         // verification was off for this build/env; the perf gate
@@ -855,7 +885,9 @@ main()
         std::printf("%s", recorder.textSummary().c_str());
     }
     return backend_equal && batch_equal && att_equal &&
-                   sage_equal && tier_equal
+                   sage_equal && tier_equal &&
+                   single_hyb.bitwiseIdentical &&
+                   single_rgcn.bitwiseIdentical
                ? 0
                : 1;
 }

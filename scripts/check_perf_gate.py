@@ -120,27 +120,6 @@ def main() -> int:
             f"bitwise_identical="
             f"{data.get(f'graph_{model}_bitwise_identical', 'n/a')}"
         )
-    # Privatization-scratch high-water marks (informational, not
-    # gated): span-sized leases vs the naive units x output figure.
-    for prefix, label in (
-        ("scratch", "batched hyb"),
-        ("rgcn_scratch", "rgcn"),
-    ):
-        if f"{prefix}_peak_bytes" not in data:
-            continue
-        try:
-            peak = float(data[f"{prefix}_peak_bytes"])
-            naive = float(data.get(f"{prefix}_naive_bytes", 0.0))
-        except (TypeError, ValueError) as err:
-            return fail_input(
-                f"{path} holds a non-numeric scratch field: {err}"
-            )
-        ratio = f" ({peak / naive:.1%} of naive)" if naive > 0 else ""
-        print(
-            f"scratch high-water mark [{label}]: "
-            f"{peak / 1e6:.2f} MB span-sized leases, naive "
-            f"full-output leases {naive / 1e6:.2f} MB{ratio}"
-        )
     # Static-verification cost at build time (informational, not
     # gated): kernels proven, failures, and total prover milliseconds
     # for the warm-latency engine's artifacts. Zero kernels means the

@@ -325,9 +325,9 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat, int threadX)
         int rows_per_block = std::max<int64_t>(
             1,
             (1 << hyb.maxWidthLog2) / std::max(plan.width, 1));
-        rows_per_block = static_cast<int>(
+        plan.rowsPerBlock = static_cast<int>(
             std::min<int64_t>(rows_per_block, plan.numRows));
-        auto [f_o, f_i] = sch.split(fused, rows_per_block);
+        auto [f_o, f_i] = sch.split(fused, plan.rowsPerBlock);
         auto [k_o, k_i] = sch.split(loops[3], tx);
         sch.reorder({k_o, k_i, loops[2]});
         sch.bind(f_o, "blockIdx.x");

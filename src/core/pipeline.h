@@ -126,6 +126,8 @@ struct HybKernelPlan
     int bucket = 0;
     int64_t numRows = 0;
     int width = 0;
+    /** Bucket rows per grid block (the blockIdx.x split factor). */
+    int rowsPerBlock = 1;
     ir::PrimFunc func;
 };
 

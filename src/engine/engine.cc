@@ -56,25 +56,6 @@ nativeKeyTag(const CacheKey &key, int kernel_index)
     return tag;
 }
 
-/**
- * True when a bucket stores several ELL rows for one original row
- * (long rows split by the hyb cap): its kernel then writes one output
- * element more than once and must run serially at its list position
- * to stay bitwise equal to serial execution (see executor.h).
- */
-bool
-hasDuplicateRows(const std::vector<int32_t> &row_indices)
-{
-    std::unordered_set<int32_t> seen;
-    seen.reserve(row_indices.size());
-    for (int32_t r : row_indices) {
-        if (!seen.insert(r).second) {
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Re-bind stored values through a provenance map (padding -> 0). */
 std::vector<float>
 gatherValues(const std::vector<int32_t> &source_pos,
@@ -98,73 +79,42 @@ gatherValues(const std::vector<int32_t> &source_pos,
 //
 // Since artifact version 2 (see kArtifactVersion) every kernel is
 // cached as an engine::CompiledKernel: Stage III IR + compiled
-// bytecode program + write-set analysis (+ touched-row spans for
+// bytecode program + write-set analysis (+ proven block hulls for
 // scatter kernels). Warm dispatches execute the program directly.
 // ---------------------------------------------------------------------
 
-/**
- * Restrict a kernel's accumulated output `name` to the rows its
- * scatter indices can touch: privatization then leases scratch sized
- * to the touched extent and zeroes/folds only it, through the
- * offset-translating window (see executor.h). A bucket with no rows
- * yields an explicitly empty write set — the unit leases and folds
- * nothing — never the whole-array fallback.
- */
+/** Declare a compiled kernel's accumulated outputs to the verifier. */
 void
-restrictAccumSpans(CompiledKernel *kernel, const std::string &name,
-                   const std::vector<int32_t> &row_indices,
-                   int64_t row_width)
-{
-    for (AccumOutput &out : kernel->accums) {
-        if (out.name == name) {
-            out.setSpans(touchedRowSpans(row_indices, row_width));
-        }
-    }
-}
-
-/**
- * Copy a compiled kernel's write-set analysis (after
- * restrictAccumSpans and the exclusive marking) into a verifier
- * context. `rows_buffer`/`rows`/`row_width` describe the scatter row
- * list of span-restricted outputs; pass ""/null/0 for kernels with no
- * scatter outputs.
- */
-void
-declareAccumSpec(verify::VerifyContext *ctx,
-                 const CompiledKernel &kernel,
-                 const std::string &rows_buffer,
-                 const std::vector<int32_t> *rows, int64_t row_width)
+declareAccumSpec(verify::VerifyContext *ctx, const CompiledKernel &kernel)
 {
     ctx->hasAccumSpec = true;
-    ctx->kernelExclusive = kernel.exclusive;
     for (const AccumOutput &out : kernel.accums) {
         verify::AccumWriteSet set;
         set.buffer = out.name;
-        set.wholeArray = out.wholeArray;
-        set.spans = out.window.spans;
-        set.rowsBuffer = rows_buffer;
-        set.rows = rows;
-        set.rowWidth = row_width;
         ctx->accums.push_back(std::move(set));
     }
 }
 
 /**
- * Prove one kernel's bounds / write-set / race obligations and fold
- * the outcome into the artifact's cached report. Failures do not
- * throw here: the verdict (with its diagnostics) is cached on the
- * artifact, and Engine::resolve raises it as a UserError on every
- * dispatch that touches the bad artifact — including warm hits, at
- * zero re-proving cost.
+ * Prove one kernel's bounds / write-set / race obligations. With
+ * `record`, fold the outcome into the artifact's cached report.
+ * Failures do not throw here: the verdict (with its diagnostics) is
+ * cached on the artifact, and Engine::resolve raises it as a
+ * UserError on every dispatch that touches the bad artifact —
+ * including warm hits, at zero re-proving cost. Returns whether the
+ * proof succeeded.
  */
-void
+bool
 verifyKernelInto(Artifact *artifact, const CompiledKernel &kernel,
                  const verify::VerifyContext &ctx,
-                 const std::string &what)
+                 const std::string &what, bool record = true)
 {
     SPARSETIR_TRACE_SCOPE("verify", "verify.artifact");
     auto start = std::chrono::steady_clock::now();
     verify::VerifyResult result = verify::verifyFunc(kernel.func, ctx);
+    if (!record) {
+        return result.ok;
+    }
     artifact->verify.attempted = true;
     artifact->verify.kernels += 1;
     artifact->verify.verifyMs += msSince(start);
@@ -173,6 +123,40 @@ verifyKernelInto(Artifact *artifact, const CompiledKernel &kernel,
         for (verify::Diagnostic &diag : result.diagnostics) {
             diag.message = "kernel '" + what + "': " + diag.message;
             artifact->verify.diagnostics.push_back(std::move(diag));
+        }
+    }
+    return result.ok;
+}
+
+/**
+ * Prove the block hulls of a scatter kernel's accumulated output,
+ * whose block b updates entries [b * rows_per_block, (b + 1) *
+ * rows_per_block) of `rows` (bound as `rows_buffer`), and attach them
+ * once proven. `ctx` holds the kernel's structure facts. Callers run
+ * the proof when the artifact is verified or when `hulls_wanted` (the
+ * session dispatches in parallel); a failed proof leaves the kernel
+ * without hulls, so the task graph runs it whole, in order.
+ */
+void
+proveBlockHulls(Artifact *artifact, CompiledKernel *kernel,
+                verify::VerifyContext ctx, const std::string &rows_buffer,
+                const std::vector<int32_t> &rows, int64_t row_width,
+                int64_t rows_per_block, bool verify, bool hulls_wanted,
+                const std::string &what)
+{
+    std::vector<Span> hulls = blockHulls(rows, rows_per_block, row_width);
+    declareAccumSpec(&ctx, *kernel);
+    for (verify::AccumWriteSet &set : ctx.accums) {
+        set.rowsBuffer = rows_buffer;
+        set.rows = &rows;
+        set.rowWidth = row_width;
+        set.rowsPerBlock = rows_per_block;
+        set.blockHulls = hulls;
+    }
+    bool proven = verifyKernelInto(artifact, *kernel, ctx, what, verify);
+    if (proven && hulls_wanted) {
+        for (AccumOutput &out : kernel->accums) {
+            out.hulls = hulls;
         }
     }
 }
@@ -347,7 +331,7 @@ buildSpmmCsrArtifact(const Csr &a, int64_t feat,
         core::compileSpmmCsrFunc(feat, schedule), bytecode);
     if (verify) {
         verify::VerifyContext ctx = csrVerifyContext(a, feat);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
+        declareAccumSpec(&ctx, artifact->kernel);
         verifyKernelInto(artifact.get(), artifact->kernel, ctx,
                          "spmm_csr");
     }
@@ -366,7 +350,7 @@ buildSddmmArtifact(const Csr &a, int64_t feat,
         core::compileSddmmFunc(feat, schedule), bytecode);
     if (verify) {
         verify::VerifyContext ctx = csrVerifyContext(a, feat);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
+        declareAccumSpec(&ctx, artifact->kernel);
         verifyKernelInto(artifact.get(), artifact->kernel, ctx,
                          "sddmm");
     }
@@ -392,7 +376,7 @@ buildBsrArtifact(const format::Bsr &a, int64_t feat,
         ctx.scalar("feat_size", feat);
         ctx.int32Array("JO_indptr", a.indptr);
         ctx.int32Array("JO_indices", a.indices);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
+        declareAccumSpec(&ctx, artifact->kernel);
         verifyKernelInto(artifact.get(), artifact->kernel, ctx,
                          "bsr_spmm");
     }
@@ -417,7 +401,7 @@ buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
         ctx.scalar("feat_size", feat);
         ctx.int32Array("G_indptr", a.groupIndptr);
         ctx.int32Array("T_indices", a.tileCols);
-        declareAccumSpec(&ctx, artifact->kernel, "", nullptr, 0);
+        declareAccumSpec(&ctx, artifact->kernel);
         verifyKernelInto(artifact.get(), artifact->kernel, ctx,
                          "srbcrs_spmm");
     }
@@ -429,7 +413,7 @@ buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
 std::shared_ptr<Artifact>
 buildSpmmHybArtifact(const Csr &a, int64_t feat,
                      const HybConfig &config, bool bytecode,
-                     bool verify)
+                     bool verify, bool hulls)
 {
     format::Hyb hyb =
         format::hybFromCsr(a, config.partitions, config.bucketCapLog2);
@@ -447,20 +431,17 @@ buildSpmmHybArtifact(const Csr &a, int64_t feat,
         HybBucketData bucket;
         bucket.suffix = plan.suffix;
         bucket.kernel = compileKernel(plan.func, bytecode);
-        bucket.kernel.exclusive = hasDuplicateRows(ell.rowIndices);
-        restrictAccumSpans(&bucket.kernel, "C_data", ell.rowIndices,
-                           feat);
-        if (verify) {
+        if (verify || hulls) {
             verify::VerifyContext ctx = csrVerifyContext(a, feat);
             ctx.int32Array(core::ellRowIndicesParam(plan.suffix),
                            ell.rowIndices);
             ctx.int32Array(core::ellColIndicesParam(plan.suffix),
                            ell.colIndices);
-            declareAccumSpec(&ctx, bucket.kernel,
-                             core::ellRowIndicesParam(plan.suffix),
-                             &ell.rowIndices, feat);
-            verifyKernelInto(artifact.get(), bucket.kernel, ctx,
-                             "spmm_ell_" + plan.suffix);
+            proveBlockHulls(artifact.get(), &bucket.kernel,
+                            std::move(ctx),
+                            core::ellRowIndicesParam(plan.suffix),
+                            ell.rowIndices, feat, plan.rowsPerBlock,
+                            verify, hulls, "spmm_ell_" + plan.suffix);
         }
         bucket.rowIndices = NDArray::fromInt32(ell.rowIndices);
         bucket.colIndices = NDArray::fromInt32(ell.colIndices);
@@ -473,7 +454,7 @@ buildSpmmHybArtifact(const Csr &a, int64_t feat,
 std::shared_ptr<Artifact>
 buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
                   int64_t feat_out, const RgcnConfig &config,
-                  bool bytecode, bool verify)
+                  bool bytecode, bool verify, bool hulls)
 {
     auto artifact = std::make_shared<RgcnArtifact>();
     for (int64_t r = 0; r < graph.numRelations(); ++r) {
@@ -500,14 +481,7 @@ buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
                                          config.tensorCores,
                                          rows_per_block),
                 bytecode);
-            unit.kernel.exclusive =
-                hasDuplicateRows(bucket.rowIndices);
-            // A unit touches only its bucket's rows of Y; on
-            // many-relation graphs this trims the per-unit zero/fold
-            // from the whole output to a few percent of it.
-            restrictAccumSpans(&unit.kernel, "Y_data",
-                               bucket.rowIndices, feat_out);
-            if (verify) {
+            if (verify || hulls) {
                 verify::VerifyContext ctx;
                 ctx.scalar("m", graph.rows);
                 ctx.scalar("n", graph.cols);
@@ -517,12 +491,12 @@ buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
                 ctx.int32Array(
                     core::ellColIndicesParam(unit.suffix),
                     bucket.colIndices);
-                declareAccumSpec(
-                    &ctx, unit.kernel,
+                proveBlockHulls(
+                    artifact.get(), &unit.kernel, std::move(ctx),
                     core::ellRowIndicesParam(unit.suffix),
-                    &bucket.rowIndices, feat_out);
-                verifyKernelInto(artifact.get(), unit.kernel, ctx,
-                                 "rgms_" + unit.suffix);
+                    bucket.rowIndices, feat_out,
+                    std::min<int64_t>(rows_per_block, bucket.numRows()),
+                    verify, hulls, "rgms_" + unit.suffix);
             }
             unit.rowIndices = NDArray::fromInt32(bucket.rowIndices);
             unit.colIndices = NDArray::fromInt32(bucket.colIndices);
@@ -559,7 +533,7 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse,
         }
         for (const CompiledKernel &kernel : artifact->program) {
             verify::VerifyContext ctx = base;
-            declareAccumSpec(&ctx, kernel, "", nullptr, 0);
+            declareAccumSpec(&ctx, kernel);
             verifyKernelInto(artifact.get(), kernel, ctx,
                              kernel.func->name);
         }
@@ -846,7 +820,6 @@ Engine::Engine(EngineOptions options)
     requests_ = metrics_->counter("engine.requests");
     cacheHits_ = metrics_->counter("engine.cache_hits");
     cacheMisses_ = metrics_->counter("engine.cache_misses");
-    privatizedUnits_ = metrics_->counter("engine.privatized_units");
     compileMs_ = metrics_->histogram("engine.compile_ms");
     execMs_ = metrics_->histogram("engine.exec_ms");
     launchProbes_ = metrics_->counter("runtime.launch_probes");
@@ -984,11 +957,10 @@ Engine::execute(OpKind op, Artifact &artifact, const Binder &bind,
             // so each runs as its own task graph, in dataflow order
             // (a fused graph is a single kernel either way).
             for (const CompiledKernel *kernel : kernels) {
-                info.privatizedUnits +=
-                    executor_.run({kernel}, requests, exec);
+                executor_.run({kernel}, requests, exec);
             }
         } else {
-            info.privatizedUnits = executor_.run(kernels, requests, exec);
+            executor_.run(kernels, requests, exec);
         }
     }
     info.kernelMs = msSince(kernel_start);
@@ -1090,7 +1062,6 @@ Engine::finish(const DispatchInfo &info, OpKind op)
     if (!info.cacheHit) {
         cacheMisses_->add(1);
     }
-    privatizedUnits_->add(static_cast<uint64_t>(info.privatizedUnits));
     compileMs_->record(info.compileMs);
     execMs_->record(info.execMs);
     // prepareSpmmHyb finishes with no kernels executed; keep its
@@ -1252,7 +1223,8 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
         [&] {
             return buildRgcnArtifact(graph, featIn, featOut, config,
                                      usesBytecode(),
-                                     options_.verifyArtifacts);
+                                     options_.verifyArtifacts,
+                                     ordersHulls());
         },
         [&](Artifact &artifact) {
             bindings.scalar("m", graph.rows);
@@ -1314,7 +1286,8 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
         OpKind::kSpmmHyb, spmmHybKey(a, feat, config),
         [&] {
             return buildSpmmHybArtifact(a, feat, config, usesBytecode(),
-                                        options_.verifyArtifacts);
+                                        options_.verifyArtifacts,
+                                        ordersHulls());
         },
         [&](Artifact &artifact) {
             base = bindSpmmHyb(static_cast<SpmmHybArtifact &>(artifact),
@@ -1407,7 +1380,7 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
                 [&] {
                     return buildSpmmHybArtifact(
                         a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts);
+                        options_.verifyArtifacts, ordersHulls());
                 },
                 &info));
     // Counted as one request that executed nothing.

@@ -22,15 +22,17 @@
  * dispatch (`spmm*Batch`) is the multi-tenant serving shape: N
  * in-flight requests against one sparsity structure resolve ONE
  * cached artifact, get private per-request bindings, and run as one
- * fused task graph over (request x kernel x grid-chunk) units — each
- * request's output bitwise identical to its own serial dispatch.
+ * conflict-ordered task graph over (request x kernel x grid-chunk)
+ * units — each request's output bitwise identical to its own serial
+ * dispatch.
  *
  * Thread-safety contract: an Engine may be shared by any number of
  * request threads. Artifacts are immutable after construction; every
  * dispatch builds a private BindingSet; cache and stats are
- * internally locked. The executor only ever parallelizes work whose
- * shared writes it has privatized, so concurrent dispatches never
- * race even when they read the same cached structure arrays.
+ * internally locked. The executor runs units that update the same
+ * output elements in serial order (see executor.h), so concurrent
+ * dispatches never race even when they read the same cached
+ * structure arrays.
  */
 
 #ifndef SPARSETIR_ENGINE_ENGINE_H_
@@ -91,7 +93,7 @@ struct EngineOptions
      */
     int nativePromoteAfter = 3;
     /**
-     * Ignored: the fused task graph is the only parallel schedule
+     * Ignored: the task graph is the only parallel schedule
      * (see executor.h). Kept only for source compatibility with
      * callers that still set it.
      */
@@ -109,8 +111,8 @@ struct EngineOptions
      * Run the static artifact verifier (verify/verifier.h) on every
      * kernel a miss-path builder compiles, BEFORE the artifact enters
      * the compile cache: affine bounds on every buffer access,
-     * write-set soundness against the declared AccumOutput spans, and
-     * parallel-race freedom of the blockIdx axis — all proven against
+     * write-set soundness against each scatter kernel's block hulls,
+     * and parallel-race freedom of the blockIdx axis — all proven against
      * the request's concrete structure arrays. The verdict is cached
      * with the artifact, so warm dispatches never pay for it (warm
      * latency unchanged); a failed proof makes the dispatch throw
@@ -143,14 +145,6 @@ struct DispatchInfo
     int numRequests = 0;
     /** Kernels executed per request. */
     int numKernels = 0;
-    /**
-     * Compute units that ran on privatized scratch: 0 when the
-     * dispatch ran serially or its requests filled the pool (request
-     * chains on shared storage), > 0 when kernels were split into
-     * privatized, folded units. Also summed into the
-     * `engine.privatized_units` counter.
-     */
-    int privatizedUnits = 0;
 
     /** The serving-path overhead the compile cache eliminates. */
     double dispatchOverheadMs() const { return compileMs + bindMs; }
@@ -359,7 +353,7 @@ class Engine
     // Batched dispatch: one artifact, many feature matrices in flight.
     // Each batch performs at most ONE compile (cache resolve), builds
     // a private binding view per request, and runs the cross product
-    // of (requests x kernels x grid chunks) as one fused task graph.
+    // of (requests x kernels x grid chunks) as one task graph.
     // Every request's output is bitwise identical to dispatching it
     // alone through the corresponding single-request entry point
     // (which is this path with a batch of one). An empty batch
@@ -422,10 +416,9 @@ class Engine
     /** The registry backing stats()/cacheStats()/metricsSnapshot(). */
     observe::MetricsRegistry *metrics() const { return metrics_.get(); }
     /**
-     * Privatization scratch accounting of the session's executor:
-     * peakLeasedBytes is the dispatch-concurrency high-water mark —
-     * with span-restricted kernels it scales with the touched
-     * write-set extents, not units x output size.
+     * Scratch accounting of the session's executor: the interior
+     * tensors of chain-mode graph dispatches (no other dispatch
+     * leases scratch).
      */
     ScratchStats scratchStats() const { return executor_.scratchStats(); }
     /** Restart the scratch high-water mark (benchmark sections). */
@@ -485,6 +478,14 @@ class Engine
         return options_.backend != runtime::Backend::kInterpreter;
     }
 
+    /** Whether dispatches run in parallel, so scatter kernels should
+     *  carry proven block hulls for the task graph. */
+    bool
+    ordersHulls() const
+    {
+        return options_.parallel && pool_->size() > 1;
+    }
+
     /**
      * Promotion policy hook, called on every resolve (and every
      * prepared-handle dispatch) of a kNative session: counts uses of
@@ -518,7 +519,6 @@ class Engine
     observe::Counter *requests_;
     observe::Counter *cacheHits_;
     observe::Counter *cacheMisses_;
-    observe::Counter *privatizedUnits_;
     observe::LatencyHistogram *compileMs_;
     observe::LatencyHistogram *execMs_;
     /** This engine's (non-aliased) launch probes; fed through a

@@ -1,8 +1,12 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <limits>
+#include <mutex>
+#include <queue>
 #include <set>
 #include <unordered_set>
 
@@ -59,7 +63,7 @@ class LoadCollector : public ExprVisitor
  * (e.g. rfactor's final update): per element the init overwrites any
  * prior contents before the updates accumulate, so the kernel has
  * overwrite semantics and its per-block writes are disjoint; treating
- * it as accumulation would fold stale output contents back in.
+ * it as accumulation would order its chunks for nothing.
  */
 class AccumFinder : public StmtVisitor
 {
@@ -145,97 +149,6 @@ class AccumFinder : public StmtVisitor
     std::set<std::string> found_;
 };
 
-/** dst[i] += src[i] for i in [0, count), in the element type T. */
-template <typename T>
-void
-addRange(void *dst, const void *src, int64_t count)
-{
-    T *d = static_cast<T *>(dst);
-    const T *s = static_cast<const T *>(src);
-    for (int64_t i = 0; i < count; ++i) {
-        d[i] = static_cast<T>(d[i] + s[i]);
-    }
-}
-
-/**
- * Fold a private accumulator into the shared array element-wise: the
- * whole array for whole-array privates, otherwise each packed span
- * of the compact window back onto its absolute position. An empty
- * window folds nothing.
- *
- * Typed loops over raw storage, checked per range. Each one matches
- * the per-element floatAt/setFloat (intAt/setInt) round trip bit for
- * bit: a float32 sum formed in double and rounded back equals the
- * float32 add, and integer sums truncated to the storage width equal
- * the wrapping add in the unsigned type of that width.
- */
-void
-foldInto(NDArray *shared, const NDArray &priv, const AccumOutput &out)
-{
-    ir::DataType dtype = shared->dtype();
-    ICHECK(dtype == priv.dtype()) << "fold of mismatched dtypes";
-    int bytes = shared->elemBytes();
-    auto fold_range = [&](int64_t shared_begin, int64_t priv_begin,
-                          int64_t count) {
-        ICHECK(shared_begin >= 0 && priv_begin >= 0 && count >= 0 &&
-               shared_begin + count <= shared->numel() &&
-               priv_begin + count <= priv.numel())
-            << "fold range outside its arrays";
-        void *dst = static_cast<unsigned char *>(shared->rawData()) +
-                    shared_begin * bytes;
-        const void *src =
-            static_cast<const unsigned char *>(priv.rawData()) +
-            priv_begin * bytes;
-        if (dtype.isFloat()) {
-            ICHECK(bytes == 4 || bytes == 8)
-                << "fold of unsupported float dtype " << dtype.str();
-            if (bytes == 4) {
-                addRange<float>(dst, src, count);
-            } else {
-                addRange<double>(dst, src, count);
-            }
-        } else if (dtype.isBool()) {
-            // setInt stores (a + b) != 0: a logical or.
-            auto *d = static_cast<unsigned char *>(dst);
-            auto *s = static_cast<const unsigned char *>(src);
-            for (int64_t i = 0; i < count; ++i) {
-                d[i] = (d[i] != 0 || s[i] != 0) ? 1 : 0;
-            }
-        } else {
-            ICHECK(dtype.isInt() || dtype.isUInt())
-                << "fold of unsupported dtype " << dtype.str();
-            switch (bytes) {
-              case 1:
-                addRange<uint8_t>(dst, src, count);
-                break;
-              case 2:
-                addRange<uint16_t>(dst, src, count);
-                break;
-              case 4:
-                addRange<uint32_t>(dst, src, count);
-                break;
-              case 8:
-                addRange<uint64_t>(dst, src, count);
-                break;
-              default:
-                ICHECK(false) << "fold of unsupported int width "
-                              << dtype.str();
-            }
-        }
-    };
-    if (out.wholeArray) {
-        ICHECK_EQ(shared->numel(), priv.numel());
-        fold_range(0, 0, shared->numel());
-        return;
-    }
-    ICHECK_EQ(priv.numel(), out.window.numel);
-    const auto &spans = out.window.spans;
-    for (size_t k = 0; k < spans.size(); ++k) {
-        fold_range(spans[k].first, out.window.bases[k],
-                   spans[k].second - spans[k].first);
-    }
-}
-
 /**
  * Grid extent from the kernel's spilled launch expression, evaluated
  * over the request's scalar bindings; 0 when the kernel has no block
@@ -254,14 +167,16 @@ blockExtentOf(const CompiledKernel &kernel, const Bindings &bindings)
     return 0;
 }
 
-/** Execute one kernel (optionally windowed) on the chosen backend. */
+/** Execute blocks [begin, end) of one kernel on the chosen backend. */
 void
 execOne(const CompiledKernel &kernel, const Bindings &bindings,
-        const ExecOptions &options,
-        const runtime::RunOptions &window = runtime::RunOptions())
+        const ExecOptions &options, int64_t block_begin = 0,
+        int64_t block_end = -1)
 {
-    runtime::RunOptions run = window;
+    runtime::RunOptions run;
     run.backend = options.backend;
+    run.blockBegin = block_begin;
+    run.blockEnd = block_end;
     // Tier chain: native when promoted, bytecode otherwise, with the
     // interpreter as the final authority. A kNative dispatch whose
     // kernel has no swapped-in artifact yet (promotion pending, or
@@ -296,16 +211,8 @@ runSerial(const std::vector<const CompiledKernel *> &kernels,
 
 } // namespace
 
-void
-AccumOutput::setSpans(std::vector<Span> spans)
-{
-    window = runtime::OffsetView::fromSpans(std::move(spans));
-    wholeArray = false;
-}
-
 CompiledKernel
-compileKernel(const ir::PrimFunc &func, bool with_program,
-              bool analyze_accums)
+compileKernel(const ir::PrimFunc &func, bool with_program)
 {
     SPARSETIR_TRACE_SCOPE("compile", "compile.kernel");
     CompiledKernel kernel;
@@ -326,37 +233,31 @@ compileKernel(const ir::PrimFunc &func, bool with_program,
                    runtime::findBlockIdxLoop(func->body)) {
         kernel.blockExtent = loop->extent;
     }
-    if (analyze_accums) {
-        for (std::string &name :
-             ParallelExecutor::accumulatedParams(func)) {
-            AccumOutput out;
-            out.name = std::move(name);
-            kernel.accums.push_back(std::move(out));
-        }
+    for (std::string &name : ParallelExecutor::accumulatedParams(func)) {
+        AccumOutput out;
+        out.name = std::move(name);
+        kernel.accums.push_back(std::move(out));
     }
     return kernel;
 }
 
 std::vector<Span>
-touchedRowSpans(const std::vector<int32_t> &rows, int64_t row_width)
+blockHulls(const std::vector<int32_t> &rows, int64_t rows_per_block,
+           int64_t row_width)
 {
-    std::vector<int32_t> sorted(rows);
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()),
-                 sorted.end());
-    std::vector<Span> spans;
-    for (size_t i = 0; i < sorted.size();) {
-        size_t j = i + 1;
-        while (j < sorted.size() &&
-               sorted[j] == sorted[j - 1] + 1) {
-            ++j;
-        }
-        spans.emplace_back(
-            static_cast<int64_t>(sorted[i]) * row_width,
-            (static_cast<int64_t>(sorted[j - 1]) + 1) * row_width);
-        i = j;
+    ICHECK_GT(rows_per_block, 0);
+    ICHECK(std::is_sorted(rows.begin(), rows.end()))
+        << "block hulls need non-decreasing rows";
+    int64_t n = static_cast<int64_t>(rows.size());
+    std::vector<Span> hulls;
+    hulls.reserve((n + rows_per_block - 1) / rows_per_block);
+    for (int64_t first = 0; first < n; first += rows_per_block) {
+        int64_t last = std::min(first + rows_per_block, n) - 1;
+        hulls.emplace_back(rows[first] * row_width,
+                           (static_cast<int64_t>(rows[last]) + 1) *
+                               row_width);
     }
-    return spans;
+    return hulls;
 }
 
 // ---------------------------------------------------------------------
@@ -480,22 +381,6 @@ ScratchPool::resetPeak()
     peakLeasedBytes_ = leasedBytes_;
 }
 
-void
-ScratchPool::poisonFree(unsigned char byte)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &[key, entries] : free_) {
-        (void)key;
-        for (FreeEntry &entry : entries) {
-            int64_t bytes = arrayBytes(*entry.array);
-            if (bytes > 0) {
-                std::memset(entry.array->rawData(), byte,
-                            static_cast<size_t>(bytes));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // ParallelExecutor
 // ---------------------------------------------------------------------
@@ -523,109 +408,176 @@ ParallelExecutor::accumulatedParams(const PrimFunc &func)
                                     finder.found().end());
 }
 
-Bindings
-ParallelExecutor::privatize(const CompiledKernel &kernel,
-                            const Bindings &shared,
-                            std::vector<Private> *privates,
-                            runtime::RunOptions *run) const
-{
-    Bindings local = shared;
-    for (const AccumOutput &out : kernel.accums) {
-        // Lazy-binding convention: an accumulated buffer the caller
-        // did not bind would fault on access anyway.
-        auto it = shared.arrays.find(out.name);
-        if (it == shared.arrays.end()) {
-            continue;
-        }
-        const NDArray &orig = *it->second;
-        int64_t numel = orig.numel();
-        if (!out.wholeArray) {
-            // Spans come from the artifact; the output array from
-            // the caller. An undersized binding must fail here with
-            // a binding diagnostic, not later as a VM bounds fault.
-            if (!out.window.spans.empty()) {
-                ICHECK_LE(out.window.spans.back().second, orig.numel())
-                    << "write-set span of '" << out.name
-                    << "' exceeds the bound output array (undersized "
-                       "output binding?)";
-            }
-            // Lease only the write-set extent. An empty write set
-            // leases zero elements: the unit can touch nothing, and
-            // if the kernel writes anyway the window faults — the
-            // old empty-spans == whole-array sentinel instead paid a
-            // full-output zero+fold (and flipped -0.0 pre-values).
-            numel = out.window.numel;
-        }
-        ScratchPool::Lease lease = scratch_.acquire(numel, orig.dtype());
-        // Record the lease before any step that can throw, so the
-        // caller's cleanup path can release it.
-        privates->push_back(Private{&out, lease.array});
-        // The zero contract is the executor's, not the allocator's:
-        // pool contents are unspecified, so zero unconditionally
-        // rather than depending on NDArray's constructor fill (a
-        // redundant memset only on the cold, pool-miss path; leases
-        // are write-set sized, so it covers exactly the bytes that
-        // will be folded).
-        lease.array->zero();
-        local.arrays[out.name] = lease.array;
-        if (!out.wholeArray) {
-            // The kernel keeps writing absolute offsets; both
-            // backends translate them through this view into the
-            // packed lease.
-            run->offsetViews.push_back(
-                runtime::BufferView{out.name, &out.window});
-        }
-    }
-    return local;
-}
 
 void
-ParallelExecutor::foldAndRelease(const Bindings &shared,
-                                 std::vector<Private> *privates) const
-{
-    for (Private &priv : *privates) {
-        NDArray *target = shared.arrays.at(priv.out->name);
-        foldInto(target, *priv.array, *priv.out);
-        scratch_.release(priv.array);
-        priv.array = nullptr;
-    }
-    privates->clear();
-}
-
-void
-ParallelExecutor::releaseAll(
-    std::vector<std::vector<Private>> *privates) const
-{
-    for (auto &group : *privates) {
-        for (Private &priv : group) {
-            if (priv.array != nullptr) {
-                scratch_.release(priv.array);
-                priv.array = nullptr;
-            }
-        }
-        group.clear();
-    }
-}
-
-int
 ParallelExecutor::run(const std::vector<const CompiledKernel *> &kernels,
                       const std::vector<const Bindings *> &requests,
                       const ExecOptions &options) const
 {
     if (serial(options)) {
-        // Serial sessions skip graph construction entirely — the
-        // plan (extent evaluations, unit/chain vectors) would be
-        // built per dispatch only to be ignored by the fallback.
+        // Serial sessions skip graph construction entirely.
         runSerial(kernels, requests, options);
-        return 0;
+        return;
     }
-    return runTaskGraph(buildTaskGraph(kernels, requests, options),
-                        requests, options);
+    runTaskGraph(buildTaskGraph(kernels, requests, options), requests,
+                 options);
 }
 
 // ---------------------------------------------------------------------
-// Fused task-graph dispatch
+// Conflict-ordered task graph
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** Whether every accumulated output of `kernel` carries block hulls. */
+bool
+hasHulls(const CompiledKernel &kernel)
+{
+    if (kernel.accums.empty()) {
+        return false;
+    }
+    for (const AccumOutput &out : kernel.accums) {
+        if (out.hulls.empty()) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/** What one unit accumulates into, for the ordering rule. */
+struct UnitWrites
+{
+    bool accumulates = false;
+    /** False: the write set is unknown and conflicts with any. */
+    bool known = false;
+    /** (output, hull of the unit's blocks) per accumulated output. */
+    std::vector<std::pair<const std::string *, Span>> hulls;
+};
+
+UnitWrites
+unitWrites(const CompiledKernel &kernel, int64_t begin, int64_t end)
+{
+    UnitWrites writes;
+    writes.accumulates = !kernel.accums.empty();
+    writes.known = hasHulls(kernel);
+    if (!writes.known) {
+        return writes;
+    }
+    for (const AccumOutput &out : kernel.accums) {
+        int64_t num_blocks = static_cast<int64_t>(out.hulls.size());
+        int64_t last = end < 0 ? num_blocks : std::min(end, num_blocks);
+        Span hull{std::numeric_limits<int64_t>::max(),
+                  std::numeric_limits<int64_t>::min()};
+        for (int64_t b = begin; b < last; ++b) {
+            hull.first = std::min(hull.first, out.hulls[b].first);
+            hull.second = std::max(hull.second, out.hulls[b].second);
+        }
+        if (hull.first < hull.second) {
+            writes.hulls.emplace_back(&out.name, hull);
+        }
+    }
+    return writes;
+}
+
+/** The ordering rule: must the later of two units wait on the other? */
+bool
+conflicts(const UnitWrites &a, const UnitWrites &b)
+{
+    if (!a.accumulates || !b.accumulates) {
+        return false;
+    }
+    if (!a.known || !b.known) {
+        return true;
+    }
+    for (const auto &[name_a, hull_a] : a.hulls) {
+        for (const auto &[name_b, hull_b] : b.hulls) {
+            if (*name_a == *name_b && hull_a.first < hull_b.second &&
+                hull_b.first < hull_a.second) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+/**
+ * Element cuts shared by every hull-bearing kernel: quantiles of all
+ * their blocks' hull starts, so each band holds about the same number
+ * of blocks. At most `bands` - 1 cuts, none when fewer than two bands
+ * of `min_chunk` blocks fit.
+ */
+std::vector<int64_t>
+commonCuts(const std::vector<const CompiledKernel *> &kernels,
+           int64_t bands, int64_t min_chunk)
+{
+    std::vector<int64_t> starts;
+    for (const CompiledKernel *kernel : kernels) {
+        if (hasHulls(*kernel)) {
+            for (const Span &hull : kernel->accums[0].hulls) {
+                starts.push_back(hull.first);
+            }
+        }
+    }
+    int64_t num_starts = static_cast<int64_t>(starts.size());
+    bands = std::min(bands, num_starts / min_chunk);
+    std::vector<int64_t> cuts;
+    if (bands < 2) {
+        return cuts;
+    }
+    std::sort(starts.begin(), starts.end());
+    for (int64_t j = 1; j < bands; ++j) {
+        cuts.push_back(starts[j * num_starts / bands]);
+    }
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    return cuts;
+}
+
+/**
+ * Block ranges of a hull-bearing kernel: a new chunk starts at the
+ * first block whose hull starts at or after each cut.
+ */
+std::vector<Span>
+cutAt(const CompiledKernel &kernel, const std::vector<int64_t> &cuts)
+{
+    const std::vector<Span> &hulls = kernel.accums[0].hulls;
+    int64_t num_blocks = static_cast<int64_t>(hulls.size());
+    std::vector<Span> ranges;
+    int64_t begin = 0;
+    for (int64_t cut : cuts) {
+        int64_t end =
+            std::lower_bound(hulls.begin() + begin, hulls.end(), cut,
+                             [](const Span &hull, int64_t value) {
+                                 return hull.first < value;
+                             }) -
+            hulls.begin();
+        if (end > begin) {
+            ranges.emplace_back(begin, end);
+            begin = end;
+        }
+    }
+    if (begin < num_blocks) {
+        ranges.emplace_back(begin, num_blocks);
+    }
+    return ranges;
+}
+
+/** [0, extent) in `chunks` near-equal contiguous block ranges. */
+std::vector<Span>
+evenChunks(int64_t extent, int64_t chunks)
+{
+    std::vector<Span> ranges;
+    int64_t base = extent / chunks;
+    int64_t rem = extent % chunks;
+    int64_t begin = 0;
+    for (int64_t c = 0; c < chunks; ++c) {
+        int64_t len = base + (c < rem ? 1 : 0);
+        ranges.emplace_back(begin, begin + len);
+        begin += len;
+    }
+    return ranges;
+}
+
+} // namespace
 
 TaskGraph
 ParallelExecutor::buildTaskGraph(
@@ -636,81 +588,68 @@ ParallelExecutor::buildTaskGraph(
     TaskGraph graph;
     graph.kernels = kernels;
     graph.numRequests = static_cast<int>(requests.size());
-    graph.chains.resize(requests.size());
     if (kernels.empty() || requests.empty()) {
         return graph;
     }
-    int workers = pool_->size();
-    // Requests alone fill the pool: parallelize across requests only.
-    // Each chain runs its kernels in list order on shared storage —
-    // the serial order, so bitwise by construction — and nothing is
-    // privatized, zeroed, windowed or folded.
-    bool all_on_shared =
-        static_cast<int64_t>(requests.size()) >= workers;
-    int64_t num_splittable = 0;
-    for (const CompiledKernel *kernel : kernels) {
-        if (!kernel->exclusive) {
-            ++num_splittable;
-        }
-    }
-    // Spread the pool across the whole cross product: each
-    // non-exclusive (request, kernel) pair gets at most
-    // ceil(workers / pairs) grid chunks, keeping the unit count near
-    // the worker count. Once requests x kernels alone saturates the
-    // pool, nothing is split (pure unit parallelism, minimal
-    // privatization).
-    int64_t pairs = std::max<int64_t>(
-        1, static_cast<int64_t>(requests.size()) * num_splittable);
-    int64_t cap =
-        std::max<int64_t>(1, (workers + pairs - 1) / pairs);
+    int64_t num_requests = static_cast<int64_t>(requests.size());
+    // Chunks each request asks for: 1 once the requests alone fill the
+    // pool, so a full batch plans one unit per (request, kernel).
+    int64_t per_request = (pool_->size() + num_requests - 1) / num_requests;
     int64_t min_chunk = std::max<int64_t>(options.minBlocksPerChunk, 1);
-    for (size_t r = 0; r < requests.size(); ++r) {
+    // Hulls are per artifact, not per request: one set of cuts serves
+    // every request.
+    std::vector<int64_t> cuts;
+    if (per_request >= 2) {
+        cuts = commonCuts(kernels, per_request, min_chunk);
+    }
+    std::vector<UnitWrites> writes;
+    for (int64_t r = 0; r < num_requests; ++r) {
+        size_t first = graph.units.size();
         for (size_t k = 0; k < kernels.size(); ++k) {
-            TaskGraph::ChainEntry entry;
-            entry.kernel = static_cast<int>(k);
-            if (all_on_shared || kernels[k]->exclusive) {
-                // Never split, never privatized: executes on shared
-                // storage at its chain position.
-                entry.onShared = true;
-                graph.chains[r].push_back(entry);
-                continue;
-            }
-            int64_t chunks = 1;
-            int64_t extent = 0;
-            if (cap >= 2) {
-                extent = blockExtentOf(*kernels[k], *requests[r]);
-                if (extent > 0) {
-                    chunks = std::max<int64_t>(
-                        1, std::min(cap, extent / min_chunk));
+            const CompiledKernel &kernel = *kernels[k];
+            std::vector<Span> ranges;
+            if (hasHulls(kernel)) {
+                ICHECK_LE(blockExtentOf(kernel, *requests[r]),
+                          static_cast<int64_t>(
+                              kernel.accums[0].hulls.size()))
+                    << "kernel has more grid blocks than block hulls";
+                ranges = cutAt(kernel, cuts);
+            } else if (kernel.accums.empty() && per_request >= 2) {
+                int64_t extent = blockExtentOf(kernel, *requests[r]);
+                int64_t chunks =
+                    std::min(per_request, extent / min_chunk);
+                if (chunks >= 2) {
+                    ranges = evenChunks(extent, chunks);
                 }
             }
-            entry.firstUnit = graph.units.size();
-            entry.numUnits = static_cast<int>(chunks);
-            if (chunks < 2) {
-                entry.numUnits = 1;
-                graph.units.push_back(
-                    TaskGraph::Unit{static_cast<int>(r),
-                                    static_cast<int>(k), 0, -1});
-            } else {
-                int64_t base = extent / chunks;
-                int64_t rem = extent % chunks;
-                int64_t begin = 0;
-                for (int64_t c = 0; c < chunks; ++c) {
-                    int64_t len = base + (c < rem ? 1 : 0);
-                    graph.units.push_back(
-                        TaskGraph::Unit{static_cast<int>(r),
-                                        static_cast<int>(k), begin,
-                                        begin + len});
-                    begin += len;
+            if (ranges.size() < 2) {
+                ranges = {Span{0, -1}};  // unsplit
+            }
+            for (const Span &range : ranges) {
+                TaskGraph::Unit unit;
+                unit.request = static_cast<int>(r);
+                unit.kernel = static_cast<int>(k);
+                unit.blockBegin = range.first;
+                unit.blockEnd = range.second;
+                graph.units.push_back(std::move(unit));
+                writes.push_back(
+                    unitWrites(kernel, range.first, range.second));
+            }
+        }
+        // The one rule: wait on every earlier conflicting unit of the
+        // same request.
+        for (size_t u = first; u < graph.units.size(); ++u) {
+            for (size_t v = first; v < u; ++v) {
+                if (conflicts(writes[u], writes[v])) {
+                    graph.units[u].after.push_back(static_cast<int>(v));
                 }
             }
-            graph.chains[r].push_back(entry);
         }
     }
     return graph;
 }
 
-int
+void
 ParallelExecutor::runTaskGraph(
     const TaskGraph &graph,
     const std::vector<const Bindings *> &requests,
@@ -718,160 +657,100 @@ ParallelExecutor::runTaskGraph(
 {
     ICHECK_EQ(static_cast<size_t>(graph.numRequests), requests.size())
         << "task graph was built for a different request set";
-    if (graph.kernels.empty() || requests.empty()) {
-        return 0;
+    if (graph.units.empty()) {
+        return;
     }
     if (serial(options)) {
         runSerial(graph.kernels, requests, options);
-        return 0;
+        return;
     }
 
-    int64_t num_requests = static_cast<int64_t>(requests.size());
-    size_t num_kernels = graph.kernels.size();
     size_t num_units = graph.units.size();
-
-    // Per-(request, kernel) count of unfinished compute units. A
-    // fold entry is ready exactly when its count hits
-    // zero; the release-decrement / acquire-load pair makes the
-    // finishing unit's private writes visible to whichever thread
-    // folds them.
-    std::unique_ptr<std::atomic<int>[]> pending(
-        new std::atomic<int>[num_requests * num_kernels]);
-    for (int64_t i = 0; i < num_requests *
-                                static_cast<int64_t>(num_kernels);
-         ++i) {
-        pending[i].store(0, std::memory_order_relaxed);
-    }
-    for (int64_t r = 0; r < num_requests; ++r) {
-        for (const TaskGraph::ChainEntry &entry : graph.chains[r]) {
-            if (!entry.onShared) {
-                pending[r * num_kernels + entry.kernel].store(
-                    entry.numUnits, std::memory_order_relaxed);
-            }
+    // Successor lists (CSR) and outstanding-wait counts.
+    std::vector<size_t> succ_begin(num_units + 1, 0);
+    std::vector<size_t> waits(num_units, 0);
+    for (size_t u = 0; u < num_units; ++u) {
+        waits[u] = graph.units[u].after.size();
+        for (int v : graph.units[u].after) {
+            ICHECK(v >= 0 && static_cast<size_t>(v) < u)
+                << "task graph edges must point to earlier units";
+            ++succ_begin[v + 1];
         }
     }
-    std::vector<std::mutex> chain_mu(num_requests);
-    std::vector<size_t> cursor(num_requests, 0);
-    // Chain has a thread inside an on-shared kernel (lock dropped
-    // for the duration); other advances return and the busy thread
-    // re-walks when it finishes.
-    std::vector<uint8_t> busy(num_requests, 0);
-
-    std::vector<std::vector<Private>> privates(num_units);
-    std::vector<Bindings> locals;
-    locals.reserve(num_units);
-    std::vector<runtime::RunOptions> runs(num_units);
-    int privatized = 0;
-    try {
-        for (size_t i = 0; i < num_units; ++i) {
-            const TaskGraph::Unit &unit = graph.units[i];
-            runs[i].blockBegin = unit.blockBegin;
-            runs[i].blockEnd = unit.blockEnd;
-            locals.push_back(privatize(*graph.kernels[unit.kernel],
-                                       *requests[unit.request],
-                                       &privates[i], &runs[i]));
-            if (!privates[i].empty()) {
-                ++privatized;
-            }
+    for (size_t u = 0; u < num_units; ++u) {
+        succ_begin[u + 1] += succ_begin[u];
+    }
+    std::vector<size_t> succ(succ_begin[num_units]);
+    std::vector<size_t> fill(succ_begin.begin(), succ_begin.end() - 1);
+    for (size_t u = 0; u < num_units; ++u) {
+        for (int v : graph.units[u].after) {
+            succ[fill[v]++] = u;
         }
+    }
 
-        // Walk request r's chain as far as readiness allows. Every
-        // pending-hit-zero event calls this, so the chain drains: the
-        // mutex totally orders the walks, each decrement precedes its
-        // own walk, hence the last walk in lock order sees every
-        // earlier kernel ready and runs to the end. An on-shared
-        // kernel executes with the lock DROPPED (`busy` keeps later
-        // folds of the same request ordered behind it while
-        // concurrent advances return instead of idling on the
-        // mutex); the executing thread re-walks afterwards, so any
-        // readiness event that arrived meanwhile is picked up.
-        auto advance = [&](int64_t r) {
-            std::unique_lock<std::mutex> lock(chain_mu[r]);
-            if (busy[r]) {
-                return;  // the busy thread re-walks when it finishes
-            }
-            const std::vector<TaskGraph::ChainEntry> &chain =
-                graph.chains[r];
-            while (cursor[r] < chain.size()) {
-                const TaskGraph::ChainEntry &entry = chain[cursor[r]];
-                if (entry.onShared) {
-                    busy[r] = 1;
-                    lock.unlock();
-                    {
-                        SPARSETIR_TRACE_SCOPE2(
-                            "exec", "fused.shared", "kernel",
-                            entry.kernel, "request", r);
-                        execOne(*graph.kernels[entry.kernel],
-                                *requests[r], options);
-                    }
-                    lock.lock();
-                    busy[r] = 0;
-                } else {
-                    if (pending[r * num_kernels + entry.kernel].load(
-                            std::memory_order_acquire) != 0) {
-                        break;
-                    }
-                    SPARSETIR_TRACE_SCOPE2("exec", "fused.fold",
-                                           "kernel", entry.kernel,
-                                           "request", r);
-                    for (int c = 0; c < entry.numUnits; ++c) {
-                        foldAndRelease(*requests[r],
-                                       &privates[entry.firstUnit + c]);
-                    }
-                }
-                ++cursor[r];
-            }
-        };
+    // One ready set, earliest unit in serial order first. The mutex
+    // orders a unit's completion before any successor starts, so the
+    // successor sees every store of its predecessors.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>>
+        ready;
+    for (size_t u = 0; u < num_units; ++u) {
+        if (waits[u] == 0) {
+            ready.push(u);
+        }
+    }
+    size_t finished = 0;
+    std::exception_ptr error;
 
-        // ONE pool over everything: a kickoff task per request (so a
-        // chain headed by an on-shared entry starts without waiting
-        // on any compute unit) plus every compute unit, drained by at
-        // most one self-replenishing runner per worker over a shared
-        // task counter.
-        int64_t total_tasks =
-            num_requests + static_cast<int64_t>(num_units);
-        std::atomic<int64_t> next_task{0};
-        auto run_task = [&](int64_t t) {
-            if (t < num_requests) {
-                advance(t);
+    auto runner = [&](int64_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        for (;;) {
+            cv.wait(lock, [&] {
+                return error != nullptr || finished == num_units ||
+                       !ready.empty();
+            });
+            if (error != nullptr || finished == num_units) {
                 return;
             }
-            size_t i = static_cast<size_t>(t - num_requests);
-            const TaskGraph::Unit &unit = graph.units[i];
-            {
+            size_t u = ready.top();
+            ready.pop();
+            lock.unlock();
+            const TaskGraph::Unit &unit = graph.units[u];
+            try {
                 SPARSETIR_TRACE_SCOPE2("exec", "fused.unit", "kernel",
                                        unit.kernel, "request",
                                        unit.request);
-                execOne(*graph.kernels[unit.kernel], locals[i],
-                        options, runs[i]);
-            }
-            if (pending[unit.request * num_kernels + unit.kernel]
-                    .fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                advance(unit.request);
-            }
-        };
-        pool_->parallelFor(
-            std::min<int64_t>(pool_->size(), total_tasks),
-            [&](int64_t) {
-                for (;;) {
-                    int64_t t = next_task.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (t >= total_tasks) {
-                        return;
-                    }
-                    run_task(t);
+                execOne(*graph.kernels[unit.kernel],
+                        *requests[unit.request], options,
+                        unit.blockBegin, unit.blockEnd);
+            } catch (...) {
+                lock.lock();
+                if (error == nullptr) {
+                    error = std::current_exception();
                 }
-            });
-        for (int64_t r = 0; r < num_requests; ++r) {
-            ICHECK_EQ(cursor[r], graph.chains[r].size())
-                << "fused fold chain of request " << r
-                << " did not drain";
+                cv.notify_all();
+                return;
+            }
+            lock.lock();
+            ++finished;
+            for (size_t i = succ_begin[u]; i < succ_begin[u + 1]; ++i) {
+                if (--waits[succ[i]] == 0) {
+                    ready.push(succ[i]);
+                    cv.notify_one();
+                }
+            }
+            if (finished == num_units) {
+                cv.notify_all();
+            }
         }
-    } catch (...) {
-        releaseAll(&privates);
-        throw;
+    };
+    pool_->parallelFor(
+        std::min<int64_t>(pool_->size(), static_cast<int64_t>(num_units)),
+        runner);
+    if (error != nullptr) {
+        std::rethrow_exception(error);
     }
-    return privatized;
 }
 
 } // namespace engine

@@ -99,9 +99,9 @@ const char *opKindName(OpKind op);
  *       spilled block-extent expression so warm dispatch never
  *       probes the grid through the interpreter.
  *  v4 — AccumOutput write sets carry an explicit whole-array flag
- *       and a packed OffsetView window (span-extent-sized
- *       privatization leases); an empty span list now means "touches
- *       nothing", no longer the whole-array sentinel.
+ *       and a packed window over their spans; an empty span list
+ *       now means "touches nothing", no longer the whole-array
+ *       sentinel.
  *  v5 — graph-level artifacts (OpKind::kGraph): the structure field
  *       fingerprints a whole OpGraph's node/edge topology (op kinds,
  *       per-edge sparsity-structure hashes, feature shapes), and the
@@ -111,8 +111,11 @@ const char *opKindName(OpKind op);
  *       backend; the version is also folded into every persisted
  *       native artifact's key tag, so on-disk .so files built by
  *       older code are rejected and rebuilt rather than loaded.
+ *  v7 — AccumOutput carries proven per-block element hulls instead
+ *       of span windows, and kernels lose the split-row marking; the
+ *       task graph orders units by hull overlap (native ABI v3).
  */
-constexpr uint32_t kArtifactVersion = 6;
+constexpr uint32_t kArtifactVersion = 7;
 
 /** Key of one compile-cache entry. */
 struct CacheKey

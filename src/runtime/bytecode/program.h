@@ -18,12 +18,6 @@
  * kBlockWindow instruction through which RunOptions block windows are
  * applied without recompiling (the unit of host-side parallelism).
  *
- * Buffer slots are rebasable per dispatch: RunOptions::offsetViews
- * names parameter slots whose accesses the VM translates through a
- * runtime::OffsetView into packed storage, so one Program also serves
- * every write-set-sized privatization buffer of a parallel execution
- * — the program itself stays offset-agnostic and immutable.
- *
  * The instruction semantics mirror the tree-walking interpreter
  * exactly — same integer/float promotion, same short-circuit
  * evaluation, same storage rounding — so a Program's results are
@@ -163,10 +157,6 @@ elemKindIsFloat(ElemKind kind)
 
 /**
  * One buffer slot: a function parameter or a scratch allocation.
- * Parameter slots may additionally be rebased per dispatch through
- * RunOptions::offsetViews (matched by name at bind time); the
- * compiled access instructions are unchanged — translation happens in
- * the VM's slot resolution.
  */
 struct SlotInfo
 {

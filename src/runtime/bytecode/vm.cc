@@ -22,20 +22,12 @@ struct SlotRt
     ElemKind kind = ElemKind::kF32;
     int ebytes = 4;
     bool bound = false;
-    /**
-     * Per-dispatch rebasing (RunOptions::offsetViews): when set,
-     * every access translates its absolute offset through the view
-     * into the packed storage bound to this slot. Null for all but
-     * privatized accumulator slots, so the hot path pays one
-     * predictable branch.
-     */
-    const OffsetView *view = nullptr;
 };
 
 /**
  * Reusable execution state, leased per run from a thread-local arena.
  *
- * A fused task-graph dispatch executes many small (request x kernel x
+ * A task-graph dispatch executes many small (request x kernel x
  * grid-chunk) units per call, each a fresh VM run; constructing the
  * register files, slot table and scratch vectors per unit made heap
  * churn a visible per-unit cost. The arena keeps its capacity across
@@ -114,33 +106,11 @@ struct Machine
         std::abort();  // unreachable; ICHECK throws
     }
 
-    /** Window fault diagnosis, off the hot path. */
-    [[noreturn]] void
-    faultWindow(int32_t index, int64_t offset) const
-    {
-        ICHECK(false)
-            << "offset " << offset << " of buffer '"
-            << prog.slots[static_cast<size_t>(index)].name
-            << "' lies outside its rebased window (write-set spans "
-               "must cover every touched element)";
-        std::abort();  // unreachable; ICHECK throws
-    }
-
-    /**
-     * Resolve a slot for an access at `offset`, translating rebased
-     * slots into their packed storage (offset is updated in place).
-     */
+    /** Resolve a slot for an access at `offset`, bounds-checked. */
     const SlotRt &
-    slotAt(int32_t index, int64_t &offset) const
+    slotAt(int32_t index, int64_t offset) const
     {
         const SlotRt &s = slots[static_cast<size_t>(index)];
-        if (s.view != nullptr) {
-            int64_t packed = s.view->translate(offset);
-            if (packed < 0) {
-                faultWindow(index, offset);
-            }
-            offset = packed;
-        }
         if (static_cast<uint64_t>(offset) >=
             static_cast<uint64_t>(s.numel)) {
             faultAccess(index, offset);
@@ -462,10 +432,6 @@ struct Machine
                     << "no storage bound for buffer '"
                     << prog.slots[static_cast<size_t>(in.b)].name
                     << "'";
-                ICHECK(s.view == nullptr)
-                    << "binary search over rebased buffer '"
-                    << prog.slots[static_cast<size_t>(in.b)].name
-                    << "'";
                 int64_t lo = ir[in.c];
                 int64_t hi = ir[in.d];
                 int64_t val = ir[in.imm];
@@ -554,17 +520,6 @@ execute(const Program &program, const Bindings &bindings,
         s.kind = elemKindOfDtype(arr->dtype());
         s.ebytes = arr->elemBytes();
         s.bound = true;
-    }
-    // Rebased slots: accesses of these parameters translate through
-    // the view into the packed array bound above (typically a
-    // write-set-sized privatization buffer).
-    for (const BufferView &bv : options.offsetViews) {
-        for (int32_t i = 0; i < program.numParamSlots; ++i) {
-            if (program.slots[static_cast<size_t>(i)].name ==
-                bv.name) {
-                m.slots[static_cast<size_t>(i)].view = bv.view;
-            }
-        }
     }
     for (const ScalarParam &sp : program.scalarParams) {
         auto it = bindings.scalars.find(sp.name);

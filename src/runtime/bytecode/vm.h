@@ -14,13 +14,6 @@
  * only when an instruction touches their slot, preserving the
  * interpreter's lazy-binding convention. Scalar parameters referenced
  * anywhere in the program must be bound up front.
- *
- * RunOptions::offsetViews rebases named parameter slots per dispatch:
- * every access of such a slot translates its absolute offset through
- * the view into the packed (write-set-sized) array bound under the
- * same name, and faults on offsets outside the window. The
- * interpreter applies the identical translation, so rebased runs stay
- * bitwise-comparable across backends.
  */
 
 #ifndef SPARSETIR_RUNTIME_BYTECODE_VM_H_

@@ -55,28 +55,6 @@ struct Value
 
 } // namespace
 
-OffsetView
-OffsetView::fromSpans(std::vector<std::pair<int64_t, int64_t>> spans)
-{
-    OffsetView view;
-    view.bases.reserve(spans.size());
-    int64_t packed = 0;
-    int64_t prev_end = 0;
-    for (const auto &span : spans) {
-        ICHECK_GE(span.first, 0) << "negative span begin";
-        ICHECK_LT(span.first, span.second)
-            << "empty or inverted span in offset view";
-        ICHECK_GE(span.first, prev_end)
-            << "offset-view spans must be sorted and disjoint";
-        prev_end = span.second;
-        view.bases.push_back(packed);
-        packed += span.second - span.first;
-    }
-    view.numel = packed;
-    view.spans = std::move(spans);
-    return view;
-}
-
 int64_t
 floordivInt(int64_t a, int64_t b)
 {
@@ -186,17 +164,6 @@ class Machine
         return evalExpr(e).asInt();
     }
 
-    /** Rebase accesses of handle parameter `name` (see OffsetView). */
-    void
-    bindView(const std::string &name, const OffsetView *view)
-    {
-        for (const auto &param : func_->params) {
-            if (param->dtype.isHandle() && param->name == name) {
-                views_[param.get()] = view;
-            }
-        }
-    }
-
   private:
     NDArray *
     arrayOf(const Buffer &buffer)
@@ -205,30 +172,6 @@ class Machine
         ICHECK(it != arrays_.end())
             << "no storage bound for buffer '" << buffer->name << "'";
         return it->second;
-    }
-
-    /**
-     * Translate an absolute offset into a rebased buffer's packed
-     * storage; identity for buffers without a view. Faults on
-     * accesses outside the window — the write-set contract made
-     * checkable.
-     */
-    int64_t
-    viewOffset(const Buffer &buffer, int64_t offset)
-    {
-        if (views_.empty()) {
-            return offset;
-        }
-        auto it = views_.find(buffer->data.get());
-        if (it == views_.end()) {
-            return offset;
-        }
-        int64_t packed = it->second->translate(offset);
-        ICHECK_GE(packed, 0)
-            << "offset " << offset << " of buffer '" << buffer->name
-            << "' lies outside its rebased window (write-set spans "
-               "must cover every touched element)";
-        return packed;
     }
 
     /** Row-major flat offset of an access. */
@@ -261,7 +204,6 @@ class Machine
         NDArray *array = arrayOf(buffer);
         int64_t offset = flatOffset(buffer, indices);
         ICHECK_GE(offset, 0) << "negative offset into " << buffer->name;
-        offset = viewOffset(buffer, offset);
         ICHECK_LT(offset, array->numel())
             << "offset " << offset << " out of bounds for buffer '"
             << buffer->name << "' (numel " << array->numel() << ")";
@@ -278,7 +220,6 @@ class Machine
         NDArray *array = arrayOf(buffer);
         int64_t offset = flatOffset(buffer, indices);
         ICHECK_GE(offset, 0) << "negative offset into " << buffer->name;
-        offset = viewOffset(buffer, offset);
         ICHECK_LT(offset, array->numel())
             << "offset " << offset << " out of bounds for buffer '"
             << buffer->name << "' (numel " << array->numel() << ")";
@@ -350,10 +291,6 @@ class Machine
           case Builtin::kUpperBound: {
             ICHECK(op->bufferArg != nullptr);
             ICHECK_EQ(op->args.size(), 3u);
-            ICHECK(views_.find(op->bufferArg->data.get()) ==
-                   views_.end())
-                << "binary search over rebased buffer '"
-                << op->bufferArg->name << "'";
             NDArray *array = arrayOf(op->bufferArg);
             int64_t lo = evalExpr(op->args[0]).asInt();
             int64_t hi = evalExpr(op->args[1]).asInt();
@@ -391,7 +328,6 @@ class Machine
             NDArray *array = arrayOf(op->bufferArg);
             int64_t offset = evalExpr(op->args[0]).asInt();
             ICHECK_GE(offset, 0);
-            offset = viewOffset(op->bufferArg, offset);
             ICHECK_LT(offset, array->numel());
             if (array->dtype().isFloat()) {
                 double old = array->floatAt(offset);
@@ -582,8 +518,6 @@ class Machine
     PrimFunc func_;
     std::unordered_map<const VarNode *, Value> scalars_;
     std::unordered_map<const VarNode *, NDArray *> arrays_;
-    /** Rebased handle parameters (see OffsetView); usually empty. */
-    std::unordered_map<const VarNode *, const OffsetView *> views_;
     std::vector<std::unique_ptr<NDArray>> allocations_;
     const ForNode *restricted_loop_ = nullptr;
     int64_t block_begin_ = 0;
@@ -624,9 +558,6 @@ runInterpreted(const ir::PrimFunc &func, const Bindings &bindings,
                const RunOptions &options)
 {
     Machine machine(func, bindings);
-    for (const BufferView &bv : options.offsetViews) {
-        machine.bindView(bv.name, bv.view);
-    }
     if (options.blockEnd >= 0) {
         const ForNode *loop = findBlockIdxLoop(func->body);
         USER_CHECK(loop != nullptr)

@@ -36,83 +36,6 @@ struct Bindings
 };
 
 /**
- * A compact window over a logically full-sized buffer parameter.
- *
- * Kernels address scatter outputs by absolute element offset, but a
- * kernel unit typically writes only a small part of the output (its
- * touched rows). An OffsetView describes that write set as sorted,
- * disjoint absolute spans packed contiguously: binding an array of
- * `numel` (= sum of span extents) elements together with the view
- * makes the backend translate every access of the parameter from its
- * absolute offset into the packed storage. This is what lets the
- * parallel executor privatize an accumulated output into scratch
- * sized to the unit's write-set extent instead of the whole output.
- *
- * Accesses outside every span fault (InternalError) on both backends
- * — the view doubles as an enforcement of the "spans cover every
- * element the kernel touches" contract, which plain full-sized
- * privatization had to trust.
- */
-struct OffsetView
-{
-    /** Absolute element spans [begin, end): sorted, disjoint. */
-    std::vector<std::pair<int64_t, int64_t>> spans;
-    /** Packed offset of spans[k].first (prefix sum of extents). */
-    std::vector<int64_t> bases;
-    /** Packed storage size: sum of span extents. */
-    int64_t numel = 0;
-
-    /**
-     * Build a view from spans (each non-empty with begin >= 0,
-     * sorted, disjoint; an empty list is a valid empty window whose
-     * every access faults).
-     */
-    static OffsetView
-    fromSpans(std::vector<std::pair<int64_t, int64_t>> spans);
-
-    /**
-     * Packed offset of an absolute offset, or -1 when it lies
-     * outside every span.
-     */
-    int64_t
-    translate(int64_t offset) const
-    {
-        // Contiguous write sets — the common case — cost two
-        // compares and a subtract per access.
-        if (spans.size() == 1) {
-            return offset >= spans[0].first && offset < spans[0].second
-                       ? offset - spans[0].first
-                       : -1;
-        }
-        size_t lo = 0;
-        size_t hi = spans.size();
-        while (lo < hi) {  // first span with begin > offset
-            size_t mid = (lo + hi) / 2;
-            if (spans[mid].first <= offset) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if (lo == 0 || offset >= spans[lo - 1].second) {
-            return -1;
-        }
-        return bases[lo - 1] + (offset - spans[lo - 1].first);
-    }
-};
-
-/**
- * One rebased buffer parameter of a dispatch: every access of the
- * named parameter translates through `view` (borrowed; must outlive
- * the run) into the compact array bound under the same name.
- */
-struct BufferView
-{
-    std::string name;
-    const OffsetView *view = nullptr;
-};
-
-/**
  * Host execution backend for lowered kernels.
  *
  * kInterpreter walks the AST and is the reference semantics; it keeps
@@ -145,23 +68,15 @@ enum class Backend : uint8_t {
  * other statements run normally. This is the unit of host-side
  * parallelism: the lowering keeps writes of distinct blockIdx
  * iterations either disjoint or expressed as read-modify-write
- * accumulation (which the parallel executor privatizes), so disjoint
- * windows of one kernel may run on different threads over shared
- * buffers.
+ * accumulation (which the parallel executor orders by write hull), so
+ * disjoint windows of one kernel may run on different threads over
+ * shared buffers.
  */
 struct RunOptions
 {
     int64_t blockBegin = 0;
     int64_t blockEnd = -1;  // -1: no restriction
     Backend backend = Backend::kBytecode;
-    /**
-     * Rebased buffer parameters of this run (see OffsetView): both
-     * backends translate every access of a listed parameter through
-     * its view into the compact array bound under that name. The
-     * parallel executor uses this to run one kernel unchanged
-     * against a write-set-sized privatization buffer.
-     */
-    std::vector<BufferView> offsetViews;
 };
 
 /**

@@ -34,7 +34,7 @@ namespace native {
  * and cache filename, so a persisted .so built against an older ABI
  * can never be loaded by newer host code.
  */
-constexpr int kNativeAbiVersion = 2;
+constexpr int kNativeAbiVersion = 3;
 
 /** Entry symbol every emitted kernel exports. */
 constexpr const char *kEntrySymbol = "sparsetir_kernel_run";
@@ -49,13 +49,11 @@ enum : int32_t {
     ST_OK = 0,
     /** Unbound / negative / out-of-range element access. */
     ST_FAULT_ACCESS = 1,
-    /** Access outside every span of a rebased (OffsetView) slot. */
-    ST_FAULT_WINDOW = 2,
     /** floordiv / floormod by zero. */
     ST_FAULT_DIV0 = 3,
     /** Register-class mismatch (int access to float storage etc.). */
     ST_FAULT_CLASS = 4,
-    /** Binary search over a rebased slot or an invalid range. */
+    /** Binary search over an invalid range. */
     ST_FAULT_SEARCH = 5,
     /** Negative scratch allocation extent. */
     ST_FAULT_NEGALLOC = 6,
@@ -66,9 +64,7 @@ enum : int32_t {
 /**
  * One buffer slot visible to the kernel: a bound parameter array or
  * a scratch allocation. Mirrors the bytecode VM's SlotRt. `kind`
- * carries a bytecode::ElemKind value; `spans` points at 2*numSpans
- * int64s ([begin, end) pairs) when the slot is rebased through a
- * runtime::OffsetView.
+ * carries a bytecode::ElemKind value.
  *
  * KEEP IN SYNC with the StSlot definition in c_emitter.cc's
  * preamble: same fields, same order, same types.
@@ -80,10 +76,6 @@ struct StSlot
     int32_t kind = 0;
     int32_t ebytes = 0;
     int32_t bound = 0;
-    int32_t hasView = 0;
-    const int64_t *spans = nullptr;
-    const int64_t *bases = nullptr;
-    int64_t numSpans = 0;
 };
 
 /**

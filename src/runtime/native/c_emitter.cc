@@ -50,10 +50,6 @@ typedef struct {
     int32_t kind;
     int32_t ebytes;
     int32_t bound;
-    int32_t has_view;
-    const int64_t *spans;
-    const int64_t *bases;
-    int64_t num_spans;
 } StSlot;
 
 typedef struct {
@@ -67,7 +63,6 @@ typedef struct {
 
 #define ST_OK 0
 #define ST_FAULT_ACCESS 1
-#define ST_FAULT_WINDOW 2
 #define ST_FAULT_DIV0 3
 #define ST_FAULT_CLASS 4
 #define ST_FAULT_SEARCH 5
@@ -97,37 +92,16 @@ static int64_t st_floordiv(int64_t a, int64_t b) {
     return q;
 }
 
-/* Translate (OffsetView) + bounds-check an access; mirrors the VM's slotAt. */
-static int32_t st_resolve(StCtx *ctx, int32_t slot, int64_t *off) {
-    const StSlot *s = &ctx->slots[slot];
-    int64_t o = *off;
-    if (s->has_view) {
-        int64_t packed = -1;
-        if (s->num_spans == 1) {
-            packed = (o >= s->spans[0] && o < s->spans[1]) ? o - s->spans[0] : -1;
-        } else {
-            int64_t lo = 0;
-            int64_t hi = s->num_spans;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (s->spans[2 * mid] <= o) { lo = mid + 1; } else { hi = mid; }
-            }
-            if (lo != 0 && o < s->spans[2 * (lo - 1) + 1]) {
-                packed = s->bases[lo - 1] + (o - s->spans[2 * (lo - 1)]);
-            }
-        }
-        if (packed < 0) { return st_fault(ctx, ST_FAULT_WINDOW, slot, o); }
-        o = packed;
+/* Bounds-check an access; mirrors the VM's slotAt. */
+static int32_t st_resolve(StCtx *ctx, int32_t slot, int64_t off) {
+    if ((uint64_t)off >= (uint64_t)ctx->slots[slot].numel) {
+        return st_fault(ctx, ST_FAULT_ACCESS, slot, off);
     }
-    if ((uint64_t)o >= (uint64_t)s->numel) {
-        return st_fault(ctx, ST_FAULT_ACCESS, slot, o);
-    }
-    *off = o;
     return ST_OK;
 }
 
 static int32_t st_ld_i(StCtx *ctx, int32_t slot, int64_t off, int64_t *out) {
-    ST_CALL(st_resolve(ctx, slot, &off));
+    ST_CALL(st_resolve(ctx, slot, off));
     const StSlot *s = &ctx->slots[slot];
     const unsigned char *p = s->base + (uint64_t)off * (uint64_t)s->ebytes;
     switch (s->kind) {
@@ -141,7 +115,7 @@ static int32_t st_ld_i(StCtx *ctx, int32_t slot, int64_t off, int64_t *out) {
 }
 
 static int32_t st_st_i(StCtx *ctx, int32_t slot, int64_t off, int64_t value) {
-    ST_CALL(st_resolve(ctx, slot, &off));
+    ST_CALL(st_resolve(ctx, slot, off));
     const StSlot *s = &ctx->slots[slot];
     unsigned char *p = s->base + (uint64_t)off * (uint64_t)s->ebytes;
     switch (s->kind) {
@@ -155,7 +129,7 @@ static int32_t st_st_i(StCtx *ctx, int32_t slot, int64_t off, int64_t value) {
 }
 
 static int32_t st_ld_f(StCtx *ctx, int32_t slot, int64_t off, double *out) {
-    ST_CALL(st_resolve(ctx, slot, &off));
+    ST_CALL(st_resolve(ctx, slot, off));
     const StSlot *s = &ctx->slots[slot];
     const unsigned char *p = s->base + (uint64_t)off * (uint64_t)s->ebytes;
     if (s->kind == ST_KF32) { float v; memcpy(&v, p, 4); *out = v; return ST_OK; }
@@ -164,7 +138,7 @@ static int32_t st_ld_f(StCtx *ctx, int32_t slot, int64_t off, double *out) {
 }
 
 static int32_t st_st_f(StCtx *ctx, int32_t slot, int64_t off, double value) {
-    ST_CALL(st_resolve(ctx, slot, &off));
+    ST_CALL(st_resolve(ctx, slot, off));
     const StSlot *s = &ctx->slots[slot];
     unsigned char *p = s->base + (uint64_t)off * (uint64_t)s->ebytes;
     if (s->kind == ST_KF32) {
@@ -181,7 +155,6 @@ static int32_t st_search(StCtx *ctx, int32_t slot, int64_t lo, int64_t hi,
                          int64_t val, int32_t upper, int64_t *out) {
     const StSlot *s = &ctx->slots[slot];
     if (!s->bound) { return st_fault(ctx, ST_FAULT_ACCESS, slot, 0); }
-    if (s->has_view) { return st_fault(ctx, ST_FAULT_SEARCH, slot, 0); }
     if (lo < 0 || hi > s->numel) {
         return st_fault(ctx, ST_FAULT_SEARCH, slot, lo < 0 ? lo : hi);
     }
@@ -232,27 +205,17 @@ static int32_t st_alloc(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
 /* A slot's typed storage as seen by one emitted element kind. */
 typedef struct {
     void *p;
-    int64_t lo;
     int64_t len;
 } StView;
 
 /* Typed view of a slot, hoisted out of the loops: offsets in
-   [lo, lo + len) address p[off - lo] and pass every check st_resolve
-   would make. len is 0 (every access takes the checked helper) for
-   unbound slots, multi-span OffsetViews and bound arrays whose kind
-   differs from the emitted one. */
+   [0, len) address p[off] and pass every check st_resolve would make.
+   len is 0 (every access takes the checked helper) for unbound slots
+   and bound arrays whose kind differs from the emitted one. */
 static StView st_view(const StCtx *ctx, int32_t slot, int32_t kind) {
     const StSlot *s = &ctx->slots[slot];
-    StView v = {s->base, 0, 0};
-    if (!s->bound || s->kind != kind) { return v; }
-    if (!s->has_view) {
-        v.len = s->numel;
-    } else if (s->num_spans == 1) {
-        int64_t width = s->spans[1] - s->spans[0];
-        v.lo = s->spans[0];
-        v.len = width < s->numel ? width : s->numel;
-        if (v.len < 0) { v.len = 0; }
-    }
+    StView v = {s->base, 0};
+    if (s->bound && s->kind == kind) { v.len = s->numel; }
     return v;
 }
 
@@ -273,12 +236,12 @@ static void st_stack(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
    typed load/store or the slot's helper, which returns the same value
    or raises the same fault the helper-only code would. */
 #define ST_LD(w, T, helper, slot, off, out) do { \
-        uint64_t st_o_ = (uint64_t)(off) - (uint64_t)(w).lo; \
+        uint64_t st_o_ = (uint64_t)(off); \
         if (st_o_ < (uint64_t)(w).len) { (out) = ((const T *)(w).p)[st_o_]; } \
         else { ST_CALL(helper(ctx, (slot), (off), &(out))); } \
     } while (0)
 #define ST_ST(w, T, helper, slot, off, val) do { \
-        uint64_t st_o_ = (uint64_t)(off) - (uint64_t)(w).lo; \
+        uint64_t st_o_ = (uint64_t)(off); \
         if (st_o_ < (uint64_t)(w).len) { ((T *)(w).p)[st_o_] = (T)(val); } \
         else { ST_CALL(helper(ctx, (slot), (off), (val))); } \
     } while (0)
@@ -1162,7 +1125,7 @@ class Emitter
                 line(std::string(cType(kind)) + " " + arr + "[" +
                      std::to_string(stack) + "];");
                 line("memset(" + arr + ", 0, sizeof " + arr + ");");
-                line("const StView " + view + " = {" + arr + ", 0, " +
+                line("const StView " + view + " = {" + arr + ", " +
                      intLiteral(stack) + "};");
             } else {
                 Expr size = op->buffer->shape.empty()

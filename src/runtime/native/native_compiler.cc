@@ -298,26 +298,6 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
         s.ebytes = arr->elemBytes();
         s.bound = 1;
     }
-    for (const auto &bv : options.offsetViews) {
-        if (bv.view == nullptr) {
-            continue;
-        }
-        for (int i = 0; i < kernel.numParamSlots; ++i) {
-            if (kernel.slotNames[i] != bv.name) {
-                continue;
-            }
-            static_assert(sizeof(std::pair<int64_t, int64_t>) ==
-                              2 * sizeof(int64_t),
-                          "span pairs must be two packed int64s");
-            StSlot &s = slots[i];
-            s.hasView = 1;
-            s.spans = reinterpret_cast<const int64_t *>(
-                bv.view->spans.data());
-            s.bases = bv.view->bases.data();
-            s.numSpans = static_cast<int64_t>(bv.view->spans.size());
-        }
-    }
-
     std::vector<int64_t> scalars;
     scalars.reserve(kernel.scalarNames.size());
     for (const auto &name : kernel.scalarNames) {
@@ -365,13 +345,6 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
                       << "' (numel "
                       << (has_slot ? slots[fs].numel : 0) << ")";
         break;
-      case ST_FAULT_WINDOW:
-        ICHECK(false)
-            << "offset " << ctx.faultOffset << " of buffer '"
-            << slot_name
-            << "' lies outside its rebased window (write-set spans "
-               "must cover every touched element)";
-        break;
       case ST_FAULT_DIV0:
         ICHECK(false) << "floordiv/floormod by zero in '"
                       << kernel.name << "'";
@@ -390,10 +363,6 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
                       << slot_name << "'";
         break;
       case ST_FAULT_SEARCH:
-        if (has_slot && slots[fs].hasView != 0) {
-            ICHECK(false) << "binary search over rebased buffer '"
-                          << slot_name << "'";
-        }
         ICHECK(false) << "binary search range out of bounds for "
                          "buffer '"
                       << slot_name << "' (at " << ctx.faultOffset

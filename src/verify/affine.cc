@@ -333,6 +333,12 @@ AffineAnalyzer::atomExpr(int id) const
     return e;
 }
 
+const ir::Expr &
+AffineAnalyzer::atomSource(int id) const
+{
+    return atoms_[static_cast<size_t>(id)].expr;
+}
+
 std::vector<int>
 AffineAnalyzer::loadAtomsOf(const LinExpr &e,
                             const std::string &buffer_name) const

@@ -186,6 +186,8 @@ class AffineAnalyzer
                                  const std::string &buffer_name) const;
     /** LinExpr of a single interned atom. */
     LinExpr atomExpr(int id) const;
+    /** IR expression an interned atom stands for. */
+    const ir::Expr &atomSource(int id) const;
 
   private:
     /**

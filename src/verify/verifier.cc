@@ -38,7 +38,7 @@ oneLine(std::string s)
  * a handle-param buffer counts as a reduction when its value re-loads
  * the stored location, except for buffers initialized in an enclosing
  * Block's init (reduce-with-init outputs get their safety from
- * disjointness, not privatization). kAtomicAdd on a param buffer is
+ * disjointness, not ordering). kAtomicAdd on a param buffer is
  * always a reduction. The verifier must classify stores exactly like
  * the executor does, or its race verdicts would diverge from the
  * machinery that acts on them.
@@ -303,70 +303,60 @@ class FuncVerifier
         std::set<std::string> declared;
         for (const AccumWriteSet &accum : ctx_.accums) {
             declared.insert(accum.buffer);
-            std::string anchor = "(accum spec '" + accum.buffer + "')";
-            if (accum.wholeArray) {
-                continue;
-            }
-            if (accum.rows == nullptr) {
-                continue;
-            }
-            std::vector<int32_t> rows(*accum.rows);
-            std::sort(rows.begin(), rows.end());
-            bool dupRows =
-                std::adjacent_find(rows.begin(), rows.end()) != rows.end();
-            if (dupRows && !ctx_.kernelExclusive) {
-                report(DiagCategory::kParallelRace, accum.buffer,
-                       "row set contains duplicate rows but the kernel "
-                       "does not carry the exclusive marking; two "
-                       "parallel chunks could fold the same row "
-                       "concurrently",
-                       anchor);
-            }
-            rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-            if (rows.empty()) {
-                continue;
-            }
-            if (accum.spans.empty()) {
-                report(DiagCategory::kWriteSetViolation, accum.buffer,
-                       "declared write-set is empty but the kernel writes " +
-                           std::to_string(rows.size()) + " row(s)",
-                       anchor);
-                continue;
-            }
-            if (accum.rowWidth <= 0) {
-                report(DiagCategory::kWriteSetViolation, accum.buffer,
-                       "row width must be positive to cover concrete rows",
-                       anchor);
-                continue;
-            }
-            for (int32_t row : rows) {
-                int64_t begin = static_cast<int64_t>(row) * accum.rowWidth;
-                int64_t end = begin + accum.rowWidth;
-                bool covered = false;
-                for (const auto &span : accum.spans) {
-                    if (begin >= span.first && end <= span.second) {
-                        covered = true;
-                        break;
-                    }
-                }
-                if (!covered) {
-                    report(DiagCategory::kWriteSetViolation, accum.buffer,
-                           "row " + std::to_string(row) + " writes [" +
-                               std::to_string(begin) + ", " +
-                               std::to_string(end) +
-                               ") outside every declared span",
-                           anchor);
-                    break;
-                }
+            if (!accum.blockHulls.empty()) {
+                checkHullsCoverRows(accum);
             }
         }
         for (const std::string &name : derivedAccums_) {
             if (!declared.count(name)) {
                 report(DiagCategory::kWriteSetViolation, name,
                        "kernel reduces into '" + name +
-                           "' but no AccumOutput declares it; the fused "
-                           "dispatcher would not privatize it",
+                           "' but no AccumOutput declares it; the task "
+                           "graph would not order it",
                        "(accum spec)");
+            }
+        }
+    }
+
+    /**
+     * Concrete half of the hull obligation: the row slot of every
+     * entry i of `rows` lies in the hull of its block i / rowsPerBlock.
+     */
+    void
+    checkHullsCoverRows(const AccumWriteSet &accum)
+    {
+        std::string anchor = "(accum spec '" + accum.buffer + "')";
+        if (accum.rows == nullptr || accum.rowWidth <= 0 ||
+            accum.rowsPerBlock <= 0 || accum.rowsBuffer.empty()) {
+            report(DiagCategory::kWriteSetViolation, accum.buffer,
+                   "block hulls need the row buffer, its concrete rows, "
+                   "a positive row width and rows per block",
+                   anchor);
+            return;
+        }
+        const std::vector<int32_t> &rows = *accum.rows;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            size_t block = i / static_cast<size_t>(accum.rowsPerBlock);
+            int64_t begin = static_cast<int64_t>(rows[i]) * accum.rowWidth;
+            int64_t end = begin + accum.rowWidth;
+            if (block >= accum.blockHulls.size()) {
+                report(DiagCategory::kWriteSetViolation, accum.buffer,
+                       "row entry " + std::to_string(i) + " falls in block " +
+                           std::to_string(block) + ", which has no hull",
+                       anchor);
+                return;
+            }
+            const auto &hull = accum.blockHulls[block];
+            if (begin < hull.first || end > hull.second) {
+                report(DiagCategory::kWriteSetViolation, accum.buffer,
+                       "row " + std::to_string(rows[i]) + " of block " +
+                           std::to_string(block) + " writes [" +
+                           std::to_string(begin) + ", " +
+                           std::to_string(end) + ") outside its hull [" +
+                           std::to_string(hull.first) + ", " +
+                           std::to_string(hull.second) + ")",
+                       anchor);
+                return;
             }
         }
     }
@@ -500,6 +490,9 @@ class FuncVerifier
                 walkExpr(index);
             }
             checkAccess(op->buffer, op->indices);
+            if (op->indices.size() == 1) {
+                checkWriteSet(op->buffer, op->indices[0]);
+            }
             return;
         }
         case ExprKind::kCall: {
@@ -641,49 +634,64 @@ class FuncVerifier
         return nullptr;
     }
 
+    /**
+     * Symbolic half of the hull obligation: an access of grid block b
+     * to a hull-declaring output (its accumulating load, store or
+     * atomic update) is confined to the row slot of a `rowsBuffer`
+     * entry in b's rows, and b has a hull.
+     */
     void
     checkWriteSet(const ir::Buffer &buffer, const Expr &index)
     {
         const AccumWriteSet *accum = declaredAccumFor(buffer);
-        if (accum == nullptr || accum->wholeArray) {
+        if (accum == nullptr || accum->blockHulls.empty()) {
             return;
         }
-        LinExpr idx = az_.toLinExpr(index);
-        // Direct containment in one declared span.
-        for (const auto &span : accum->spans) {
-            if (az_.proveNonNeg(idx - LinExpr::constant_(span.first)) &&
-                az_.proveNonNeg(LinExpr::constant_(span.second - 1) - idx)) {
-                return;
-            }
-        }
-        // Row confinement: the store stays inside the row slot of some
-        // row-array load appearing in the index; checkAccumSpecs
-        // already proved every concrete row slot is span-covered.
-        if (!accum->rowsBuffer.empty() && accum->rowWidth > 0) {
-            for (int atomId : az_.loadAtomsOf(idx, accum->rowsBuffer)) {
-                LinExpr base = az_.atomExpr(atomId);
-                base *= accum->rowWidth;
-                if (az_.proveNonNeg(idx - base) &&
-                    az_.proveNonNeg(base +
-                                    LinExpr::constant_(accum->rowWidth - 1) -
-                                    idx)) {
-                    return;
-                }
-            }
+        if (accum->rowWidth > 0 && accum->rowsPerBlock > 0 &&
+            inBlockLoop_ && provenInBlockRows(*accum, index)) {
+            return;
         }
         report(DiagCategory::kWriteSetViolation, buffer->name,
-               "cannot prove store index " + ir::exprToString(index) +
-                   " lands inside the declared AccumOutput spans",
+               "cannot prove access index " + ir::exprToString(index) +
+                   " stays inside its grid block's declared hull",
                anchor_);
+    }
+
+    bool
+    provenInBlockRows(const AccumWriteSet &accum, const Expr &index)
+    {
+        LinExpr block = az_.toLinExpr(blockVar_);
+        int64_t num_hulls = static_cast<int64_t>(accum.blockHulls.size());
+        if (!az_.proveNonNeg(LinExpr::constant_(num_hulls - 1) - block)) {
+            return false;
+        }
+        LinExpr idx = az_.toLinExpr(index);
+        for (int atomId : az_.loadAtomsOf(idx, accum.rowsBuffer)) {
+            const auto *load = static_cast<const ir::BufferLoadNode *>(
+                az_.atomSource(atomId).get());
+            if (load->indices.size() != 1) {
+                continue;
+            }
+            LinExpr slot = az_.atomExpr(atomId) * accum.rowWidth;
+            LinExpr entry = az_.toLinExpr(load->indices[0]);
+            LinExpr first = block * accum.rowsPerBlock;
+            if (az_.proveNonNeg(idx - slot) &&
+                az_.proveNonNeg(slot +
+                                LinExpr::constant_(accum.rowWidth - 1) -
+                                idx) &&
+                az_.proveNonNeg(entry - first) &&
+                az_.proveNonNeg(first +
+                                LinExpr::constant_(accum.rowsPerBlock - 1) -
+                                entry)) {
+                return true;
+            }
+        }
+        return false;
     }
 
     void
     checkRace(const ir::Buffer &buffer, const Expr &index)
     {
-        if (ctx_.hasAccumSpec && ctx_.kernelExclusive) {
-            // Exclusive kernels are never run with overlapping chunks.
-            return;
-        }
         if (blockLoop_ == nullptr) {
             return; // no parallel axis
         }
@@ -693,7 +701,7 @@ class FuncVerifier
         }
         bool isParam = paramData_.count(data) != 0;
         if (isParam && raceSafeBuffers_.count(data->name)) {
-            return; // recognized reduction: privatized + folded in order
+            return; // recognized reduction: ordered by the task graph
         }
         if (!isParam && !sharedAllocs_.count(data)) {
             // Allocated buffer that is neither private nor recorded as

@@ -12,15 +12,15 @@
  *     `Schedule::cacheWrite` missing-split-tail-guard out-of-bounds
  *     store that the fuzz suite originally caught dynamically.
  *
- *  2. Write-set soundness: every store to a declared reduction output
- *     lands inside the `AccumOutput` spans the fused task-graph's
- *     privatize/fold contract depends on — including the stale/empty
- *     span configurations behind the old empty-write-set sentinel bug.
+ *  2. Write-set soundness: when a reduction output declares block
+ *     hulls, every store and atomic update grid block b makes to it
+ *     lands inside hull b. The task graph orders units by these hulls
+ *     (engine/executor.h), so the engine attaches them to a kernel
+ *     only after this proof.
  *
  *  3. Parallel-race freedom: distinct iterations of the parallel
  *     (blockIdx.x) axis write disjoint locations, or the store is a
- *     recognized reduction handled by span privatization; kernels whose
- *     row sets contain duplicates must carry the exclusive marking.
+ *     recognized reduction, which the task graph orders.
  *
  * The prover is conservative: a clean verdict is a proof under the
  * declared facts, a failure is "not provable" plus a printer-backed
@@ -74,19 +74,24 @@ struct VerifyResult
 std::string formatDiagnostics(const VerifyResult &result);
 
 /**
- * Declared write-set of one reduction output, mirroring the engine's
- * `AccumOutput` after `restrictAccumSpans`. `buffer` is the name the
- * engine uses — the data-var name of the output buffer (e.g.
- * "C_data"). When `rows`/`rowWidth` are given, the verifier both
- * confines each store to its row slot and checks that every concrete
- * row's slot is covered by the declared spans.
+ * Declared write set of one reduction output, mirroring the engine's
+ * `AccumOutput`. `buffer` is the name the engine uses — the data-var
+ * name of the output buffer (e.g. "C_data").
+ *
+ * With `blockHulls` set, the verifier proves the per-block hull
+ * obligation: every store to the buffer made by grid block b lands in
+ * blockHulls[b]. A store qualifies when it stays inside the row slot
+ * [rows[e] * rowWidth, (rows[e] + 1) * rowWidth) of a `rowsBuffer`
+ * load whose index e provably lies in block b's rows
+ * [b * rowsPerBlock, (b + 1) * rowsPerBlock); every concrete row's
+ * slot is then checked against its block's hull.
  */
 struct AccumWriteSet
 {
     std::string buffer;
-    /** True when the kernel may write the whole output array. */
+    /** Ignored; kept for source compatibility. */
     bool wholeArray = true;
-    /** Declared [begin, end) spans of flat element offsets. */
+    /** Ignored; kept for source compatibility. */
     std::vector<std::pair<int64_t, int64_t>> spans;
     /** Name of the row-index array driving the output row. */
     std::string rowsBuffer;
@@ -94,6 +99,10 @@ struct AccumWriteSet
     const std::vector<int32_t> *rows = nullptr;
     /** Flat elements per output row. */
     int64_t rowWidth = 0;
+    /** Entries of `rows` each grid block covers. */
+    int64_t rowsPerBlock = 0;
+    /** Element hull [begin, end) of each grid block; empty: none. */
+    std::vector<std::pair<int64_t, int64_t>> blockHulls;
 };
 
 /**
@@ -107,9 +116,12 @@ struct VerifyContext
     std::map<std::string, ValueFact> facts;
     /** Declared reduction outputs; meaningful when hasAccumSpec. */
     std::vector<AccumWriteSet> accums;
-    /** Set when `accums`/`kernelExclusive` reflect a compiled kernel. */
+    /** Set when `accums` reflect a compiled kernel. */
     bool hasAccumSpec = false;
-    /** Engine's exclusive marking (split-row kernels). */
+    /**
+     * Ignored; kept for source compatibility. Split-row kernels need
+     * no marking: the task graph orders their overlapping hulls.
+     */
     bool kernelExclusive = false;
 
     /** Declare a scalar parameter's exact value. */

@@ -138,140 +138,19 @@ TEST(BytecodeVM, UnusedScalarParamsStayLazilyBound)
     EXPECT_EQ(out.floatAt(0), 7.0);
 }
 
-TEST(Executor, TouchedRowSpansMergeAndScale)
+TEST(Executor, BlockHullsSpanEachBlocksRows)
 {
-    // Rows {0,1,2, 5, 7,8} with width 4 -> [0,12) [20,24) [28,36).
-    std::vector<int32_t> rows = {7, 0, 2, 8, 5, 1, 2, 0};
-    auto spans = engine::touchedRowSpans(rows, 4);
-    ASSERT_EQ(spans.size(), 3u);
-    EXPECT_EQ(spans[0], (engine::Span{0, 12}));
-    EXPECT_EQ(spans[1], (engine::Span{20, 24}));
-    EXPECT_EQ(spans[2], (engine::Span{28, 36}));
-    EXPECT_TRUE(engine::touchedRowSpans({}, 4).empty());
-}
-
-TEST(Executor, OffsetViewPacksAndTranslates)
-{
-    auto view = runtime::OffsetView::fromSpans(
-        {{4, 8}, {12, 14}, {20, 24}});
-    EXPECT_EQ(view.numel, 10);
-    ASSERT_EQ(view.bases.size(), 3u);
-    EXPECT_EQ(view.bases[0], 0);
-    EXPECT_EQ(view.bases[1], 4);
-    EXPECT_EQ(view.bases[2], 6);
-    // In-span offsets pack contiguously...
-    EXPECT_EQ(view.translate(4), 0);
-    EXPECT_EQ(view.translate(7), 3);
-    EXPECT_EQ(view.translate(12), 4);
-    EXPECT_EQ(view.translate(13), 5);
-    EXPECT_EQ(view.translate(20), 6);
-    EXPECT_EQ(view.translate(23), 9);
-    // ...and everything between or beyond spans is outside.
-    EXPECT_EQ(view.translate(0), -1);
-    EXPECT_EQ(view.translate(3), -1);
-    EXPECT_EQ(view.translate(8), -1);
-    EXPECT_EQ(view.translate(14), -1);
-    EXPECT_EQ(view.translate(19), -1);
-    EXPECT_EQ(view.translate(24), -1);
-
-    // Single span: the two-compare fast path.
-    auto one = runtime::OffsetView::fromSpans({{8, 16}});
-    EXPECT_EQ(one.numel, 8);
-    EXPECT_EQ(one.translate(8), 0);
-    EXPECT_EQ(one.translate(15), 7);
-    EXPECT_EQ(one.translate(7), -1);
-    EXPECT_EQ(one.translate(16), -1);
-
-    // Empty window: a valid view with no inside.
-    auto empty = runtime::OffsetView::fromSpans({});
-    EXPECT_EQ(empty.numel, 0);
-    EXPECT_EQ(empty.translate(0), -1);
-
-    // Malformed span lists are rejected up front.
-    EXPECT_THROW(runtime::OffsetView::fromSpans({{4, 4}}),
-                 InternalError);
-    EXPECT_THROW(runtime::OffsetView::fromSpans({{8, 12}, {4, 6}}),
-                 InternalError);
-    EXPECT_THROW(runtime::OffsetView::fromSpans({{-2, 4}}),
-                 InternalError);
-}
-
-TEST(BytecodeVM, OffsetViewRebasedRunMatchesInterpreterBitwise)
-{
-    // f(base, n, out, v): for i in [0, n): out[base+i] += v[i],
-    // executed against a PACKED `out` (window [4,8) u [12,14)) on
-    // both backends: each must translate the kernel's absolute
-    // offsets into the packed array identically, and fault on any
-    // access outside the window.
-    auto func = ir::primFunc("rebased");
-    ir::Var base = ir::var("base");
-    ir::Var n = ir::var("n");
-    ir::Var i = ir::var("i");
-    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(64)},
-                                     ir::DataType::float32());
-    ir::Buffer v = ir::denseBuffer("v", {ir::intImm(64)},
-                                   ir::DataType::float32());
-    func->params = {base, n, out->data, v->data};
-    func->bufferMap.emplace_back(out->data, out);
-    func->bufferMap.emplace_back(v->data, v);
-    ir::Expr idx = ir::add(base, i);
-    func->body = ir::forLoop(
-        i, ir::intImm(0), n,
-        ir::bufferStore(out, {idx},
-                        ir::add(ir::bufferLoad(out, {idx}),
-                                ir::bufferLoad(v, {i}))));
-    func->stage = ir::IrStage::kStage3;
-    auto program = bytecode::compile(func);
-    ASSERT_NE(program, nullptr);
-
-    auto view = runtime::OffsetView::fromSpans({{4, 8}, {12, 14}});
-    ASSERT_EQ(view.numel, 6);
-    NDArray packed_interp =
-        NDArray::fromFloat({10, 20, 30, 40, 50, 60});
-    NDArray packed_vm = NDArray::fromFloat({10, 20, 30, 40, 50, 60});
-    NDArray vals = NDArray::fromFloat({1, 2, 3, 4});
-
-    runtime::RunOptions options;
-    options.offsetViews.push_back(
-        runtime::BufferView{"out_data", &view});
-    Bindings bindings;
-    bindings.scalars = {{"base", 4}, {"n", 4}};
-    bindings.arrays = {{"out_data", &packed_interp},
-                       {"v_data", &vals}};
-    runtime::runInterpreted(func, bindings, options);
-    bindings.arrays["out_data"] = &packed_vm;
-    bytecode::execute(*program, bindings, options);
-    EXPECT_TRUE(bitwiseEqual(packed_interp, packed_vm));
-    // Absolute [4,8) lands in packed [0,4); packed [4,6) untouched.
-    EXPECT_EQ(packed_interp.floatAt(0), 11.0);
-    EXPECT_EQ(packed_interp.floatAt(3), 44.0);
-    EXPECT_EQ(packed_interp.floatAt(4), 50.0);
-
-    // The second span: absolute [12,14) lands in packed [4,6).
-    bindings.scalars["base"] = 12;
-    bindings.scalars["n"] = 2;
-    bytecode::execute(*program, bindings, options);
-    EXPECT_EQ(packed_vm.floatAt(4), 51.0);
-    EXPECT_EQ(packed_vm.floatAt(5), 62.0);
-
-    // Accesses outside the window fault on BOTH backends: the
-    // write-set contract is enforced, not trusted.
-    bindings.scalars["base"] = 8;
-    EXPECT_THROW(bytecode::execute(*program, bindings, options),
-                 InternalError);
-    bindings.arrays["out_data"] = &packed_interp;
-    EXPECT_THROW(runtime::runInterpreted(func, bindings, options),
-                 InternalError);
-
-    // Without the view the same offsets address the full array.
-    NDArray full({64}, ir::DataType::float32());
-    bindings.arrays["out_data"] = &full;
-    bindings.scalars["base"] = 4;
-    bindings.scalars["n"] = 4;
-    runtime::RunOptions no_view;
-    bytecode::execute(*program, bindings, no_view);
-    EXPECT_EQ(full.floatAt(4), 1.0);
-    EXPECT_EQ(full.floatAt(7), 4.0);
+    // Sorted rows with a repeat, 2 rows per block, width 4: blocks
+    // {0,2} {2,5} {7} -> [0,12) [8,24) [28,32).
+    std::vector<int32_t> rows = {0, 2, 2, 5, 7};
+    auto hulls = engine::blockHulls(rows, 2, 4);
+    ASSERT_EQ(hulls.size(), 3u);
+    EXPECT_EQ(hulls[0], (engine::Span{0, 12}));
+    EXPECT_EQ(hulls[1], (engine::Span{8, 24}));
+    EXPECT_EQ(hulls[2], (engine::Span{28, 32}));
+    EXPECT_TRUE(engine::blockHulls({}, 2, 4).empty());
+    // Hulls rely on ascending rows.
+    EXPECT_THROW(engine::blockHulls({3, 1}, 1, 4), InternalError);
 }
 
 // ---------------------------------------------------------------------
@@ -453,8 +332,8 @@ TEST(EngineBackend, SpmmHybAgreesAcrossBackends)
 TEST(EngineBackend, SplitRowHybAgreesAcrossBackends)
 {
     // A near-dense row with a small bucket cap forces the widest
-    // bucket to carry several ELL rows of one original row: the
-    // exclusive (serial-position) path on both backends.
+    // bucket to carry several ELL rows of one original row, whose
+    // overlapping block hulls the task graph orders, on both backends.
     Csr a = longRowCsr(60, 200, 43);
     format::Hyb hyb = format::hybFromCsr(a, 1, 2);
     bool has_split = false;
@@ -511,8 +390,8 @@ TEST(EngineBackend, RgcnAgreesAcrossBackendsOnDirtyOutput)
     auto x_host = randomVector(graph.cols * feat, 71);
     auto w_host = randomVector(feat * feat, 72);
     // RGCN accumulates into Y (Y += scatter(...)); start from a
-    // non-zero output so the span-restricted privatization must
-    // preserve untouched rows AND pre-values of touched rows.
+    // non-zero output so both backends must preserve untouched rows
+    // AND pre-values of touched rows.
     auto y0 = randomVector(graph.rows * feat, 73);
 
     NDArray out[2] = {NDArray::fromFloat(y0), NDArray::fromFloat(y0)};
@@ -525,8 +404,8 @@ TEST(EngineBackend, RgcnAgreesAcrossBackendsOnDirtyOutput)
         NDArray w = NDArray::fromFloat(w_host);
         auto info = eng.rgcn(graph, feat, &x, &w, &out[which]);
         EXPECT_GE(info.numKernels, 4);
-        // Dispatch again so the second round leases dirty pooled
-        // scratch buffers (the span-restricted zero must clean them).
+        // Dispatch again: the second round accumulates onto the
+        // first round's output.
         eng.rgcn(graph, feat, &x, &w, &out[which]);
     }
     EXPECT_TRUE(bitwiseEqual(out[0], out[1]))

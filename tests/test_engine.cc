@@ -3,8 +3,8 @@
  * Execution engine tests: compile-cache keying (structure-sensitive,
  * value-insensitive), deterministic parallel execution (bitwise
  * equality with the serial interpreter across worker counts), the
- * write-set analysis behind privatization, and concurrent dispatch
- * through one shared Engine session.
+ * write-set analysis behind task-graph ordering, and concurrent
+ * dispatch through one shared Engine session.
  */
 
 #include <gtest/gtest.h>
@@ -307,8 +307,8 @@ serialHybSpmm(const Csr &a, int64_t feat,
 }
 
 /**
- * The bucket kernels of `hyb` in executable form, buckets holding
- * split rows marked exclusive (as the engine's builder marks them).
+ * The bucket kernels of `hyb` in executable form, each carrying the
+ * block hulls of its C rows (as the engine's builder attaches them).
  */
 std::vector<engine::CompiledKernel>
 compileHybKernels(const format::Hyb &hyb, int64_t feat)
@@ -318,9 +318,10 @@ compileHybKernels(const format::Hyb &hyb, int64_t feat)
         const format::Ell &ell =
             hyb.buckets[plan.partition][plan.bucket];
         engine::CompiledKernel kernel = engine::compileKernel(plan.func);
-        std::set<int32_t> unique(ell.rowIndices.begin(),
-                                 ell.rowIndices.end());
-        kernel.exclusive = unique.size() != ell.rowIndices.size();
+        for (engine::AccumOutput &out : kernel.accums) {
+            out.hulls = engine::blockHulls(ell.rowIndices,
+                                           plan.rowsPerBlock, feat);
+        }
         kernels.push_back(std::move(kernel));
     }
     return kernels;
@@ -680,7 +681,7 @@ TEST(ThreadPool, NestedParallelForRunsInlineInsteadOfDeadlocking)
 }
 
 // ---------------------------------------------------------------------
-// Scratch pool: accounting, eviction, and the zero-on-lease contract
+// Scratch pool accounting and eviction; task-graph error handling
 // ---------------------------------------------------------------------
 
 TEST(Executor, ScratchPoolAccountingBudgetAndEvictionOrder)
@@ -742,134 +743,65 @@ TEST(Executor, ScratchPoolAccountingBudgetAndEvictionOrder)
     EXPECT_EQ(stats.leasedBytes, 0);
 }
 
-TEST(Executor, ThrowingKernelReleasesEveryLease)
-{
-    // A kernel faulting mid-parallel-run must not leak scratch:
-    // releaseAll returns every live lease before the rethrow.
-    Csr a = graph::powerLawGraph(200, 2400, 1.8, 91);
-    int64_t feat = 8;
-    format::Hyb hyb = format::hybFromCsr(a, 2, -1);
-    std::vector<engine::CompiledKernel> kernels =
-        compileHybKernels(hyb, feat);
-    ASSERT_GE(kernels.size(), 2u);
-
-    engine::ParallelExecutor executor(
-        std::make_shared<engine::ThreadPool>(4));
-    auto shared = std::make_shared<BindingSet>();
-    NDArray b_bad({4}, ir::DataType::float32());  // far too small
-    NDArray c({a.rows * feat}, ir::DataType::float32());
-    shared->external("B_data", &b_bad);
-    shared->external("C_data", &c);
-    core::HybSpmm compiled =
-        core::compileSpmmHyb(a, feat, 2, -1, shared);
-    (void)compiled;  // binds bucket arrays into `shared`
-
-    EXPECT_THROW(executor.run(pointersTo(kernels), {&shared->view()},
-                              engine::ExecOptions()),
-                 InternalError);
-    auto stats = executor.scratchStats();
-    EXPECT_GT(stats.leases, 0u) << "dispatch never privatized";
-    EXPECT_EQ(stats.leasedBytes, 0)
-        << "thrown dispatch leaked scratch leases";
-}
-
-TEST(Executor, PoisonedPoolScratchIsRezeroedOnLease)
-{
-    // The zero-on-lease contract belongs to the executor, not the
-    // allocator: fill every retained pool buffer with garbage
-    // between dispatches and results must stay bitwise identical.
-    Csr a = graph::powerLawGraph(250, 3000, 1.8, 93);
-    int64_t feat = 8;
-    auto b_host = randomVector(a.cols * feat, 94);
-    NDArray serial = serialHybSpmm(a, feat, b_host, 2);
-
-    format::Hyb hyb = format::hybFromCsr(a, 2, -1);
-    std::vector<engine::CompiledKernel> kernels =
-        compileHybKernels(hyb, feat);
-
-    engine::ParallelExecutor executor(
-        std::make_shared<engine::ThreadPool>(4));
-    auto shared = std::make_shared<BindingSet>();
-    NDArray b = NDArray::fromFloat(b_host);
-    NDArray c({a.rows * feat}, ir::DataType::float32());
-    shared->external("B_data", &b);
-    shared->external("C_data", &c);
-    core::HybSpmm compiled =
-        core::compileSpmmHyb(a, feat, 2, -1, shared);
-    (void)compiled;
-
-    executor.run(pointersTo(kernels), {&shared->view()},
-                 engine::ExecOptions());
-    EXPECT_TRUE(bitwiseEqual(serial, c));
-
-    c.zero();
-    executor.poisonScratch(0xAB);
-    executor.run(pointersTo(kernels), {&shared->view()},
-                 engine::ExecOptions());
-    EXPECT_TRUE(bitwiseEqual(serial, c))
-        << "a reused lease leaked poisoned pool contents";
-}
-
-// ---------------------------------------------------------------------
-// Empty write sets: the whole-array sentinel regression
-// ---------------------------------------------------------------------
-
 /**
- * f(n, out): for i in [0, n): out[i] = out[i] + 1 — an accumulated
- * output whose write set the test controls via setSpans.
+ * f(n, out): for i in [0, n): out[0] = out[0] + 1 — a unit whose
+ * completion shows as out[0] == n, and which faults on an empty out.
  */
 ir::PrimFunc
-accumLoopFunc(const std::string &name)
+countFunc()
 {
-    auto func = ir::primFunc(name);
+    auto func = ir::primFunc("count");
     ir::Var n = ir::var("n");
     ir::Var i = ir::var("i");
     ir::Buffer out =
-        ir::denseBuffer("out", {n}, ir::DataType::float32());
+        ir::denseBuffer("out", {ir::intImm(1)}, ir::DataType::float32());
     func->params = {n, out->data};
     func->bufferMap.emplace_back(out->data, out);
     func->body = ir::forLoop(
         i, ir::intImm(0), n,
-        ir::bufferStore(out, {i},
-                        ir::add(ir::bufferLoad(out, {i}),
+        ir::bufferStore(out, {ir::intImm(0)},
+                        ir::add(ir::bufferLoad(out, {ir::intImm(0)}),
                                 ir::floatImm(1.0))));
     func->stage = ir::IrStage::kStage3;
     return func;
 }
 
-TEST(Executor, EmptyWriteSetLeavesOutputBitwiseUntouched)
+TEST(Executor, ThrowingUnitFinishesInFlightAndStartsNothingLater)
 {
-    // Regression: touchedRowSpans({}, w) == {} used to be read as
-    // the whole-array sentinel, so a unit touching ZERO rows zeroed
-    // and folded the entire output — O(output) wasted work per unit,
-    // and the fold's `pre + 0.0` flipped -0.0 pre-values to +0.0.
-    // With the explicit wholeArray flag an empty write set leases,
-    // zeroes and folds nothing.
-    auto func = accumLoopFunc("touches_nothing");
-    engine::CompiledKernel k1 = engine::compileKernel(func);
-    ASSERT_EQ(k1.accums.size(), 1u);
-    EXPECT_EQ(k1.accums[0].name, "out_data");
-    EXPECT_TRUE(k1.accums[0].wholeArray);
-    k1.accums[0].setSpans(engine::touchedRowSpans({}, 4));
-    EXPECT_FALSE(k1.accums[0].wholeArray);
-    EXPECT_EQ(k1.accums[0].window.numel, 0);
-    engine::CompiledKernel k2 = k1;  // two units: the batch path
+    // Unit 0 is long, unit 1 faults at once, unit 2 waits on unit 0.
+    // Unit 0 always starts first (the ready set hands out the earliest
+    // unit), so it is in flight when unit 1 throws: it must finish,
+    // unit 2 must never start, and unit 1's error must reach the
+    // caller.
+    engine::CompiledKernel kernel = engine::compileKernel(countFunc());
+    NDArray slow({1}, ir::DataType::float32());
+    NDArray bad({0}, ir::DataType::float32());
+    NDArray later({1}, ir::DataType::float32());
+    constexpr int64_t kSlowIterations = 4000000;
+    runtime::Bindings slow_bind{{{"out_data", &slow}},
+                                {{"n", kSlowIterations}}};
+    runtime::Bindings bad_bind{{{"out_data", &bad}}, {{"n", 1}}};
+    runtime::Bindings later_bind{{{"out_data", &later}}, {{"n", 1}}};
+    std::vector<const runtime::Bindings *> requests{
+        &slow_bind, &bad_bind, &later_bind};
 
-    // -0.0 everywhere: any spurious fold flips the sign bit.
-    NDArray out = NDArray::fromFloat(std::vector<float>(16, -0.0f));
-    NDArray before = out;  // copy
-    runtime::Bindings bindings;
-    bindings.scalars = {{"n", 0}};
-    bindings.arrays = {{"out_data", &out}};
+    engine::TaskGraph graph;
+    graph.kernels = {&kernel};
+    graph.numRequests = 3;
+    for (int r = 0; r < 3; ++r) {
+        engine::TaskGraph::Unit unit;
+        unit.request = r;
+        graph.units.push_back(unit);
+    }
+    graph.units[2].after = {0};
 
     engine::ParallelExecutor executor(
         std::make_shared<engine::ThreadPool>(2));
-    std::vector<const engine::CompiledKernel *> kernels = {&k1, &k2};
-    executor.run(kernels, {&bindings}, engine::ExecOptions());
-    EXPECT_TRUE(bitwiseEqual(before, out))
-        << "zero-touched-rows units disturbed the output";
-    // Zero-extent leases contribute nothing to the high-water mark.
-    EXPECT_EQ(executor.scratchStats().peakLeasedBytes, 0);
+    EXPECT_THROW(executor.runTaskGraph(graph, requests), InternalError);
+    EXPECT_EQ(slow.floatAt(0), static_cast<double>(kSlowIterations))
+        << "the in-flight unit did not finish";
+    EXPECT_EQ(later.floatAt(0), 0.0) << "a later unit started";
+    EXPECT_EQ(executor.scratchStats().leases, 0u);
 }
 
 } // namespace

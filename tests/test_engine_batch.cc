@@ -246,7 +246,7 @@ TEST(EngineBatch, CsrBatchBitwiseMatchesSequentialDispatch)
 TEST(EngineBatch, HybBatchBitwiseMatchesSequentialDispatch)
 {
     // Power-law structure: multiple buckets, including split rows
-    // (exclusive kernels) in the widest one.
+    // (duplicate scatter rows) in the widest one.
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 13);
     int64_t feat = 8;
     engine::HybConfig config;
@@ -460,19 +460,15 @@ TEST(EngineBatch, RejectsAliasedOrMissingOutputs)
 }
 
 // ---------------------------------------------------------------------
-// Scratch economics: privatization leases scale with the write set
+// A batch below the pool size splits on shared storage
 // ---------------------------------------------------------------------
 
-TEST(EngineBatch, PeakScratchScalesWithTouchedSpansNotOutputs)
+TEST(EngineBatch, BatchBelowPoolSizeLeasesNoScratchAndMatchesSequential)
 {
-    // Hyb bucket kernels carry touched-row spans, so a batched
-    // dispatch leases scratch proportional to the spans' extents.
-    // Every row lands in exactly one bucket per column partition,
-    // hence one request's units lease at most partitions x output
-    // bytes BETWEEN THEM — where full-output privatization would
-    // have peaked at (requests x kernels) x output bytes. The batch
-    // is smaller than the pool: a batch that fills it runs request
-    // chains on shared storage and leases nothing.
+    // Two requests on four workers: each request's kernels are cut
+    // into chunks ordered by their write hulls, all on the caller's
+    // outputs, so no scratch is leased and each output is bitwise
+    // equal to its own serial dispatch.
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 97);
     int64_t feat = 8;
     engine::HybConfig config;
@@ -480,36 +476,30 @@ TEST(EngineBatch, PeakScratchScalesWithTouchedSpansNotOutputs)
     constexpr int kRequests = 2;
     Batch batch(kRequests, a.cols * feat, a.rows * feat, 800);
 
+    EngineOptions serial_options;
+    serial_options.parallel = false;
+    Engine serial(serial_options);
+    std::vector<NDArray> expected;
+    for (int i = 0; i < kRequests; ++i) {
+        expected.emplace_back(std::vector<int64_t>{a.rows * feat},
+                              ir::DataType::float32());
+        serial.spmmHyb(a, feat, &batch.b[i], &expected[i], config);
+    }
+
     EngineOptions options;
     options.numThreads = 4;
     Engine eng(options);
-    auto info = eng.spmmHybBatch(a, feat, batch.requests, config);
-    ASSERT_GE(info.numKernels, 3);
-
-    eng.resetScratchPeak();
-    eng.spmmHybBatch(a, feat, batch.requests, config);
-    auto scratch = eng.scratchStats();
-    int64_t output_bytes =
-        a.rows * feat * static_cast<int64_t>(sizeof(float));
-    int64_t span_bound =
-        static_cast<int64_t>(kRequests) * config.partitions *
-        output_bytes;
-    int64_t naive = static_cast<int64_t>(kRequests) *
-                    info.numKernels * output_bytes;
-    EXPECT_GT(scratch.peakLeasedBytes, 0)
-        << "batched dispatch never privatized";
-    EXPECT_LE(scratch.peakLeasedBytes, span_bound)
-        << "leases exceed the touched-span extent bound";
-    EXPECT_LT(scratch.peakLeasedBytes, naive)
-        << "leases are still full-output sized";
-    EXPECT_EQ(scratch.leasedBytes, 0) << "leases were not returned";
-
-    // Warm batches reuse pooled buffers: a third dispatch must not
-    // construct any new scratch.
-    uint64_t allocs_before = eng.scratchStats().allocations;
-    eng.spmmHybBatch(a, feat, batch.requests, config);
-    EXPECT_EQ(eng.scratchStats().allocations, allocs_before)
-        << "warm batched dispatch allocated fresh scratch";
+    for (int round = 0; round < 2; ++round) {
+        auto info = eng.spmmHybBatch(a, feat, batch.requests, config);
+        ASSERT_GE(info.numKernels, 3);
+        for (int i = 0; i < kRequests; ++i) {
+            EXPECT_TRUE(bitwiseEqual(expected[i], batch.c[i]))
+                << "round " << round << " request " << i;
+        }
+    }
+    engine::ScratchStats scratch = eng.scratchStats();
+    EXPECT_EQ(scratch.leases, 0u);
+    EXPECT_EQ(scratch.peakLeasedBytes, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -1,25 +1,30 @@
 /**
  * @file
- * Fused task-graph dispatch: bitwise equality of the fused schedule
+ * Task-graph dispatch: bitwise equality of the parallel schedule
  * against the serial oracle on hyb SpMM (single and batched,
- * including the prepared-handle overload) and RGCN; structural properties of built TaskGraphs;
- * chains headed by exclusive kernels; request chains on shared
- * storage for batches that fill the pool; and determinism under
- * contention — many threads hammering one shared fused session must
+ * including the prepared-handle overload) and RGCN; the shape of
+ * built TaskGraphs (one unit per request and kernel for a full batch,
+ * hull-ordered chunks for a single request, split-row kernels split
+ * on every backend); no scratch on any hyb dispatch; and determinism
+ * under contention — many threads hammering one shared session must
  * produce bit-identical results from exactly one compile, without
  * ever probing the launch grid through the interpreter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "engine/engine.h"
 #include "graph/generator.h"
+#include "observe/trace.h"
+#include "runtime/native/native_compiler.h"
 #include "support/rng.h"
 #include "test_util.h"
 
@@ -70,7 +75,7 @@ makeEngine(runtime::Backend backend, bool parallel, int threads,
 TEST(EngineFused, HybBitwiseMatchesSerial)
 {
     // Power-law structure: several buckets per partition, split rows
-    // (an exclusive kernel) in the widest one.
+    // (duplicate scatter rows) in the widest one.
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 13);
     int64_t feat = 8;
     engine::HybConfig config;
@@ -201,17 +206,16 @@ TEST(EngineFused, HybBatchBitwiseMatchesSequential)
 }
 
 // ---------------------------------------------------------------------
-// Chains headed by exclusive kernels
+// Split-row kernels
 // ---------------------------------------------------------------------
 
-TEST(EngineFused, ChainHeadedByExclusiveKernelRunsViaKickoff)
+TEST(EngineFused, AllRowsSplitKernelMatchesSerial)
 {
     // Cap the bucket width at 1 on a matrix whose every row has
     // several entries: all rows split into multiple width-1 ELL rows,
-    // so the decomposition is a SINGLE exclusive kernel — the fold
-    // chain starts (and ends) with an exclusive entry that no compute
-    // unit completion would ever trigger; only the per-request
-    // kickoff tasks can run it.
+    // so the decomposition is a SINGLE kernel whose scatter rows
+    // repeat, and whose chunks overlap wherever a cut lands inside a
+    // repeated row.
     Csr a = randomCsr(40, 30, 0.3, 71);
     ASSERT_GT(a.nnz(), a.rows);  // rows with >= 2 entries exist
     int64_t feat = 4;
@@ -225,14 +229,14 @@ TEST(EngineFused, ChainHeadedByExclusiveKernelRunsViaKickoff)
     NDArray expected({a.rows * feat}, ir::DataType::float32());
     serial.spmmHyb(a, feat, &b, &expected, config);
 
-    Engine fused = makeEngine(runtime::Backend::kBytecode, true, 4);
+    Engine parallel = makeEngine(runtime::Backend::kBytecode, true, 4,
+                                 /*min_chunk=*/1);
     NDArray c({a.rows * feat}, ir::DataType::float32());
-    fused.spmmHyb(a, feat, &b, &c, config);
+    parallel.spmmHyb(a, feat, &b, &c, config);
     EXPECT_TRUE(bitwiseEqual(expected, c));
 
-    // Batched: the exclusive kernel still runs once per request,
-    // concurrently ACROSS requests (disjoint outputs), serially
-    // within each.
+    // Batched: the kernel still runs once per request, concurrently
+    // ACROSS requests (disjoint outputs).
     constexpr int kRequests = 3;
     std::vector<NDArray> bs;
     std::vector<NDArray> cs;
@@ -246,12 +250,12 @@ TEST(EngineFused, ChainHeadedByExclusiveKernelRunsViaKickoff)
     for (int i = 0; i < kRequests; ++i) {
         requests.push_back(SpmmRequest{&bs[i], &cs[i]});
     }
-    fused.spmmHybBatch(a, feat, requests, config);
+    parallel.spmmHybBatch(a, feat, requests, config);
     for (int i = 0; i < kRequests; ++i) {
         NDArray want({a.rows * feat}, ir::DataType::float32());
         serial.spmmHyb(a, feat, &bs[i], &want, config);
         EXPECT_TRUE(bitwiseEqual(want, cs[i]))
-            << "exclusive-head batch request " << i << " diverged";
+            << "split-row batch request " << i << " diverged";
     }
 }
 
@@ -259,64 +263,260 @@ TEST(EngineFused, ChainHeadedByExclusiveKernelRunsViaKickoff)
 // TaskGraph structure
 // ---------------------------------------------------------------------
 
-TEST(EngineFused, TaskGraphSplitsGridsAndOrdersChains)
+/**
+ * The hyb bucket kernels of a matrix, with the block hulls of their C
+ * rows attached as the engine attaches them, plus bindings for them.
+ */
+struct HybPlanFixture
 {
-    auto pool = std::make_shared<engine::ThreadPool>(8);
-    engine::ParallelExecutor executor(pool);
+    Csr a;
+    int64_t feat;
+    format::Hyb hyb;
+    std::vector<engine::CompiledKernel> kernels;
+    std::shared_ptr<core::BindingSet> bindings =
+        std::make_shared<core::BindingSet>();
+    NDArray b;
 
-    engine::CompiledKernel kernel =
-        engine::compileKernel(
-            core::compileSpmmCsrFunc(4, core::SpmmSchedule()));
-    ASSERT_NE(kernel.blockExtent, nullptr);
-    engine::CompiledKernel exclusive = kernel;
-    exclusive.exclusive = true;
-
-    runtime::Bindings bindings;
-    bindings.scalars["m"] = 64;
-    bindings.scalars["n"] = 32;
-    bindings.scalars["nnz"] = 100;
-    bindings.scalars["feat_size"] = 4;
-    std::vector<const runtime::Bindings *> requests{&bindings,
-                                                    &bindings};
-
-    engine::ExecOptions options;
-    options.minBlocksPerChunk = 8;
-    std::vector<const engine::CompiledKernel *> kernels{&kernel,
-                                                        &exclusive};
-    engine::TaskGraph graph =
-        executor.buildTaskGraph(kernels, requests, options);
-
-    ASSERT_EQ(graph.numRequests, 2);
-    ASSERT_EQ(graph.chains.size(), 2u);
-    for (const auto &chain : graph.chains) {
-        // One entry per kernel, in list order.
-        ASSERT_EQ(chain.size(), kernels.size());
-        EXPECT_EQ(chain[0].kernel, 0);
-        EXPECT_FALSE(chain[0].onShared);
-        EXPECT_GE(chain[0].numUnits, 1);
-        EXPECT_EQ(chain[1].kernel, 1);
-        EXPECT_TRUE(chain[1].onShared);
-        EXPECT_EQ(chain[1].numUnits, 0);
-        // Chunk windows of the non-exclusive kernel tile the grid
-        // contiguously in chunk order.
-        if (chain[0].numUnits > 1) {
-            int64_t cursor = 0;
-            for (int c = 0; c < chain[0].numUnits; ++c) {
-                const engine::TaskGraph::Unit &unit =
-                    graph.units[chain[0].firstUnit + c];
-                EXPECT_EQ(unit.blockBegin, cursor);
-                EXPECT_GT(unit.blockEnd, unit.blockBegin);
-                cursor = unit.blockEnd;
+    HybPlanFixture(Csr matrix, int64_t feat_size, int cap_log2)
+        : a(std::move(matrix)), feat(feat_size),
+          hyb(format::hybFromCsr(a, 1, cap_log2)),
+          b(NDArray::fromFloat(randomVector(a.cols * feat, 5)))
+    {
+        for (const auto &plan : core::compileSpmmHybFuncs(hyb, feat)) {
+            const format::Ell &ell =
+                hyb.buckets[plan.partition][plan.bucket];
+            engine::CompiledKernel kernel =
+                engine::compileKernel(plan.func);
+            for (engine::AccumOutput &out : kernel.accums) {
+                out.hulls = engine::blockHulls(ell.rowIndices,
+                                               plan.rowsPerBlock, feat);
             }
-            EXPECT_EQ(cursor, 64);
+            kernels.push_back(std::move(kernel));
+        }
+        bindings->external("B_data", &b);
+        // Binds the bucket arrays and scalars into `bindings`.
+        (void)core::compileSpmmHyb(a, feat, 1, cap_log2, bindings);
+    }
+
+    std::vector<const engine::CompiledKernel *>
+    pointers() const
+    {
+        std::vector<const engine::CompiledKernel *> out;
+        for (const engine::CompiledKernel &kernel : kernels) {
+            out.push_back(&kernel);
+        }
+        return out;
+    }
+
+    /** Bindings of a request writing `c`. */
+    runtime::Bindings
+    request(NDArray *c) const
+    {
+        runtime::Bindings view = bindings->view();
+        view.arrays["C_data"] = c;
+        return view;
+    }
+
+    /** Element hull of a unit's blocks on C. */
+    engine::Span
+    hullOf(const engine::TaskGraph::Unit &unit) const
+    {
+        const std::vector<engine::Span> &hulls =
+            kernels[unit.kernel].accums.at(0).hulls;
+        int64_t end = unit.blockEnd < 0
+                          ? static_cast<int64_t>(hulls.size())
+                          : unit.blockEnd;
+        return {hulls[unit.blockBegin].first, hulls[end - 1].second};
+    }
+};
+
+/** Row i has (i % 8) + 1 entries: every bucket spans all rows. */
+Csr
+cyclicRowsCsr(int64_t rows, int64_t cols)
+{
+    Csr a;
+    a.rows = rows;
+    a.cols = cols;
+    a.indptr.push_back(0);
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j <= i % 8; ++j) {
+            a.indices.push_back(static_cast<int32_t>((i * 7 + j) % cols));
+            a.values.push_back(0.25f * static_cast<float>(j + 1));
+        }
+        a.indptr.push_back(static_cast<int32_t>(a.indices.size()));
+    }
+    return a;
+}
+
+bool
+overlap(const engine::Span &x, const engine::Span &y)
+{
+    return x.first < y.second && y.first < x.second;
+}
+
+TEST(EngineFused, FullBatchPlansOneUnitPerRequestAndKernel)
+{
+    HybPlanFixture fx(cyclicRowsCsr(400, 64), 4, 3);
+    ASSERT_GE(fx.kernels.size(), 3u);
+    std::vector<NDArray> cs;
+    for (int r = 0; r < 4; ++r) {
+        cs.emplace_back(std::vector<int64_t>{fx.a.rows * fx.feat},
+                        ir::DataType::float32());
+    }
+    std::vector<runtime::Bindings> views;
+    for (NDArray &c : cs) {
+        views.push_back(fx.request(&c));
+    }
+    std::vector<const runtime::Bindings *> requests;
+    for (const runtime::Bindings &view : views) {
+        requests.push_back(&view);
+    }
+
+    engine::ParallelExecutor executor(
+        std::make_shared<engine::ThreadPool>(4));
+    engine::ExecOptions options;
+    options.minBlocksPerChunk = 1;
+    engine::TaskGraph graph =
+        executor.buildTaskGraph(fx.pointers(), requests, options);
+    size_t num_kernels = fx.kernels.size();
+    ASSERT_EQ(graph.units.size(), requests.size() * num_kernels);
+    for (size_t i = 0; i < graph.units.size(); ++i) {
+        const engine::TaskGraph::Unit &unit = graph.units[i];
+        EXPECT_EQ(unit.request, static_cast<int>(i / num_kernels));
+        EXPECT_EQ(unit.kernel, static_cast<int>(i % num_kernels));
+        EXPECT_EQ(unit.blockEnd, -1) << "a full batch split a kernel";
+        // Whole kernels of one request all overlap: a chain in
+        // kernel order, never waiting on another request.
+        std::vector<int> want;
+        for (size_t v = i - i % num_kernels; v < i; ++v) {
+            want.push_back(static_cast<int>(v));
+        }
+        EXPECT_EQ(unit.after, want) << "unit " << i;
+    }
+}
+
+TEST(EngineFused, SingleRequestSplitsKernelsWithEdgesOnlyAtOverlaps)
+{
+    HybPlanFixture fx(cyclicRowsCsr(400, 64), 4, 3);
+    ASSERT_GE(fx.kernels.size(), 3u);
+    NDArray c({fx.a.rows * fx.feat}, ir::DataType::float32());
+    runtime::Bindings view = fx.request(&c);
+    std::vector<const runtime::Bindings *> requests{&view};
+
+    engine::ParallelExecutor executor(
+        std::make_shared<engine::ThreadPool>(2));
+    engine::ExecOptions options;
+    options.minBlocksPerChunk = 1;
+    engine::TaskGraph graph =
+        executor.buildTaskGraph(fx.pointers(), requests, options);
+
+    // Every accumulating kernel is cut into >= 2 chunks that tile its
+    // grid in order.
+    std::vector<int> chunks(fx.kernels.size(), 0);
+    std::vector<int64_t> next_block(fx.kernels.size(), 0);
+    for (const engine::TaskGraph::Unit &unit : graph.units) {
+        ++chunks[unit.kernel];
+        EXPECT_EQ(unit.blockBegin, next_block[unit.kernel]);
+        ASSERT_GT(unit.blockEnd, unit.blockBegin);
+        next_block[unit.kernel] = unit.blockEnd;
+    }
+    for (size_t k = 0; k < fx.kernels.size(); ++k) {
+        EXPECT_GE(chunks[k], 2) << "kernel " << k << " was not split";
+        EXPECT_EQ(next_block[k],
+                  static_cast<int64_t>(
+                      fx.kernels[k].accums.at(0).hulls.size()));
+    }
+
+    // Edges exactly where hulls overlap, always to earlier units.
+    int independent_pairs = 0;
+    for (size_t u = 0; u < graph.units.size(); ++u) {
+        const std::vector<int> &after = graph.units[u].after;
+        for (size_t v = 0; v < u; ++v) {
+            bool edge =
+                std::find(after.begin(), after.end(),
+                          static_cast<int>(v)) != after.end();
+            bool conflict = overlap(fx.hullOf(graph.units[u]),
+                                    fx.hullOf(graph.units[v]));
+            EXPECT_EQ(edge, conflict) << "units " << v << " -> " << u;
+            independent_pairs += conflict ? 0 : 1;
         }
     }
-    // Exclusive kernels contribute no compute units at all.
-    for (const engine::TaskGraph::Unit &unit : graph.units) {
-        EXPECT_EQ(unit.kernel, 0);
+    EXPECT_GT(independent_pairs, 0) << "the plan is one chain";
+
+    // And it runs bitwise equal to the serial oracle.
+    NDArray expected({fx.a.rows * fx.feat}, ir::DataType::float32());
+    runtime::Bindings serial_view = fx.request(&expected);
+    engine::ExecOptions serial = options;
+    serial.parallel = false;
+    executor.run(fx.pointers(), {&serial_view}, serial);
+    executor.runTaskGraph(graph, requests, options);
+    EXPECT_TRUE(bitwiseEqual(expected, c));
+}
+
+/** Point native engines of this process at one fresh artifact dir:
+ *  never load .so files persisted by other processes. */
+void
+isolateNativeCacheDir();
+
+TEST(EngineFused, DuplicateRowBucketRunsSplitOnEveryBackend)
+{
+    // Width cap 2 on rows of up to 8 entries: the widest bucket
+    // stores long rows as several consecutive ELL rows.
+    HybPlanFixture fx(cyclicRowsCsr(400, 64), 4, 1);
+    const engine::CompiledKernel *dup = nullptr;
+    int dup_index = -1;
+    for (size_t p = 0, k = 0; p < fx.hyb.buckets[0].size(); ++p) {
+        const format::Ell &ell = fx.hyb.buckets[0][p];
+        if (ell.numRows() == 0) {
+            continue;
+        }
+        if (std::adjacent_find(ell.rowIndices.begin(),
+                               ell.rowIndices.end()) !=
+            ell.rowIndices.end()) {
+            dup = &fx.kernels[k];
+            dup_index = static_cast<int>(k);
+        }
+        ++k;
     }
-    // Unit count stays near the worker count (kickoffs aside).
-    EXPECT_LE(graph.units.size(), 16u);
+    ASSERT_NE(dup, nullptr) << "fixture has no split rows";
+
+    isolateNativeCacheDir();
+    for (engine::CompiledKernel &kernel : fx.kernels) {
+        auto native = runtime::native::compileNative(kernel.func,
+                                                     "dup-rows");
+        ASSERT_NE(native, nullptr);
+        kernel.native->set(std::move(native));
+    }
+
+    NDArray expected({fx.a.rows * fx.feat}, ir::DataType::float32());
+    runtime::Bindings serial_view = fx.request(&expected);
+    engine::ParallelExecutor executor(
+        std::make_shared<engine::ThreadPool>(4));
+    engine::ExecOptions serial;
+    serial.parallel = false;
+    serial.backend = runtime::Backend::kInterpreter;
+    executor.run(fx.pointers(), {&serial_view}, serial);
+
+    for (runtime::Backend backend :
+         {runtime::Backend::kInterpreter, runtime::Backend::kBytecode,
+          runtime::Backend::kNative}) {
+        NDArray c({fx.a.rows * fx.feat}, ir::DataType::float32());
+        runtime::Bindings view = fx.request(&c);
+        std::vector<const runtime::Bindings *> requests{&view};
+        engine::ExecOptions options;
+        options.minBlocksPerChunk = 1;
+        options.backend = backend;
+        engine::TaskGraph graph =
+            executor.buildTaskGraph(fx.pointers(), requests, options);
+        int dup_units = 0;
+        for (const engine::TaskGraph::Unit &unit : graph.units) {
+            dup_units += unit.kernel == dup_index ? 1 : 0;
+        }
+        EXPECT_GE(dup_units, 2) << "the split-row kernel ran whole";
+        executor.runTaskGraph(graph, requests, options);
+        EXPECT_TRUE(bitwiseEqual(expected, c))
+            << "backend " << static_cast<int>(backend);
+    }
 }
 
 TEST(EngineFused, LoneKernelChunksToMinOfWorkersAndExtentOverMinChunk)
@@ -328,6 +528,7 @@ TEST(EngineFused, LoneKernelChunksToMinOfWorkersAndExtentOverMinChunk)
     engine::CompiledKernel kernel =
         engine::compileKernel(
             core::compileSpmmCsrFunc(4, core::SpmmSchedule()));
+    ASSERT_TRUE(kernel.accums.empty());
     runtime::Bindings bindings;
     bindings.scalars["m"] = 64;
     bindings.scalars["n"] = 32;
@@ -355,89 +556,24 @@ TEST(EngineFused, LoneKernelChunksToMinOfWorkersAndExtentOverMinChunk)
         options.minBlocksPerChunk = shape.minChunk;
         engine::TaskGraph graph =
             executor.buildTaskGraph(kernels, requests, options);
-        ASSERT_EQ(graph.chains.size(), 1u);
-        ASSERT_EQ(graph.chains[0].size(), 1u);
-        EXPECT_EQ(graph.chains[0][0].numUnits, shape.chunks)
+        EXPECT_EQ(graph.units.size(), static_cast<size_t>(shape.chunks))
             << shape.workers << " workers, minChunk " << shape.minChunk;
-        EXPECT_EQ(graph.units.size(), static_cast<size_t>(shape.chunks));
+        int64_t cursor = 0;
+        for (const engine::TaskGraph::Unit &unit : graph.units) {
+            EXPECT_TRUE(unit.after.empty()) << "overwrite chunks wait";
+            if (shape.chunks > 1) {
+                EXPECT_EQ(unit.blockBegin, cursor);
+                cursor = unit.blockEnd;
+            }
+        }
         if (shape.chunks == 1) {
             EXPECT_EQ(graph.units[0].blockEnd, -1) << "unsplit unit";
+        } else {
+            EXPECT_EQ(cursor, 64);
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Request chains: a batch that fills the pool privatizes nothing
-// ---------------------------------------------------------------------
-
-/** A plain kernel, an exclusive copy of it, and bindings to plan on. */
-struct PlanFixture
-{
-    engine::CompiledKernel kernel = engine::compileKernel(
-        core::compileSpmmCsrFunc(4, core::SpmmSchedule()));
-    engine::CompiledKernel exclusive;
-    runtime::Bindings bindings;
-
-    PlanFixture()
-    {
-        exclusive = kernel;
-        exclusive.exclusive = true;
-        bindings.scalars["m"] = 64;
-        bindings.scalars["n"] = 32;
-        bindings.scalars["nnz"] = 100;
-        bindings.scalars["feat_size"] = 4;
-    }
-
-    engine::TaskGraph
-    plan(int workers, int requests) const
-    {
-        engine::ParallelExecutor executor(
-            std::make_shared<engine::ThreadPool>(workers));
-        std::vector<const engine::CompiledKernel *> kernels{
-            &kernel, &exclusive, &kernel};
-        std::vector<const runtime::Bindings *> views(requests,
-                                                     &bindings);
-        return executor.buildTaskGraph(kernels, views);
-    }
-};
-
-TEST(EngineFused, FullBatchPlansRequestChainsOnSharedStorage)
-{
-    PlanFixture fixture;
-    engine::TaskGraph graph = fixture.plan(/*workers=*/4,
-                                           /*requests=*/4);
-    EXPECT_TRUE(graph.units.empty()) << "a full batch privatized units";
-    ASSERT_EQ(graph.chains.size(), 4u);
-    for (const auto &chain : graph.chains) {
-        ASSERT_EQ(chain.size(), 3u);
-        for (size_t k = 0; k < chain.size(); ++k) {
-            EXPECT_EQ(chain[k].kernel, static_cast<int>(k));
-            EXPECT_TRUE(chain[k].onShared);
-            EXPECT_EQ(chain[k].numUnits, 0);
-        }
-    }
-}
-
-TEST(EngineFused, BatchBelowPoolSizeStillPrivatizes)
-{
-    PlanFixture fixture;
-    engine::TaskGraph graph = fixture.plan(/*workers=*/4,
-                                           /*requests=*/3);
-    // Two non-exclusive kernels per request, one unit each at least.
-    EXPECT_GE(graph.units.size(), 6u);
-    ASSERT_EQ(graph.chains.size(), 3u);
-    for (const auto &chain : graph.chains) {
-        ASSERT_EQ(chain.size(), 3u);
-        EXPECT_FALSE(chain[0].onShared);
-        EXPECT_GE(chain[0].numUnits, 1);
-        EXPECT_TRUE(chain[1].onShared) << "exclusive kernel";
-        EXPECT_FALSE(chain[2].onShared);
-        EXPECT_GE(chain[2].numUnits, 1);
-    }
-}
-
-/** Point native engines of this process at one fresh artifact dir:
- *  never load .so files persisted by other processes. */
 void
 isolateNativeCacheDir()
 {
@@ -496,13 +632,8 @@ TEST(EngineFused, FullBatchLeasesNoScratchAndMatchesSerial)
         uint64_t leases_before = eng.scratchStats().leases;
         auto info = eng.spmmHybBatch(a, feat, requests, config);
         ASSERT_GE(info.numKernels, 3) << name;
-        EXPECT_EQ(info.privatizedUnits, 0) << name;
         EXPECT_EQ(eng.scratchStats().leases, leases_before)
             << name << ": a full batch leased scratch";
-        EXPECT_EQ(eng.metricsSnapshot().counters.at(
-                      "engine.privatized_units"),
-                  0u)
-            << name;
         for (int i = 0; i < kThreads; ++i) {
             EXPECT_TRUE(bitwiseEqual(expected[i], c[i]))
                 << name << " request " << i << " diverged";
@@ -516,28 +647,41 @@ TEST(EngineFused, FullBatchLeasesNoScratchAndMatchesSerial)
     }
 }
 
-TEST(EngineFused, SingleRequestHybReportsPrivatizedUnits)
+TEST(EngineFused, SingleRequestHybLeasesNoScratch)
 {
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 103);
     int64_t feat = 8;
     engine::HybConfig config;
     config.partitions = 2;
     NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 104));
-    NDArray c({a.rows * feat}, ir::DataType::float32());
+
+    Engine serial = makeEngine(runtime::Backend::kBytecode,
+                               /*parallel=*/false, 1);
+    NDArray expected({a.rows * feat}, ir::DataType::float32());
+    serial.spmmHyb(a, feat, &b, &expected, config);
 
     Engine eng = makeEngine(runtime::Backend::kBytecode,
-                            /*parallel=*/true, 2);
-    auto info = eng.spmmHyb(a, feat, &b, &c, config);
-    EXPECT_GT(info.privatizedUnits, 0);
-    EXPECT_EQ(eng.metricsSnapshot().counters.at(
-                  "engine.privatized_units"),
-              static_cast<uint64_t>(info.privatizedUnits));
+                            /*parallel=*/true, 2, /*min_chunk=*/1);
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    eng.spmmHyb(a, feat, &b, &c, config);  // cold: proves the hulls
+    EXPECT_TRUE(bitwiseEqual(expected, c));
 
-    // A serial session runs no units at all.
-    Engine serial = makeEngine(runtime::Backend::kBytecode,
-                               /*parallel=*/false, 2);
-    EXPECT_EQ(serial.spmmHyb(a, feat, &b, &c, config).privatizedUnits,
-              0);
+    // Warm: the proven hulls let the task graph cut the kernels, so
+    // more units than kernels run.
+    observe::TraceRecorder::global().setEnabled(true);
+    observe::TraceRecorder::global().clear();
+    auto info = eng.spmmHyb(a, feat, &b, &c, config);
+    observe::TraceRecorder::global().setEnabled(false);
+    size_t units = 0;
+    for (const auto &e : observe::TraceRecorder::global().collect()) {
+        units += std::string(e.event.name) == "fused.unit" ? 1 : 0;
+    }
+    observe::TraceRecorder::global().clear();
+    EXPECT_GT(units, static_cast<size_t>(info.numKernels))
+        << "hyb kernels ran whole: no proven hulls";
+    EXPECT_TRUE(bitwiseEqual(expected, c));
+    EXPECT_EQ(eng.scratchStats().leases, 0u);
+    EXPECT_EQ(eng.metricsSnapshot().counters.at("scratch.leases"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -601,8 +745,8 @@ TEST(EngineFused, DeterministicUnderContentionWithOneCompile)
     EXPECT_EQ(runtime::launchProbeCount(), 0u)
         << "warm fused dispatch probed the grid through the "
            "interpreter";
-    // Every privatization lease went back to the pool.
-    EXPECT_EQ(eng.scratchStats().leasedBytes, 0);
+    // Hyb dispatch leases no scratch at all.
+    EXPECT_EQ(eng.scratchStats().leases, 0u);
 }
 
 } // namespace

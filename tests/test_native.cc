@@ -400,74 +400,6 @@ TEST(NativeKernel, BlockWindowsComposeToFullRun)
         UserError);
 }
 
-TEST(NativeKernel, OffsetViewRebasedRunMatchesInterpreterBitwise)
-{
-    CacheDirGuard cache;
-    // f(base, n, out, v): for i in [0, n): out[base+i] += v[i],
-    // against a PACKED `out` (window [4,8) u [12,14)) — the grid-chunk
-    // privatization contract the engine's fused dispatch relies on.
-    auto func = ir::primFunc("rebased");
-    ir::Var base = ir::var("base");
-    ir::Var n = ir::var("n");
-    ir::Var i = ir::var("i");
-    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(64)},
-                                     ir::DataType::float32());
-    ir::Buffer v = ir::denseBuffer("v", {ir::intImm(64)},
-                                   ir::DataType::float32());
-    func->params = {base, n, out->data, v->data};
-    func->bufferMap.emplace_back(out->data, out);
-    func->bufferMap.emplace_back(v->data, v);
-    ir::Expr idx = ir::add(base, i);
-    func->body = ir::forLoop(
-        i, ir::intImm(0), n,
-        ir::bufferStore(out, {idx},
-                        ir::add(ir::bufferLoad(out, {idx}),
-                                ir::bufferLoad(v, {i}))));
-    func->stage = ir::IrStage::kStage3;
-    auto kernel = native::compileNative(func, "rebased");
-    ASSERT_NE(kernel, nullptr);
-
-    auto view = runtime::OffsetView::fromSpans({{4, 8}, {12, 14}});
-    NDArray packed_interp =
-        NDArray::fromFloat({10, 20, 30, 40, 50, 60});
-    NDArray packed_native =
-        NDArray::fromFloat({10, 20, 30, 40, 50, 60});
-    NDArray vals = NDArray::fromFloat({1, 2, 3, 4});
-
-    runtime::RunOptions options;
-    options.offsetViews.push_back(
-        runtime::BufferView{"out_data", &view});
-    Bindings bindings;
-    bindings.scalars = {{"base", 4}, {"n", 4}};
-    bindings.arrays = {{"out_data", &packed_interp},
-                       {"v_data", &vals}};
-    runtime::runInterpreted(func, bindings, options);
-    bindings.arrays["out_data"] = &packed_native;
-    native::execute(*kernel, bindings, options);
-    EXPECT_TRUE(bitwiseEqual(packed_interp, packed_native));
-
-    // The second span: absolute [12,14) lands in packed [4,6).
-    bindings.scalars["base"] = 12;
-    bindings.scalars["n"] = 2;
-    native::execute(*kernel, bindings, options);
-    EXPECT_EQ(packed_native.floatAt(4), 51.0);
-    EXPECT_EQ(packed_native.floatAt(5), 62.0);
-
-    // Accesses outside the window fault, exactly like the VM.
-    bindings.scalars["base"] = 8;
-    EXPECT_THROW(native::execute(*kernel, bindings, options),
-                 InternalError);
-
-    // Without the view the same offsets address the full array.
-    NDArray full({64}, ir::DataType::float32());
-    bindings.arrays["out_data"] = &full;
-    bindings.scalars["base"] = 4;
-    bindings.scalars["n"] = 4;
-    native::execute(*kernel, bindings, runtime::RunOptions());
-    EXPECT_EQ(full.floatAt(4), 1.0);
-    EXPECT_EQ(full.floatAt(7), 4.0);
-}
-
 // Every access is one compare against a hoisted typed view, with the
 // checked helper behind it. Each fault the helper path raised before
 // must still surface, lazily and with the bytecode VM's exact text.
@@ -545,24 +477,6 @@ TEST(NativeKernel, TypedViewFallbackKeepsEveryFaultAndDiagnostic)
                 "offset 8 out of bounds for buffer 'out_data' (numel 8)");
     expectFault(bind(-1, 1, 0, &full, &vals), {},
                 "negative offset into out_data");
-
-    // A single-span view: outside the window is the window fault; a
-    // span wider than the packed array is still bounded by numel.
-    auto narrow = runtime::OffsetView::fromSpans({{4, 8}});
-    runtime::RunOptions narrow_options;
-    narrow_options.offsetViews.push_back(
-        runtime::BufferView{"out_data", &narrow});
-    NDArray packed({4}, ir::DataType::float32());
-    expectFault(bind(2, 4, 0, &packed, &vals), narrow_options,
-                "offset 2 of buffer 'out_data' lies outside its "
-                "rebased window (write-set spans must cover every "
-                "touched element)");
-    auto wide = runtime::OffsetView::fromSpans({{4, 12}});
-    runtime::RunOptions wide_options;
-    wide_options.offsetViews.push_back(
-        runtime::BufferView{"out_data", &wide});
-    expectFault(bind(4, 8, 0, &packed, &vals), wide_options,
-                "offset 4 out of bounds for buffer 'out_data' (numel 4)");
 
     // An int32 array bound to the float parameter: no view, so the
     // class fault comes from the helper, and only once v is touched.

@@ -2,15 +2,18 @@
  * @file
  * Static artifact verifier tests: positive controls proving every
  * pipeline kernel family clean under symbolic format facts, a
- * known-bad IR regression corpus (dropped spatial guard -> OOB, stale
- * or empty write-set spans, seeded parallel race) that must each be
- * rejected with a category-correct diagnostic, and the engine-level
+ * known-bad IR regression corpus (dropped spatial guard -> OOB, block
+ * hulls one row short or cut at the wrong rows per block, seeded
+ * parallel race) that must each be rejected with a category-correct
+ * diagnostic, the hull obligation proven on every hyb bucket
+ * (split rows included), and the engine-level
  * contract that verification runs once per artifact with the verdict
  * cached.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -307,82 +310,115 @@ TEST(VerifyCorpus, DivisibleFeatSurvivesGuardStripOnlyBecauseProvable)
     EXPECT_TRUE(result.ok) << verify::formatDiagnostics(result);
 }
 
-TEST(VerifyCorpus, EmptyWriteSetSpansRejected)
+/**
+ * Concrete verifier facts of one hyb bucket kernel, as the engine
+ * declares them, with block hulls of C computed at `rows_per_block`.
+ */
+struct HullSpec
 {
-    ir::PrimFunc func =
-        core::compileSpmmCsrFunc(32, core::SpmmSchedule());
-    verify::VerifyContext ctx = csrSymbolicFacts(func);
-    std::vector<int32_t> rows = {0, 2, 4};
+    verify::VerifyContext ctx;
+    const format::Ell *ell = nullptr;
+};
+
+HullSpec
+hullSpec(const Csr &a, const format::Hyb &hyb,
+         const core::HybKernelPlan &plan, int64_t feat,
+         int64_t rows_per_block)
+{
+    HullSpec spec;
+    spec.ell = &hyb.buckets[plan.partition][plan.bucket];
+    verify::VerifyContext &ctx = spec.ctx;
+    ctx.scalar("m", a.rows);
+    ctx.scalar("n", a.cols);
+    ctx.scalar("nnz", a.nnz());
+    ctx.scalar("feat_size", feat);
+    ctx.int32Array("J_indptr", a.indptr);
+    ctx.int32Array("J_indices", a.indices);
+    ctx.int32Array(core::ellRowIndicesParam(plan.suffix),
+                   spec.ell->rowIndices);
+    ctx.int32Array(core::ellColIndicesParam(plan.suffix),
+                   spec.ell->colIndices);
     verify::AccumWriteSet set;
-    set.buffer = "C";
-    set.wholeArray = false;
-    set.spans = {}; // claims the kernel writes nothing
-    set.rows = &rows;
-    set.rowWidth = 32;
+    set.buffer = "C_data";
+    set.rowsBuffer = core::ellRowIndicesParam(plan.suffix);
+    set.rows = &spec.ell->rowIndices;
+    set.rowWidth = feat;
+    set.rowsPerBlock = rows_per_block;
+    set.blockHulls = engine::blockHulls(spec.ell->rowIndices,
+                                        rows_per_block, feat);
     ctx.hasAccumSpec = true;
     ctx.accums.push_back(set);
-
-    auto result = verify::verifyFunc(func, ctx);
-    ASSERT_FALSE(result.ok);
-    EXPECT_TRUE(
-        hasCategory(result, verify::DiagCategory::kWriteSetViolation))
-        << verify::formatDiagnostics(result);
-    EXPECT_FALSE(hasCategory(result, verify::DiagCategory::kParallelRace))
-        << verify::formatDiagnostics(result);
+    return spec;
 }
 
-TEST(VerifyCorpus, StaleWriteSetSpansRejected)
+bool
+hasDuplicateRows(const std::vector<int32_t> &rows)
 {
-    ir::PrimFunc func =
-        core::compileSpmmCsrFunc(32, core::SpmmSchedule());
-    verify::VerifyContext ctx = csrSymbolicFacts(func);
-    std::vector<int32_t> rows = {0, 2, 4};
-    verify::AccumWriteSet set;
-    set.buffer = "C";
-    set.wholeArray = false;
-    // Stale spans from a previous (shifted) row set: row 4 writes
-    // [128, 160) which no declared span covers.
-    set.spans = {{0, 96}};
-    set.rows = &rows;
-    set.rowWidth = 32;
-    ctx.hasAccumSpec = true;
-    ctx.accums.push_back(set);
-
-    auto result = verify::verifyFunc(func, ctx);
-    ASSERT_FALSE(result.ok);
-    EXPECT_TRUE(
-        hasCategory(result, verify::DiagCategory::kWriteSetViolation))
-        << verify::formatDiagnostics(result);
+    return std::adjacent_find(rows.begin(), rows.end()) != rows.end();
 }
 
-TEST(VerifyCorpus, DuplicateRowsWithoutExclusiveIsRace)
+TEST(VerifyCorpus, BlockHullsProveOnEveryHybBucketIncludingSplitRows)
 {
-    ir::PrimFunc func =
-        core::compileSpmmCsrFunc(32, core::SpmmSchedule());
-    verify::VerifyContext ctx = csrSymbolicFacts(func);
-    std::vector<int32_t> rows = {1, 1, 2}; // split row, both halves
-    verify::AccumWriteSet set;
-    set.buffer = "C";
-    set.wholeArray = false;
-    set.spans = {{32, 96}};
-    set.rows = &rows;
-    set.rowWidth = 32;
-    ctx.hasAccumSpec = true;
-    ctx.accums.push_back(set);
+    Csr a = randomCsr(64, 48, 0.2, 11);
+    int64_t feat = 8;
+    format::Hyb hyb = format::hybFromCsr(a, 1, 2);
+    auto plans = core::compileSpmmHybFuncs(hyb, feat);
+    bool saw_split = false;
+    for (const auto &plan : plans) {
+        HullSpec spec = hullSpec(a, hyb, plan, feat, plan.rowsPerBlock);
+        saw_split |= hasDuplicateRows(spec.ell->rowIndices);
+        // Split rows need no marking; the flag is ignored either way.
+        for (bool flag : {false, true}) {
+            spec.ctx.kernelExclusive = flag;
+            auto result = verify::verifyFunc(plan.func, spec.ctx);
+            EXPECT_TRUE(result.ok) << "bucket " << plan.suffix << "\n"
+                                   << verify::formatDiagnostics(result);
+        }
+    }
+    EXPECT_TRUE(saw_split) << "fixture has no split rows";
+}
 
-    ctx.kernelExclusive = false;
-    auto racy = verify::verifyFunc(func, ctx);
-    ASSERT_FALSE(racy.ok);
-    EXPECT_TRUE(hasCategory(racy, verify::DiagCategory::kParallelRace))
-        << verify::formatDiagnostics(racy);
+TEST(VerifyCorpus, HullOneRowShortRejected)
+{
+    Csr a = randomCsr(64, 48, 0.2, 11);
+    int64_t feat = 8;
+    format::Hyb hyb = format::hybFromCsr(a, 1, 2);
+    for (const auto &plan : core::compileSpmmHybFuncs(hyb, feat)) {
+        HullSpec spec = hullSpec(a, hyb, plan, feat, plan.rowsPerBlock);
+        auto &hulls = spec.ctx.accums[0].blockHulls;
+        ASSERT_FALSE(hulls.empty());
+        hulls.back().second -= feat;  // drop the last block's last row
+        auto result = verify::verifyFunc(plan.func, spec.ctx);
+        ASSERT_FALSE(result.ok) << "bucket " << plan.suffix;
+        EXPECT_TRUE(
+            hasCategory(result, verify::DiagCategory::kWriteSetViolation))
+            << verify::formatDiagnostics(result);
+    }
+}
 
-    // The exclusive marking is exactly what licenses duplicate rows:
-    // the same spec with the marking carries no race diagnostic.
-    ctx.kernelExclusive = true;
-    auto exclusive = verify::verifyFunc(func, ctx);
-    EXPECT_FALSE(
-        hasCategory(exclusive, verify::DiagCategory::kParallelRace))
-        << verify::formatDiagnostics(exclusive);
+TEST(VerifyCorpus, HullsAtWrongRowsPerBlockRejected)
+{
+    // Hulls that cover the rows but group them at twice the kernel's
+    // rows per block: the concrete rows fit, but the IR's block b
+    // writes rows the declared grouping gives to block b / 2.
+    Csr a = randomCsr(64, 48, 0.2, 11);
+    int64_t feat = 8;
+    format::Hyb hyb = format::hybFromCsr(a, 1, 2);
+    int checked = 0;
+    for (const auto &plan : core::compileSpmmHybFuncs(hyb, feat)) {
+        if (plan.numRows < 2 * plan.rowsPerBlock) {
+            continue;  // one block: every grouping is the same
+        }
+        HullSpec spec =
+            hullSpec(a, hyb, plan, feat, 2 * plan.rowsPerBlock);
+        auto result = verify::verifyFunc(plan.func, spec.ctx);
+        ASSERT_FALSE(result.ok) << "bucket " << plan.suffix;
+        EXPECT_TRUE(
+            hasCategory(result, verify::DiagCategory::kWriteSetViolation))
+            << verify::formatDiagnostics(result);
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
 }
 
 TEST(VerifyCorpus, SeededParallelRaceRejected)
