@@ -4,8 +4,9 @@
  * the hyb(c, k) format (paper §4.2.1), tune the column-partition
  * count with the simulator as cost oracle, and compare against the
  * single-format kernel — the workflow of the paper's Figures 11-13.
- * Tuning and serving both route through an engine::Engine session, so
- * every candidate is compiled once and re-dispatch skips lowering.
+ * Tuning simulates each candidate's GPU schedule; serving runs the
+ * host schedule through an engine::Engine session, which compiles
+ * the chosen configuration once so re-dispatch skips lowering.
  *
  * Build & run:  ./build/examples/gnn_spmm
  */
@@ -47,11 +48,10 @@ main()
     double csr_ms = device.launch(csr_kernel->simKernel()).timeMs;
     std::printf("SparseTIR(no-hyb): %.4f ms\n", csr_ms);
 
-    // Composable format: search c over {1, 2, 4, 8, 16}. The engine
-    // session memoizes every candidate's compiled kernels.
-    engine::Engine session(engine::EngineOptions{});
+    // Composable format: search c over {1, 2, 4, 8, 16} on the
+    // simulator, which models the GPU schedule of each candidate.
     autotune::HybTuneResult tuned =
-        autotune::tuneSpmmHyb(g, feat, device, session);
+        autotune::tuneSpmmHyb(g, feat, device);
     std::printf("hyb search:\n");
     for (const auto &cand : tuned.tried) {
         std::printf("  hyb(c=%2d, k=%d): %.4f ms%s\n", cand.c, cand.k,
@@ -67,9 +67,10 @@ main()
                 "(Table 1 column)\n",
                 hyb.paddingRatio() * 100.0);
 
-    // Serve the tuned configuration on the host through the same
-    // session: the first dispatch hits the kernels the tuner already
-    // compiled, later dispatches skip straight to value binding.
+    // Serve the tuned configuration on the host through an engine
+    // session: the first dispatch compiles the host-scheduled
+    // kernels, later dispatches skip straight to value binding.
+    engine::Engine session(engine::EngineOptions{});
     engine::HybConfig best_config;
     best_config.partitions = tuned.best.c;
     c.zero();

@@ -11,7 +11,7 @@ using core::BindingSet;
 
 HybTuneResult
 tuneSpmmHyb(const format::Csr &a, int64_t feat, gpusim::Device &device,
-            engine::Engine &session, const std::vector<int> &partitions)
+            const std::vector<int> &partitions)
 {
     HybTuneResult result;
     gpusim::SimOptions opts;
@@ -20,19 +20,18 @@ tuneSpmmHyb(const format::Csr &a, int64_t feat, gpusim::Device &device,
     runtime::NDArray c({a.rows * feat}, ir::DataType::float32());
     bool first = true;
     for (int partition : partitions) {
-        engine::HybConfig config;
-        config.partitions = partition;
-        engine::PreparedSpmmHyb prepared =
-            session.prepareSpmmHyb(a, feat, config);
-        prepared.bindings->external("B_data", &b);
-        prepared.bindings->external("C_data", &c);
+        auto bindings = std::make_shared<BindingSet>();
+        bindings->external("B_data", &b);
+        bindings->external("C_data", &c);
+        core::HybSpmm compiled =
+            core::compileSpmmHyb(a, feat, partition, -1, bindings);
         std::vector<const gpusim::Kernel *> kernels;
-        for (auto &kernel : prepared.kernels) {
+        for (auto &kernel : compiled.kernels) {
             kernels.push_back(&kernel->simKernel());
         }
         HybCandidate candidate;
         candidate.c = partition;
-        candidate.k = prepared.bucketCapLog2;
+        candidate.k = compiled.hyb.maxWidthLog2;
         candidate.timeMs = device.launchFused(kernels, opts).timeMs;
         result.tried.push_back(candidate);
         if (first || candidate.timeMs < result.best.timeMs) {
@@ -41,19 +40,6 @@ tuneSpmmHyb(const format::Csr &a, int64_t feat, gpusim::Device &device,
         }
     }
     return result;
-}
-
-HybTuneResult
-tuneSpmmHyb(const format::Csr &a, int64_t feat, gpusim::Device &device,
-            const std::vector<int> &partitions)
-{
-    engine::EngineOptions options;
-    // The simulator is the cost oracle here: no host execution, so
-    // keep the transient session's pool minimal and inert.
-    options.numThreads = 1;
-    options.parallel = false;
-    engine::Engine session(options);
-    return tuneSpmmHyb(a, feat, device, session, partitions);
 }
 
 HybTuneResult

@@ -36,20 +36,11 @@ struct HybTuneResult
 
 /**
  * Search column-partition counts (paper: c in {1,2,4,8,16}, k fixed to
- * ceil(log2(nnz/rows))) for the hyb SpMM of one matrix. Candidate
- * kernels are resolved through `session`'s compile cache, so
- * re-tuning the same (structure, feat) pair — repeated searches, or
- * one search evaluated on several device models — skips
- * recompilation. (The cache key includes the feature size; tuning at
- * a new feat compiles fresh candidates.)
+ * ceil(log2(nnz/rows))) for the hyb SpMM of one matrix. Candidates
+ * are compiled with the GPU schedule (core::compileSpmmHyb), the one
+ * the simulator models; the engine serves the host schedule, so its
+ * compile cache holds no simulable kernels.
  */
-HybTuneResult tuneSpmmHyb(const format::Csr &a, int64_t feat,
-                          gpusim::Device &device,
-                          engine::Engine &session,
-                          const std::vector<int> &partitions = {1, 2, 4,
-                                                                8, 16});
-
-/** Convenience overload: tune inside a transient engine session. */
 HybTuneResult tuneSpmmHyb(const format::Csr &a, int64_t feat,
                           gpusim::Device &device,
                           const std::vector<int> &partitions = {1, 2, 4,

@@ -10,17 +10,18 @@ namespace core {
 using namespace ir;
 
 PrimFunc
-buildSpmm()
+buildSpmm(int64_t feat)
 {
     SparseTirBuilder b("spmm");
     Var m = b.scalarParam("m");
     Var n = b.scalarParam("n");
     Var nnz = b.scalarParam("nnz");
-    Var feat = b.scalarParam("feat_size");
+    Var feat_size = b.scalarParam("feat_size");
     Axis i_axis = b.addDenseFixed("I", m);
     Axis j_axis = b.addSparseVariable("J", i_axis, n, nnz);
     Axis jd_axis = b.addDenseFixed("J_", n);
-    Axis k_axis = b.addDenseFixed("K", feat);
+    Axis k_axis =
+        b.addDenseFixed("K", feat > 0 ? intImm(feat) : Expr(feat_size));
     Buffer a = b.addSparseBuffer("A", {i_axis, j_axis});
     Buffer x = b.addSparseBuffer("B", {jd_axis, k_axis});
     Buffer c = b.addSparseBuffer("C", {i_axis, k_axis});

@@ -19,8 +19,13 @@
 namespace sparsetir {
 namespace core {
 
-/** CSR SpMM Stage I program (paper Figure 3): C = A @ B. */
-ir::PrimFunc buildSpmm();
+/**
+ * CSR SpMM Stage I program (paper Figure 3): C = A @ B. With `feat`
+ * > 0 the feature axis has that constant length, so every loop
+ * extent and buffer shape over it is a constant; `feat_size` stays a
+ * parameter the body no longer reads.
+ */
+ir::PrimFunc buildSpmm(int64_t feat = 0);
 
 /**
  * SDDMM Stage I program: B_out = A ⊙ (X @ Y). When `fuse_ij` the

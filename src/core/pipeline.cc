@@ -8,6 +8,7 @@
 #include "schedule/schedule.h"
 #include "support/logging.h"
 #include "transform/format_decompose.h"
+#include "transform/hoist_invariant_loads.h"
 #include "transform/lower_sparse_buffer.h"
 #include "transform/lower_sparse_iter.h"
 
@@ -85,6 +86,9 @@ BoundKernel::simKernel()
 // ---------------------------------------------------------------------
 
 namespace {
+
+/** Feature lanes per GPU thread block row (clamped to feat). */
+constexpr int kGpuThreadX = 32;
 
 /** Lower a Stage I function to Stage II (schedulable loops). */
 PrimFunc
@@ -271,7 +275,8 @@ compileSpmmCsr(const Csr &a, int64_t feat,
 // ---------------------------------------------------------------------
 
 std::vector<HybKernelPlan>
-compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat, int threadX)
+compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
+                    ScheduleTarget target)
 {
     // One ELL rewrite rule per non-empty (partition, bucket).
     std::vector<transform::FormatRewriteRule> rules;
@@ -297,7 +302,10 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat, int threadX)
     }
     USER_CHECK(!rules.empty()) << "matrix has no non-zeros";
 
-    PrimFunc stage1 = buildSpmm();
+    // The host schedule binds feat_size to the compile-time feat, so
+    // the feature loop and its accumulator have a constant extent.
+    const bool host = target == ScheduleTarget::kHost;
+    PrimFunc stage1 = buildSpmm(host ? feat : 0);
     observe::TraceScope decompose_span("compile",
                                        "stage1.decompose_format");
     transform::DecomposeResult decomposed =
@@ -307,10 +315,9 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat, int threadX)
         decomposed.func, decomposed.copyIterNames);
     (void)pre;  // bucket data is prepared by the format library
 
-    // Per-bucket kernels: lower + GE-SpMM-style schedule.
+    // Per-bucket kernels: lower + schedule for the target.
     std::vector<PrimFunc> pieces = splitIterations(compute);
     ICHECK_EQ(pieces.size(), plans.size());
-    int tx = clampThreadX(feat, threadX);
     for (size_t idx = 0; idx < pieces.size(); ++idx) {
         SPARSETIR_TRACE_SCOPE1("compile", "stage2.schedule_bucket",
                                "bucket", idx);
@@ -328,21 +335,34 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat, int threadX)
         plan.rowsPerBlock = static_cast<int>(
             std::min<int64_t>(rows_per_block, plan.numRows));
         auto [f_o, f_i] = sch.split(fused, plan.rowsPerBlock);
-        auto [k_o, k_i] = sch.split(loops[3], tx);
-        sch.reorder({k_o, k_i, loops[2]});
-        sch.bind(f_o, "blockIdx.x");
-        sch.bind(f_i, "threadIdx.y");
-        sch.bind(k_i, "threadIdx.x");
+        if (host) {
+            sch.bind(f_o, "blockIdx.x");
+        } else {
+            // GE-SpMM: one feature lane per thread, each re-walking
+            // the row with a 1-element accumulator.
+            auto [k_o, k_i] =
+                sch.split(loops[3], clampThreadX(feat, kGpuThreadX));
+            sch.reorder({k_o, k_i, loops[2]});
+            sch.bind(f_o, "blockIdx.x");
+            sch.bind(f_i, "threadIdx.y");
+            sch.bind(k_i, "threadIdx.x");
+        }
         // Buckets contribute partial sums to a zero-initialized C.
+        // On the host the feature loop stays inside the non-zero
+        // loop, so the accumulator is feature-wide.
         sch.cacheWrite(block_name, "C", /*accumulate=*/true);
-        plan.func = selfVerified(lowerToStage3(sch), block_name);
+        PrimFunc stage3 = lowerToStage3(sch);
+        if (host) {
+            stage3 = transform::hoistInvariantLoads(stage3);
+        }
+        plan.func = selfVerified(stage3, block_name);
     }
     return plans;
 }
 
 HybSpmm
 compileSpmmHyb(const Csr &a, int64_t feat, int c, int k,
-               const std::shared_ptr<BindingSet> &shared, int threadX)
+               const std::shared_ptr<BindingSet> &shared)
 {
     HybSpmm result;
     result.bindings = shared;
@@ -350,7 +370,7 @@ compileSpmmHyb(const Csr &a, int64_t feat, int c, int k,
     const format::Hyb &hyb = result.hyb;
 
     std::vector<HybKernelPlan> plans =
-        compileSpmmHybFuncs(hyb, feat, threadX);
+        compileSpmmHybFuncs(hyb, feat, ScheduleTarget::kGpu);
 
     // Shared scalars and the original CSR arrays (the copy kernels
     // reference them; compute kernels only touch bucket data).

@@ -131,14 +131,33 @@ struct HybKernelPlan
     ir::PrimFunc func;
 };
 
+/** Which machine a Stage II schedule is shaped for. */
+enum class ScheduleTarget {
+    /**
+     * Host backends (interpreter, bytecode, native): the natural
+     * (row-block, row, non-zero, feature) order with blockIdx.x over
+     * row blocks, feat_size bound to the compile-time feat, a
+     * feature-wide accumulator and loop-invariant loads hoisted.
+     */
+    kHost,
+    /**
+     * The paper's GE-SpMM GPU schedule: feature lanes bound to
+     * threadIdx.x outside the non-zero loop, rows to threadIdx.y,
+     * one 1-element accumulator per lane. The GPU simulator's input.
+     */
+    kGpu,
+};
+
 /**
  * Stage III kernels for every non-empty (partition, bucket) of a hyb
- * decomposition, scheduled GE-SpMM style. Depends only on the bucket
- * shape of `hyb` (row counts and widths), not its values.
+ * decomposition, scheduled for `target`. Both targets share the grid
+ * (rowsPerBlock rows per blockIdx.x block) and the per-element order
+ * of additions, so their outputs are bitwise equal. Depends only on
+ * the bucket shape of `hyb` (row counts and widths), not its values.
  */
-std::vector<HybKernelPlan> compileSpmmHybFuncs(const format::Hyb &hyb,
-                                               int64_t feat,
-                                               int threadX = 32);
+std::vector<HybKernelPlan> compileSpmmHybFuncs(
+    const format::Hyb &hyb, int64_t feat,
+    ScheduleTarget target = ScheduleTarget::kHost);
 
 /**
  * Parameter names the suffix-derived kernels bind. Everything that
@@ -222,12 +241,12 @@ struct HybSpmm
 /**
  * SpMM through the composable-format pipeline: decomposeFormat with
  * one ELL rule per non-empty (partition, bucket), per-bucket GE-SpMM
- * style schedules, bucket data prepared by format::hybFromCsr.
- * The paper's Figure 11/13 "SparseTIR(hyb)" configuration.
+ * GPU schedules (ScheduleTarget::kGpu), bucket data prepared by
+ * format::hybFromCsr. The paper's Figure 11/13 "SparseTIR(hyb)"
+ * configuration, as the GPU simulator sees it.
  */
 HybSpmm compileSpmmHyb(const format::Csr &a, int64_t feat, int c, int k,
-                       const std::shared_ptr<BindingSet> &shared,
-                       int threadX = 32);
+                       const std::shared_ptr<BindingSet> &shared);
 
 /** Fused SDDMM with two-stage (rfactor) reduction, PRedS-style. */
 std::shared_ptr<BoundKernel> compileSddmm(

@@ -418,7 +418,7 @@ buildSpmmHybArtifact(const Csr &a, int64_t feat,
     format::Hyb hyb =
         format::hybFromCsr(a, config.partitions, config.bucketCapLog2);
     std::vector<core::HybKernelPlan> plans =
-        core::compileSpmmHybFuncs(hyb, feat, config.threadX);
+        core::compileSpmmHybFuncs(hyb, feat);
 
     auto artifact = std::make_shared<SpmmHybArtifact>();
     artifact->bucketCapLog2 = hyb.maxWidthLog2;
@@ -583,7 +583,6 @@ spmmHybKey(const Csr &a, int64_t feat, const HybConfig &config)
     key.schedule = Fingerprint()
                        .i64(config.partitions)
                        .i64(config.bucketCapLog2)
-                       .i64(config.threadX)
                        .digest();
     key.featIn = feat;
     key.featOut = feat;

@@ -193,7 +193,6 @@ struct HybConfig
     int partitions = 1;
     /** Bucket cap log2 (paper's k); -1 = per-structure heuristic. */
     int bucketCapLog2 = -1;
-    int threadX = 32;
 };
 
 /** Format/schedule selection for RGCN dispatch. */
@@ -392,8 +391,9 @@ class Engine
                     const std::vector<SpmmRequest> &requests);
 
     /**
-     * Resolve (compile or fetch) a hyb SpMM and return bound kernels
-     * for external execution or simulation — the autotuner's path.
+     * Resolve (compile or fetch) a hyb SpMM and return its bound
+     * host-scheduled kernels, e.g. as a handle for spmmHybBatch. (The
+     * simulator models the GPU schedule: see core::compileSpmmHyb.)
      */
     PreparedSpmmHyb prepareSpmmHyb(const format::Csr &a, int64_t feat,
                                    const HybConfig &config = HybConfig());

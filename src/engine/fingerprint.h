@@ -114,8 +114,11 @@ const char *opKindName(OpKind op);
  *  v7 — AccumOutput carries proven per-block element hulls instead
  *       of span windows, and kernels lose the split-row marking; the
  *       task graph orders units by hull overlap (native ABI v3).
+ *  v8 — hyb SpMM kernels use the host schedule (feature loop inside
+ *       the non-zero loop, feature-wide accumulator, hoisted
+ *       invariant loads), and the hyb schedule key drops threadX.
  */
-constexpr uint32_t kArtifactVersion = 7;
+constexpr uint32_t kArtifactVersion = 8;
 
 /** Key of one compile-cache entry. */
 struct CacheKey

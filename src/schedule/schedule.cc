@@ -608,42 +608,76 @@ Schedule::cacheWrite(const std::string &block_name,
         }
     }
 
+    // Spatial loops nested inside the outermost reduction loop are
+    // allowed when zero-based with a constant extent: the
+    // accumulator then holds one element per iteration of those
+    // loops (row-major over them, outermost first), and the
+    // write-back becomes a loop nest over them. Without such loops
+    // the accumulator is the 1-element register of the GPU
+    // schedules.
     auto path = loopsAbove(func_, block);
     const ForNode *outer_reduce = nullptr;
+    std::vector<const ForNode *> inner_spatial;
+    int64_t acc_size = 1;
     for (const ForNode *loop : path) {
         bool is_reduce = reduce_set.count(loop->loopVar.get()) > 0;
         if (outer_reduce == nullptr) {
             if (is_reduce) {
                 outer_reduce = loop;
             }
-        } else {
-            USER_CHECK(is_reduce)
-                << "cache_write requires reduction loops innermost; "
-                << "loop '" << loop->loopVar->name
-                << "' is spatial but nested inside reduction loop '"
-                << outer_reduce->loopVar->name << "'";
+        } else if (!is_reduce) {
+            int64_t extent = 0;
+            USER_CHECK(isConstInt(loop->minValue, 0) &&
+                       tryConstInt(loop->extent, &extent) && extent > 0)
+                << "cache_write: spatial loop '" << loop->loopVar->name
+                << "' nested inside reduction loop '"
+                << outer_reduce->loopVar->name
+                << "' needs a zero min and a constant positive extent";
+            inner_spatial.push_back(loop);
+            acc_size *= extent;
         }
     }
     USER_CHECK(outer_reduce != nullptr)
         << "no reduction loop encloses block '" << block_name << "'";
 
     Buffer accumulator =
-        denseBuffer(target->name + "_local", {intImm(1)}, target->dtype,
-                    MemScope::kLocal);
+        denseBuffer(target->name + "_local", {intImm(acc_size)},
+                    target->dtype, MemScope::kLocal);
 
+    /** Redirects the target's accesses to the accumulator. */
     class TargetRewriter : public StmtMutator
     {
       public:
-        TargetRewriter(const BufferNode *target, Buffer accumulator)
-            : target_(target), acc_(std::move(accumulator))
+        TargetRewriter(const BufferNode *target, Buffer accumulator,
+                       const std::vector<const ForNode *> &loops)
+            : target_(target), acc_(std::move(accumulator)),
+              loops_(loops)
         {}
+
+        /**
+         * Accumulator element of the current inner spatial iteration:
+         * row-major over the loops, 0 when there are none.
+         */
+        Expr
+        index() const
+        {
+            if (loops_.empty()) {
+                return intImm(0);
+            }
+            Expr flat = loops_[0]->loopVar;
+            for (size_t d = 1; d < loops_.size(); ++d) {
+                flat = add(mul(flat, loops_[d]->extent),
+                           loops_[d]->loopVar);
+            }
+            return flat;
+        }
 
       protected:
         Expr
         mutateBufferLoad(const BufferLoadNode *op, const Expr &e) override
         {
             if (op->buffer.get() == target_) {
-                return bufferLoad(acc_, {intImm(0)});
+                return bufferLoad(acc_, {index()});
             }
             return StmtMutator::mutateBufferLoad(op, e);
         }
@@ -654,7 +688,7 @@ Schedule::cacheWrite(const std::string &block_name,
         {
             Expr value = mutateExpr(op->value);
             if (op->buffer.get() == target_) {
-                return bufferStore(acc_, {intImm(0)}, std::move(value));
+                return bufferStore(acc_, {index()}, std::move(value));
             }
             std::vector<Expr> indices;
             for (const auto &idx : op->indices) {
@@ -667,9 +701,10 @@ Schedule::cacheWrite(const std::string &block_name,
       private:
         const BufferNode *target_;
         Buffer acc_;
+        const std::vector<const ForNode *> &loops_;
     };
 
-    TargetRewriter rewriter(target.get(), accumulator);
+    TargetRewriter rewriter(target.get(), accumulator, inner_spatial);
     auto new_block = std::make_shared<BlockNode>(*block);
     new_block->body = rewriter.mutateStmt(block->body);
     if (new_block->init != nullptr) {
@@ -685,7 +720,7 @@ Schedule::cacheWrite(const std::string &block_name,
 
     Stmt reduce_subtree =
         replaceStmt(borrowStmt(outer_reduce), block, new_block);
-    Expr result = bufferLoad(accumulator, {intImm(0)});
+    Expr result = bufferLoad(accumulator, {rewriter.index()});
     if (accumulate) {
         result = add(bufferLoad(target, target_indices),
                      std::move(result));
@@ -694,6 +729,23 @@ Schedule::cacheWrite(const std::string &block_name,
         bufferStore(target, target_indices, std::move(result));
     for (auto it = guards.rbegin(); it != guards.rend(); ++it) {
         write_back = ifThenElse(*it, write_back);
+    }
+    if (!inner_spatial.empty()) {
+        // The write-back nest re-walks the inner spatial loops under
+        // fresh variables (loop names stay unique in the function).
+        std::vector<Var> wb_vars;
+        std::map<const VarNode *, Expr> rename;
+        for (const ForNode *loop : inner_spatial) {
+            wb_vars.push_back(
+                var(loop->loopVar->name + "_wb", loop->loopVar->dtype));
+            rename[loop->loopVar.get()] = wb_vars.back();
+        }
+        write_back = substitute(write_back, rename);
+        for (size_t d = inner_spatial.size(); d-- > 0;) {
+            const ForNode *loop = inner_spatial[d];
+            write_back = makeFor(loop, wb_vars[d], loop->minValue,
+                                 loop->extent, std::move(write_back));
+        }
     }
     Stmt replacement =
         allocate(accumulator, seq({reduce_subtree, write_back}));

@@ -73,7 +73,11 @@ class Schedule
      * Cache the write target of reduction block `block_name` in a
      * register-scope accumulator: the block updates the accumulator
      * and the result is written back once after the outermost
-     * reduction loop. Requires reduction loops innermost.
+     * reduction loop. Spatial loops may sit inside that loop only
+     * when zero-based with a constant extent: the accumulator then
+     * holds one element per iteration of them and the write-back is
+     * a loop nest over them (the host schedules' feature-wide
+     * accumulator). With none, the accumulator is one element.
      *
      * With `accumulate` the write-back adds into the target instead
      * of overwriting it — required when several kernels (e.g. hyb

@@ -47,6 +47,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "dfg/op_graph.h"
 #include "engine/engine.h"
 #include "format/bsr.h"
@@ -635,6 +636,72 @@ TEST(FuzzDifferential, ThreeWayBitwiseEquality)
         EXPECT_GT(stats.compiles + stats.diskHits, 0u)
             << "a native-variant engine served zero native kernels";
     }
+}
+
+TEST(FuzzDifferential, HostScheduleMatchesGpuScheduleBitwise)
+{
+    // The schedule change itself, not a tier: the interpreter runs the
+    // GPU-scheduled and the host-scheduled IR of the same buckets,
+    // which must add every output element's terms in the same order.
+    constexpr int kPartitions[] = {1, 2, 4};
+    constexpr int64_t kFeats[] = {1, 8, 32, 37, 48};
+    uint64_t seed = envU64("FUZZ_SEED", kDefaultSeed);
+    std::vector<std::pair<Csr, std::string>> structures;
+    for (uint64_t i = 0; i < 16; ++i) {
+        Rng rng(mix(seed, 0x5C4ED + i));
+        std::string desc;
+        Csr a = randomStructure(&rng, &desc);
+        structures.emplace_back(std::move(a), desc);
+    }
+    // One dense row over a cap-1 bucket set: the row splits into
+    // several bucket rows (duplicate row ids in one bucket).
+    std::vector<float> dense(6 * 12, 0.0f);
+    for (int j = 0; j < 12; ++j) {
+        dense[2 * 12 + j] = 0.5f + 0.125f * static_cast<float>(j);
+    }
+    dense[5 * 12 + 3] = -1.5f;
+    structures.emplace_back(format::csrFromDense(6, 12, dense),
+                            "dense-row split");
+
+    bool saw_split = false;
+    for (const auto &[a, desc] : structures) {
+        for (int c : kPartitions) {
+            for (int cap : {-1, 1}) {
+                for (int64_t feat : kFeats) {
+                    Rng rng(mix(seed, static_cast<uint64_t>(feat)));
+                    NDArray b = NDArray::fromFloat(
+                        randomValues(&rng, a.cols * feat));
+                    NDArray out({a.rows * feat}, ir::DataType::float32());
+                    auto bindings = std::make_shared<core::BindingSet>();
+                    bindings->external("B_data", &b);
+                    bindings->external("C_data", &out);
+                    core::HybSpmm gpu =
+                        core::compileSpmmHyb(a, feat, c, cap, bindings);
+                    for (const auto &kernel : gpu.kernels) {
+                        kernel->execute();
+                    }
+                    NDArray expected = out;
+                    out.zero();
+                    for (const auto &plan :
+                         core::compileSpmmHybFuncs(gpu.hyb, feat)) {
+                        runtime::run(plan.func, bindings->view());
+                    }
+                    ASSERT_TRUE(bitwiseEqual(expected, out))
+                        << desc << " c=" << c << " cap=" << cap
+                        << " feat=" << feat;
+                    for (const auto &bucket_set : gpu.hyb.buckets) {
+                        for (const format::Ell &ell : bucket_set) {
+                            saw_split |=
+                                std::adjacent_find(ell.rowIndices.begin(),
+                                                   ell.rowIndices.end()) !=
+                                ell.rowIndices.end();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(saw_split) << "no structure produced a split row";
 }
 
 TEST(FuzzDifferential, AllZeroMatrixRejectedOnEveryPath)

@@ -11,8 +11,10 @@
 
 #include "ir/builder.h"
 #include "ir/printer.h"
+#include "ir/structural_equal.h"
 #include "runtime/interpreter.h"
 #include "support/rng.h"
+#include "transform/hoist_invariant_loads.h"
 #include "transform/lower_sparse_buffer.h"
 #include "transform/lower_sparse_iter.h"
 #include "transform/stage1_schedule.h"
@@ -275,6 +277,116 @@ TEST(Interpreter, SddmmFusedMatchesUnfused)
     // Spot check against manual SDDMM value at nnz 0: (0, 1).
     // Computed within run_variant's fixed data; just assert non-zero.
     EXPECT_NE(fused[0], 0.0f);
+}
+
+// ---------------------------------------------------------------------
+// Loop-invariant load hoisting
+// ---------------------------------------------------------------------
+
+/** f(x: float[4], y: float[8]) with the given body over x and y. */
+struct HoistFixture
+{
+    Buffer x = denseBuffer("x", {intImm(4)}, DataType::float32());
+    Buffer y = denseBuffer("y", {intImm(8)}, DataType::float32());
+
+    PrimFunc
+    func(Stmt body) const
+    {
+        PrimFunc f = primFunc("hoist");
+        f->params = {x->data, y->data};
+        f->bufferMap = {{x->data, x}, {y->data, y}};
+        f->body = std::move(body);
+        f->stage = IrStage::kStage3;
+        return f;
+    }
+
+    /** y after running `f` from fixed inputs. */
+    std::vector<float>
+    run(const PrimFunc &f) const
+    {
+        NDArray xs = NDArray::fromFloat({0.5f, -1.25f, 2.f, 3.5f});
+        NDArray ys({8}, DataType::float32());
+        for (int64_t k = 0; k < 8; ++k) {
+            ys.setFloat(k, 0.1f * static_cast<float>(k));
+        }
+        Bindings bindings;
+        bindings.arrays = {{"x_data", &xs}, {"y_data", &ys}};
+        runtime::run(f, bindings);
+        std::vector<float> out;
+        for (int64_t k = 0; k < 8; ++k) {
+            out.push_back(static_cast<float>(ys.floatAt(k)));
+        }
+        return out;
+    }
+
+    /** True when the pass left `f` unchanged. */
+    static bool
+    untouched(const PrimFunc &f)
+    {
+        return structuralEqual(f->body,
+                               transform::hoistInvariantLoads(f)->body);
+    }
+};
+
+TEST(HoistInvariantLoads, HoistsInvariantLoadOutOfConstantLoop)
+{
+    // for i in 0..4: for k in 0..8: y[k] = y[k] + x[i]
+    HoistFixture fx;
+    Var i = var("i");
+    Var k = var("k");
+    Stmt update = bufferStore(
+        fx.y, {k}, add(bufferLoad(fx.y, {k}), bufferLoad(fx.x, {i})));
+    PrimFunc f = fx.func(forLoop(
+        i, intImm(0), intImm(4), forLoop(k, intImm(0), intImm(8), update)));
+    PrimFunc hoisted = transform::hoistInvariantLoads(f);
+    // x[i] is bound once per i, before the k loop; y stays in place.
+    auto outer = std::static_pointer_cast<const ForNode>(hoisted->body);
+    ASSERT_EQ(outer->body->kind, StmtKind::kLetStmt)
+        << funcToString(hoisted);
+    auto let = std::static_pointer_cast<const LetStmtNode>(outer->body);
+    EXPECT_TRUE(structuralEqual(let->value, bufferLoad(fx.x, {i})));
+    EXPECT_EQ(fx.run(f), fx.run(hoisted));
+}
+
+TEST(HoistInvariantLoads, KeepsLoadOfWrittenBuffer)
+{
+    // for k: x[0] = x[0] + y[k] — x[0] changes every iteration.
+    HoistFixture fx;
+    Var k = var("k");
+    PrimFunc f = fx.func(forLoop(
+        k, intImm(0), intImm(8),
+        bufferStore(fx.x, {intImm(0)},
+                    add(bufferLoad(fx.x, {intImm(0)}),
+                        bufferLoad(fx.y, {k})))));
+    EXPECT_TRUE(HoistFixture::untouched(f));
+}
+
+TEST(HoistInvariantLoads, KeepsLoadUnderIf)
+{
+    // for k: if k < 4: y[k] = x[0] — the guard may never pass.
+    HoistFixture fx;
+    Var k = var("k");
+    PrimFunc f = fx.func(forLoop(
+        k, intImm(0), intImm(8),
+        ifThenElse(lt(k, intImm(4)),
+                   bufferStore(fx.y, {k}, bufferLoad(fx.x, {intImm(0)})))));
+    EXPECT_TRUE(HoistFixture::untouched(f));
+}
+
+TEST(HoistInvariantLoads, KeepsLoadInZeroTripLoop)
+{
+    // for k in 0..0: y[0] = x[3] — never runs, so never loads; and
+    // an 8-trip loop around a zero-trip one must not hoist through it.
+    HoistFixture fx;
+    Var k = var("k");
+    Var z = var("z");
+    Stmt store = bufferStore(fx.y, {intImm(0)},
+                             bufferLoad(fx.x, {intImm(3)}));
+    EXPECT_TRUE(HoistFixture::untouched(
+        fx.func(forLoop(k, intImm(0), intImm(0), store))));
+    EXPECT_TRUE(HoistFixture::untouched(fx.func(forLoop(
+        k, intImm(0), intImm(8),
+        forLoop(z, intImm(0), intImm(0), store)))));
 }
 
 } // namespace

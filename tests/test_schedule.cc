@@ -173,9 +173,40 @@ TEST(Schedule, CacheWritePreservesSemantics)
 
 TEST(Schedule, CacheWriteRequiresReductionInnermost)
 {
+    // k (spatial, extent feat_size) is inside j (reduction): with a
+    // symbolic extent it cannot size an accumulator. Splitting k by 4
+    // leaves k_o symbolic (ceil(feat_size / 4)), so that fails too.
     schedule::Schedule sch(loweredSpmm());
-    // k (spatial) is inside j (reduction): must be rejected.
     EXPECT_THROW(sch.cacheWrite("spmm", "C"), UserError);
+    schedule::Schedule split(loweredSpmm());
+    split.split(split.getLoops("spmm")[2], 4);
+    EXPECT_THROW(split.cacheWrite("spmm", "C"), UserError);
+}
+
+TEST(Schedule, CacheWriteOverInnerSpatialLoopIsBitwiseEqual)
+{
+    // Constant feat: k inside j gets a feat-wide accumulator and a
+    // write-back loop; each element sums in the same order as the
+    // 1-element accumulator of the lane-outer schedule.
+    SpmmFixture fx;
+    ir::PrimFunc stage2 =
+        transform::lowerSparseIterations(core::buildSpmm(fx.feat));
+    schedule::Schedule lane_outer(stage2);
+    auto loops = lane_outer.getLoops("spmm");
+    lane_outer.reorder({loops[2], loops[1]});
+    lane_outer.cacheWrite("spmm", "C");
+    schedule::Schedule lane_inner(stage2);
+    lane_inner.cacheWrite("spmm", "C");
+    EXPECT_NE(ir::funcToString(lane_inner.func())
+                  .find("alloc([8], \"float32\", \"local\")"),
+              std::string::npos)
+        << ir::funcToString(lane_inner.func());
+    auto expected = fx.run(lane_outer.func());
+    auto actual = fx.run(lane_inner.func());
+    ASSERT_EQ(expected.size(), actual.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(expected[i], actual[i]) << "at " << i;
+    }
 }
 
 TEST(Schedule, RfactorPreservesSemantics)

@@ -147,20 +147,76 @@ TEST(Verify, SpmmCsrProvesCleanSymbolically)
     }
 }
 
+/** Symbolic facts of a hyb bucket kernel: CSR facts + its ELL ids. */
+verify::VerifyContext
+hybSymbolicFacts(const core::HybKernelPlan &plan)
+{
+    verify::VerifyContext ctx = csrSymbolicFacts(plan.func);
+    idxFact(&ctx, core::ellRowIndicesParam(plan.suffix),
+            param(plan.func, "m"));
+    idxFact(&ctx, core::ellColIndicesParam(plan.suffix),
+            param(plan.func, "n"));
+    return ctx;
+}
+
 TEST(Verify, SpmmHybBucketsProveCleanSymbolically)
 {
+    // Both schedules, at a feat that divides the GPU lane split and
+    // one that leaves a tail.
     format::Hyb hyb = format::hybFromCsr(smallCsr(), 1, 1);
-    auto plans = core::compileSpmmHybFuncs(hyb, 48, 32);
-    ASSERT_FALSE(plans.empty());
-    for (const auto &plan : plans) {
-        verify::VerifyContext ctx = csrSymbolicFacts(plan.func);
-        idxFact(&ctx, core::ellRowIndicesParam(plan.suffix),
-                param(plan.func, "m"));
-        idxFact(&ctx, core::ellColIndicesParam(plan.suffix),
-                param(plan.func, "n"));
-        auto result = verify::verifyFunc(plan.func, ctx);
-        EXPECT_TRUE(result.ok) << "bucket " << plan.suffix << "\n"
-                               << verify::formatDiagnostics(result);
+    for (core::ScheduleTarget target :
+         {core::ScheduleTarget::kHost, core::ScheduleTarget::kGpu}) {
+        for (int64_t feat : {48, 37}) {
+            auto plans = core::compileSpmmHybFuncs(hyb, feat, target);
+            ASSERT_FALSE(plans.empty());
+            for (const auto &plan : plans) {
+                auto result =
+                    verify::verifyFunc(plan.func, hybSymbolicFacts(plan));
+                EXPECT_TRUE(result.ok)
+                    << "bucket " << plan.suffix << " feat " << feat
+                    << " host " << (target == core::ScheduleTarget::kHost)
+                    << "\n"
+                    << verify::formatDiagnostics(result);
+            }
+        }
+    }
+}
+
+/** Shrinks every "C_local" buffer (the cacheWrite accumulator). */
+class AccumulatorShrinker : public ir::StmtMutator
+{
+  protected:
+    ir::Buffer
+    mutateBuffer(const ir::Buffer &buffer) override
+    {
+        if (buffer->name != "C_local") {
+            return buffer;
+        }
+        if (shrunk_ == nullptr) {
+            int64_t size = 0;
+            EXPECT_TRUE(ir::tryConstInt(buffer->shape[0], &size));
+            auto node = std::make_shared<ir::BufferNode>(*buffer);
+            node->shape = {ir::intImm(size - 1)};
+            shrunk_ = node;
+        }
+        return shrunk_;
+    }
+
+  private:
+    ir::Buffer shrunk_;
+};
+
+TEST(VerifyCorpus, HostAccumulatorOneElementShortIsOutOfBounds)
+{
+    format::Hyb hyb = format::hybFromCsr(smallCsr(), 1, 1);
+    for (const auto &plan : core::compileSpmmHybFuncs(hyb, 37)) {
+        ir::PrimFunc bad = ir::copyFunc(plan.func);
+        AccumulatorShrinker shrink;
+        bad->body = shrink.mutateStmt(plan.func->body);
+        auto result = verify::verifyFunc(bad, hybSymbolicFacts(plan));
+        ASSERT_FALSE(result.ok) << "bucket " << plan.suffix;
+        EXPECT_TRUE(hasCategory(result, verify::DiagCategory::kOutOfBounds))
+            << verify::formatDiagnostics(result);
     }
 }
 
