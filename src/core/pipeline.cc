@@ -8,7 +8,7 @@
 #include "schedule/schedule.h"
 #include "support/logging.h"
 #include "transform/format_decompose.h"
-#include "transform/hoist_invariant_loads.h"
+#include "transform/hoist_invariants.h"
 #include "transform/lower_sparse_buffer.h"
 #include "transform/lower_sparse_iter.h"
 
@@ -353,7 +353,7 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
         sch.cacheWrite(block_name, "C", /*accumulate=*/true);
         PrimFunc stage3 = lowerToStage3(sch);
         if (host) {
-            stage3 = transform::hoistInvariantLoads(stage3);
+            stage3 = transform::hoistInvariants(stage3);
         }
         plan.func = selfVerified(stage3, block_name);
     }

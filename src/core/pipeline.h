@@ -91,8 +91,6 @@ struct SpmmSchedule
 {
     /** threadIdx.x width over the feature dimension. */
     int threadX = 32;
-    /** Rows grouped into one thread block (hyb buckets override). */
-    int rowsPerBlock = 1;
 };
 
 /** Tunable schedule parameters for SDDMM. */
@@ -137,7 +135,7 @@ enum class ScheduleTarget {
      * Host backends (interpreter, bytecode, native): the natural
      * (row-block, row, non-zero, feature) order with blockIdx.x over
      * row blocks, feat_size bound to the compile-time feat, a
-     * feature-wide accumulator and loop-invariant loads hoisted.
+     * feature-wide accumulator and loop invariants hoisted.
      */
     kHost,
     /**

@@ -10,6 +10,7 @@
 #include "ir/stmt.h"
 #include "support/logging.h"
 #include "transform/fuse_regions.h"
+#include "transform/hoist_invariants.h"
 
 namespace sparsetir {
 namespace dfg {
@@ -583,6 +584,9 @@ lowerGraph(const OpGraph &graph, bool fuse)
             temp.numel = valueNumel(desc);
             out.temps.push_back(std::move(temp));
         }
+    }
+    for (ir::PrimFunc &func : out.funcs) {
+        func = transform::hoistInvariants(func);
     }
     return out;
 }

@@ -563,10 +563,7 @@ spmmCsrKey(const Csr &a, int64_t feat,
     CacheKey key;
     key.op = OpKind::kSpmmCsr;
     key.structure = structureHash(a);
-    key.schedule = Fingerprint()
-                       .i64(schedule.threadX)
-                       .i64(schedule.rowsPerBlock)
-                       .digest();
+    key.schedule = Fingerprint().i64(schedule.threadX).digest();
     key.featIn = feat;
     key.featOut = feat;
     key.rows = a.rows;
@@ -821,7 +818,6 @@ Engine::Engine(EngineOptions options)
     cacheMisses_ = metrics_->counter("engine.cache_misses");
     compileMs_ = metrics_->histogram("engine.compile_ms");
     execMs_ = metrics_->histogram("engine.exec_ms");
-    launchProbes_ = metrics_->counter("runtime.launch_probes");
     nativePromotions_ = metrics_->counter("native.promotions");
     nativeCompiles_ = metrics_->counter("native.compiles");
     nativeDiskHits_ = metrics_->counter("native.disk_hits");
@@ -899,9 +895,6 @@ Engine::resolve(const CacheKey &key, const Builder &builder,
 {
     SPARSETIR_TRACE_SCOPE1("engine", "engine.resolve", "op",
                            static_cast<int64_t>(key.op));
-    // Attribute any grid probes the builder makes (there should be
-    // none on warm paths) to THIS engine's registry.
-    runtime::ProbeCounterScope probe_scope(launchProbes_);
     auto start = std::chrono::steady_clock::now();
     bool hit = false;
     std::shared_ptr<Artifact> artifact =

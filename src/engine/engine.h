@@ -407,8 +407,7 @@ class Engine
      * counters, per-op-kind warm and cold dispatch latency
      * histograms (`engine.warm_dispatch_ms.<op>` /
      * `engine.cold_dispatch_ms.<op>`, per-request latency for
-     * batches), cache counters, this engine's launch probes
-     * (`runtime.launch_probes`) — plus scratch-pool gauges published
+     * batches), cache counters — plus scratch-pool gauges published
      * at snapshot time. p50/p95/p99 come interpolated from the
      * histograms' log-spaced buckets (see observe/metrics.h).
      */
@@ -521,9 +520,6 @@ class Engine
     observe::Counter *cacheMisses_;
     observe::LatencyHistogram *compileMs_;
     observe::LatencyHistogram *execMs_;
-    /** This engine's (non-aliased) launch probes; fed through a
-     *  runtime::ProbeCounterScope around artifact builds. */
-    observe::Counter *launchProbes_;
     /** Indexed by OpKind; [0] = warm, [1] = cold. */
     observe::LatencyHistogram *opLatency_[2][8] = {};
 

@@ -19,6 +19,7 @@
 #include "runtime/bytecode/vm.h"
 #include "runtime/native/native_compiler.h"
 #include "support/logging.h"
+#include "transform/hoist_invariants.h"
 
 namespace sparsetir {
 namespace engine {
@@ -153,7 +154,6 @@ class AccumFinder : public StmtVisitor
  * Grid extent from the kernel's spilled launch expression, evaluated
  * over the request's scalar bindings; 0 when the kernel has no block
  * grid or the extent is not scalar-evaluable (run unsplit then).
- * Never probes through runtime::launchInfo — that is the point.
  */
 int64_t
 blockExtentOf(const CompiledKernel &kernel, const Bindings &bindings)
@@ -216,24 +216,27 @@ compileKernel(const ir::PrimFunc &func, bool with_program)
 {
     SPARSETIR_TRACE_SCOPE("compile", "compile.kernel");
     CompiledKernel kernel;
-    kernel.func = func;
+    // Every backend, the write-set scan, the verifier and native
+    // emission see the hoisted IR; the pass is idempotent, so kernels
+    // their producer already hoisted come through unchanged.
+    kernel.func = transform::hoistInvariants(func);
     // Every kernel gets an (empty) native box so the promotion path
     // can swap an artifact into copies already handed out.
     kernel.native = std::make_shared<NativeBox>();
     if (with_program) {
-        kernel.program = runtime::bytecode::programFor(func);
+        kernel.program = runtime::bytecode::programFor(kernel.func);
     }
     // Spill the launch info: take the extent the bytecode compiler
     // already located, or walk the IR once here (interpreter-only
-    // kernels). Warm dispatches evaluate this expression instead of
-    // probing the grid through the interpreter.
+    // kernels). Warm dispatches size the grid from this expression.
     if (kernel.program != nullptr) {
         kernel.blockExtent = kernel.program->blockExtent;
     } else if (const ir::ForNode *loop =
-                   runtime::findBlockIdxLoop(func->body)) {
+                   runtime::findBlockIdxLoop(kernel.func->body)) {
         kernel.blockExtent = loop->extent;
     }
-    for (std::string &name : ParallelExecutor::accumulatedParams(func)) {
+    for (std::string &name :
+         ParallelExecutor::accumulatedParams(kernel.func)) {
         AccumOutput out;
         out.name = std::move(name);
         kernel.accums.push_back(std::move(out));

@@ -142,6 +142,7 @@ class NativeBox
  */
 struct CompiledKernel
 {
+    /** The IR every backend runs: the input, hoisted. */
     ir::PrimFunc func;
     /** Null when the function is not bytecode-compilable. */
     std::shared_ptr<const runtime::bytecode::Program> program;
@@ -152,8 +153,7 @@ struct CompiledKernel
      * the outermost blockIdx.x-bound loop, null when the kernel has
      * no block grid. Warm dispatches size their grid by evaluating
      * this against the request's scalar bindings
-     * (runtime::evalScalarExtent) — the interpreter-based
-     * runtime::launchInfo probe never runs on the warm path.
+     * (runtime::evalScalarExtent).
      */
     ir::Expr blockExtent;
     /**
@@ -165,7 +165,8 @@ struct CompiledKernel
 };
 
 /**
- * Compile `func` for execution: bytecode program (interpreter-only
+ * Compile `func` for execution: transform::hoistInvariants, then the
+ * bytecode program of the hoisted IR (interpreter-only
  * functions get a null program and fall back transparently) plus the
  * write-set analysis, with hull-less accumulators (the engine attaches
  * proven block hulls). Pass `with_program` = false for

@@ -117,8 +117,11 @@ const char *opKindName(OpKind op);
  *  v8 — hyb SpMM kernels use the host schedule (feature loop inside
  *       the non-zero loop, feature-wide accumulator, hoisted
  *       invariant loads), and the hyb schedule key drops threadX.
+ *  v9 — every kernel runs transform::hoistInvariants (loop-invariant
+ *       loads and integer arithmetic) before any backend sees it,
+ *       and the CSR SpMM key drops the inert rowsPerBlock.
  */
-constexpr uint32_t kArtifactVersion = 8;
+constexpr uint32_t kArtifactVersion = 9;
 
 /** Key of one compile-cache entry. */
 struct CacheKey

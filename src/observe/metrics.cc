@@ -219,12 +219,5 @@ MetricsRegistry::reset()
     }
 }
 
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry *registry = new MetricsRegistry();
-    return *registry;
-}
-
 } // namespace observe
 } // namespace sparsetir

@@ -4,7 +4,7 @@
  * observability layer.
  *
  * A MetricsRegistry maps stable names ("engine.requests",
- * "engine.warm_dispatch_ms.spmm_hyb", "runtime.launch_probes") to
+ * "engine.warm_dispatch_ms.spmm_hyb", "native.compiles") to
  * lock-free instruments. Registration takes a lock once per name;
  * the returned pointers stay valid for the registry's lifetime, so
  * hot paths record through a cached pointer with a relaxed atomic
@@ -139,8 +139,7 @@ struct MetricsSnapshot
  * hot paths. Instruments are never removed.
  *
  * Engines own private registries so concurrent engines never alias
- * each other's counts; global() serves process-wide facts (the
- * launch-probe counter) and code with no engine in scope.
+ * each other's counts.
  */
 class MetricsRegistry
 {
@@ -152,8 +151,6 @@ class MetricsRegistry
 
     /** Zero every registered instrument (names stay registered). */
     void reset();
-
-    static MetricsRegistry &global();
 
   private:
     mutable std::mutex mu_;

@@ -1,6 +1,5 @@
 #include "runtime/bytecode/compiler.h"
 
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -367,626 +366,6 @@ class Compiler
     }
 
     // -----------------------------------------------------------------
-    // Common subexpressions and loop-invariant hoisting
-    //
-    // Two compile-time reuses of pure integer computation, both
-    // result-preserving (they only evaluate pure arithmetic earlier
-    // or once instead of repeatedly):
-    //
-    //  - Statement CSE: a BufferStore whose indices/value repeat a
-    //    subexpression (the read-modify-write pattern duplicates the
-    //    whole output offset) evaluates each repeated subexpression
-    //    once into a pinned register. Loads participate only when
-    //    the statement performs no atomic side effect, and only
-    //    unconditionally-evaluated occurrences count, so nothing
-    //    guarded by a Select arm or short-circuit RHS is ever
-    //    executed speculatively.
-    //
-    //  - Loop hoisting: maximal load-free integer arithmetic whose
-    //    variables are all bound outside the loop is evaluated once
-    //    before the loop head (floordiv/mod only with a non-zero
-    //    constant divisor, so hoisting cannot introduce a fault).
-    //    Nested loops find outer-hoisted values in the cache, so an
-    //    expression lands at its outermost valid level.
-    // -----------------------------------------------------------------
-
-    /** Structural key with pointer identity for vars and storage. */
-    static void
-    cseKeyAppend(std::string *out, const Expr &e)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%d(",
-                      static_cast<int>(e->kind));
-        out->append(buf);
-        switch (e->kind) {
-          case ExprKind::kIntImm:
-            out->append(std::to_string(
-                static_cast<const IntImmNode *>(e.get())->value));
-            break;
-          case ExprKind::kFloatImm: {
-            double v = static_cast<const FloatImmNode *>(e.get())->value;
-            int64_t bits;
-            std::memcpy(&bits, &v, sizeof(bits));
-            out->append(std::to_string(bits));
-            break;
-          }
-          case ExprKind::kVar:
-            std::snprintf(buf, sizeof(buf), "%p",
-                          static_cast<const void *>(e.get()));
-            out->append(buf);
-            break;
-          case ExprKind::kNot:
-            cseKeyAppend(out,
-                         static_cast<const NotNode *>(e.get())->a);
-            break;
-          case ExprKind::kSelect: {
-            auto op = static_cast<const SelectNode *>(e.get());
-            cseKeyAppend(out, op->cond);
-            cseKeyAppend(out, op->trueValue);
-            cseKeyAppend(out, op->falseValue);
-            break;
-          }
-          case ExprKind::kCast: {
-            auto op = static_cast<const CastNode *>(e.get());
-            out->append(op->dtype.str());
-            cseKeyAppend(out, op->value);
-            break;
-          }
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            std::snprintf(buf, sizeof(buf), "%p",
-                          static_cast<const void *>(
-                              op->buffer->data.get()));
-            out->append(buf);
-            for (const Expr &index : op->indices) {
-                cseKeyAppend(out, index);
-            }
-            break;
-          }
-          case ExprKind::kStringImm:
-            out->append(
-                static_cast<const StringImmNode *>(e.get())->value);
-            break;
-          case ExprKind::kCall: {
-            // Calls are never cached, but keys of expressions that
-            // contain them must still be well-formed.
-            auto op = static_cast<const CallNode *>(e.get());
-            std::snprintf(buf, sizeof(buf), "%d:%p",
-                          static_cast<int>(op->op),
-                          static_cast<const void *>(
-                              op->bufferArg == nullptr
-                                  ? nullptr
-                                  : op->bufferArg->data.get()));
-            out->append(buf);
-            out->append(op->name);
-            for (const Expr &arg : op->args) {
-                cseKeyAppend(out, arg);
-            }
-            break;
-          }
-          case ExprKind::kRamp: {
-            auto op = static_cast<const RampNode *>(e.get());
-            cseKeyAppend(out, op->base);
-            cseKeyAppend(out, op->stride);
-            out->append(std::to_string(op->lanes));
-            break;
-          }
-          case ExprKind::kBroadcast: {
-            auto op = static_cast<const BroadcastNode *>(e.get());
-            cseKeyAppend(out, op->value);
-            out->append(std::to_string(op->lanes));
-            break;
-          }
-          default: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            cseKeyAppend(out, op->a);
-            cseKeyAppend(out, op->b);
-            break;
-          }
-        }
-        out->push_back(')');
-    }
-
-    static std::string
-    cseKey(const Expr &e)
-    {
-        std::string key;
-        key.reserve(64);
-        cseKeyAppend(&key, e);
-        return key;
-    }
-
-    static bool
-    cseEligibleKind(ExprKind kind)
-    {
-        switch (kind) {
-          case ExprKind::kIntImm:
-          case ExprKind::kVar:
-          case ExprKind::kAdd:
-          case ExprKind::kSub:
-          case ExprKind::kMul:
-          case ExprKind::kFloorDiv:
-          case ExprKind::kFloorMod:
-          case ExprKind::kMin:
-          case ExprKind::kMax:
-          case ExprKind::kEQ:
-          case ExprKind::kNE:
-          case ExprKind::kLT:
-          case ExprKind::kLE:
-          case ExprKind::kGT:
-          case ExprKind::kGE:
-          case ExprKind::kAnd:
-          case ExprKind::kOr:
-          case ExprKind::kNot:
-          case ExprKind::kSelect:
-          case ExprKind::kCast:
-          case ExprKind::kBufferLoad:
-            return true;
-          default:
-            return false;
-        }
-    }
-
-    /**
-     * Pure integer computation: no calls, no float operands, every
-     * variable already in scope, floordiv/mod only by non-zero
-     * constants, loads (integer-typed) only when allowed.
-     */
-    bool
-    isPureInt(const Expr &e, bool allow_loads)
-    {
-        if (!cseEligibleKind(e->kind)) {
-            return false;
-        }
-        switch (e->kind) {
-          case ExprKind::kIntImm:
-            return true;
-          case ExprKind::kVar: {
-            auto it =
-                vars_.find(static_cast<const VarNode *>(e.get()));
-            return it != vars_.end() && !it->second.isFloat;
-          }
-          case ExprKind::kNot:
-            return isPureInt(static_cast<const NotNode *>(e.get())->a,
-                             allow_loads);
-          case ExprKind::kSelect: {
-            auto op = static_cast<const SelectNode *>(e.get());
-            return isPureInt(op->cond, allow_loads) &&
-                   isPureInt(op->trueValue, allow_loads) &&
-                   isPureInt(op->falseValue, allow_loads);
-          }
-          case ExprKind::kCast: {
-            auto op = static_cast<const CastNode *>(e.get());
-            return !op->dtype.isFloat() &&
-                   isPureInt(op->value, allow_loads);
-          }
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            if (!allow_loads || op->buffer->dtype.isFloat()) {
-                return false;
-            }
-            if (slotOf_.find(op->buffer->data.get()) ==
-                slotOf_.end()) {
-                return false;
-            }
-            for (const Expr &index : op->indices) {
-                if (!isPureInt(index, allow_loads)) {
-                    return false;
-                }
-            }
-            return true;
-          }
-          case ExprKind::kFloorDiv:
-          case ExprKind::kFloorMod: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            int64_t divisor = 0;
-            if (!tryConstInt(op->b, &divisor) || divisor == 0) {
-                return false;
-            }
-            return isPureInt(op->a, allow_loads);
-          }
-          default: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            return isPureInt(op->a, allow_loads) &&
-                   isPureInt(op->b, allow_loads);
-          }
-        }
-    }
-
-    static bool
-    cseNontrivial(const Expr &e)
-    {
-        return e->kind != ExprKind::kVar &&
-               e->kind != ExprKind::kIntImm;
-    }
-
-    /** Count unconditionally-evaluated candidate occurrences. */
-    void
-    countCse(const Expr &e, bool conditional, bool allow_loads,
-             std::unordered_map<std::string, int> *counts)
-    {
-        if (!conditional && cseNontrivial(e) &&
-            isPureInt(e, allow_loads)) {
-            ++(*counts)[cseKey(e)];
-        }
-        switch (e->kind) {
-          case ExprKind::kNot:
-            countCse(static_cast<const NotNode *>(e.get())->a,
-                     conditional, allow_loads, counts);
-            break;
-          case ExprKind::kSelect: {
-            auto op = static_cast<const SelectNode *>(e.get());
-            countCse(op->cond, conditional, allow_loads, counts);
-            countCse(op->trueValue, true, allow_loads, counts);
-            countCse(op->falseValue, true, allow_loads, counts);
-            break;
-          }
-          case ExprKind::kAnd:
-          case ExprKind::kOr: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            countCse(op->a, conditional, allow_loads, counts);
-            countCse(op->b, true, allow_loads, counts);
-            break;
-          }
-          case ExprKind::kCast:
-            countCse(static_cast<const CastNode *>(e.get())->value,
-                     conditional, allow_loads, counts);
-            break;
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            for (const Expr &index : op->indices) {
-                countCse(index, conditional, allow_loads, counts);
-            }
-            break;
-          }
-          case ExprKind::kCall: {
-            auto op = static_cast<const CallNode *>(e.get());
-            for (const Expr &arg : op->args) {
-                countCse(arg, conditional, allow_loads, counts);
-            }
-            break;
-          }
-          case ExprKind::kAdd:
-          case ExprKind::kSub:
-          case ExprKind::kMul:
-          case ExprKind::kDiv:
-          case ExprKind::kFloorDiv:
-          case ExprKind::kFloorMod:
-          case ExprKind::kMin:
-          case ExprKind::kMax:
-          case ExprKind::kEQ:
-          case ExprKind::kNE:
-          case ExprKind::kLT:
-          case ExprKind::kLE:
-          case ExprKind::kGT:
-          case ExprKind::kGE: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            countCse(op->a, conditional, allow_loads, counts);
-            countCse(op->b, conditional, allow_loads, counts);
-            break;
-          }
-          default:
-            break;
-        }
-    }
-
-    /** Evaluate e once into a pinned register and cache it. */
-    void
-    pinCse(const Expr &e)
-    {
-        std::string key = cseKey(e);
-        if (cse_.count(key)) {
-            return;
-        }
-        Mark m = mark();
-        int r = evalI(e);
-        restore(m);
-        int pin = allocI();
-        if (pin != r) {
-            emit(Op::kIMov, pin, r);
-        }
-        cse_.emplace(key, pin);
-        cseStack_.push_back(std::move(key));
-    }
-
-    /**
-     * Post-order materialization of repeated subexpressions: inner
-     * repeats pin first, so outer pins evaluate through them.
-     */
-    void
-    materializeCse(const Expr &e,
-                   const std::unordered_map<std::string, int> &counts,
-                   bool allow_loads)
-    {
-        switch (e->kind) {
-          case ExprKind::kNot:
-            materializeCse(static_cast<const NotNode *>(e.get())->a,
-                           counts, allow_loads);
-            break;
-          case ExprKind::kSelect: {
-            // Arms are conditional; only the condition may pin.
-            auto op = static_cast<const SelectNode *>(e.get());
-            materializeCse(op->cond, counts, allow_loads);
-            break;
-          }
-          case ExprKind::kAnd:
-          case ExprKind::kOr:
-            materializeCse(
-                static_cast<const BinaryNode *>(e.get())->a, counts,
-                allow_loads);
-            break;
-          case ExprKind::kCast:
-            materializeCse(
-                static_cast<const CastNode *>(e.get())->value, counts,
-                allow_loads);
-            break;
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            for (const Expr &index : op->indices) {
-                materializeCse(index, counts, allow_loads);
-            }
-            break;
-          }
-          case ExprKind::kCall: {
-            auto op = static_cast<const CallNode *>(e.get());
-            for (const Expr &arg : op->args) {
-                materializeCse(arg, counts, allow_loads);
-            }
-            break;
-          }
-          case ExprKind::kAdd:
-          case ExprKind::kSub:
-          case ExprKind::kMul:
-          case ExprKind::kDiv:
-          case ExprKind::kFloorDiv:
-          case ExprKind::kFloorMod:
-          case ExprKind::kMin:
-          case ExprKind::kMax:
-          case ExprKind::kEQ:
-          case ExprKind::kNE:
-          case ExprKind::kLT:
-          case ExprKind::kLE:
-          case ExprKind::kGT:
-          case ExprKind::kGE: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            materializeCse(op->a, counts, allow_loads);
-            materializeCse(op->b, counts, allow_loads);
-            break;
-          }
-          default:
-            break;
-        }
-        if (cseNontrivial(e) && isPureInt(e, allow_loads)) {
-            auto it = counts.find(cseKey(e));
-            if (it != counts.end() && it->second >= 2) {
-                pinCse(e);
-            }
-        }
-    }
-
-    /** True when the expression performs an atomic update. */
-    static bool
-    containsAtomic(const Expr &e)
-    {
-        switch (e->kind) {
-          case ExprKind::kCall: {
-            auto op = static_cast<const CallNode *>(e.get());
-            if (op->op == Builtin::kAtomicAdd) {
-                return true;
-            }
-            for (const Expr &arg : op->args) {
-                if (containsAtomic(arg)) {
-                    return true;
-                }
-            }
-            return false;
-          }
-          case ExprKind::kNot:
-            return containsAtomic(
-                static_cast<const NotNode *>(e.get())->a);
-          case ExprKind::kSelect: {
-            auto op = static_cast<const SelectNode *>(e.get());
-            return containsAtomic(op->cond) ||
-                   containsAtomic(op->trueValue) ||
-                   containsAtomic(op->falseValue);
-          }
-          case ExprKind::kCast:
-            return containsAtomic(
-                static_cast<const CastNode *>(e.get())->value);
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            for (const Expr &index : op->indices) {
-                if (containsAtomic(index)) {
-                    return true;
-                }
-            }
-            return false;
-          }
-          case ExprKind::kAdd:
-          case ExprKind::kSub:
-          case ExprKind::kMul:
-          case ExprKind::kDiv:
-          case ExprKind::kFloorDiv:
-          case ExprKind::kFloorMod:
-          case ExprKind::kMin:
-          case ExprKind::kMax:
-          case ExprKind::kEQ:
-          case ExprKind::kNE:
-          case ExprKind::kLT:
-          case ExprKind::kLE:
-          case ExprKind::kGT:
-          case ExprKind::kGE:
-          case ExprKind::kAnd:
-          case ExprKind::kOr: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            return containsAtomic(op->a) || containsAtomic(op->b);
-          }
-          default:
-            return false;
-        }
-    }
-
-    /** Statement-level CSE entry: count, then pin repeats. */
-    void
-    stmtCse(const BufferStoreNode *op)
-    {
-        bool allow_loads = !containsAtomic(op->value);
-        for (const Expr &index : op->indices) {
-            allow_loads = allow_loads && !containsAtomic(index);
-        }
-        std::unordered_map<std::string, int> counts;
-        for (const Expr &index : op->indices) {
-            countCse(index, false, allow_loads, &counts);
-        }
-        countCse(op->value, false, allow_loads, &counts);
-        for (const Expr &index : op->indices) {
-            materializeCse(index, counts, allow_loads);
-        }
-        materializeCse(op->value, counts, allow_loads);
-    }
-
-    /**
-     * Hoist maximal load-free pure arithmetic out of a loop body.
-     * Eligibility already requires every referenced variable to be
-     * in scope, and the loop variable is registered after this runs,
-     * so anything depending on it (or on inner definitions) stays.
-     */
-    void
-    hoistExpr(const Expr &e)
-    {
-        if (cseNontrivial(e) && isPureInt(e, /*allow_loads=*/false)) {
-            pinCse(e);
-            return;
-        }
-        switch (e->kind) {
-          case ExprKind::kNot:
-            hoistExpr(static_cast<const NotNode *>(e.get())->a);
-            break;
-          case ExprKind::kSelect: {
-            auto op = static_cast<const SelectNode *>(e.get());
-            hoistExpr(op->cond);
-            hoistExpr(op->trueValue);
-            hoistExpr(op->falseValue);
-            break;
-          }
-          case ExprKind::kCast:
-            hoistExpr(static_cast<const CastNode *>(e.get())->value);
-            break;
-          case ExprKind::kBufferLoad: {
-            auto op = static_cast<const BufferLoadNode *>(e.get());
-            for (const Expr &index : op->indices) {
-                hoistExpr(index);
-            }
-            break;
-          }
-          case ExprKind::kCall: {
-            auto op = static_cast<const CallNode *>(e.get());
-            for (const Expr &arg : op->args) {
-                hoistExpr(arg);
-            }
-            break;
-          }
-          case ExprKind::kAdd:
-          case ExprKind::kSub:
-          case ExprKind::kMul:
-          case ExprKind::kDiv:
-          case ExprKind::kFloorDiv:
-          case ExprKind::kFloorMod:
-          case ExprKind::kMin:
-          case ExprKind::kMax:
-          case ExprKind::kEQ:
-          case ExprKind::kNE:
-          case ExprKind::kLT:
-          case ExprKind::kLE:
-          case ExprKind::kGT:
-          case ExprKind::kGE:
-          case ExprKind::kAnd:
-          case ExprKind::kOr: {
-            auto op = static_cast<const BinaryNode *>(e.get());
-            hoistExpr(op->a);
-            hoistExpr(op->b);
-            break;
-          }
-          default:
-            break;
-        }
-    }
-
-    void
-    hoistStmt(const Stmt &s)
-    {
-        switch (s->kind) {
-          case StmtKind::kBufferStore: {
-            auto op = static_cast<const BufferStoreNode *>(s.get());
-            for (const Expr &index : op->indices) {
-                hoistExpr(index);
-            }
-            hoistExpr(op->value);
-            break;
-          }
-          case StmtKind::kSeq:
-            for (const auto &child :
-                 static_cast<const SeqStmtNode *>(s.get())->seq) {
-                hoistStmt(child);
-            }
-            break;
-          case StmtKind::kFor: {
-            auto op = static_cast<const ForNode *>(s.get());
-            hoistExpr(op->minValue);
-            hoistExpr(op->extent);
-            hoistStmt(op->body);
-            break;
-          }
-          case StmtKind::kBlock: {
-            auto op = static_cast<const BlockNode *>(s.get());
-            if (op->init != nullptr) {
-                hoistStmt(op->init);
-            }
-            hoistStmt(op->body);
-            break;
-          }
-          case StmtKind::kIfThenElse: {
-            auto op = static_cast<const IfThenElseNode *>(s.get());
-            hoistExpr(op->cond);
-            hoistStmt(op->thenBody);
-            if (op->elseBody != nullptr) {
-                hoistStmt(op->elseBody);
-            }
-            break;
-          }
-          case StmtKind::kLetStmt: {
-            auto op = static_cast<const LetStmtNode *>(s.get());
-            hoistExpr(op->value);
-            hoistStmt(op->body);
-            break;
-          }
-          case StmtKind::kAllocate: {
-            auto op = static_cast<const AllocateNode *>(s.get());
-            for (const Expr &dim : op->buffer->shape) {
-                hoistExpr(dim);
-            }
-            hoistStmt(op->body);
-            break;
-          }
-          case StmtKind::kEvaluate:
-            hoistExpr(
-                static_cast<const EvaluateNode *>(s.get())->value);
-            break;
-          default:
-            break;
-        }
-    }
-
-    void
-    cseUndo(size_t depth)
-    {
-        while (cseStack_.size() > depth) {
-            cse_.erase(cseStack_.back());
-            cseStack_.pop_back();
-        }
-    }
-
-    // -----------------------------------------------------------------
     // Buffer slots
     // -----------------------------------------------------------------
 
@@ -1119,13 +498,6 @@ class Compiler
     int
     evalI(const Expr &e)
     {
-        if (!cse_.empty() && cseEligibleKind(e->kind) &&
-            cseNontrivial(e)) {
-            auto it = cse_.find(cseKey(e));
-            if (it != cse_.end()) {
-                return it->second;
-            }
-        }
         if (isFloatExpr(e)) {
             Mark m = mark();
             int f = evalF(e);
@@ -1537,8 +909,6 @@ class Compiler
           case StmtKind::kBufferStore: {
             auto op = static_cast<const BufferStoreNode *>(s.get());
             Mark m = mark();
-            size_t cse_depth = cseStack_.size();
-            stmtCse(op);
             // Value before indices, mirroring the interpreter's
             // evaluation order (observable when the value contains
             // an atomic update the indices then read).
@@ -1552,7 +922,6 @@ class Compiler
                 int off = compileOffset(op->buffer, op->indices);
                 emit(Op::kStoreI, v, slot, off);
             }
-            cseUndo(cse_depth);
             restore(m);
             break;
           }
@@ -1672,7 +1041,6 @@ class Compiler
     compileFor(const ForNode *op)
     {
         Mark scope = mark();
-        size_t cse_depth = cseStack_.size();
         int rvar = allocI();
         int rhi = allocI();
         Mark m = mark();
@@ -1686,9 +1054,6 @@ class Compiler
             emit(Op::kIAdd, rhi, rmin, rext);
         }
         restore(m);
-        // Pin loop-invariant arithmetic before the loop variable
-        // enters scope, so nothing depending on it can hoist.
-        hoistStmt(op->body);
         vars_[op->loopVar.get()] = VarInfo{false, rvar};
         int head = here();
         int jexit = emit(Op::kBranchGE, rvar, rhi);
@@ -1697,7 +1062,6 @@ class Compiler
         emit(Op::kJump, 0, 0, 0, 0, head);
         patch(jexit, here());
         vars_.erase(op->loopVar.get());
-        cseUndo(cse_depth);
         restore(scope);
     }
 
@@ -1707,10 +1071,6 @@ class Compiler
     std::vector<ScalarParam> scalars_;
     std::unordered_map<const VarNode *, size_t> scalarParamIndex_;
     std::vector<bool> scalarUsed_;
-    /** Pinned-register cache of CSE'd / hoisted expressions. */
-    std::unordered_map<std::string, int> cse_;
-    /** Insertion order of cse_ keys, for scoped undo. */
-    std::vector<std::string> cseStack_;
     std::unordered_map<int64_t, int> ipool_;
     std::vector<int64_t> ipoolValues_;
     std::unordered_map<int64_t, int> fpool_;

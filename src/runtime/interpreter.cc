@@ -157,13 +157,6 @@ class Machine
         block_end_ = end;
     }
 
-    /** Evaluate an expression against the bound scalars. */
-    int64_t
-    evalScalar(const Expr &e)
-    {
-        return evalExpr(e).asInt();
-    }
-
   private:
     NDArray *
     arrayOf(const Buffer &buffer)
@@ -569,56 +562,6 @@ runInterpreted(const ir::PrimFunc &func, const Bindings &bindings,
     machine.run();
 }
 
-namespace {
-
-/** The process-global probe count lives in the global metrics
- *  registry; the pointer is stable for the process lifetime. */
-observe::Counter *
-globalProbeCounter()
-{
-    static observe::Counter *counter =
-        observe::MetricsRegistry::global().counter(
-            "runtime.launch_probes");
-    return counter;
-}
-
-/** Per-thread attribution sink installed by ProbeCounterScope. */
-thread_local observe::Counter *tls_probe_counter = nullptr;
-
-void
-countLaunchProbe()
-{
-    globalProbeCounter()->add(1);
-    if (tls_probe_counter != nullptr) {
-        tls_probe_counter->add(1);
-    }
-}
-
-} // namespace
-
-ProbeCounterScope::ProbeCounterScope(observe::Counter *counter)
-    : prev_(tls_probe_counter)
-{
-    tls_probe_counter = counter;
-}
-
-ProbeCounterScope::~ProbeCounterScope()
-{
-    tls_probe_counter = prev_;
-}
-
-uint64_t
-launchProbeCount()
-{
-    return globalProbeCounter()->value();
-}
-
-void
-resetLaunchProbeCount()
-{
-    globalProbeCounter()->reset();
-}
-
 bool
 evalScalarExtent(const ir::Expr &e, const Bindings &bindings,
                  int64_t *out)
@@ -749,30 +692,6 @@ evalScalarExtent(const ir::Expr &e, const Bindings &bindings,
         // scalar-only grid extent.
         return false;
     }
-}
-
-LaunchInfo
-launchInfo(const ir::PrimFunc &func, const Bindings &bindings)
-{
-    LaunchInfo info;
-    countLaunchProbe();
-    const ForNode *loop = findBlockIdxLoop(func->body);
-    if (loop == nullptr) {
-        return info;
-    }
-    // The extent of a blockIdx loop may reference scalar params (e.g.
-    // the row count); evaluate it with only those bound. Anything else
-    // (loop/let-carried values) means the grid is not statically
-    // addressable and callers must run the kernel unsplit.
-    try {
-        Machine machine(func, bindings);
-        info.blockExtent = machine.evalScalar(loop->extent);
-        info.hasBlockIdx = true;
-    } catch (const InternalError &) {
-        info.blockExtent = 0;
-        info.hasBlockIdx = false;
-    }
-    return info;
 }
 
 void

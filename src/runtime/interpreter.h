@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ir/prim_func.h"
-#include "observe/metrics.h"
 #include "runtime/ndarray.h"
 
 namespace sparsetir {
@@ -115,81 +114,13 @@ int64_t floordivInt(int64_t a, int64_t b);
 /** Execute every function in a module, in order. */
 void runModule(const ir::Module &mod, const Bindings &bindings);
 
-/** Launch-grid shape of a lowered kernel. */
-struct LaunchInfo
-{
-    /** True when the kernel has an outermost blockIdx.x-bound loop. */
-    bool hasBlockIdx = false;
-    /**
-     * Extent of that loop, evaluated against the scalar bindings;
-     * 0 when absent or not evaluable from the bindings alone.
-     */
-    int64_t blockExtent = 0;
-};
-
-/**
- * Inspect the launch grid of `func` given scalar bindings. Returns
- * hasBlockIdx=false when the extent of the outermost blockIdx.x loop
- * cannot be evaluated from constants and bound scalars (e.g. it
- * depends on a loop-carried value), in which case callers must run
- * the kernel unsplit.
- *
- * This probe walks the IR and instantiates an interpreter per call;
- * it belongs on the compile path. Warm dispatchers should evaluate
- * the block-extent expression spilled into their compiled artifact
- * (bytecode::Program::blockExtent / engine::CompiledKernel) with
- * evalScalarExtent instead. Every call increments launchProbeCount()
- * so tests can assert warm paths never come back here.
- */
-LaunchInfo launchInfo(const ir::PrimFunc &func, const Bindings &bindings);
-
-/**
- * Process-wide count of launchInfo() grid probes (see above): a view
- * over the `runtime.launch_probes` counter in
- * observe::MetricsRegistry::global().
- */
-uint64_t launchProbeCount();
-
-/**
- * Reset launchProbeCount() to zero — a compatibility shim over
- * resetting the global registry counter. The process-wide count
- * still exists for legacy zero-probe assertions: test suites (the
- * fuzzers especially) quiesce, reset, run the warm path under test,
- * and assert the count is exactly zero. Code that needs non-aliased
- * attribution (concurrent engines in one process) should install a
- * ProbeCounterScope instead of reading this.
- */
-void resetLaunchProbeCount();
-
-/**
- * Attribute this thread's launchInfo() probes to `counter` for the
- * scope's lifetime, in addition to the process-global count. The
- * engine installs one around artifact builds so each engine's own
- * metrics registry sees only its probes — concurrent engines no
- * longer alias through the bare global. Scopes nest (inner wins,
- * restored on destruction) and are strictly thread-local: probes on
- * other threads are unaffected.
- */
-class ProbeCounterScope
-{
-  public:
-    explicit ProbeCounterScope(observe::Counter *counter);
-    ~ProbeCounterScope();
-
-    ProbeCounterScope(const ProbeCounterScope &) = delete;
-    ProbeCounterScope &operator=(const ProbeCounterScope &) = delete;
-
-  private:
-    observe::Counter *prev_;
-};
-
 /**
  * Evaluate an integer expression using only constants and the scalar
  * bindings — no interpreter machine, no buffer state. Returns false
  * (leaving *out untouched) when the expression references anything
  * else (an unbound var, a buffer load, a call) or divides by zero.
- * This is the warm-dispatch grid-sizing path: the same expression
- * class launchInfo() accepts, at a fraction of the cost.
+ * This is the warm-dispatch grid-sizing path: engine::CompiledKernel
+ * spills its blockIdx.x extent at compile time and evaluates it here.
  */
 bool evalScalarExtent(const ir::Expr &e, const Bindings &bindings,
                       int64_t *out);

@@ -827,6 +827,14 @@ Schedule::cacheRead(const std::string &loop_name,
                 << "cache_read: access to '" << buffer_name << "' dim "
                 << d << " is not a base+offset pattern";
             int64_t ext = delta.hi + 1;
+            // A split padded past the buffer's edge guards its tail,
+            // which is never read: the region stops at the edge.
+            int64_t base_v = 0;
+            int64_t dim = 0;
+            if (tryConstInt(base_d, &base_v) &&
+                tryConstInt(simplify(target->dimExtent(d)), &dim)) {
+                ext = std::min(ext, dim - base_v);
+            }
             if (!have_pattern) {
                 base[d] = base_d;
             } else {

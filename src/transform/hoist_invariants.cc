@@ -1,6 +1,8 @@
-#include "transform/hoist_invariant_loads.h"
+#include "transform/hoist_invariants.h"
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/functor.h"
@@ -211,38 +213,126 @@ class LoadReplacer : public StmtMutator
     const std::vector<Var> &vars_;
 };
 
+/**
+ * Integer immediates and variables, `+ - * min max`, integer casts,
+ * and `floordiv`/`floormod` by a non-zero constant: no memory read,
+ * no fault.
+ */
+bool
+pureInt(const Expr &e)
+{
+    if (!e->dtype.isInt()) {
+        return false;
+    }
+    switch (e->kind) {
+      case ExprKind::kIntImm:
+      case ExprKind::kVar:
+        return true;
+      case ExprKind::kCast:
+        return pureInt(static_cast<const CastNode *>(e.get())->value);
+      case ExprKind::kAdd:
+      case ExprKind::kSub:
+      case ExprKind::kMul:
+      case ExprKind::kMin:
+      case ExprKind::kMax: {
+        auto op = static_cast<const BinaryNode *>(e.get());
+        return pureInt(op->a) && pureInt(op->b);
+      }
+      case ExprKind::kFloorDiv:
+      case ExprKind::kFloorMod: {
+        auto op = static_cast<const BinaryNode *>(e.get());
+        int64_t divisor = 0;
+        return tryConstInt(op->b, &divisor) && divisor != 0 &&
+               pureInt(op->a);
+      }
+      default:
+        return false;
+    }
+}
+
+/**
+ * Replaces each maximal invariant pure integer expression of a loop
+ * body by a variable, appending (variable, value) for new ones.
+ */
+class ArithHoister : public StmtMutator
+{
+  public:
+    ArithHoister(const BodyScan &scan, std::string name,
+                 std::vector<Var> *vars, std::vector<Expr> *values)
+        : scan_(scan), name_(std::move(name)), vars_(vars),
+          values_(values)
+    {}
+
+    Expr
+    mutateExpr(const Expr &e) override
+    {
+        if (e->kind == ExprKind::kVar || e->kind == ExprKind::kIntImm ||
+            !pureInt(e)) {
+            return StmtMutator::mutateExpr(e);
+        }
+        InvariantCheck check(scan_);
+        check.visitExpr(e);
+        if (!check.ok) {
+            return StmtMutator::mutateExpr(e);
+        }
+        for (size_t i = 0; i < values_->size(); ++i) {
+            if (structuralEqual((*values_)[i], e)) {
+                return (*vars_)[i];
+            }
+        }
+        vars_->push_back(
+            var(name_ + std::to_string(count_++), e->dtype));
+        values_->push_back(e);
+        return vars_->back();
+    }
+
+  private:
+    const BodyScan &scan_;
+    std::string name_;
+    std::vector<Var> *vars_;
+    std::vector<Expr> *values_;
+    int count_ = 0;
+};
+
 class Hoister : public StmtMutator
 {
   protected:
     Stmt
     mutateFor(const ForNode *op, const Stmt &s) override
     {
-        Stmt visited = StmtMutator::mutateFor(op, s);
-        auto loop = static_cast<const ForNode *>(visited.get());
-        int64_t extent = 0;
-        if (loop->forKind != ForKind::kSerial ||
-            !tryConstInt(loop->extent, &extent) || extent <= 0) {
-            return visited;
-        }
         BodyScan scan;
-        scan.bound.insert(loop->loopVar.get());
-        scan.visitStmt(loop->body);
-        CandidateCollector collector(scan);
-        collector.visitStmt(loop->body);
-        if (collector.loads.empty()) {
-            return visited;
-        }
+        scan.bound.insert(op->loopVar.get());
+        scan.visitStmt(op->body);
         std::vector<Var> vars;
-        for (const Expr &load : collector.loads) {
-            auto node = static_cast<const BufferLoadNode *>(load.get());
-            vars.push_back(var(node->buffer->name + "_h", load->dtype));
+        std::vector<Expr> values;
+        Stmt body = op->body;
+        int64_t extent = 0;
+        if (op->forKind == ForKind::kSerial &&
+            tryConstInt(op->extent, &extent) && extent > 0) {
+            CandidateCollector collector(scan);
+            collector.visitStmt(body);
+            for (const Expr &load : collector.loads) {
+                auto node = static_cast<const BufferLoadNode *>(load.get());
+                vars.push_back(var(node->buffer->name + "_h", load->dtype));
+            }
+            values = collector.loads;
+            body = LoadReplacer(values, vars).mutateStmt(body);
         }
-        LoadReplacer replacer(collector.loads, vars);
-        auto node = std::make_shared<ForNode>(*loop);
-        node->body = replacer.mutateStmt(loop->body);
-        Stmt result = node;
+        // After the loads, so arithmetic over a hoisted load's
+        // variable (its bind precedes the loop) leaves as well.
+        body = ArithHoister(scan, op->loopVar->name + "_inv", &vars,
+                            &values)
+                   .mutateStmt(body);
+        // Then the inner loops, which see what stayed.
+        body = mutateStmt(body);
+        Stmt result = s;
+        if (body != op->body) {
+            auto node = std::make_shared<ForNode>(*op);
+            node->body = std::move(body);
+            result = node;
+        }
         for (size_t i = vars.size(); i-- > 0;) {
-            result = letStmt(vars[i], collector.loads[i], result);
+            result = letStmt(vars[i], values[i], result);
         }
         return result;
     }
@@ -251,7 +341,7 @@ class Hoister : public StmtMutator
 } // namespace
 
 PrimFunc
-hoistInvariantLoads(const PrimFunc &func)
+hoistInvariants(const PrimFunc &func)
 {
     PrimFunc result = copyFunc(func);
     Hoister hoister;

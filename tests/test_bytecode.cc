@@ -228,14 +228,14 @@ TEST(BytecodeVM, BlockWindowsComposeToFullRun)
     // Three disjoint windows on the VM must reproduce the full run
     // (spmm rows are disjoint across blockIdx).
     bindings.arrays["C_data"] = &c_windows;
-    runtime::LaunchInfo info = runtime::launchInfo(func, bindings);
-    ASSERT_TRUE(info.hasBlockIdx);
-    ASSERT_GE(info.blockExtent, 3);
-    int64_t third = info.blockExtent / 3;
+    const ir::ForNode *grid = runtime::findBlockIdxLoop(func->body);
+    ASSERT_NE(grid, nullptr);
+    int64_t blocks = 0;
+    ASSERT_TRUE(runtime::evalScalarExtent(grid->extent, bindings, &blocks));
+    ASSERT_GE(blocks, 3);
+    int64_t third = blocks / 3;
     std::vector<std::pair<int64_t, int64_t>> windows = {
-        {0, third},
-        {third, 2 * third},
-        {2 * third, info.blockExtent}};
+        {0, third}, {third, 2 * third}, {2 * third, blocks}};
     for (const auto &[begin, end] : windows) {
         runtime::RunOptions options;
         options.blockBegin = begin;

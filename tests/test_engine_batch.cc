@@ -360,27 +360,6 @@ TEST(EngineBatch, NRequestBatchPerformsExactlyOneCompile)
     EXPECT_EQ(cache.hits, 1u);
 }
 
-TEST(EngineBatch, WarmBatchNeverProbesGridThroughInterpreter)
-{
-    Csr a = randomCsr(120, 90, 0.1, 41);
-    int64_t feat = 16;
-    constexpr int kRequests = 4;
-    Batch batch(kRequests, a.cols * feat, a.rows * feat, 600);
-
-    EngineOptions options;
-    options.numThreads = 4;
-    options.minBlocksPerChunk = 4;  // force real grid splitting
-    Engine eng(options);
-    eng.spmmCsrBatch(a, feat, batch.requests);  // prime the cache
-
-    uint64_t probes_before = runtime::launchProbeCount();
-    eng.spmmCsrBatch(a, feat, batch.requests);
-    eng.spmmCsr(a, feat, batch.requests[0].b, batch.requests[0].c);
-    EXPECT_EQ(runtime::launchProbeCount(), probes_before)
-        << "warm dispatch sized its grid through the interpreter "
-           "instead of the spilled block-extent expression";
-}
-
 TEST(EngineBatch, ConcurrentBatchedDispatchFromManyThreads)
 {
     Csr a = graph::powerLawGraph(150, 1800, 1.7, 43);

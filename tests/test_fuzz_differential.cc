@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -48,12 +49,20 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "dfg/lower.h"
 #include "dfg/op_graph.h"
 #include "engine/engine.h"
 #include "format/bsr.h"
+#include "format/srbcrs.h"
 #include "graph/generator.h"
+#include "ir/functor.h"
+#include "ir/structural_equal.h"
+#include "model/attention.h"
+#include "model/graphsage.h"
+#include "runtime/interpreter.h"
 #include "support/rng.h"
 #include "test_util.h"
+#include "transform/hoist_invariants.h"
 
 namespace sparsetir {
 namespace {
@@ -747,24 +756,236 @@ TEST(FuzzDifferential, ArtifactsVerifyClean)
     EXPECT_EQ(stats.verifyFailures, 0u) << structure;
 }
 
-TEST(FuzzDifferential, WarmFuzzPathsNeverProbeTheGrid)
-{
-    // A replay of one fuzz-style case, then the no-probe assertion
-    // the process-global counter reset makes possible: EVERY warm
-    // dispatch (serial and fused, every backend) must size
-    // its grid from the spilled block-extent expression.
-    Rng rng(mix(kDefaultSeed, 0xABCDEF));
-    std::string structure;
-    Csr a = randomStructure(&rng, &structure);
-    CaseParams params = randomParams(&rng);
-    EnginePool pool;
-    runHybCase(&pool, a, params, &rng, structure);  // prime + check
+// ---------------------------------------------------------------------
+// Hoisting differential: the IR before and after
+// transform::hoistInvariants, on the interpreter.
+// ---------------------------------------------------------------------
 
-    runtime::resetLaunchProbeCount();
-    runHybCase(&pool, a, params, &rng, structure);  // warm replay
-    EXPECT_EQ(runtime::launchProbeCount(), 0u)
-        << "a warm fuzz dispatch probed the launch grid through the "
-           "interpreter";
+/**
+ * Substitutes every LetStmt's value for its variable. dfg::lowerGraph
+ * hoists its output, and the dfg producers bind no variables of their
+ * own, so this recovers the IR the pass started from.
+ */
+class LetInliner : public ir::StmtMutator
+{
+  protected:
+    ir::Expr
+    mutateVar(const ir::VarNode *op, const ir::Expr &e) override
+    {
+        auto it = values_.find(op);
+        return it != values_.end() ? it->second : e;
+    }
+
+    ir::Stmt
+    mutateLetStmt(const ir::LetStmtNode *op, const ir::Stmt &s) override
+    {
+        values_[op->letVar.get()] = mutateExpr(op->value);
+        return mutateStmt(op->body);
+    }
+
+  private:
+    std::map<const ir::VarNode *, ir::Expr> values_;
+};
+
+ir::PrimFunc
+inlineLets(const ir::PrimFunc &func)
+{
+    ir::PrimFunc result = ir::copyFunc(func);
+    result->body = LetInliner().mutateStmt(func->body);
+    return result;
+}
+
+/**
+ * Runs `funcs` in order on the interpreter, once as given and once
+ * hoisted, from the same initial contents of every array, and expects
+ * every array bitwise equal afterwards. Arrays `bindings` lacks are
+ * sized from their buffer shapes and filled with random values. The
+ * pass must also leave each grid extent as it is: warm dispatch
+ * evaluates it over the request's scalars.
+ */
+void
+expectHoistingPreservesResults(const std::vector<ir::PrimFunc> &funcs,
+                               runtime::Bindings bindings, Rng *rng,
+                               const std::string &what)
+{
+    std::deque<NDArray> owned;
+    for (const ir::PrimFunc &func : funcs) {
+        for (const ir::Var &param : func->params) {
+            if (!param->dtype.isHandle() ||
+                bindings.arrays.count(param->name) != 0) {
+                continue;
+            }
+            int64_t numel = 1;
+            for (const ir::Expr &dim : func->bufferOf(param)->shape) {
+                int64_t extent = 0;
+                ASSERT_TRUE(
+                    runtime::evalScalarExtent(dim, bindings, &extent))
+                    << what << ": shape of " << param->name;
+                numel *= extent;
+            }
+            owned.push_back(NDArray::fromFloat(randomValues(rng, numel)));
+            bindings.arrays[param->name] = &owned.back();
+        }
+    }
+    std::map<std::string, NDArray> initial;
+    for (const auto &[name, array] : bindings.arrays) {
+        initial.emplace(name, *array);
+    }
+    std::map<std::string, NDArray> unhoisted;
+    for (bool hoist : {false, true}) {
+        for (const auto &[name, array] : bindings.arrays) {
+            *array = initial.at(name);
+        }
+        for (const ir::PrimFunc &func : funcs) {
+            ir::PrimFunc run = func;
+            if (hoist) {
+                run = transform::hoistInvariants(func);
+                const ir::ForNode *grid =
+                    runtime::findBlockIdxLoop(func->body);
+                const ir::ForNode *hoisted_grid =
+                    runtime::findBlockIdxLoop(run->body);
+                ASSERT_EQ(grid == nullptr, hoisted_grid == nullptr);
+                if (grid != nullptr) {
+                    EXPECT_TRUE(ir::structuralEqual(grid->extent,
+                                                    hoisted_grid->extent))
+                        << what << ": grid extent of " << func->name;
+                }
+            }
+            runtime::runInterpreted(run, bindings);
+        }
+        for (const auto &[name, array] : bindings.arrays) {
+            if (!hoist) {
+                unhoisted.emplace(name, *array);
+            } else {
+                EXPECT_TRUE(bitwiseEqual(unhoisted.at(name), *array))
+                    << what << ": array " << name;
+            }
+        }
+    }
+}
+
+/** Producer-hoisted IR must already be a fixed point of the pass. */
+void
+expectFixedPoint(const ir::PrimFunc &func, const std::string &what)
+{
+    EXPECT_TRUE(ir::structuralEqual(
+        func->body, transform::hoistInvariants(func)->body))
+        << what << ": " << func->name;
+}
+
+/** A dfg lowering, un-hoisted, against itself hoisted. */
+void
+expectGraphHoistingPreservesResults(const dfg::OpGraph &graph, bool fuse,
+                                    Rng *rng, const std::string &what)
+{
+    dfg::GraphLowering lowering = dfg::lowerGraph(graph, fuse);
+    ASSERT_EQ(lowering.fused, fuse) << what;
+    std::deque<NDArray> structures;
+    runtime::Bindings bindings;
+    for (const dfg::StructureBinding &s : lowering.structures) {
+        structures.push_back(NDArray::fromInt32(s.pattern->indptr));
+        bindings.arrays[s.indptrName] = &structures.back();
+        structures.push_back(NDArray::fromInt32(s.pattern->indices));
+        bindings.arrays[s.indicesName] = &structures.back();
+    }
+    std::vector<ir::PrimFunc> unhoisted;
+    for (const ir::PrimFunc &func : lowering.funcs) {
+        expectFixedPoint(func, what);
+        unhoisted.push_back(inlineLets(func));
+        // The inlined IR really is what the pass started from.
+        EXPECT_TRUE(ir::structuralEqual(
+            func->body, transform::hoistInvariants(unhoisted.back())->body))
+            << what << ": " << func->name;
+    }
+    expectHoistingPreservesResults(unhoisted, bindings, rng, what);
+}
+
+TEST(FuzzDifferential, HoistedIrMatchesUnhoistedBitwise)
+{
+    // Every kernel family the engine serves, on fuzz structures: the
+    // interpreter must produce the same bits before and after the
+    // pass that every backend's input goes through.
+    constexpr int64_t kFeats[] = {1, 5, 8, 37};
+    uint64_t seed = envU64("FUZZ_SEED", kDefaultSeed);
+    for (uint64_t i = 0; i < 12; ++i) {
+        Rng rng(mix(seed, 0x4015 + i));
+        std::string desc;
+        Csr a = randomStructure(&rng, &desc);
+        int64_t feat = kFeats[i % 4];
+        std::string what = desc + " feat=" + std::to_string(feat);
+        SCOPED_TRACE(what);
+
+        // Each producer binds its structure into the set it is given.
+        auto set = std::make_shared<core::BindingSet>();
+        auto kernel = core::compileSpmmCsr(a, feat, set);
+        expectHoistingPreservesResults({kernel->func()}, set->view(),
+                                       &rng, "csr");
+
+        set = std::make_shared<core::BindingSet>();
+        kernel = core::compileSddmm(a, feat, set);
+        expectHoistingPreservesResults({kernel->func()}, set->view(),
+                                       &rng, "sddmm");
+
+        set = std::make_shared<core::BindingSet>();
+        kernel = core::compileBsrSpmm(
+            format::bsrFromCsr(a, i % 2 == 0 ? 2 : 4), feat, set, false);
+        expectHoistingPreservesResults({kernel->func()}, set->view(),
+                                       &rng, "bsr");
+
+        set = std::make_shared<core::BindingSet>();
+        kernel = core::compileSrbcrsSpmm(format::srbcrsFromCsr(a, 4, 2),
+                                         feat, set);
+        expectHoistingPreservesResults({kernel->func()}, set->view(),
+                                       &rng, "srbcrs");
+
+        // One relation's RGCN buckets, with the engine's bucketing.
+        format::Hyb rel = format::hybFromCsr(a, 1, 1);
+        auto rgcn = std::make_shared<core::BindingSet>();
+        rgcn->scalar("m", a.rows);
+        rgcn->scalar("n", a.cols);
+        std::vector<ir::PrimFunc> rgcn_funcs;
+        for (size_t b = 0; b < rel.buckets[0].size(); ++b) {
+            const format::Ell &bucket = rel.buckets[0][b];
+            if (bucket.numRows() > 0) {
+                rgcn_funcs.push_back(
+                    core::compileEllRgms(bucket, feat, 3, rgcn,
+                                         "r0b" + std::to_string(b),
+                                         false)
+                        ->func());
+            }
+        }
+        expectHoistingPreservesResults(rgcn_funcs, rgcn->view(), &rng,
+                                       "rgcn");
+
+        // Hyb on the GPU schedule; the host schedule is hoisted by its
+        // producer and must come out of the pass unchanged.
+        auto hyb_set = std::make_shared<core::BindingSet>();
+        core::HybSpmm hyb =
+            core::compileSpmmHyb(a, feat, 1 + i % 3, 1, hyb_set);
+        std::vector<ir::PrimFunc> hyb_funcs;
+        for (const auto &kernel : hyb.kernels) {
+            hyb_funcs.push_back(kernel->func());
+        }
+        expectHoistingPreservesResults(hyb_funcs, hyb_set->view(), &rng,
+                                       "hyb gpu");
+        for (const auto &plan : core::compileSpmmHybFuncs(hyb.hyb, feat)) {
+            expectFixedPoint(plan.func, "hyb host");
+        }
+
+        dfg::PatternRef pattern = dfg::SparsityPattern::fromCsr(a);
+        for (bool fuse : {true, false}) {
+            std::string mode = fuse ? " fused" : " chain";
+            expectGraphHoistingPreservesResults(
+                model::buildAttentionGraph(pattern, feat), fuse, &rng,
+                "attention" + mode);
+            expectGraphHoistingPreservesResults(
+                model::buildGraphSageLayerGraph(pattern, feat, 3), fuse,
+                &rng, "graphsage" + mode);
+        }
+        if (::testing::Test::HasFatalFailure()) {
+            return;
+        }
+    }
 }
 
 } // namespace

@@ -14,7 +14,7 @@
 #include "ir/structural_equal.h"
 #include "runtime/interpreter.h"
 #include "support/rng.h"
-#include "transform/hoist_invariant_loads.h"
+#include "transform/hoist_invariants.h"
 #include "transform/lower_sparse_buffer.h"
 #include "transform/lower_sparse_iter.h"
 #include "transform/stage1_schedule.h"
@@ -280,20 +280,24 @@ TEST(Interpreter, SddmmFusedMatchesUnfused)
 }
 
 // ---------------------------------------------------------------------
-// Loop-invariant load hoisting
+// Loop-invariant hoisting
 // ---------------------------------------------------------------------
 
-/** f(x: float[4], y: float[8]) with the given body over x and y. */
+/**
+ * f(x: float[4], y: float[8], n: int32) with the given body over x,
+ * y and n; run() binds n = 2.
+ */
 struct HoistFixture
 {
     Buffer x = denseBuffer("x", {intImm(4)}, DataType::float32());
     Buffer y = denseBuffer("y", {intImm(8)}, DataType::float32());
+    Var n = var("n");
 
     PrimFunc
     func(Stmt body) const
     {
         PrimFunc f = primFunc("hoist");
-        f->params = {x->data, y->data};
+        f->params = {x->data, y->data, n};
         f->bufferMap = {{x->data, x}, {y->data, y}};
         f->body = std::move(body);
         f->stage = IrStage::kStage3;
@@ -311,6 +315,7 @@ struct HoistFixture
         }
         Bindings bindings;
         bindings.arrays = {{"x_data", &xs}, {"y_data", &ys}};
+        bindings.scalars = {{"n", 2}};
         runtime::run(f, bindings);
         std::vector<float> out;
         for (int64_t k = 0; k < 8; ++k) {
@@ -324,11 +329,21 @@ struct HoistFixture
     untouched(const PrimFunc &f)
     {
         return structuralEqual(f->body,
-                               transform::hoistInvariantLoads(f)->body);
+                               transform::hoistInvariants(f)->body);
+    }
+
+    /** The LetStmt `s` must be, with its bound value. */
+    static const LetStmtNode *
+    asLet(const Stmt &s)
+    {
+        EXPECT_EQ(s->kind, StmtKind::kLetStmt);
+        return s->kind == StmtKind::kLetStmt
+                   ? static_cast<const LetStmtNode *>(s.get())
+                   : nullptr;
     }
 };
 
-TEST(HoistInvariantLoads, HoistsInvariantLoadOutOfConstantLoop)
+TEST(HoistInvariants, HoistsInvariantLoadOutOfConstantLoop)
 {
     // for i in 0..4: for k in 0..8: y[k] = y[k] + x[i]
     HoistFixture fx;
@@ -338,7 +353,7 @@ TEST(HoistInvariantLoads, HoistsInvariantLoadOutOfConstantLoop)
         fx.y, {k}, add(bufferLoad(fx.y, {k}), bufferLoad(fx.x, {i})));
     PrimFunc f = fx.func(forLoop(
         i, intImm(0), intImm(4), forLoop(k, intImm(0), intImm(8), update)));
-    PrimFunc hoisted = transform::hoistInvariantLoads(f);
+    PrimFunc hoisted = transform::hoistInvariants(f);
     // x[i] is bound once per i, before the k loop; y stays in place.
     auto outer = std::static_pointer_cast<const ForNode>(hoisted->body);
     ASSERT_EQ(outer->body->kind, StmtKind::kLetStmt)
@@ -348,7 +363,7 @@ TEST(HoistInvariantLoads, HoistsInvariantLoadOutOfConstantLoop)
     EXPECT_EQ(fx.run(f), fx.run(hoisted));
 }
 
-TEST(HoistInvariantLoads, KeepsLoadOfWrittenBuffer)
+TEST(HoistInvariants, KeepsLoadOfWrittenBuffer)
 {
     // for k: x[0] = x[0] + y[k] — x[0] changes every iteration.
     HoistFixture fx;
@@ -361,7 +376,7 @@ TEST(HoistInvariantLoads, KeepsLoadOfWrittenBuffer)
     EXPECT_TRUE(HoistFixture::untouched(f));
 }
 
-TEST(HoistInvariantLoads, KeepsLoadUnderIf)
+TEST(HoistInvariants, KeepsLoadUnderIf)
 {
     // for k: if k < 4: y[k] = x[0] — the guard may never pass.
     HoistFixture fx;
@@ -373,7 +388,7 @@ TEST(HoistInvariantLoads, KeepsLoadUnderIf)
     EXPECT_TRUE(HoistFixture::untouched(f));
 }
 
-TEST(HoistInvariantLoads, KeepsLoadInZeroTripLoop)
+TEST(HoistInvariants, KeepsLoadInZeroTripLoop)
 {
     // for k in 0..0: y[0] = x[3] — never runs, so never loads; and
     // an 8-trip loop around a zero-trip one must not hoist through it.
@@ -387,6 +402,108 @@ TEST(HoistInvariantLoads, KeepsLoadInZeroTripLoop)
     EXPECT_TRUE(HoistFixture::untouched(fx.func(forLoop(
         k, intImm(0), intImm(8),
         forLoop(z, intImm(0), intImm(0), store)))));
+}
+
+TEST(HoistInvariants, HoistsArithmeticOutOfSymbolicLoop)
+{
+    // for i in 0..2: for k in 0..n: y[i*n + k] = y[i*n + k] + x[i]
+    // i*n leaves the k loop although its trip count is unknown; x[i]
+    // stays, since the k loop may run zero times.
+    HoistFixture fx;
+    Var i = var("i");
+    Var k = var("k");
+    Expr row = mul(i, fx.n);
+    Stmt update = bufferStore(fx.y, {add(row, k)},
+                              add(bufferLoad(fx.y, {add(row, k)}),
+                                  bufferLoad(fx.x, {i})));
+    PrimFunc f = fx.func(
+        forLoop(i, intImm(0), intImm(2), forLoop(k, intImm(0), fx.n, update)));
+    PrimFunc hoisted = transform::hoistInvariants(f);
+    auto outer = std::static_pointer_cast<const ForNode>(hoisted->body);
+    const LetStmtNode *let = HoistFixture::asLet(outer->body);
+    ASSERT_NE(let, nullptr) << funcToString(hoisted);
+    EXPECT_TRUE(structuralEqual(let->value, row));
+    ASSERT_EQ(let->body->kind, StmtKind::kFor) << funcToString(hoisted);
+    EXPECT_EQ(fx.run(f), fx.run(hoisted));
+}
+
+TEST(HoistInvariants, HoistsArithmeticUnderIfArm)
+{
+    // for k in 0..8: if k < 2: y[n*2 + k] = x[k] — arithmetic reads no
+    // memory and cannot fault, so it leaves even a guarded arm.
+    HoistFixture fx;
+    Var k = var("k");
+    Expr base = mul(fx.n, intImm(2));
+    PrimFunc f = fx.func(forLoop(
+        k, intImm(0), intImm(8),
+        ifThenElse(lt(k, intImm(2)),
+                   bufferStore(fx.y, {add(base, k)},
+                               bufferLoad(fx.x, {k})))));
+    PrimFunc hoisted = transform::hoistInvariants(f);
+    const LetStmtNode *let = HoistFixture::asLet(hoisted->body);
+    ASSERT_NE(let, nullptr) << funcToString(hoisted);
+    EXPECT_TRUE(structuralEqual(let->value, base));
+    EXPECT_EQ(fx.run(f), fx.run(hoisted));
+}
+
+TEST(HoistInvariants, KeepsDivisionByVariableOrZero)
+{
+    // floordiv/floormod by n could fault on n == 0, and by 0 always
+    // does (the guard keeps this one from running).
+    HoistFixture fx;
+    Var k = var("k");
+    auto store = [&](Expr index) {
+        return forLoop(
+            k, intImm(0), intImm(8),
+            ifThenElse(gt(k, intImm(100)),
+                       bufferStore(fx.y, {index}, floatImm(1.0))));
+    };
+    for (Expr index :
+         {floorDiv(intImm(6), fx.n), floorMod(intImm(6), fx.n),
+          floorDiv(fx.n, intImm(0)), floorMod(fx.n, intImm(0))}) {
+        PrimFunc f = fx.func(store(index));
+        EXPECT_TRUE(HoistFixture::untouched(f)) << funcToString(f);
+        EXPECT_EQ(fx.run(f), fx.run(transform::hoistInvariants(f)));
+    }
+}
+
+TEST(HoistInvariants, KeepsArithmeticOverInnerVariables)
+{
+    // for k in 0..4: let t = k * 2 in y[t + 1] = x[k] — both k * 2 and
+    // t + 1 use a variable bound inside the loop.
+    HoistFixture fx;
+    Var k = var("k");
+    Var t = var("t");
+    PrimFunc f = fx.func(forLoop(
+        k, intImm(0), intImm(4),
+        letStmt(t, mul(k, intImm(2)),
+                bufferStore(fx.y, {add(t, intImm(1))},
+                            bufferLoad(fx.x, {k})))));
+    EXPECT_TRUE(HoistFixture::untouched(f)) << funcToString(f);
+}
+
+TEST(HoistInvariants, SecondApplicationChangesNothing)
+{
+    // Invariants at two depths, loads and arithmetic mixed: everything
+    // lands before the outermost loop it may leave in one application.
+    HoistFixture fx;
+    Var i = var("i");
+    Var k = var("k");
+    Expr base = mul(fx.n, intImm(2));
+    Stmt update = bufferStore(
+        fx.y, {add(mul(i, intImm(2)), k)},
+        add(bufferLoad(fx.x, {floorMod(base, intImm(4))}),
+            bufferLoad(fx.x, {add(i, k)})));
+    PrimFunc f = fx.func(forLoop(
+        i, intImm(0), intImm(2),
+        forLoop(k, intImm(0), intImm(2),
+                ifThenElse(lt(k, add(base, intImm(-2))), update))));
+    PrimFunc once = transform::hoistInvariants(f);
+    EXPECT_FALSE(structuralEqual(f->body, once->body));
+    PrimFunc twice = transform::hoistInvariants(once);
+    EXPECT_TRUE(structuralEqual(once->body, twice->body))
+        << funcToString(once) << "\n" << funcToString(twice);
+    EXPECT_EQ(fx.run(f), fx.run(once));
 }
 
 } // namespace

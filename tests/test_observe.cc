@@ -5,8 +5,7 @@
  * macros and through a full untraced Engine session), span nesting
  * and worker-thread attribution under parallelFor, latency-histogram
  * percentiles against a sorted-vector oracle, Chrome-trace JSON
- * well-formedness, one compute span per fused task-graph unit, and
- * per-engine launch-probe attribution through ProbeCounterScope.
+ * well-formedness, and one compute span per fused task-graph unit.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -525,58 +523,6 @@ TEST(Observe, FusedDispatchTracesOneComputeSpanPerUnit)
     EXPECT_EQ(seen_pairs, want_pairs);
 
     quiesceRecorder();
-}
-
-// ---------------------------------------------------------------------
-// Launch-probe attribution: ProbeCounterScope + global view
-// ---------------------------------------------------------------------
-
-TEST(Observe, ProbeCounterScopeAttributesAndNests)
-{
-    ir::PrimFunc func =
-        core::compileSpmmCsrFunc(4, core::SpmmSchedule());
-    runtime::Bindings bindings;
-    bindings.scalars["m"] = 32;
-    bindings.scalars["n"] = 16;
-    bindings.scalars["nnz"] = 50;
-    bindings.scalars["feat_size"] = 4;
-
-    uint64_t before = runtime::launchProbeCount();
-    observe::Counter outer_counter;
-    observe::Counter inner_counter;
-    {
-        runtime::ProbeCounterScope outer(&outer_counter);
-        runtime::launchInfo(func, bindings);
-        runtime::launchInfo(func, bindings);
-        {
-            runtime::ProbeCounterScope inner(&inner_counter);
-            runtime::launchInfo(func, bindings);
-        }
-        // Inner scope ended: attribution restored to the outer sink.
-        runtime::launchInfo(func, bindings);
-    }
-    EXPECT_EQ(outer_counter.value(), 3u);
-    EXPECT_EQ(inner_counter.value(), 1u);
-    EXPECT_EQ(runtime::launchProbeCount(), before + 4)
-        << "the process-global view still counts every probe";
-
-    // Scopes are thread-local: another thread's probes are invisible
-    // to this thread's sink (but still hit the global view).
-    {
-        runtime::ProbeCounterScope outer(&outer_counter);
-        std::thread([&] {
-            runtime::launchInfo(func, bindings);
-        }).join();
-    }
-    EXPECT_EQ(outer_counter.value(), 3u);
-    EXPECT_EQ(runtime::launchProbeCount(), before + 5);
-
-    // The legacy reset shim zeroes the global view without touching
-    // scoped counters.
-    runtime::resetLaunchProbeCount();
-    EXPECT_EQ(runtime::launchProbeCount(), 0u);
-    EXPECT_EQ(outer_counter.value(), 3u);
-    EXPECT_EQ(inner_counter.value(), 1u);
 }
 
 // ---------------------------------------------------------------------

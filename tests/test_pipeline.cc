@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/ops.h"
@@ -214,42 +215,47 @@ TEST(Pipeline, EllRgmsMatchesReference)
     ASSERT_FALSE(rows.empty());
     format::Ell bucket = format::ellFromCsrRows(a, rows, 8);
 
-    int64_t fin = 16;
-    int64_t fout = 16;
-    auto x_host = randomVector(a.cols * fin, 16);
-    auto w_host = randomVector(fin * fout, 17);
+    // fout 3 and 48 pad the feature split past W's last column; the
+    // shared-memory copy of W must stop at its edge.
+    for (auto [fin, fout] : {std::pair<int64_t, int64_t>{16, 16},
+                             {16, 3},
+                             {5, 48}}) {
+        auto x_host = randomVector(a.cols * fin, 16);
+        auto w_host = randomVector(fin * fout, 17);
 
-    auto shared = std::make_shared<BindingSet>();
-    shared->scalar("m", a.rows);
-    shared->scalar("n", a.cols);
-    NDArray x = NDArray::fromFloat(x_host);
-    NDArray w = NDArray::fromFloat(w_host);
-    NDArray y({a.rows * fout}, ir::DataType::float32());
-    shared->external("X_data", &x);
-    shared->external("W_data", &w);
-    shared->external("Y_data", &y);
-    auto kernel = core::compileEllRgms(bucket, fin, fout, shared, "t0",
-                                       true, 2);
-    kernel->execute();
+        auto shared = std::make_shared<BindingSet>();
+        shared->scalar("m", a.rows);
+        shared->scalar("n", a.cols);
+        NDArray x = NDArray::fromFloat(x_host);
+        NDArray w = NDArray::fromFloat(w_host);
+        NDArray y({a.rows * fout}, ir::DataType::float32());
+        shared->external("X_data", &x);
+        shared->external("W_data", &w);
+        shared->external("Y_data", &y);
+        auto kernel = core::compileEllRgms(bucket, fin, fout, shared,
+                                           "t0", true, 2);
+        kernel->execute();
 
-    // Reference: only bucket rows contribute.
-    std::vector<float> expected(a.rows * fout, 0.0f);
-    for (int32_t r : rows) {
-        for (int32_t p = a.indptr[r]; p < a.indptr[r + 1]; ++p) {
-            int64_t j = a.indices[p];
-            float av = a.values[p];
-            for (int64_t l = 0; l < fout; ++l) {
-                float acc = 0.0f;
-                for (int64_t k = 0; k < fin; ++k) {
-                    acc += x_host[j * fin + k] *
-                           w_host[k * fout + l];
+        // Reference: only bucket rows contribute.
+        std::vector<float> expected(a.rows * fout, 0.0f);
+        for (int32_t r : rows) {
+            for (int32_t p = a.indptr[r]; p < a.indptr[r + 1]; ++p) {
+                int64_t j = a.indices[p];
+                float av = a.values[p];
+                for (int64_t l = 0; l < fout; ++l) {
+                    float acc = 0.0f;
+                    for (int64_t k = 0; k < fin; ++k) {
+                        acc += x_host[j * fin + k] *
+                               w_host[k * fout + l];
+                    }
+                    expected[r * fout + l] += av * acc;
                 }
-                expected[r * fout + l] += av * acc;
             }
         }
-    }
-    for (int64_t i = 0; i < y.numel(); ++i) {
-        ASSERT_NEAR(expected[i], y.floatAt(i), 1e-2) << "at " << i;
+        for (int64_t i = 0; i < y.numel(); ++i) {
+            ASSERT_NEAR(expected[i], y.floatAt(i), 1e-2)
+                << "fin " << fin << " fout " << fout << " at " << i;
+        }
     }
 }
 

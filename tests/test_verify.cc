@@ -28,6 +28,7 @@
 #include "ir/stmt.h"
 #include "support/rng.h"
 #include "test_util.h"
+#include "transform/hoist_invariants.h"
 #include "verify/verifier.h"
 
 namespace sparsetir {
@@ -85,6 +86,25 @@ csrSymbolicFacts(const ir::PrimFunc &func)
     return ctx;
 }
 
+/**
+ * Expect `func` to verify clean, both as its producer emits it and
+ * hoisted (transform::hoistInvariants), which is what the engine
+ * serves.
+ */
+void
+expectCleanAsProducedAndHoisted(const ir::PrimFunc &func,
+                                const verify::VerifyContext &ctx,
+                                const std::string &what)
+{
+    for (bool hoist : {false, true}) {
+        auto result = verify::verifyFunc(
+            hoist ? transform::hoistInvariants(func) : func, ctx);
+        EXPECT_TRUE(result.ok)
+            << what << (hoist ? " (hoisted)" : " (as produced)") << "\n"
+            << verify::formatDiagnostics(result);
+    }
+}
+
 bool
 hasCategory(const verify::VerifyResult &result,
             verify::DiagCategory category)
@@ -135,15 +155,10 @@ randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
 TEST(Verify, SpmmCsrProvesCleanSymbolically)
 {
     for (int64_t feat : {48, 37}) {
-        for (int rpb : {1, 4}) {
-            core::SpmmSchedule sched;
-            sched.rowsPerBlock = rpb;
-            ir::PrimFunc func = core::compileSpmmCsrFunc(feat, sched);
-            auto result = verify::verifyFunc(func, csrSymbolicFacts(func));
-            EXPECT_TRUE(result.ok)
-                << "feat=" << feat << " rpb=" << rpb << "\n"
-                << verify::formatDiagnostics(result);
-        }
+        ir::PrimFunc func =
+            core::compileSpmmCsrFunc(feat, core::SpmmSchedule());
+        expectCleanAsProducedAndHoisted(func, csrSymbolicFacts(func),
+                                        "feat=" + std::to_string(feat));
     }
 }
 
@@ -170,13 +185,12 @@ TEST(Verify, SpmmHybBucketsProveCleanSymbolically)
             auto plans = core::compileSpmmHybFuncs(hyb, feat, target);
             ASSERT_FALSE(plans.empty());
             for (const auto &plan : plans) {
-                auto result =
-                    verify::verifyFunc(plan.func, hybSymbolicFacts(plan));
-                EXPECT_TRUE(result.ok)
-                    << "bucket " << plan.suffix << " feat " << feat
-                    << " host " << (target == core::ScheduleTarget::kHost)
-                    << "\n"
-                    << verify::formatDiagnostics(result);
+                expectCleanAsProducedAndHoisted(
+                    plan.func, hybSymbolicFacts(plan),
+                    "bucket " + plan.suffix + " feat " +
+                        std::to_string(feat) + " host " +
+                        std::to_string(target ==
+                                       core::ScheduleTarget::kHost));
             }
         }
     }
@@ -225,9 +239,8 @@ TEST(Verify, SddmmProvesCleanSymbolically)
     for (int64_t feat : {48, 37}) {
         ir::PrimFunc func =
             core::compileSddmmFunc(feat, core::SddmmSchedule());
-        auto result = verify::verifyFunc(func, csrSymbolicFacts(func));
-        EXPECT_TRUE(result.ok) << "feat=" << feat << "\n"
-                               << verify::formatDiagnostics(result);
+        expectCleanAsProducedAndHoisted(func, csrSymbolicFacts(func),
+                                        "feat=" + std::to_string(feat));
     }
 }
 
@@ -237,8 +250,7 @@ TEST(Verify, BsrSpmmProvesCleanSymbolically)
     verify::VerifyContext ctx;
     indptrFact(&ctx, "JO_indptr", param(func, "nnzb"));
     idxFact(&ctx, "JO_indices", param(func, "nb"));
-    auto result = verify::verifyFunc(func, ctx);
-    EXPECT_TRUE(result.ok) << verify::formatDiagnostics(result);
+    expectCleanAsProducedAndHoisted(func, ctx, "bsr_spmm");
 }
 
 TEST(Verify, BsrSddmmProvesCleanSymbolically)
@@ -250,8 +262,7 @@ TEST(Verify, BsrSddmmProvesCleanSymbolically)
     verify::VerifyContext ctx;
     indptrFact(&ctx, "JO_indptr", param(func, "nnzb"));
     idxFact(&ctx, "JO_indices", param(func, "nb"));
-    auto result = verify::verifyFunc(func, ctx);
-    EXPECT_TRUE(result.ok) << verify::formatDiagnostics(result);
+    expectCleanAsProducedAndHoisted(func, ctx, "bsr_sddmm");
 }
 
 TEST(Verify, SrbcrsSpmmProvesCleanSymbolically)
@@ -260,8 +271,7 @@ TEST(Verify, SrbcrsSpmmProvesCleanSymbolically)
     verify::VerifyContext ctx;
     indptrFact(&ctx, "G_indptr", param(func, "total_groups"));
     idxFact(&ctx, "T_indices", param(func, "n"));
-    auto result = verify::verifyFunc(func, ctx);
-    EXPECT_TRUE(result.ok) << verify::formatDiagnostics(result);
+    expectCleanAsProducedAndHoisted(func, ctx, "srbcrs_spmm");
 }
 
 TEST(Verify, EllRgmsProvesCleanSymbolically)
@@ -271,8 +281,7 @@ TEST(Verify, EllRgmsProvesCleanSymbolically)
     verify::VerifyContext ctx;
     idxFact(&ctx, "Ir0b2_indices", param(func, "m"));
     idxFact(&ctx, "Jr0b2_indices", param(func, "n"));
-    auto result = verify::verifyFunc(func, ctx);
-    EXPECT_TRUE(result.ok) << verify::formatDiagnostics(result);
+    expectCleanAsProducedAndHoisted(func, ctx, "rgms");
 }
 
 // ---------------------------------------------------------------------
