@@ -1,55 +1,52 @@
 #!/usr/bin/env python3
 """CI perf gate over bench_engine_throughput's JSON output.
 
-Usage: check_perf_gate.py <bench.json> <min_backend_speedup>
+Usage: check_perf_gate.py <bench.json> [<bench.json> ...] <min_backend_speedup>
 
-Fails (exit 1) when the bytecode backend's warm-dispatch speedup over
-the interpreter falls below the threshold, when the two backends
-stopped producing bitwise-identical outputs, or when the native tier
-serves fewer warm requests per second than bytecode on any op family
-of the "tiers" object (experiment [11]). Malformed input — an
-unreadable or syntactically invalid JSON file, missing fields, or
-nonsense measurements (non-positive timings) — exits 2 with a
-diagnostic, so CI can tell "the gate tripped" (1) from "the gate
-never ran" (2). The JSON itself is uploaded as a workflow artifact so
-the speedup trajectory (and the batched-throughput numbers, when
-present) is trackable across commits. The "warm_latency" object
-(experiment [9]) is printed as an informational per-op p50/p95/p99
-trajectory, and the "tiers" object (experiment [11]) as an
-interpreter -> bytecode -> native req/s trajectory per op family —
-malformed fields in either exit 2 like any other bad input.
+Each JSON file is one run of the benchmark; the gate reads the median
+over the runs, so one slow run on a shared host does not trip it.
+Fails (exit 1) when the median of the bytecode backend's
+warm-dispatch speedup over the interpreter falls below the threshold,
+when any run saw the two backends stop producing bitwise-identical
+outputs, or when the median native/bytecode warm req/s ratio falls
+below 1 on any op family of the "tiers" object (experiment [11]).
+Malformed input — an unreadable or syntactically invalid JSON file,
+missing fields, or nonsense measurements (non-positive timings) in
+any file — exits 2 with a diagnostic, so CI can tell "the gate
+tripped" (1) from "the gate never ran" (2). The JSON itself is
+uploaded as a workflow artifact so the speedup trajectory (and the
+batched-throughput numbers, when present) is trackable across
+commits. The "warm_latency" object (experiment [9]) is printed as an
+informational per-op p50/p95/p99 trajectory, and the "tiers" object
+(experiment [11]) as an interpreter -> bytecode -> native req/s
+trajectory per op family — malformed fields in either exit 2 like any
+other bad input.
 """
 
 import json
+import statistics
 import sys
 
 
-def fail_input(message: str) -> int:
-    """Malformed-input exit: distinct from a genuine gate failure."""
-    print(f"perf gate: bad input: {message}", file=sys.stderr)
-    return 2
+class BadInput(Exception):
+    """Malformed input: distinct from a genuine gate failure."""
 
 
-def main() -> int:
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    path = sys.argv[1]
-    try:
-        threshold = float(sys.argv[2])
-    except ValueError:
-        return fail_input(
-            f"threshold {sys.argv[2]!r} is not a number"
-        )
+def read_run(path: str):
+    """Validate one run's JSON and print its trajectory lines.
+
+    Returns (backend speedup, bitwise_identical, {op: native req/s
+    over bytecode req/s}); raises BadInput on malformed input.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        return fail_input(f"cannot read {path}: {err}")
+        raise BadInput(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
-        return fail_input(f"{path} is not valid JSON: {err}")
+        raise BadInput(f"{path} is not valid JSON: {err}")
     if not isinstance(data, dict):
-        return fail_input(f"{path} does not hold a JSON object")
+        raise BadInput(f"{path} does not hold a JSON object")
 
     try:
         interpreter_ms = float(data["interpreter_warm_ms"])
@@ -57,19 +54,19 @@ def main() -> int:
         speedup = float(data["backend_speedup"])
         identical = bool(data["bitwise_identical"])
     except KeyError as err:
-        return fail_input(f"{path} is missing field {err}")
+        raise BadInput(f"{path} is missing field {err}")
     except (TypeError, ValueError) as err:
-        return fail_input(f"{path} holds a non-numeric field: {err}")
+        raise BadInput(f"{path} holds a non-numeric field: {err}")
     if bytecode_ms <= 0.0 or interpreter_ms <= 0.0:
-        return fail_input(
+        raise BadInput(
             f"non-positive timings (interpreter {interpreter_ms}, "
             f"bytecode {bytecode_ms}): the benchmark did not measure"
         )
 
     print(
         f"perf gate: interpreter {interpreter_ms:.2f} ms -> "
-        f"bytecode {bytecode_ms:.2f} ms = {speedup:.2f}x "
-        f"(threshold {threshold:.1f}x), bitwise_identical={identical}"
+        f"bytecode {bytecode_ms:.2f} ms = {speedup:.2f}x, "
+        f"bitwise_identical={identical}"
     )
     # Batched-throughput trajectory (informational, not gated) — but
     # malformed fields are still bad input, not a tripped gate.
@@ -81,7 +78,7 @@ def main() -> int:
             batched_rps = float(data["batched_req_per_s"])
             batched_speedup = float(data.get("batched_speedup", 0.0))
         except (TypeError, ValueError) as err:
-            return fail_input(
+            raise BadInput(
                 f"{path} holds a non-numeric batched field: {err}"
             )
         print(
@@ -109,7 +106,7 @@ def main() -> int:
                 data.get(f"graph_{model}_speedup", 0.0)
             )
         except (TypeError, ValueError) as err:
-            return fail_input(
+            raise BadInput(
                 f"{path} holds a non-numeric graph field: {err}"
             )
         print(
@@ -127,15 +124,15 @@ def main() -> int:
     if "verify" in data:
         verify = data["verify"]
         if not isinstance(verify, dict):
-            return fail_input(f"{path} verify is not a JSON object")
+            raise BadInput(f"{path} verify is not a JSON object")
         try:
             verified = int(verify["verified_kernels"])
             failures = int(verify["verify_failures"])
             verify_ms = float(verify["verify_ms"])
         except (TypeError, KeyError, ValueError) as err:
-            return fail_input(f"{path} verify is malformed: {err}")
+            raise BadInput(f"{path} verify is malformed: {err}")
         if verified < 0 or failures < 0 or verify_ms < 0.0:
-            return fail_input(
+            raise BadInput(
                 f"{path} verify holds negative counters "
                 f"({verified} kernels, {failures} failures, "
                 f"{verify_ms} ms)"
@@ -154,14 +151,15 @@ def main() -> int:
             )
     # Tiered-execution trajectory (experiment [11]): warm req/s per op
     # family for interpreter -> bytecode -> native, plus the native
-    # tier's one-time compile cost. Gated: a native tier slower than
+    # tier's one-time compile cost. main() gates the median
+    # native/bytecode ratio over the runs: a native tier slower than
     # bytecode on any family does not earn its code. Malformed fields
     # are still bad input, not a tripped gate.
-    native_losses = []
+    native_ratios = {}
     if "tiers" in data:
         tiers = data["tiers"]
         if not isinstance(tiers, dict):
-            return fail_input(f"{path} tiers is not a JSON object")
+            raise BadInput(f"{path} tiers is not a JSON object")
         for op in sorted(tiers):
             row = tiers[op]
             try:
@@ -169,11 +167,11 @@ def main() -> int:
                 bytecode_rps = float(row["bytecode_req_per_s"])
                 native_rps = float(row["native_req_per_s"])
             except (TypeError, KeyError, ValueError) as err:
-                return fail_input(
+                raise BadInput(
                     f"{path} tiers[{op!r}] is malformed: {err}"
                 )
             if min(interp_rps, bytecode_rps, native_rps) <= 0.0:
-                return fail_input(
+                raise BadInput(
                     f"{path} tiers[{op!r}] holds a non-positive "
                     f"rate (interpreter {interp_rps}, bytecode "
                     f"{bytecode_rps}, native {native_rps})"
@@ -191,20 +189,17 @@ def main() -> int:
                 f"bitwise_identical="
                 f"{row.get('bitwise_identical', 'n/a')}"
             )
-            if native_rps < bytecode_rps:
-                native_losses.append(
-                    f"{op} ({native_rps:.1f} < {bytecode_rps:.1f} req/s)"
-                )
+            native_ratios[op] = native_rps / bytecode_rps
         try:
             compiles = int(data.get("native_compiles", 0))
             disk_hits = int(data.get("native_disk_hits", 0))
             compile_ms = float(data.get("native_compile_ms", 0.0))
         except (TypeError, ValueError) as err:
-            return fail_input(
+            raise BadInput(
                 f"{path} holds a malformed native counter: {err}"
             )
         if compiles < 0 or disk_hits < 0 or compile_ms < 0.0:
-            return fail_input(
+            raise BadInput(
                 f"{path} holds negative native counters "
                 f"({compiles} compiles, {disk_hits} disk hits, "
                 f"{compile_ms} ms)"
@@ -220,7 +215,7 @@ def main() -> int:
     if "warm_latency" in data:
         warm = data["warm_latency"]
         if not isinstance(warm, dict):
-            return fail_input(
+            raise BadInput(
                 f"{path} warm_latency is not a JSON object"
             )
         for op in sorted(warm):
@@ -231,21 +226,21 @@ def main() -> int:
                 p95 = float(hist["p95_ms"])
                 p99 = float(hist["p99_ms"])
             except (TypeError, KeyError, ValueError) as err:
-                return fail_input(
+                raise BadInput(
                     f"{path} warm_latency[{op!r}] is malformed: {err}"
                 )
             if count <= 0:
-                return fail_input(
+                raise BadInput(
                     f"{path} warm_latency[{op!r}] has no samples "
                     f"(count {count})"
                 )
             if min(p50, p95, p99) < 0.0:
-                return fail_input(
+                raise BadInput(
                     f"{path} warm_latency[{op!r}] holds a negative "
                     f"latency (p50 {p50}, p95 {p95}, p99 {p99})"
                 )
             if not p50 <= p95 <= p99:
-                return fail_input(
+                raise BadInput(
                     f"{path} warm_latency[{op!r}] percentiles are "
                     f"not monotone (p50 {p50}, p95 {p95}, p99 {p99})"
                 )
@@ -254,12 +249,59 @@ def main() -> int:
                 f"p95 {p95:.3f} ms / p99 {p99:.3f} ms "
                 f"({count} samples)"
             )
-    if not identical:
-        print("FAIL: backends diverged bitwise", file=sys.stderr)
+    return speedup, identical, native_ratios
+
+
+def main() -> int:
+    if len(sys.argv) < 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    paths = sys.argv[1:-1]
+    try:
+        threshold = float(sys.argv[-1])
+    except ValueError:
+        print(
+            f"perf gate: bad input: threshold {sys.argv[-1]!r} is not "
+            f"a number",
+            file=sys.stderr,
+        )
+        return 2
+    speedups = []
+    diverged = []
+    ratios = {}
+    for path in paths:
+        print(f"== {path}")
+        try:
+            speedup, identical, native_ratios = read_run(path)
+        except BadInput as err:
+            print(f"perf gate: bad input: {err}", file=sys.stderr)
+            return 2
+        speedups.append(speedup)
+        if not identical:
+            diverged.append(path)
+        for op, ratio in native_ratios.items():
+            ratios.setdefault(op, []).append(ratio)
+
+    speedup = statistics.median(speedups)
+    print(
+        f"perf gate: median backend speedup {speedup:.2f}x over "
+        f"{len(speedups)} run(s) (threshold {threshold:.1f}x)"
+    )
+    native_losses = []
+    for op in sorted(ratios):
+        ratio = statistics.median(ratios[op])
+        print(f"perf gate: median native/bytecode [{op}] {ratio:.2f}x")
+        if ratio < 1.0:
+            native_losses.append(f"{op} ({ratio:.2f}x)")
+    if diverged:
+        print(
+            "FAIL: backends diverged bitwise in " + ", ".join(diverged),
+            file=sys.stderr,
+        )
         return 1
     if speedup < threshold:
         print(
-            f"FAIL: backend speedup {speedup:.2f}x below the "
+            f"FAIL: median backend speedup {speedup:.2f}x below the "
             f"{threshold:.1f}x gate",
             file=sys.stderr,
         )

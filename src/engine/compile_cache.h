@@ -81,7 +81,7 @@ class Artifact
     /**
      * The cache key this artifact was built under (set by
      * CompileCache::getOrBuild before insertion). Native promotion
-     * tags each persisted kernel with it, so handles that bypass the
+     * tags the persisted module with it, so handles that bypass the
      * cache lookup can still promote.
      */
     CacheKey key;

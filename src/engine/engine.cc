@@ -32,14 +32,13 @@ msSince(const std::chrono::steady_clock::time_point &start)
 }
 
 /**
- * Identification tag of one kernel's persisted native artifact: the
- * full cache key plus the kernel's index inside the artifact and the
- * artifact/ABI versions. Baked into the .so's meta string, so a
- * restarted process can validate an on-disk file against exactly the
- * key it would build for.
+ * Identification tag of one artifact's persisted native module: the
+ * full cache key and the artifact version. Baked into the .so's meta
+ * string, so a restarted process can validate an on-disk file
+ * against exactly the key it would build for.
  */
 std::string
-nativeKeyTag(const CacheKey &key, int kernel_index)
+nativeKeyTag(const CacheKey &key)
 {
     std::string tag = "v" + std::to_string(key.version);
     tag += ".op" + std::to_string(static_cast<int>(key.op));
@@ -52,7 +51,6 @@ nativeKeyTag(const CacheKey &key, int kernel_index)
     tag += ".b" + std::to_string(key.blockSize);
     tag += ".t" + std::to_string(key.tileHeight);
     tag += ".g" + std::to_string(key.groupSize);
-    tag += ".k" + std::to_string(kernel_index);
     return tag;
 }
 
@@ -1007,27 +1005,36 @@ Engine::promoteNow(const Artifact &artifact)
 {
     SPARSETIR_TRACE_SCOPE1("native", "native.promote", "op",
                            static_cast<int64_t>(artifact.key.op));
-    int index = 0;
+    std::vector<const CompiledKernel *> pending;
+    std::vector<ir::PrimFunc> funcs;
     for (const CompiledKernel *kernel : artifact.kernels()) {
-        int kernel_index = index++;
-        if (kernel->native == nullptr ||
-            kernel->native->get() != nullptr) {
-            continue;
+        if (kernel->native != nullptr &&
+            kernel->native->get() == nullptr) {
+            pending.push_back(kernel);
+            funcs.push_back(kernel->func);
         }
-        std::string tag = nativeKeyTag(artifact.key, kernel_index);
+    }
+    std::vector<std::shared_ptr<const runtime::native::NativeKernel>>
+        natives(pending.size());
+    if (!pending.empty()) {
         auto start = std::chrono::steady_clock::now();
         try {
-            auto native =
-                runtime::native::compileNative(kernel->func, tag);
+            natives = runtime::native::compileNativeModule(
+                funcs, nativeKeyTag(artifact.key));
             nativeCompileMs_->record(msSince(start));
-            (native->diskHit ? nativeDiskHits_ : nativeCompiles_)
-                ->add(1);
-            kernel->native->set(std::move(native));
-        } catch (const UserError &) {
-            // Outside the native subset, or cc missing/failed: the
-            // kernel keeps serving bytecode.
-            nativeFallbacks_->add(1);
+        } catch (...) {
+            // cc missing or failed, or its output would not load:
+            // every kernel of the module keeps serving bytecode.
+            natives.assign(pending.size(), nullptr);
         }
+    }
+    for (size_t i = 0; i < pending.size(); ++i) {
+        if (natives[i] == nullptr) {
+            nativeFallbacks_->add(1);
+            continue;
+        }
+        (natives[i]->diskHit ? nativeDiskHits_ : nativeCompiles_)->add(1);
+        pending[i]->native->set(std::move(natives[i]));
     }
     nativePromotions_->add(1);
 }

@@ -178,11 +178,13 @@ struct NativeStats
 {
     /** Artifacts the promotion policy processed. */
     uint64_t promotions = 0;
-    /** Kernels built by invoking the C compiler. */
+    /** Kernels built by a C compiler run (one run per artifact's
+     *  module, however many kernels it holds). */
     uint64_t compiles = 0;
     /** Kernels served from a persisted .so (zero compiler runs). */
     uint64_t diskHits = 0;
-    /** Kernels that stayed on bytecode (emitter/cc bailed). */
+    /** Kernels that stayed on bytecode (emitter rejected the kernel,
+     *  or its module's compile or load failed). */
     uint64_t fallbacks = 0;
 };
 
@@ -497,11 +499,13 @@ class Engine
     void maybePromote(const std::shared_ptr<Artifact> &artifact);
 
     /**
-     * Compile every kernel of `artifact` to the native tier and swap
-     * each result into its kernel's NativeBox. Emitter/compiler
-     * bails (UserError) count as fallbacks and leave the kernel on
-     * bytecode permanently — transparent degradation, never an error
-     * on the request path.
+     * Compile every kernel of `artifact` that still lacks native code
+     * as one module (one compiler run) and swap each result into its
+     * kernel's NativeBox. A kernel the emitter rejects, and every
+     * kernel of a module whose compile or load fails, counts as a
+     * fallback and stays on bytecode permanently — transparent
+     * degradation, never an error on the request path. Throws
+     * nothing; `native.promotions` always goes up by one.
      */
     void promoteNow(const Artifact &artifact);
 

@@ -159,18 +159,6 @@ LatencyHistogram::snapshot() const
     return snap;
 }
 
-void
-LatencyHistogram::reset()
-{
-    for (auto &b : buckets_) {
-        b.store(0, std::memory_order_relaxed);
-    }
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(0.0, std::memory_order_relaxed);
-    max_.store(0.0, std::memory_order_relaxed);
-}
-
 Counter *
 MetricsRegistry::counter(const std::string &name)
 {
@@ -205,18 +193,6 @@ MetricsRegistry::snapshot() const
         snap.histograms[entry.first] = entry.second->snapshot();
     }
     return snap;
-}
-
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &entry : counters_) {
-        entry.second->reset();
-    }
-    for (auto &entry : histograms_) {
-        entry.second->reset();
-    }
 }
 
 } // namespace observe

@@ -48,12 +48,6 @@ class Counter
         return value_.load(std::memory_order_relaxed);
     }
 
-    void
-    reset()
-    {
-        value_.store(0, std::memory_order_relaxed);
-    }
-
   private:
     std::atomic<uint64_t> value_{0};
 };
@@ -109,8 +103,6 @@ class LatencyHistogram
         return sum_.load(std::memory_order_relaxed);
     }
 
-    void reset();
-
     /** Inclusive upper bound of bucket `i` in milliseconds. */
     static double bucketUpperMs(int i);
 
@@ -148,9 +140,6 @@ class MetricsRegistry
     LatencyHistogram *histogram(const std::string &name);
 
     MetricsSnapshot snapshot() const;
-
-    /** Zero every registered instrument (names stay registered). */
-    void reset();
 
   private:
     mutable std::mutex mu_;

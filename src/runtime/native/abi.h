@@ -2,9 +2,10 @@
  * @file
  * C ABI shared between the host and emitted native kernels.
  *
- * A native kernel is a self-contained C translation unit compiled
+ * Native kernels are compiled one module per artifact: a
+ * self-contained C translation unit holding every kernel, compiled
  * out-of-process (`cc -O2 -fPIC -shared -ffp-contract=off`) and
- * dlopen'd back into the serving process. The host and the kernel
+ * dlopen'd back into the serving process. The host and the kernels
  * communicate through the two structs below: the emitted source
  * contains a textually identical definition of each (see
  * c_emitter.cc's preamble), so both sides are laid out by the same
@@ -34,12 +35,15 @@ namespace native {
  * and cache filename, so a persisted .so built against an older ABI
  * can never be loaded by newer host code.
  */
-constexpr int kNativeAbiVersion = 3;
+constexpr int kNativeAbiVersion = 4;
 
-/** Entry symbol every emitted kernel exports. */
-constexpr const char *kEntrySymbol = "sparsetir_kernel_run";
+/**
+ * Entry table every emitted module exports: one KernelEntryFn per
+ * kernel, in the order the meta string lists their names.
+ */
+constexpr const char *kEntryTableSymbol = "sparsetir_module_entries";
 /** Metadata symbol (a NUL-terminated identification string). */
-constexpr const char *kMetaSymbol = "sparsetir_kernel_meta";
+constexpr const char *kMetaSymbol = "sparsetir_module_meta";
 
 // ---------------------------------------------------------------------
 // Fault codes returned by the kernel entry point. 0 is success.
@@ -93,7 +97,7 @@ struct StCtx
     int64_t faultOffset = 0;
 };
 
-/** Signature of the dlopen'd kernel entry point. */
+/** Signature of one kernel entry of a dlopen'd module. */
 using KernelEntryFn = int32_t (*)(StCtx *);
 
 } // namespace native

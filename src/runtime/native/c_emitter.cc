@@ -248,6 +248,27 @@ static void st_stack(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
 
 )";
 
+/** `text` escaped for a C string literal (the meta string carries
+ *  the user's compiler command verbatim). */
+std::string
+cStringBody(const std::string &text)
+{
+    std::string out;
+    for (unsigned char c : text) {
+        if (c == '\\' || c == '"' || c == '?') {
+            out += '\\';
+            out += static_cast<char>(c);
+        } else if (c < 0x20 || c >= 0x7f) {
+            char buf[5];
+            std::snprintf(buf, sizeof(buf), "\\%03o", c);
+            out += buf;
+        } else {
+            out += static_cast<char>(c);
+        }
+    }
+    return out;
+}
+
 /**
  * Stage III -> C translator for one function. Statement-oriented
  * emission: every non-leaf subexpression lands in its own named
@@ -265,12 +286,12 @@ static void st_stack(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
 class Emitter
 {
   public:
-    Emitter(const PrimFunc &func, std::string key_tag)
-        : func_(func), keyTag_(std::move(key_tag))
-    {}
+    explicit Emitter(const PrimFunc &func) : func_(func) {}
 
+    /** The kernel's metadata, with `source` holding its definition as
+     *  the module-internal function `entry`. */
     EmitResult
-    run()
+    run(const std::string &entry)
     {
         for (const auto &param : func_->params) {
             if (param->dtype.isHandle()) {
@@ -318,16 +339,9 @@ class Emitter
                      kindToken(kind) + ");\n";
         }
 
-        std::string meta = "sparsetir-native;abi=" +
-                           std::to_string(kNativeAbiVersion) +
-                           ";tag=" + keyTag_ + ";kernel=" + func_->name;
         std::string src;
-        src += "/* SparseTIR native kernel: " + func_->name +
-               " (generated) */\n";
-        src += kPreamble;
-        src += "const char sparsetir_kernel_meta[] = \"" +
-               cStringBody(meta) + "\";\n\n";
-        src += "int32_t sparsetir_kernel_run(StCtx *ctx) {\n";
+        src += "/* kernel: " + func_->name + " */\n";
+        src += "static int32_t " + entry + "(StCtx *ctx) {\n";
         src += "    (void)ctx;\n";
         src += decls;
         src += body_;
@@ -366,27 +380,6 @@ class Emitter
     slotTok(int slot) const
     {
         return std::to_string(slot);
-    }
-
-    /** `text` escaped for a C string literal (the meta string carries
-     *  the user's compiler command verbatim). */
-    static std::string
-    cStringBody(const std::string &text)
-    {
-        std::string out;
-        for (unsigned char c : text) {
-            if (c == '\\' || c == '"' || c == '?') {
-                out += '\\';
-                out += static_cast<char>(c);
-            } else if (c < 0x20 || c >= 0x7f) {
-                char buf[5];
-                std::snprintf(buf, sizeof(buf), "\\%03o", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-        return out;
     }
 
     static std::string
@@ -1210,7 +1203,6 @@ class Emitter
     }
 
     PrimFunc func_;
-    std::string keyTag_;
     std::string body_;
     int indent_ = 1;
     int tmpCount_ = 0;
@@ -1232,15 +1224,63 @@ class Emitter
 
 } // namespace
 
+ModuleEmitResult
+emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag)
+{
+    ModuleEmitResult module;
+    module.meta = "sparsetir-native;abi=" +
+                  std::to_string(kNativeAbiVersion) + ";tag=" + key_tag;
+    std::string entries;
+    std::string definitions;
+    for (const ir::PrimFunc &func : funcs) {
+        EmitResult emitted;
+        emitted.name = func->name;
+        std::string rejected;
+        try {
+            std::string diag = transform::stage3ExecDiagnostic(func);
+            USER_CHECK(diag.empty())
+                << "cannot compile '" << func->name
+                << "' to native code: " << diag;
+            std::string entry =
+                "st_entry_" + std::to_string(module.numEntries);
+            emitted = Emitter(func).run(entry);
+            definitions += emitted.source + "\n";
+            emitted.source.clear();
+            entries += "    " + entry + ",\n";
+            module.meta += ";kernel=" + func->name;
+            ++module.numEntries;
+        } catch (const UserError &err) {
+            rejected = err.what();
+        }
+        module.kernels.push_back(std::move(emitted));
+        module.rejected.push_back(std::move(rejected));
+    }
+    if (module.numEntries == 0) {
+        return module;
+    }
+    std::string src = "/* SparseTIR native module (generated) */\n";
+    src += kPreamble;
+    src += definitions;
+    src += "const char " + std::string(kMetaSymbol) + "[] = \"" +
+           cStringBody(module.meta) + "\";\n";
+    src += "int32_t (*const " + std::string(kEntryTableSymbol) +
+           "[])(StCtx *) = {\n";
+    src += entries;
+    src += "};\n";
+    module.source = std::move(src);
+    return module;
+}
+
 EmitResult
 emitC(const ir::PrimFunc &func, const std::string &key_tag)
 {
-    std::string diag = transform::stage3ExecDiagnostic(func);
-    USER_CHECK(diag.empty())
-        << "cannot compile '" << func->name << "' to native code: "
-        << diag;
-    Emitter emitter(func, key_tag);
-    return emitter.run();
+    ModuleEmitResult module = emitModule({func}, key_tag);
+    if (!module.rejected[0].empty()) {
+        throw UserError(module.rejected[0]);
+    }
+    EmitResult emitted = std::move(module.kernels[0]);
+    emitted.source = std::move(module.source);
+    return emitted;
 }
 
 } // namespace native

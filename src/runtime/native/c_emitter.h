@@ -6,7 +6,9 @@
  * (flat loops, guards, buffer loads/stores over one flat index or a
  * row-major dense linearization, floordiv/mod index math, the
  * blockIdx.x grid-window contract) and produces one self-contained C
- * translation unit per kernel. The emitted code reproduces the
+ * translation unit per module: the fixed preamble once, then one
+ * module-internal entry function per kernel, exported through one
+ * entry table and one meta string (abi.h). The emitted code reproduces the
  * interpreter's semantics exactly — int64/double arithmetic, the
  * float-promotion rules of isFloatExpr, short-circuit And/Or,
  * one-armed Select, value-before-indices store order, storage-width
@@ -14,8 +16,9 @@
  * identical to the interpreter and the bytecode VM.
  *
  * Functions outside the subset (Stage I sparse iterations, vector IR,
- * extern calls) raise UserError, exactly like bytecode::compile;
- * callers treat that as "stay on the bytecode tier".
+ * extern calls) are rejected with a UserError message, exactly like
+ * bytecode::compile; callers treat that as "stay on the bytecode
+ * tier". A module leaves a rejected kernel out and keeps the rest.
  */
 
 #ifndef SPARSETIR_RUNTIME_NATIVE_C_EMITTER_H_
@@ -33,7 +36,10 @@ namespace native {
 /** One emitted kernel: the C source plus its binding metadata. */
 struct EmitResult
 {
-    /** Complete C translation unit (preamble + entry function). */
+    /**
+     * From emitC: the complete one-kernel translation unit. Inside a
+     * ModuleEmitResult: empty (the module's source holds the kernel).
+     */
     std::string source;
     /** Kernel (function) name, for diagnostics. */
     std::string name;
@@ -54,13 +60,44 @@ struct EmitResult
     bool hasWindow = false;
 };
 
+/** One emitted module: every kernel of an artifact in one C file. */
+struct ModuleEmitResult
+{
+    /**
+     * Complete C translation unit: the preamble, one static entry per
+     * accepted kernel, the entry table and the meta string. Empty when
+     * every kernel was rejected.
+     */
+    std::string source;
+    /**
+     * The exported meta string: ABI version, key tag and the accepted
+     * kernels' names in entry-table order. A persisted .so is loaded
+     * only when its meta equals this.
+     */
+    std::string meta;
+    /** Binding metadata per input function, in input order. */
+    std::vector<EmitResult> kernels;
+    /** Per input function: "" when accepted (its entry is the next
+     *  table slot), else the UserError message that rejected it. */
+    std::vector<std::string> rejected;
+    /** Accepted kernels, i.e. entry-table length. */
+    int numEntries = 0;
+};
+
 /**
- * Emit `func` as a C translation unit. `key_tag` identifies the
- * artifact (cache key + kernel index + artifact/ABI versions) and is
- * baked into the exported meta string, so a persisted .so can be
- * validated against the key it was built for. Throws UserError when
- * the function is outside the native-compilable subset (the
- * stage3ExecDiagnostic gate plus the emitter's own kind checks).
+ * Emit `funcs` as one C translation unit. `key_tag` identifies the
+ * artifact (cache key + artifact/ABI versions + compiler command) and
+ * is baked into the exported meta string, so a persisted .so can be
+ * validated against the key it was built for. A function outside the
+ * native-compilable subset (the stage3ExecDiagnostic gate plus the
+ * emitter's own kind checks) is left out and reported in `rejected`.
+ */
+ModuleEmitResult emitModule(const std::vector<ir::PrimFunc> &funcs,
+                            const std::string &key_tag);
+
+/**
+ * The one-kernel module of `func`, its source in `source`. Throws
+ * UserError when the function is outside the native subset.
  */
 EmitResult emitC(const ir::PrimFunc &func, const std::string &key_tag);
 

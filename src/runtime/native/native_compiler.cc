@@ -1,8 +1,11 @@
 #include "runtime/native/native_compiler.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -15,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,12 +86,13 @@ makeDirs(const std::string &path)
 
 /**
  * The full compiler invocation minus file arguments: the
- * SPARSETIR_NATIVE_CC command (default "cc") plus fixed flags. It is
- * folded into every artifact's meta string and source hash, so an
- * artifact built by another compiler or with other flags is rebuilt,
- * never loaded. -ffp-contract=off comes last so it wins over the
- * command's own flags: a contracted multiply-add rounds once where
- * the interpreter rounds twice, and GNU C contracts by default on any
+ * SPARSETIR_NATIVE_CC command (default "cc") plus fixed flags, split
+ * on whitespace into argv when the compiler is started. It is folded
+ * into every module's meta string and source hash, so an artifact
+ * built by another compiler or with other flags is rebuilt, never
+ * loaded. -ffp-contract=off comes last so it wins over the command's
+ * own flags: a contracted multiply-add rounds once where the
+ * interpreter rounds twice, and GNU C contracts by default on any
  * target with FMA (e.g. under -march=native).
  */
 std::string
@@ -107,23 +112,75 @@ readFile(const std::string &path)
     return out.str();
 }
 
+/**
+ * Run `argv` (no shell) with stdout and stderr sent to `log_path` and
+ * wait for it. Returns "" when it exits with status 0, else what went
+ * wrong: the spawn error, the exit status or the terminating signal.
+ */
+std::string
+runCompiler(const std::vector<std::string> &argv,
+            const std::string &log_path)
+{
+    std::vector<char *> args;
+    args.reserve(argv.size() + 1);
+    for (const std::string &arg : argv) {
+        args.push_back(const_cast<char *>(arg.c_str()));
+    }
+    args.push_back(nullptr);
+
+    posix_spawn_file_actions_t actions;
+    ::posix_spawn_file_actions_init(&actions);
+    ::posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
+                                       log_path.c_str(),
+                                       O_WRONLY | O_CREAT | O_TRUNC,
+                                       0600);
+    ::posix_spawn_file_actions_adddup2(&actions, STDERR_FILENO,
+                                       STDOUT_FILENO);
+    pid_t pid = 0;
+    int rc = ::posix_spawnp(&pid, args[0], &actions, nullptr,
+                            args.data(), environ);
+    ::posix_spawn_file_actions_destroy(&actions);
+    if (rc != 0) {
+        return "cannot start '" + argv[0] + "': " + std::strerror(rc);
+    }
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR) {
+            return std::string("waitpid failed: ") +
+                   std::strerror(errno);
+        }
+    }
+    if (WIFEXITED(status)) {
+        return WEXITSTATUS(status) == 0
+                   ? ""
+                   : "exit status " + std::to_string(WEXITSTATUS(status));
+    }
+    if (WIFSIGNALED(status)) {
+        return "killed by signal " + std::to_string(WTERMSIG(status));
+    }
+    return "wait status " + std::to_string(status);
+}
+
 // ---------------------------------------------------------------------
 // Artifact loading
 // ---------------------------------------------------------------------
 
 /**
- * dlopen `so_path` and resolve entry + meta; succeeds only when the
- * embedded meta string equals `expected_meta` (same source hash can
- * only come from the same source, but the meta check additionally
+ * dlopen `so_path` and resolve the entry table; succeeds only when
+ * the embedded meta string equals `expected_meta` (same source hash
+ * can only come from the same source, but the meta check additionally
  * rejects truncated/corrupted files whose dlopen accidentally
  * succeeds and artifacts from foreign builds at a colliding name).
+ * On failure returns null and says why in `*why`.
  */
 std::shared_ptr<void>
 tryLoad(const std::string &so_path, const std::string &expected_meta,
-        KernelEntryFn *entry_out)
+        const KernelEntryFn **entries_out, std::string *why)
 {
     void *raw = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (raw == nullptr) {
+        const char *err = ::dlerror();
+        *why = err != nullptr ? err : "dlopen failed";
         return nullptr;
     }
     std::shared_ptr<void> handle(raw,
@@ -131,22 +188,44 @@ tryLoad(const std::string &so_path, const std::string &expected_meta,
     const char *meta =
         static_cast<const char *>(::dlsym(raw, kMetaSymbol));
     if (meta == nullptr || expected_meta != meta) {
+        *why = "meta string mismatch";
         return nullptr;
     }
-    auto entry = reinterpret_cast<KernelEntryFn>(
-        ::dlsym(raw, kEntrySymbol));
-    if (entry == nullptr) {
+    auto entries = static_cast<const KernelEntryFn *>(
+        ::dlsym(raw, kEntryTableSymbol));
+    if (entries == nullptr) {
+        *why = "no entry table";
         return nullptr;
     }
-    *entry_out = entry;
+    *entries_out = entries;
     return handle;
 }
 
-std::mutex &
-cacheMutex()
+/**
+ * The lock of one installed-artifact path. Racing builds of the same
+ * module serialize on it (exactly one compiler run; the losers load
+ * the winner's file), while builds of other modules proceed.
+ */
+std::shared_ptr<std::mutex>
+pathLock(const std::string &so_path)
 {
     static std::mutex mu;
-    return mu;
+    static std::unordered_map<std::string, std::weak_ptr<std::mutex>>
+        locks;
+    std::lock_guard<std::mutex> guard(mu);
+    std::weak_ptr<std::mutex> &slot = locks[so_path];
+    std::shared_ptr<std::mutex> lock = slot.lock();
+    if (lock == nullptr) {
+        // A new path: drop the entries no build holds any more.
+        for (auto it = locks.begin(); it != locks.end();) {
+            it = it->second.expired() && it->first != so_path
+                     ? locks.erase(it)
+                     : std::next(it);
+        }
+        lock = std::make_shared<std::mutex>();
+        locks[so_path] = lock;
+    }
+    return lock;
 }
 
 std::atomic<uint64_t> &
@@ -189,86 +268,124 @@ nativeEnabledByEnv()
            std::string(value) != "0";
 }
 
+std::vector<std::shared_ptr<const NativeKernel>>
+compileNativeModule(const std::vector<ir::PrimFunc> &funcs,
+                    const std::string &key_tag,
+                    std::vector<std::string> *rejected)
+{
+    std::string command = compilerCommand();
+    ModuleEmitResult module = emitModule(funcs, key_tag + ";cc=" + command);
+    if (rejected != nullptr) {
+        *rejected = module.rejected;
+    }
+    std::vector<std::shared_ptr<const NativeKernel>> kernels(funcs.size());
+    if (module.numEntries == 0) {
+        return kernels;
+    }
+    std::string dir = nativeCacheDir();
+    std::string so_path =
+        dir + "/st_" + hex16(fnv1a(module.source)) + ".so";
+
+    // Probe-or-build under the path's own lock: racing promotions of
+    // the same module produce exactly one compiler run, and the loser
+    // loads the winner's installed artifact.
+    std::shared_ptr<std::mutex> path_mu = pathLock(so_path);
+    std::lock_guard<std::mutex> lock(*path_mu);
+
+    const KernelEntryFn *entries = nullptr;
+    std::string why;
+    std::shared_ptr<void> handle =
+        tryLoad(so_path, module.meta, &entries, &why);
+    bool disk_hit = handle != nullptr;
+    if (!disk_hit) {
+        // Not loadable: either absent or corrupted/stale. Drop any
+        // stale file so the rename below installs a fresh artifact.
+        ::unlink(so_path.c_str());
+        makeDirs(dir);
+
+        uint64_t tag = tempCounter().fetch_add(1);
+        std::string stem = dir + "/st_build_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           "_" + std::to_string(tag);
+        std::string c_path = stem + ".c";
+        std::string tmp_so = stem + ".so";
+        std::string err_path = stem + ".err";
+        {
+            std::ofstream out(c_path, std::ios::binary);
+            out << module.source;
+            USER_CHECK(out.good()) << "cannot write native module source '"
+                                   << c_path << "'";
+        }
+        std::vector<std::string> args;
+        std::istringstream words(command);
+        for (std::string word; words >> word;) {
+            args.push_back(word);
+        }
+        args.insert(args.end(), {"-o", tmp_so, c_path});
+        std::string failure;
+        {
+            SPARSETIR_TRACE_SCOPE("native", "native.compile");
+            failure = runCompiler(args, err_path);
+        }
+        std::string cc_err = readFile(err_path);
+        ::unlink(c_path.c_str());
+        ::unlink(err_path.c_str());
+        if (failure.empty()) {
+            compileCounter().fetch_add(1, std::memory_order_relaxed);
+            if (::access(tmp_so.c_str(), F_OK) != 0) {
+                failure = "exit status 0 but no output file";
+            }
+        }
+        if (!failure.empty()) {
+            ::unlink(tmp_so.c_str());
+            USER_CHECK(false)
+                << "native compilation of " << module.numEntries
+                << " kernel(s) failed (" << failure
+                << "; command: " << command << "): " << cc_err;
+        }
+        // Atomic install: concurrent processes either see the old file
+        // or the complete new one, never a partial write.
+        USER_CHECK(std::rename(tmp_so.c_str(), so_path.c_str()) == 0)
+            << "cannot install native artifact '" << so_path
+            << "': " << std::strerror(errno);
+        handle = tryLoad(so_path, module.meta, &entries, &why);
+        if (handle == nullptr) {
+            ::unlink(so_path.c_str());
+            USER_CHECK(false) << "freshly built native artifact '"
+                              << so_path << "' failed to load: " << why;
+        }
+    }
+
+    int next = 0;
+    for (size_t i = 0; i < funcs.size(); ++i) {
+        if (!module.rejected[i].empty()) {
+            continue;
+        }
+        EmitResult &emitted = module.kernels[i];
+        auto kernel = std::make_shared<NativeKernel>();
+        kernel->name = std::move(emitted.name);
+        kernel->entry = entries[next++];
+        kernel->handle = handle;
+        kernel->slotNames = std::move(emitted.slotNames);
+        kernel->numParamSlots = emitted.numParamSlots;
+        kernel->scalarNames = std::move(emitted.scalarNames);
+        kernel->hasWindow = emitted.hasWindow;
+        kernel->soPath = so_path;
+        kernel->diskHit = disk_hit;
+        kernels[i] = std::move(kernel);
+    }
+    return kernels;
+}
+
 std::shared_ptr<const NativeKernel>
 compileNative(const ir::PrimFunc &func, const std::string &key_tag)
 {
-    std::string command = compilerCommand();
-    std::string build_tag = key_tag + ";cc=" + command;
-    EmitResult emitted = emitC(func, build_tag);
-    std::string expected_meta =
-        "sparsetir-native;abi=" + std::to_string(kNativeAbiVersion) +
-        ";tag=" + build_tag + ";kernel=" + emitted.name;
-    std::string dir = nativeCacheDir();
-    std::string so_path =
-        dir + "/st_" + hex16(fnv1a(emitted.source)) + ".so";
-
-    auto kernel = std::make_shared<NativeKernel>();
-    kernel->name = emitted.name;
-    kernel->slotNames = std::move(emitted.slotNames);
-    kernel->numParamSlots = emitted.numParamSlots;
-    kernel->scalarNames = std::move(emitted.scalarNames);
-    kernel->hasWindow = emitted.hasWindow;
-    kernel->soPath = so_path;
-
-    // One process-wide lock around probe-or-build: racing promotions
-    // of the same kernel produce exactly one compiler invocation, and
-    // the loser loads the winner's installed artifact.
-    std::lock_guard<std::mutex> lock(cacheMutex());
-
-    kernel->entry = nullptr;
-    kernel->handle = tryLoad(so_path, expected_meta, &kernel->entry);
-    if (kernel->handle != nullptr) {
-        kernel->diskHit = true;
-        return kernel;
+    std::vector<std::string> rejected;
+    auto kernels = compileNativeModule({func}, key_tag, &rejected);
+    if (kernels[0] == nullptr) {
+        throw UserError(rejected[0]);
     }
-    // Not loadable: either absent or corrupted/stale. Drop any stale
-    // file so the rename below installs a fresh artifact.
-    ::unlink(so_path.c_str());
-    makeDirs(dir);
-
-    uint64_t tag = tempCounter().fetch_add(1);
-    std::string stem = dir + "/st_build_" +
-                       std::to_string(static_cast<long>(::getpid())) +
-                       "_" + std::to_string(tag);
-    std::string c_path = stem + ".c";
-    std::string tmp_so = stem + ".so";
-    std::string err_path = stem + ".err";
-    {
-        std::ofstream out(c_path, std::ios::binary);
-        out << emitted.source;
-        USER_CHECK(out.good()) << "cannot write native kernel source '"
-                               << c_path << "'";
-    }
-
-    std::string shell = command + " -o '" + tmp_so + "' '" + c_path +
-                        "' 2>'" + err_path + "'";
-    int rc;
-    {
-        SPARSETIR_TRACE_SCOPE("native", "native.compile");
-        rc = std::system(shell.c_str());
-    }
-    std::string cc_err = readFile(err_path);
-    ::unlink(c_path.c_str());
-    ::unlink(err_path.c_str());
-    if (rc != 0) {
-        ::unlink(tmp_so.c_str());
-        USER_CHECK(false)
-            << "native compilation of '" << kernel->name
-            << "' failed (command: " << command << "): " << cc_err;
-    }
-    compileCounter().fetch_add(1, std::memory_order_relaxed);
-    // Atomic install: concurrent processes either see the old file or
-    // the complete new one, never a partial write.
-    USER_CHECK(std::rename(tmp_so.c_str(), so_path.c_str()) == 0)
-        << "cannot install native artifact '" << so_path
-        << "': " << std::strerror(errno);
-
-    kernel->handle = tryLoad(so_path, expected_meta, &kernel->entry);
-    ICHECK(kernel->handle != nullptr)
-        << "freshly built native artifact '" << so_path
-        << "' failed to load";
-    kernel->diskHit = false;
-    return kernel;
+    return kernels[0];
 }
 
 void

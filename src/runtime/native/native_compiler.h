@@ -3,17 +3,19 @@
  * Native (C -> .so) tier: out-of-process compilation, persistent
  * artifact cache, and the host-side executor.
  *
- * compileNative() emits a kernel as C (c_emitter.h), hashes the
- * source, and either loads a matching persisted `.so` from the cache
- * directory (warm start across process restarts) or shells out to the
- * system C compiler and atomically installs the result. execute()
- * binds Bindings/RunOptions onto the dlopen'd entry point with the
- * exact semantics of the bytecode VM — offset views, block windows,
- * lazy parameter binding, fault diagnostics.
+ * compileNativeModule() emits every kernel of an artifact as one C
+ * module (c_emitter.h), hashes the source, and either loads a
+ * matching persisted `.so` from the cache directory (warm start
+ * across process restarts) or runs the system C compiler once and
+ * atomically installs the result. execute() binds Bindings/RunOptions
+ * onto one dlopen'd entry with the exact semantics of the bytecode
+ * VM — offset views, block windows, lazy parameter binding, fault
+ * diagnostics.
  *
  * Environment knobs:
  *   SPARSETIR_NATIVE            enable the tier as the engine default
- *   SPARSETIR_NATIVE_CC         compiler command (default "cc")
+ *   SPARSETIR_NATIVE_CC         compiler command (default "cc"),
+ *                               split on whitespace into argv
  *   SPARSETIR_NATIVE_CACHE_DIR  artifact directory
  *                               (default /tmp/sparsetir-native-<uid>)
  */
@@ -35,8 +37,9 @@ namespace runtime {
 namespace native {
 
 /**
- * One loaded native kernel. The dlopen handle is refcounted through
- * `handle`; the entry pointer stays valid for the kernel's lifetime.
+ * One loaded native kernel. The dlopen handle of its module is
+ * refcounted through `handle`, shared by every kernel of the module;
+ * the entry pointer stays valid for the kernel's lifetime.
  */
 struct NativeKernel
 {
@@ -50,21 +53,36 @@ struct NativeKernel
     /** Scalar params the kernel reads, in ctx->scalars order. */
     std::vector<std::string> scalarNames;
     bool hasWindow = false;
-    /** Installed artifact path in the cache directory. */
+    /** Installed module path in the cache directory. */
     std::string soPath;
-    /** Loaded from a persisted artifact; no compiler was invoked. */
+    /** Loaded from a persisted module; no compiler was invoked. */
     bool diskHit = false;
 };
 
 /**
- * Compile `func` to a native kernel, reusing a persisted artifact
- * when one with a matching meta string (source hash + key tag + ABI
- * version + compiler command and flags) exists in the cache
- * directory. Throws UserError when the
- * function is outside the native subset or the C compiler fails /
- * is missing — callers treat that as "stay on bytecode". Safe to
- * call concurrently: a process-wide lock serializes the cache, so
- * racing callers for one kernel produce exactly one compile.
+ * Compile `funcs` as one native module: one C translation unit, one
+ * compiler run, one `.so` whose kernels share a dlopen handle and a
+ * `soPath`. A persisted module with a matching meta string (source
+ * hash + key tag + ABI version + compiler command and flags + kernel
+ * names) in the cache directory is loaded instead, all kernels at
+ * once. Returns one kernel per function, in order; null for a
+ * function outside the native subset, whose diagnostic lands in
+ * `(*rejected)[i]` ("" for accepted ones). Throws UserError when the
+ * compiler is missing or fails or its output will not load — then
+ * every kernel of the module fails. Safe to call concurrently:
+ * builds of one module serialize on a per-path lock, so racing
+ * callers produce exactly one compile, while other modules build in
+ * parallel.
+ */
+std::vector<std::shared_ptr<const NativeKernel>>
+compileNativeModule(const std::vector<ir::PrimFunc> &funcs,
+                    const std::string &key_tag,
+                    std::vector<std::string> *rejected = nullptr);
+
+/**
+ * The one-kernel module of `func` (compileNativeModule({func})).
+ * Throws UserError when the function is outside the native subset or
+ * the compile fails — callers treat that as "stay on bytecode".
  */
 std::shared_ptr<const NativeKernel>
 compileNative(const ir::PrimFunc &func, const std::string &key_tag);
@@ -81,9 +99,10 @@ void execute(const NativeKernel &kernel, const Bindings &bindings,
 std::string nativeCacheDir();
 
 /**
- * Process-wide count of C-compiler invocations that produced an
- * artifact (disk hits do not count). Tests assert warm starts and
- * promotion races leave this unchanged / bump it exactly once.
+ * Process-wide count of C-compiler runs that exited with status 0,
+ * one per module built (disk hits do not count). Tests assert warm
+ * starts and promotion races leave this unchanged / bump it exactly
+ * once.
  */
 uint64_t nativeCompileCount();
 

@@ -16,8 +16,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -106,6 +108,59 @@ class CacheDirGuard
     std::unique_ptr<EnvGuard> env_;
 };
 
+/** A private temporary directory, removed with its contents on exit. */
+class ScratchDir
+{
+  public:
+    explicit ScratchDir(const char *prefix = "/tmp/sparsetir-test-")
+    {
+        std::string tmpl = std::string(prefix) + "XXXXXX";
+        char *dir = ::mkdtemp(tmpl.data());
+        EXPECT_NE(dir, nullptr);
+        dir_ = dir != nullptr ? dir : "/tmp";
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ignored;
+        std::filesystem::remove_all(dir_, ignored);
+    }
+
+    const std::string &dir() const { return dir_; }
+
+    /** Write an executable /bin/sh script named `name`; its path. */
+    std::string
+    script(const std::string &name, const std::string &body) const
+    {
+        std::string path = dir_ + "/" + name;
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << "#!/bin/sh\n" << body;
+        }
+        std::filesystem::permissions(
+            path, std::filesystem::perms::owner_all);
+        return path;
+    }
+
+  private:
+    std::string dir_;
+};
+
+/** Installed `.so` files in `dir` (build temporaries excluded). */
+int
+countModules(const std::string &dir)
+{
+    int count = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::string name = entry.path().filename().string();
+        if (entry.path().extension() == ".so" &&
+            name.rfind("st_build_", 0) != 0) {
+            ++count;
+        }
+    }
+    return count;
+}
+
 template <typename Pred>
 bool
 waitFor(Pred pred, int timeout_ms = 30000)
@@ -180,13 +235,34 @@ engineSpmmReference(const Csr &a, int64_t feat,
     return c;
 }
 
-/** The emitted entry function, without the fixed preamble. */
+/** The hyb fixture the multi-kernel promotion tests share: an
+ *  interpreter-engine reference for one spmmHyb dispatch. */
+NDArray
+engineHybReference(const Csr &a, int64_t feat,
+                   const std::vector<float> &b_host,
+                   const engine::HybConfig &config)
+{
+    engine::EngineOptions options;
+    options.backend = Backend::kInterpreter;
+    engine::Engine eng(options);
+    NDArray b = NDArray::fromFloat(b_host);
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    eng.spmmHyb(a, feat, &b, &c, config);
+    return c;
+}
+
+/** The one-kernel module's entry function, without the fixed
+ *  preamble, the entry table or the meta string. */
 std::string
 kernelBody(const native::EmitResult &emitted)
 {
-    size_t at = emitted.source.find("int32_t sparsetir_kernel_run(");
+    size_t at = emitted.source.find("static int32_t st_entry_0(");
+    size_t end = emitted.source.find("\n}\n", at);
     EXPECT_NE(at, std::string::npos);
-    return at == std::string::npos ? "" : emitted.source.substr(at);
+    EXPECT_NE(end, std::string::npos);
+    return at == std::string::npos || end == std::string::npos
+               ? ""
+               : emitted.source.substr(at, end + 3 - at);
 }
 
 /** Message of the InternalError `run` raises; "" (and a test
@@ -245,12 +321,15 @@ TEST(NativeEmitter, GoldenSourceAcrossSixKernelFamilies)
         native::EmitResult emitted =
             native::emitC(family.func, family.tag);
 
-        // A self-contained translation unit with the fixed entry and
-        // meta symbols, identified by the caller's key tag.
+        // A self-contained one-kernel module: its entry function,
+        // the exported entry table and meta string, identified by
+        // the caller's key tag.
         EXPECT_NE(emitted.source.find(
-                      "int32_t sparsetir_kernel_run(StCtx *ctx)"),
+                      "static int32_t st_entry_0(StCtx *ctx)"),
                   std::string::npos);
-        EXPECT_NE(emitted.source.find("sparsetir_kernel_meta"),
+        EXPECT_NE(emitted.source.find(native::kEntryTableSymbol),
+                  std::string::npos);
+        EXPECT_NE(emitted.source.find(native::kMetaSymbol),
                   std::string::npos);
         EXPECT_NE(emitted.source.find(std::string("tag=") +
                                       family.tag),
@@ -655,6 +734,60 @@ TEST(NativeCompiler, CompilerCommandKeepsParityAndIdentity)
     EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
 }
 
+// A module keeps the kernels the emitter accepts and reports the rest
+// one by one: one compiler run serves the accepted kernel.
+TEST(NativeCompiler, ModuleLeavesRejectedKernelOut)
+{
+    CacheDirGuard cache;
+    SpmmFixture fx(160, 1700, 76, 8);
+    auto stage3 = core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
+    ir::PrimFunc stage1 = core::buildSddmm(true);
+
+    uint64_t before = native::nativeCompileCount();
+    std::vector<std::string> rejected;
+    auto kernels =
+        native::compileNativeModule({stage3, stage1}, "mixed", &rejected);
+    EXPECT_EQ(native::nativeCompileCount(), before + 1);
+    ASSERT_EQ(kernels.size(), 2u);
+    ASSERT_NE(kernels[0], nullptr);
+    EXPECT_EQ(kernels[1], nullptr);
+    ASSERT_EQ(rejected.size(), 2u);
+    EXPECT_TRUE(rejected[0].empty());
+    EXPECT_NE(rejected[1].find("cannot compile"), std::string::npos);
+
+    NDArray c_native({fx.a.rows * fx.feat}, ir::DataType::float32());
+    native::execute(*kernels[0], fx.bindings(&c_native),
+                    runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
+
+    // Nothing accepted: no compiler run, every kernel null.
+    auto none = native::compileNativeModule({stage1}, "none");
+    ASSERT_EQ(none.size(), 1u);
+    EXPECT_EQ(none[0], nullptr);
+    EXPECT_EQ(native::nativeCompileCount(), before + 1);
+}
+
+// The compiler is spawned over an argv, never through a shell: a
+// cache directory whose path holds a space and a quote still builds
+// and loads.
+TEST(NativeCompiler, CacheDirWithSpaceAndQuoteCompilesAndLoads)
+{
+    ScratchDir odd("/tmp/sparsetir native 'q-");
+    EnvGuard dir("SPARSETIR_NATIVE_CACHE_DIR", odd.dir().c_str());
+    SpmmFixture fx(120, 1300, 77, 8);
+    auto func = core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
+
+    auto kernel = native::compileNative(func, "odd-dir");
+    ASSERT_NE(kernel, nullptr);
+    EXPECT_EQ(kernel->soPath.rfind(odd.dir() + "/", 0), 0u);
+    EXPECT_EQ(countModules(odd.dir()), 1);
+
+    NDArray c_native({fx.a.rows * fx.feat}, ir::DataType::float32());
+    native::execute(*kernel, fx.bindings(&c_native),
+                    runtime::RunOptions());
+    EXPECT_TRUE(bitwiseEqual(fx.interpreterReference(), c_native));
+}
+
 // ---------------------------------------------------------------------
 // Engine promotion policy
 // ---------------------------------------------------------------------
@@ -993,6 +1126,189 @@ TEST(NativeEngine, MissingCompilerDegradesToBytecode)
     NDArray c_warm({a.rows * feat}, ir::DataType::float32());
     eng.spmmCsr(a, feat, &b, &c_warm);
     EXPECT_TRUE(bitwiseEqual(reference, c_warm));
+}
+
+// One promotion of a multi-kernel hyb artifact is one module: one
+// compiler run, one installed .so shared by every bucket kernel. A
+// restarted engine loads that module whole from disk.
+TEST(NativeEngine, HybArtifactPromotesAsOneModule)
+{
+    CacheDirGuard cache;
+    Csr a = graph::powerLawGraph(200, 2400, 1.9, 101);
+    int64_t feat = 8;
+    auto b_host = randomVector(a.cols * feat, 102);
+    engine::HybConfig config;
+    config.partitions = 2;
+    NDArray reference = engineHybReference(a, feat, b_host, config);
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 0;
+    NDArray b = NDArray::fromFloat(b_host);
+    uint64_t cc_before = native::nativeCompileCount();
+    {
+        engine::Engine cold(options);
+        engine::PreparedSpmmHyb prepared =
+            cold.prepareSpmmHyb(a, feat, config);
+        std::vector<const engine::CompiledKernel *> kernels =
+            prepared.artifact->kernels();
+        ASSERT_GE(kernels.size(), 2u);
+        EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
+        EXPECT_EQ(countModules(cache.dir()), 1);
+        std::string so_path = kernels[0]->native->get()->soPath;
+        for (const engine::CompiledKernel *kernel : kernels) {
+            ASSERT_NE(kernel->native->get(), nullptr);
+            EXPECT_EQ(kernel->native->get()->soPath, so_path);
+        }
+        engine::NativeStats stats = cold.nativeStats();
+        EXPECT_EQ(stats.promotions, 1u);
+        EXPECT_EQ(stats.compiles, kernels.size());
+        EXPECT_EQ(stats.fallbacks, 0u);
+
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        cold.spmmHyb(a, feat, &b, &c, config);
+        EXPECT_TRUE(bitwiseEqual(reference, c));
+    }
+
+    engine::Engine warm(options);
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    engine::DispatchInfo info = warm.spmmHyb(a, feat, &b, &c, config);
+    EXPECT_TRUE(bitwiseEqual(reference, c));
+    engine::NativeStats stats = warm.nativeStats();
+    EXPECT_EQ(stats.promotions, 1u);
+    EXPECT_EQ(stats.compiles, 0u);
+    EXPECT_EQ(stats.diskHits, static_cast<uint64_t>(info.numKernels));
+    EXPECT_EQ(stats.fallbacks, 0u);
+    EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
+}
+
+// A compiler that exits 0 but writes nothing, or writes a file that
+// is not a loadable object: the promotion still completes and counts
+// every kernel of the module as a fallback, no exception reaches the
+// request, the bad install is removed and bytecode keeps serving
+// bitwise.
+TEST(NativeEngine, BrokenCompilerOutputFallsBackEveryKernel)
+{
+    ScratchDir scripts;
+    std::string no_output = scripts.script("no-output-cc", "exit 0\n");
+    std::string garbage = scripts.script(
+        "garbage-cc",
+        "out=\n"
+        "while [ $# -gt 0 ]; do\n"
+        "  if [ \"$1\" = -o ]; then out=\"$2\"; fi\n"
+        "  shift\n"
+        "done\n"
+        "printf 'not an ELF object' > \"$out\"\n");
+    Csr a = graph::powerLawGraph(200, 2400, 1.9, 103);
+    int64_t feat = 8;
+    auto b_host = randomVector(a.cols * feat, 104);
+    engine::HybConfig config;
+    config.partitions = 2;
+    NDArray reference = engineHybReference(a, feat, b_host, config);
+
+    for (const std::string &cc_script : {no_output, garbage}) {
+        SCOPED_TRACE(cc_script);
+        CacheDirGuard cache;
+        EnvGuard cc("SPARSETIR_NATIVE_CC", cc_script.c_str());
+        engine::EngineOptions options;
+        options.backend = Backend::kNative;
+        options.nativePromoteAfter = 1;  // background, second resolve
+        engine::Engine eng(options);
+        NDArray b = NDArray::fromFloat(b_host);
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        engine::DispatchInfo info;
+        for (int round = 0; round < 2; ++round) {
+            info = eng.spmmHyb(a, feat, &b, &c, config);
+            EXPECT_TRUE(bitwiseEqual(reference, c));
+        }
+        ASSERT_TRUE(waitFor(
+            [&] { return eng.nativeStats().promotions >= 1; }))
+            << "a failed promotion was never counted";
+        engine::NativeStats stats = eng.nativeStats();
+        EXPECT_EQ(stats.promotions, 1u);
+        EXPECT_EQ(stats.compiles, 0u);
+        EXPECT_EQ(stats.diskHits, 0u);
+        EXPECT_GE(info.numKernels, 2);
+        EXPECT_EQ(stats.fallbacks, static_cast<uint64_t>(info.numKernels));
+        EXPECT_EQ(countModules(cache.dir()), 0);
+
+        NDArray c_after({a.rows * feat}, ir::DataType::float32());
+        eng.spmmHyb(a, feat, &b, &c_after, config);
+        EXPECT_TRUE(bitwiseEqual(reference, c_after));
+    }
+}
+
+// Builds lock per module, not per process: while the compiler blocks
+// on one artifact's module, another artifact promotes and serves
+// native. The blocking script waits for a release file (30 s at most,
+// so a regression fails the test instead of hanging it).
+TEST(NativeEngine, BlockedCompileDoesNotStallOtherArtifacts)
+{
+    CacheDirGuard cache;
+    ScratchDir scripts;
+    std::string started = scripts.dir() + "/started";
+    std::string release = scripts.dir() + "/release";
+    // The CSR kernel is named "spmm"; the meta string ends each kernel
+    // name with ';' or the closing quote.
+    std::string blocking = scripts.script(
+        "blocking-cc",
+        "for last; do :; done\n"
+        "if grep -q 'kernel=spmm\"' \"$last\"; then\n"
+        "  : > '" + started + "'\n"
+        "  i=0\n"
+        "  while [ ! -e '" + release + "' ] && [ $i -lt 600 ]; do\n"
+        "    sleep 0.05; i=$((i + 1))\n"
+        "  done\n"
+        "fi\n"
+        "exec cc \"$@\"\n");
+    EnvGuard cc("SPARSETIR_NATIVE_CC", blocking.c_str());
+
+    int64_t feat = 8;
+    Csr csr = graph::powerLawGraph(180, 2000, 1.8, 105);
+    auto csr_b_host = randomVector(csr.cols * feat, 106);
+    NDArray csr_reference = engineSpmmReference(csr, feat, csr_b_host);
+    Csr a = graph::powerLawGraph(200, 2400, 1.9, 107);
+    auto b_host = randomVector(a.cols * feat, 108);
+    engine::HybConfig config;
+    config.partitions = 2;
+    NDArray reference = engineHybReference(a, feat, b_host, config);
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 0;  // promote inside the resolve
+    engine::Engine eng(options);
+
+    std::atomic<bool> csr_done{false};
+    NDArray csr_b = NDArray::fromFloat(csr_b_host);
+    NDArray csr_c({csr.rows * feat}, ir::DataType::float32());
+    std::thread blocked([&] {
+        eng.spmmCsr(csr, feat, &csr_b, &csr_c);
+        csr_done.store(true);
+    });
+    ASSERT_TRUE(waitFor([&] {
+        return std::filesystem::exists(started);
+    })) << "the blocking compiler never started";
+
+    engine::PreparedSpmmHyb prepared = eng.prepareSpmmHyb(a, feat, config);
+    bool hyb_first = !csr_done.load();
+    for (const engine::CompiledKernel *kernel :
+         prepared.artifact->kernels()) {
+        EXPECT_NE(kernel->native->get(), nullptr);
+    }
+    NDArray b = NDArray::fromFloat(b_host);
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    eng.spmmHyb(a, feat, &b, &c, config);
+    EXPECT_TRUE(bitwiseEqual(reference, c));
+    EXPECT_EQ(eng.nativeStats().promotions, 1u);
+
+    { std::ofstream touch(release); }
+    blocked.join();
+    EXPECT_TRUE(hyb_first)
+        << "the hyb promotion waited for the blocked CSR compile";
+    EXPECT_TRUE(bitwiseEqual(csr_reference, csr_c));
+    engine::NativeStats stats = eng.nativeStats();
+    EXPECT_EQ(stats.promotions, 2u);
+    EXPECT_EQ(stats.fallbacks, 0u);
 }
 
 TEST(NativeEngine, EnvVarSelectsNativeTier)
