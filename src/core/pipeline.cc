@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/ops.h"
 #include "observe/trace.h"
@@ -119,19 +118,17 @@ clampThreadX(int64_t feat, int want)
 }
 
 /**
- * Compile-time self-check: prove the freshly lowered kernel's bounds
- * and race obligations from the format invariants alone (symbolic —
- * the proof holds for every structure the kernel can be bound to). A
- * failure is a lowering or scheduling bug — the class the cacheWrite
+ * Compile-time self-check, run on every kernel the pipeline produces
+ * in every build: prove the freshly lowered kernel's bounds and race
+ * obligations from the format invariants alone (symbolic — the proof
+ * holds for every structure the kernel can be bound to). A failure is
+ * a lowering or scheduling bug — the class the cacheWrite
  * missing-split-tail-guard regression belonged to — so it trips
  * ICHECK, not UserError.
  */
 PrimFunc
 selfVerified(PrimFunc func, const std::string &what)
 {
-    if (!verifyEnabledByDefault()) {
-        return func;
-    }
     SPARSETIR_TRACE_SCOPE("verify", "pipeline.self_verify");
     verify::VerifyContext ctx;
     declareFormatFacts(func, &ctx);
@@ -145,25 +142,6 @@ selfVerified(PrimFunc func, const std::string &what)
 }
 
 } // namespace
-
-bool
-verifyEnabledByDefault()
-{
-    static const bool enabled = [] {
-        if (const char *env = std::getenv("SPARSETIR_VERIFY")) {
-            if (env[0] != '\0') {
-                return env[0] == '1' || env[0] == 't' ||
-                       env[0] == 'T';
-            }
-        }
-#ifndef NDEBUG
-        return true;
-#else
-        return false;
-#endif
-    }();
-    return enabled;
-}
 
 void
 declareFormatFacts(const PrimFunc &func, verify::VerifyContext *ctx)

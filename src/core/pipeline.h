@@ -288,15 +288,6 @@ std::shared_ptr<BoundKernel> compileEllRgms(
 // ---------------------------------------------------------------------
 
 /**
- * Whether static artifact verification is on by default: Debug builds
- * (no NDEBUG) unless SPARSETIR_VERIFY=0, any build when
- * SPARSETIR_VERIFY=1 (the CI configuration). Governs both the
- * pipeline's compile-time self-check and
- * engine::EngineOptions::verifyArtifacts.
- */
-bool verifyEnabledByDefault();
-
-/**
  * Declare the format invariants of a Stage III kernel's structure
  * arrays to a verifier context, recognized by parameter name:
  * indptr arrays (J_indptr / JO_indptr / G_indptr) are non-negative,

@@ -77,13 +77,10 @@ CompileCache::getOrBuild(
     buildMs_->record(elapsed_ms);
     // The verdict rides on the artifact (paid once, at build); the
     // registry keeps the aggregate verify cost and outcome counters.
-    if (built->verify.attempted) {
-        verifyMs_->record(built->verify.verifyMs);
-        verifiedKernels_->add(
-            static_cast<uint64_t>(built->verify.kernels));
-        if (!built->verify.ok) {
-            verifyFailures_->add(1);
-        }
+    verifyMs_->record(built->verify.verifyMs);
+    verifiedKernels_->add(static_cast<uint64_t>(built->verify.kernels));
+    if (!built->verify.ok) {
+        verifyFailures_->add(1);
     }
 
     std::lock_guard<std::mutex> lock(mu_);

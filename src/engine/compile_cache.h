@@ -38,15 +38,13 @@ struct CompiledKernel;
 
 /**
  * Verdict of the static artifact verifier (verify/verifier.h) over
- * every kernel of one artifact. Filled by the miss-path builder when
- * EngineOptions::verifyArtifacts is on, then cached WITH the artifact
- * — warm dispatches reuse the verdict without re-proving anything, so
- * verification cost is paid exactly once per compiled artifact.
+ * every kernel of one artifact. Filled by the miss-path builder, then
+ * cached WITH the artifact — warm dispatches reuse the verdict without
+ * re-proving anything, so verification cost is paid exactly once per
+ * compiled artifact.
  */
 struct VerifyReport
 {
-    /** True when verification ran for this artifact's kernels. */
-    bool attempted = false;
     /** Every kernel proved bounds / write-set / race obligations. */
     bool ok = true;
     /** Kernels checked (hyb/RGCN artifacts hold several). */

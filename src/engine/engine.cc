@@ -94,26 +94,25 @@ declareAccumSpec(verify::VerifyContext *ctx, const CompiledKernel &kernel)
 }
 
 /**
- * Prove one kernel's bounds / write-set / race obligations. With
- * `record`, fold the outcome into the artifact's cached report.
- * Failures do not throw here: the verdict (with its diagnostics) is
- * cached on the artifact, and Engine::resolve raises it as a
- * UserError on every dispatch that touches the bad artifact —
- * including warm hits, at zero re-proving cost. Returns whether the
- * proof succeeded.
+ * Prove one kernel's bounds / write-set / race obligations under the
+ * structure facts in `ctx` (plus the kernel's accumulated outputs,
+ * unless the caller declared them) and fold the outcome into the
+ * artifact's cached report. Failures do not throw here: the verdict
+ * (with its diagnostics) is cached on the artifact, and
+ * Engine::resolve raises it as a UserError on every dispatch that
+ * touches the bad artifact — including warm hits, at zero re-proving
+ * cost. Returns whether the proof succeeded.
  */
 bool
 verifyKernelInto(Artifact *artifact, const CompiledKernel &kernel,
-                 const verify::VerifyContext &ctx,
-                 const std::string &what, bool record = true)
+                 verify::VerifyContext ctx, const std::string &what)
 {
     SPARSETIR_TRACE_SCOPE("verify", "verify.artifact");
+    if (!ctx.hasAccumSpec) {
+        declareAccumSpec(&ctx, kernel);
+    }
     auto start = std::chrono::steady_clock::now();
     verify::VerifyResult result = verify::verifyFunc(kernel.func, ctx);
-    if (!record) {
-        return result.ok;
-    }
-    artifact->verify.attempted = true;
     artifact->verify.kernels += 1;
     artifact->verify.verifyMs += msSince(start);
     if (!result.ok) {
@@ -127,20 +126,18 @@ verifyKernelInto(Artifact *artifact, const CompiledKernel &kernel,
 }
 
 /**
- * Prove the block hulls of a scatter kernel's accumulated output,
- * whose block b updates entries [b * rows_per_block, (b + 1) *
- * rows_per_block) of `rows` (bound as `rows_buffer`), and attach them
- * once proven. `ctx` holds the kernel's structure facts. Callers run
- * the proof when the artifact is verified or when `hulls_wanted` (the
- * session dispatches in parallel); a failed proof leaves the kernel
- * without hulls, so the task graph runs it whole, in order.
+ * Verify a scatter kernel together with the block hulls of its
+ * accumulated output, whose block b updates entries [b *
+ * rows_per_block, (b + 1) * rows_per_block) of `rows` (bound as
+ * `rows_buffer`), and attach the hulls once proven. `ctx` holds the
+ * kernel's structure facts. A failed proof refuses the artifact;
+ * serial sessions carry the hulls and ignore them.
  */
 void
 proveBlockHulls(Artifact *artifact, CompiledKernel *kernel,
                 verify::VerifyContext ctx, const std::string &rows_buffer,
                 const std::vector<int32_t> &rows, int64_t row_width,
-                int64_t rows_per_block, bool verify, bool hulls_wanted,
-                const std::string &what)
+                int64_t rows_per_block, const std::string &what)
 {
     std::vector<Span> hulls = blockHulls(rows, rows_per_block, row_width);
     declareAccumSpec(&ctx, *kernel);
@@ -151,8 +148,7 @@ proveBlockHulls(Artifact *artifact, CompiledKernel *kernel,
         set.rowsPerBlock = rows_per_block;
         set.blockHulls = hulls;
     }
-    bool proven = verifyKernelInto(artifact, *kernel, ctx, what, verify);
-    if (proven && hulls_wanted) {
+    if (verifyKernelInto(artifact, *kernel, std::move(ctx), what)) {
         for (AccumOutput &out : kernel->accums) {
             out.hulls = hulls;
         }
@@ -246,7 +242,7 @@ struct RgcnArtifact : Artifact
     }
 };
 
-/** A chain-mode intermediate the dispatch leases scratch for. */
+/** A chain-mode intermediate the dispatch allocates. */
 struct GraphTemp
 {
     std::string name;
@@ -268,7 +264,7 @@ struct GraphArtifact : Artifact
     std::vector<CompiledKernel> program;
     std::map<std::string, NDArray> structures;
     std::vector<GraphTemp> temps;
-    /** Bytes of scratch a chain dispatch leases (0 when fused). */
+    /** Bytes of scratch a chain dispatch allocates (0 when fused). */
     int64_t tempBytes = 0;
 
     std::vector<const CompiledKernel *>
@@ -282,57 +278,19 @@ struct GraphArtifact : Artifact
     }
 };
 
-/**
- * Returns every added scratch lease to the pool on scope exit, so a
- * kernel that throws mid-chain (a binding USER_CHECK, a verifier
- * rejection) cannot leak leased arrays out of the ScratchPool.
- */
-class ScratchLeaseGuard
-{
-  public:
-    explicit ScratchLeaseGuard(const ParallelExecutor *executor)
-        : executor_(executor)
-    {
-    }
-    ScratchLeaseGuard(const ScratchLeaseGuard &) = delete;
-    ScratchLeaseGuard &operator=(const ScratchLeaseGuard &) = delete;
-
-    ~ScratchLeaseGuard()
-    {
-        for (NDArray *array : arrays_) {
-            executor_->releaseScratch(array);
-        }
-    }
-
-    void
-    add(NDArray *array)
-    {
-        arrays_.push_back(array);
-    }
-
-  private:
-    const ParallelExecutor *executor_;
-    std::vector<NDArray *> arrays_;
-};
-
 // ---------------------------------------------------------------------
 // Builders (miss path)
 // ---------------------------------------------------------------------
 
 std::shared_ptr<Artifact>
 buildSpmmCsrArtifact(const Csr &a, int64_t feat,
-                     const core::SpmmSchedule &schedule,
-                     bool bytecode, bool verify)
+                     const core::SpmmSchedule &schedule)
 {
     auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileSpmmCsrFunc(feat, schedule), bytecode);
-    if (verify) {
-        verify::VerifyContext ctx = csrVerifyContext(a, feat);
-        declareAccumSpec(&ctx, artifact->kernel);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "spmm_csr");
-    }
+    artifact->kernel =
+        compileKernel(core::compileSpmmCsrFunc(feat, schedule));
+    verifyKernelInto(artifact.get(), artifact->kernel,
+                     csrVerifyContext(a, feat), "spmm_csr");
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
     return artifact;
@@ -340,18 +298,13 @@ buildSpmmCsrArtifact(const Csr &a, int64_t feat,
 
 std::shared_ptr<Artifact>
 buildSddmmArtifact(const Csr &a, int64_t feat,
-                   const core::SddmmSchedule &schedule, bool bytecode,
-                   bool verify)
+                   const core::SddmmSchedule &schedule)
 {
     auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileSddmmFunc(feat, schedule), bytecode);
-    if (verify) {
-        verify::VerifyContext ctx = csrVerifyContext(a, feat);
-        declareAccumSpec(&ctx, artifact->kernel);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "sddmm");
-    }
+    artifact->kernel =
+        compileKernel(core::compileSddmmFunc(feat, schedule));
+    verifyKernelInto(artifact.get(), artifact->kernel,
+                     csrVerifyContext(a, feat), "sddmm");
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
     return artifact;
@@ -359,50 +312,40 @@ buildSddmmArtifact(const Csr &a, int64_t feat,
 
 std::shared_ptr<Artifact>
 buildBsrArtifact(const format::Bsr &a, int64_t feat,
-                 const BsrConfig &config, bool bytecode, bool verify)
+                 const BsrConfig &config)
 {
     auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileBsrSpmmFunc(a.blockSize, feat,
-                                 config.tensorCores),
-        bytecode);
-    if (verify) {
-        verify::VerifyContext ctx;
-        ctx.scalar("mb", a.blockRows);
-        ctx.scalar("nb", a.blockCols);
-        ctx.scalar("nnzb", a.nnzBlocks());
-        ctx.scalar("feat_size", feat);
-        ctx.int32Array("JO_indptr", a.indptr);
-        ctx.int32Array("JO_indices", a.indices);
-        declareAccumSpec(&ctx, artifact->kernel);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "bsr_spmm");
-    }
+    artifact->kernel = compileKernel(core::compileBsrSpmmFunc(
+        a.blockSize, feat, config.tensorCores));
+    verify::VerifyContext ctx;
+    ctx.scalar("mb", a.blockRows);
+    ctx.scalar("nb", a.blockCols);
+    ctx.scalar("nnzb", a.nnzBlocks());
+    ctx.scalar("feat_size", feat);
+    ctx.int32Array("JO_indptr", a.indptr);
+    ctx.int32Array("JO_indices", a.indices);
+    verifyKernelInto(artifact.get(), artifact->kernel, std::move(ctx),
+                     "bsr_spmm");
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
     return artifact;
 }
 
 std::shared_ptr<Artifact>
-buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
-                    bool bytecode, bool verify)
+buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat)
 {
     auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel = compileKernel(
-        core::compileSrbcrsSpmmFunc(a.tileHeight, a.groupSize, feat),
-        bytecode);
-    if (verify) {
-        verify::VerifyContext ctx;
-        ctx.scalar("stripes", a.stripes);
-        ctx.scalar("n", a.cols);
-        ctx.scalar("total_groups", a.numGroups());
-        ctx.scalar("feat_size", feat);
-        ctx.int32Array("G_indptr", a.groupIndptr);
-        ctx.int32Array("T_indices", a.tileCols);
-        declareAccumSpec(&ctx, artifact->kernel);
-        verifyKernelInto(artifact.get(), artifact->kernel, ctx,
-                         "srbcrs_spmm");
-    }
+        core::compileSrbcrsSpmmFunc(a.tileHeight, a.groupSize, feat));
+    verify::VerifyContext ctx;
+    ctx.scalar("stripes", a.stripes);
+    ctx.scalar("n", a.cols);
+    ctx.scalar("total_groups", a.numGroups());
+    ctx.scalar("feat_size", feat);
+    ctx.int32Array("G_indptr", a.groupIndptr);
+    ctx.int32Array("T_indices", a.tileCols);
+    verifyKernelInto(artifact.get(), artifact->kernel, std::move(ctx),
+                     "srbcrs_spmm");
     artifact->indptr = NDArray::fromInt32(a.groupIndptr);
     artifact->indices = NDArray::fromInt32(a.tileCols);
     return artifact;
@@ -410,8 +353,7 @@ buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat,
 
 std::shared_ptr<Artifact>
 buildSpmmHybArtifact(const Csr &a, int64_t feat,
-                     const HybConfig &config, bool bytecode,
-                     bool verify, bool hulls)
+                     const HybConfig &config)
 {
     format::Hyb hyb =
         format::hybFromCsr(a, config.partitions, config.bucketCapLog2);
@@ -428,19 +370,16 @@ buildSpmmHybArtifact(const Csr &a, int64_t feat,
             hyb.buckets[plan.partition][plan.bucket];
         HybBucketData bucket;
         bucket.suffix = plan.suffix;
-        bucket.kernel = compileKernel(plan.func, bytecode);
-        if (verify || hulls) {
-            verify::VerifyContext ctx = csrVerifyContext(a, feat);
-            ctx.int32Array(core::ellRowIndicesParam(plan.suffix),
-                           ell.rowIndices);
-            ctx.int32Array(core::ellColIndicesParam(plan.suffix),
-                           ell.colIndices);
-            proveBlockHulls(artifact.get(), &bucket.kernel,
-                            std::move(ctx),
-                            core::ellRowIndicesParam(plan.suffix),
-                            ell.rowIndices, feat, plan.rowsPerBlock,
-                            verify, hulls, "spmm_ell_" + plan.suffix);
-        }
+        bucket.kernel = compileKernel(plan.func);
+        verify::VerifyContext ctx = csrVerifyContext(a, feat);
+        ctx.int32Array(core::ellRowIndicesParam(plan.suffix),
+                       ell.rowIndices);
+        ctx.int32Array(core::ellColIndicesParam(plan.suffix),
+                       ell.colIndices);
+        proveBlockHulls(artifact.get(), &bucket.kernel, std::move(ctx),
+                        core::ellRowIndicesParam(plan.suffix),
+                        ell.rowIndices, feat, plan.rowsPerBlock,
+                        "spmm_ell_" + plan.suffix);
         bucket.rowIndices = NDArray::fromInt32(ell.rowIndices);
         bucket.colIndices = NDArray::fromInt32(ell.colIndices);
         bucket.gather = ell.sourcePos;
@@ -451,8 +390,7 @@ buildSpmmHybArtifact(const Csr &a, int64_t feat,
 
 std::shared_ptr<Artifact>
 buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
-                  int64_t feat_out, const RgcnConfig &config,
-                  bool bytecode, bool verify, bool hulls)
+                  int64_t feat_out, const RgcnConfig &config)
 {
     auto artifact = std::make_shared<RgcnArtifact>();
     for (int64_t r = 0; r < graph.numRelations(); ++r) {
@@ -472,30 +410,22 @@ buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
             unit.suffix =
                 "r" + std::to_string(r) + "b" + std::to_string(b);
             int rows_per_block = model::rgcnRowsPerBlock(bucket.width);
-            unit.kernel = compileKernel(
-                core::compileEllRgmsFunc(bucket.numRows(),
-                                         bucket.width, feat_in,
-                                         feat_out, unit.suffix,
-                                         config.tensorCores,
-                                         rows_per_block),
-                bytecode);
-            if (verify || hulls) {
-                verify::VerifyContext ctx;
-                ctx.scalar("m", graph.rows);
-                ctx.scalar("n", graph.cols);
-                ctx.int32Array(
-                    core::ellRowIndicesParam(unit.suffix),
-                    bucket.rowIndices);
-                ctx.int32Array(
-                    core::ellColIndicesParam(unit.suffix),
-                    bucket.colIndices);
-                proveBlockHulls(
-                    artifact.get(), &unit.kernel, std::move(ctx),
-                    core::ellRowIndicesParam(unit.suffix),
-                    bucket.rowIndices, feat_out,
-                    std::min<int64_t>(rows_per_block, bucket.numRows()),
-                    verify, hulls, "rgms_" + unit.suffix);
-            }
+            unit.kernel = compileKernel(core::compileEllRgmsFunc(
+                bucket.numRows(), bucket.width, feat_in, feat_out,
+                unit.suffix, config.tensorCores, rows_per_block));
+            verify::VerifyContext ctx;
+            ctx.scalar("m", graph.rows);
+            ctx.scalar("n", graph.cols);
+            ctx.int32Array(core::ellRowIndicesParam(unit.suffix),
+                           bucket.rowIndices);
+            ctx.int32Array(core::ellColIndicesParam(unit.suffix),
+                           bucket.colIndices);
+            proveBlockHulls(
+                artifact.get(), &unit.kernel, std::move(ctx),
+                core::ellRowIndicesParam(unit.suffix),
+                bucket.rowIndices, feat_out,
+                std::min<int64_t>(rows_per_block, bucket.numRows()),
+                "rgms_" + unit.suffix);
             unit.rowIndices = NDArray::fromInt32(bucket.rowIndices);
             unit.colIndices = NDArray::fromInt32(bucket.colIndices);
             unit.gather = bucket.sourcePos;
@@ -508,8 +438,7 @@ buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
 }
 
 std::shared_ptr<Artifact>
-buildGraphArtifact(const dfg::OpGraph &graph, bool fuse,
-                   bool bytecode, bool verify)
+buildGraphArtifact(const dfg::OpGraph &graph, bool fuse)
 {
     auto artifact = std::make_shared<GraphArtifact>();
     dfg::GraphLowering lowering;
@@ -521,20 +450,15 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse,
     artifact->modeReason = lowering.reason;
     artifact->program.reserve(lowering.funcs.size());
     for (const ir::PrimFunc &func : lowering.funcs) {
-        artifact->program.push_back(compileKernel(func, bytecode));
+        artifact->program.push_back(compileKernel(func));
     }
-    if (verify) {
-        verify::VerifyContext base;
-        for (const dfg::StructureBinding &s : lowering.structures) {
-            base.int32Array(s.indptrName, s.pattern->indptr);
-            base.int32Array(s.indicesName, s.pattern->indices);
-        }
-        for (const CompiledKernel &kernel : artifact->program) {
-            verify::VerifyContext ctx = base;
-            declareAccumSpec(&ctx, kernel);
-            verifyKernelInto(artifact.get(), kernel, ctx,
-                             kernel.func->name);
-        }
+    verify::VerifyContext base;
+    for (const dfg::StructureBinding &s : lowering.structures) {
+        base.int32Array(s.indptrName, s.pattern->indptr);
+        base.int32Array(s.indicesName, s.pattern->indices);
+    }
+    for (const CompiledKernel &kernel : artifact->program) {
+        verifyKernelInto(artifact.get(), kernel, base, kernel.func->name);
     }
     for (const dfg::StructureBinding &s : lowering.structures) {
         artifact->structures.emplace(
@@ -866,15 +790,35 @@ observe::MetricsSnapshot
 Engine::metricsSnapshot() const
 {
     observe::MetricsSnapshot snap = metrics_->snapshot();
-    ScratchStats scratch = executor_.scratchStats();
-    snap.counters["scratch.leases"] =
-        static_cast<uint64_t>(scratch.leases);
-    snap.counters["scratch.allocations"] =
-        static_cast<uint64_t>(scratch.allocations);
+    ScratchStats scratch = scratchStats();
+    snap.counters["scratch.leases"] = scratch.leases;
     snap.gauges["scratch.leased_bytes"] = scratch.leasedBytes;
     snap.gauges["scratch.peak_leased_bytes"] = scratch.peakLeasedBytes;
-    snap.gauges["scratch.free_bytes"] = scratch.freeBytes;
     return snap;
+}
+
+ScratchStats
+Engine::scratchStats() const
+{
+    std::lock_guard<std::mutex> lock(scratchMu_);
+    return scratch_;
+}
+
+void
+Engine::resetScratchPeak()
+{
+    std::lock_guard<std::mutex> lock(scratchMu_);
+    scratch_.peakLeasedBytes = scratch_.leasedBytes;
+}
+
+void
+Engine::accountScratch(int64_t bytes, uint64_t leases)
+{
+    std::lock_guard<std::mutex> lock(scratchMu_);
+    scratch_.leasedBytes += bytes;
+    scratch_.peakLeasedBytes =
+        std::max(scratch_.peakLeasedBytes, scratch_.leasedBytes);
+    scratch_.leases += leases;
 }
 
 ExecOptions
@@ -1125,13 +1069,32 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                       const GraphDispatchOptions &options)
 {
     BindingSet bindings;
-    ScratchLeaseGuard leased(&executor_);
+    // Chain mode materializes interior tensors in plain arrays this
+    // dispatch owns; they count as held scratch until it returns or
+    // throws. The fused kernel has none (per-row locals), so its
+    // dispatch holds nothing and the scratch peak stays at zero.
+    std::vector<NDArray> temps;
+    class Held
+    {
+      public:
+        explicit Held(Engine *engine) : engine_(engine) {}
+        Held(const Held &) = delete;
+        Held &operator=(const Held &) = delete;
+        ~Held()
+        {
+            if (bytes != 0) {
+                engine_->accountScratch(-bytes, 0);
+            }
+        }
+        int64_t bytes = 0;
+
+      private:
+        Engine *engine_;
+    } held(this);
     return dispatch(
         OpKind::kGraph, graphKey(graph, options.fuse),
         [&] {
-            return buildGraphArtifact(graph, options.fuse,
-                                      usesBytecode(),
-                                      options_.verifyArtifacts);
+            return buildGraphArtifact(graph, options.fuse);
         },
         [&](Artifact &resolved) {
             auto &artifact = static_cast<GraphArtifact &>(resolved);
@@ -1166,16 +1129,15 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
             for (const auto &kv : io) {
                 bindings.external(kv.first, kv.second);
             }
-            // Chain mode materializes interior tensors in pooled
-            // scratch; the fused kernel has none (per-row locals), so
-            // its dispatch leases nothing and the scratch peak stays
-            // at zero. No zeroing needed: every element a chain
-            // kernel reads was written by its producer.
+            temps.reserve(artifact.temps.size());
             for (const GraphTemp &temp : artifact.temps) {
-                ScratchPool::Lease lease = executor_.leaseScratch(
-                    temp.numel, ir::DataType::float32());
-                leased.add(lease.array);
-                bindings.external(temp.name, lease.array);
+                temps.emplace_back(std::vector<int64_t>{temp.numel},
+                                   ir::DataType::float32());
+                bindings.external(temp.name, &temps.back());
+            }
+            if (!temps.empty()) {
+                held.bytes = artifact.tempBytes;
+                accountScratch(artifact.tempBytes, temps.size());
             }
             return std::vector<runtime::Bindings>{bindings.view()};
         });
@@ -1189,8 +1151,7 @@ Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
     return dispatch(
         OpKind::kSddmm, sddmmKey(a, feat, schedule),
         [&] {
-            return buildSddmmArtifact(a, feat, schedule, usesBytecode(),
-                                      options_.verifyArtifacts);
+            return buildSddmmArtifact(a, feat, schedule);
         },
         [&](Artifact &artifact) {
             bindCsrShared(&bindings,
@@ -1220,10 +1181,7 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
     return dispatch(
         OpKind::kRgcnHyb, rgcnKey(graph, featIn, featOut, config),
         [&] {
-            return buildRgcnArtifact(graph, featIn, featOut, config,
-                                     usesBytecode(),
-                                     options_.verifyArtifacts,
-                                     ordersHulls());
+            return buildRgcnArtifact(graph, featIn, featOut, config);
         },
         [&](Artifact &artifact) {
             bindings.scalar("m", graph.rows);
@@ -1260,9 +1218,7 @@ Engine::spmmCsrBatch(const Csr &a, int64_t feat,
     return dispatch(
         OpKind::kSpmmCsr, spmmCsrKey(a, feat, schedule),
         [&] {
-            return buildSpmmCsrArtifact(a, feat, schedule,
-                                        usesBytecode(),
-                                        options_.verifyArtifacts);
+            return buildSpmmCsrArtifact(a, feat, schedule);
         },
         [&](Artifact &artifact) {
             bindCsrShared(&base, static_cast<KernelArtifact &>(artifact),
@@ -1284,9 +1240,7 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
     return dispatch(
         OpKind::kSpmmHyb, spmmHybKey(a, feat, config),
         [&] {
-            return buildSpmmHybArtifact(a, feat, config, usesBytecode(),
-                                        options_.verifyArtifacts,
-                                        ordersHulls());
+            return buildSpmmHybArtifact(a, feat, config);
         },
         [&](Artifact &artifact) {
             base = bindSpmmHyb(static_cast<SpmmHybArtifact &>(artifact),
@@ -1334,8 +1288,7 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
     return dispatch(
         OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
         [&] {
-            return buildBsrArtifact(a, feat, config, usesBytecode(),
-                                    options_.verifyArtifacts);
+            return buildBsrArtifact(a, feat, config);
         },
         [&](Artifact &artifact) {
             bindBsrShared(&base, static_cast<KernelArtifact &>(artifact),
@@ -1356,8 +1309,7 @@ Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
     return dispatch(
         OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
         [&] {
-            return buildSrbcrsArtifact(a, feat, usesBytecode(),
-                                       options_.verifyArtifacts);
+            return buildSrbcrsArtifact(a, feat);
         },
         [&](Artifact &artifact) {
             bindSrbcrsShared(&base,
@@ -1376,11 +1328,7 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
     DispatchInfo info;
     auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
         resolve(spmmHybKey(a, feat, config),
-                [&] {
-                    return buildSpmmHybArtifact(
-                        a, feat, config, usesBytecode(),
-                        options_.verifyArtifacts, ordersHulls());
-                },
+                [&] { return buildSpmmHybArtifact(a, feat, config); },
                 &info));
     // Counted as one request that executed nothing.
     info.numRequests = 1;

@@ -16,6 +16,16 @@
  * the spilled block-extent expression that sizes the launch grid
  * without an interpreter probe.
  *
+ * Every artifact is proven by the static verifier (verify/verifier.h)
+ * before it enters the cache, whatever the build, backend or
+ * parallelism: affine bounds on every buffer access, write-set
+ * soundness against each scatter kernel's block hulls, and race
+ * freedom of the blockIdx axis, all against the request's concrete
+ * structure arrays. The verdict is cached with the artifact, so warm
+ * dispatches never pay for it; a failed proof makes every dispatch
+ * that touches the artifact throw UserError carrying the verifier's
+ * diagnostics.
+ *
  * Every public entry point is a thin adapter over ONE internal
  * dispatch path — resolve (with native promotion) -> bind -> execute
  * -> account — in which a single request is a batch of one. Batched
@@ -108,19 +118,10 @@ struct EngineOptions
      */
     bool trace = false;
     /**
-     * Run the static artifact verifier (verify/verifier.h) on every
-     * kernel a miss-path builder compiles, BEFORE the artifact enters
-     * the compile cache: affine bounds on every buffer access,
-     * write-set soundness against each scatter kernel's block hulls,
-     * and parallel-race freedom of the blockIdx axis — all proven against
-     * the request's concrete structure arrays. The verdict is cached
-     * with the artifact, so warm dispatches never pay for it (warm
-     * latency unchanged); a failed proof makes the dispatch throw
-     * UserError carrying the verifier's diagnostics. Defaults on in
-     * Debug builds and whenever SPARSETIR_VERIFY=1 — the CI
-     * configuration (see core::verifyEnabledByDefault).
+     * Ignored: every artifact is verified (see Engine). Kept only for
+     * source compatibility with callers that still set it.
      */
-    bool verifyArtifacts = core::verifyEnabledByDefault();
+    bool verifyArtifacts = true;
 };
 
 /** Outcome of one dispatch (N requests, one artifact; N = 1 for the
@@ -186,6 +187,21 @@ struct NativeStats
     /** Kernels that stayed on bytecode (emitter rejected the kernel,
      *  or its module's compile or load failed). */
     uint64_t fallbacks = 0;
+};
+
+/**
+ * Scratch accounting of a session: the interior tensors chain-mode
+ * graph dispatches allocate for their lifetime (no other dispatch
+ * allocates scratch). Engine::scratchStats() returns a snapshot.
+ */
+struct ScratchStats
+{
+    /** Bytes held by dispatches in flight. */
+    int64_t leasedBytes = 0;
+    /** High-water mark of leasedBytes since the last resetScratchPeak(). */
+    int64_t peakLeasedBytes = 0;
+    /** Interior tensors allocated so far. */
+    uint64_t leases = 0;
 };
 
 /** Format/schedule selection for hyb SpMM dispatch. */
@@ -409,21 +425,18 @@ class Engine
      * counters, per-op-kind warm and cold dispatch latency
      * histograms (`engine.warm_dispatch_ms.<op>` /
      * `engine.cold_dispatch_ms.<op>`, per-request latency for
-     * batches), cache counters — plus scratch-pool gauges published
-     * at snapshot time. p50/p95/p99 come interpolated from the
-     * histograms' log-spaced buckets (see observe/metrics.h).
+     * batches), cache counters — plus the scratch accounting
+     * (ScratchStats) published at snapshot time. p50/p95/p99 come
+     * interpolated from the histograms' log-spaced buckets (see
+     * observe/metrics.h).
      */
     observe::MetricsSnapshot metricsSnapshot() const;
     /** The registry backing stats()/cacheStats()/metricsSnapshot(). */
     observe::MetricsRegistry *metrics() const { return metrics_.get(); }
-    /**
-     * Scratch accounting of the session's executor: the interior
-     * tensors of chain-mode graph dispatches (no other dispatch
-     * leases scratch).
-     */
-    ScratchStats scratchStats() const { return executor_.scratchStats(); }
+    /** Scratch accounting of the session (see ScratchStats). */
+    ScratchStats scratchStats() const;
     /** Restart the scratch high-water mark (benchmark sections). */
-    void resetScratchPeak() { executor_.resetScratchPeak(); }
+    void resetScratchPeak();
     const std::shared_ptr<ThreadPool> &pool() const { return pool_; }
     int numThreads() const { return pool_->size(); }
 
@@ -471,21 +484,11 @@ class Engine
 
     ExecOptions execOptions() const;
 
-    /** Whether artifacts should carry compiled bytecode programs
-     *  (the native tier serves on bytecode until promoted). */
-    bool
-    usesBytecode() const
-    {
-        return options_.backend != runtime::Backend::kInterpreter;
-    }
-
-    /** Whether dispatches run in parallel, so scatter kernels should
-     *  carry proven block hulls for the task graph. */
-    bool
-    ordersHulls() const
-    {
-        return options_.parallel && pool_->size() > 1;
-    }
+    /**
+     * Count `bytes` of scratch as held (negative: released) and
+     * `leases` new tensors in the session's ScratchStats.
+     */
+    void accountScratch(int64_t bytes, uint64_t leases);
 
     /**
      * Promotion policy hook, called on every resolve (and every
@@ -538,6 +541,10 @@ class Engine
     observe::Counter *nativeDiskHits_;
     observe::Counter *nativeFallbacks_;
     observe::LatencyHistogram *nativeCompileMs_;
+
+    mutable std::mutex scratchMu_;
+    /** Guarded by scratchMu_. */
+    ScratchStats scratch_;
 };
 
 } // namespace engine

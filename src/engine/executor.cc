@@ -212,7 +212,7 @@ runSerial(const std::vector<const CompiledKernel *> &kernels,
 } // namespace
 
 CompiledKernel
-compileKernel(const ir::PrimFunc &func, bool with_program)
+compileKernel(const ir::PrimFunc &func)
 {
     SPARSETIR_TRACE_SCOPE("compile", "compile.kernel");
     CompiledKernel kernel;
@@ -223,9 +223,7 @@ compileKernel(const ir::PrimFunc &func, bool with_program)
     // Every kernel gets an (empty) native box so the promotion path
     // can swap an artifact into copies already handed out.
     kernel.native = std::make_shared<NativeBox>();
-    if (with_program) {
-        kernel.program = runtime::bytecode::programFor(kernel.func);
-    }
+    kernel.program = runtime::bytecode::programFor(kernel.func);
     // Spill the launch info: take the extent the bytecode compiler
     // already located, or walk the IR once here (interpreter-only
     // kernels). Warm dispatches size the grid from this expression.
@@ -261,127 +259,6 @@ blockHulls(const std::vector<int32_t> &rows, int64_t rows_per_block,
                                row_width);
     }
     return hulls;
-}
-
-// ---------------------------------------------------------------------
-// ScratchPool
-// ---------------------------------------------------------------------
-
-namespace {
-
-int64_t
-arrayBytes(const NDArray &array)
-{
-    return array.numel() * array.elemBytes();
-}
-
-} // namespace
-
-ScratchPool::ScratchPool(int64_t max_free_bytes)
-    : maxFreeBytes_(max_free_bytes)
-{
-    ICHECK_GE(maxFreeBytes_, 0);
-}
-
-ScratchPool::Lease
-ScratchPool::acquire(int64_t numel, ir::DataType dtype)
-{
-    Key key{numel,
-            (static_cast<uint64_t>(dtype.code()) << 32) |
-                (static_cast<uint64_t>(dtype.bits()) << 16) |
-                static_cast<uint64_t>(dtype.lanes())};
-    std::lock_guard<std::mutex> lock(mu_);
-    ++leases_;
-    auto it = free_.find(key);
-    if (it != free_.end() && !it->second.empty()) {
-        std::unique_ptr<NDArray> array =
-            std::move(it->second.back().array);
-        it->second.pop_back();
-        freeBytes_ -= arrayBytes(*array);
-        leasedBytes_ += arrayBytes(*array);
-        peakLeasedBytes_ = std::max(peakLeasedBytes_, leasedBytes_);
-        NDArray *raw = array.release();
-        leased_[raw] = key;
-        return Lease{raw, /*fresh=*/false};
-    }
-    auto array = std::make_unique<NDArray>(
-        std::vector<int64_t>{numel}, dtype);
-    ++allocations_;
-    leasedBytes_ += arrayBytes(*array);
-    peakLeasedBytes_ = std::max(peakLeasedBytes_, leasedBytes_);
-    NDArray *raw = array.release();
-    leased_[raw] = key;
-    return Lease{raw, /*fresh=*/true};
-}
-
-void
-ScratchPool::evictOldestLocked()
-{
-    auto oldest = free_.end();
-    for (auto it = free_.begin(); it != free_.end();) {
-        if (it->second.empty()) {
-            it = free_.erase(it);
-            continue;
-        }
-        // Entries within a key are release-ordered, so the front is
-        // that key's oldest; compare fronts across keys.
-        if (oldest == free_.end() ||
-            it->second.front().seq < oldest->second.front().seq) {
-            oldest = it;
-        }
-        ++it;
-    }
-    if (oldest == free_.end()) {
-        return;
-    }
-    freeBytes_ -= arrayBytes(*oldest->second.front().array);
-    oldest->second.erase(oldest->second.begin());
-}
-
-void
-ScratchPool::release(NDArray *array)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = leased_.find(array);
-    ICHECK(it != leased_.end())
-        << "scratch release of an array the pool did not lease";
-    std::unique_ptr<NDArray> owned(array);
-    Key key = it->second;
-    leased_.erase(it);
-    int64_t bytes = arrayBytes(*owned);
-    leasedBytes_ -= bytes;
-    if (bytes > maxFreeBytes_) {
-        return;  // larger than the whole budget: never retainable,
-                 // and evicting the warm pool for it would be waste
-    }
-    // Make room by evicting least-recently-released buffers, so a
-    // workload shift to new shapes displaces stale buffers instead
-    // of being locked out of the pool by them.
-    while (freeBytes_ + bytes > maxFreeBytes_ && !free_.empty()) {
-        evictOldestLocked();
-    }
-    freeBytes_ += bytes;
-    free_[key].push_back(FreeEntry{std::move(owned), seq_++});
-}
-
-ScratchStats
-ScratchPool::stats() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ScratchStats stats;
-    stats.leasedBytes = leasedBytes_;
-    stats.peakLeasedBytes = peakLeasedBytes_;
-    stats.freeBytes = freeBytes_;
-    stats.leases = leases_;
-    stats.allocations = allocations_;
-    return stats;
-}
-
-void
-ScratchPool::resetPeak()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    peakLeasedBytes_ = leasedBytes_;
 }
 
 // ---------------------------------------------------------------------

@@ -48,9 +48,7 @@
 #ifndef SPARSETIR_ENGINE_EXECUTOR_H_
 #define SPARSETIR_ENGINE_EXECUTOR_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,12 +167,9 @@ struct CompiledKernel
  * bytecode program of the hoisted IR (interpreter-only
  * functions get a null program and fall back transparently) plus the
  * write-set analysis, with hull-less accumulators (the engine attaches
- * proven block hulls). Pass `with_program` = false for
- * interpreter-backend sessions to skip bytecode compilation for
- * programs they will never execute.
+ * proven block hulls).
  */
-CompiledKernel compileKernel(const ir::PrimFunc &func,
-                             bool with_program = true);
+CompiledKernel compileKernel(const ir::PrimFunc &func);
 
 /**
  * Element hull of each grid block of a scatter kernel whose block b
@@ -185,81 +180,6 @@ CompiledKernel compileKernel(const ir::PrimFunc &func,
  */
 std::vector<Span> blockHulls(const std::vector<int32_t> &rows,
                              int64_t rows_per_block, int64_t row_width);
-
-/** Scratch-pool accounting snapshot (see ScratchPool::stats). */
-struct ScratchStats
-{
-    /** Bytes currently out on lease. */
-    int64_t leasedBytes = 0;
-    /** High-water mark of leasedBytes since the last resetPeak(). */
-    int64_t peakLeasedBytes = 0;
-    /** Bytes retained on the free lists, awaiting reuse. */
-    int64_t freeBytes = 0;
-    /** Total acquire() calls. */
-    uint64_t leases = 0;
-    /** Leases served by constructing a new buffer (pool misses). */
-    uint64_t allocations = 0;
-};
-
-/**
- * Pool of reusable scratch buffers keyed by (numel, dtype): the
- * interior tensors of a graph dispatch's per-kernel chain.
- *
- * Contents of a lease are UNSPECIFIED — freshly constructed NDArrays
- * happen to be zero-filled, but callers must not rely on it. Retained
- * free bytes are
- * bounded (maxFreeBytes, least-recently-released-first trim), so a
- * long-lived session serving many distinct shapes cannot accumulate
- * unbounded scratch. All methods are thread-safe.
- */
-class ScratchPool
-{
-  public:
-    struct Lease
-    {
-        runtime::NDArray *array = nullptr;
-        /** Newly constructed for this lease (pool miss). */
-        bool fresh = false;
-    };
-
-    /** Default free-list retention budget across all keys. */
-    static constexpr int64_t kDefaultMaxFreeBytes = 256ll << 20;
-
-    explicit ScratchPool(int64_t max_free_bytes = kDefaultMaxFreeBytes);
-
-    Lease acquire(int64_t numel, ir::DataType dtype);
-    void release(runtime::NDArray *array);
-
-    /** Accounting snapshot (peak tracks leased bytes, see stats). */
-    ScratchStats stats() const;
-    /** Restart the high-water mark from the current leased bytes. */
-    void resetPeak();
-
-  private:
-    using Key = std::pair<int64_t, uint64_t>;
-    /** A retained buffer with its release recency stamp. */
-    struct FreeEntry
-    {
-        std::unique_ptr<runtime::NDArray> array;
-        uint64_t seq = 0;
-    };
-
-    /** Caller holds mu_. Drop the least-recently-released buffer. */
-    void evictOldestLocked();
-
-    mutable std::mutex mu_;
-    int64_t maxFreeBytes_;
-    /** Per-key stacks; entries within a key are release-ordered. */
-    std::map<Key, std::vector<FreeEntry>> free_;
-    /** Leased arrays, for key recovery on release. */
-    std::map<runtime::NDArray *, Key> leased_;
-    int64_t freeBytes_ = 0;
-    int64_t leasedBytes_ = 0;
-    int64_t peakLeasedBytes_ = 0;
-    uint64_t leases_ = 0;
-    uint64_t allocations_ = 0;
-    uint64_t seq_ = 0;
-};
 
 /**
  * Plan of one parallel dispatch: a DAG over units in serial order.
@@ -347,45 +267,11 @@ class ParallelExecutor
         const std::vector<const runtime::Bindings *> &requests,
         const ExecOptions &options = ExecOptions()) const;
 
-    /** Scratch accounting of this executor's pool. */
-    ScratchStats
-    scratchStats() const
-    {
-        return scratch_.stats();
-    }
-
-    /** Reset the scratch high-water mark (benchmark sections). */
-    void
-    resetScratchPeak() const
-    {
-        scratch_.resetPeak();
-    }
-
-    /**
-     * Lease request-lifetime scratch for a graph dispatch's per-kernel
-     * chain, which materializes its interior tensors here so
-     * ScratchStats accounts for them. Pair every lease with
-     * releaseScratch; contents are unspecified (see ScratchPool).
-     */
-    ScratchPool::Lease
-    leaseScratch(int64_t numel, ir::DataType dtype) const
-    {
-        return scratch_.acquire(numel, dtype);
-    }
-
-    /** Return a leaseScratch array to the pool. */
-    void
-    releaseScratch(runtime::NDArray *array) const
-    {
-        scratch_.release(array);
-    }
-
   private:
     /** Whether `options` (or a pool of one) forces serial order. */
     bool serial(const ExecOptions &options) const;
 
     std::shared_ptr<ThreadPool> pool_;
-    mutable ScratchPool scratch_;
 };
 
 } // namespace engine

@@ -947,16 +947,20 @@ AffineAnalyzer::proveNonNegImpl(const LinExpr &e, int depth,
         }
     }
 
-    // Move 2: subtract a guard constraint c >= 0, optionally scaled by
-    // a non-negative monomial s; e = (e - s*c) + s*c, so (e - s*c) >= 0
-    // suffices. The scale is chosen so a negative monomial of c aligns
-    // with a negative monomial of e (e.g. the split-tail guard
-    // `feat - 1 - kpart >= 0` scaled by `n` discharges
-    // `n*feat - 1 - n*kpart - col`). Repeated application via
-    // recursion handles constraints needed with multiplicity.
+    // Move 2: subtract a guard constraint c >= 0, scaled by a
+    // non-negative monomial s and a positive integer k; e = (e - k*s*c)
+    // + k*s*c, so (e - k*s*c) >= 0 suffices. The scale is chosen so a
+    // negative monomial of c aligns with a negative monomial of e (e.g.
+    // the split-tail guard `feat - 1 - kpart >= 0` scaled by `n`
+    // discharges `n*feat - 1 - n*kpart - col`), and k so their
+    // coefficients cancel: a hyb row guard `rows - 1 - q >= 0` against
+    // an element offset `width * q` needs k = width, which one
+    // recursion step per unit of k would not reach for wide buckets.
+    // The cancelling k is tried first, then k = 1; recursion applies
+    // constraints again.
     for (size_t ci = 0; ci < constraints_.size(); ++ci) {
         const LinExpr c = constraints_[ci];
-        std::set<Monomial> scales;
+        std::vector<std::pair<Monomial, int64_t>> scales;
         for (const auto &ce : c.terms) {
             if (ce.second >= 0) {
                 continue;
@@ -980,14 +984,23 @@ AffineAnalyzer::proveNonNegImpl(const LinExpr &e, int depth,
                         scale.push_back(id);
                     }
                 }
-                scales.insert(scale);
+                for (int64_t k : {te.second % ce.second == 0
+                                      ? te.second / ce.second
+                                      : int64_t{1},
+                                  int64_t{1}}) {
+                    std::pair<Monomial, int64_t> cand(scale, k);
+                    if (std::find(scales.begin(), scales.end(), cand) ==
+                        scales.end()) {
+                        scales.push_back(std::move(cand));
+                    }
+                }
             }
         }
-        for (const Monomial &scale : scales) {
+        for (const auto &[scale, k] : scales) {
             if (!monomialNonNeg(scale)) {
                 continue;
             }
-            LinExpr scaled = LinExpr::product(c, monomialExpr(scale));
+            LinExpr scaled = LinExpr::product(c, monomialExpr(scale)) * k;
             if (proveNonNegImpl(e - scaled, depth - 1, visited)) {
                 return true;
             }

@@ -60,12 +60,12 @@ randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
     return format::csrFromDense(rows, cols, dense);
 }
 
+/** Session options of these tests; every session verifies its
+ *  artifacts, so the defaults serve. */
 EngineOptions
 verifyingOptions()
 {
-    EngineOptions options;
-    options.verifyArtifacts = true;
-    return options;
+    return EngineOptions();
 }
 
 /** Attention pipeline reference in plain float arithmetic. */
@@ -302,6 +302,12 @@ TEST(DfgServing, MixedPatternsBailToChain)
     auto info = engine.dispatchGraph(
         graph, {{"x", &xs}, {"w", &ws}, {"out", &out_arr}});
     EXPECT_EQ(info.numKernels, 4); // chain, despite fuse=true
+    // The chain's three intermediates are held only while it runs.
+    engine::ScratchStats scratch = engine.scratchStats();
+    EXPECT_EQ(scratch.leases, 3u);
+    EXPECT_EQ(scratch.leasedBytes, 0);
+    EXPECT_EQ(scratch.peakLeasedBytes,
+              3 * 16 * 4 * static_cast<int64_t>(sizeof(float)));
 }
 
 TEST(DfgServing, SharedPatternObjectIsWhatFuses)

@@ -681,67 +681,8 @@ TEST(ThreadPool, NestedParallelForRunsInlineInsteadOfDeadlocking)
 }
 
 // ---------------------------------------------------------------------
-// Scratch pool accounting and eviction; task-graph error handling
+// Task-graph error handling
 // ---------------------------------------------------------------------
-
-TEST(Executor, ScratchPoolAccountingBudgetAndEvictionOrder)
-{
-    // float32 buffers: 8 elems = 32 bytes, 4 elems = 16 bytes.
-    engine::ScratchPool pool(/*max_free_bytes=*/64);
-    auto f32 = ir::DataType::float32();
-
-    auto x = pool.acquire(8, f32);
-    auto y = pool.acquire(4, f32);
-    auto z = pool.acquire(8, f32);
-    EXPECT_TRUE(x.fresh && y.fresh && z.fresh);
-    auto stats = pool.stats();
-    EXPECT_EQ(stats.leasedBytes, 80);
-    EXPECT_EQ(stats.peakLeasedBytes, 80);
-    EXPECT_EQ(stats.leases, 3u);
-    EXPECT_EQ(stats.allocations, 3u);
-
-    pool.release(x.array);
-    pool.release(y.array);
-    stats = pool.stats();
-    EXPECT_EQ(stats.leasedBytes, 32);
-    EXPECT_EQ(stats.freeBytes, 48);
-    EXPECT_EQ(stats.peakLeasedBytes, 80) << "high-water mark sticks";
-
-    // Releasing z (32B) overflows the 64-byte budget: the LEAST
-    // RECENTLY RELEASED buffer (x) is evicted, across keys, not the
-    // most recent (y).
-    pool.release(z.array);
-    stats = pool.stats();
-    EXPECT_EQ(stats.leasedBytes, 0);
-    EXPECT_EQ(stats.freeBytes, 48);  // y (16) + z (32); x evicted
-    auto y2 = pool.acquire(4, f32);
-    EXPECT_FALSE(y2.fresh) << "y was evicted";
-    auto z2 = pool.acquire(8, f32);
-    EXPECT_FALSE(z2.fresh) << "z was evicted";
-    auto x2 = pool.acquire(8, f32);
-    EXPECT_TRUE(x2.fresh)
-        << "x must have been evicted as the oldest release";
-
-    pool.resetPeak();
-    EXPECT_EQ(pool.stats().peakLeasedBytes, pool.stats().leasedBytes);
-    pool.release(y2.array);
-    pool.release(z2.array);
-    pool.release(x2.array);
-    EXPECT_EQ(pool.stats().leasedBytes, 0);
-
-    // A buffer larger than the whole budget is never retained — and
-    // must not evict the warm pool on its way out.
-    engine::ScratchPool tiny(/*max_free_bytes=*/16);
-    auto keep = tiny.acquire(4, f32);
-    tiny.release(keep.array);
-    EXPECT_EQ(tiny.stats().freeBytes, 16);
-    auto big = tiny.acquire(64, f32);
-    tiny.release(big.array);
-    stats = tiny.stats();
-    EXPECT_EQ(stats.freeBytes, 16) << "oversized release disturbed "
-                                      "the retained pool";
-    EXPECT_EQ(stats.leasedBytes, 0);
-}
 
 /**
  * f(n, out): for i in [0, n): out[0] = out[0] + 1 — a unit whose
@@ -801,7 +742,6 @@ TEST(Executor, ThrowingUnitFinishesInFlightAndStartsNothingLater)
     EXPECT_EQ(slow.floatAt(0), static_cast<double>(kSlowIterations))
         << "the in-flight unit did not finish";
     EXPECT_EQ(later.floatAt(0), 0.0) << "a later unit started";
-    EXPECT_EQ(executor.scratchStats().leases, 0u);
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -453,11 +452,6 @@ TEST(EngineFused, SingleRequestSplitsKernelsWithEdgesOnlyAtOverlaps)
     EXPECT_TRUE(bitwiseEqual(expected, c));
 }
 
-/** Point native engines of this process at one fresh artifact dir:
- *  never load .so files persisted by other processes. */
-void
-isolateNativeCacheDir();
-
 TEST(EngineFused, DuplicateRowBucketRunsSplitOnEveryBackend)
 {
     // Width cap 2 on rows of up to 8 entries: the widest bucket
@@ -480,7 +474,7 @@ TEST(EngineFused, DuplicateRowBucketRunsSplitOnEveryBackend)
     }
     ASSERT_NE(dup, nullptr) << "fixture has no split rows";
 
-    isolateNativeCacheDir();
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-fused-native-");
     for (engine::CompiledKernel &kernel : fx.kernels) {
         auto native = runtime::native::compileNative(kernel.func,
                                                      "dup-rows");
@@ -574,19 +568,6 @@ TEST(EngineFused, LoneKernelChunksToMinOfWorkersAndExtentOverMinChunk)
     }
 }
 
-void
-isolateNativeCacheDir()
-{
-    static const bool done = [] {
-        static char tmpl[] = "/tmp/sparsetir-fused-native-XXXXXX";
-        if (::mkdtemp(tmpl) != nullptr) {
-            ::setenv("SPARSETIR_NATIVE_CACHE_DIR", tmpl, 1);
-        }
-        return true;
-    }();
-    (void)done;
-}
-
 TEST(EngineFused, FullBatchLeasesNoScratchAndMatchesSerial)
 {
     Csr a = graph::powerLawGraph(300, 4000, 1.8, 101);
@@ -609,7 +590,7 @@ TEST(EngineFused, FullBatchLeasesNoScratchAndMatchesSerial)
         serial.spmmHyb(a, feat, &b[i], &expected[i], config);
     }
 
-    isolateNativeCacheDir();
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-fused-native-");
     for (runtime::Backend backend :
          {runtime::Backend::kBytecode, runtime::Backend::kNative}) {
         const char *name =

@@ -120,22 +120,6 @@ struct Config
     bool parallel;
 };
 
-/** Point every native engine of the run at ONE fresh scratch cache
- *  dir: the fuzzer must never load .so artifacts persisted by other
- *  processes (or leave its own behind at a shared default path). */
-void
-isolateNativeCacheDir()
-{
-    static const bool done = [] {
-        static char tmpl[] = "/tmp/sparsetir-fuzz-native-XXXXXX";
-        if (::mkdtemp(tmpl) != nullptr) {
-            ::setenv("SPARSETIR_NATIVE_CACHE_DIR", tmpl, 1);
-        }
-        return true;
-    }();
-    (void)done;
-}
-
 class EnginePool
 {
   public:
@@ -158,17 +142,14 @@ class EnginePool
             options.parallel = config.parallel;
             options.numThreads = config.parallel ? workers : 1;
             options.minBlocksPerChunk = min_chunk;
-            // Every artifact the fuzzer compiles goes through the
-            // static verifier regardless of build type: the random
-            // structures double as a soak test for the prover.
-            options.verifyArtifacts = true;
             if (config.backend == runtime::Backend::kNative) {
                 // Promote inside the first resolve, so every native
                 // dispatch of the matrix actually runs the .so tier
                 // (no warm-up hysteresis to fuzz through). Engines
                 // share one artifact dir, so each kernel is compiled
                 // once and disk-hit by the other native configs.
-                isolateNativeCacheDir();
+                testutil::isolateNativeCacheDir(
+                    "/tmp/sparsetir-fuzz-native-");
                 options.nativePromoteAfter = 0;
             }
             it = engines_
@@ -736,10 +717,9 @@ TEST(FuzzDifferential, AllZeroMatrixRejectedOnEveryPath)
 
 TEST(FuzzDifferential, ArtifactsVerifyClean)
 {
-    // Fresh engine with verification forced on: a fuzz-style case's
-    // artifacts (hyb buckets + bsr) all carry clean verdicts. The
-    // main matrix runs with verification on too (see EnginePool);
-    // this pins the counters so a silently-disabled verifier cannot
+    // A fuzz-style case's artifacts (hyb buckets + bsr) all carry
+    // clean verdicts. Every engine of the main matrix verifies too;
+    // this pins the counters so a silently-skipped verifier cannot
     // turn the soak test into a no-op.
     Rng rng(mix(kDefaultSeed, 0x5EED));
     std::string structure;

@@ -86,28 +86,6 @@ class EnvGuard
     bool had_ = false;
 };
 
-/** Fresh cache dir + SPARSETIR_NATIVE_CACHE_DIR override for one test:
- *  every test starts cold, so compile counts are deterministic. */
-class CacheDirGuard
-{
-  public:
-    CacheDirGuard()
-    {
-        char tmpl[] = "/tmp/sparsetir-native-test-XXXXXX";
-        char *dir = ::mkdtemp(tmpl);
-        EXPECT_NE(dir, nullptr);
-        dir_ = dir != nullptr ? dir : "/tmp";
-        env_ = std::make_unique<EnvGuard>("SPARSETIR_NATIVE_CACHE_DIR",
-                                          dir_.c_str());
-    }
-
-    const std::string &dir() const { return dir_; }
-
-  private:
-    std::string dir_;
-    std::unique_ptr<EnvGuard> env_;
-};
-
 /** A private temporary directory, removed with its contents on exit. */
 class ScratchDir
 {
@@ -117,13 +95,18 @@ class ScratchDir
         std::string tmpl = std::string(prefix) + "XXXXXX";
         char *dir = ::mkdtemp(tmpl.data());
         EXPECT_NE(dir, nullptr);
-        dir_ = dir != nullptr ? dir : "/tmp";
+        owned_ = dir != nullptr;
+        dir_ = owned_ ? dir : "/tmp";
     }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
 
     ~ScratchDir()
     {
-        std::error_code ignored;
-        std::filesystem::remove_all(dir_, ignored);
+        if (owned_) {
+            std::error_code ignored;
+            std::filesystem::remove_all(dir_, ignored);
+        }
     }
 
     const std::string &dir() const { return dir_; }
@@ -144,6 +127,24 @@ class ScratchDir
 
   private:
     std::string dir_;
+    bool owned_ = false;
+};
+
+/** Fresh cache dir + SPARSETIR_NATIVE_CACHE_DIR override for one test:
+ *  every test starts cold, so compile counts are deterministic. The
+ *  directory and its artifacts are removed when the test ends. */
+class CacheDirGuard
+{
+  public:
+    CacheDirGuard() : env_("SPARSETIR_NATIVE_CACHE_DIR", dir_.dir().c_str())
+    {
+    }
+
+    const std::string &dir() const { return dir_.dir(); }
+
+  private:
+    ScratchDir dir_{"/tmp/sparsetir-native-test-"};
+    EnvGuard env_;
 };
 
 /** Installed `.so` files in `dir` (build temporaries excluded). */

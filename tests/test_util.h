@@ -1,15 +1,20 @@
 /**
  * @file
- * Helpers shared by the GoogleTest suites: deterministic random data
- * and the bitwise-equality predicate the reproducibility contract is
- * stated in. One definition, so what "bitwise identical" means cannot
- * drift between suites.
+ * Helpers shared by the GoogleTest suites: deterministic random data,
+ * the bitwise-equality predicate the reproducibility contract is
+ * stated in, and a per-process native artifact directory. One
+ * definition, so what "bitwise identical" means cannot drift between
+ * suites.
  */
 
 #ifndef SPARSETIR_TESTS_TEST_UTIL_H_
 #define SPARSETIR_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <vector>
 
 #include "runtime/ndarray.h"
@@ -37,6 +42,31 @@ bitwiseEqual(const runtime::NDArray &a, const runtime::NDArray &b)
            std::memcmp(a.rawData(), b.rawData(),
                        static_cast<size_t>(a.numel()) *
                            a.elemBytes()) == 0;
+}
+
+/**
+ * Point the native engines of this process at one fresh artifact
+ * directory, `<prefix>XXXXXX`, made on the first call and removed
+ * with its contents at process exit: a suite never loads .so files
+ * persisted by other processes and leaves none behind.
+ */
+inline void
+isolateNativeCacheDir(const char *prefix)
+{
+    static char dir[256];
+    static const bool done = [prefix] {
+        std::snprintf(dir, sizeof(dir), "%sXXXXXX", prefix);
+        if (::mkdtemp(dir) == nullptr) {
+            return false;
+        }
+        ::setenv("SPARSETIR_NATIVE_CACHE_DIR", dir, 1);
+        std::atexit([] {
+            std::error_code ignored;
+            std::filesystem::remove_all(dir, ignored);
+        });
+        return true;
+    }();
+    (void)done;
 }
 
 } // namespace testutil

@@ -7,14 +7,15 @@
  * parallel race) that must each be rejected with a category-correct
  * diagnostic, the hull obligation proven on every hyb bucket
  * (split rows included), and the engine-level
- * contract that verification runs once per artifact with the verdict
- * cached.
+ * contract that every session verifies each artifact once, with the
+ * verdict cached.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -174,23 +175,63 @@ hybSymbolicFacts(const core::HybKernelPlan &plan)
     return ctx;
 }
 
+/**
+ * CSR over `cols` columns built from (count, log2 degree) groups:
+ * `count` rows of 2^log2 non-zeros each, in group order.
+ */
+Csr
+csrOfDegrees(const std::vector<std::pair<int, int>> &degrees, int cols)
+{
+    Csr a;
+    a.cols = cols;
+    a.indptr = {0};
+    for (const auto &[count, log2] : degrees) {
+        for (int r = 0; r < count; ++r) {
+            for (int k = 0; k < (1 << log2); ++k) {
+                a.indices.push_back((r + k * cols / (1 << log2)) % cols);
+            }
+            std::sort(a.indices.end() - (1 << log2), a.indices.end());
+            a.indptr.push_back(static_cast<int32_t>(a.indices.size()));
+        }
+    }
+    a.rows = static_cast<int64_t>(a.indptr.size()) - 1;
+    a.values.assign(a.indices.size(), 1.0f);
+    return a;
+}
+
+/**
+ * Buckets of width 32 and 64 whose row count is not a multiple of
+ * their rows per block (5 rows at 4 per block, 3 at 2): only the row
+ * guard bounds the last block, against element offsets `width * row`.
+ */
+Csr
+wideBucketTailCsr()
+{
+    return csrOfDegrees({{1, 7}, {3, 6}, {5, 5}}, 128);
+}
+
 TEST(Verify, SpmmHybBucketsProveCleanSymbolically)
 {
     // Both schedules, at a feat that divides the GPU lane split and
     // one that leaves a tail.
-    format::Hyb hyb = format::hybFromCsr(smallCsr(), 1, 1);
-    for (core::ScheduleTarget target :
-         {core::ScheduleTarget::kHost, core::ScheduleTarget::kGpu}) {
-        for (int64_t feat : {48, 37}) {
-            auto plans = core::compileSpmmHybFuncs(hyb, feat, target);
-            ASSERT_FALSE(plans.empty());
-            for (const auto &plan : plans) {
-                expectCleanAsProducedAndHoisted(
-                    plan.func, hybSymbolicFacts(plan),
-                    "bucket " + plan.suffix + " feat " +
-                        std::to_string(feat) + " host " +
-                        std::to_string(target ==
-                                       core::ScheduleTarget::kHost));
+    for (format::Hyb hyb : {format::hybFromCsr(smallCsr(), 1, 1),
+                            format::hybFromCsr(wideBucketTailCsr(), 1, 7)}) {
+        for (core::ScheduleTarget target :
+             {core::ScheduleTarget::kHost, core::ScheduleTarget::kGpu}) {
+            for (int64_t feat : {48, 37}) {
+                auto plans = core::compileSpmmHybFuncs(hyb, feat, target);
+                ASSERT_FALSE(plans.empty());
+                for (const auto &plan : plans) {
+                    expectCleanAsProducedAndHoisted(
+                        plan.func, hybSymbolicFacts(plan),
+                        "bucket " + plan.suffix + " (" +
+                            std::to_string(plan.numRows) + " rows, " +
+                            std::to_string(plan.rowsPerBlock) +
+                            " per block) feat " + std::to_string(feat) +
+                            " host " +
+                            std::to_string(target ==
+                                           core::ScheduleTarget::kHost));
+                }
             }
         }
     }
@@ -515,9 +556,7 @@ TEST(VerifyCorpus, SeededParallelRaceRejected)
 
 TEST(VerifyEngine, VerdictComputedOnceAndCached)
 {
-    EngineOptions options;
-    options.verifyArtifacts = true;
-    Engine eng(options);
+    Engine eng;
 
     Csr a = randomCsr(30, 25, 0.15, 3);
     int64_t feat = 16;
@@ -540,11 +579,73 @@ TEST(VerifyEngine, VerdictComputedOnceAndCached)
     EXPECT_EQ(warm.verifyMs, cold.verifyMs);
 }
 
+TEST(VerifyEngine, DefaultSessionProvesEveryArtifact)
+{
+    // Serial and on the interpreter, the session still builds the one
+    // artifact shape: a proof, a bytecode program and proven hulls on
+    // every bucket kernel.
+    EngineOptions options;
+    options.parallel = false;
+    options.backend = runtime::Backend::kInterpreter;
+    Engine eng(options);
+
+    Csr a = randomCsr(64, 48, 0.12, 11);
+    int64_t feat = 24;
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 5));
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    auto info = eng.spmmHyb(a, feat, &b, &c);
+    ASSERT_GE(info.numKernels, 2);
+    EXPECT_EQ(eng.cacheStats().verifiedKernels,
+              static_cast<uint64_t>(info.numKernels));
+
+    engine::PreparedSpmmHyb prepared = eng.prepareSpmmHyb(a, feat);
+    EXPECT_TRUE(prepared.cacheHit);
+    auto kernels = prepared.artifact->kernels();
+    ASSERT_EQ(kernels.size(), static_cast<size_t>(info.numKernels));
+    for (const engine::CompiledKernel *kernel : kernels) {
+        EXPECT_NE(kernel->program, nullptr) << kernel->func->name;
+        ASSERT_EQ(kernel->accums.size(), 1u) << kernel->func->name;
+        EXPECT_FALSE(kernel->accums[0].hulls.empty())
+            << kernel->func->name;
+    }
+}
+
+TEST(VerifyEngine, WideHybBucketWithRowTailServes)
+{
+    // 3 rows of degree 128 and 861 of degree 32: the width-32 bucket
+    // holds 861 rows at 2 per block, so its last block is half empty
+    // and only the row guard keeps it in bounds. Every backend must
+    // serve it and match the interpreter bitwise.
+    Csr a = csrOfDegrees({{3, 7}, {861, 5}}, 256);
+    int64_t feat = 32;
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 9));
+
+    EngineOptions oracle_options;
+    oracle_options.parallel = false;
+    oracle_options.backend = runtime::Backend::kInterpreter;
+    Engine oracle(oracle_options);
+    NDArray want({a.rows * feat}, ir::DataType::float32());
+    auto info = oracle.spmmHyb(a, feat, &b, &want);
+    EXPECT_EQ(oracle.cacheStats().verifyFailures, 0u);
+    ASSERT_GE(info.numKernels, 2);
+
+    for (runtime::Backend backend :
+         {runtime::Backend::kInterpreter, runtime::Backend::kBytecode}) {
+        EngineOptions options;
+        options.numThreads = 2;
+        options.backend = backend;
+        Engine eng(options);
+        NDArray got({a.rows * feat}, ir::DataType::float32());
+        eng.spmmHyb(a, feat, &b, &got);
+        EXPECT_TRUE(testutil::bitwiseEqual(got, want))
+            << "backend " << static_cast<int>(backend);
+        EXPECT_EQ(eng.cacheStats().verifyFailures, 0u);
+    }
+}
+
 TEST(VerifyEngine, HybDispatchVerifiesEveryBucketKernel)
 {
-    EngineOptions options;
-    options.verifyArtifacts = true;
-    Engine eng(options);
+    Engine eng;
 
     Csr a = randomCsr(64, 48, 0.12, 11);
     int64_t feat = 24;
@@ -557,24 +658,6 @@ TEST(VerifyEngine, HybDispatchVerifiesEveryBucketKernel)
     // A hyb artifact holds one kernel per non-empty bucket.
     EXPECT_GE(stats.verifiedKernels, 2u);
     EXPECT_EQ(stats.verifyFailures, 0u);
-}
-
-TEST(VerifyEngine, DisabledVerificationSkipsProofs)
-{
-    EngineOptions options;
-    options.verifyArtifacts = false;
-    Engine eng(options);
-
-    Csr a = randomCsr(30, 25, 0.15, 3);
-    int64_t feat = 16;
-    auto b_host = randomVector(a.cols * feat, 4);
-    NDArray b = NDArray::fromFloat(b_host);
-    NDArray c({a.rows * feat}, ir::DataType::float32());
-
-    eng.spmmCsr(a, feat, &b, &c);
-    auto stats = eng.cacheStats();
-    EXPECT_EQ(stats.verifiedKernels, 0u);
-    EXPECT_EQ(stats.verifyMs, 0.0);
 }
 
 } // namespace
