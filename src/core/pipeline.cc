@@ -327,8 +327,12 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
         }
         // Buckets contribute partial sums to a zero-initialized C.
         // On the host the feature loop stays inside the non-zero
-        // loop, so the accumulator is feature-wide.
+        // loop, so the accumulator is feature-wide, and its init is
+        // peeled into a loop of its own before the non-zero loop.
         sch.cacheWrite(block_name, "C", /*accumulate=*/true);
+        if (host) {
+            sch.decomposeReduction(block_name, loops[2]);
+        }
         PrimFunc stage3 = lowerToStage3(sch);
         if (host) {
             stage3 = transform::hoistInvariants(stage3);

@@ -94,28 +94,59 @@ declareAccumSpec(verify::VerifyContext *ctx, const CompiledKernel &kernel)
 }
 
 /**
+ * What a proof under `ctx` rests on that the kernel's entry can check
+ * (runtime::native::KernelProof): every scalar parameter `ctx` fixes.
+ * Null when a scalar parameter's fact is not one fixed value, which
+ * no entry check covers; the kernel then stays checked. The int32
+ * array facts are the artifact's own structure arrays, which every
+ * dispatch binds.
+ */
+std::shared_ptr<const runtime::native::KernelProof>
+kernelProof(const ir::PrimFunc &func, const verify::VerifyContext &ctx)
+{
+    auto proof = std::make_shared<runtime::native::KernelProof>();
+    for (const ir::Var &param : func->params) {
+        auto fact = ctx.facts.find(param->name);
+        if (param->dtype.isHandle() || fact == ctx.facts.end()) {
+            continue;
+        }
+        int64_t lo = 0;
+        int64_t hi = 0;
+        if (!ir::tryConstInt(fact->second.lo, &lo) ||
+            !ir::tryConstInt(fact->second.hi, &hi) || lo != hi) {
+            return nullptr;
+        }
+        proof->scalars[param->name] = lo;
+    }
+    return proof;
+}
+
+/**
  * Prove one kernel's bounds / write-set / race obligations under the
  * structure facts in `ctx` (plus the kernel's accumulated outputs,
  * unless the caller declared them) and fold the outcome into the
- * artifact's cached report. Failures do not throw here: the verdict
- * (with its diagnostics) is cached on the artifact, and
- * Engine::resolve raises it as a UserError on every dispatch that
- * touches the bad artifact — including warm hits, at zero re-proving
- * cost. Returns whether the proof succeeded.
+ * artifact's cached report; a proven kernel keeps its proof's facts.
+ * Failures do not throw here: the verdict (with its diagnostics) is
+ * cached on the artifact, and Engine::resolve raises it as a
+ * UserError on every dispatch that touches the bad artifact —
+ * including warm hits, at zero re-proving cost. Returns whether the
+ * proof succeeded.
  */
 bool
-verifyKernelInto(Artifact *artifact, const CompiledKernel &kernel,
+verifyKernelInto(Artifact *artifact, CompiledKernel *kernel,
                  verify::VerifyContext ctx, const std::string &what)
 {
     SPARSETIR_TRACE_SCOPE("verify", "verify.artifact");
     if (!ctx.hasAccumSpec) {
-        declareAccumSpec(&ctx, kernel);
+        declareAccumSpec(&ctx, *kernel);
     }
     auto start = std::chrono::steady_clock::now();
-    verify::VerifyResult result = verify::verifyFunc(kernel.func, ctx);
+    verify::VerifyResult result = verify::verifyFunc(kernel->func, ctx);
     artifact->verify.kernels += 1;
     artifact->verify.verifyMs += msSince(start);
-    if (!result.ok) {
+    if (result.ok) {
+        kernel->proof = kernelProof(kernel->func, ctx);
+    } else {
         artifact->verify.ok = false;
         for (verify::Diagnostic &diag : result.diagnostics) {
             diag.message = "kernel '" + what + "': " + diag.message;
@@ -148,7 +179,7 @@ proveBlockHulls(Artifact *artifact, CompiledKernel *kernel,
         set.rowsPerBlock = rows_per_block;
         set.blockHulls = hulls;
     }
-    if (verifyKernelInto(artifact, *kernel, std::move(ctx), what)) {
+    if (verifyKernelInto(artifact, kernel, std::move(ctx), what)) {
         for (AccumOutput &out : kernel->accums) {
             out.hulls = hulls;
         }
@@ -289,7 +320,7 @@ buildSpmmCsrArtifact(const Csr &a, int64_t feat,
     auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel =
         compileKernel(core::compileSpmmCsrFunc(feat, schedule));
-    verifyKernelInto(artifact.get(), artifact->kernel,
+    verifyKernelInto(artifact.get(), &artifact->kernel,
                      csrVerifyContext(a, feat), "spmm_csr");
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
@@ -303,7 +334,7 @@ buildSddmmArtifact(const Csr &a, int64_t feat,
     auto artifact = std::make_shared<KernelArtifact>();
     artifact->kernel =
         compileKernel(core::compileSddmmFunc(feat, schedule));
-    verifyKernelInto(artifact.get(), artifact->kernel,
+    verifyKernelInto(artifact.get(), &artifact->kernel,
                      csrVerifyContext(a, feat), "sddmm");
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
@@ -324,7 +355,7 @@ buildBsrArtifact(const format::Bsr &a, int64_t feat,
     ctx.scalar("feat_size", feat);
     ctx.int32Array("JO_indptr", a.indptr);
     ctx.int32Array("JO_indices", a.indices);
-    verifyKernelInto(artifact.get(), artifact->kernel, std::move(ctx),
+    verifyKernelInto(artifact.get(), &artifact->kernel, std::move(ctx),
                      "bsr_spmm");
     artifact->indptr = NDArray::fromInt32(a.indptr);
     artifact->indices = NDArray::fromInt32(a.indices);
@@ -344,7 +375,7 @@ buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat)
     ctx.scalar("feat_size", feat);
     ctx.int32Array("G_indptr", a.groupIndptr);
     ctx.int32Array("T_indices", a.tileCols);
-    verifyKernelInto(artifact.get(), artifact->kernel, std::move(ctx),
+    verifyKernelInto(artifact.get(), &artifact->kernel, std::move(ctx),
                      "srbcrs_spmm");
     artifact->indptr = NDArray::fromInt32(a.groupIndptr);
     artifact->indices = NDArray::fromInt32(a.tileCols);
@@ -457,8 +488,8 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse)
         base.int32Array(s.indptrName, s.pattern->indptr);
         base.int32Array(s.indicesName, s.pattern->indices);
     }
-    for (const CompiledKernel &kernel : artifact->program) {
-        verifyKernelInto(artifact.get(), kernel, base, kernel.func->name);
+    for (CompiledKernel &kernel : artifact->program) {
+        verifyKernelInto(artifact.get(), &kernel, base, kernel.func->name);
     }
     for (const dfg::StructureBinding &s : lowering.structures) {
         artifact->structures.emplace(
@@ -744,6 +775,7 @@ Engine::Engine(EngineOptions options)
     nativeCompiles_ = metrics_->counter("native.compiles");
     nativeDiskHits_ = metrics_->counter("native.disk_hits");
     nativeFallbacks_ = metrics_->counter("native.fallbacks");
+    nativeGuardMisses_ = metrics_->counter("native.guard_misses");
     nativeCompileMs_ = metrics_->histogram("native.compile_ms");
     for (OpKind op :
          {OpKind::kSpmmCsr, OpKind::kSpmmHyb, OpKind::kSddmm,
@@ -828,6 +860,7 @@ Engine::execOptions() const
     exec.parallel = options_.parallel;
     exec.minBlocksPerChunk = options_.minBlocksPerChunk;
     exec.backend = options_.backend;
+    exec.guardMisses = nativeGuardMisses_;
     return exec;
 }
 
@@ -951,11 +984,13 @@ Engine::promoteNow(const Artifact &artifact)
                            static_cast<int64_t>(artifact.key.op));
     std::vector<const CompiledKernel *> pending;
     std::vector<ir::PrimFunc> funcs;
+    std::vector<const runtime::native::KernelProof *> proofs;
     for (const CompiledKernel *kernel : artifact.kernels()) {
         if (kernel->native != nullptr &&
             kernel->native->get() == nullptr) {
             pending.push_back(kernel);
             funcs.push_back(kernel->func);
+            proofs.push_back(kernel->proof.get());
         }
     }
     std::vector<std::shared_ptr<const runtime::native::NativeKernel>>
@@ -964,7 +999,7 @@ Engine::promoteNow(const Artifact &artifact)
         auto start = std::chrono::steady_clock::now();
         try {
             natives = runtime::native::compileNativeModule(
-                funcs, nativeKeyTag(artifact.key));
+                funcs, nativeKeyTag(artifact.key), nullptr, proofs);
             nativeCompileMs_->record(msSince(start));
         } catch (...) {
             // cc missing or failed, or its output would not load:
@@ -991,6 +1026,7 @@ Engine::nativeStats() const
     stats.compiles = nativeCompiles_->value();
     stats.diskHits = nativeDiskHits_->value();
     stats.fallbacks = nativeFallbacks_->value();
+    stats.guardMisses = nativeGuardMisses_->value();
     return stats;
 }
 

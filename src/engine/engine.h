@@ -187,6 +187,9 @@ struct NativeStats
     /** Kernels that stayed on bytecode (emitter rejected the kernel,
      *  or its module's compile or load failed). */
     uint64_t fallbacks = 0;
+    /** Native executions whose proof guard refused the bindings and
+     *  ran on bytecode (or the interpreter) instead. */
+    uint64_t guardMisses = 0;
 };
 
 /**
@@ -540,6 +543,7 @@ class Engine
     observe::Counter *nativeCompiles_;
     observe::Counter *nativeDiskHits_;
     observe::Counter *nativeFallbacks_;
+    observe::Counter *nativeGuardMisses_;
     observe::LatencyHistogram *nativeCompileMs_;
 
     mutable std::mutex scratchMu_;

@@ -14,6 +14,7 @@
 #include "ir/expr.h"
 #include "ir/functor.h"
 #include "ir/structural_equal.h"
+#include "observe/metrics.h"
 #include "observe/trace.h"
 #include "runtime/bytecode/compiler.h"
 #include "runtime/bytecode/vm.h"
@@ -180,12 +181,18 @@ execOne(const CompiledKernel &kernel, const Bindings &bindings,
     // Tier chain: native when promoted, bytecode otherwise, with the
     // interpreter as the final authority. A kNative dispatch whose
     // kernel has no swapped-in artifact yet (promotion pending, or
-    // emission/cc bailed) is indistinguishable from kBytecode.
+    // emission/cc bailed) is indistinguishable from kBytecode, and so
+    // is one whose proof guard refused these bindings: it ran nothing,
+    // and the checked tier raises any fault with its own diagnostic.
     if (options.backend == runtime::Backend::kNative &&
         kernel.native != nullptr) {
         if (auto native = kernel.native->get()) {
-            runtime::native::execute(*native, bindings, run);
-            return;
+            if (runtime::native::execute(*native, bindings, run)) {
+                return;
+            }
+            if (options.guardMisses != nullptr) {
+                options.guardMisses->add(1);
+            }
         }
     }
     if (options.backend != runtime::Backend::kInterpreter &&

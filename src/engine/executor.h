@@ -61,8 +61,13 @@
 
 namespace sparsetir {
 
+namespace observe {
+class Counter;
+} // namespace observe
+
 namespace runtime {
 namespace native {
+struct KernelProof;
 struct NativeKernel;
 } // namespace native
 } // namespace runtime
@@ -81,6 +86,12 @@ struct ExecOptions
     bool parallel = true;
     /** Host backend kernels execute on. */
     runtime::Backend backend = runtime::Backend::kBytecode;
+    /**
+     * Counts native executions whose proof guard refused the bindings
+     * and ran on bytecode instead (the engine's native.guard_misses);
+     * null: not counted.
+     */
+    observe::Counter *guardMisses = nullptr;
 };
 
 /** Element range [begin, end) of a flat buffer. */
@@ -160,6 +171,12 @@ struct CompiledKernel
      * kNative dispatches that find it empty execute on bytecode.
      */
     std::shared_ptr<NativeBox> native;
+    /**
+     * The facts of the verifier proof `func` passed, set by the
+     * engine once the proof succeeds; native promotion emits a proven
+     * kernel without per-access checks. Null: unproven, checked.
+     */
+    std::shared_ptr<const runtime::native::KernelProof> proof;
 };
 
 /**

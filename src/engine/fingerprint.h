@@ -120,8 +120,13 @@ const char *opKindName(OpKind op);
  *  v9 — every kernel runs transform::hoistInvariants (loop-invariant
  *       loads and integer arithmetic) before any backend sees it,
  *       and the CSR SpMM key drops the inert rowsPerBlock.
+ *  v10 — float32 ops round to float32 on every tier; the host hyb
+ *       schedule peels the accumulator init (decomposeReduction) and
+ *       hoisting drops floordiv(x, c) * c + floormod(x, c); proven
+ *       kernels carry their proof's scalar facts, and native emits
+ *       them without per-access checks (native ABI v5).
  */
-constexpr uint32_t kArtifactVersion = 9;
+constexpr uint32_t kArtifactVersion = 10;
 
 /** Key of one compile-cache entry. */
 struct CacheKey

@@ -279,6 +279,11 @@ class Compiler
               case Op::kFExp:
               case Op::kFLog:
               case Op::kFSqrt:
+              case Op::kFAbs32:
+              case Op::kFExp32:
+              case Op::kFLog32:
+              case Op::kFSqrt32:
+              case Op::kFRound32:
                 remapF(in.a);
                 remapF(in.b);
                 break;
@@ -288,6 +293,12 @@ class Compiler
               case Op::kFDiv:
               case Op::kFMin:
               case Op::kFMax:
+              case Op::kFAdd32:
+              case Op::kFSub32:
+              case Op::kFMul32:
+              case Op::kFDiv32:
+              case Op::kFMin32:
+              case Op::kFMax32:
                 remapF(in.a);
                 remapF(in.b);
                 remapF(in.c);
@@ -303,6 +314,7 @@ class Compiler
                 remapF(in.c);
                 break;
               case Op::kCastIF:
+              case Op::kCastIF32:
                 remapF(in.a);
                 remapI(in.b);
                 break;
@@ -596,10 +608,21 @@ class Compiler
           case ExprKind::kSelect:
             return compileSelect(
                 static_cast<const SelectNode *>(e.get()), true);
-          case ExprKind::kCast:
-            // Float-targeted cast: int sources took the conversion
-            // path above; float-of-float is the identity.
-            return evalF(static_cast<const CastNode *>(e.get())->value);
+          case ExprKind::kCast: {
+            // Float-targeted cast: float64 is the identity (int
+            // sources take evalF's conversion); float32 rounds.
+            auto op = static_cast<const CastNode *>(e.get());
+            if (!roundsToFloat32(op->dtype)) {
+                return evalF(op->value);
+            }
+            bool from_int = !isFloatExpr(op->value);
+            Mark m = mark();
+            int src = from_int ? evalI(op->value) : evalF(op->value);
+            restore(m);
+            int r = allocF();
+            emit(from_int ? Op::kCastIF32 : Op::kFRound32, r, src);
+            return r;
+          }
           case ExprKind::kBufferLoad: {
             auto op = static_cast<const BufferLoadNode *>(e.get());
             Mark m = mark();
@@ -623,7 +646,8 @@ class Compiler
             int fb = evalF(op->b);
             restore(m);
             int r = allocF();
-            emit(floatArithOp(e->kind), r, fa, fb);
+            emit(floatArithOp(e->kind, roundsToFloat32(e->dtype)), r,
+                 fa, fb);
             return r;
           }
           default:
@@ -655,22 +679,23 @@ class Compiler
         }
     }
 
+    /** The float op of `kind`; its float32 variant with `f32`. */
     static Op
-    floatArithOp(ExprKind kind)
+    floatArithOp(ExprKind kind, bool f32)
     {
         switch (kind) {
           case ExprKind::kAdd:
-            return Op::kFAdd;
+            return f32 ? Op::kFAdd32 : Op::kFAdd;
           case ExprKind::kSub:
-            return Op::kFSub;
+            return f32 ? Op::kFSub32 : Op::kFSub;
           case ExprKind::kMul:
-            return Op::kFMul;
+            return f32 ? Op::kFMul32 : Op::kFMul;
           case ExprKind::kDiv:
-            return Op::kFDiv;
+            return f32 ? Op::kFDiv32 : Op::kFDiv;
           case ExprKind::kMin:
-            return Op::kFMin;
+            return f32 ? Op::kFMin32 : Op::kFMin;
           default:
-            return Op::kFMax;
+            return f32 ? Op::kFMax32 : Op::kFMax;
         }
     }
 
@@ -863,10 +888,12 @@ class Compiler
             int a = evalF(op->args[0]);
             restore(m);
             int r = allocF();
+            bool f32 = roundsToFloat32(op->dtype);
             Op code = op->op == Builtin::kExp
-                          ? Op::kFExp
-                          : (op->op == Builtin::kLog ? Op::kFLog
-                                                     : Op::kFSqrt);
+                          ? (f32 ? Op::kFExp32 : Op::kFExp)
+                          : (op->op == Builtin::kLog
+                                 ? (f32 ? Op::kFLog32 : Op::kFLog)
+                                 : (f32 ? Op::kFSqrt32 : Op::kFSqrt));
             emit(code, r, a);
             return r;
           }
@@ -875,7 +902,8 @@ class Compiler
             int a = evalF(op->args[0]);
             restore(m);
             int r = allocF();
-            emit(Op::kFAbs, r, a);
+            emit(roundsToFloat32(op->dtype) ? Op::kFAbs32 : Op::kFAbs,
+                 r, a);
             return r;
           }
           case Builtin::kAtomicAdd: {

@@ -7,8 +7,9 @@
  *
  *  - an int64 register file (loop variables, offsets, scalar params,
  *    integer temporaries),
- *  - a double register file (float temporaries; stores round to the
- *    destination buffer's storage width, matching the interpreter),
+ *  - a double register file (float temporaries; float32 ops round
+ *    their result to float32 and stores round to the destination
+ *    buffer's storage width, matching the interpreter),
  *  - a buffer slot table with pre-resolved parameter names, so a warm
  *    dispatch binds arrays by one hash lookup per parameter instead
  *    of one per AST access.
@@ -95,9 +96,24 @@ enum class Op : uint8_t {
     kFLog,
     kFSqrt,
 
+    // float32 variants: the double result rounded to float32 (the
+    // float32 rule, runtime::roundsToFloat32), same operands.
+    kFAdd32,
+    kFSub32,
+    kFMul32,
+    kFDiv32,
+    kFMin32,
+    kFMax32,
+    kFAbs32,
+    kFExp32,
+    kFLog32,
+    kFSqrt32,
+    kFRound32,  // freg[a] = float(freg[b]) (a float-to-float32 cast)
+
     // Conversions (interpreter asFloat / asInt semantics).
-    kCastIF,  // freg[a] = double(ireg[b])
-    kCastFI,  // ireg[a] = int64(freg[b])  (C truncation)
+    kCastIF,    // freg[a] = double(ireg[b])
+    kCastIF32,  // freg[a] = float(double(ireg[b]))
+    kCastFI,    // ireg[a] = int64(freg[b])  (C truncation)
 
     // Memory. b = slot, offsets are element indices, bounds-checked.
     kLoadI,       // ireg[a] = slots[b][ireg[c]]

@@ -14,6 +14,13 @@ namespace bytecode {
 
 namespace {
 
+/** A double rounded to float32 (the float32 ops' result). */
+inline double
+round32(double v)
+{
+    return static_cast<double>(static_cast<float>(v));
+}
+
 /** Resolved storage of one slot (parameter array or scratch). */
 struct SlotRt
 {
@@ -394,8 +401,45 @@ struct Machine
                 fr[in.a] = std::sqrt(fr[in.b]);
                 break;
 
+              case Op::kFAdd32:
+                fr[in.a] = round32(fr[in.b] + fr[in.c]);
+                break;
+              case Op::kFSub32:
+                fr[in.a] = round32(fr[in.b] - fr[in.c]);
+                break;
+              case Op::kFMul32:
+                fr[in.a] = round32(fr[in.b] * fr[in.c]);
+                break;
+              case Op::kFDiv32:
+                fr[in.a] = round32(fr[in.b] / fr[in.c]);
+                break;
+              case Op::kFMin32:
+                fr[in.a] = round32(std::min(fr[in.b], fr[in.c]));
+                break;
+              case Op::kFMax32:
+                fr[in.a] = round32(std::max(fr[in.b], fr[in.c]));
+                break;
+              case Op::kFAbs32:
+                fr[in.a] = round32(std::fabs(fr[in.b]));
+                break;
+              case Op::kFExp32:
+                fr[in.a] = round32(std::exp(fr[in.b]));
+                break;
+              case Op::kFLog32:
+                fr[in.a] = round32(std::log(fr[in.b]));
+                break;
+              case Op::kFSqrt32:
+                fr[in.a] = round32(std::sqrt(fr[in.b]));
+                break;
+              case Op::kFRound32:
+                fr[in.a] = round32(fr[in.b]);
+                break;
+
               case Op::kCastIF:
                 fr[in.a] = static_cast<double>(ir[in.b]);
+                break;
+              case Op::kCastIF32:
+                fr[in.a] = round32(static_cast<double>(ir[in.b]));
                 break;
               case Op::kCastFI:
                 ir[in.a] = static_cast<int64_t>(fr[in.b]);

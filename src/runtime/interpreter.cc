@@ -53,6 +53,16 @@ struct Value
     }
 };
 
+/** The result of a float op of node dtype `dtype` (the float32
+ *  rule: float32 results round to float32). */
+Value
+ofFloatOp(const DataType &dtype, double v)
+{
+    return Value::ofFloat(roundsToFloat32(dtype)
+                              ? static_cast<double>(static_cast<float>(v))
+                              : v);
+}
+
 } // namespace
 
 int64_t
@@ -230,18 +240,19 @@ class Machine
         Value b = evalExpr(op->b);
         bool flt = a.isFloat || b.isFloat;
         auto boolean = [](bool v) { return Value::ofInt(v ? 1 : 0); };
+        auto real = [op](double v) { return ofFloatOp(op->dtype, v); };
         switch (op->kind) {
           case ExprKind::kAdd:
-            return flt ? Value::ofFloat(a.asFloat() + b.asFloat())
+            return flt ? real(a.asFloat() + b.asFloat())
                        : Value::ofInt(a.i + b.i);
           case ExprKind::kSub:
-            return flt ? Value::ofFloat(a.asFloat() - b.asFloat())
+            return flt ? real(a.asFloat() - b.asFloat())
                        : Value::ofInt(a.i - b.i);
           case ExprKind::kMul:
-            return flt ? Value::ofFloat(a.asFloat() * b.asFloat())
+            return flt ? real(a.asFloat() * b.asFloat())
                        : Value::ofInt(a.i * b.i);
           case ExprKind::kDiv:
-            return Value::ofFloat(a.asFloat() / b.asFloat());
+            return real(a.asFloat() / b.asFloat());
           case ExprKind::kFloorDiv:
             ICHECK(!flt) << "floordiv on float values";
             return Value::ofInt(floordivInt(a.i, b.i));
@@ -249,10 +260,10 @@ class Machine
             ICHECK(!flt) << "floormod on float values";
             return Value::ofInt(a.i - floordivInt(a.i, b.i) * b.i);
           case ExprKind::kMin:
-            return flt ? Value::ofFloat(std::min(a.asFloat(), b.asFloat()))
+            return flt ? real(std::min(a.asFloat(), b.asFloat()))
                        : Value::ofInt(std::min(a.i, b.i));
           case ExprKind::kMax:
-            return flt ? Value::ofFloat(std::max(a.asFloat(), b.asFloat()))
+            return flt ? real(std::max(a.asFloat(), b.asFloat()))
                        : Value::ofInt(std::max(a.i, b.i));
           case ExprKind::kEQ:
             return boolean(flt ? a.asFloat() == b.asFloat() : a.i == b.i);
@@ -304,15 +315,17 @@ class Machine
             return Value::ofInt(lo);
           }
           case Builtin::kExp:
-            return Value::ofFloat(std::exp(evalExpr(op->args[0]).asFloat()));
+            return ofFloatOp(op->dtype,
+                             std::exp(evalExpr(op->args[0]).asFloat()));
           case Builtin::kLog:
-            return Value::ofFloat(std::log(evalExpr(op->args[0]).asFloat()));
+            return ofFloatOp(op->dtype,
+                             std::log(evalExpr(op->args[0]).asFloat()));
           case Builtin::kSqrt:
-            return Value::ofFloat(
-                std::sqrt(evalExpr(op->args[0]).asFloat()));
+            return ofFloatOp(op->dtype,
+                             std::sqrt(evalExpr(op->args[0]).asFloat()));
           case Builtin::kAbs: {
             Value v = evalExpr(op->args[0]);
-            return v.isFloat ? Value::ofFloat(std::fabs(v.f))
+            return v.isFloat ? ofFloatOp(op->dtype, std::fabs(v.f))
                              : Value::ofInt(std::llabs(v.i));
           }
           case Builtin::kAtomicAdd: {
@@ -372,7 +385,7 @@ class Machine
             auto op = static_cast<const CastNode *>(e.get());
             Value v = evalExpr(op->value);
             if (op->dtype.isFloat()) {
-                return Value::ofFloat(v.asFloat());
+                return ofFloatOp(op->dtype, v.asFloat());
             }
             return Value::ofInt(v.asInt());
           }

@@ -111,6 +111,22 @@ const ir::ForNode *findBlockIdxLoop(const ir::Stmt &s);
  */
 int64_t floordivInt(int64_t a, int64_t b);
 
+/**
+ * The float32 rule every backend shares: a float op (`+ - * /`,
+ * min, max, a cast or a math call) whose node dtype is float32 rounds
+ * its result to float32. float16 computes as float32 (its host storage
+ * is float32); float64 stays double. The interpreter and the bytecode
+ * VM hold floats as doubles and round after each such op; because
+ * 53 >= 2 * 24 + 2, rounding a float32 `+ - * /` through double gives
+ * the correctly rounded float32 result, so both match C `float`
+ * arithmetic bitwise. Math calls compute in double and round.
+ */
+inline bool
+roundsToFloat32(const ir::DataType &dtype)
+{
+    return dtype.isFloat() && dtype.bits() <= 32;
+}
+
 /** Execute every function in a module, in order. */
 void runModule(const ir::Module &mod, const Bindings &bindings);
 

@@ -35,7 +35,7 @@ namespace native {
  * and cache filename, so a persisted .so built against an older ABI
  * can never be loaded by newer host code.
  */
-constexpr int kNativeAbiVersion = 4;
+constexpr int kNativeAbiVersion = 5;
 
 /**
  * Entry table every emitted module exports: one KernelEntryFn per
@@ -63,6 +63,14 @@ enum : int32_t {
     ST_FAULT_NEGALLOC = 6,
     /** Scratch allocation failed (calloc returned NULL). */
     ST_FAULT_OOM = 7,
+    /**
+     * A proven kernel's entry guard failed: a bound scalar differs
+     * from its proven value, or an accessed parameter slot is
+     * unbound, of another element kind or shorter than its declared
+     * extent. Returned before any side effect; the caller reruns the
+     * execution on a checked tier.
+     */
+    ST_UNPROVEN = 8,
 };
 
 /**

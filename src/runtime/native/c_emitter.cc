@@ -1,7 +1,9 @@
 #include "runtime/native/c_emitter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -38,6 +40,8 @@ namespace {
  * access a single compare plus a typed load or store, calling the
  * helper for every offset outside the view. The helper then returns
  * the same value or raises the same fault, so no check is dropped.
+ * A proven kernel (KernelProof) indexes its views directly instead,
+ * behind one entry guard that returns ST_UNPROVEN.
  */
 const char kPreamble[] = R"(#include <math.h>
 #include <stdint.h>
@@ -68,6 +72,7 @@ typedef struct {
 #define ST_FAULT_SEARCH 5
 #define ST_FAULT_NEGALLOC 6
 #define ST_FAULT_OOM 7
+#define ST_UNPROVEN 8
 
 #define ST_KF32 0
 #define ST_KF64 1
@@ -272,21 +277,27 @@ cStringBody(const std::string &text)
 /**
  * Stage III -> C translator for one function. Statement-oriented
  * emission: every non-leaf subexpression lands in its own named
- * int64_t/double temporary, in the interpreter's left-to-right
+ * int64_t/float/double temporary, in the interpreter's left-to-right
  * evaluation order — C's unspecified operand order can then never
  * reorder faults or atomic side effects. Short-circuit And/Or and
  * one-armed Select compile to if/else over temporaries. The typing
- * mirrors the bytecode compiler's isFloatExpr exactly.
+ * mirrors the bytecode compiler's isFloatExpr exactly; a float32 op
+ * (runtime::roundsToFloat32) computes in `float` when both operands
+ * are exact float32 values (isF32Expr) and rounds a double result to
+ * `float` otherwise, which is the interpreter's value either way.
  *
  * Buffer accesses go through typed views whose element type is the
  * buffer's dtype, known here; atomics, binary searches and bool
  * buffers stay on the helpers alone. Constant-size scratch (at most
- * 1024 elements) is a zeroed stack array instead of a calloc.
+ * 1024 elements) is a zeroed stack array instead of a calloc. With a
+ * proof, view accesses index the storage directly (see KernelProof).
  */
 class Emitter
 {
   public:
-    explicit Emitter(const PrimFunc &func) : func_(func) {}
+    Emitter(const PrimFunc &func, const KernelProof *proof)
+        : func_(func), proof_(proof)
+    {}
 
     /** The kernel's metadata, with `source` holding its definition as
      *  the module-internal function `entry`. */
@@ -309,6 +320,7 @@ class Emitter
         scalarUsed_.assign(scalars_.size(), false);
         numParamSlots_ = static_cast<int>(slotNames_.size());
         blockLoop_ = findBlockIdxLoop(func_->body);
+        proven_ = proof_ != nullptr && provenExtents();
         indent_ = 1;
         if (func_->body != nullptr) {
             emitStmt(func_->body);
@@ -319,6 +331,7 @@ class Emitter
         result.slotNames = slotNames_;
         result.numParamSlots = numParamSlots_;
         result.hasWindow = blockLoop_ != nullptr;
+        result.proven = proven_;
 
         std::string decls;
         int published = 0;
@@ -332,12 +345,15 @@ class Emitter
             result.scalarNames.push_back(scalars_[i]);
             ++published;
         }
-        decls += stackMeta_;
         for (const auto &[slot, kind] : paramViews_) {
             decls += "    const StView " + viewName(slot, kind) +
                      " = st_view(ctx, " + slotTok(slot) + ", " +
                      kindToken(kind) + ");\n";
         }
+        if (proven_) {
+            decls += entryGuard();
+        }
+        decls += stackMeta_;
 
         std::string src;
         src += "/* kernel: " + func_->name + " */\n";
@@ -356,6 +372,8 @@ class Emitter
     {
         bool isFloat = false;
         std::string name;
+        /** A C float (see isF32Expr); else double or int64_t. */
+        bool isF32 = false;
     };
 
     // -----------------------------------------------------------------
@@ -391,8 +409,9 @@ class Emitter
         return "INT64_C(" + std::to_string(value) + ")";
     }
 
+    /** Exact hex literal of `value`; a float constant with `f32`. */
     std::string
-    floatLiteral(double value) const
+    floatLiteral(double value, bool f32) const
     {
         USER_CHECK(std::isfinite(value))
             << "non-finite float constant not compilable to native "
@@ -400,7 +419,7 @@ class Emitter
             << func_->name << "'";
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%a", value);
-        return "(" + std::string(buf) + ")";
+        return "(" + std::string(buf) + (f32 ? "f)" : ")");
     }
 
     /** Variable token, recording scalar-param usage (lazy binding). */
@@ -424,6 +443,92 @@ class Emitter
         ICHECK(it != slotOf_.end())
             << "no storage bound for buffer '" << buffer->name << "'";
         return it->second;
+    }
+
+    // -----------------------------------------------------------------
+    // Proof guard
+    // -----------------------------------------------------------------
+
+    /**
+     * Declared element extent of every (parameter slot, kind) the body
+     * loads or stores through a view, evaluated on the proof's fixed
+     * scalars, into guardExtent_. False when an extent does not
+     * evaluate there: the kernel then keeps its checks.
+     */
+    bool
+    provenExtents()
+    {
+        Bindings fixed;
+        fixed.scalars.insert(proof_->scalars.begin(),
+                             proof_->scalars.end());
+        struct Accesses : StmtVisitor
+        {
+            std::vector<Buffer> buffers;
+
+            void
+            visitBufferLoad(const BufferLoadNode *op) override
+            {
+                buffers.push_back(op->buffer);
+                StmtVisitor::visitBufferLoad(op);
+            }
+
+            void
+            visitBufferStore(const BufferStoreNode *op) override
+            {
+                buffers.push_back(op->buffer);
+                StmtVisitor::visitBufferStore(op);
+            }
+        } scan;
+        if (func_->body != nullptr) {
+            scan.visitStmt(func_->body);
+        }
+        for (const Buffer &buffer : scan.buffers) {
+            auto slot = slotOf_.find(buffer->data.get());
+            bytecode::ElemKind kind =
+                bytecode::elemKindOfDtype(buffer->dtype);
+            if (slot == slotOf_.end() ||
+                kind == bytecode::ElemKind::kBool) {
+                continue;  // scratch, or helper-only bool storage
+            }
+            // 0 <= idx_d < dim_d was proven per dimension, so a
+            // dimension <= 0 leaves the buffer's accesses unreachable.
+            int64_t extent = 1;
+            for (size_t d = 0; d < buffer->ndim() && extent > 0; ++d) {
+                int64_t dim = 0;
+                if (!evalScalarExtent(buffer->dimExtent(d), fixed, &dim) ||
+                    __builtin_mul_overflow(extent, std::max<int64_t>(dim, 0),
+                                           &extent)) {
+                    return false;
+                }
+            }
+            int64_t &need = guardExtent_[{slot->second, kind}];
+            need = std::max(need, extent);
+        }
+        return true;
+    }
+
+    /** The proven kernel's entry guard (see KernelProof). */
+    std::string
+    entryGuard() const
+    {
+        std::string cond;
+        auto disjoin = [&cond](const std::string &term) {
+            cond += (cond.empty() ? "" : " || ") + term;
+        };
+        for (size_t i = 0; i < scalars_.size(); ++i) {
+            auto fact = proof_->scalars.find(scalars_[i]);
+            if (scalarUsed_[i] && fact != proof_->scalars.end()) {
+                disjoin("s" + std::to_string(i) +
+                        " != " + intLiteral(fact->second));
+            }
+        }
+        for (const auto &[slot, kind] : paramViews_) {
+            disjoin(viewName(slot, kind) + ".len < " +
+                    intLiteral(guardExtent_.at({slot, kind})));
+        }
+        return cond.empty() ? ""
+                            : "    if (" + cond +
+                                  ") { return ST_UNPROVEN; }\n";
     }
 
     // -----------------------------------------------------------------
@@ -508,9 +613,68 @@ class Emitter
         return false;
     }
 
+    /**
+     * Whether emitF's token for float expression `e` is a C `float`:
+     * the result of a float32 op, a float32 literal, a direct load of
+     * float32 storage, or a let or select of such values. Every other
+     * float token is a `double`.
+     */
+    bool
+    isF32Expr(const Expr &e)
+    {
+        switch (e->kind) {
+          case ExprKind::kFloatImm: {
+            double v = static_cast<const FloatImmNode *>(e.get())->value;
+            return std::isfinite(v) &&
+                   static_cast<double>(static_cast<float>(v)) == v;
+          }
+          case ExprKind::kVar: {
+            auto it = vars_.find(static_cast<const VarNode *>(e.get()));
+            return it != vars_.end() && it->second.isF32;
+          }
+          case ExprKind::kAdd:
+          case ExprKind::kSub:
+          case ExprKind::kMul:
+          case ExprKind::kDiv:
+          case ExprKind::kMin:
+          case ExprKind::kMax:
+            return isFloatExpr(e) && roundsToFloat32(e->dtype);
+          case ExprKind::kCast:
+            return roundsToFloat32(e->dtype);
+          case ExprKind::kSelect: {
+            auto op = static_cast<const SelectNode *>(e.get());
+            return isF32Expr(op->trueValue) && isF32Expr(op->falseValue);
+          }
+          case ExprKind::kBufferLoad: {
+            auto op = static_cast<const BufferLoadNode *>(e.get());
+            bytecode::ElemKind kind =
+                bytecode::elemKindOfDtype(op->buffer->dtype);
+            return kind == bytecode::ElemKind::kF32 &&
+                   direct(slotFor(op->buffer), kind);
+          }
+          case ExprKind::kCall: {
+            auto op = static_cast<const CallNode *>(e.get());
+            switch (op->op) {
+              case Builtin::kExp:
+              case Builtin::kLog:
+              case Builtin::kSqrt:
+                return roundsToFloat32(op->dtype);
+              case Builtin::kAbs:
+                return isFloatExpr(op->args[0]) &&
+                       roundsToFloat32(op->dtype);
+              default:
+                return false;
+            }
+          }
+          default:
+            return false;
+        }
+    }
+
     // -----------------------------------------------------------------
-    // Expressions. emitI/emitF return a C token (temp name, variable
-    // or literal) of type int64_t / double respectively.
+    // Expressions. emitI returns a C token (temp name, variable or
+    // literal) of type int64_t, emitF one of type float (isF32Expr)
+    // or double.
     // -----------------------------------------------------------------
 
     std::string
@@ -608,17 +772,29 @@ class Emitter
         }
         switch (e->kind) {
           case ExprKind::kFloatImm:
+            // A float32-exact literal is a float constant, same value.
             return floatLiteral(
-                static_cast<const FloatImmNode *>(e.get())->value);
+                static_cast<const FloatImmNode *>(e.get())->value,
+                isF32Expr(e));
           case ExprKind::kVar:
             return varTok(static_cast<const VarNode *>(e.get()));
           case ExprKind::kSelect:
             return emitSelect(static_cast<const SelectNode *>(e.get()),
                               true);
-          case ExprKind::kCast:
-            // Float-targeted cast: int sources converted above;
-            // float-of-float is the identity.
-            return emitF(static_cast<const CastNode *>(e.get())->value);
+          case ExprKind::kCast: {
+            // Float-targeted cast: int sources convert to double in
+            // emitF; a float32 cast rounds, a float64 one widens.
+            auto op = static_cast<const CastNode *>(e.get());
+            std::string v = emitF(op->value);
+            bool f32 = roundsToFloat32(op->dtype);
+            if (f32 == isF32Expr(op->value)) {
+                return v;
+            }
+            std::string t = tmp();
+            line(std::string(f32 ? "float " : "double ") + t + " = (" +
+                 (f32 ? "float" : "double") + ")" + v + ";");
+            return t;
+          }
           case ExprKind::kBufferLoad:
             return emitLoad(static_cast<const BufferLoadNode *>(e.get()));
           case ExprKind::kCall:
@@ -632,9 +808,22 @@ class Emitter
             auto op = static_cast<const BinaryNode *>(e.get());
             std::string a = emitF(op->a);
             std::string b = emitF(op->b);
+            bool f32_operands = isF32Expr(op->a) && isF32Expr(op->b);
             std::string t = tmp();
-            line("double " + t + " = " + floatArith(e->kind, a, b) +
-                 ";");
+            if (roundsToFloat32(e->dtype)) {
+                // Two float32 operands: C float arithmetic, correctly
+                // rounded. Otherwise C promotes to double, and the
+                // cast rounds once, as the interpreter does.
+                std::string v = floatArith(e->kind, a, b);
+                line("float " + t + " = " +
+                     (f32_operands ? v : "(float)(" + v + ")") + ";");
+            } else {
+                // A float pair must not compute in float.
+                line("double " + t + " = " +
+                     floatArith(e->kind,
+                                f32_operands ? "(double)" + a : a, b) +
+                     ";");
+            }
             return t;
           }
           default:
@@ -742,7 +931,12 @@ class Emitter
     emitSelect(const SelectNode *op, bool flt)
     {
         std::string t = tmp();
-        line(std::string(flt ? "double " : "int64_t ") + t + " = 0;");
+        const char *type =
+            !flt ? "int64_t "
+                 : (isF32Expr(op->trueValue) && isF32Expr(op->falseValue)
+                        ? "float "
+                        : "double ");
+        line(type + t + " = 0;");
         std::string c = emitI(op->cond);
         line("if (" + c + " != 0) {");
         ++indent_;
@@ -816,6 +1010,35 @@ class Emitter
                    : "";
     }
 
+    /** Whether `kind` accesses to `slot` index storage directly: a
+     *  proven kernel's view accesses (see viewFor). */
+    bool
+    direct(int slot, bytecode::ElemKind kind) const
+    {
+        if (!proven_ || kind == bytecode::ElemKind::kBool) {
+            return false;
+        }
+        if (slot < numParamSlots_) {
+            return true;
+        }
+        auto it = scratchKind_.find(slot);
+        return it != scratchKind_.end() && it->second == kind;
+    }
+
+    /** The element `off` of `slot` as a `kind` lvalue (direct()). */
+    std::string
+    element(int slot, bytecode::ElemKind kind, const std::string &off,
+            bool store)
+    {
+        auto stack = stackArrays_.find(slot);
+        if (stack != stackArrays_.end()) {
+            return stack->second + "[" + off + "]";
+        }
+        return std::string("((") + (store ? "" : "const ") +
+               cType(kind) + " *)" + viewFor(slot, kind) + ".p)[" + off +
+               "]";
+    }
+
     /**
      * One checked load (`value` is the destination temporary) or
      * store of `buffer` at flat offset `off`, typed by the buffer's
@@ -828,6 +1051,11 @@ class Emitter
         bytecode::ElemKind kind =
             bytecode::elemKindOfDtype(buffer->dtype);
         bool flt = bytecode::elemKindIsFloat(kind);
+        if (store && direct(slot, kind)) {
+            line(element(slot, kind, off, store) + " = (" + cType(kind) +
+                 ")(" + value + ");");
+            return;
+        }
         std::string helper = std::string(store ? "st_st_" : "st_ld_") +
                              (flt ? "f" : "i");
         std::string view = viewFor(slot, kind);
@@ -846,7 +1074,19 @@ class Emitter
     {
         std::string off = emitOffset(op->buffer, op->indices);
         int slot = slotFor(op->buffer);
+        bytecode::ElemKind kind =
+            bytecode::elemKindOfDtype(op->buffer->dtype);
         std::string t = tmp();
+        if (direct(slot, kind)) {
+            // float32 storage loads as a float; other kinds widen.
+            const char *type = kind == bytecode::ElemKind::kF32 ? "float "
+                               : kind == bytecode::ElemKind::kF64
+                                   ? "double "
+                                   : "int64_t ";
+            line(type + t + " = " +
+                 element(slot, kind, off, /*store=*/false) + ";");
+            return t;
+        }
         line(std::string(op->buffer->dtype.isFloat() ? "double "
                                                      : "int64_t ") +
              t + " = 0;");
@@ -973,20 +1213,23 @@ class Emitter
         switch (op->op) {
           case Builtin::kExp:
           case Builtin::kLog:
-          case Builtin::kSqrt: {
-            std::string a = emitF(op->args[0]);
-            const char *fn = op->op == Builtin::kExp
-                                 ? "exp"
-                                 : (op->op == Builtin::kLog ? "log"
-                                                            : "sqrt");
-            std::string t = tmp();
-            line("double " + t + " = " + fn + "(" + a + ");");
-            return t;
-          }
+          case Builtin::kSqrt:
           case Builtin::kAbs: {
+            // The double function, rounded for a float32 call.
             std::string a = emitF(op->args[0]);
+            const char *fn =
+                op->op == Builtin::kExp
+                    ? "exp"
+                    : (op->op == Builtin::kLog
+                           ? "log"
+                           : (op->op == Builtin::kSqrt ? "sqrt"
+                                                       : "fabs"));
             std::string t = tmp();
-            line("double " + t + " = fabs(" + a + ");");
+            if (roundsToFloat32(op->dtype)) {
+                line("float " + t + " = (float)" + fn + "(" + a + ");");
+            } else {
+                line("double " + t + " = " + fn + "(" + a + ");");
+            }
             return t;
           }
           case Builtin::kAtomicAdd: {
@@ -1086,11 +1329,12 @@ class Emitter
           case StmtKind::kLetStmt: {
             auto op = static_cast<const LetStmtNode *>(s.get());
             bool flt = isFloatExpr(op->value);
+            bool f32 = flt && isF32Expr(op->value);
             std::string v = flt ? emitF(op->value) : emitI(op->value);
             std::string name = "l" + std::to_string(tmpCount_++);
-            line(std::string(flt ? "double " : "int64_t ") + name +
-                 " = " + v + ";");
-            vars_[op->letVar.get()] = CVar{flt, name};
+            line(std::string(!flt ? "int64_t " : (f32 ? "float " : "double ")) +
+                 name + " = " + v + ";");
+            vars_[op->letVar.get()] = CVar{flt, name, f32};
             emitStmt(op->body);
             vars_.erase(op->letVar.get());
             break;
@@ -1118,8 +1362,12 @@ class Emitter
                 line(std::string(cType(kind)) + " " + arr + "[" +
                      std::to_string(stack) + "];");
                 line("memset(" + arr + ", 0, sizeof " + arr + ");");
-                line("const StView " + view + " = {" + arr + ", " +
-                     intLiteral(stack) + "};");
+                if (proven_) {
+                    stackArrays_[slot] = arr;
+                } else {
+                    line("const StView " + view + " = {" + arr + ", " +
+                         intLiteral(stack) + "};");
+                }
             } else {
                 Expr size = op->buffer->shape.empty()
                                 ? intImm(1)
@@ -1140,6 +1388,7 @@ class Emitter
             slotOf_[op->buffer->data.get()] = slot;
             emitStmt(op->body);
             slotOf_.erase(op->buffer->data.get());
+            stackArrays_.erase(slot);
             --indent_;
             line("}");
             break;
@@ -1203,6 +1452,13 @@ class Emitter
     }
 
     PrimFunc func_;
+    const KernelProof *proof_ = nullptr;
+    /** Emitting without per-access checks (see KernelProof). */
+    bool proven_ = false;
+    /** Guarded extent of each directly accessed (param slot, kind). */
+    std::map<std::pair<int, bytecode::ElemKind>, int64_t> guardExtent_;
+    /** Stack array of each in-scope stack scratch slot, when proven. */
+    std::unordered_map<int, std::string> stackArrays_;
     std::string body_;
     int indent_ = 1;
     int tmpCount_ = 0;
@@ -1225,14 +1481,17 @@ class Emitter
 } // namespace
 
 ModuleEmitResult
-emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag)
+emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag,
+           const std::vector<const KernelProof *> &proofs)
 {
+    ICHECK(proofs.empty() || proofs.size() == funcs.size());
     ModuleEmitResult module;
     module.meta = "sparsetir-native;abi=" +
                   std::to_string(kNativeAbiVersion) + ";tag=" + key_tag;
     std::string entries;
     std::string definitions;
-    for (const ir::PrimFunc &func : funcs) {
+    for (size_t i = 0; i < funcs.size(); ++i) {
+        const ir::PrimFunc &func = funcs[i];
         EmitResult emitted;
         emitted.name = func->name;
         std::string rejected;
@@ -1243,7 +1502,9 @@ emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag)
                 << "' to native code: " << diag;
             std::string entry =
                 "st_entry_" + std::to_string(module.numEntries);
-            emitted = Emitter(func).run(entry);
+            emitted =
+                Emitter(func, proofs.empty() ? nullptr : proofs[i])
+                    .run(entry);
             definitions += emitted.source + "\n";
             emitted.source.clear();
             entries += "    " + entry + ",\n";

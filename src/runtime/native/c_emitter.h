@@ -9,11 +9,17 @@
  * translation unit per module: the fixed preamble once, then one
  * module-internal entry function per kernel, exported through one
  * entry table and one meta string (abi.h). The emitted code reproduces the
- * interpreter's semantics exactly — int64/double arithmetic, the
- * float-promotion rules of isFloatExpr, short-circuit And/Or,
- * one-armed Select, value-before-indices store order, storage-width
- * rounding on float stores — so a native kernel's results are bitwise
- * identical to the interpreter and the bytecode VM.
+ * interpreter's semantics exactly — int64 arithmetic, the
+ * float-promotion rules of isFloatExpr, float32 ops in C `float` and
+ * float64 ones in `double` (runtime::roundsToFloat32), short-circuit
+ * And/Or, one-armed Select, value-before-indices store order,
+ * storage-width rounding on float stores — so a native kernel's
+ * results are bitwise identical to the interpreter and the bytecode
+ * VM.
+ *
+ * Every access is bounds-checked unless the kernel comes with a
+ * KernelProof: then its accesses are plain typed loads and stores,
+ * and one entry guard checks the proof's premises instead.
  *
  * Functions outside the subset (Stage I sparse iterations, vector IR,
  * extern calls) are rejected with a UserError message, exactly like
@@ -24,6 +30,8 @@
 #ifndef SPARSETIR_RUNTIME_NATIVE_C_EMITTER_H_
 #define SPARSETIR_RUNTIME_NATIVE_C_EMITTER_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -58,6 +66,8 @@ struct EmitResult
     std::vector<std::string> scalarNames;
     /** Kernel has an outermost blockIdx.x-bound loop (windowable). */
     bool hasWindow = false;
+    /** Emitted without per-access checks, behind a proof guard. */
+    bool proven = false;
 };
 
 /** One emitted module: every kernel of an artifact in one C file. */
@@ -85,15 +95,38 @@ struct ModuleEmitResult
 };
 
 /**
+ * What a verifier proof of a kernel (verify::verifyFunc) rested on,
+ * as far as the kernel's entry can check it: the scalar parameters
+ * the proof fixed, by name. The proof's int32 array facts cannot be
+ * checked at entry, so every array that has one must be bound from
+ * the artifact that was proven.
+ *
+ * A kernel emitted with a proof has no per-access checks. Its entry
+ * guard returns ST_UNPROVEN, before any side effect, unless every
+ * fixed scalar the kernel reads equals its proven value and every
+ * parameter slot it accesses through a typed view is bound, has the
+ * emitted element kind and holds at least its buffer's declared
+ * extent evaluated on the fixed scalars. A kernel whose accessed
+ * extents do not evaluate on those scalars keeps its checks.
+ */
+struct KernelProof
+{
+    std::map<std::string, int64_t> scalars;
+};
+
+/**
  * Emit `funcs` as one C translation unit. `key_tag` identifies the
  * artifact (cache key + artifact/ABI versions + compiler command) and
  * is baked into the exported meta string, so a persisted .so can be
  * validated against the key it was built for. A function outside the
  * native-compilable subset (the stage3ExecDiagnostic gate plus the
  * emitter's own kind checks) is left out and reported in `rejected`.
+ * `proofs`, when not empty, holds one entry per function: the proof
+ * the function was verified under, or null for a checked kernel.
  */
-ModuleEmitResult emitModule(const std::vector<ir::PrimFunc> &funcs,
-                            const std::string &key_tag);
+ModuleEmitResult
+emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag,
+           const std::vector<const KernelProof *> &proofs = {});
 
 /**
  * The one-kernel module of `func`, its source in `source`. Throws

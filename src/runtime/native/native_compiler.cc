@@ -271,10 +271,12 @@ nativeEnabledByEnv()
 std::vector<std::shared_ptr<const NativeKernel>>
 compileNativeModule(const std::vector<ir::PrimFunc> &funcs,
                     const std::string &key_tag,
-                    std::vector<std::string> *rejected)
+                    std::vector<std::string> *rejected,
+                    const std::vector<const KernelProof *> &proofs)
 {
     std::string command = compilerCommand();
-    ModuleEmitResult module = emitModule(funcs, key_tag + ";cc=" + command);
+    ModuleEmitResult module =
+        emitModule(funcs, key_tag + ";cc=" + command, proofs);
     if (rejected != nullptr) {
         *rejected = module.rejected;
     }
@@ -370,6 +372,7 @@ compileNativeModule(const std::vector<ir::PrimFunc> &funcs,
         kernel->numParamSlots = emitted.numParamSlots;
         kernel->scalarNames = std::move(emitted.scalarNames);
         kernel->hasWindow = emitted.hasWindow;
+        kernel->proven = emitted.proven;
         kernel->soPath = so_path;
         kernel->diskHit = disk_hit;
         kernels[i] = std::move(kernel);
@@ -388,7 +391,7 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag)
     return kernels[0];
 }
 
-void
+bool
 execute(const NativeKernel &kernel, const Bindings &bindings,
         const RunOptions &options)
 {
@@ -442,7 +445,10 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
     }
 
     if (rc == ST_OK) {
-        return;
+        return true;
+    }
+    if (rc == ST_UNPROVEN) {
+        return false;
     }
     int32_t fs = ctx.faultSlot;
     bool has_slot =
@@ -498,6 +504,7 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
         ICHECK(false) << "native kernel '" << kernel.name
                       << "' returned unknown fault code " << rc;
     }
+    return false;  // unreachable; every fault above throws
 }
 
 } // namespace native

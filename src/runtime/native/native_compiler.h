@@ -31,6 +31,7 @@
 #include "ir/prim_func.h"
 #include "runtime/interpreter.h"
 #include "runtime/native/abi.h"
+#include "runtime/native/c_emitter.h"
 
 namespace sparsetir {
 namespace runtime {
@@ -53,6 +54,8 @@ struct NativeKernel
     /** Scalar params the kernel reads, in ctx->scalars order. */
     std::vector<std::string> scalarNames;
     bool hasWindow = false;
+    /** Emitted unchecked behind a proof guard (KernelProof). */
+    bool proven = false;
     /** Installed module path in the cache directory. */
     std::string soPath;
     /** Loaded from a persisted module; no compiler was invoked. */
@@ -67,7 +70,8 @@ struct NativeKernel
  * names) in the cache directory is loaded instead, all kernels at
  * once. Returns one kernel per function, in order; null for a
  * function outside the native subset, whose diagnostic lands in
- * `(*rejected)[i]` ("" for accepted ones). Throws UserError when the
+ * `(*rejected)[i]` ("" for accepted ones). `proofs` is emitModule's:
+ * empty, or per function its proof or null. Throws UserError when the
  * compiler is missing or fails or its output will not load — then
  * every kernel of the module fails. Safe to call concurrently:
  * builds of one module serialize on a per-path lock, so racing
@@ -77,7 +81,8 @@ struct NativeKernel
 std::vector<std::shared_ptr<const NativeKernel>>
 compileNativeModule(const std::vector<ir::PrimFunc> &funcs,
                     const std::string &key_tag,
-                    std::vector<std::string> *rejected = nullptr);
+                    std::vector<std::string> *rejected = nullptr,
+                    const std::vector<const KernelProof *> &proofs = {});
 
 /**
  * The one-kernel module of `func` (compileNativeModule({func})).
@@ -90,9 +95,13 @@ compileNative(const ir::PrimFunc &func, const std::string &key_tag);
 /**
  * Execute a native kernel over bindings, honoring RunOptions block
  * windows and offset views. Fault codes surface as the bytecode VM's
- * diagnostics (InternalError / UserError).
+ * diagnostics (InternalError / UserError). Returns false, having run
+ * nothing, when a proven kernel's entry guard refuses the bindings
+ * (ST_UNPROVEN): the caller then runs the execution on a checked
+ * tier, which raises any fault with its own diagnostic. Kernels
+ * emitted without a proof always return true.
  */
-void execute(const NativeKernel &kernel, const Bindings &bindings,
+bool execute(const NativeKernel &kernel, const Bindings &bindings,
              const RunOptions &options);
 
 /** Artifact cache directory currently in effect. */

@@ -753,6 +753,66 @@ Schedule::cacheWrite(const std::string &block_name,
 }
 
 void
+Schedule::decomposeReduction(const std::string &block_name,
+                             const std::string &loop_name)
+{
+    const BlockNode *block = findBlock(func_, block_name);
+    USER_CHECK(block->init != nullptr)
+        << "decompose_reduction: block '" << block_name
+        << "' has no init";
+    const ForNode *loop = findLoop(func_, loop_name);
+    std::set<const VarNode *> reduce_set;
+    for (const auto &rv : block->reduceVars) {
+        reduce_set.insert(rv.get());
+    }
+    std::vector<const ForNode *> path = loopsAbove(func_, block);
+    auto at = std::find(path.begin(), path.end(), loop);
+    USER_CHECK(at != path.end() && reduce_set.count(loop->loopVar.get()))
+        << "decompose_reduction: '" << loop_name
+        << "' is not a reduction loop of block '" << block_name << "'";
+    for (auto it = path.begin(); it != at; ++it) {
+        USER_CHECK(!reduce_set.count((*it)->loopVar.get()))
+            << "decompose_reduction: reduction loop '"
+            << (*it)->loopVar->name << "' encloses '" << loop_name
+            << "'";
+    }
+
+    // Spatial loops get fresh variables; reduction variables read 0.
+    std::map<const VarNode *, Expr> rename;
+    std::vector<std::pair<const ForNode *, Var>> nest;
+    for (auto it = at; it != path.end(); ++it) {
+        const ForNode *l = *it;
+        const StmtNode *next =
+            it + 1 != path.end() ? static_cast<const StmtNode *>(*(it + 1))
+                                 : block;
+        int64_t extent = 0;
+        USER_CHECK(l->body.get() == next && isConstInt(l->minValue, 0) &&
+                   tryConstInt(l->extent, &extent) && extent > 0)
+            << "decompose_reduction: loop '" << l->loopVar->name
+            << "' needs a zero min, a constant positive extent and "
+               "only the next loop or the block as its body";
+        if (reduce_set.count(l->loopVar.get())) {
+            rename[l->loopVar.get()] = intImm(0, l->loopVar->dtype);
+        } else {
+            nest.emplace_back(
+                l, var(l->loopVar->name + "_init", l->loopVar->dtype));
+            rename[l->loopVar.get()] = nest.back().second;
+        }
+    }
+    Stmt init = substitute(block->init, rename);
+    for (size_t d = nest.size(); d-- > 0;) {
+        const ForNode *l = nest[d].first;
+        init = makeFor(l, nest[d].second, l->minValue, l->extent,
+                       std::move(init));
+    }
+    auto update = std::make_shared<BlockNode>(*block);
+    update->init = nullptr;
+    Stmt reduce = replaceStmt(borrowStmt(loop), block, update);
+    func_->body =
+        replaceStmt(func_->body, loop, seq({init, std::move(reduce)}));
+}
+
+void
 Schedule::cacheRead(const std::string &loop_name,
                     const std::string &buffer_name, MemScope scope)
 {

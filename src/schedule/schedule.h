@@ -4,8 +4,8 @@
  *
  * A Schedule wraps a PrimFunc and applies composable, semantics-
  * preserving loop transformations: split, fuse, reorder, bind,
- * vectorize, unroll, parallel, cache_read, cache_write, rfactor,
- * tensorize and annotate. Loops are identified by loop-variable name
+ * vectorize, unroll, parallel, cache_read, cache_write,
+ * decompose_reduction, rfactor, tensorize and annotate. Loops are identified by loop-variable name
  * (unique within a function; split/fuse derive fresh names), blocks by
  * block name.
  *
@@ -87,6 +87,24 @@ class Schedule
     void cacheWrite(const std::string &block_name,
                     const std::string &buffer_name,
                     bool accumulate = false);
+
+    /**
+     * TensorIR's decompose_reduction: move the init of reduction
+     * block `block_name` out of the loop nest into its own loop nest,
+     * placed just before reduction loop `loop_name`. The new nest
+     * re-walks the spatial loops between `loop_name` and the block
+     * under fresh `{name}_init` variables; reduction variables read
+     * by the init become 0, the value at which the init used to fire.
+     * The block keeps its update alone, so the reduction loop no
+     * longer tests for its first iteration. `loop_name` must be the
+     * outermost reduction loop of the block, and every loop from it
+     * down to the block must be zero-based with a constant positive
+     * extent and hold only the next loop (or the block): then the
+     * init runs exactly once per spatial point before the updates,
+     * as it did on their first step.
+     */
+    void decomposeReduction(const std::string &block_name,
+                            const std::string &loop_name);
 
     /**
      * Stage the region of `buffer_name` read inside loop `loop_name`

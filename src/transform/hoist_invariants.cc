@@ -294,6 +294,84 @@ class ArithHoister : public StmtMutator
     int count_ = 0;
 };
 
+/**
+ * floordiv(x, c) * c + floormod(x, c) -> x for a non-zero constant c
+ * (the multiply's operands and the sum's terms in either order). That
+ * is floor division's identity, so it holds for every x, negative
+ * ones included, and the dropped divides could not fault. x must not
+ * call anything: an atomic in it would run once instead of twice.
+ */
+class FloorIdentity : public StmtMutator
+{
+  protected:
+    Expr
+    mutateBinary(const BinaryNode *op, const Expr &e) override
+    {
+        Expr result = StmtMutator::mutateBinary(op, e);
+        if (result->kind != ExprKind::kAdd) {
+            return result;
+        }
+        auto sum = static_cast<const BinaryNode *>(result.get());
+        Expr x;
+        if (!recomposes(sum->a, sum->b, &x) &&
+            !recomposes(sum->b, sum->a, &x)) {
+            return result;
+        }
+        return x->dtype == result->dtype ? x : cast(result->dtype, x);
+    }
+
+  private:
+    /** `product` is floordiv(x, c) * c and `rest` floormod(x, c). */
+    static bool
+    recomposes(const Expr &product, const Expr &rest, Expr *x)
+    {
+        if (product->kind != ExprKind::kMul ||
+            rest->kind != ExprKind::kFloorMod) {
+            return false;
+        }
+        auto mul = static_cast<const BinaryNode *>(product.get());
+        auto mod = static_cast<const BinaryNode *>(rest.get());
+        const BinaryNode *div = nullptr;
+        Expr factor;
+        for (const auto &[q, f] : {std::pair{mul->a, mul->b},
+                                   std::pair{mul->b, mul->a}}) {
+            if (q->kind == ExprKind::kFloorDiv) {
+                div = static_cast<const BinaryNode *>(q.get());
+                factor = f;
+                break;
+            }
+        }
+        int64_t c = 0;
+        int64_t c_mul = 0;
+        int64_t c_mod = 0;
+        if (div == nullptr || !tryConstInt(div->b, &c) || c == 0 ||
+            !tryConstInt(factor, &c_mul) || !tryConstInt(mod->b, &c_mod) ||
+            c_mul != c || c_mod != c || !structuralEqual(div->a, mod->a) ||
+            callsAnything(div->a)) {
+            return false;
+        }
+        *x = div->a;
+        return true;
+    }
+
+    static bool
+    callsAnything(const Expr &e)
+    {
+        struct Calls : ExprVisitor
+        {
+            bool found = false;
+
+            void
+            visitCall(const CallNode *op) override
+            {
+                found = true;
+            }
+        } calls;
+        calls.visitExpr(e);
+        return calls.found;
+    }
+};
+
 class Hoister : public StmtMutator
 {
   protected:
@@ -345,7 +423,8 @@ hoistInvariants(const PrimFunc &func)
 {
     PrimFunc result = copyFunc(func);
     Hoister hoister;
-    result->body = hoister.mutateStmt(func->body);
+    result->body =
+        hoister.mutateStmt(FloorIdentity().mutateStmt(func->body));
     return result;
 }
 

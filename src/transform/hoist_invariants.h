@@ -31,6 +31,11 @@
  * the buffer is not written in L, so the value is the same) reads the
  * bound variable instead.
  *
+ * Before hoisting, the pass rewrites floordiv(x, c) * c +
+ * floormod(x, c) to x for a non-zero constant c (an identity of
+ * floor division; x must call nothing), so no backend divides twice
+ * to recompute a value it already has.
+ *
  * Outer loops are processed first, so an invariant lands before the
  * outermost loop it may leave, and a second application changes
  * nothing. The Stage III producers stay unhoisted (the GPU simulator

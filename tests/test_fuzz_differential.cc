@@ -87,6 +87,25 @@ envU64(const char *name, uint64_t fallback)
     return std::strtoull(v, nullptr, 0);
 }
 
+/** Whether any block under `s` still carries an init. */
+bool
+hasBlockInit(const ir::Stmt &s)
+{
+    struct Inits : ir::StmtVisitor
+    {
+        bool found = false;
+
+        void
+        visitBlock(const ir::BlockNode *op) override
+        {
+            found = found || op->init != nullptr;
+            ir::StmtVisitor::visitBlock(op);
+        }
+    } inits;
+    inits.visitStmt(s);
+    return inits.found;
+}
+
 /** SplitMix64 — decorrelates per-case streams from (seed, index). */
 uint64_t
 mix(uint64_t seed, uint64_t index)
@@ -625,6 +644,10 @@ TEST(FuzzDifferential, ThreeWayBitwiseEquality)
             << "a fuzz-generated kernel was native-ineligible";
         EXPECT_GT(stats.compiles + stats.diskHits, 0u)
             << "a native-variant engine served zero native kernels";
+        // Every kernel is proven, so every native execution passed
+        // its entry guard and ran unchecked.
+        EXPECT_EQ(stats.guardMisses, 0u)
+            << "a proven native kernel refused its own bindings";
     }
 }
 
@@ -633,6 +656,8 @@ TEST(FuzzDifferential, HostScheduleMatchesGpuScheduleBitwise)
     // The schedule change itself, not a tier: the interpreter runs the
     // GPU-scheduled and the host-scheduled IR of the same buckets,
     // which must add every output element's terms in the same order.
+    // The host IR peels its accumulator init out of the reduction
+    // (decomposeReduction) and runs on the interpreter and bytecode.
     constexpr int kPartitions[] = {1, 2, 4};
     constexpr int64_t kFeats[] = {1, 8, 32, 37, 48};
     uint64_t seed = envU64("FUZZ_SEED", kDefaultSeed);
@@ -671,14 +696,24 @@ TEST(FuzzDifferential, HostScheduleMatchesGpuScheduleBitwise)
                         kernel->execute();
                     }
                     NDArray expected = out;
-                    out.zero();
-                    for (const auto &plan :
-                         core::compileSpmmHybFuncs(gpu.hyb, feat)) {
-                        runtime::run(plan.func, bindings->view());
+                    std::vector<core::HybKernelPlan> host =
+                        core::compileSpmmHybFuncs(gpu.hyb, feat);
+                    for (runtime::Backend backend :
+                         {runtime::Backend::kInterpreter,
+                          runtime::Backend::kBytecode}) {
+                        out.zero();
+                        runtime::RunOptions options;
+                        options.backend = backend;
+                        for (const auto &plan : host) {
+                            ASSERT_FALSE(hasBlockInit(plan.func->body));
+                            runtime::run(plan.func, bindings->view(),
+                                         options);
+                        }
+                        ASSERT_TRUE(bitwiseEqual(expected, out))
+                            << desc << " c=" << c << " cap=" << cap
+                            << " feat=" << feat << " backend "
+                            << static_cast<int>(backend);
                     }
-                    ASSERT_TRUE(bitwiseEqual(expected, out))
-                        << desc << " c=" << c << " cap=" << cap
-                        << " feat=" << feat;
                     for (const auto &bucket_set : gpu.hyb.buckets) {
                         for (const format::Ell &ell : bucket_set) {
                             saw_split |=

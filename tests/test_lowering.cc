@@ -482,6 +482,45 @@ TEST(HoistInvariants, KeepsArithmeticOverInnerVariables)
     EXPECT_TRUE(HoistFixture::untouched(f)) << funcToString(f);
 }
 
+TEST(HoistInvariants, DropsFloorDivModRecomposition)
+{
+    // floordiv(x, c) * c + floormod(x, c) is x for every x: the pass
+    // rewrites it in any operand order, and x = k - 5 takes negative
+    // values, where floor and truncating division differ.
+    HoistFixture fx;
+    Var k = var("k");
+    Expr x = sub(k, intImm(5));
+    Expr c = intImm(3);
+    for (Expr form :
+         {add(mul(floorDiv(x, c), c), floorMod(x, c)),
+          add(floorMod(x, c), mul(c, floorDiv(x, c)))}) {
+        PrimFunc f = fx.func(forLoop(
+            k, intImm(0), intImm(8),
+            bufferStore(fx.y, {k}, cast(DataType::float32(), form))));
+        PrimFunc hoisted = transform::hoistInvariants(f);
+        std::string text = funcToString(hoisted);
+        EXPECT_EQ(text.find("//"), std::string::npos) << text;
+        EXPECT_EQ(text.find("%"), std::string::npos) << text;
+        std::vector<float> expected;
+        for (int64_t v = 0; v < 8; ++v) {
+            expected.push_back(static_cast<float>(v - 5));
+        }
+        EXPECT_EQ(fx.run(f), expected);
+        EXPECT_EQ(fx.run(hoisted), expected);
+    }
+    // A variable divisor, mismatched constants or a different x stay.
+    Expr d = intImm(4);
+    for (Expr form :
+         {add(mul(floorDiv(x, fx.n), fx.n), floorMod(x, fx.n)),
+          add(mul(floorDiv(x, c), d), floorMod(x, c)),
+          add(mul(floorDiv(x, c), c), floorMod(k, c))}) {
+        PrimFunc f = fx.func(forLoop(
+            k, intImm(0), intImm(8),
+            bufferStore(fx.y, {k}, cast(DataType::float32(), form))));
+        EXPECT_TRUE(HoistFixture::untouched(f)) << funcToString(f);
+    }
+}
+
 TEST(HoistInvariants, SecondApplicationChangesNothing)
 {
     // Invariants at two depths, loads and arithmetic mixed: everything

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -31,16 +32,20 @@
 #include "dfg/op_graph.h"
 #include "core/pipeline.h"
 #include "engine/engine.h"
+#include "engine/executor.h"
 #include "format/hyb.h"
 #include "graph/generator.h"
 #include "ir/stmt.h"
 #include "model/attention.h"
+#include "observe/metrics.h"
+#include "runtime/bytecode/compiler.h"
 #include "runtime/interpreter.h"
 #include "runtime/native/c_emitter.h"
 #include "runtime/native/native_compiler.h"
 #include "test_util.h"
 #include "transform/lower_sparse_buffer.h"
 #include "transform/lower_sparse_iter.h"
+#include "verify/verifier.h"
 
 namespace sparsetir {
 namespace {
@@ -50,6 +55,7 @@ using runtime::Backend;
 using runtime::Bindings;
 using runtime::NDArray;
 using testutil::bitwiseEqual;
+using testutil::GuardStripper;
 using testutil::randomVector;
 namespace native = runtime::native;
 
@@ -264,6 +270,48 @@ kernelBody(const native::EmitResult &emitted)
     return at == std::string::npos || end == std::string::npos
                ? ""
                : emitted.source.substr(at, end + 3 - at);
+}
+
+/** The diagnostic of a check failure: its text without the
+ *  "<file>:<line>: ... check failed: (<condition>) " prefix, which
+ *  names the raising tier's source. */
+std::string
+diagnostic(const std::string &what)
+{
+    size_t at = what.find("check failed: (");
+    size_t end = at == std::string::npos ? at : what.find(") ", at);
+    return end == std::string::npos ? what : what.substr(end + 2);
+}
+
+/** "internal: <diagnostic>" or "user: <diagnostic>" for what `run`
+ *  raises; "" when it raises nothing. Compares a fault across tiers
+ *  by type and text at once. */
+template <typename Fn>
+std::string
+raised(Fn run)
+{
+    try {
+        run();
+    } catch (const InternalError &err) {
+        return "internal: " + diagnostic(err.what());
+    } catch (const UserError &err) {
+        return "user: " + diagnostic(err.what());
+    }
+    return "";
+}
+
+/** Concrete verifier facts of a CSR kernel over `a` at `feat`. */
+verify::VerifyContext
+csrFacts(const Csr &a, int64_t feat)
+{
+    verify::VerifyContext ctx;
+    ctx.scalar("m", a.rows);
+    ctx.scalar("n", a.cols);
+    ctx.scalar("nnz", a.nnz());
+    ctx.scalar("feat_size", feat);
+    ctx.int32Array("J_indptr", a.indptr);
+    ctx.int32Array("J_indices", a.indices);
+    return ctx;
 }
 
 /** Message of the InternalError `run` raises; "" (and a test
@@ -576,6 +624,250 @@ TEST(NativeKernel, TypedViewFallbackKeepsEveryFaultAndDiagnostic)
                 "offset 4 out of bounds for buffer 'acc' (numel 4)");
     expectFault(bind(0, 1, -1, &full, &vals), {},
                 "negative offset into acc");
+}
+
+// float32 is float32 on every tier: a float32 op rounds its result,
+// so a*b + c is fl(fl(a*b) + c), never the double sum rounded once.
+// The inputs are picked so the two differ for `*`, `/` and exp.
+TEST(NativeKernel, Float32RuleBitwiseOnEveryTier)
+{
+    CacheDirGuard cache;
+    const ir::DataType f32 = ir::DataType::float32();
+    auto func = ir::primFunc("float32_rule");
+    ir::Buffer in = ir::denseBuffer("in", {ir::intImm(8)}, f32);
+    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(3)}, f32);
+    func->params = {in->data, out->data};
+    func->bufferMap.emplace_back(in->data, in);
+    func->bufferMap.emplace_back(out->data, out);
+    auto at = [&](int64_t k) { return ir::bufferLoad(in, {ir::intImm(k)}); };
+    auto put = [&](int64_t k, ir::Expr v) {
+        return ir::bufferStore(out, {ir::intImm(k)}, std::move(v));
+    };
+    func->body = ir::seq(
+        {put(0, ir::add(ir::mul(at(0), at(1)), at(2))),
+         put(1, ir::add(ir::div(at(3), at(4)), at(5))),
+         put(2, ir::add(ir::call(f32, ir::Builtin::kExp, {at(6)}), at(7)))});
+    func->stage = ir::IrStage::kStage3;
+
+    const float x[8] = {0x1.001p+0f,      0x1.001p+0f,     0x1p-24f,
+                        0x1.bf6db6p+6f,   0x1.46c4ecp+5f,  0x1.39d174p+6f,
+                        0x1.6ac9ep-3f,    0x1.8ba2e8p+2f};
+    const float product = x[0] * x[1];
+    const float quotient = x[3] / x[4];
+    const float power = static_cast<float>(std::exp(double{x[6]}));
+    const float expected[3] = {product + x[2], quotient + x[5],
+                               power + x[7]};
+    const float once[3] = {
+        static_cast<float>(double{x[0]} * x[1] + x[2]),
+        static_cast<float>(double{x[3]} / x[4] + x[5]),
+        static_cast<float>(std::exp(double{x[6]}) + x[7])};
+    for (int k = 0; k < 3; ++k) {
+        ASSERT_NE(expected[k], once[k]) << "inputs do not separate op " << k;
+    }
+
+    NDArray input = NDArray::fromFloat(std::vector<float>(x, x + 8));
+    auto check = [&](const char *tier, const auto &run) {
+        NDArray result({3}, f32);
+        Bindings bindings;
+        bindings.arrays = {{"in_data", &input}, {"out_data", &result}};
+        run(bindings);
+        for (int k = 0; k < 3; ++k) {
+            EXPECT_EQ(result.floatAt(k), double{expected[k]})
+                << tier << " op " << k;
+        }
+    };
+    check("interpreter",
+          [&](const Bindings &b) { runtime::runInterpreted(func, b); });
+    ASSERT_NE(runtime::bytecode::programFor(func), nullptr);
+    check("bytecode", [&](const Bindings &b) { runtime::run(func, b); });
+    auto checked = native::compileNative(func, "float32-rule");
+    EXPECT_FALSE(checked->proven);
+    check("native", [&](const Bindings &b) {
+        EXPECT_TRUE(native::execute(*checked, b, runtime::RunOptions()));
+    });
+    native::KernelProof proof;  // no scalars to fix
+    auto proven = native::compileNativeModule({func}, "float32-rule",
+                                              nullptr, {&proof})[0];
+    ASSERT_NE(proven, nullptr);
+    EXPECT_TRUE(proven->proven);
+    check("proven native", [&](const Bindings &b) {
+        EXPECT_TRUE(native::execute(*proven, b, runtime::RunOptions()));
+    });
+}
+
+// A kernel whose proof fails (the verifier corpus's guard-strip case)
+// never gets a KernelProof: it is emitted checked and still faults on
+// native with the bytecode VM's diagnostic.
+TEST(NativeKernel, UnprovenKernelKeepsChecksAndDiagnostic)
+{
+    CacheDirGuard cache;
+    SpmmFixture fx(40, 200, 17, 37);
+    ir::PrimFunc func =
+        core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule());
+    ir::PrimFunc bad = ir::copyFunc(func);
+    GuardStripper strip("feat_size");
+    bad->body = strip.mutateStmt(func->body);
+    ASSERT_FALSE(verify::verifyFunc(bad, csrFacts(fx.a, fx.feat)).ok);
+
+    native::EmitResult emitted = native::emitC(bad, "guard-strip");
+    EXPECT_FALSE(emitted.proven);
+    std::string body = kernelBody(emitted);
+    EXPECT_NE(body.find("ST_ST("), std::string::npos);
+    EXPECT_EQ(body.find("ST_UNPROVEN"), std::string::npos);
+
+    auto kernel = native::compileNative(bad, "guard-strip");
+    NDArray c({fx.a.rows * fx.feat}, ir::DataType::float32());
+    std::string native_text = raised(
+        [&] { native::execute(*kernel, fx.bindings(&c), {}); });
+    c.zero();
+    std::string vm_text =
+        raised([&] { runtime::run(bad, fx.bindings(&c)); });
+    EXPECT_NE(native_text.find("out of bounds"), std::string::npos)
+        << native_text;
+    EXPECT_EQ(native_text, vm_text);
+}
+
+// A proven kernel called with a scalar off its proof: the entry guard
+// refuses before any side effect, the executor reruns the execution
+// on bytecode, which raises its own diagnostic, and the miss counts.
+TEST(NativeEngine, ProofGuardRefusesScalarOffItsProof)
+{
+    CacheDirGuard cache;
+    SpmmFixture fx(40, 200, 19);
+    engine::CompiledKernel kernel = engine::compileKernel(
+        core::compileSpmmCsrFunc(fx.feat, core::SpmmSchedule()));
+    verify::VerifyContext facts = csrFacts(fx.a, fx.feat);
+    ASSERT_TRUE(verify::verifyFunc(kernel.func, facts).ok);
+    auto proof = std::make_shared<native::KernelProof>();
+    proof->scalars = {{"m", fx.a.rows},
+                      {"n", fx.a.cols},
+                      {"nnz", fx.a.nnz()},
+                      {"feat_size", fx.feat}};
+    kernel.proof = proof;
+    auto natives = native::compileNativeModule({kernel.func}, "off-proof",
+                                               nullptr, {proof.get()});
+    ASSERT_NE(natives[0], nullptr);
+    ASSERT_TRUE(natives[0]->proven);
+    kernel.native->set(natives[0]);
+
+    engine::ParallelExecutor executor(
+        std::make_shared<engine::ThreadPool>(1));
+    observe::Counter misses;
+    engine::ExecOptions native_exec;
+    native_exec.backend = Backend::kNative;
+    native_exec.guardMisses = &misses;
+    engine::ExecOptions bytecode_exec;
+
+    // On its proof: served natively, bitwise the interpreter's.
+    NDArray c({fx.a.rows * fx.feat}, ir::DataType::float32());
+    Bindings bound = fx.bindings(&c);
+    executor.run({&kernel}, {&bound}, native_exec);
+    EXPECT_EQ(misses.value(), 0u);
+    EXPECT_TRUE(bitwiseEqual(c, fx.interpreterReference()));
+
+    // One row more than proven: J_indptr is read past its end.
+    Bindings off = fx.bindings(&c);
+    off.scalars["m"] = fx.a.rows + 1;
+    std::string native_text =
+        raised([&] { executor.run({&kernel}, {&off}, native_exec); });
+    EXPECT_EQ(misses.value(), 1u);
+    std::string vm_text =
+        raised([&] { executor.run({&kernel}, {&off}, bytecode_exec); });
+    EXPECT_NE(native_text.find("out of bounds for buffer 'J_indptr'"),
+              std::string::npos)
+        << native_text;
+    EXPECT_EQ(native_text, vm_text);
+}
+
+// A native spmmHyb whose output is one row short: the proven kernel's
+// guard refuses the short C, and the dispatch fails exactly as on a
+// bytecode engine. The structure has one bucket, so one kernel runs.
+TEST(NativeEngine, ProofGuardRefusesShortOutput)
+{
+    CacheDirGuard cache;
+    const int64_t rows = 9;
+    const int64_t cols = 7;
+    const int64_t feat = 8;
+    std::vector<float> dense(rows * cols, 0.0f);
+    for (int64_t r = 0; r < rows; ++r) {
+        dense[r * cols + r % cols] = 1.0f + 0.25f * static_cast<float>(r);
+        dense[r * cols + (r + 3) % cols] = -0.5f;
+    }
+    Csr a = format::csrFromDense(rows, cols, dense);
+    engine::HybConfig config;
+    std::vector<float> b_host = randomVector(cols * feat, 23);
+    NDArray b = NDArray::fromFloat(b_host);
+
+    auto dispatch = [&](engine::Engine *eng, NDArray *c) {
+        return raised([&] { eng->spmmHyb(a, feat, &b, c, config); });
+    };
+    engine::EngineOptions options;
+    options.numThreads = 1;
+    engine::Engine bytecode_engine(options);
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 0;
+    engine::Engine native_engine(options);
+
+    NDArray short_c({(rows - 1) * feat}, ir::DataType::float32());
+    std::string vm_text = dispatch(&bytecode_engine, &short_c);
+    std::string native_text = dispatch(&native_engine, &short_c);
+    EXPECT_NE(vm_text.find("out of bounds for buffer 'C_data'"),
+              std::string::npos)
+        << vm_text;
+    EXPECT_EQ(native_text, vm_text);
+    engine::NativeStats stats = native_engine.nativeStats();
+    EXPECT_EQ(stats.compiles + stats.diskHits, 1u);
+    EXPECT_EQ(stats.guardMisses, 1u);
+    EXPECT_EQ(native_engine.metricsSnapshot()
+                  .counters.at("native.guard_misses"),
+              1u);
+
+    // A full-size C passes the guard and is served natively.
+    NDArray c({rows * feat}, ir::DataType::float32());
+    EXPECT_EQ(dispatch(&native_engine, &c), "");
+    EXPECT_EQ(native_engine.nativeStats().guardMisses, 1u);
+    EXPECT_TRUE(bitwiseEqual(c, engineHybReference(a, feat, b_host, config)));
+}
+
+// The served hyb kernels, as the engine emits them: proven, so every
+// access is a plain typed load or store behind one entry guard, the
+// accumulator init sits in its own loop, and no row index is
+// recomputed through a floor division.
+TEST(NativeEmitter, ProvenHybKernelsAreUncheckedAndDivisionFree)
+{
+    Csr a = graph::powerLawGraph(300, 1800, 2.0, 7919);
+    format::Hyb hyb = format::hybFromCsr(a, 4);
+    const int64_t feat = 32;
+    std::vector<ir::PrimFunc> funcs;
+    for (const core::HybKernelPlan &plan :
+         core::compileSpmmHybFuncs(hyb, feat)) {
+        funcs.push_back(plan.func);
+    }
+    native::KernelProof proof;
+    proof.scalars = {{"m", a.rows},
+                     {"n", a.cols},
+                     {"nnz", a.nnz()},
+                     {"feat_size", feat}};
+    std::vector<const native::KernelProof *> proofs(funcs.size(), &proof);
+    native::ModuleEmitResult proven = native::emitModule(funcs, "hyb", proofs);
+    native::ModuleEmitResult checked = native::emitModule(funcs, "hyb");
+    ASSERT_GT(funcs.size(), 1u);
+    for (const native::ModuleEmitResult *module : {&proven, &checked}) {
+        std::string kernels =
+            module->source.substr(module->source.find("/* kernel: "));
+        EXPECT_EQ(kernels.find("st_floordiv"), std::string::npos);
+        EXPECT_EQ(kernels.find("== 0)) {"), std::string::npos)
+            << "an init still tests for the first reduction step";
+    }
+    for (const native::EmitResult &kernel : proven.kernels) {
+        EXPECT_TRUE(kernel.proven) << kernel.name;
+    }
+    std::string kernels =
+        proven.source.substr(proven.source.find("/* kernel: "));
+    EXPECT_EQ(kernels.find("ST_LD("), std::string::npos);
+    EXPECT_EQ(kernels.find("ST_ST("), std::string::npos);
+    EXPECT_EQ(kernels.find("double "), std::string::npos);
+    EXPECT_NE(kernels.find("return ST_UNPROVEN;"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -282,6 +282,118 @@ TEST(Schedule, RfactorPreservesSemantics)
     }
 }
 
+/**
+ * y[i*3 + k] = 1.5 + sum_j a[i*4 + j] * x[j*3 + k] as a Stage II
+ * reduction block over i in 0..5 (spatial), j in 0..4 (reduction)
+ * and k in 0..3 (spatial, inside j). The init is not 0, so running it
+ * once per (i, k) before the updates is observable.
+ */
+struct PeelFixture
+{
+    ir::Buffer a = ir::denseBuffer("a", {ir::intImm(20)},
+                                   ir::DataType::float32());
+    ir::Buffer x = ir::denseBuffer("x", {ir::intImm(12)},
+                                   ir::DataType::float32());
+    ir::Buffer y = ir::denseBuffer("y", {ir::intImm(15)},
+                                   ir::DataType::float32());
+
+    ir::PrimFunc
+    func(bool with_init = true) const
+    {
+        ir::Var i = ir::var("i");
+        ir::Var j = ir::var("j");
+        ir::Var k = ir::var("k");
+        ir::Expr out = ir::add(ir::mul(i, ir::intImm(3)), k);
+        auto update = std::make_shared<ir::BlockNode>(
+            "mv",
+            ir::bufferStore(
+                y, {out},
+                ir::add(ir::bufferLoad(y, {out}),
+                        ir::mul(ir::bufferLoad(
+                                    a, {ir::add(ir::mul(i, ir::intImm(4)),
+                                                j)}),
+                                ir::bufferLoad(
+                                    x, {ir::add(ir::mul(j, ir::intImm(3)),
+                                                k)})))));
+        if (with_init) {
+            update->init = ir::bufferStore(y, {out}, ir::floatImm(1.5));
+        }
+        update->reduceVars = {j};
+        ir::PrimFunc f = ir::primFunc("peel");
+        f->params = {a->data, x->data, y->data};
+        f->bufferMap = {{a->data, a}, {x->data, x}, {y->data, y}};
+        f->body = ir::forLoop(
+            i, ir::intImm(0), ir::intImm(5),
+            ir::forLoop(j, ir::intImm(0), ir::intImm(4),
+                        ir::forLoop(k, ir::intImm(0), ir::intImm(3),
+                                    update)));
+        f->stage = ir::IrStage::kStage2;
+        return f;
+    }
+
+    std::vector<float>
+    run(const ir::PrimFunc &f) const
+    {
+        Rng rng(5);
+        std::vector<float> as(20);
+        std::vector<float> xs(12);
+        for (auto &v : as) {
+            v = static_cast<float>(rng.uniformReal() - 0.5);
+        }
+        for (auto &v : xs) {
+            v = static_cast<float>(rng.uniformReal() - 0.5);
+        }
+        NDArray an = NDArray::fromFloat(as);
+        NDArray xn = NDArray::fromFloat(xs);
+        NDArray yn({15}, ir::DataType::float32());
+        Bindings bindings;
+        bindings.arrays = {{"a_data", &an}, {"x_data", &xn},
+                           {"y_data", &yn}};
+        runtime::runInterpreted(f, bindings);
+        std::vector<float> out;
+        for (int64_t e = 0; e < yn.numel(); ++e) {
+            out.push_back(static_cast<float>(yn.floatAt(e)));
+        }
+        return out;
+    }
+};
+
+TEST(Schedule, DecomposeReductionPeelsInitBitwise)
+{
+    PeelFixture fx;
+    ir::PrimFunc f = fx.func();
+    schedule::Schedule sch(f);
+    sch.decomposeReduction("mv", "j");
+    std::string text = ir::funcToString(sch.func());
+    // The init runs in its own k_init loop before j; the block keeps
+    // only its update.
+    size_t init_at = text.find("for k_init in range(3)");
+    EXPECT_NE(init_at, std::string::npos) << text;
+    EXPECT_LT(init_at, text.find("for j in range(4)")) << text;
+    EXPECT_EQ(text.find("init()"), std::string::npos) << text;
+    EXPECT_EQ(fx.run(f), fx.run(sch.func()));
+}
+
+TEST(Schedule, DecomposeReductionChecksPreconditions)
+{
+    PeelFixture fx;
+    // Not a reduction loop of the block.
+    schedule::Schedule spatial(fx.func());
+    EXPECT_THROW(spatial.decomposeReduction("mv", "k"), UserError);
+    EXPECT_THROW(spatial.decomposeReduction("mv", "i"), UserError);
+    // Nothing to peel.
+    schedule::Schedule no_init(fx.func(false));
+    EXPECT_THROW(no_init.decomposeReduction("mv", "j"), UserError);
+    // A reduction loop whose trip count may be zero: the init would
+    // run where it never ran before.
+    ir::PrimFunc csr =
+        transform::lowerSparseIterations(core::buildSpmm(8));
+    schedule::Schedule variable(csr);
+    auto loops = variable.getLoops("spmm");
+    EXPECT_THROW(variable.decomposeReduction("spmm", loops[1]),
+                 UserError);
+}
+
 TEST(Schedule, TensorizeIsFunctionalNoop)
 {
     SpmmFixture fx;

@@ -2,7 +2,8 @@
  * @file
  * Helpers shared by the GoogleTest suites: deterministic random data,
  * the bitwise-equality predicate the reproducibility contract is
- * stated in, and a per-process native artifact directory. One
+ * stated in, a per-process native artifact directory and the
+ * guard-strip mutation of the verifier corpus. One
  * definition, so what "bitwise identical" means cannot drift between
  * suites.
  */
@@ -14,9 +15,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <system_error>
 #include <vector>
 
+#include "ir/analysis.h"
+#include "ir/functor.h"
 #include "runtime/ndarray.h"
 #include "support/rng.h"
 
@@ -68,6 +72,35 @@ isolateNativeCacheDir(const char *prefix)
     }();
     (void)done;
 }
+
+/**
+ * Drops every `if` whose condition reads a variable named `needle`,
+ * keeping its then arm: the verifier corpus's way to make a kernel
+ * whose split-tail guard is load-bearing go out of bounds.
+ */
+class GuardStripper : public ir::StmtMutator
+{
+  public:
+    explicit GuardStripper(std::string needle)
+        : needle_(std::move(needle))
+    {}
+
+  protected:
+    ir::Stmt
+    mutateIfThenElse(const ir::IfThenElseNode *op,
+                     const ir::Stmt &s) override
+    {
+        for (const ir::VarNode *var : ir::collectVars(op->cond)) {
+            if (var->name == needle_) {
+                return mutateStmt(op->thenBody);
+            }
+        }
+        return StmtMutator::mutateIfThenElse(op, s);
+    }
+
+  private:
+    std::string needle_;
+};
 
 } // namespace testutil
 } // namespace sparsetir

@@ -330,34 +330,10 @@ TEST(Verify, EllRgmsProvesCleanSymbolically)
 // must be rejected with the matching diagnostic category.
 // ---------------------------------------------------------------------
 
-/**
- * Strip every if-guard whose condition mentions `needle` — removing
- * the split-tail spatial guard exactly reproduces the historic
- * cacheWrite missing-guard bug on pre-fix IR.
- */
-class GuardStripper : public ir::StmtMutator
-{
-  public:
-    explicit GuardStripper(std::string needle)
-        : needle_(std::move(needle))
-    {}
-
-  protected:
-    ir::Stmt
-    mutateIfThenElse(const ir::IfThenElseNode *op,
-                     const ir::Stmt &s) override
-    {
-        for (const ir::VarNode *var : ir::collectVars(op->cond)) {
-            if (var->name == needle_) {
-                return mutateStmt(op->thenBody);
-            }
-        }
-        return StmtMutator::mutateIfThenElse(op, s);
-    }
-
-  private:
-    std::string needle_;
-};
+// Stripping the split-tail spatial guard (testutil::GuardStripper)
+// exactly reproduces the historic cacheWrite missing-guard bug on
+// pre-fix IR.
+using testutil::GuardStripper;
 
 /** Clobber every store to `buffer` to land on one fixed location. */
 class StoreIndexClobber : public ir::StmtMutator
