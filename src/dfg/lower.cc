@@ -1,5 +1,6 @@
 #include "dfg/lower.h"
 
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -89,15 +90,15 @@ struct LowerCtx
     }
 };
 
-/** One-element float32 local accumulator. */
+/** `extent`-element float32 local accumulator. */
 Buffer
-accBuffer(const std::string &name)
+accBuffer(const std::string &name, int64_t extent = 1)
 {
     auto node = std::make_shared<BufferNode>();
     node->data = var(name, DataType::handle());
     node->name = name;
     node->dtype = DataType::float32();
-    node->shape = {intImm(1)};
+    node->shape = {intImm(extent)};
     node->scope = MemScope::kLocal;
     return node;
 }
@@ -117,9 +118,9 @@ struct NodeEmit
     int pid = -1;
 
     Var
-    loopVar(const char *stem) const
+    loopVar(const std::string &stem) const
     {
-        return var(std::string(stem) + std::to_string(nid));
+        return var(stem + std::to_string(nid));
     }
 
     Expr
@@ -210,27 +211,31 @@ softmaxRowBody(const NodeEmit &e)
     Var r1 = e.loopVar("ra");
     Var r2 = e.loopVar("rb");
     Var r3 = e.loopVar("rc");
-    // Numerically-stable three-pass form; the subtraction of the row
-    // max and the duplicated exp() are part of the bitwise contract
-    // between fused and chain lowerings, so they stay identical here
-    // by sharing this single emitter.
+    // Numerically-stable three-pass form. Pass 2 stores the float32
+    // exp(x - max) into the output and sums the stored values; pass 3
+    // divides them in place. One exp() per entry gives the same bits
+    // as recomputing it for the division, because the stored value is
+    // exactly what a second call would return. Fused and chain
+    // lowerings share this emitter, so they stay bitwise equal.
     Expr neg_inf = floatImm(-std::numeric_limits<float>::max());
     Stmt pass1 = e.rowPositions(
         r1, bufferStore(mx, {intImm(0)},
                         max(bufferLoad(mx, {intImm(0)}),
                             bufferLoad(e.in(0), {e.pos(r1)}))));
-    Expr exp2 = call(DataType::float32(), Builtin::kExp,
-                     {sub(bufferLoad(e.in(0), {e.pos(r2)}),
-                          bufferLoad(mx, {intImm(0)}))});
+    Expr shifted = call(DataType::float32(), Builtin::kExp,
+                        {sub(bufferLoad(e.in(0), {e.pos(r2)}),
+                             bufferLoad(mx, {intImm(0)}))});
     Stmt pass2 = e.rowPositions(
-        r2, bufferStore(sm, {intImm(0)},
-                        add(bufferLoad(sm, {intImm(0)}), exp2)));
-    Expr exp3 = call(DataType::float32(), Builtin::kExp,
-                     {sub(bufferLoad(e.in(0), {e.pos(r3)}),
-                          bufferLoad(mx, {intImm(0)}))});
+        r2, seq({
+                bufferStore(e.out(), {e.pos(r2)}, std::move(shifted)),
+                bufferStore(sm, {intImm(0)},
+                            add(bufferLoad(sm, {intImm(0)}),
+                                bufferLoad(e.out(), {e.pos(r2)}))),
+            }));
     Stmt pass3 = e.rowPositions(
         r3, bufferStore(e.out(), {e.pos(r3)},
-                        div(exp3, bufferLoad(sm, {intImm(0)}))));
+                        div(bufferLoad(e.out(), {e.pos(r3)}),
+                            bufferLoad(sm, {intImm(0)}))));
     Stmt body = seq({
         bufferStore(mx, {intImm(0)}, neg_inf),
         std::move(pass1),
@@ -241,28 +246,58 @@ softmaxRowBody(const NodeEmit &e)
     return allocate(mx, allocate(sm, std::move(body)));
 }
 
+/**
+ * Host-order row reduction into the node's dense output row: a
+ * feat-wide local accumulator is zeroed, `outer` wraps the
+ * constant-extent feature loop `acc[f] = acc[f] + term(f)` in the
+ * loop it reduces over, and a write-back loop stores acc[f] (divided
+ * by `divisor` when one is given).
+ * Each feature still sums its terms in `outer`'s order, so this is
+ * bit for bit the feature-outer form with a one-element accumulator,
+ * but the innermost loop now walks contiguous features (it
+ * vectorizes, and the gathered row's column id loads once per
+ * non-zero rather than once per feature).
+ */
+Stmt
+featureInnerReduce(const NodeEmit &e, const std::string &stem,
+                   const std::function<Stmt(Stmt)> &outer,
+                   const std::function<Expr(const Var &)> &term,
+                   const Expr &divisor = Expr())
+{
+    int64_t feat = e.ctx->graph->value(e.node->output).cols;
+    Buffer acc = accBuffer("acc" + std::to_string(e.nid), feat);
+    Var fz = e.loopVar(stem + "z");
+    Var f = e.loopVar(stem);
+    Var fw = e.loopVar(stem + "w");
+    Stmt init = forLoop(fz, intImm(0), intImm(feat),
+                        bufferStore(acc, {fz}, floatImm(0.0)));
+    Stmt reduce = outer(forLoop(
+        f, intImm(0), intImm(feat),
+        bufferStore(acc, {f}, add(bufferLoad(acc, {f}), term(f)))));
+    Expr sum = bufferLoad(acc, {fw});
+    Stmt write_back = forLoop(
+        fw, intImm(0), intImm(feat),
+        bufferStore(e.out(), {e.denseAt(e.node->output, fw)},
+                    divisor == nullptr ? sum : div(sum, divisor)));
+    return allocate(acc, seq({std::move(init), std::move(reduce),
+                              std::move(write_back)}));
+}
+
 Stmt
 spmmRowBody(const NodeEmit &e)
 {
-    const OpGraph &g = *e.ctx->graph;
-    int64_t feat = g.value(e.node->output).cols;
-    Buffer acc = accBuffer("acc" + std::to_string(e.nid));
-    Var k = e.loopVar("k");
+    int64_t feat = e.ctx->graph->value(e.node->output).cols;
     Var r = e.loopVar("r");
-    Expr b = bufferLoad(e.in(1), {add(mul(e.col(r), intImm(feat)), k)});
-    Stmt reduce = e.rowPositions(
-        r, bufferStore(acc, {intImm(0)},
-                       add(bufferLoad(acc, {intImm(0)}),
-                           mul(bufferLoad(e.in(0), {e.pos(r)}), b))));
-    Stmt per_feat = seq({
-        bufferStore(acc, {intImm(0)}, floatImm(0.0)),
-        std::move(reduce),
-        bufferStore(e.out(), {e.denseAt(e.node->output, k)},
-                    bufferLoad(acc, {intImm(0)})),
-    });
-    return allocate(acc,
-                    forLoop(k, intImm(0), intImm(feat),
-                            std::move(per_feat)));
+    return featureInnerReduce(
+        e, "k",
+        [&](Stmt feature_loop) {
+            return e.rowPositions(r, std::move(feature_loop));
+        },
+        [&](const Var &k) {
+            Expr b = bufferLoad(e.in(1),
+                                {add(mul(e.col(r), intImm(feat)), k)});
+            return mul(bufferLoad(e.in(0), {e.pos(r)}), std::move(b));
+        });
 }
 
 Stmt
@@ -286,32 +321,24 @@ elementwiseRowBody(const NodeEmit &e)
 Stmt
 aggregateRowBody(const NodeEmit &e)
 {
-    const OpGraph &g = *e.ctx->graph;
-    int64_t feat = g.value(e.node->output).cols;
-    Buffer acc = accBuffer("acc" + std::to_string(e.nid));
-    Var k = e.loopVar("k");
+    int64_t feat = e.ctx->graph->value(e.node->output).cols;
     Var r = e.loopVar("r");
-    Expr x = bufferLoad(e.in(0), {add(mul(e.col(r), intImm(feat)), k)});
-    Stmt reduce = e.rowPositions(
-        r, bufferStore(acc, {intImm(0)},
-                       add(bufferLoad(acc, {intImm(0)}), x)));
-    Expr result = bufferLoad(acc, {intImm(0)});
+    // Empty rows divide by max(degree, 1): sum is zero, mean is zero,
+    // and no division-by-zero reaches either backend.
+    Expr degree;
     if (e.node->mean) {
-        // Empty rows divide by max(degree, 1): sum is zero, mean is
-        // zero, and no division-by-zero reaches either backend.
-        result = div(result,
-                     max(cast(DataType::float32(), e.width()),
-                         floatImm(1.0)));
+        degree = max(cast(DataType::float32(), e.width()), floatImm(1.0));
     }
-    Stmt per_feat = seq({
-        bufferStore(acc, {intImm(0)}, floatImm(0.0)),
-        std::move(reduce),
-        bufferStore(e.out(), {e.denseAt(e.node->output, k)},
-                    std::move(result)),
-    });
-    return allocate(acc,
-                    forLoop(k, intImm(0), intImm(feat),
-                            std::move(per_feat)));
+    return featureInnerReduce(
+        e, "k",
+        [&](Stmt feature_loop) {
+            return e.rowPositions(r, std::move(feature_loop));
+        },
+        [&](const Var &k) {
+            return bufferLoad(e.in(0),
+                              {add(mul(e.col(r), intImm(feat)), k)});
+        },
+        degree);
 }
 
 Stmt
@@ -320,23 +347,19 @@ updateRowBody(const NodeEmit &e)
     const OpGraph &g = *e.ctx->graph;
     int64_t inner = g.value(e.node->inputs[0]).cols;
     int64_t feat = g.value(e.node->output).cols;
-    Buffer acc = accBuffer("acc" + std::to_string(e.nid));
-    Var j = e.loopVar("j");
     Var k = e.loopVar("k");
-    Expr h = bufferLoad(e.in(0), {e.denseAt(e.node->inputs[0], k)});
-    Expr w = bufferLoad(e.in(1), {add(mul(k, intImm(feat)), j)});
-    Stmt per_out = seq({
-        bufferStore(acc, {intImm(0)}, floatImm(0.0)),
-        forLoop(k, intImm(0), intImm(inner),
-                bufferStore(acc, {intImm(0)},
-                            add(bufferLoad(acc, {intImm(0)}),
-                                mul(h, w)))),
-        bufferStore(e.out(), {e.denseAt(e.node->output, j)},
-                    bufferLoad(acc, {intImm(0)})),
-    });
-    return allocate(acc,
-                    forLoop(j, intImm(0), intImm(feat),
-                            std::move(per_out)));
+    return featureInnerReduce(
+        e, "j",
+        [&](Stmt feature_loop) {
+            return forLoop(k, intImm(0), intImm(inner),
+                           std::move(feature_loop));
+        },
+        [&](const Var &j) {
+            Expr h = bufferLoad(e.in(0),
+                                {e.denseAt(e.node->inputs[0], k)});
+            Expr w = bufferLoad(e.in(1), {add(mul(k, intImm(feat)), j)});
+            return mul(std::move(h), std::move(w));
+        });
 }
 
 Stmt

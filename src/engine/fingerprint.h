@@ -125,8 +125,11 @@ const char *opKindName(OpKind op);
  *       hoisting drops floordiv(x, c) * c + floormod(x, c); proven
  *       kernels carry their proof's scalar facts, and native emits
  *       them without per-access checks (native ABI v5).
+ *  v11 — dfg spmm, aggregate and update row bodies reduce into a
+ *       feature-wide local accumulator with the feature loop
+ *       innermost, and masked softmax computes one exp per entry.
  */
-constexpr uint32_t kArtifactVersion = 10;
+constexpr uint32_t kArtifactVersion = 11;
 
 /** Key of one compile-cache entry. */
 struct CacheKey

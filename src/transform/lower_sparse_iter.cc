@@ -1,8 +1,10 @@
 #include "transform/lower_sparse_iter.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/analysis.h"
@@ -98,7 +100,9 @@ class Lowerer
         result->body = body;
         result->stage = IrStage::kStage2;
         // Register aux buffers in the buffer map so downstream passes
-        // and the interpreter can bind them.
+        // and the interpreter can bind them, in materialization order:
+        // the buffer map's order (and everything laid out from it)
+        // must not depend on where the axes sit on the heap.
         for (const auto &[axis, buffer] : indptrBuffers_) {
             result->bufferMap.emplace_back(buffer->data, buffer);
         }
@@ -122,25 +126,39 @@ class Lowerer
         visitedAxes_.insert(axis.get());
         materializeAxis(axis->parent);
         if (axis->isVariable()) {
-            indptrBuffers_.emplace(axis.get(), indptrBufferOf(axis));
+            indptrBuffers_.emplace_back(axis.get(), indptrBufferOf(axis));
         }
         if (axis->isSparse()) {
-            indicesBuffers_.emplace(axis.get(), indicesBufferOf(axis));
+            indicesBuffers_.emplace_back(axis.get(),
+                                         indicesBufferOf(axis));
         }
+    }
+
+    /** Aux buffers per axis, in materialization order. */
+    using AxisBuffers = std::vector<std::pair<const AxisNode *, Buffer>>;
+
+    static const Buffer &
+    bufferOf(const AxisBuffers &buffers, const AxisNode *axis)
+    {
+        auto it = std::find_if(
+            buffers.begin(), buffers.end(),
+            [axis](const auto &entry) { return entry.first == axis; });
+        ICHECK(it != buffers.end()) << "axis has no aux buffer";
+        return it->second;
     }
 
     Buffer
     indptrBuf(const Axis &axis)
     {
         materializeAxis(axis);
-        return indptrBuffers_.at(axis.get());
+        return bufferOf(indptrBuffers_, axis.get());
     }
 
     Buffer
     indicesBuf(const Axis &axis)
     {
         materializeAxis(axis);
-        return indicesBuffers_.at(axis.get());
+        return bufferOf(indicesBuffers_, axis.get());
     }
 
     Stmt
@@ -685,8 +703,8 @@ class Lowerer
 
     PrimFunc func_;
     std::set<const AxisNode *> visitedAxes_;
-    std::map<const AxisNode *, Buffer> indptrBuffers_;
-    std::map<const AxisNode *, Buffer> indicesBuffers_;
+    AxisBuffers indptrBuffers_;
+    AxisBuffers indicesBuffers_;
 };
 
 } // namespace

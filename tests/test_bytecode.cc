@@ -40,6 +40,11 @@ using runtime::Bindings;
 using runtime::NDArray;
 using testutil::bitwiseEqual;
 using testutil::randomVector;
+
+// With SPARSETIR_NATIVE=1 every engine here may serve natively: its
+// .so files go to a per-process directory removed at exit.
+[[maybe_unused]] const bool kNativeCacheIsolated =
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-bytecode-native-");
 namespace bytecode = runtime::bytecode;
 
 /** A CSR with one very long row, so small bucket caps split it. */

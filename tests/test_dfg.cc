@@ -15,14 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dfg/lower.h"
 #include "dfg/op_graph.h"
 #include "engine/engine.h"
+#include "ir/functor.h"
 #include "model/attention.h"
 #include "model/graphsage.h"
 #include "model/rgcn.h"
@@ -43,6 +47,11 @@ using format::Csr;
 using runtime::NDArray;
 using testutil::bitwiseEqual;
 using testutil::randomVector;
+
+// With SPARSETIR_NATIVE=1 every engine here may serve natively: its
+// .so files go to a per-process directory removed at exit.
+[[maybe_unused]] const bool kNativeCacheIsolated =
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-dfg-native-");
 
 Csr
 randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
@@ -570,6 +579,306 @@ TEST(DfgLowering, FusedProgramHasNoInteriorParams)
     for (const auto &temp : chain.temps) {
         EXPECT_EQ(temp.numel, mask.nnz());
     }
+}
+
+// ---------------------------------------------------------------------
+// Row-body shapes and the arithmetic they keep
+// ---------------------------------------------------------------------
+
+/**
+ * Loop facts of one lowered kernel: every access to a local
+ * accumulator `acc<nid>` with its enclosing loops, which loops hold
+ * another loop, and the kernel's exp() calls.
+ */
+class RowBodyShape : public ir::StmtVisitor
+{
+  public:
+    struct AccAccess
+    {
+        /** Enclosing loops, outermost (the row loop) first. */
+        std::vector<const ir::ForNode *> loops;
+        ir::Expr index;
+        /** A store whose value reads the accumulator it writes. */
+        bool reduces = false;
+    };
+
+    std::map<std::string, std::vector<AccAccess>> accesses;
+    std::map<std::string, int64_t> extents;
+    std::map<const ir::ForNode *, bool> holdsLoop;
+    int exps = 0;
+
+  protected:
+    void
+    visitFor(const ir::ForNode *op) override
+    {
+        for (const ir::ForNode *outer : loops_) {
+            holdsLoop[outer] = true;
+        }
+        holdsLoop.emplace(op, false);
+        loops_.push_back(op);
+        StmtVisitor::visitFor(op);
+        loops_.pop_back();
+    }
+
+    void
+    visitAllocate(const ir::AllocateNode *op) override
+    {
+        extents[op->buffer->name] =
+            static_cast<const ir::IntImmNode *>(op->buffer->shape[0].get())
+                ->value;
+        StmtVisitor::visitAllocate(op);
+    }
+
+    void
+    visitBufferStore(const ir::BufferStoreNode *op) override
+    {
+        if (isAcc(op->buffer)) {
+            bool reads_self = false;
+            if (op->value->kind == ir::ExprKind::kAdd) {
+                auto sum = static_cast<const ir::BinaryNode *>(
+                    op->value.get());
+                reads_self =
+                    sum->a->kind == ir::ExprKind::kBufferLoad &&
+                    static_cast<const ir::BufferLoadNode *>(sum->a.get())
+                            ->buffer == op->buffer;
+            }
+            accesses[op->buffer->name].push_back(
+                {loops_, op->indices[0], reads_self});
+        }
+        StmtVisitor::visitBufferStore(op);
+    }
+
+    void
+    visitBufferLoad(const ir::BufferLoadNode *op) override
+    {
+        if (isAcc(op->buffer)) {
+            accesses[op->buffer->name].push_back(
+                {loops_, op->indices[0], false});
+        }
+        StmtVisitor::visitBufferLoad(op);
+    }
+
+    void
+    visitCall(const ir::CallNode *op) override
+    {
+        exps += op->op == ir::Builtin::kExp ? 1 : 0;
+        StmtVisitor::visitCall(op);
+    }
+
+  private:
+    static bool
+    isAcc(const ir::Buffer &buffer)
+    {
+        return buffer->scope == ir::MemScope::kLocal &&
+               buffer->name.rfind("acc", 0) == 0;
+    }
+
+    std::vector<const ir::ForNode *> loops_;
+};
+
+TEST(DfgLowering, RowBodiesAreFeatureInner)
+{
+    PatternRef pattern =
+        SparsityPattern::fromCsr(randomCsr(24, 20, 0.25, 131));
+    const OpGraph graphs[] = {
+        model::buildAttentionGraph(pattern, 8),
+        model::buildGraphSageLayerGraph(pattern, 6, 5),
+    };
+    for (const OpGraph &graph : graphs) {
+        for (bool fuse : {true, false}) {
+            dfg::GraphLowering lowering = dfg::lowerGraph(graph, fuse);
+            ASSERT_EQ(lowering.fused, fuse);
+            // The chain lowers node nid into funcs[nid]; the fused
+            // kernel holds every node.
+            for (size_t f = 0; f < lowering.funcs.size(); ++f) {
+                RowBodyShape shape;
+                shape.visitStmt(lowering.funcs[f]->body);
+                int softmaxes = 0;
+                for (size_t nid = 0; nid < graph.nodes().size(); ++nid) {
+                    if (!fuse && nid != f) {
+                        continue;
+                    }
+                    const dfg::Node &node = graph.nodes()[nid];
+                    softmaxes +=
+                        node.type == dfg::OpType::kMaskedSoftmax ? 1 : 0;
+                    if (node.type != dfg::OpType::kSpmm &&
+                        node.type != dfg::OpType::kAggregate &&
+                        node.type != dfg::OpType::kUpdate) {
+                        continue;
+                    }
+                    int64_t feat = graph.value(node.output).cols;
+                    std::string acc = "acc" + std::to_string(nid);
+                    SCOPED_TRACE(lowering.funcs[f]->name + " " + acc);
+                    EXPECT_EQ(shape.extents[acc], feat);
+                    int reductions = 0;
+                    ASSERT_FALSE(shape.accesses[acc].empty());
+                    for (const auto &access : shape.accesses[acc]) {
+                        // Innermost: the constant-extent feature loop,
+                        // indexing the accumulator, holding no loop.
+                        ASSERT_FALSE(access.loops.empty());
+                        const ir::ForNode *inner = access.loops.back();
+                        ASSERT_EQ(inner->extent->kind,
+                                  ir::ExprKind::kIntImm);
+                        EXPECT_EQ(static_cast<const ir::IntImmNode *>(
+                                      inner->extent.get())
+                                      ->value,
+                                  feat);
+                        EXPECT_EQ(access.index.get(),
+                                  static_cast<const ir::ExprNode *>(
+                                      inner->loopVar.get()));
+                        EXPECT_FALSE(shape.holdsLoop[inner]);
+                        if (access.reduces) {
+                            // Row loop, position (or inner-k) loop,
+                            // feature loop.
+                            EXPECT_EQ(access.loops.size(), 3u);
+                            ++reductions;
+                        }
+                    }
+                    EXPECT_EQ(reductions, 1);
+                }
+                EXPECT_EQ(shape.exps, softmaxes)
+                    << lowering.funcs[f]->name;
+            }
+        }
+    }
+}
+
+/** float32 exp as every tier computes it: double exp, rounded. */
+float
+exp32(float x)
+{
+    return static_cast<float>(std::exp(static_cast<double>(x)));
+}
+
+/**
+ * Attention in the order the dfg row bodies had before they became
+ * feature-inner: each float32 op rounded, each output feature summed
+ * over its row's positions in order, and exp computed twice (once
+ * for the softmax sum, again for the division).
+ */
+std::vector<float>
+attentionOldOrder(const Csr &mask, int64_t d, const std::vector<float> &q,
+                  const std::vector<float> &kt,
+                  const std::vector<float> &v)
+{
+    const double scale = 1.0 / std::sqrt(static_cast<double>(d));
+    std::vector<float> out(static_cast<size_t>(mask.rows * d));
+    for (int64_t i = 0; i < mask.rows; ++i) {
+        int32_t lo = mask.indptr[i], hi = mask.indptr[i + 1];
+        std::vector<float> s;
+        for (int32_t p = lo; p < hi; ++p) {
+            float acc = 0.0f;
+            for (int64_t k = 0; k < d; ++k) {
+                acc = acc + q[i * d + k] *
+                                kt[k * mask.cols + mask.indices[p]];
+            }
+            s.push_back(static_cast<float>(acc * scale));
+        }
+        float mx = -std::numeric_limits<float>::max();
+        float sum = 0.0f;
+        for (float x : s) {
+            mx = std::max(mx, x);
+        }
+        for (float x : s) {
+            sum = sum + exp32(x - mx);
+        }
+        for (int64_t k = 0; k < d; ++k) {
+            float acc = 0.0f;
+            for (int32_t p = lo; p < hi; ++p) {
+                acc = acc + exp32(s[p - lo] - mx) / sum *
+                                v[mask.indices[p] * d + k];
+            }
+            out[i * d + k] = acc;
+        }
+    }
+    return out;
+}
+
+/** Mean-aggregate + update, feature-outer, in float32. */
+std::vector<float>
+graphSageOldOrder(const Csr &adj, int64_t fin, int64_t fout,
+                  const std::vector<float> &x,
+                  const std::vector<float> &w)
+{
+    std::vector<float> out(static_cast<size_t>(adj.rows * fout));
+    std::vector<float> h(static_cast<size_t>(fin));
+    for (int64_t i = 0; i < adj.rows; ++i) {
+        int32_t lo = adj.indptr[i], hi = adj.indptr[i + 1];
+        for (int64_t k = 0; k < fin; ++k) {
+            float acc = 0.0f;
+            for (int32_t p = lo; p < hi; ++p) {
+                acc = acc + x[adj.indices[p] * fin + k];
+            }
+            h[k] = acc / std::max(static_cast<float>(hi - lo), 1.0f);
+        }
+        for (int64_t j = 0; j < fout; ++j) {
+            float acc = 0.0f;
+            for (int64_t k = 0; k < fin; ++k) {
+                acc = acc + h[k] * w[k * fout + j];
+            }
+            out[i * fout + j] = acc;
+        }
+    }
+    return out;
+}
+
+TEST(DfgLowering, RowBodiesKeepOldOrderBitwiseOnEveryTier)
+{
+    // Empty rows (1, 4, 8) and rows shorter than the widest (5).
+    const int64_t widths[] = {3, 0, 1, 5, 0, 2, 5, 4, 0, 1, 3, 2};
+    const int64_t rows = 12, cols = 10;
+    std::vector<float> dense(rows * cols, 0.0f);
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t t = 0; t < widths[i]; ++t) {
+            dense[i * cols + (i + 3 * t) % cols] = 1.0f;
+        }
+    }
+    Csr mask = format::csrFromDense(rows, cols, dense);
+    PatternRef pattern = SparsityPattern::fromCsr(mask);
+
+    std::map<runtime::Backend, std::unique_ptr<Engine>> engines;
+    for (runtime::Backend backend :
+         {runtime::Backend::kInterpreter, runtime::Backend::kBytecode,
+          runtime::Backend::kNative}) {
+        EngineOptions options = verifyingOptions();
+        options.backend = backend;
+        options.nativePromoteAfter = 0; // native from the first resolve
+        engines[backend] = std::make_unique<Engine>(options);
+    }
+    for (int64_t feat : {1, 5, 32, 37}) {
+        std::vector<float> q = randomVector(rows * feat, 141);
+        std::vector<float> kt = randomVector(feat * cols, 142);
+        std::vector<float> v = randomVector(cols * feat, 143);
+        std::vector<float> w = randomVector(feat * feat, 144);
+        NDArray attention_ref =
+            NDArray::fromFloat(attentionOldOrder(mask, feat, q, kt, v));
+        NDArray sage_ref = NDArray::fromFloat(
+            graphSageOldOrder(mask, feat, feat, v, w));
+        NDArray qa = NDArray::fromFloat(q);
+        NDArray kta = NDArray::fromFloat(kt);
+        NDArray va = NDArray::fromFloat(v);
+        NDArray wa = NDArray::fromFloat(w);
+        for (auto &[backend, engine] : engines) {
+            for (bool fuse : {true, false}) {
+                SCOPED_TRACE("feat " + std::to_string(feat) + " backend " +
+                             std::to_string(static_cast<int>(backend)) +
+                             (fuse ? " fused" : " chain"));
+                NDArray out({rows * feat}, ir::DataType::float32());
+                model::attentionPipeline(*engine, pattern, feat, &qa, &kta,
+                                         &va, &out, fuse);
+                EXPECT_TRUE(bitwiseEqual(out, attention_ref));
+                NDArray sage({rows * feat}, ir::DataType::float32());
+                model::graphSageLayer(*engine, pattern, feat, feat, &va,
+                                      &wa, &sage, fuse);
+                EXPECT_TRUE(bitwiseEqual(sage, sage_ref));
+            }
+        }
+    }
+    engine::NativeStats native =
+        engines[runtime::Backend::kNative]->nativeStats();
+    EXPECT_GT(native.compiles + native.diskHits, 0u);
+    EXPECT_EQ(native.fallbacks, 0u);
+    EXPECT_EQ(native.guardMisses, 0u);
 }
 
 TEST(DfgGraph, DuplicateValueNamesRejected)

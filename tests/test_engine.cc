@@ -40,6 +40,11 @@ using runtime::NDArray;
 using testutil::bitwiseEqual;
 using testutil::randomVector;
 
+// With SPARSETIR_NATIVE=1 every engine here may serve natively: its
+// .so files go to a per-process directory removed at exit.
+[[maybe_unused]] const bool kNativeCacheIsolated =
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-engine-native-");
+
 Csr
 randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
 {

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "format/csr.h"
+#include "format/hyb.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "ir/structural_equal.h"
@@ -222,6 +227,92 @@ TEST(LowerSparseIter, SddmmFusedEmitsSingleSpatialLoop)
     // Row recovered by binary search over indptr.
     EXPECT_NE(text.find("upper_bound(J_indptr"), std::string::npos)
         << text;
+}
+
+/** Buffer names of a function's buffer map, in order. */
+std::vector<std::string>
+bufferMapNames(const PrimFunc &func)
+{
+    std::vector<std::string> names;
+    for (const auto &[param, buffer] : func->bufferMap) {
+        names.push_back(buffer->name);
+    }
+    return names;
+}
+
+/** Heap traffic between two builds: live blocks of mixed sizes. */
+std::vector<std::unique_ptr<char[]>>
+churnHeap()
+{
+    std::vector<std::unique_ptr<char[]>> blocks;
+    for (int i = 0; i < 97; ++i) {
+        blocks.emplace_back(new char[static_cast<size_t>(24 * (i % 11 + 1))]);
+    }
+    return blocks;
+}
+
+TEST(LowerSparseIter, AuxBuffersRegisterInMaterializationOrder)
+{
+    // Two builds of one program, with allocations in between, lower
+    // to the same buffer map order and the same IR: aux buffers are
+    // registered in materialization order, not by axis address.
+    std::vector<std::string> csr_names;
+    std::string csr_text;
+    for (int round = 0; round < 2; ++round) {
+        auto churn = churnHeap();
+        PrimFunc stage2 = transform::lowerSparseIterations(buildSpmm());
+        if (round == 0) {
+            csr_names = bufferMapNames(stage2);
+            csr_text = funcToString(stage2);
+        } else {
+            EXPECT_EQ(bufferMapNames(stage2), csr_names);
+            EXPECT_EQ(funcToString(stage2), csr_text);
+        }
+    }
+
+    // Row i holds i % 9 non-zeros: several ELL buckets per partition,
+    // each adding a row-index and a column-index axis.
+    const int64_t n = 48;
+    std::vector<float> dense(n * n, 0.0f);
+    for (int64_t i = 0; i < n; ++i) {
+        for (int64_t t = 0; t < i % 9; ++t) {
+            dense[i * n + (i + 5 * t) % n] = 1.0f;
+        }
+    }
+    format::Hyb hyb = format::hybFromCsr(format::csrFromDense(n, n, dense),
+                                         2, 3);
+    for (core::ScheduleTarget target :
+         {core::ScheduleTarget::kHost, core::ScheduleTarget::kGpu}) {
+        std::vector<std::vector<std::string>> names;
+        std::vector<std::string> texts;
+        for (int round = 0; round < 2; ++round) {
+            auto churn = churnHeap();
+            std::vector<core::HybKernelPlan> plans =
+                core::compileSpmmHybFuncs(hyb, 8, target);
+            ASSERT_GT(plans.size(), 2u);
+            for (size_t k = 0; k < plans.size(); ++k) {
+                if (round == 0) {
+                    names.push_back(bufferMapNames(plans[k].func));
+                    texts.push_back(funcToString(plans[k].func));
+                    continue;
+                }
+                EXPECT_EQ(bufferMapNames(plans[k].func), names[k]);
+                EXPECT_EQ(funcToString(plans[k].func), texts[k]);
+            }
+            // The aux buffers close the map: the CSR axis's, then each
+            // bucket's row axis before its column axis, in rule order.
+            std::vector<std::string> aux = {"J_indptr", "J_indices"};
+            for (const core::HybKernelPlan &plan : plans) {
+                aux.push_back("I" + plan.suffix + "_indices");
+                aux.push_back("J" + plan.suffix + "_indices");
+            }
+            std::vector<std::string> tail = bufferMapNames(plans[0].func);
+            ASSERT_GE(tail.size(), aux.size());
+            tail.erase(tail.begin(),
+                       tail.end() - static_cast<std::ptrdiff_t>(aux.size()));
+            EXPECT_EQ(tail, aux);
+        }
+    }
 }
 
 TEST(Interpreter, SddmmFusedMatchesUnfused)

@@ -42,6 +42,11 @@ using observe::TraceRecorder;
 using runtime::NDArray;
 using testutil::randomVector;
 
+// With SPARSETIR_NATIVE=1 every engine here may serve natively: its
+// .so files go to a per-process directory removed at exit.
+[[maybe_unused]] const bool kNativeCacheIsolated =
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-observe-native-");
+
 /** Leave the global recorder the way an untraced process has it. */
 void
 quiesceRecorder()

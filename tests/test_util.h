@@ -52,9 +52,11 @@ bitwiseEqual(const runtime::NDArray &a, const runtime::NDArray &b)
  * Point the native engines of this process at one fresh artifact
  * directory, `<prefix>XXXXXX`, made on the first call and removed
  * with its contents at process exit: a suite never loads .so files
- * persisted by other processes and leaves none behind.
+ * persisted by other processes and leaves none behind. Returns
+ * whether the directory was made, so a suite can isolate itself in
+ * a namespace-scope initializer before any test runs.
  */
-inline void
+inline bool
 isolateNativeCacheDir(const char *prefix)
 {
     static char dir[256];
@@ -70,7 +72,7 @@ isolateNativeCacheDir(const char *prefix)
         });
         return true;
     }();
-    (void)done;
+    return done;
 }
 
 /**
