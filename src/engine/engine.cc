@@ -777,6 +777,8 @@ Engine::Engine(EngineOptions options)
     nativeFallbacks_ = metrics_->counter("native.fallbacks");
     nativeGuardMisses_ = metrics_->counter("native.guard_misses");
     nativeCompileMs_ = metrics_->histogram("native.compile_ms");
+    metrics_->counter("engine.pool.unpinned_workers")
+        ->add(static_cast<uint64_t>(pool_->unpinnedWorkers()));
     for (OpKind op :
          {OpKind::kSpmmCsr, OpKind::kSpmmHyb, OpKind::kSddmm,
           OpKind::kRgcnHyb, OpKind::kSpmmBsr, OpKind::kSpmmSrbcrs,

@@ -1,5 +1,8 @@
 #include "engine/thread_pool.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 
@@ -14,6 +17,36 @@ namespace {
 /** The pool whose workerLoop owns the current thread, if any. */
 thread_local const ThreadPool *tls_worker_pool = nullptr;
 
+/** The CPUs of the calling thread's affinity mask, ascending; empty
+ *  when the mask cannot be read. */
+std::vector<int>
+allowedCpus()
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    std::vector<int> cpus;
+    if (::sched_getaffinity(0, sizeof mask, &mask) != 0) {
+        return cpus;
+    }
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &mask)) {
+            cpus.push_back(cpu);
+        }
+    }
+    return cpus;
+}
+
+/** Pin `thread` to `cpu`; false when the kernel refuses. */
+bool
+pinToCpu(std::thread &thread, int cpu)
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    return ::pthread_setaffinity_np(thread.native_handle(), sizeof mask,
+                                    &mask) == 0;
+}
+
 } // namespace
 
 ThreadPool::ThreadPool(int num_threads)
@@ -22,9 +55,14 @@ ThreadPool::ThreadPool(int num_threads)
         num_threads = static_cast<int>(
             std::max(1u, std::thread::hardware_concurrency()));
     }
+    std::vector<int> cpus = allowedCpus();
     workers_.reserve(num_threads);
     for (int i = 0; i < num_threads; ++i) {
         workers_.emplace_back([this, i] { workerLoop(i); });
+        if (cpus.empty() ||
+            !pinToCpu(workers_.back(), cpus[i % cpus.size()])) {
+            ++unpinned_;
+        }
     }
 }
 

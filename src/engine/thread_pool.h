@@ -10,6 +10,13 @@
  * worker-thread callers and degrades to caller-runs (inline, serial)
  * instead of blocking a worker slot on work that needs that very
  * slot, which on a saturated pool would deadlock.
+ *
+ * Each worker is pinned to one CPU: worker i runs on the (i mod n)-th
+ * CPU of the affinity mask the constructing thread had, n being that
+ * mask's size. Left unpinned, the scheduler tends to queue a
+ * dispatch's runner tasks on the CPU that woke them, one after the
+ * other, so a fan-out rarely reaches a second core. A worker whose
+ * pin fails runs unpinned and counts in unpinnedWorkers().
  */
 
 #ifndef SPARSETIR_ENGINE_THREAD_POOL_H_
@@ -39,6 +46,9 @@ class ThreadPool
 
     int size() const { return static_cast<int>(workers_.size()); }
 
+    /** Workers whose pin to their CPU failed; they run unpinned. */
+    int unpinnedWorkers() const { return unpinned_; }
+
     /** Enqueue a task; the future rethrows the task's exception. */
     std::future<void> submit(std::function<void()> task);
 
@@ -65,6 +75,7 @@ class ThreadPool
     std::mutex mu_;
     std::condition_variable cv_;
     bool stopping_ = false;
+    int unpinned_ = 0;
 };
 
 } // namespace engine

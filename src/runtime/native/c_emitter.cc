@@ -319,6 +319,7 @@ class Emitter
         }
         scalarUsed_.assign(scalars_.size(), false);
         numParamSlots_ = static_cast<int>(slotNames_.size());
+        paramUsed_.assign(slotNames_.size(), false);
         blockLoop_ = findBlockIdxLoop(func_->body);
         proven_ = proof_ != nullptr && provenExtents();
         indent_ = 1;
@@ -330,6 +331,11 @@ class Emitter
         result.name = func_->name;
         result.slotNames = slotNames_;
         result.numParamSlots = numParamSlots_;
+        for (int slot = 0; slot < numParamSlots_; ++slot) {
+            if (paramUsed_[slot]) {
+                result.usedParamSlots.push_back(slot);
+            }
+        }
         result.hasWindow = blockLoop_ != nullptr;
         result.proven = proven_;
 
@@ -436,12 +442,17 @@ class Emitter
         return it->second.name;
     }
 
+    /** Slot of an accessed buffer, recording parameter-slot usage
+     *  (lazy binding). */
     int
     slotFor(const Buffer &buffer)
     {
         auto it = slotOf_.find(buffer->data.get());
         ICHECK(it != slotOf_.end())
             << "no storage bound for buffer '" << buffer->name << "'";
+        if (it->second < numParamSlots_) {
+            paramUsed_[it->second] = true;
+        }
         return it->second;
     }
 
@@ -1464,6 +1475,7 @@ class Emitter
     int tmpCount_ = 0;
     std::vector<std::string> slotNames_;
     int numParamSlots_ = 0;
+    std::vector<bool> paramUsed_;
     std::vector<std::string> scalars_;
     std::unordered_map<const VarNode *, size_t> scalarIndex_;
     std::vector<bool> scalarUsed_;

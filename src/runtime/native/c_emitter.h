@@ -59,6 +59,11 @@ struct EmitResult
     std::vector<std::string> slotNames;
     int numParamSlots = 0;
     /**
+     * Parameter slots the emitted code accesses, ascending. The host
+     * binds only these; an unused parameter needs no binding.
+     */
+    std::vector<int> usedParamSlots;
+    /**
      * Scalar params the emitted code reads, in signature order; the
      * host packs ctx->scalars in exactly this order. Unused scalars
      * are dropped — lazy-binding parity with the other backends.

@@ -2,6 +2,8 @@
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <pthread.h>
+#include <sched.h>
 #include <spawn.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -113,9 +115,55 @@ readFile(const std::string &path)
 }
 
 /**
+ * Widens the calling thread's CPU affinity to its own mask joined
+ * with the process's (its main thread's) for the guard's lifetime,
+ * then restores it. A child started by posix_spawn inherits the
+ * affinity of the thread that spawns it, and a promotion runs on a
+ * pool worker pinned to one CPU (engine::ThreadPool): without this,
+ * `cc` would be confined to that CPU. Nothing changes when a mask
+ * cannot be read.
+ */
+class WidenedAffinity
+{
+  public:
+    WidenedAffinity()
+    {
+        cpu_set_t process;
+        CPU_ZERO(&saved_);
+        CPU_ZERO(&process);
+        if (::pthread_getaffinity_np(::pthread_self(), sizeof saved_,
+                                     &saved_) != 0 ||
+            ::sched_getaffinity(::getpid(), sizeof process, &process) !=
+                0) {
+            return;
+        }
+        cpu_set_t wide;
+        CPU_OR(&wide, &saved_, &process);
+        widened_ = ::pthread_setaffinity_np(::pthread_self(), sizeof wide,
+                                            &wide) == 0;
+    }
+
+    ~WidenedAffinity()
+    {
+        if (widened_) {
+            ::pthread_setaffinity_np(::pthread_self(), sizeof saved_,
+                                     &saved_);
+        }
+    }
+
+    WidenedAffinity(const WidenedAffinity &) = delete;
+    WidenedAffinity &operator=(const WidenedAffinity &) = delete;
+
+  private:
+    cpu_set_t saved_;
+    bool widened_ = false;
+};
+
+/**
  * Run `argv` (no shell) with stdout and stderr sent to `log_path` and
  * wait for it. Returns "" when it exits with status 0, else what went
  * wrong: the spawn error, the exit status or the terminating signal.
+ * The child may run on every CPU of the process (WidenedAffinity).
  */
 std::string
 runCompiler(const std::vector<std::string> &argv,
@@ -137,8 +185,12 @@ runCompiler(const std::vector<std::string> &argv,
     ::posix_spawn_file_actions_adddup2(&actions, STDERR_FILENO,
                                        STDOUT_FILENO);
     pid_t pid = 0;
-    int rc = ::posix_spawnp(&pid, args[0], &actions, nullptr,
-                            args.data(), environ);
+    int rc = 0;
+    {
+        WidenedAffinity all_cpus;
+        rc = ::posix_spawnp(&pid, args[0], &actions, nullptr, args.data(),
+                            environ);
+    }
     ::posix_spawn_file_actions_destroy(&actions);
     if (rc != 0) {
         return "cannot start '" + argv[0] + "': " + std::strerror(rc);
@@ -370,6 +422,7 @@ compileNativeModule(const std::vector<ir::PrimFunc> &funcs,
         kernel->handle = handle;
         kernel->slotNames = std::move(emitted.slotNames);
         kernel->numParamSlots = emitted.numParamSlots;
+        kernel->usedParamSlots = std::move(emitted.usedParamSlots);
         kernel->scalarNames = std::move(emitted.scalarNames);
         kernel->hasWindow = emitted.hasWindow;
         kernel->proven = emitted.proven;
@@ -401,10 +454,15 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
             << "': no blockIdx.x-bound loop";
     }
 
-    std::vector<StSlot> slots(kernel.slotNames.size());
-    for (int i = 0; i < kernel.numParamSlots; ++i) {
-        // Lazy binding, like the VM: a missing parameter array only
-        // faults when the kernel actually touches it.
+    // Per-thread tables, reused across executions: no allocation
+    // once they have grown. A kernel never calls back into the host,
+    // so no execution on this thread can be running underneath.
+    thread_local std::vector<StSlot> slots;
+    thread_local std::vector<int64_t> scalars;
+    slots.assign(kernel.slotNames.size(), StSlot{});
+    // Lazy binding, like the VM: only the parameter slots the kernel
+    // accesses are bound, and a missing one faults only when touched.
+    for (int i : kernel.usedParamSlots) {
         auto it = bindings.arrays.find(kernel.slotNames[i]);
         if (it == bindings.arrays.end()) {
             continue;
@@ -418,8 +476,7 @@ execute(const NativeKernel &kernel, const Bindings &bindings,
         s.ebytes = arr->elemBytes();
         s.bound = 1;
     }
-    std::vector<int64_t> scalars;
-    scalars.reserve(kernel.scalarNames.size());
+    scalars.clear();
     for (const auto &name : kernel.scalarNames) {
         auto it = bindings.scalars.find(name);
         ICHECK(it != bindings.scalars.end())

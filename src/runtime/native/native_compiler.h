@@ -51,6 +51,9 @@ struct NativeKernel
     /** Buffer slot names: params first, then scratch (see emitter). */
     std::vector<std::string> slotNames;
     int numParamSlots = 0;
+    /** Parameter slots the kernel accesses, ascending; execute()
+     *  binds only these. */
+    std::vector<int> usedParamSlots;
     /** Scalar params the kernel reads, in ctx->scalars order. */
     std::vector<std::string> scalarNames;
     bool hasWindow = false;

@@ -8,10 +8,16 @@
  */
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -683,6 +689,65 @@ TEST(ThreadPool, NestedParallelForRunsInlineInsteadOfDeadlocking)
                                           });
                                   }),
                  UserError);
+}
+
+/** The CPUs the calling thread may run on, ascending. */
+std::vector<int>
+threadCpus()
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    EXPECT_EQ(::pthread_getaffinity_np(::pthread_self(), sizeof mask, &mask),
+              0);
+    std::vector<int> cpus;
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &mask)) {
+            cpus.push_back(cpu);
+        }
+    }
+    return cpus;
+}
+
+// Worker i of a pool runs on the (i mod n)-th of the n CPUs the
+// constructing thread may use. Each task holds its worker until every
+// worker holds one, so each worker reports its mask exactly once.
+TEST(ThreadPool, PinsWorkersOnePerCpuRoundRobin)
+{
+    const std::vector<int> allowed = threadCpus();
+    ASSERT_FALSE(allowed.empty());
+    const int n = static_cast<int>(allowed.size());
+    for (int workers : {1, n, n + 1, 2 * n + 1}) {
+        SCOPED_TRACE("workers = " + std::to_string(workers));
+        engine::ThreadPool pool(workers);
+        EXPECT_EQ(pool.unpinnedWorkers(), 0);
+        std::mutex mu;
+        std::condition_variable cv;
+        int started = 0;
+        std::vector<std::vector<int>> masks(workers);
+        std::vector<std::future<void>> done;
+        for (int t = 0; t < workers; ++t) {
+            done.push_back(pool.submit([&, t] {
+                std::unique_lock<std::mutex> lock(mu);
+                masks[t] = threadCpus();
+                ++started;
+                cv.notify_all();
+                cv.wait(lock, [&] { return started == workers; });
+            }));
+        }
+        for (std::future<void> &task : done) {
+            task.get();
+        }
+        std::map<int, int> per_cpu;
+        for (const std::vector<int> &mask : masks) {
+            ASSERT_EQ(mask.size(), 1u);
+            ++per_cpu[mask[0]];
+        }
+        std::map<int, int> expected;
+        for (int i = 0; i < workers; ++i) {
+            ++expected[allowed[i % n]];
+        }
+        EXPECT_EQ(per_cpu, expected);
+    }
 }
 
 // ---------------------------------------------------------------------

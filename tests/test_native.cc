@@ -727,6 +727,71 @@ TEST(NativeKernel, UnprovenKernelKeepsChecksAndDiagnostic)
     EXPECT_EQ(native_text, vm_text);
 }
 
+// execute() binds only the parameter slots a kernel accesses. A
+// proven kernel runs natively with an unused parameter left unbound;
+// an unbound parameter it does read is refused by the proven entry
+// guard and faults on the checked kernel with the VM's diagnostic.
+TEST(NativeKernel, BindsOnlyTheParametersItAccesses)
+{
+    CacheDirGuard cache;
+    // f(n, out, unused, v): for i in [0, n): out[i] = v[i]
+    auto func = ir::primFunc("copy_used");
+    ir::Var n = ir::var("n");
+    ir::Var i = ir::var("i");
+    ir::Buffer out = ir::denseBuffer("out", {ir::intImm(16)},
+                                     ir::DataType::float32());
+    ir::Buffer unused = ir::denseBuffer("unused", {ir::intImm(16)},
+                                        ir::DataType::float32());
+    ir::Buffer v = ir::denseBuffer("v", {ir::intImm(16)},
+                                   ir::DataType::float32());
+    func->params = {n, out->data, unused->data, v->data};
+    for (const ir::Buffer &buffer : {out, unused, v}) {
+        func->bufferMap.emplace_back(buffer->data, buffer);
+    }
+    func->body = ir::forLoop(i, ir::intImm(0), n,
+                             ir::bufferStore(out, {i},
+                                             ir::bufferLoad(v, {i})));
+    func->stage = ir::IrStage::kStage3;
+    verify::VerifyContext facts;
+    facts.scalar("n", 8);
+    ASSERT_TRUE(verify::verifyFunc(func, facts).ok);
+    native::KernelProof proof;
+    proof.scalars = {{"n", 8}};
+    auto proven = native::compileNativeModule({func}, "bind-used", nullptr,
+                                              {&proof})[0];
+    ASSERT_NE(proven, nullptr);
+    ASSERT_TRUE(proven->proven);
+    EXPECT_EQ(proven->usedParamSlots, (std::vector<int>{0, 2}));
+    auto checked = native::compileNative(func, "bind-used");
+    EXPECT_EQ(checked->usedParamSlots, (std::vector<int>{0, 2}));
+
+    std::vector<float> v_host = randomVector(16, 29);
+    NDArray v_arr = NDArray::fromFloat(v_host);
+    NDArray c({16}, ir::DataType::float32());
+    Bindings bound;
+    bound.scalars = {{"n", 8}};
+    bound.arrays = {{"out_data", &c}, {"v_data", &v_arr}};
+    EXPECT_TRUE(native::execute(*proven, bound, {}));
+    NDArray reference({16}, ir::DataType::float32());
+    Bindings ref_bound = bound;
+    ref_bound.arrays["out_data"] = &reference;
+    runtime::runInterpreted(func, ref_bound);
+    EXPECT_TRUE(bitwiseEqual(reference, c));
+
+    Bindings no_v = bound;
+    no_v.arrays.erase("v_data");
+    EXPECT_FALSE(native::execute(*proven, no_v, {}));
+    std::string native_text =
+        raised([&] { native::execute(*checked, no_v, {}); });
+    runtime::RunOptions vm;
+    vm.backend = Backend::kBytecode;
+    std::string vm_text = raised([&] { runtime::run(func, no_v, vm); });
+    EXPECT_NE(native_text.find("no storage bound for buffer 'v_data'"),
+              std::string::npos)
+        << native_text;
+    EXPECT_EQ(native_text, vm_text);
+}
+
 // A proven kernel called with a scalar off its proof: the entry guard
 // refuses before any side effect, the executor reruns the execution
 // on bytecode, which raises its own diagnostic, and the miss counts.
@@ -1602,6 +1667,53 @@ TEST(NativeEngine, BlockedCompileDoesNotStallOtherArtifacts)
     engine::NativeStats stats = eng.nativeStats();
     EXPECT_EQ(stats.promotions, 2u);
     EXPECT_EQ(stats.fallbacks, 0u);
+}
+
+// A background promotion runs on a pool worker pinned to one CPU,
+// and a spawned child inherits the spawning thread's affinity; the
+// compiler must still get every CPU of the process. The script
+// records the CPU list it runs on, then compiles.
+TEST(NativeEngine, CompilerRunsOnEveryCpuOfTheProcess)
+{
+    CacheDirGuard cache;
+    ScratchDir scripts;
+    std::string seen = scripts.dir() + "/cpus";
+    std::string recording = scripts.script(
+        "recording-cc",
+        "grep Cpus_allowed_list /proc/self/status >> '" + seen + "'\n"
+        "exec cc \"$@\"\n");
+    EnvGuard cc("SPARSETIR_NATIVE_CC", recording.c_str());
+
+    Csr a = graph::powerLawGraph(150, 1600, 1.7, 111);
+    int64_t feat = 8;
+    auto b_host = randomVector(a.cols * feat, 112);
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.numThreads = 2;
+    options.nativePromoteAfter = 1;  // background, second resolve
+    engine::Engine eng(options);
+    NDArray b = NDArray::fromFloat(b_host);
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    eng.spmmCsr(a, feat, &b, &c);
+    eng.spmmCsr(a, feat, &b, &c);
+    ASSERT_TRUE(waitFor([&] { return eng.nativeStats().promotions >= 1; }))
+        << "background promotion never completed";
+    EXPECT_EQ(eng.nativeStats().compiles, 1u);
+    EXPECT_EQ(eng.nativeStats().fallbacks, 0u);
+
+    auto cpuList = [](const std::string &status_path) {
+        std::ifstream in(status_path);
+        std::vector<std::string> lines;
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind("Cpus_allowed_list:", 0) == 0) {
+                lines.push_back(line);
+            }
+        }
+        return lines;
+    };
+    std::vector<std::string> process = cpuList("/proc/self/status");
+    ASSERT_EQ(process.size(), 1u);
+    EXPECT_EQ(cpuList(seen), process);
 }
 
 TEST(NativeEngine, EnvVarSelectsNativeTier)

@@ -9,9 +9,15 @@
  */
 
 #include <gtest/gtest.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +25,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -577,6 +584,57 @@ TEST(Observe, EngineSnapshotReportsPerOpWarmLatency)
     Engine other(EngineOptions{});
     observe::MetricsSnapshot other_snap = other.metricsSnapshot();
     EXPECT_EQ(other_snap.counters.at("engine.requests"), 0u);
+}
+
+/**
+ * Make sched_setaffinity fail with EPERM for the calling thread and
+ * every thread it starts from now on (a seccomp filter; the rest of
+ * the process is untouched). False when the filter cannot be
+ * installed.
+ */
+bool
+denySetAffinity()
+{
+    struct sock_filter filter[] = {
+        BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+        BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_sched_setaffinity, 0, 1),
+        BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | EPERM),
+        BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+    };
+    struct sock_fprog program = {
+        static_cast<unsigned short>(sizeof filter / sizeof filter[0]),
+        filter};
+    return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+           ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &program) == 0;
+}
+
+// A pool worker whose pin the kernel refuses runs unpinned, and the
+// session counts it in engine.pool.unpinned_workers. The refusal is
+// a seccomp filter on a throwaway thread that builds the engine.
+TEST(Observe, FailedWorkerPinsAreCounted)
+{
+    EngineOptions options;
+    options.numThreads = 3;
+    {
+        Engine eng(options);
+        EXPECT_EQ(eng.metricsSnapshot().counters.at(
+                      "engine.pool.unpinned_workers"),
+                  0u);
+    }
+
+    bool denied = false;
+    uint64_t unpinned = 0;
+    std::thread builder([&] {
+        denied = denySetAffinity();
+        if (denied) {
+            Engine eng(options);
+            unpinned = eng.metricsSnapshot().counters.at(
+                "engine.pool.unpinned_workers");
+        }
+    });
+    builder.join();
+    ASSERT_TRUE(denied) << "cannot install the seccomp filter";
+    EXPECT_EQ(unpinned, 3u);
 }
 
 } // namespace
