@@ -587,8 +587,6 @@ compileEllRgms(const format::Ell &bucket, int64_t feat_in,
                            feat_out, suffix, tensor_cores,
                            rows_per_block);
 
-    shared->scalar("feat_in", feat_in);
-    shared->scalar("feat_out", feat_out);
     shared->own(ellRowIndicesParam(suffix),
                 NDArray::fromInt32(bucket.rowIndices));
     shared->own(ellColIndicesParam(suffix),

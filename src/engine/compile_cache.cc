@@ -8,6 +8,30 @@
 namespace sparsetir {
 namespace engine {
 
+void
+Artifact::scalar(const std::string &name, int64_t value)
+{
+    bindings.scalars[name] = value;
+    facts.scalar(name, value);
+}
+
+void
+Artifact::int32Array(const std::string &name,
+                     const std::vector<int32_t> &values)
+{
+    arrays_.push_back(runtime::NDArray::fromInt32(values));
+    bindings.arrays[name] = &arrays_.back();
+    facts.int32Array(name, values);
+}
+
+void
+Artifact::gather(const std::string &param, int source,
+                 std::vector<int32_t> source_pos)
+{
+    bindings.arrays[param] = nullptr;
+    gathers.push_back(ValueGather{param, source, std::move(source_pos)});
+}
+
 CompileCache::CompileCache(size_t capacity,
                            observe::MetricsRegistry *metrics)
     : capacity_(capacity)

@@ -20,21 +20,22 @@
 #define SPARSETIR_ENGINE_COMPILE_CACHE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "engine/executor.h"
 #include "engine/fingerprint.h"
 #include "observe/metrics.h"
 #include "verify/verifier.h"
 
 namespace sparsetir {
 namespace engine {
-
-struct CompiledKernel;
 
 /**
  * Verdict of the static artifact verifier (verify/verifier.h) over
@@ -55,26 +56,75 @@ struct VerifyReport
     std::vector<verify::Diagnostic> diagnostics;
 };
 
-/** Base of all cached compile results (immutable after build —
- *  except the atomic native-kernel boxes, see kernels()). */
+/**
+ * A cached compile result, the one artifact shape of every op: the
+ * compiled kernels plus the table of structure every dispatch binds
+ * (the paper's composable format as plain data: named int32
+ * structure arrays and scalar extents). A builder declares each table
+ * entry in one call, which binds it on every dispatch and declares it
+ * to the verifier, so the facts a kernel is proven under and the
+ * arrays its dispatch binds cannot disagree. Immutable once its
+ * builder returns, except each kernel's NativeBox and `promotion`.
+ */
 class Artifact
 {
   public:
-    virtual ~Artifact() = default;
+    /** One array each dispatch fills from the request's values. */
+    struct ValueGather
+    {
+        std::string param;
+        /** Which of the dispatch's value arrays to read (RGCN: the
+         *  relation; 0 otherwise). */
+        int source = 0;
+        /** Slot -> position in the source values (-1: padding);
+         *  empty: the whole source, in order. */
+        std::vector<int32_t> sourcePos;
+    };
+
+    /** A chain-mode graph intermediate each dispatch allocates. */
+    struct Temp
+    {
+        std::string name;
+        int64_t numel = 0;
+    };
+
+    /** Bind scalar `name` to `value` and declare it to the verifier. */
+    void scalar(const std::string &name, int64_t value);
+    /** Bind an owned copy of `values` as `name` and declare its
+     *  min/max/front/back to the verifier. */
+    void int32Array(const std::string &name,
+                    const std::vector<int32_t> &values);
+    /** Have every dispatch bind `param` to values gathered from its
+     *  `source` array through `source_pos` (see ValueGather). */
+    void gather(const std::string &param, int source,
+                std::vector<int32_t> source_pos);
 
     /**
-     * The artifact's compiled kernels in execution order: the one
-     * kernel list both dispatch and native-tier promotion use. Each
-     * kernel's NativeBox is the one mutable cell of an artifact,
-     * swapped from empty to a dlopen'd kernel when a background
-     * native build completes. Artifact types that hold no
-     * CompiledKernels report none.
+     * The compiled kernels in execution order: the one list both
+     * dispatch and native-tier promotion use. Each kernel's NativeBox
+     * is swapped from empty to a dlopen'd kernel when a native build
+     * completes. Graph chains run in dataflow order.
      */
-    virtual std::vector<const CompiledKernel *>
-    kernels() const
-    {
-        return {};
-    }
+    std::vector<CompiledKernel> kernels;
+    /**
+     * The structure table as the base of every dispatch's bindings:
+     * each declared scalar and int32 array, plus a null slot per
+     * value gather that the dispatch points at its gathered copy.
+     */
+    runtime::Bindings bindings;
+    std::vector<ValueGather> gathers;
+    /** The verifier's view of the same table: every kernel is proven
+     *  under a copy of it. */
+    verify::VerifyContext facts;
+
+    /** Hyb: the resolved bucket cap (k) of the decomposition. */
+    int bucketCapLog2 = 0;
+    /** Graph: whether the program is one fused kernel, and why fusion
+     *  bailed to the chain otherwise (empty when fused). */
+    bool fused = false;
+    std::string modeReason;
+    /** Graph chain: the intermediates a dispatch materializes. */
+    std::vector<Temp> temps;
 
     /**
      * The cache key this artifact was built under (set by
@@ -99,6 +149,10 @@ class Artifact
         bool launched = false;
     };
     NativePromotion promotion;
+
+  private:
+    /** Storage of the table's arrays (stable addresses). */
+    std::deque<runtime::NDArray> arrays_;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -17,7 +18,6 @@
 namespace sparsetir {
 namespace engine {
 
-using core::BindingSet;
 using format::Csr;
 using runtime::NDArray;
 
@@ -54,26 +54,31 @@ nativeKeyTag(const CacheKey &key)
     return tag;
 }
 
-/** Re-bind stored values through a provenance map (padding -> 0). */
-std::vector<float>
-gatherValues(const std::vector<int32_t> &source_pos,
-             const std::vector<float> &values)
+/** The array `gather` binds, filled from its `source` values. */
+NDArray
+gatherValues(const Artifact::ValueGather &gather,
+             const std::vector<float> &source)
 {
-    std::vector<float> out(source_pos.size(), 0.0f);
-    for (size_t i = 0; i < source_pos.size(); ++i) {
-        int32_t p = source_pos[i];
+    if (gather.sourcePos.empty()) {
+        return NDArray::fromFloat(source);
+    }
+    NDArray out({static_cast<int64_t>(gather.sourcePos.size())},
+                ir::DataType::float32());
+    float *slots = static_cast<float *>(out.rawData());
+    for (size_t i = 0; i < gather.sourcePos.size(); ++i) {
+        int32_t p = gather.sourcePos[i];
         if (p >= 0) {
-            ICHECK_LT(static_cast<size_t>(p), values.size())
+            ICHECK_LT(static_cast<size_t>(p), source.size())
                 << "provenance map does not match the request's "
                    "values array; compile-cache key mismatch";
-            out[i] = values[p];
+            slots[i] = source[p];
         }
     }
     return out;
 }
 
 // ---------------------------------------------------------------------
-// Artifacts
+// Proofs
 //
 // Since artifact version 2 (see kArtifactVersion) every kernel is
 // cached as an engine::CompiledKernel: Stage III IR + compiled
@@ -98,8 +103,8 @@ declareAccumSpec(verify::VerifyContext *ctx, const CompiledKernel &kernel)
  * (runtime::native::KernelProof): every scalar parameter `ctx` fixes.
  * Null when a scalar parameter's fact is not one fixed value, which
  * no entry check covers; the kernel then stays checked. The int32
- * array facts are the artifact's own structure arrays, which every
- * dispatch binds.
+ * array facts come from the artifact's table, which every dispatch
+ * binds.
  */
 std::shared_ptr<const runtime::native::KernelProof>
 kernelProof(const ir::PrimFunc &func, const verify::VerifyContext &ctx)
@@ -122,15 +127,16 @@ kernelProof(const ir::PrimFunc &func, const verify::VerifyContext &ctx)
 }
 
 /**
- * Prove one kernel's bounds / write-set / race obligations under the
- * structure facts in `ctx` (plus the kernel's accumulated outputs,
- * unless the caller declared them) and fold the outcome into the
- * artifact's cached report; a proven kernel keeps its proof's facts.
- * Failures do not throw here: the verdict (with its diagnostics) is
- * cached on the artifact, and Engine::resolve raises it as a
- * UserError on every dispatch that touches the bad artifact —
- * including warm hits, at zero re-proving cost. Returns whether the
- * proof succeeded.
+ * Prove one kernel's bounds / write-set / race obligations under
+ * `ctx` (a copy of the artifact's facts, plus the kernel's
+ * accumulated outputs unless the caller declared them) and fold the
+ * outcome into the artifact's cached report; a proven kernel keeps
+ * its proof's facts. Facts are looked up by name, so the table's
+ * entries for other kernels change no proof. Failures do not throw
+ * here: the verdict (with its diagnostics) is cached on the artifact,
+ * and Engine::resolve raises it as a UserError on every dispatch that
+ * touches the bad artifact — including warm hits, at zero re-proving
+ * cost. Returns whether the proof succeeded.
  */
 bool
 verifyKernelInto(Artifact *artifact, CompiledKernel *kernel,
@@ -157,321 +163,219 @@ verifyKernelInto(Artifact *artifact, CompiledKernel *kernel,
 }
 
 /**
- * Verify a scatter kernel together with the block hulls of its
- * accumulated output, whose block b updates entries [b *
- * rows_per_block, (b + 1) * rows_per_block) of `rows` (bound as
- * `rows_buffer`), and attach the hulls once proven. `ctx` holds the
- * kernel's structure facts. A failed proof refuses the artifact;
- * serial sessions carry the hulls and ignore them.
+ * A scatter kernel whose block b updates entries [b * rowsPerBlock,
+ * (b + 1) * rowsPerBlock) of `rows` (bound as `rowsBuffer`), each row
+ * `rowWidth` elements wide: hyb and RGCN bucket kernels.
+ */
+struct ScatterPlan
+{
+    std::string what;
+    std::string rowsBuffer;
+    const std::vector<int32_t> *rows = nullptr;
+    int64_t rowWidth = 0;
+    int64_t rowsPerBlock = 0;
+};
+
+/**
+ * Prove every kernel of a scatter artifact, kernel i with the block
+ * hulls of plans[i] on top of the artifact's facts, and attach the
+ * hulls once proven. A failed proof refuses the artifact; serial
+ * sessions carry the hulls and ignore them.
  */
 void
-proveBlockHulls(Artifact *artifact, CompiledKernel *kernel,
-                verify::VerifyContext ctx, const std::string &rows_buffer,
-                const std::vector<int32_t> &rows, int64_t row_width,
-                int64_t rows_per_block, const std::string &what)
+proveBlockHulls(Artifact *artifact, const std::vector<ScatterPlan> &plans)
 {
-    std::vector<Span> hulls = blockHulls(rows, rows_per_block, row_width);
-    declareAccumSpec(&ctx, *kernel);
-    for (verify::AccumWriteSet &set : ctx.accums) {
-        set.rowsBuffer = rows_buffer;
-        set.rows = &rows;
-        set.rowWidth = row_width;
-        set.rowsPerBlock = rows_per_block;
-        set.blockHulls = hulls;
-    }
-    if (verifyKernelInto(artifact, kernel, std::move(ctx), what)) {
-        for (AccumOutput &out : kernel->accums) {
-            out.hulls = hulls;
+    for (size_t i = 0; i < plans.size(); ++i) {
+        const ScatterPlan &plan = plans[i];
+        CompiledKernel *kernel = &artifact->kernels[i];
+        std::vector<Span> hulls =
+            blockHulls(*plan.rows, plan.rowsPerBlock, plan.rowWidth);
+        verify::VerifyContext ctx = artifact->facts;
+        declareAccumSpec(&ctx, *kernel);
+        for (verify::AccumWriteSet &set : ctx.accums) {
+            set.rowsBuffer = plan.rowsBuffer;
+            set.rows = plan.rows;
+            set.rowWidth = plan.rowWidth;
+            set.rowsPerBlock = plan.rowsPerBlock;
+            set.blockHulls = hulls;
+        }
+        if (verifyKernelInto(artifact, kernel, std::move(ctx),
+                             plan.what)) {
+            for (AccumOutput &out : kernel->accums) {
+                out.hulls = hulls;
+            }
         }
     }
 }
 
-/** Concrete structure facts shared by the CSR-backed kernels. */
-verify::VerifyContext
-csrVerifyContext(const Csr &a, int64_t feat)
+// ---------------------------------------------------------------------
+// Builders (miss path): declare the table, compile, prove
+// ---------------------------------------------------------------------
+
+/** The CSR structure table shared by the CSR-backed kernels. */
+std::shared_ptr<Artifact>
+csrArtifact(const Csr &a, int64_t feat)
 {
-    verify::VerifyContext ctx;
-    ctx.scalar("m", a.rows);
-    ctx.scalar("n", a.cols);
-    ctx.scalar("nnz", a.nnz());
-    ctx.scalar("feat_size", feat);
-    ctx.int32Array("J_indptr", a.indptr);
-    ctx.int32Array("J_indices", a.indices);
-    return ctx;
+    auto artifact = std::make_shared<Artifact>();
+    artifact->scalar("m", a.rows);
+    artifact->scalar("n", a.cols);
+    artifact->scalar("nnz", a.nnz());
+    artifact->scalar("feat_size", feat);
+    artifact->int32Array("J_indptr", a.indptr);
+    artifact->int32Array("J_indices", a.indices);
+    return artifact;
 }
 
 /**
- * Artifact of the single-kernel ops (CSR/BSR/SR-BCRS SpMM, SDDMM): the
- * kernel plus its two structure arrays — row pointer and column
- * indices (SR-BCRS: group pointer and tile columns).
+ * Finish a single-kernel artifact whose structure table is declared:
+ * bind the request's values whole as `A_data`, compile `func` and
+ * prove it.
  */
-struct KernelArtifact : Artifact
+std::shared_ptr<Artifact>
+singleKernel(std::shared_ptr<Artifact> artifact, const ir::PrimFunc &func,
+             const std::string &what)
 {
-    CompiledKernel kernel;
-    NDArray indptr;
-    NDArray indices;
+    artifact->gather("A_data", 0, {});
+    artifact->kernels.push_back(compileKernel(func));
+    verifyKernelInto(artifact.get(), &artifact->kernels.back(),
+                     artifact->facts, what);
+    return artifact;
+}
 
-    std::vector<const CompiledKernel *>
-    kernels() const override
-    {
-        return {&kernel};
-    }
-};
-
-/** One non-empty (partition, bucket) of a cached hyb decomposition. */
-struct HybBucketData
+std::shared_ptr<Artifact>
+buildSpmmCsr(const Csr &a, int64_t feat, const core::SpmmSchedule &schedule)
 {
-    std::string suffix;
-    CompiledKernel kernel;
-    NDArray rowIndices;
-    NDArray colIndices;
-    /** Slot -> position in the source CSR values (-1: padding). */
-    std::vector<int32_t> gather;
-};
+    return singleKernel(csrArtifact(a, feat),
+                        core::compileSpmmCsrFunc(feat, schedule),
+                        "spmm_csr");
+}
 
-struct SpmmHybArtifact : Artifact
+std::shared_ptr<Artifact>
+buildSddmm(const Csr &a, int64_t feat, const core::SddmmSchedule &schedule)
 {
-    int bucketCapLog2 = 0;
-    NDArray indptr;
-    NDArray indices;
-    std::vector<HybBucketData> buckets;
+    return singleKernel(csrArtifact(a, feat),
+                        core::compileSddmmFunc(feat, schedule), "sddmm");
+}
 
-    std::vector<const CompiledKernel *>
-    kernels() const override
-    {
-        std::vector<const CompiledKernel *> out;
-        for (const HybBucketData &bucket : buckets) {
-            out.push_back(&bucket.kernel);
-        }
-        return out;
-    }
-};
-
-/** One (relation, bucket) RGMS kernel of a cached RGCN layer. */
-struct RgcnUnit
+std::shared_ptr<Artifact>
+buildBsr(const format::Bsr &a, int64_t feat, const BsrConfig &config)
 {
-    int relation = 0;
-    std::string suffix;
-    CompiledKernel kernel;
-    NDArray rowIndices;
-    NDArray colIndices;
-    std::vector<int32_t> gather;
-};
+    auto artifact = std::make_shared<Artifact>();
+    artifact->scalar("mb", a.blockRows);
+    artifact->scalar("nb", a.blockCols);
+    artifact->scalar("nnzb", a.nnzBlocks());
+    artifact->scalar("feat_size", feat);
+    artifact->int32Array("JO_indptr", a.indptr);
+    artifact->int32Array("JO_indices", a.indices);
+    return singleKernel(std::move(artifact),
+                        core::compileBsrSpmmFunc(a.blockSize, feat,
+                                                 config.tensorCores),
+                        "bsr_spmm");
+}
 
-struct RgcnArtifact : Artifact
+std::shared_ptr<Artifact>
+buildSrbcrs(const format::SrBcrs &a, int64_t feat)
 {
-    std::vector<RgcnUnit> units;
-
-    std::vector<const CompiledKernel *>
-    kernels() const override
-    {
-        std::vector<const CompiledKernel *> out;
-        for (const RgcnUnit &unit : units) {
-            out.push_back(&unit.kernel);
-        }
-        return out;
-    }
-};
-
-/** A chain-mode intermediate the dispatch allocates. */
-struct GraphTemp
-{
-    std::string name;
-    int64_t numel = 0;
-};
+    auto artifact = std::make_shared<Artifact>();
+    artifact->scalar("stripes", a.stripes);
+    artifact->scalar("n", a.cols);
+    artifact->scalar("total_groups", a.numGroups());
+    artifact->scalar("feat_size", feat);
+    artifact->int32Array("G_indptr", a.groupIndptr);
+    artifact->int32Array("T_indices", a.tileCols);
+    return singleKernel(std::move(artifact),
+                        core::compileSrbcrsSpmmFunc(a.tileHeight,
+                                                    a.groupSize, feat),
+                        "srbcrs_spmm");
+}
 
 /**
- * A whole OpGraph's compiled program: one fused kernel (interior
- * tensors live in per-row locals) or the per-node chain plus its
- * intermediate-materialization plan. Structure arrays are keyed by
- * the lowering's binding names ("J<p>_indptr"/"J<p>_indices").
+ * The bucket compute kernels read only the gathered A_ell_* values,
+ * so no dispatch copies the CSR values whole; the CSR arrays stay in
+ * the table because the kernels' proofs rest on their facts.
  */
-struct GraphArtifact : Artifact
-{
-    bool fused = false;
-    /** Why fusion bailed to the chain; empty when fused. */
-    std::string modeReason;
-    /** Dataflow order: chain kernels consume earlier outputs. */
-    std::vector<CompiledKernel> program;
-    std::map<std::string, NDArray> structures;
-    std::vector<GraphTemp> temps;
-    /** Bytes of scratch a chain dispatch allocates (0 when fused). */
-    int64_t tempBytes = 0;
-
-    std::vector<const CompiledKernel *>
-    kernels() const override
-    {
-        std::vector<const CompiledKernel *> out;
-        for (const CompiledKernel &kernel : program) {
-            out.push_back(&kernel);
-        }
-        return out;
-    }
-};
-
-// ---------------------------------------------------------------------
-// Builders (miss path)
-// ---------------------------------------------------------------------
-
 std::shared_ptr<Artifact>
-buildSpmmCsrArtifact(const Csr &a, int64_t feat,
-                     const core::SpmmSchedule &schedule)
-{
-    auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel =
-        compileKernel(core::compileSpmmCsrFunc(feat, schedule));
-    verifyKernelInto(artifact.get(), &artifact->kernel,
-                     csrVerifyContext(a, feat), "spmm_csr");
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
-    return artifact;
-}
-
-std::shared_ptr<Artifact>
-buildSddmmArtifact(const Csr &a, int64_t feat,
-                   const core::SddmmSchedule &schedule)
-{
-    auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel =
-        compileKernel(core::compileSddmmFunc(feat, schedule));
-    verifyKernelInto(artifact.get(), &artifact->kernel,
-                     csrVerifyContext(a, feat), "sddmm");
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
-    return artifact;
-}
-
-std::shared_ptr<Artifact>
-buildBsrArtifact(const format::Bsr &a, int64_t feat,
-                 const BsrConfig &config)
-{
-    auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel = compileKernel(core::compileBsrSpmmFunc(
-        a.blockSize, feat, config.tensorCores));
-    verify::VerifyContext ctx;
-    ctx.scalar("mb", a.blockRows);
-    ctx.scalar("nb", a.blockCols);
-    ctx.scalar("nnzb", a.nnzBlocks());
-    ctx.scalar("feat_size", feat);
-    ctx.int32Array("JO_indptr", a.indptr);
-    ctx.int32Array("JO_indices", a.indices);
-    verifyKernelInto(artifact.get(), &artifact->kernel, std::move(ctx),
-                     "bsr_spmm");
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
-    return artifact;
-}
-
-std::shared_ptr<Artifact>
-buildSrbcrsArtifact(const format::SrBcrs &a, int64_t feat)
-{
-    auto artifact = std::make_shared<KernelArtifact>();
-    artifact->kernel = compileKernel(
-        core::compileSrbcrsSpmmFunc(a.tileHeight, a.groupSize, feat));
-    verify::VerifyContext ctx;
-    ctx.scalar("stripes", a.stripes);
-    ctx.scalar("n", a.cols);
-    ctx.scalar("total_groups", a.numGroups());
-    ctx.scalar("feat_size", feat);
-    ctx.int32Array("G_indptr", a.groupIndptr);
-    ctx.int32Array("T_indices", a.tileCols);
-    verifyKernelInto(artifact.get(), &artifact->kernel, std::move(ctx),
-                     "srbcrs_spmm");
-    artifact->indptr = NDArray::fromInt32(a.groupIndptr);
-    artifact->indices = NDArray::fromInt32(a.tileCols);
-    return artifact;
-}
-
-std::shared_ptr<Artifact>
-buildSpmmHybArtifact(const Csr &a, int64_t feat,
-                     const HybConfig &config)
+buildSpmmHyb(const Csr &a, int64_t feat, const HybConfig &config)
 {
     format::Hyb hyb =
         format::hybFromCsr(a, config.partitions, config.bucketCapLog2);
     std::vector<core::HybKernelPlan> plans =
         core::compileSpmmHybFuncs(hyb, feat);
 
-    auto artifact = std::make_shared<SpmmHybArtifact>();
+    std::shared_ptr<Artifact> artifact = csrArtifact(a, feat);
     artifact->bucketCapLog2 = hyb.maxWidthLog2;
-    artifact->indptr = NDArray::fromInt32(a.indptr);
-    artifact->indices = NDArray::fromInt32(a.indices);
-    artifact->buckets.reserve(plans.size());
+    std::vector<ScatterPlan> scatters;
     for (const core::HybKernelPlan &plan : plans) {
         const format::Ell &ell =
             hyb.buckets[plan.partition][plan.bucket];
-        HybBucketData bucket;
-        bucket.suffix = plan.suffix;
-        bucket.kernel = compileKernel(plan.func);
-        verify::VerifyContext ctx = csrVerifyContext(a, feat);
-        ctx.int32Array(core::ellRowIndicesParam(plan.suffix),
-                       ell.rowIndices);
-        ctx.int32Array(core::ellColIndicesParam(plan.suffix),
-                       ell.colIndices);
-        proveBlockHulls(artifact.get(), &bucket.kernel, std::move(ctx),
-                        core::ellRowIndicesParam(plan.suffix),
-                        ell.rowIndices, feat, plan.rowsPerBlock,
-                        "spmm_ell_" + plan.suffix);
-        bucket.rowIndices = NDArray::fromInt32(ell.rowIndices);
-        bucket.colIndices = NDArray::fromInt32(ell.colIndices);
-        bucket.gather = ell.sourcePos;
-        artifact->buckets.push_back(std::move(bucket));
+        std::string rows = core::ellRowIndicesParam(plan.suffix);
+        artifact->int32Array(rows, ell.rowIndices);
+        artifact->int32Array(core::ellColIndicesParam(plan.suffix),
+                             ell.colIndices);
+        artifact->gather(core::hybValuesParam(plan.suffix), 0,
+                         ell.sourcePos);
+        artifact->kernels.push_back(compileKernel(plan.func));
+        scatters.push_back(ScatterPlan{"spmm_ell_" + plan.suffix, rows,
+                                       &ell.rowIndices, feat,
+                                       plan.rowsPerBlock});
     }
+    proveBlockHulls(artifact.get(), scatters);
     return artifact;
 }
 
 std::shared_ptr<Artifact>
-buildRgcnArtifact(const format::RelationalCsr &graph, int64_t feat_in,
-                  int64_t feat_out, const RgcnConfig &config)
+buildRgcn(const format::RelationalCsr &graph, int64_t feat_in,
+          int64_t feat_out, const RgcnConfig &config)
 {
-    auto artifact = std::make_shared<RgcnArtifact>();
+    auto artifact = std::make_shared<Artifact>();
+    artifact->scalar("m", graph.rows);
+    artifact->scalar("n", graph.cols);
+    // Bucket row lists the hull proofs read, one decomposition per
+    // relation.
+    std::vector<format::Hyb> hybs;
+    hybs.reserve(graph.numRelations());
+    std::vector<ScatterPlan> scatters;
     for (int64_t r = 0; r < graph.numRelations(); ++r) {
         const Csr &rel = graph.relations[r];
         if (rel.nnz() == 0) {
             continue;
         }
-        format::Hyb hyb = format::hybFromCsr(
-            rel, 1, model::rgcnBucketCap(rel, config.bucketCapLog2));
+        hybs.push_back(format::hybFromCsr(
+            rel, 1, model::rgcnBucketCap(rel, config.bucketCapLog2)));
+        const format::Hyb &hyb = hybs.back();
         for (size_t b = 0; b < hyb.buckets[0].size(); ++b) {
             const format::Ell &bucket = hyb.buckets[0][b];
             if (bucket.numRows() == 0) {
                 continue;
             }
-            RgcnUnit unit;
-            unit.relation = static_cast<int>(r);
-            unit.suffix =
+            std::string suffix =
                 "r" + std::to_string(r) + "b" + std::to_string(b);
+            std::string rows = core::ellRowIndicesParam(suffix);
+            artifact->int32Array(rows, bucket.rowIndices);
+            artifact->int32Array(core::ellColIndicesParam(suffix),
+                                 bucket.colIndices);
+            artifact->gather(core::rgmsValuesParam(suffix),
+                             static_cast<int>(r), bucket.sourcePos);
             int rows_per_block = model::rgcnRowsPerBlock(bucket.width);
-            unit.kernel = compileKernel(core::compileEllRgmsFunc(
-                bucket.numRows(), bucket.width, feat_in, feat_out,
-                unit.suffix, config.tensorCores, rows_per_block));
-            verify::VerifyContext ctx;
-            ctx.scalar("m", graph.rows);
-            ctx.scalar("n", graph.cols);
-            ctx.int32Array(core::ellRowIndicesParam(unit.suffix),
-                           bucket.rowIndices);
-            ctx.int32Array(core::ellColIndicesParam(unit.suffix),
-                           bucket.colIndices);
-            proveBlockHulls(
-                artifact.get(), &unit.kernel, std::move(ctx),
-                core::ellRowIndicesParam(unit.suffix),
-                bucket.rowIndices, feat_out,
-                std::min<int64_t>(rows_per_block, bucket.numRows()),
-                "rgms_" + unit.suffix);
-            unit.rowIndices = NDArray::fromInt32(bucket.rowIndices);
-            unit.colIndices = NDArray::fromInt32(bucket.colIndices);
-            unit.gather = bucket.sourcePos;
-            artifact->units.push_back(std::move(unit));
+            artifact->kernels.push_back(
+                compileKernel(core::compileEllRgmsFunc(
+                    bucket.numRows(), bucket.width, feat_in, feat_out,
+                    suffix, config.tensorCores, rows_per_block)));
+            scatters.push_back(ScatterPlan{
+                "rgms_" + suffix, rows, &bucket.rowIndices, feat_out,
+                std::min<int64_t>(rows_per_block, bucket.numRows())});
         }
     }
-    USER_CHECK(!artifact->units.empty())
+    USER_CHECK(!artifact->kernels.empty())
         << "relational graph has no non-zeros";
+    proveBlockHulls(artifact.get(), scatters);
     return artifact;
 }
 
 std::shared_ptr<Artifact>
-buildGraphArtifact(const dfg::OpGraph &graph, bool fuse)
+buildGraph(const dfg::OpGraph &graph, bool fuse)
 {
-    auto artifact = std::make_shared<GraphArtifact>();
+    auto artifact = std::make_shared<Artifact>();
     dfg::GraphLowering lowering;
     {
         SPARSETIR_TRACE_SCOPE("dfg", fuse ? "dfg.fuse" : "dfg.lower");
@@ -479,28 +383,17 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse)
     }
     artifact->fused = lowering.fused;
     artifact->modeReason = lowering.reason;
-    artifact->program.reserve(lowering.funcs.size());
-    for (const ir::PrimFunc &func : lowering.funcs) {
-        artifact->program.push_back(compileKernel(func));
-    }
-    verify::VerifyContext base;
     for (const dfg::StructureBinding &s : lowering.structures) {
-        base.int32Array(s.indptrName, s.pattern->indptr);
-        base.int32Array(s.indicesName, s.pattern->indices);
-    }
-    for (CompiledKernel &kernel : artifact->program) {
-        verifyKernelInto(artifact.get(), &kernel, base, kernel.func->name);
-    }
-    for (const dfg::StructureBinding &s : lowering.structures) {
-        artifact->structures.emplace(
-            s.indptrName, NDArray::fromInt32(s.pattern->indptr));
-        artifact->structures.emplace(
-            s.indicesName, NDArray::fromInt32(s.pattern->indices));
+        artifact->int32Array(s.indptrName, s.pattern->indptr);
+        artifact->int32Array(s.indicesName, s.pattern->indices);
     }
     for (const dfg::LoweredTemp &temp : lowering.temps) {
-        artifact->temps.push_back(GraphTemp{temp.name, temp.numel});
-        artifact->tempBytes +=
-            temp.numel * static_cast<int64_t>(sizeof(float));
+        artifact->temps.push_back(Artifact::Temp{temp.name, temp.numel});
+    }
+    for (const ir::PrimFunc &func : lowering.funcs) {
+        artifact->kernels.push_back(compileKernel(func));
+        verifyKernelInto(artifact.get(), &artifact->kernels.back(),
+                         artifact->facts, func->name);
     }
     return artifact;
 }
@@ -509,14 +402,14 @@ buildGraphArtifact(const dfg::OpGraph &graph, bool fuse)
 // Cache keys
 // ---------------------------------------------------------------------
 
+/** Key of a CSR-backed op over `a` at `feat`. */
 CacheKey
-spmmCsrKey(const Csr &a, int64_t feat,
-           const core::SpmmSchedule &schedule)
+csrKey(OpKind op, const Csr &a, int64_t feat, uint64_t schedule)
 {
     CacheKey key;
-    key.op = OpKind::kSpmmCsr;
+    key.op = op;
     key.structure = structureHash(a);
-    key.schedule = Fingerprint().i64(schedule.threadX).digest();
+    key.schedule = schedule;
     key.featIn = feat;
     key.featOut = feat;
     key.rows = a.rows;
@@ -527,36 +420,11 @@ spmmCsrKey(const Csr &a, int64_t feat,
 CacheKey
 spmmHybKey(const Csr &a, int64_t feat, const HybConfig &config)
 {
-    CacheKey key;
-    key.op = OpKind::kSpmmHyb;
-    key.structure = structureHash(a);
-    key.schedule = Fingerprint()
-                       .i64(config.partitions)
-                       .i64(config.bucketCapLog2)
-                       .digest();
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.nnz();
-    return key;
-}
-
-CacheKey
-sddmmKey(const Csr &a, int64_t feat,
-         const core::SddmmSchedule &schedule)
-{
-    CacheKey key;
-    key.op = OpKind::kSddmm;
-    key.structure = structureHash(a);
-    key.schedule = Fingerprint()
-                       .i64(schedule.workloadsPerBlock)
-                       .i64(schedule.groupSize)
-                       .digest();
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.nnz();
-    return key;
+    return csrKey(OpKind::kSpmmHyb, a, feat,
+                  Fingerprint()
+                      .i64(config.partitions)
+                      .i64(config.bucketCapLog2)
+                      .digest());
 }
 
 CacheKey
@@ -624,81 +492,29 @@ spmmSrbcrsKey(const format::SrBcrs &a, int64_t feat)
     return key;
 }
 
-/** Scalars, structure arrays and values of a CSR-backed dispatch. */
-void
-bindCsrShared(BindingSet *bindings, KernelArtifact &artifact,
-              const Csr &a, int64_t feat)
-{
-    bindings->scalar("m", a.rows);
-    bindings->scalar("n", a.cols);
-    bindings->scalar("nnz", a.nnz());
-    bindings->scalar("feat_size", feat);
-    bindings->external("J_indptr", &artifact.indptr);
-    bindings->external("J_indices", &artifact.indices);
-    bindings->own("A_data", NDArray::fromFloat(a.values));
-}
-
 /**
- * Bindings for a hyb SpMM request over a cached artifact. The bucket
- * compute kernels only read the gathered A_ell_* arrays (the copy
- * iterations were split off and replaced by the format library), so
- * the host dispatch path skips the original CSR arrays entirely —
- * the interpreter resolves bindings lazily. The simulator path
- * (`for_simulation`) must bind every parameter, as gpusim rejects
- * unbound handles.
+ * The bind step every dispatch shares: a copy of the artifact's
+ * table, with each value gather filled from `sources` into `values`
+ * (which must outlive the returned bindings), then the request's own
+ * `arrays`.
  */
-std::shared_ptr<BindingSet>
-bindSpmmHyb(SpmmHybArtifact &artifact, const Csr &a, int64_t feat,
-            bool for_simulation)
+runtime::Bindings
+bindArtifact(const Artifact &artifact,
+             const std::vector<const std::vector<float> *> &sources,
+             std::vector<NDArray> *values,
+             std::initializer_list<std::pair<const char *, NDArray *>>
+                 arrays = {})
 {
-    auto shared = std::make_shared<BindingSet>();
-    shared->scalar("m", a.rows);
-    shared->scalar("n", a.cols);
-    shared->scalar("nnz", a.nnz());
-    shared->scalar("feat_size", feat);
-    if (for_simulation) {
-        shared->external("J_indptr", &artifact.indptr);
-        shared->external("J_indices", &artifact.indices);
-        shared->own("A_data", NDArray::fromFloat(a.values));
+    runtime::Bindings bound = artifact.bindings;
+    values->reserve(artifact.gathers.size());
+    for (const Artifact::ValueGather &gather : artifact.gathers) {
+        values->push_back(gatherValues(gather, *sources[gather.source]));
+        bound.arrays[gather.param] = &values->back();
     }
-    for (HybBucketData &bucket : artifact.buckets) {
-        shared->external(core::ellRowIndicesParam(bucket.suffix),
-                         &bucket.rowIndices);
-        shared->external(core::ellColIndicesParam(bucket.suffix),
-                         &bucket.colIndices);
-        shared->own(core::hybValuesParam(bucket.suffix),
-                    NDArray::fromFloat(
-                        gatherValues(bucket.gather, a.values)));
+    for (const auto &[name, array] : arrays) {
+        bound.arrays[name] = array;
     }
-    return shared;
-}
-
-/** Scalars, structure arrays and values shared by a BSR dispatch. */
-void
-bindBsrShared(BindingSet *bindings, KernelArtifact &artifact,
-              const format::Bsr &a, int64_t feat)
-{
-    bindings->scalar("mb", a.blockRows);
-    bindings->scalar("nb", a.blockCols);
-    bindings->scalar("nnzb", a.nnzBlocks());
-    bindings->scalar("feat_size", feat);
-    bindings->external("JO_indptr", &artifact.indptr);
-    bindings->external("JO_indices", &artifact.indices);
-    bindings->own("A_data", NDArray::fromFloat(a.values));
-}
-
-/** Scalars, structure arrays and values of an SR-BCRS dispatch. */
-void
-bindSrbcrsShared(BindingSet *bindings, KernelArtifact &artifact,
-                 const format::SrBcrs &a, int64_t feat)
-{
-    bindings->scalar("stripes", a.stripes);
-    bindings->scalar("n", a.cols);
-    bindings->scalar("total_groups", a.numGroups());
-    bindings->scalar("feat_size", feat);
-    bindings->external("G_indptr", &artifact.indptr);
-    bindings->external("T_indices", &artifact.indices);
-    bindings->own("A_data", NDArray::fromFloat(a.values));
+    return bound;
 }
 
 /**
@@ -742,6 +558,23 @@ requestViews(const runtime::Bindings &base,
         }
     }
     return views;
+}
+
+/**
+ * The bind step of an SpMM batch whose sparse operand holds `values`:
+ * the artifact's table and gathers (into `gathered`), then one view
+ * per request.
+ */
+std::function<std::vector<runtime::Bindings>(const Artifact &)>
+spmmBinder(const std::vector<float> &values,
+           const std::vector<SpmmRequest> &requests, bool zero_outputs,
+           std::vector<NDArray> *gathered)
+{
+    return [&values, &requests, zero_outputs, gathered](
+               const Artifact &artifact) {
+        return requestViews(bindArtifact(artifact, {&values}, gathered),
+                            requests, zero_outputs);
+    };
 }
 
 } // namespace
@@ -905,7 +738,7 @@ Engine::dispatch(OpKind op, const CacheKey &key, const Builder &builder,
 }
 
 DispatchInfo
-Engine::execute(OpKind op, Artifact &artifact, const Binder &bind,
+Engine::execute(OpKind op, const Artifact &artifact, const Binder &bind,
                 DispatchInfo info)
 {
     auto bind_start = std::chrono::steady_clock::now();
@@ -915,7 +748,11 @@ Engine::execute(OpKind op, Artifact &artifact, const Binder &bind,
     for (const runtime::Bindings &view : views) {
         requests.push_back(&view);
     }
-    std::vector<const CompiledKernel *> kernels = artifact.kernels();
+    std::vector<const CompiledKernel *> kernels;
+    kernels.reserve(artifact.kernels.size());
+    for (const CompiledKernel &kernel : artifact.kernels) {
+        kernels.push_back(&kernel);
+    }
     info.bindMs = msSince(bind_start);
     auto kernel_start = std::chrono::steady_clock::now();
     {
@@ -987,12 +824,11 @@ Engine::promoteNow(const Artifact &artifact)
     std::vector<const CompiledKernel *> pending;
     std::vector<ir::PrimFunc> funcs;
     std::vector<const runtime::native::KernelProof *> proofs;
-    for (const CompiledKernel *kernel : artifact.kernels()) {
-        if (kernel->native != nullptr &&
-            kernel->native->get() == nullptr) {
-            pending.push_back(kernel);
-            funcs.push_back(kernel->func);
-            proofs.push_back(kernel->proof.get());
+    for (const CompiledKernel &kernel : artifact.kernels) {
+        if (kernel.native != nullptr && kernel.native->get() == nullptr) {
+            pending.push_back(&kernel);
+            funcs.push_back(kernel.func);
+            proofs.push_back(kernel.proof.get());
         }
     }
     std::vector<std::shared_ptr<const runtime::native::NativeKernel>>
@@ -1106,36 +942,30 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                       const std::map<std::string, NDArray *> &io,
                       const GraphDispatchOptions &options)
 {
-    BindingSet bindings;
+    std::vector<NDArray> values;
     // Chain mode materializes interior tensors in plain arrays this
     // dispatch owns; they count as held scratch until it returns or
     // throws. The fused kernel has none (per-row locals), so its
     // dispatch holds nothing and the scratch peak stays at zero.
     std::vector<NDArray> temps;
-    class Held
+    int64_t held_bytes = 0;
+    struct Release
     {
-      public:
-        explicit Held(Engine *engine) : engine_(engine) {}
-        Held(const Held &) = delete;
-        Held &operator=(const Held &) = delete;
-        ~Held()
+        Engine *engine;
+        const int64_t &bytes;
+        ~Release()
         {
             if (bytes != 0) {
-                engine_->accountScratch(-bytes, 0);
+                engine->accountScratch(-bytes, 0);
             }
         }
-        int64_t bytes = 0;
-
-      private:
-        Engine *engine_;
-    } held(this);
+    } release{this, held_bytes};
     return dispatch(
         OpKind::kGraph, graphKey(graph, options.fuse),
         [&] {
-            return buildGraphArtifact(graph, options.fuse);
+            return buildGraph(graph, options.fuse);
         },
-        [&](Artifact &resolved) {
-            auto &artifact = static_cast<GraphArtifact &>(resolved);
+        [&](const Artifact &artifact) {
             // Every named value (graph input or marked output) needs
             // an array of the exact element count; unknown names are
             // request bugs.
@@ -1161,23 +991,23 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                 << " arrays for " << named
                 << " named values — unknown names in the io map";
 
-            for (auto &kv : artifact.structures) {
-                bindings.external(kv.first, &kv.second);
-            }
+            runtime::Bindings bound = bindArtifact(artifact, {}, &values);
             for (const auto &kv : io) {
-                bindings.external(kv.first, kv.second);
+                bound.arrays[kv.first] = kv.second;
             }
+            int64_t bytes = 0;
             temps.reserve(artifact.temps.size());
-            for (const GraphTemp &temp : artifact.temps) {
+            for (const Artifact::Temp &temp : artifact.temps) {
                 temps.emplace_back(std::vector<int64_t>{temp.numel},
                                    ir::DataType::float32());
-                bindings.external(temp.name, &temps.back());
+                bound.arrays[temp.name] = &temps.back();
+                bytes += temp.numel * static_cast<int64_t>(sizeof(float));
             }
             if (!temps.empty()) {
-                held.bytes = artifact.tempBytes;
-                accountScratch(artifact.tempBytes, temps.size());
+                held_bytes = bytes;
+                accountScratch(bytes, temps.size());
             }
-            return std::vector<runtime::Bindings>{bindings.view()};
+            return std::vector<runtime::Bindings>{std::move(bound)};
         });
 }
 
@@ -1185,20 +1015,21 @@ DispatchInfo
 Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
               NDArray *out, const core::SddmmSchedule &schedule)
 {
-    BindingSet bindings;
+    std::vector<NDArray> values;
     return dispatch(
-        OpKind::kSddmm, sddmmKey(a, feat, schedule),
+        OpKind::kSddmm,
+        csrKey(OpKind::kSddmm, a, feat,
+               Fingerprint()
+                   .i64(schedule.workloadsPerBlock)
+                   .i64(schedule.groupSize)
+                   .digest()),
         [&] {
-            return buildSddmmArtifact(a, feat, schedule);
+            return buildSddmm(a, feat, schedule);
         },
-        [&](Artifact &artifact) {
-            bindCsrShared(&bindings,
-                          static_cast<KernelArtifact &>(artifact), a,
-                          feat);
-            bindings.external("X_data", x);
-            bindings.external("Y_data", y);
-            bindings.external("B_data", out);
-            return std::vector<runtime::Bindings>{bindings.view()};
+        [&](const Artifact &artifact) {
+            return std::vector<runtime::Bindings>{bindArtifact(
+                artifact, {&a.values}, &values,
+                {{"X_data", x}, {"Y_data", y}, {"B_data", out}})};
         });
 }
 
@@ -1215,32 +1046,20 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
              int64_t featOut, NDArray *x, NDArray *w, NDArray *y,
              const RgcnConfig &config)
 {
-    BindingSet bindings;
+    std::vector<NDArray> values;
     return dispatch(
         OpKind::kRgcnHyb, rgcnKey(graph, featIn, featOut, config),
         [&] {
-            return buildRgcnArtifact(graph, featIn, featOut, config);
+            return buildRgcn(graph, featIn, featOut, config);
         },
-        [&](Artifact &artifact) {
-            bindings.scalar("m", graph.rows);
-            bindings.scalar("n", graph.cols);
-            bindings.scalar("feat_in", featIn);
-            bindings.scalar("feat_out", featOut);
-            bindings.external("X_data", x);
-            bindings.external("W_data", w);
-            bindings.external("Y_data", y);
-            for (RgcnUnit &unit :
-                 static_cast<RgcnArtifact &>(artifact).units) {
-                bindings.external(core::ellRowIndicesParam(unit.suffix),
-                                  &unit.rowIndices);
-                bindings.external(core::ellColIndicesParam(unit.suffix),
-                                  &unit.colIndices);
-                bindings.own(core::rgmsValuesParam(unit.suffix),
-                             NDArray::fromFloat(gatherValues(
-                                 unit.gather,
-                                 graph.relations[unit.relation].values)));
+        [&](const Artifact &artifact) {
+            std::vector<const std::vector<float> *> sources;
+            for (const Csr &rel : graph.relations) {
+                sources.push_back(&rel.values);
             }
-            return std::vector<runtime::Bindings>{bindings.view()};
+            return std::vector<runtime::Bindings>{
+                bindArtifact(artifact, sources, &values,
+                             {{"X_data", x}, {"W_data", w}, {"Y_data", y}})};
         });
 }
 
@@ -1252,18 +1071,13 @@ Engine::spmmCsrBatch(const Csr &a, int64_t feat,
     if (requests.empty()) {
         return DispatchInfo();
     }
-    BindingSet base;
-    return dispatch(
-        OpKind::kSpmmCsr, spmmCsrKey(a, feat, schedule),
-        [&] {
-            return buildSpmmCsrArtifact(a, feat, schedule);
-        },
-        [&](Artifact &artifact) {
-            bindCsrShared(&base, static_cast<KernelArtifact &>(artifact),
-                          a, feat);
-            return requestViews(base.view(), requests,
-                                /*zero_outputs=*/false);
-        });
+    std::vector<NDArray> values;
+    return dispatch(OpKind::kSpmmCsr,
+                    csrKey(OpKind::kSpmmCsr, a, feat,
+                           Fingerprint().i64(schedule.threadX).digest()),
+                    [&] { return buildSpmmCsr(a, feat, schedule); },
+                    spmmBinder(a.values, requests,
+                               /*zero_outputs=*/false, &values));
 }
 
 DispatchInfo
@@ -1274,18 +1088,11 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
     if (requests.empty()) {
         return DispatchInfo();
     }
-    std::shared_ptr<BindingSet> base;
-    return dispatch(
-        OpKind::kSpmmHyb, spmmHybKey(a, feat, config),
-        [&] {
-            return buildSpmmHybArtifact(a, feat, config);
-        },
-        [&](Artifact &artifact) {
-            base = bindSpmmHyb(static_cast<SpmmHybArtifact &>(artifact),
-                               a, feat, /*for_simulation=*/false);
-            return requestViews(base->view(), requests,
-                                /*zero_outputs=*/true);
-        });
+    std::vector<NDArray> values;
+    return dispatch(OpKind::kSpmmHyb, spmmHybKey(a, feat, config),
+                    [&] { return buildSpmmHyb(a, feat, config); },
+                    spmmBinder(a.values, requests,
+                               /*zero_outputs=*/true, &values));
 }
 
 DispatchInfo
@@ -1306,7 +1113,7 @@ Engine::spmmHybBatch(const PreparedSpmmHyb &prepared,
     DispatchInfo info;
     info.cacheHit = true;
     return execute(OpKind::kSpmmHyb, *prepared.artifact,
-                   [&](Artifact &) {
+                   [&](const Artifact &) {
                        return requestViews(prepared.bindings->view(),
                                            requests,
                                            /*zero_outputs=*/true);
@@ -1322,18 +1129,11 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
     if (requests.empty()) {
         return DispatchInfo();
     }
-    BindingSet base;
-    return dispatch(
-        OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
-        [&] {
-            return buildBsrArtifact(a, feat, config);
-        },
-        [&](Artifact &artifact) {
-            bindBsrShared(&base, static_cast<KernelArtifact &>(artifact),
-                          a, feat);
-            return requestViews(base.view(), requests,
-                                /*zero_outputs=*/false);
-        });
+    std::vector<NDArray> values;
+    return dispatch(OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
+                    [&] { return buildBsr(a, feat, config); },
+                    spmmBinder(a.values, requests,
+                               /*zero_outputs=*/false, &values));
 }
 
 DispatchInfo
@@ -1343,19 +1143,11 @@ Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
     if (requests.empty()) {
         return DispatchInfo();
     }
-    BindingSet base;
-    return dispatch(
-        OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
-        [&] {
-            return buildSrbcrsArtifact(a, feat);
-        },
-        [&](Artifact &artifact) {
-            bindSrbcrsShared(&base,
-                             static_cast<KernelArtifact &>(artifact), a,
-                             feat);
-            return requestViews(base.view(), requests,
-                                /*zero_outputs=*/false);
-        });
+    std::vector<NDArray> values;
+    return dispatch(OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
+                    [&] { return buildSrbcrs(a, feat); },
+                    spmmBinder(a.values, requests,
+                               /*zero_outputs=*/false, &values));
 }
 
 PreparedSpmmHyb
@@ -1364,10 +1156,10 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
 {
     SPARSETIR_TRACE_SCOPE("engine", "dispatch.prepare_spmm_hyb");
     DispatchInfo info;
-    auto artifact = std::static_pointer_cast<SpmmHybArtifact>(
+    std::shared_ptr<Artifact> artifact =
         resolve(spmmHybKey(a, feat, config),
-                [&] { return buildSpmmHybArtifact(a, feat, config); },
-                &info));
+                [&] { return buildSpmmHyb(a, feat, config); },
+                &info);
     // Counted as one request that executed nothing.
     info.numRequests = 1;
     finish(info, OpKind::kSpmmHyb);
@@ -1376,11 +1168,25 @@ Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
     prepared.cacheHit = info.cacheHit;
     prepared.bucketCapLog2 = artifact->bucketCapLog2;
     prepared.artifact = artifact;
-    prepared.bindings =
-        bindSpmmHyb(*artifact, a, feat, /*for_simulation=*/true);
-    for (const HybBucketData &bucket : artifact->buckets) {
+    // The simulator rejects unbound handles, so the handle binds the
+    // CSR values too, which no host dispatch reads.
+    prepared.bindings = std::make_shared<core::BindingSet>();
+    for (const auto &[name, value] : artifact->bindings.scalars) {
+        prepared.bindings->scalar(name, value);
+    }
+    for (const auto &[name, array] : artifact->bindings.arrays) {
+        if (array != nullptr) {
+            prepared.bindings->external(name, array);
+        }
+    }
+    for (const Artifact::ValueGather &gather : artifact->gathers) {
+        prepared.bindings->own(gather.param,
+                               gatherValues(gather, a.values));
+    }
+    prepared.bindings->own("A_data", NDArray::fromFloat(a.values));
+    for (const CompiledKernel &kernel : artifact->kernels) {
         prepared.kernels.push_back(std::make_shared<core::BoundKernel>(
-            bucket.kernel.func, prepared.bindings));
+            kernel.func, prepared.bindings));
     }
     return prepared;
 }

@@ -10,21 +10,26 @@
  * hit — skipping Stage I -> III lowering, bytecode compilation and
  * re-bucketing entirely — binds the request's values (via the
  * formats' provenance maps) and executes with deterministic
- * parallelism (see executor.h). Cached artifacts carry
- * engine::CompiledKernel units: Stage III IR plus the
- * register-bytecode program the VM executes on warm dispatches, plus
- * the spilled block-extent expression that sizes the launch grid
- * without an interpreter probe.
+ * parallelism (see executor.h). Every op caches the one artifact
+ * shape, engine::Artifact: its engine::CompiledKernel units (Stage
+ * III IR plus the register-bytecode program the VM executes on warm
+ * dispatches, plus the spilled block-extent expression that sizes
+ * the launch grid without an interpreter probe) and a table of the
+ * scalars and int32 structure arrays its kernels read. Each table
+ * entry is declared once, in the builder, and that one declaration
+ * is both a verifier fact and a binding. Every dispatch binds the
+ * same way: a copy of the table, then the values gathered from the
+ * request, then the request's own arrays.
  *
  * Every artifact is proven by the static verifier (verify/verifier.h)
  * before it enters the cache, whatever the build, backend or
  * parallelism: affine bounds on every buffer access, write-set
  * soundness against each scatter kernel's block hulls, and race
  * freedom of the blockIdx axis, all against the request's concrete
- * structure arrays. The verdict is cached with the artifact, so warm
- * dispatches never pay for it; a failed proof makes every dispatch
- * that touches the artifact throw UserError carrying the verifier's
- * diagnostics.
+ * structure arrays, which are the arrays every dispatch binds. The
+ * verdict is cached with the artifact, so warm dispatches never pay
+ * for it; a failed proof makes every dispatch that touches the
+ * artifact throw UserError carrying the verifier's diagnostics.
  *
  * Every public entry point is a thin adapter over ONE internal
  * dispatch path — resolve (with native promotion) -> bind -> execute
@@ -38,7 +43,7 @@
  *
  * Thread-safety contract: an Engine may be shared by any number of
  * request threads. Artifacts are immutable after construction; every
- * dispatch builds a private BindingSet; cache and stats are
+ * dispatch builds private bindings; cache and stats are
  * internally locked. The executor runs units that update the same
  * output elements in serial order (see executor.h), so concurrent
  * dispatches never race even when they read the same cached
@@ -452,7 +457,7 @@ class Engine
      * calling entry point owns (it outlives the dispatch).
      */
     using Binder =
-        std::function<std::vector<runtime::Bindings>(Artifact &)>;
+        std::function<std::vector<runtime::Bindings>(const Artifact &)>;
 
     /**
      * The one dispatch path: resolve `key` (compiling via `builder`
@@ -466,7 +471,7 @@ class Engine
      * handles: timed bind -> executor run -> finish(). `info` carries
      * the resolve outcome.
      */
-    DispatchInfo execute(OpKind op, Artifact &artifact,
+    DispatchInfo execute(OpKind op, const Artifact &artifact,
                          const Binder &bind, DispatchInfo info);
 
     std::shared_ptr<Artifact> resolve(const CacheKey &key,

@@ -21,10 +21,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/ops.h"
@@ -1508,15 +1510,15 @@ TEST(NativeEngine, HybArtifactPromotesAsOneModule)
         engine::Engine cold(options);
         engine::PreparedSpmmHyb prepared =
             cold.prepareSpmmHyb(a, feat, config);
-        std::vector<const engine::CompiledKernel *> kernels =
-            prepared.artifact->kernels();
+        const std::vector<engine::CompiledKernel> &kernels =
+            prepared.artifact->kernels;
         ASSERT_GE(kernels.size(), 2u);
         EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
         EXPECT_EQ(countModules(cache.dir()), 1);
-        std::string so_path = kernels[0]->native->get()->soPath;
-        for (const engine::CompiledKernel *kernel : kernels) {
-            ASSERT_NE(kernel->native->get(), nullptr);
-            EXPECT_EQ(kernel->native->get()->soPath, so_path);
+        std::string so_path = kernels[0].native->get()->soPath;
+        for (const engine::CompiledKernel &kernel : kernels) {
+            ASSERT_NE(kernel.native->get(), nullptr);
+            EXPECT_EQ(kernel.native->get()->soPath, so_path);
         }
         engine::NativeStats stats = cold.nativeStats();
         EXPECT_EQ(stats.promotions, 1u);
@@ -1649,9 +1651,9 @@ TEST(NativeEngine, BlockedCompileDoesNotStallOtherArtifacts)
 
     engine::PreparedSpmmHyb prepared = eng.prepareSpmmHyb(a, feat, config);
     bool hyb_first = !csr_done.load();
-    for (const engine::CompiledKernel *kernel :
-         prepared.artifact->kernels()) {
-        EXPECT_NE(kernel->native->get(), nullptr);
+    for (const engine::CompiledKernel &kernel :
+         prepared.artifact->kernels) {
+        EXPECT_NE(kernel.native->get(), nullptr);
     }
     NDArray b = NDArray::fromFloat(b_host);
     NDArray c({a.rows * feat}, ir::DataType::float32());
@@ -1714,6 +1716,160 @@ TEST(NativeEngine, CompilerRunsOnEveryCpuOfTheProcess)
     std::vector<std::string> process = cpuList("/proc/self/status");
     ASSERT_EQ(process.size(), 1u);
     EXPECT_EQ(cpuList(seen), process);
+}
+
+/** Output of one dispatch and the kernels it ran per request. */
+using Served = std::pair<NDArray, int>;
+
+/** One op family of the native coverage table: serves one request. */
+struct OpFamily
+{
+    std::string name;
+    std::function<Served(engine::Engine &)> serve;
+};
+
+/** C = A @ B through `dispatch`, with B (cols x feat) random and C
+ *  rows x feat. */
+template <typename Dispatch>
+Served
+serveSpmm(int64_t rows, int64_t cols, int64_t feat, Dispatch dispatch)
+{
+    NDArray b = NDArray::fromFloat(randomVector(cols * feat, 112));
+    NDArray c({rows * feat}, ir::DataType::float32());
+    int kernels = dispatch(&b, &c).numKernels;
+    return {std::move(c), kernels};
+}
+
+std::vector<OpFamily>
+everyOpFamily()
+{
+    constexpr int64_t kFeat = 16;
+    Csr a = graph::powerLawGraph(300, 3000, 1.8, 111);
+    format::Bsr bsr = format::bsrFromCsr(a, 4);
+    format::SrBcrs sr = format::srbcrsFromCsr(a, 4, 8);
+    std::vector<OpFamily> families;
+    families.push_back({"spmm_csr", [a](engine::Engine &eng) {
+                            return serveSpmm(
+                                a.rows, a.cols, kFeat,
+                                [&](NDArray *b, NDArray *c) {
+                                    return eng.spmmCsr(a, kFeat, b, c);
+                                });
+                        }});
+    families.push_back({"hyb", [a](engine::Engine &eng) {
+                            engine::HybConfig config;
+                            config.partitions = 2;
+                            return serveSpmm(
+                                a.rows, a.cols, kFeat,
+                                [&](NDArray *b, NDArray *c) {
+                                    return eng.spmmHyb(a, kFeat, b, c,
+                                                       config);
+                                });
+                        }});
+    families.push_back({"bsr", [bsr](engine::Engine &eng) {
+                            return serveSpmm(
+                                bsr.blockRows * bsr.blockSize,
+                                bsr.blockCols * bsr.blockSize, kFeat,
+                                [&](NDArray *b, NDArray *c) {
+                                    return eng.spmmBsr(bsr, kFeat, b, c);
+                                });
+                        }});
+    families.push_back({"srbcrs", [sr](engine::Engine &eng) {
+                            return serveSpmm(
+                                sr.stripes * sr.tileHeight, sr.cols, kFeat,
+                                [&](NDArray *b, NDArray *c) {
+                                    return eng.spmmSrbcrs(sr, kFeat, b, c);
+                                });
+                        }});
+    families.push_back({"sddmm", [a](engine::Engine &eng) {
+                            NDArray x = NDArray::fromFloat(
+                                randomVector(a.rows * kFeat, 113));
+                            NDArray y = NDArray::fromFloat(
+                                randomVector(kFeat * a.cols, 114));
+                            NDArray out({a.nnz()}, ir::DataType::float32());
+                            int kernels =
+                                eng.sddmm(a, kFeat, &x, &y, &out).numKernels;
+                            return Served{std::move(out), kernels};
+                        }});
+
+    format::RelationalCsr hetero;
+    hetero.rows = 120;
+    hetero.cols = 120;
+    for (int r = 0; r < 3; ++r) {
+        hetero.relations.push_back(
+            graph::powerLawGraph(120, 700, 1.8, 117 + r));
+    }
+    for (int64_t fout : {8, 4}) {
+        families.push_back(
+            {"rgcn 8x" + std::to_string(fout),
+             [hetero, fout](engine::Engine &eng) {
+                 constexpr int64_t kFin = 8;
+                 NDArray x = NDArray::fromFloat(
+                     randomVector(hetero.cols * kFin, 120));
+                 NDArray w =
+                     NDArray::fromFloat(randomVector(kFin * fout, 121));
+                 NDArray y({hetero.rows * fout}, ir::DataType::float32());
+                 int kernels =
+                     eng.rgcn(hetero, kFin, fout, &x, &w, &y).numKernels;
+                 return Served{std::move(y), kernels};
+             }});
+    }
+
+    dfg::PatternRef mask = dfg::SparsityPattern::fromCsr(a);
+    for (bool fuse : {true, false}) {
+        families.push_back(
+            {fuse ? "graph fused" : "graph chain",
+             [a, mask, fuse](engine::Engine &eng) {
+                 constexpr int64_t kHead = 8;
+                 NDArray q = NDArray::fromFloat(
+                     randomVector(a.rows * kHead, 122));
+                 NDArray kt = NDArray::fromFloat(
+                     randomVector(kHead * a.cols, 123));
+                 NDArray v = NDArray::fromFloat(
+                     randomVector(a.cols * kHead, 124));
+                 NDArray out({a.rows * kHead}, ir::DataType::float32());
+                 int kernels = model::attentionPipeline(
+                                   eng, mask, kHead, &q, &kt, &v, &out,
+                                   fuse)
+                                   .numKernels;
+                 EXPECT_EQ(kernels == 1, fuse);
+                 return Served{std::move(out), kernels};
+             }});
+    }
+    return families;
+}
+
+// Every op family runs natively on a pool of two, proven and
+// unchecked: each kernel of its artifact is served native (no
+// fallback), every execution passes its entry guard, and the output
+// is bitwise the interpreter's.
+TEST(NativeEngine, EveryOpFamilyServesNativeWithoutGuardMisses)
+{
+    CacheDirGuard cache;
+    for (const OpFamily &family : everyOpFamily()) {
+        SCOPED_TRACE(family.name);
+        engine::EngineOptions reference_options;
+        reference_options.backend = Backend::kInterpreter;
+        engine::Engine reference_engine(reference_options);
+        NDArray reference = family.serve(reference_engine).first;
+
+        engine::EngineOptions options;
+        options.backend = Backend::kNative;
+        options.nativePromoteAfter = 0;
+        options.numThreads = 2;
+        engine::Engine eng(options);
+        auto [cold, kernels] = family.serve(eng);
+        auto [warm, warm_kernels] = family.serve(eng);
+        EXPECT_TRUE(bitwiseEqual(reference, cold));
+        EXPECT_TRUE(bitwiseEqual(reference, warm));
+        EXPECT_EQ(kernels, warm_kernels);
+
+        engine::NativeStats stats = eng.nativeStats();
+        EXPECT_EQ(stats.promotions, 1u);
+        EXPECT_EQ(stats.fallbacks, 0u);
+        EXPECT_EQ(stats.guardMisses, 0u);
+        EXPECT_EQ(stats.compiles + stats.diskHits,
+                  static_cast<uint64_t>(kernels));
+    }
 }
 
 TEST(NativeEngine, EnvVarSelectsNativeTier)

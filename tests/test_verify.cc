@@ -576,13 +576,13 @@ TEST(VerifyEngine, DefaultSessionProvesEveryArtifact)
 
     engine::PreparedSpmmHyb prepared = eng.prepareSpmmHyb(a, feat);
     EXPECT_TRUE(prepared.cacheHit);
-    auto kernels = prepared.artifact->kernels();
+    const auto &kernels = prepared.artifact->kernels;
     ASSERT_EQ(kernels.size(), static_cast<size_t>(info.numKernels));
-    for (const engine::CompiledKernel *kernel : kernels) {
-        EXPECT_NE(kernel->program, nullptr) << kernel->func->name;
-        ASSERT_EQ(kernel->accums.size(), 1u) << kernel->func->name;
-        EXPECT_FALSE(kernel->accums[0].hulls.empty())
-            << kernel->func->name;
+    for (const engine::CompiledKernel &kernel : kernels) {
+        EXPECT_NE(kernel.program, nullptr) << kernel.func->name;
+        ASSERT_EQ(kernel.accums.size(), 1u) << kernel.func->name;
+        EXPECT_FALSE(kernel.accums[0].hulls.empty())
+            << kernel.func->name;
     }
 }
 
