@@ -7,9 +7,11 @@ Each JSON file is one run of the benchmark; the gate reads the median
 over the runs, so one slow run on a shared host does not trip it.
 Fails (exit 1) when the median of the bytecode backend's
 warm-dispatch speedup over the interpreter falls below the threshold,
-when any run saw the two backends stop producing bitwise-identical
-outputs, or when the median native/bytecode warm req/s ratio falls
-below 1 on any op family of the "tiers" object (experiment [11]).
+when any run reports a bitwise check as false (the two backends, the
+batched-vs-sequential requests of experiment [5] or a fused-vs-chain
+graph of experiment [10]), or when the median native/bytecode warm
+req/s ratio falls below 1 on any op family of the "tiers" object
+(experiment [11]).
 Malformed input — an unreadable or syntactically invalid JSON file,
 missing fields, or nonsense measurements (non-positive timings) in
 any file — exits 2 with a diagnostic, so CI can tell "the gate
@@ -35,8 +37,9 @@ class BadInput(Exception):
 def read_run(path: str):
     """Validate one run's JSON and print its trajectory lines.
 
-    Returns (backend speedup, bitwise_identical, {op: native req/s
-    over bytecode req/s}); raises BadInput on malformed input.
+    Returns (backend speedup, [names of the bitwise checks that read
+    false], {op: native req/s over bytecode req/s}); raises BadInput on
+    malformed input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -68,6 +71,20 @@ def read_run(path: str):
         f"bytecode {bytecode_ms:.2f} ms = {speedup:.2f}x, "
         f"bitwise_identical={identical}"
     )
+    # Every bitwise check the run reports is gated, not just printed:
+    # a batch or a fused graph that diverged is a wrong result.
+    checks = ["bitwise_identical", "batch_bitwise_identical"] + [
+        f"graph_{model}_bitwise_identical"
+        for model in ("attention", "graphsage")
+    ]
+    diverged = []
+    for key in checks:
+        if key not in data:
+            continue
+        if not isinstance(data[key], bool):
+            raise BadInput(f"{path} field {key} is not a JSON boolean")
+        if not data[key]:
+            diverged.append(key)
     # Batched-throughput trajectory (informational, not gated) — but
     # malformed fields are still bad input, not a tripped gate.
     if "batched_req_per_s" in data:
@@ -249,7 +266,7 @@ def read_run(path: str):
                 f"p95 {p95:.3f} ms / p99 {p99:.3f} ms "
                 f"({count} samples)"
             )
-    return speedup, identical, native_ratios
+    return speedup, diverged, native_ratios
 
 
 def main() -> int:
@@ -272,13 +289,13 @@ def main() -> int:
     for path in paths:
         print(f"== {path}")
         try:
-            speedup, identical, native_ratios = read_run(path)
+            speedup, failed_checks, native_ratios = read_run(path)
         except BadInput as err:
             print(f"perf gate: bad input: {err}", file=sys.stderr)
             return 2
         speedups.append(speedup)
-        if not identical:
-            diverged.append(path)
+        if failed_checks:
+            diverged.append(f"{path} ({', '.join(failed_checks)})")
         for op, ratio in native_ratios.items():
             ratios.setdefault(op, []).append(ratio)
 
@@ -295,7 +312,7 @@ def main() -> int:
             native_losses.append(f"{op} ({ratio:.2f}x)")
     if diverged:
         print(
-            "FAIL: backends diverged bitwise in " + ", ".join(diverged),
+            "FAIL: bitwise checks failed in " + ", ".join(diverged),
             file=sys.stderr,
         )
         return 1

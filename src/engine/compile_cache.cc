@@ -148,20 +148,5 @@ CompileCache::stats() const
     return stats;
 }
 
-size_t
-CompileCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-}
-
-void
-CompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    lru_.clear();
-}
-
 } // namespace engine
 } // namespace sparsetir

@@ -117,20 +117,13 @@ class Artifact
      *  under a copy of it. */
     verify::VerifyContext facts;
 
-    /** Hyb: the resolved bucket cap (k) of the decomposition. */
-    int bucketCapLog2 = 0;
-    /** Graph: whether the program is one fused kernel, and why fusion
-     *  bailed to the chain otherwise (empty when fused). */
-    bool fused = false;
-    std::string modeReason;
     /** Graph chain: the intermediates a dispatch materializes. */
     std::vector<Temp> temps;
 
     /**
      * The cache key this artifact was built under (set by
      * CompileCache::getOrBuild before insertion). Native promotion
-     * tags the persisted module with it, so handles that bypass the
-     * cache lookup can still promote.
+     * tags the persisted module with it.
      */
     CacheKey key;
 
@@ -206,9 +199,6 @@ class CompileCache
     std::shared_ptr<Artifact> peek(const CacheKey &key) const;
 
     CacheStats stats() const;
-    size_t size() const;
-    size_t capacity() const { return capacity_; }
-    void clear();
 
   private:
     struct Entry

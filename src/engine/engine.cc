@@ -54,27 +54,36 @@ nativeKeyTag(const CacheKey &key)
     return tag;
 }
 
-/** The array `gather` binds, filled from its `source` values. */
-NDArray
-gatherValues(const Artifact::ValueGather &gather,
-             const std::vector<float> &source)
+/** Every array the artifact's value gathers bind, in gather order,
+ *  each filled from its `sources` entry. */
+std::vector<NDArray>
+gatherValues(const Artifact &artifact,
+             const std::vector<const std::vector<float> *> &sources)
 {
-    if (gather.sourcePos.empty()) {
-        return NDArray::fromFloat(source);
-    }
-    NDArray out({static_cast<int64_t>(gather.sourcePos.size())},
-                ir::DataType::float32());
-    float *slots = static_cast<float *>(out.rawData());
-    for (size_t i = 0; i < gather.sourcePos.size(); ++i) {
-        int32_t p = gather.sourcePos[i];
-        if (p >= 0) {
-            ICHECK_LT(static_cast<size_t>(p), source.size())
-                << "provenance map does not match the request's "
-                   "values array; compile-cache key mismatch";
-            slots[i] = source[p];
+    std::vector<NDArray> values;
+    values.reserve(artifact.gathers.size());
+    for (const Artifact::ValueGather &gather : artifact.gathers) {
+        const std::vector<float> &source = *sources[gather.source];
+        if (gather.sourcePos.empty()) {
+            values.push_back(NDArray::fromFloat(source));
+            continue;
+        }
+        NDArray &out = values.emplace_back(
+            std::vector<int64_t>{
+                static_cast<int64_t>(gather.sourcePos.size())},
+            ir::DataType::float32());
+        float *slots = static_cast<float *>(out.rawData());
+        for (size_t i = 0; i < gather.sourcePos.size(); ++i) {
+            int32_t p = gather.sourcePos[i];
+            if (p >= 0) {
+                ICHECK_LT(static_cast<size_t>(p), source.size())
+                    << "provenance map does not match the request's "
+                       "values array; compile-cache key mismatch";
+                slots[i] = source[p];
+            }
         }
     }
-    return out;
+    return values;
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +312,6 @@ buildSpmmHyb(const Csr &a, int64_t feat, const HybConfig &config)
         core::compileSpmmHybFuncs(hyb, feat);
 
     std::shared_ptr<Artifact> artifact = csrArtifact(a, feat);
-    artifact->bucketCapLog2 = hyb.maxWidthLog2;
     std::vector<ScatterPlan> scatters;
     for (const core::HybKernelPlan &plan : plans) {
         const format::Ell &ell =
@@ -381,8 +389,6 @@ buildGraph(const dfg::OpGraph &graph, bool fuse)
         SPARSETIR_TRACE_SCOPE("dfg", fuse ? "dfg.fuse" : "dfg.lower");
         lowering = dfg::lowerGraph(graph, fuse);
     }
-    artifact->fused = lowering.fused;
-    artifact->modeReason = lowering.reason;
     for (const dfg::StructureBinding &s : lowering.structures) {
         artifact->int32Array(s.indptrName, s.pattern->indptr);
         artifact->int32Array(s.indicesName, s.pattern->indices);
@@ -415,16 +421,6 @@ csrKey(OpKind op, const Csr &a, int64_t feat, uint64_t schedule)
     key.rows = a.rows;
     key.nnz = a.nnz();
     return key;
-}
-
-CacheKey
-spmmHybKey(const Csr &a, int64_t feat, const HybConfig &config)
-{
-    return csrKey(OpKind::kSpmmHyb, a, feat,
-                  Fingerprint()
-                      .i64(config.partitions)
-                      .i64(config.bucketCapLog2)
-                      .digest());
 }
 
 CacheKey
@@ -494,22 +490,19 @@ spmmSrbcrsKey(const format::SrBcrs &a, int64_t feat)
 
 /**
  * The bind step every dispatch shares: a copy of the artifact's
- * table, with each value gather filled from `sources` into `values`
- * (which must outlive the returned bindings), then the request's own
- * `arrays`.
+ * table, each value gather pointed at its array in `values` (the
+ * result of gatherValues; it must outlive the returned bindings),
+ * then the request's own `arrays`.
  */
 runtime::Bindings
-bindArtifact(const Artifact &artifact,
-             const std::vector<const std::vector<float> *> &sources,
-             std::vector<NDArray> *values,
+bindArtifact(const Artifact &artifact, std::vector<NDArray> *values,
              std::initializer_list<std::pair<const char *, NDArray *>>
                  arrays = {})
 {
+    ICHECK_EQ(values->size(), artifact.gathers.size());
     runtime::Bindings bound = artifact.bindings;
-    values->reserve(artifact.gathers.size());
-    for (const Artifact::ValueGather &gather : artifact.gathers) {
-        values->push_back(gatherValues(gather, *sources[gather.source]));
-        bound.arrays[gather.param] = &values->back();
+    for (size_t i = 0; i < values->size(); ++i) {
+        bound.arrays[artifact.gathers[i].param] = &(*values)[i];
     }
     for (const auto &[name, array] : arrays) {
         bound.arrays[name] = array;
@@ -518,19 +511,22 @@ bindArtifact(const Artifact &artifact,
 }
 
 /**
- * Per-request binding views of an SpMM dispatch: the shared base plus
- * each request's private B/C. Outputs must be distinct, and no output
- * may alias any request's input — requests run concurrently (and a
- * kernel reading its own output races with itself), so such a write
- * would break the bitwise contract. Sharing one read-only B across
- * requests is fine. With `zero_outputs` (hyb: the bucket kernels
- * accumulate, the dispatch owns the overwrite contract C = A @ B)
- * every output is cleared — only after the whole batch validated, so
- * a rejected batch leaves every caller array untouched.
+ * Per-request binding views of an SpMM dispatch over the sparse
+ * operand's `values`: the gathered arrays (into `gathered`, shared by
+ * every view), then one table copy per request with its private B/C.
+ * Outputs must be distinct, and no output may alias any request's
+ * input — requests run concurrently (and a kernel reading its own
+ * output races with itself), so such a write would break the bitwise
+ * contract. Sharing one read-only B across requests is fine. With
+ * `zero_outputs` (hyb: the bucket kernels accumulate, the dispatch
+ * owns the overwrite contract C = A @ B) every output is cleared —
+ * only after the whole batch validated, so a rejected batch leaves
+ * every caller array untouched.
  */
 std::vector<runtime::Bindings>
-requestViews(const runtime::Bindings &base,
-             const std::vector<SpmmRequest> &requests, bool zero_outputs)
+requestViews(const Artifact &artifact, const std::vector<float> &values,
+             const std::vector<SpmmRequest> &requests, bool zero_outputs,
+             std::vector<NDArray> *gathered)
 {
     std::unordered_set<const NDArray *> outputs;
     outputs.reserve(requests.size());
@@ -541,16 +537,18 @@ requestViews(const runtime::Bindings &base,
             << "batched SpMM requests must bind distinct output "
                "arrays";
     }
-    std::vector<runtime::Bindings> views;
-    views.reserve(requests.size());
     for (const SpmmRequest &request : requests) {
         USER_CHECK(outputs.count(request.b) == 0)
             << "SpMM request aliases a feature matrix with an output "
                "array";
-        runtime::Bindings view = base;
-        view.arrays["B_data"] = request.b;
-        view.arrays["C_data"] = request.c;
-        views.push_back(std::move(view));
+    }
+    *gathered = gatherValues(artifact, {&values});
+    std::vector<runtime::Bindings> views;
+    views.reserve(requests.size());
+    for (const SpmmRequest &request : requests) {
+        views.push_back(bindArtifact(
+            artifact, gathered,
+            {{"B_data", request.b}, {"C_data", request.c}}));
     }
     if (zero_outputs) {
         for (const SpmmRequest &request : requests) {
@@ -558,23 +556,6 @@ requestViews(const runtime::Bindings &base,
         }
     }
     return views;
-}
-
-/**
- * The bind step of an SpMM batch whose sparse operand holds `values`:
- * the artifact's table and gathers (into `gathered`), then one view
- * per request.
- */
-std::function<std::vector<runtime::Bindings>(const Artifact &)>
-spmmBinder(const std::vector<float> &values,
-           const std::vector<SpmmRequest> &requests, bool zero_outputs,
-           std::vector<NDArray> *gathered)
-{
-    return [&values, &requests, zero_outputs, gathered](
-               const Artifact &artifact) {
-        return requestViews(bindArtifact(artifact, {&values}, gathered),
-                            requests, zero_outputs);
-    };
 }
 
 } // namespace
@@ -734,23 +715,16 @@ Engine::dispatch(OpKind op, const CacheKey &key, const Builder &builder,
                            static_cast<int64_t>(op));
     DispatchInfo info;
     std::shared_ptr<Artifact> artifact = resolve(key, builder, &info);
-    return execute(op, *artifact, bind, info);
-}
-
-DispatchInfo
-Engine::execute(OpKind op, const Artifact &artifact, const Binder &bind,
-                DispatchInfo info)
-{
     auto bind_start = std::chrono::steady_clock::now();
-    std::vector<runtime::Bindings> views = bind(artifact);
+    std::vector<runtime::Bindings> views = bind(*artifact);
     std::vector<const runtime::Bindings *> requests;
     requests.reserve(views.size());
     for (const runtime::Bindings &view : views) {
         requests.push_back(&view);
     }
     std::vector<const CompiledKernel *> kernels;
-    kernels.reserve(artifact.kernels.size());
-    for (const CompiledKernel &kernel : artifact.kernels) {
+    kernels.reserve(artifact->kernels.size());
+    for (const CompiledKernel &kernel : artifact->kernels) {
         kernels.push_back(&kernel);
     }
     info.bindMs = msSince(bind_start);
@@ -881,15 +855,10 @@ Engine::finish(const DispatchInfo &info, OpKind op)
     }
     compileMs_->record(info.compileMs);
     execMs_->record(info.execMs);
-    // prepareSpmmHyb finishes with no kernels executed; keep its
-    // zero-latency "dispatch" out of the latency distributions.
-    if (info.numKernels > 0) {
-        double per_request =
-            info.execMs / static_cast<double>(info.numRequests);
-        observe::LatencyHistogram *hist = opLatency(op, info.cacheHit);
-        for (int i = 0; i < info.numRequests; ++i) {
-            hist->record(per_request);
-        }
+    double per_request = info.execMs / static_cast<double>(requests);
+    observe::LatencyHistogram *hist = opLatency(op, info.cacheHit);
+    for (uint64_t i = 0; i < requests; ++i) {
+        hist->record(per_request);
     }
 }
 
@@ -991,7 +960,7 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                 << " arrays for " << named
                 << " named values — unknown names in the io map";
 
-            runtime::Bindings bound = bindArtifact(artifact, {}, &values);
+            runtime::Bindings bound = bindArtifact(artifact, &values);
             for (const auto &kv : io) {
                 bound.arrays[kv.first] = kv.second;
             }
@@ -1027,8 +996,9 @@ Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
             return buildSddmm(a, feat, schedule);
         },
         [&](const Artifact &artifact) {
+            values = gatherValues(artifact, {&a.values});
             return std::vector<runtime::Bindings>{bindArtifact(
-                artifact, {&a.values}, &values,
+                artifact, &values,
                 {{"X_data", x}, {"Y_data", y}, {"B_data", out}})};
         });
 }
@@ -1057,10 +1027,27 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
             for (const Csr &rel : graph.relations) {
                 sources.push_back(&rel.values);
             }
+            values = gatherValues(artifact, sources);
             return std::vector<runtime::Bindings>{
-                bindArtifact(artifact, sources, &values,
+                bindArtifact(artifact, &values,
                              {{"X_data", x}, {"W_data", w}, {"Y_data", y}})};
         });
+}
+
+DispatchInfo
+Engine::spmmBatch(OpKind op, const CacheKey &key, const Builder &builder,
+                  const std::vector<float> &values,
+                  const std::vector<SpmmRequest> &requests,
+                  bool zero_outputs)
+{
+    if (requests.empty()) {
+        return DispatchInfo();
+    }
+    std::vector<NDArray> gathered;
+    return dispatch(op, key, builder, [&](const Artifact &artifact) {
+        return requestViews(artifact, values, requests, zero_outputs,
+                            &gathered);
+    });
 }
 
 DispatchInfo
@@ -1068,16 +1055,11 @@ Engine::spmmCsrBatch(const Csr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const core::SpmmSchedule &schedule)
 {
-    if (requests.empty()) {
-        return DispatchInfo();
-    }
-    std::vector<NDArray> values;
-    return dispatch(OpKind::kSpmmCsr,
-                    csrKey(OpKind::kSpmmCsr, a, feat,
-                           Fingerprint().i64(schedule.threadX).digest()),
-                    [&] { return buildSpmmCsr(a, feat, schedule); },
-                    spmmBinder(a.values, requests,
-                               /*zero_outputs=*/false, &values));
+    return spmmBatch(OpKind::kSpmmCsr,
+                     csrKey(OpKind::kSpmmCsr, a, feat,
+                            Fingerprint().i64(schedule.threadX).digest()),
+                     [&] { return buildSpmmCsr(a, feat, schedule); },
+                     a.values, requests, /*zero_outputs=*/false);
 }
 
 DispatchInfo
@@ -1085,40 +1067,14 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const HybConfig &config)
 {
-    if (requests.empty()) {
-        return DispatchInfo();
-    }
-    std::vector<NDArray> values;
-    return dispatch(OpKind::kSpmmHyb, spmmHybKey(a, feat, config),
-                    [&] { return buildSpmmHyb(a, feat, config); },
-                    spmmBinder(a.values, requests,
-                               /*zero_outputs=*/true, &values));
-}
-
-DispatchInfo
-Engine::spmmHybBatch(const PreparedSpmmHyb &prepared,
-                     const std::vector<SpmmRequest> &requests)
-{
-    if (requests.empty()) {
-        return DispatchInfo();
-    }
-    USER_CHECK(prepared.artifact != nullptr &&
-               prepared.bindings != nullptr)
-        << "batched dispatch needs a handle from prepareSpmmHyb";
-    SPARSETIR_TRACE_SCOPE1("engine", "engine.dispatch", "op",
-                           static_cast<int64_t>(OpKind::kSpmmHyb));
-    // The handle pins a resolved artifact: no cache lookup, but it
-    // still counts toward native promotion like a warm resolve.
-    maybePromote(prepared.artifact);
-    DispatchInfo info;
-    info.cacheHit = true;
-    return execute(OpKind::kSpmmHyb, *prepared.artifact,
-                   [&](const Artifact &) {
-                       return requestViews(prepared.bindings->view(),
-                                           requests,
-                                           /*zero_outputs=*/true);
-                   },
-                   info);
+    return spmmBatch(OpKind::kSpmmHyb,
+                     csrKey(OpKind::kSpmmHyb, a, feat,
+                            Fingerprint()
+                                .i64(config.partitions)
+                                .i64(config.bucketCapLog2)
+                                .digest()),
+                     [&] { return buildSpmmHyb(a, feat, config); },
+                     a.values, requests, /*zero_outputs=*/true);
 }
 
 DispatchInfo
@@ -1126,69 +1082,18 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const BsrConfig &config)
 {
-    if (requests.empty()) {
-        return DispatchInfo();
-    }
-    std::vector<NDArray> values;
-    return dispatch(OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
-                    [&] { return buildBsr(a, feat, config); },
-                    spmmBinder(a.values, requests,
-                               /*zero_outputs=*/false, &values));
+    return spmmBatch(OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
+                     [&] { return buildBsr(a, feat, config); }, a.values,
+                     requests, /*zero_outputs=*/false);
 }
 
 DispatchInfo
 Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                         const std::vector<SpmmRequest> &requests)
 {
-    if (requests.empty()) {
-        return DispatchInfo();
-    }
-    std::vector<NDArray> values;
-    return dispatch(OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
-                    [&] { return buildSrbcrs(a, feat); },
-                    spmmBinder(a.values, requests,
-                               /*zero_outputs=*/false, &values));
-}
-
-PreparedSpmmHyb
-Engine::prepareSpmmHyb(const Csr &a, int64_t feat,
-                       const HybConfig &config)
-{
-    SPARSETIR_TRACE_SCOPE("engine", "dispatch.prepare_spmm_hyb");
-    DispatchInfo info;
-    std::shared_ptr<Artifact> artifact =
-        resolve(spmmHybKey(a, feat, config),
-                [&] { return buildSpmmHyb(a, feat, config); },
-                &info);
-    // Counted as one request that executed nothing.
-    info.numRequests = 1;
-    finish(info, OpKind::kSpmmHyb);
-
-    PreparedSpmmHyb prepared;
-    prepared.cacheHit = info.cacheHit;
-    prepared.bucketCapLog2 = artifact->bucketCapLog2;
-    prepared.artifact = artifact;
-    // The simulator rejects unbound handles, so the handle binds the
-    // CSR values too, which no host dispatch reads.
-    prepared.bindings = std::make_shared<core::BindingSet>();
-    for (const auto &[name, value] : artifact->bindings.scalars) {
-        prepared.bindings->scalar(name, value);
-    }
-    for (const auto &[name, array] : artifact->bindings.arrays) {
-        if (array != nullptr) {
-            prepared.bindings->external(name, array);
-        }
-    }
-    for (const Artifact::ValueGather &gather : artifact->gathers) {
-        prepared.bindings->own(gather.param,
-                               gatherValues(gather, a.values));
-    }
-    prepared.bindings->own("A_data", NDArray::fromFloat(a.values));
-    for (const CompiledKernel &kernel : artifact->kernels) {
-        prepared.kernels.push_back(std::make_shared<core::BoundKernel>(
-            kernel.func, prepared.bindings));
-    }
-    return prepared;
+    return spmmBatch(OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
+                     [&] { return buildSrbcrs(a, feat); }, a.values,
+                     requests, /*zero_outputs=*/false);
 }
 
 } // namespace engine

@@ -4,22 +4,23 @@
  *
  * A session owns a CompileCache, a ThreadPool and a ParallelExecutor
  * and exposes one-call operator dispatch (spmmCsr / spmmHyb / sddmm /
- * rgcn / spmmBsr / spmmSrbcrs). Each dispatch fingerprints the
- * request (operator, sparsity structure, schedule parameters, feature
- * dims, artifact version), reuses the compiled kernel artifact on a
- * hit — skipping Stage I -> III lowering, bytecode compilation and
- * re-bucketing entirely — binds the request's values (via the
- * formats' provenance maps) and executes with deterministic
- * parallelism (see executor.h). Every op caches the one artifact
- * shape, engine::Artifact: its engine::CompiledKernel units (Stage
- * III IR plus the register-bytecode program the VM executes on warm
- * dispatches, plus the spilled block-extent expression that sizes
- * the launch grid without an interpreter probe) and a table of the
- * scalars and int32 structure arrays its kernels read. Each table
- * entry is declared once, in the builder, and that one declaration
- * is both a verifier fact and a binding. Every dispatch binds the
- * same way: a copy of the table, then the values gathered from the
- * request, then the request's own arrays.
+ * rgcn / dispatchGraph / spmmBsr / spmmSrbcrs, and the spmm*Batch
+ * forms). Each dispatch fingerprints the request (operator, sparsity
+ * structure, schedule parameters, feature dims, artifact version),
+ * reuses the compiled kernel artifact on a hit — skipping Stage I ->
+ * III lowering, bytecode compilation and re-bucketing entirely —
+ * binds the request's values (via the formats' provenance maps) and
+ * executes with deterministic parallelism (see executor.h). Every op
+ * caches the one artifact shape, engine::Artifact: its
+ * engine::CompiledKernel units (Stage III IR plus the
+ * register-bytecode program the VM executes on warm dispatches, plus
+ * the spilled block-extent expression that sizes the launch grid
+ * without an interpreter probe) and a table of the scalars and int32
+ * structure arrays its kernels read. Each table entry is declared
+ * once, in the builder, and that one declaration is both a verifier
+ * fact and a binding. Every dispatch binds the same way: the values
+ * gathered once from the request's sparse operand, then per request
+ * a copy of the table pointing at them and the request's own arrays.
  *
  * Every artifact is proven by the static verifier (verify/verifier.h)
  * before it enters the cache, whatever the build, backend or
@@ -33,13 +34,14 @@
  *
  * Every public entry point is a thin adapter over ONE internal
  * dispatch path — resolve (with native promotion) -> bind -> execute
- * -> account — in which a single request is a batch of one. Batched
- * dispatch (`spmm*Batch`) is the multi-tenant serving shape: N
- * in-flight requests against one sparsity structure resolve ONE
- * cached artifact, get private per-request bindings, and run as one
- * conflict-ordered task graph over (request x kernel x grid-chunk)
- * units — each request's output bitwise identical to its own serial
- * dispatch.
+ * -> account — in which a single request is a batch of one, and the
+ * four SpMM batch forms share one body; every dispatch looks its
+ * artifact up by key. Batched dispatch (`spmm*Batch`) is the
+ * multi-tenant serving shape: N in-flight requests against one
+ * sparsity structure resolve ONE cached artifact, get private
+ * per-request bindings, and run as one conflict-ordered task graph
+ * over (request x kernel x grid-chunk) units — each request's output
+ * bitwise identical to its own serial dispatch.
  *
  * Thread-safety contract: an Engine may be shared by any number of
  * request threads. Artifacts are immutable after construction; every
@@ -264,25 +266,6 @@ struct SpmmRequest
     runtime::NDArray *c = nullptr;
 };
 
-/**
- * A compiled-and-bound hyb SpMM ready for execution or simulation.
- * `bindings` holds structure and value arrays; callers bind "B_data"
- * and "C_data" externally before executing or building sim kernels.
- */
-struct PreparedSpmmHyb
-{
-    std::vector<std::shared_ptr<core::BoundKernel>> kernels;
-    std::shared_ptr<core::BindingSet> bindings;
-    /** Resolved bucket cap (k) of the cached decomposition. */
-    int bucketCapLog2 = 0;
-    bool cacheHit = false;
-    /**
-     * Keeps the cached artifact (whose structure arrays `bindings`
-     * references) alive past LRU eviction.
-     */
-    std::shared_ptr<Artifact> artifact;
-};
-
 class Engine
 {
   public:
@@ -396,17 +379,6 @@ class Engine
                  const std::vector<SpmmRequest> &requests,
                  const HybConfig &config = HybConfig());
 
-    /**
-     * Batched dispatch over an already-prepared hyb SpMM: skips even
-     * the cache lookup and value gather — the handle pins the
-     * artifact and the gathered bucket values — but still counts
-     * toward native promotion. Requests' outputs are zeroed by the
-     * dispatch (overwrite contract, like spmmHyb).
-     */
-    DispatchInfo
-    spmmHybBatch(const PreparedSpmmHyb &prepared,
-                 const std::vector<SpmmRequest> &requests);
-
     DispatchInfo
     spmmBsrBatch(const format::Bsr &a, int64_t feat,
                  const std::vector<SpmmRequest> &requests,
@@ -415,14 +387,6 @@ class Engine
     DispatchInfo
     spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                     const std::vector<SpmmRequest> &requests);
-
-    /**
-     * Resolve (compile or fetch) a hyb SpMM and return its bound
-     * host-scheduled kernels, e.g. as a handle for spmmHybBatch. (The
-     * simulator models the GPU schedule: see core::compileSpmmHyb.)
-     */
-    PreparedSpmmHyb prepareSpmmHyb(const format::Csr &a, int64_t feat,
-                                   const HybConfig &config = HybConfig());
 
     EngineStats stats() const;
     CacheStats cacheStats() const { return cache_.stats(); }
@@ -439,13 +403,10 @@ class Engine
      * observe/metrics.h).
      */
     observe::MetricsSnapshot metricsSnapshot() const;
-    /** The registry backing stats()/cacheStats()/metricsSnapshot(). */
-    observe::MetricsRegistry *metrics() const { return metrics_.get(); }
     /** Scratch accounting of the session (see ScratchStats). */
     ScratchStats scratchStats() const;
     /** Restart the scratch high-water mark (benchmark sections). */
     void resetScratchPeak();
-    const std::shared_ptr<ThreadPool> &pool() const { return pool_; }
     int numThreads() const { return pool_->size(); }
 
   private:
@@ -461,18 +422,24 @@ class Engine
 
     /**
      * The one dispatch path: resolve `key` (compiling via `builder`
-     * on a miss, promotion hook included), then execute().
+     * on a miss, promotion hook included), then a timed bind, the
+     * executor run and finish().
      */
     DispatchInfo dispatch(OpKind op, const CacheKey &key,
                           const Builder &builder, const Binder &bind);
 
     /**
-     * The second half of dispatch(), entered directly by prepared
-     * handles: timed bind -> executor run -> finish(). `info` carries
-     * the resolve outcome.
+     * The one SpMM batch body: dispatch() with one binding view per
+     * request over the sparse operand's `values`. With `zero_outputs`
+     * (hyb: the bucket kernels accumulate) every output is cleared
+     * once the whole batch validated. An empty batch resolves
+     * nothing.
      */
-    DispatchInfo execute(OpKind op, const Artifact &artifact,
-                         const Binder &bind, DispatchInfo info);
+    DispatchInfo spmmBatch(OpKind op, const CacheKey &key,
+                           const Builder &builder,
+                           const std::vector<float> &values,
+                           const std::vector<SpmmRequest> &requests,
+                           bool zero_outputs);
 
     std::shared_ptr<Artifact> resolve(const CacheKey &key,
                                       const Builder &builder,
@@ -499,9 +466,8 @@ class Engine
     void accountScratch(int64_t bytes, uint64_t leases);
 
     /**
-     * Promotion policy hook, called on every resolve (and every
-     * prepared-handle dispatch) of a kNative session: counts uses of
-     * `artifact` and, when the count crosses
+     * Promotion policy hook, called on every resolve of a kNative
+     * session: counts uses of `artifact` and, when the count crosses
      * EngineOptions::nativePromoteAfter, promotes the artifact —
      * inline for threshold 0, as a background pool task otherwise
      * (the artifact is kept alive by the captured shared_ptr;

@@ -230,8 +230,6 @@ class ParallelExecutor
   public:
     explicit ParallelExecutor(std::shared_ptr<ThreadPool> pool);
 
-    const std::shared_ptr<ThreadPool> &pool() const { return pool_; }
-
     /**
      * Names of parameter-bound buffers the kernel updates by
      * read-modify-write (accumulate write-back or atomic_add).

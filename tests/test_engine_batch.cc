@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -269,6 +270,11 @@ TEST(EngineBatch, HybBatchBitwiseMatchesSequentialDispatch)
     }
 
     Engine eng(EngineOptions{});
+    // An empty batch resolves nothing.
+    auto none = eng.spmmHybBatch(a, feat, {}, config);
+    EXPECT_EQ(none.numRequests, 0);
+    EXPECT_EQ(eng.cacheStats().misses, 0u);
+
     auto info = eng.spmmHybBatch(a, feat, batch.requests, config);
     EXPECT_GE(info.numKernels, 2);
     for (int i = 0; i < kRequests; ++i) {
@@ -276,19 +282,14 @@ TEST(EngineBatch, HybBatchBitwiseMatchesSequentialDispatch)
             << "request " << i << " diverged from its serial run";
     }
 
-    // Batched dispatch over a prepared handle: same results, no
-    // additional artifact resolve.
-    engine::PreparedSpmmHyb prepared =
-        eng.prepareSpmmHyb(a, feat, config);
-    EXPECT_TRUE(prepared.cacheHit);
-    for (auto &c : batch.c) {
-        c.zero();
-    }
-    auto prepared_info = eng.spmmHybBatch(prepared, batch.requests);
-    EXPECT_TRUE(prepared_info.cacheHit);
+    // Warm batch into the outputs it just wrote: one cache hit, no
+    // further compile, and the dispatch's zeroing keeps it bitwise.
+    auto warm = eng.spmmHybBatch(a, feat, batch.requests, config);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(eng.cacheStats().misses, 1u);
     for (int i = 0; i < kRequests; ++i) {
         EXPECT_TRUE(bitwiseEqual(expected[i], batch.c[i]))
-            << "prepared-handle request " << i << " diverged";
+            << "warm request " << i << " diverged";
     }
 }
 
@@ -424,23 +425,50 @@ TEST(EngineBatch, RejectsAliasedOrMissingOutputs)
 {
     Csr a = randomCsr(20, 20, 0.2, 47);
     int64_t feat = 4;
-    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 48));
-    NDArray c({a.rows * feat}, ir::DataType::float32());
+    // The CSR batch never writes a rejected output; the hyb batch
+    // zeroes its outputs, and must do so only after the whole batch
+    // validated.
+    using BatchCall = std::function<void(
+        Engine &, const std::vector<SpmmRequest> &)>;
+    std::vector<std::pair<const char *, BatchCall>> calls = {
+        {"csr",
+         [&](Engine &eng, const std::vector<SpmmRequest> &requests) {
+             eng.spmmCsrBatch(a, feat, requests);
+         }},
+        {"hyb",
+         [&](Engine &eng, const std::vector<SpmmRequest> &requests) {
+             eng.spmmHybBatch(a, feat, requests);
+         }},
+    };
+    std::vector<float> b_host = randomVector(a.cols * feat, 48);
+    const NDArray sentinel =
+        NDArray::fromFloat(std::vector<float>(a.rows * feat, 42.5f));
+    for (const auto &[what, call] : calls) {
+        NDArray b = NDArray::fromFloat(b_host);
+        NDArray c = sentinel;
+        NDArray c2 = sentinel;
 
-    Engine eng(EngineOptions{});
-    std::vector<SpmmRequest> aliased = {SpmmRequest{&b, &c},
-                                        SpmmRequest{&b, &c}};
-    EXPECT_THROW(eng.spmmCsrBatch(a, feat, aliased), UserError);
-    std::vector<SpmmRequest> missing = {SpmmRequest{&b, nullptr}};
-    EXPECT_THROW(eng.spmmCsrBatch(a, feat, missing), UserError);
-    // An output aliasing an input — its own or another request's —
-    // would race under concurrent execution.
-    NDArray c2({a.rows * feat}, ir::DataType::float32());
-    std::vector<SpmmRequest> self = {SpmmRequest{&c, &c}};
-    EXPECT_THROW(eng.spmmCsrBatch(a, feat, self), UserError);
-    std::vector<SpmmRequest> cross = {SpmmRequest{&b, &c},
-                                      SpmmRequest{&c, &c2}};
-    EXPECT_THROW(eng.spmmCsrBatch(a, feat, cross), UserError);
+        Engine eng(EngineOptions{});
+        std::vector<SpmmRequest> aliased = {SpmmRequest{&b, &c},
+                                            SpmmRequest{&b, &c}};
+        EXPECT_THROW(call(eng, aliased), UserError) << what;
+        std::vector<SpmmRequest> missing = {SpmmRequest{&b, &c2},
+                                            SpmmRequest{&b, nullptr}};
+        EXPECT_THROW(call(eng, missing), UserError) << what;
+        // An output aliasing an input — its own or another request's —
+        // would race under concurrent execution.
+        std::vector<SpmmRequest> self = {SpmmRequest{&c, &c}};
+        EXPECT_THROW(call(eng, self), UserError) << what;
+        std::vector<SpmmRequest> cross = {SpmmRequest{&b, &c},
+                                          SpmmRequest{&c, &c2}};
+        EXPECT_THROW(call(eng, cross), UserError) << what;
+
+        EXPECT_TRUE(bitwiseEqual(NDArray::fromFloat(b_host), b)) << what;
+        for (const NDArray *out : {&c, &c2}) {
+            EXPECT_TRUE(bitwiseEqual(sentinel, *out))
+                << what << ": a rejected batch wrote a caller array";
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Task-graph dispatch: bitwise equality of the parallel schedule
- * against the serial oracle on hyb SpMM (single and batched,
- * including the prepared-handle overload) and RGCN; the shape of
+ * against the serial oracle on hyb SpMM (single and batched, cold
+ * and warm) and RGCN; the shape of
  * built TaskGraphs (one unit per request and kernel for a full batch,
  * hull-ordered chunks for a single request, split-row kernels split
  * on every backend); no scratch on any hyb dispatch; and determinism
@@ -189,18 +189,13 @@ TEST(EngineFused, HybBatchBitwiseMatchesSequential)
             << "fused batch request " << i << " diverged";
     }
 
-    // Prepared-handle overload through the fused path.
-    engine::PreparedSpmmHyb prepared =
-        fused_eng.prepareSpmmHyb(a, feat, config);
-    EXPECT_TRUE(prepared.cacheHit);
-    for (auto &c : fused_c) {
-        c.zero();
-    }
-    auto info = fused_eng.spmmHybBatch(prepared, fused_requests);
+    // Warm batch into the outputs it just wrote: the dispatch zeroes
+    // them first, so nothing accumulates twice.
+    auto info = fused_eng.spmmHybBatch(a, feat, fused_requests, config);
     EXPECT_TRUE(info.cacheHit);
     for (int i = 0; i < kRequests; ++i) {
         EXPECT_TRUE(bitwiseEqual(expected[i], fused_c[i]))
-            << "fused prepared-handle request " << i << " diverged";
+            << "fused warm batch request " << i << " diverged";
     }
 }
 
@@ -649,15 +644,9 @@ TEST(EngineFused, SingleRequestHybLeasesNoScratch)
 
     // Warm: the proven hulls let the task graph cut the kernels, so
     // more units than kernels run.
-    observe::TraceRecorder::global().setEnabled(true);
-    observe::TraceRecorder::global().clear();
-    auto info = eng.spmmHyb(a, feat, &b, &c, config);
-    observe::TraceRecorder::global().setEnabled(false);
-    size_t units = 0;
-    for (const auto &e : observe::TraceRecorder::global().collect()) {
-        units += std::string(e.event.name) == "fused.unit" ? 1 : 0;
-    }
-    observe::TraceRecorder::global().clear();
+    engine::DispatchInfo info;
+    size_t units = testutil::countSpans(
+        "fused.unit", [&] { info = eng.spmmHyb(a, feat, &b, &c, config); });
     EXPECT_GT(units, static_cast<size_t>(info.numKernels))
         << "hyb kernels ran whole: no proven hulls";
     EXPECT_TRUE(bitwiseEqual(expected, c));

@@ -1349,11 +1349,10 @@ TEST(NativeEngine, HybBucketsPromoteEveryKernel)
     EXPECT_TRUE(bitwiseEqual(reference, c_warm));
 }
 
-// A prepared handle skips the cache lookup, but its dispatches still
-// count toward promotion: a caller that prepares once and then serves
-// prepared batches must reach the native tier, not stay on bytecode
-// forever.
-TEST(NativeEngine, PreparedHandleBatchesReachNative)
+// A batched dispatch counts toward promotion like a single request:
+// a caller that serves only multi-request batches must reach the
+// native tier, not stay on bytecode forever.
+TEST(NativeEngine, HybBatchesReachNative)
 {
     CacheDirGuard cache;
     Csr a = graph::powerLawGraph(200, 2400, 1.9, 99);
@@ -1391,10 +1390,8 @@ TEST(NativeEngine, PreparedHandleBatchesReachNative)
     options.backend = Backend::kNative;
     options.nativePromoteAfter = 2;  // background, third use
     engine::Engine eng(options);
-    engine::PreparedSpmmHyb prepared =
-        eng.prepareSpmmHyb(a, feat, config);  // the only resolve
     for (int round = 0; round < 3; ++round) {
-        eng.spmmHybBatch(prepared, requests);
+        eng.spmmHybBatch(a, feat, requests, config);
         for (int i = 0; i < kRequests; ++i) {
             EXPECT_TRUE(bitwiseEqual(references[i], cs[i]))
                 << "round " << round << ", request " << i;
@@ -1402,14 +1399,14 @@ TEST(NativeEngine, PreparedHandleBatchesReachNative)
     }
     ASSERT_TRUE(waitFor(
         [&] { return eng.nativeStats().promotions >= 1; }))
-        << "prepared-handle batches never triggered promotion";
+        << "batched dispatches never triggered promotion";
     engine::NativeStats stats = eng.nativeStats();
     EXPECT_EQ(stats.promotions, 1u);
     EXPECT_GE(stats.compiles, 2u);
     EXPECT_EQ(stats.fallbacks, 0u);
 
-    // Post-swap prepared batches run native; still bitwise.
-    eng.spmmHybBatch(prepared, requests);
+    // Post-swap batches run native; still bitwise.
+    eng.spmmHybBatch(a, feat, requests, config);
     for (int i = 0; i < kRequests; ++i) {
         EXPECT_TRUE(bitwiseEqual(references[i], cs[i]))
             << "native request " << i;
@@ -1507,27 +1504,19 @@ TEST(NativeEngine, HybArtifactPromotesAsOneModule)
     NDArray b = NDArray::fromFloat(b_host);
     uint64_t cc_before = native::nativeCompileCount();
     {
+        // Every kernel compiled natively by one compiler run into one
+        // installed module.
         engine::Engine cold(options);
-        engine::PreparedSpmmHyb prepared =
-            cold.prepareSpmmHyb(a, feat, config);
-        const std::vector<engine::CompiledKernel> &kernels =
-            prepared.artifact->kernels;
-        ASSERT_GE(kernels.size(), 2u);
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        engine::DispatchInfo info = cold.spmmHyb(a, feat, &b, &c, config);
+        EXPECT_TRUE(bitwiseEqual(reference, c));
+        ASSERT_GE(info.numKernels, 2);
         EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
         EXPECT_EQ(countModules(cache.dir()), 1);
-        std::string so_path = kernels[0].native->get()->soPath;
-        for (const engine::CompiledKernel &kernel : kernels) {
-            ASSERT_NE(kernel.native->get(), nullptr);
-            EXPECT_EQ(kernel.native->get()->soPath, so_path);
-        }
         engine::NativeStats stats = cold.nativeStats();
         EXPECT_EQ(stats.promotions, 1u);
-        EXPECT_EQ(stats.compiles, kernels.size());
+        EXPECT_EQ(stats.compiles, static_cast<uint64_t>(info.numKernels));
         EXPECT_EQ(stats.fallbacks, 0u);
-
-        NDArray c({a.rows * feat}, ir::DataType::float32());
-        cold.spmmHyb(a, feat, &b, &c, config);
-        EXPECT_TRUE(bitwiseEqual(reference, c));
     }
 
     engine::Engine warm(options);
@@ -1649,17 +1638,17 @@ TEST(NativeEngine, BlockedCompileDoesNotStallOtherArtifacts)
         return std::filesystem::exists(started);
     })) << "the blocking compiler never started";
 
-    engine::PreparedSpmmHyb prepared = eng.prepareSpmmHyb(a, feat, config);
-    bool hyb_first = !csr_done.load();
-    for (const engine::CompiledKernel &kernel :
-         prepared.artifact->kernels) {
-        EXPECT_NE(kernel.native->get(), nullptr);
-    }
     NDArray b = NDArray::fromFloat(b_host);
     NDArray c({a.rows * feat}, ir::DataType::float32());
-    eng.spmmHyb(a, feat, &b, &c, config);
+    engine::DispatchInfo info = eng.spmmHyb(a, feat, &b, &c, config);
+    bool hyb_first = !csr_done.load();
     EXPECT_TRUE(bitwiseEqual(reference, c));
-    EXPECT_EQ(eng.nativeStats().promotions, 1u);
+    // Only the hyb module finished: every one of its kernels compiled
+    // natively while the CSR compile still blocks.
+    engine::NativeStats hyb_stats = eng.nativeStats();
+    EXPECT_EQ(hyb_stats.promotions, 1u);
+    EXPECT_EQ(hyb_stats.compiles, static_cast<uint64_t>(info.numKernels));
+    EXPECT_EQ(hyb_stats.fallbacks, 0u);
 
     { std::ofstream touch(release); }
     blocked.join();

@@ -2,8 +2,8 @@
  * @file
  * Helpers shared by the GoogleTest suites: deterministic random data,
  * the bitwise-equality predicate the reproducibility contract is
- * stated in, a per-process native artifact directory and the
- * guard-strip mutation of the verifier corpus. One
+ * stated in, a per-process native artifact directory, a trace span
+ * counter and the guard-strip mutation of the verifier corpus. One
  * definition, so what "bitwise identical" means cannot drift between
  * suites.
  */
@@ -15,12 +15,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "ir/analysis.h"
 #include "ir/functor.h"
+#include "observe/trace.h"
 #include "runtime/ndarray.h"
 #include "support/rng.h"
 
@@ -73,6 +75,26 @@ isolateNativeCacheDir(const char *prefix)
         return true;
     }();
     return done;
+}
+
+/**
+ * Run `body` with the global trace recorder on (cleared before, off
+ * and cleared after) and count the spans it recorded named `name`.
+ */
+inline size_t
+countSpans(const char *name, const std::function<void()> &body)
+{
+    observe::TraceRecorder &trace = observe::TraceRecorder::global();
+    trace.setEnabled(true);
+    trace.clear();
+    body();
+    trace.setEnabled(false);
+    size_t count = 0;
+    for (const auto &e : trace.collect()) {
+        count += std::string(e.event.name) == name ? 1 : 0;
+    }
+    trace.clear();
+    return count;
 }
 
 /**

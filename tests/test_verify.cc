@@ -558,8 +558,8 @@ TEST(VerifyEngine, VerdictComputedOnceAndCached)
 TEST(VerifyEngine, DefaultSessionProvesEveryArtifact)
 {
     // Serial and on the interpreter, the session still builds the one
-    // artifact shape: a proof, a bytecode program and proven hulls on
-    // every bucket kernel.
+    // artifact shape: a proof and a bytecode program for every kernel,
+    // and proven hulls on every bucket kernel.
     EngineOptions options;
     options.parallel = false;
     options.backend = runtime::Backend::kInterpreter;
@@ -568,22 +568,30 @@ TEST(VerifyEngine, DefaultSessionProvesEveryArtifact)
     Csr a = randomCsr(64, 48, 0.12, 11);
     int64_t feat = 24;
     NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 5));
-    NDArray c({a.rows * feat}, ir::DataType::float32());
-    auto info = eng.spmmHyb(a, feat, &b, &c);
+    NDArray want({a.rows * feat}, ir::DataType::float32());
+    engine::DispatchInfo info;
+    size_t programs = testutil::countSpans(
+        "bytecode.compile", [&] { info = eng.spmmHyb(a, feat, &b, &want); });
     ASSERT_GE(info.numKernels, 2);
+    EXPECT_EQ(programs, static_cast<size_t>(info.numKernels));
     EXPECT_EQ(eng.cacheStats().verifiedKernels,
               static_cast<uint64_t>(info.numKernels));
 
-    engine::PreparedSpmmHyb prepared = eng.prepareSpmmHyb(a, feat);
-    EXPECT_TRUE(prepared.cacheHit);
-    const auto &kernels = prepared.artifact->kernels;
-    ASSERT_EQ(kernels.size(), static_cast<size_t>(info.numKernels));
-    for (const engine::CompiledKernel &kernel : kernels) {
-        EXPECT_NE(kernel.program, nullptr) << kernel.func->name;
-        ASSERT_EQ(kernel.accums.size(), 1u) << kernel.func->name;
-        EXPECT_FALSE(kernel.accums[0].hulls.empty())
-            << kernel.func->name;
-    }
+    // The same build on two interpreter workers: the proven hulls let
+    // the task graph cut the bucket kernels, so more units than
+    // kernels run, and the result stays bitwise.
+    options.parallel = true;
+    options.numThreads = 2;
+    options.minBlocksPerChunk = 1;
+    Engine parallel(options);
+    NDArray c({a.rows * feat}, ir::DataType::float32());
+    parallel.spmmHyb(a, feat, &b, &c);
+    size_t units = testutil::countSpans(
+        "fused.unit", [&] { info = parallel.spmmHyb(a, feat, &b, &c); });
+    EXPECT_TRUE(info.cacheHit);
+    EXPECT_GT(units, static_cast<size_t>(info.numKernels))
+        << "hyb kernels ran whole: no proven hulls";
+    EXPECT_TRUE(testutil::bitwiseEqual(want, c));
 }
 
 TEST(VerifyEngine, WideHybBucketWithRowTailServes)
