@@ -71,8 +71,10 @@ def read_run(path: str):
         f"bytecode {bytecode_ms:.2f} ms = {speedup:.2f}x, "
         f"bitwise_identical={identical}"
     )
-    # Every bitwise check the run reports is gated, not just printed:
-    # a batch or a fused graph that diverged is a wrong result.
+    # Every bitwise check the benchmark runs is gated, not just
+    # printed: a batch or a fused graph that diverged is a wrong
+    # result, and a run that stopped reporting a check is bad input,
+    # so a dropped check cannot pass unnoticed.
     checks = ["bitwise_identical", "batch_bitwise_identical"] + [
         f"graph_{model}_bitwise_identical"
         for model in ("attention", "graphsage")
@@ -80,7 +82,7 @@ def read_run(path: str):
     diverged = []
     for key in checks:
         if key not in data:
-            continue
+            raise BadInput(f"{path} is missing field '{key}'")
         if not isinstance(data[key], bool):
             raise BadInput(f"{path} field {key} is not a JSON boolean")
         if not data[key]:

@@ -491,17 +491,19 @@ spmmSrbcrsKey(const format::SrBcrs &a, int64_t feat)
 /**
  * The bind step every dispatch shares: a copy of the artifact's
  * table, each value gather pointed at its array in `values` (the
- * result of gatherValues; it must outlive the returned bindings),
- * then the request's own `arrays`.
+ * result of gatherValues; it must outlive the returned bindings, and
+ * may be null for an artifact that declares no gathers), then the
+ * request's own `arrays`.
  */
 runtime::Bindings
 bindArtifact(const Artifact &artifact, std::vector<NDArray> *values,
              std::initializer_list<std::pair<const char *, NDArray *>>
                  arrays = {})
 {
-    ICHECK_EQ(values->size(), artifact.gathers.size());
+    size_t gathered = values == nullptr ? 0 : values->size();
+    ICHECK_EQ(gathered, artifact.gathers.size());
     runtime::Bindings bound = artifact.bindings;
-    for (size_t i = 0; i < values->size(); ++i) {
+    for (size_t i = 0; i < gathered; ++i) {
         bound.arrays[artifact.gathers[i].param] = &(*values)[i];
     }
     for (const auto &[name, array] : arrays) {
@@ -911,7 +913,6 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                       const std::map<std::string, NDArray *> &io,
                       const GraphDispatchOptions &options)
 {
-    std::vector<NDArray> values;
     // Chain mode materializes interior tensors in plain arrays this
     // dispatch owns; they count as held scratch until it returns or
     // throws. The fused kernel has none (per-row locals), so its
@@ -960,7 +961,9 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
                 << " arrays for " << named
                 << " named values — unknown names in the io map";
 
-            runtime::Bindings bound = bindArtifact(artifact, &values);
+            // Graph artifacts declare no value gathers: every array
+            // but the chain temps comes from `io`.
+            runtime::Bindings bound = bindArtifact(artifact, nullptr);
             for (const auto &kv : io) {
                 bound.arrays[kv.first] = kv.second;
             }

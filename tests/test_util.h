@@ -79,22 +79,31 @@ isolateNativeCacheDir(const char *prefix)
 
 /**
  * Run `body` with the global trace recorder on (cleared before, off
- * and cleared after) and count the spans it recorded named `name`.
+ * and cleared after) and return the spans it recorded named `name`.
  */
-inline size_t
-countSpans(const char *name, const std::function<void()> &body)
+inline std::vector<observe::TraceEvent>
+collectSpans(const char *name, const std::function<void()> &body)
 {
     observe::TraceRecorder &trace = observe::TraceRecorder::global();
     trace.setEnabled(true);
     trace.clear();
     body();
     trace.setEnabled(false);
-    size_t count = 0;
+    std::vector<observe::TraceEvent> spans;
     for (const auto &e : trace.collect()) {
-        count += std::string(e.event.name) == name ? 1 : 0;
+        if (std::string(e.event.name) == name) {
+            spans.push_back(e.event);
+        }
     }
     trace.clear();
-    return count;
+    return spans;
+}
+
+/** The number of spans named `name` that `body` recorded. */
+inline size_t
+countSpans(const char *name, const std::function<void()> &body)
+{
+    return collectSpans(name, body).size();
 }
 
 /**

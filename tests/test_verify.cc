@@ -20,6 +20,7 @@
 
 #include "core/pipeline.h"
 #include "engine/engine.h"
+#include "engine/executor.h"
 #include "format/csr.h"
 #include "format/hyb.h"
 #include "ir/analysis.h"
@@ -27,6 +28,7 @@
 #include "ir/functor.h"
 #include "ir/prim_func.h"
 #include "ir/stmt.h"
+#include "observe/trace.h"
 #include "support/rng.h"
 #include "test_util.h"
 #include "transform/hoist_invariants.h"
@@ -565,32 +567,57 @@ TEST(VerifyEngine, DefaultSessionProvesEveryArtifact)
     options.backend = runtime::Backend::kInterpreter;
     Engine eng(options);
 
-    Csr a = randomCsr(64, 48, 0.12, 11);
+    // Rows of degree 1, 2, 4 and 8 in turn: every bucket holds rows
+    // from the whole range in two or more blocks, so the cut the
+    // parallel session makes below falls inside each bucket kernel (a
+    // kernel of one block runs whole, hulls or not).
+    std::vector<std::pair<int, int>> degrees;
+    for (int r = 0; r < 64; ++r) {
+        degrees.emplace_back(1, r % 4);
+    }
+    Csr a = csrOfDegrees(degrees, 48);
     int64_t feat = 24;
     NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 5));
     NDArray want({a.rows * feat}, ir::DataType::float32());
-    engine::DispatchInfo info;
-    size_t programs = testutil::countSpans(
-        "bytecode.compile", [&] { info = eng.spmmHyb(a, feat, &b, &want); });
+    engine::DispatchInfo info = eng.spmmHyb(a, feat, &b, &want);
     ASSERT_GE(info.numKernels, 2);
-    EXPECT_EQ(programs, static_cast<size_t>(info.numKernels));
     EXPECT_EQ(eng.cacheStats().verifiedKernels,
               static_cast<uint64_t>(info.numKernels));
 
+    // The kernels the builder compiles (default HybConfig: one
+    // partition, per-structure bucket cap), each through the engine's
+    // own compileKernel: every one gets a bytecode program.
+    std::vector<core::HybKernelPlan> plans =
+        core::compileSpmmHybFuncs(format::hybFromCsr(a, 1), feat);
+    ASSERT_EQ(plans.size(), static_cast<size_t>(info.numKernels));
+    for (const core::HybKernelPlan &plan : plans) {
+        EXPECT_NE(engine::compileKernel(plan.func).program, nullptr)
+            << plan.func->name;
+    }
+
     // The same build on two interpreter workers: the proven hulls let
-    // the task graph cut the bucket kernels, so more units than
-    // kernels run, and the result stays bitwise.
+    // the task graph cut every bucket kernel, so each one runs as two
+    // or more units, and the result stays bitwise.
     options.parallel = true;
     options.numThreads = 2;
     options.minBlocksPerChunk = 1;
     Engine parallel(options);
     NDArray c({a.rows * feat}, ir::DataType::float32());
     parallel.spmmHyb(a, feat, &b, &c);
-    size_t units = testutil::countSpans(
+    std::vector<observe::TraceEvent> units = testutil::collectSpans(
         "fused.unit", [&] { info = parallel.spmmHyb(a, feat, &b, &c); });
     EXPECT_TRUE(info.cacheHit);
-    EXPECT_GT(units, static_cast<size_t>(info.numKernels))
-        << "hyb kernels ran whole: no proven hulls";
+    std::vector<int> units_per_kernel(info.numKernels, 0);
+    for (const observe::TraceEvent &unit : units) {
+        ASSERT_STREQ(unit.arg0Name, "kernel");
+        ASSERT_LT(unit.arg0, info.numKernels);
+        units_per_kernel[unit.arg0] += 1;
+    }
+    for (int k = 0; k < info.numKernels; ++k) {
+        EXPECT_GE(units_per_kernel[k], 2)
+            << "kernel " << plans[k].func->name
+            << " ran whole: no proven hulls";
+    }
     EXPECT_TRUE(testutil::bitwiseEqual(want, c));
 }
 
