@@ -11,7 +11,9 @@ when any run reports a bitwise check as false (the two backends, the
 batched-vs-sequential requests of experiment [5] or a fused-vs-chain
 graph of experiment [10]), or when the median native/bytecode warm
 req/s ratio falls below 1 on any op family of the "tiers" object
-(experiment [11]).
+(experiment [11]). The median native compile count and compile
+milliseconds over the runs are printed too, informational only, so
+the tier-up cost trend shows in CI logs.
 Malformed input — an unreadable or syntactically invalid JSON file,
 missing fields, or nonsense measurements (non-positive timings) in
 any file — exits 2 with a diagnostic, so CI can tell "the gate
@@ -38,8 +40,9 @@ def read_run(path: str):
     """Validate one run's JSON and print its trajectory lines.
 
     Returns (backend speedup, [names of the bitwise checks that read
-    false], {op: native req/s over bytecode req/s}); raises BadInput on
-    malformed input.
+    false], {op: native req/s over bytecode req/s}, (native kernel
+    compiles, native compile ms) or None without a "tiers" object);
+    raises BadInput on malformed input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -175,6 +178,7 @@ def read_run(path: str):
     # bytecode on any family does not earn its code. Malformed fields
     # are still bad input, not a tripped gate.
     native_ratios = {}
+    native_cost = None
     if "tiers" in data:
         tiers = data["tiers"]
         if not isinstance(tiers, dict):
@@ -227,6 +231,7 @@ def read_run(path: str):
             f"native tier: {compiles} kernel compile(s) in "
             f"{compile_ms:.1f} ms, {disk_hits} disk hit(s)"
         )
+        native_cost = (compiles, compile_ms)
     # Warm-dispatch latency percentiles per op kind (experiment [9],
     # informational — the p50/p99 trajectory is tracked across
     # commits, no gate). Malformed histogram fields are still bad
@@ -268,7 +273,7 @@ def read_run(path: str):
                 f"p95 {p95:.3f} ms / p99 {p99:.3f} ms "
                 f"({count} samples)"
             )
-    return speedup, diverged, native_ratios
+    return speedup, diverged, native_ratios, native_cost
 
 
 def main() -> int:
@@ -288,10 +293,13 @@ def main() -> int:
     speedups = []
     diverged = []
     ratios = {}
+    native_costs = []
     for path in paths:
         print(f"== {path}")
         try:
-            speedup, failed_checks, native_ratios = read_run(path)
+            speedup, failed_checks, native_ratios, native_cost = read_run(
+                path
+            )
         except BadInput as err:
             print(f"perf gate: bad input: {err}", file=sys.stderr)
             return 2
@@ -300,12 +308,23 @@ def main() -> int:
             diverged.append(f"{path} ({', '.join(failed_checks)})")
         for op, ratio in native_ratios.items():
             ratios.setdefault(op, []).append(ratio)
+        if native_cost is not None:
+            native_costs.append(native_cost)
 
     speedup = statistics.median(speedups)
     print(
         f"perf gate: median backend speedup {speedup:.2f}x over "
         f"{len(speedups)} run(s) (threshold {threshold:.1f}x)"
     )
+    # Tier-up cost trend (informational, not gated).
+    if native_costs:
+        compiles = statistics.median(c for c, _ in native_costs)
+        compile_ms = statistics.median(ms for _, ms in native_costs)
+        print(
+            f"perf gate: median native_compiles {compiles:g}, "
+            f"native_compile_ms {compile_ms:.1f} over "
+            f"{len(native_costs)} run(s) (informational)"
+        )
     native_losses = []
     for op in sorted(ratios):
         ratio = statistics.median(ratios[op])

@@ -244,7 +244,7 @@ buildEllRgms(int64_t num_rows, int width, int64_t feat_in,
 }
 
 transform::FormatRewriteRule
-ellRule(const std::string &suffix, int64_t m, int64_t n, int64_t num_rows,
+ellRule(const std::string &suffix, int64_t m, int64_t n, Expr num_rows,
         int width)
 {
     transform::FormatRewriteRule rule;
@@ -253,7 +253,7 @@ ellRule(const std::string &suffix, int64_t m, int64_t n, int64_t num_rows,
     Axis o_axis = denseFixed("O" + suffix, intImm(1));
     Var i_indices = var("I" + suffix + "_indices", DataType::handle());
     Axis i_axis = sparseFixed("I" + suffix, o_axis, intImm(m),
-                              intImm(num_rows), i_indices);
+                              std::move(num_rows), i_indices);
     Var j_indices = var("J" + suffix + "_indices", DataType::handle());
     Axis j_axis = sparseFixed("J" + suffix, i_axis, intImm(n),
                               intImm(width), j_indices);

@@ -65,11 +65,13 @@ ir::PrimFunc buildEllRgms(int64_t num_rows, int width, int64_t feat_in,
 /**
  * ELL format-rewrite rule for hyb decomposition: a bucket with
  * `num_rows` compacted rows of `width` stored entries, selected from
- * an m x n matrix. Axis names are suffixed to keep rules distinct.
+ * an m x n matrix. `num_rows` is a constant or a scalar Var, which
+ * the decomposed function then takes as a parameter. Axis names are
+ * suffixed to keep rules distinct.
  */
 transform::FormatRewriteRule ellRule(const std::string &suffix,
                                      int64_t m, int64_t n,
-                                     int64_t num_rows, int width);
+                                     ir::Expr num_rows, int width);
 
 /**
  * BSR format-rewrite rule (paper Appendix A): block size `b`,

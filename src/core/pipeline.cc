@@ -256,6 +256,8 @@ std::vector<HybKernelPlan>
 compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
                     ScheduleTarget target)
 {
+    const bool host = target != ScheduleTarget::kGpu;
+    const bool row_scalar = target == ScheduleTarget::kHostRowScalar;
     // One ELL rewrite rule per non-empty (partition, bucket).
     std::vector<transform::FormatRewriteRule> rules;
     std::vector<HybKernelPlan> plans;
@@ -267,8 +269,11 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
             }
             std::string suffix =
                 "p" + std::to_string(p) + "b" + std::to_string(b);
+            Expr rows = row_scalar ? Expr(var(ellRowsParam(suffix),
+                                              DataType::int32()))
+                                   : intImm(ell.numRows());
             rules.push_back(ellRule(suffix, hyb.rows, hyb.cols,
-                                    ell.numRows(), ell.width));
+                                    std::move(rows), ell.width));
             HybKernelPlan plan;
             plan.suffix = suffix;
             plan.partition = p;
@@ -282,7 +287,6 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
 
     // The host schedule binds feat_size to the compile-time feat, so
     // the feature loop and its accumulator have a constant extent.
-    const bool host = target == ScheduleTarget::kHost;
     PrimFunc stage1 = buildSpmm(host ? feat : 0);
     observe::TraceScope decompose_span("compile",
                                        "stage1.decompose_format");
@@ -306,12 +310,15 @@ compileSpmmHybFuncs(const format::Hyb &hyb, int64_t feat,
         auto loops = sch.getLoops(block_name);  // o, i, j, k
         std::string fused = sch.fuse(loops[0], loops[1]);
         // Bucket b groups 2^(k - b) rows so each block covers ~2^k
-        // non-zeros (compile-time load balancing, §4.2.1).
+        // non-zeros (compile-time load balancing, §4.2.1). Unclamped,
+        // the factor stays a power of two and the row-scalar kernel
+        // divides by none.
         int rows_per_block = std::max<int64_t>(
             1,
             (1 << hyb.maxWidthLog2) / std::max(plan.width, 1));
         plan.rowsPerBlock = static_cast<int>(
-            std::min<int64_t>(rows_per_block, plan.numRows));
+            row_scalar ? rows_per_block
+                       : std::min<int64_t>(rows_per_block, plan.numRows));
         auto [f_o, f_i] = sch.split(fused, plan.rowsPerBlock);
         if (host) {
             sch.bind(f_o, "blockIdx.x");

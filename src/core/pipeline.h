@@ -135,9 +135,18 @@ enum class ScheduleTarget {
      * Host backends (interpreter, bytecode, native): the natural
      * (row-block, row, non-zero, feature) order with blockIdx.x over
      * row blocks, feat_size bound to the compile-time feat, a
-     * feature-wide accumulator and loop invariants hoisted.
+     * feature-wide accumulator and loop invariants hoisted. Each
+     * bucket's row count is a constant of its kernel.
      */
     kHost,
+    /**
+     * The kHost schedule with each bucket's row count a scalar
+     * parameter (ellRowsParam) and rowsPerBlock never clamped to it,
+     * so buckets of one width compile to one kernel body whatever
+     * their row counts. What the engine serves; kHost stays for
+     * callers that bind no row scalars.
+     */
+    kHostRowScalar,
     /**
      * The paper's GE-SpMM GPU schedule: feature lanes bound to
      * threadIdx.x outside the non-zero loop, rows to threadIdx.y,
@@ -148,10 +157,11 @@ enum class ScheduleTarget {
 
 /**
  * Stage III kernels for every non-empty (partition, bucket) of a hyb
- * decomposition, scheduled for `target`. Both targets share the grid
- * (rowsPerBlock rows per blockIdx.x block) and the per-element order
- * of additions, so their outputs are bitwise equal. Depends only on
- * the bucket shape of `hyb` (row counts and widths), not its values.
+ * decomposition, scheduled for `target`. Every target processes
+ * rowsPerBlock rows per blockIdx.x block with the same per-element
+ * order of additions, so their outputs are bitwise equal. Depends
+ * only on the bucket shape of `hyb` (row counts and widths), not its
+ * values; under kHostRowScalar only on the widths.
  */
 std::vector<HybKernelPlan> compileSpmmHybFuncs(
     const format::Hyb &hyb, int64_t feat,
@@ -172,6 +182,12 @@ inline std::string
 ellColIndicesParam(const std::string &suffix)
 {
     return "J" + suffix + "_indices";
+}
+/** Row-count scalar of a kHostRowScalar hyb bucket kernel. */
+inline std::string
+ellRowsParam(const std::string &suffix)
+{
+    return "rows_" + suffix;
 }
 /** Value array of a hyb SpMM bucket kernel. */
 inline std::string

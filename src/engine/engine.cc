@@ -301,21 +301,24 @@ buildSrbcrs(const format::SrBcrs &a, int64_t feat)
 /**
  * The bucket compute kernels read only the gathered A_ell_* values,
  * so no dispatch copies the CSR values whole; the CSR arrays stay in
- * the table because the kernels' proofs rest on their facts.
+ * the table because the kernels' proofs rest on their facts. Each
+ * bucket's row count is a scalar of the table, so buckets of one
+ * width share one native kernel body.
  */
 std::shared_ptr<Artifact>
 buildSpmmHyb(const Csr &a, int64_t feat, const HybConfig &config)
 {
     format::Hyb hyb =
         format::hybFromCsr(a, config.partitions, config.bucketCapLog2);
-    std::vector<core::HybKernelPlan> plans =
-        core::compileSpmmHybFuncs(hyb, feat);
+    std::vector<core::HybKernelPlan> plans = core::compileSpmmHybFuncs(
+        hyb, feat, core::ScheduleTarget::kHostRowScalar);
 
     std::shared_ptr<Artifact> artifact = csrArtifact(a, feat);
     std::vector<ScatterPlan> scatters;
     for (const core::HybKernelPlan &plan : plans) {
         const format::Ell &ell =
             hyb.buckets[plan.partition][plan.bucket];
+        artifact->scalar(core::ellRowsParam(plan.suffix), ell.numRows());
         std::string rows = core::ellRowIndicesParam(plan.suffix);
         artifact->int32Array(rows, ell.rowIndices);
         artifact->int32Array(core::ellColIndicesParam(plan.suffix),
@@ -683,15 +686,15 @@ Engine::execOptions() const
 }
 
 std::shared_ptr<Artifact>
-Engine::resolve(const CacheKey &key, const Builder &builder,
+Engine::resolve(OpKind op, const KeyFn &key, const Builder &builder,
                 DispatchInfo *info)
 {
     SPARSETIR_TRACE_SCOPE1("engine", "engine.resolve", "op",
-                           static_cast<int64_t>(key.op));
+                           static_cast<int64_t>(op));
     auto start = std::chrono::steady_clock::now();
     bool hit = false;
     std::shared_ptr<Artifact> artifact =
-        cache_.getOrBuild(key, builder, &hit);
+        cache_.getOrBuild(key(), builder, &hit);
     // The verify verdict rides on the artifact: a failed proof was paid
     // for once at build, and every dispatch that touches the artifact —
     // including warm hits — refuses it at zero re-proving cost.
@@ -710,13 +713,13 @@ Engine::resolve(const CacheKey &key, const Builder &builder,
 }
 
 DispatchInfo
-Engine::dispatch(OpKind op, const CacheKey &key, const Builder &builder,
+Engine::dispatch(OpKind op, const KeyFn &key, const Builder &builder,
                  const Binder &bind)
 {
     SPARSETIR_TRACE_SCOPE1("engine", "engine.dispatch", "op",
                            static_cast<int64_t>(op));
     DispatchInfo info;
-    std::shared_ptr<Artifact> artifact = resolve(key, builder, &info);
+    std::shared_ptr<Artifact> artifact = resolve(op, key, builder, &info);
     auto bind_start = std::chrono::steady_clock::now();
     std::vector<runtime::Bindings> views = bind(*artifact);
     std::vector<const runtime::Bindings *> requests;
@@ -931,7 +934,7 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
         }
     } release{this, held_bytes};
     return dispatch(
-        OpKind::kGraph, graphKey(graph, options.fuse),
+        OpKind::kGraph, [&] { return graphKey(graph, options.fuse); },
         [&] {
             return buildGraph(graph, options.fuse);
         },
@@ -990,11 +993,13 @@ Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
     std::vector<NDArray> values;
     return dispatch(
         OpKind::kSddmm,
-        csrKey(OpKind::kSddmm, a, feat,
-               Fingerprint()
-                   .i64(schedule.workloadsPerBlock)
-                   .i64(schedule.groupSize)
-                   .digest()),
+        [&] {
+            return csrKey(OpKind::kSddmm, a, feat,
+                          Fingerprint()
+                              .i64(schedule.workloadsPerBlock)
+                              .i64(schedule.groupSize)
+                              .digest());
+        },
         [&] {
             return buildSddmm(a, feat, schedule);
         },
@@ -1021,7 +1026,8 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
 {
     std::vector<NDArray> values;
     return dispatch(
-        OpKind::kRgcnHyb, rgcnKey(graph, featIn, featOut, config),
+        OpKind::kRgcnHyb,
+        [&] { return rgcnKey(graph, featIn, featOut, config); },
         [&] {
             return buildRgcn(graph, featIn, featOut, config);
         },
@@ -1038,7 +1044,7 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
 }
 
 DispatchInfo
-Engine::spmmBatch(OpKind op, const CacheKey &key, const Builder &builder,
+Engine::spmmBatch(OpKind op, const KeyFn &key, const Builder &builder,
                   const std::vector<float> &values,
                   const std::vector<SpmmRequest> &requests,
                   bool zero_outputs)
@@ -1059,8 +1065,11 @@ Engine::spmmCsrBatch(const Csr &a, int64_t feat,
                      const core::SpmmSchedule &schedule)
 {
     return spmmBatch(OpKind::kSpmmCsr,
-                     csrKey(OpKind::kSpmmCsr, a, feat,
-                            Fingerprint().i64(schedule.threadX).digest()),
+                     [&] {
+                         return csrKey(
+                             OpKind::kSpmmCsr, a, feat,
+                             Fingerprint().i64(schedule.threadX).digest());
+                     },
                      [&] { return buildSpmmCsr(a, feat, schedule); },
                      a.values, requests, /*zero_outputs=*/false);
 }
@@ -1071,11 +1080,13 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
                      const HybConfig &config)
 {
     return spmmBatch(OpKind::kSpmmHyb,
-                     csrKey(OpKind::kSpmmHyb, a, feat,
-                            Fingerprint()
-                                .i64(config.partitions)
-                                .i64(config.bucketCapLog2)
-                                .digest()),
+                     [&] {
+                         return csrKey(OpKind::kSpmmHyb, a, feat,
+                                       Fingerprint()
+                                           .i64(config.partitions)
+                                           .i64(config.bucketCapLog2)
+                                           .digest());
+                     },
                      [&] { return buildSpmmHyb(a, feat, config); },
                      a.values, requests, /*zero_outputs=*/true);
 }
@@ -1085,7 +1096,8 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
                      const std::vector<SpmmRequest> &requests,
                      const BsrConfig &config)
 {
-    return spmmBatch(OpKind::kSpmmBsr, spmmBsrKey(a, feat, config),
+    return spmmBatch(OpKind::kSpmmBsr,
+                     [&] { return spmmBsrKey(a, feat, config); },
                      [&] { return buildBsr(a, feat, config); }, a.values,
                      requests, /*zero_outputs=*/false);
 }
@@ -1094,7 +1106,8 @@ DispatchInfo
 Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                         const std::vector<SpmmRequest> &requests)
 {
-    return spmmBatch(OpKind::kSpmmSrbcrs, spmmSrbcrsKey(a, feat),
+    return spmmBatch(OpKind::kSpmmSrbcrs,
+                     [&] { return spmmSrbcrsKey(a, feat); },
                      [&] { return buildSrbcrs(a, feat); }, a.values,
                      requests, /*zero_outputs=*/false);
 }

@@ -137,7 +137,8 @@ struct DispatchInfo
 {
     /** Whether the single artifact resolve was served from cache. */
     bool cacheHit = false;
-    /** Artifact resolve time — at most ONE compile per dispatch. */
+    /** Artifact resolve time: the cache key's structure hash, the
+     *  lookup and at most ONE compile per dispatch. */
     double compileMs = 0.0;
     /** Gathering values and building the per-request bindings. */
     double bindMs = 0.0;
@@ -411,6 +412,9 @@ class Engine
 
   private:
     using Builder = std::function<std::shared_ptr<Artifact>()>;
+    /** The request's cache key, computed inside resolve so its
+     *  structure hash counts toward DispatchInfo::compileMs. */
+    using KeyFn = std::function<CacheKey()>;
 
     /**
      * Bind step of a dispatch, run against the resolved artifact: one
@@ -421,11 +425,11 @@ class Engine
         std::function<std::vector<runtime::Bindings>(const Artifact &)>;
 
     /**
-     * The one dispatch path: resolve `key` (compiling via `builder`
-     * on a miss, promotion hook included), then a timed bind, the
-     * executor run and finish().
+     * The one dispatch path: resolve the key `key` computes (compiling
+     * via `builder` on a miss, promotion hook included), then a timed
+     * bind, the executor run and finish().
      */
-    DispatchInfo dispatch(OpKind op, const CacheKey &key,
+    DispatchInfo dispatch(OpKind op, const KeyFn &key,
                           const Builder &builder, const Binder &bind);
 
     /**
@@ -435,13 +439,13 @@ class Engine
      * once the whole batch validated. An empty batch resolves
      * nothing.
      */
-    DispatchInfo spmmBatch(OpKind op, const CacheKey &key,
+    DispatchInfo spmmBatch(OpKind op, const KeyFn &key,
                            const Builder &builder,
                            const std::vector<float> &values,
                            const std::vector<SpmmRequest> &requests,
                            bool zero_outputs);
 
-    std::shared_ptr<Artifact> resolve(const CacheKey &key,
+    std::shared_ptr<Artifact> resolve(OpKind op, const KeyFn &key,
                                       const Builder &builder,
                                       DispatchInfo *info);
 

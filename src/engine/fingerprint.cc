@@ -1,16 +1,45 @@
 #include "engine/fingerprint.h"
 
+#include <cstring>
+
 namespace sparsetir {
 namespace engine {
+
+namespace {
+
+/** Fold one 8-byte word into the running hash: the word is spread
+ *  over its 64 bits first, and the state is multiplied and
+ *  xor-shifted after, so a flipped input bit moves many state bits
+ *  and the order of words counts. */
+uint64_t
+mixWord(uint64_t hash, uint64_t word)
+{
+    word *= 0x9E3779B97F4A7C15ULL;
+    word ^= word >> 32;
+    hash = (hash ^ word) * 0xBF58476D1CE4E5B9ULL;
+    return hash ^ (hash >> 29);
+}
+
+} // namespace
 
 Fingerprint &
 Fingerprint::bytes(const void *data, size_t size)
 {
     const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < size; ++i) {
-        hash_ ^= p[i];
-        hash_ *= 1099511628211ULL;  // FNV prime
+    uint64_t hash = hash_;
+    size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        uint64_t word;
+        std::memcpy(&word, p + i, 8);
+        hash = mixWord(hash, word);
     }
+    // The 0-7 tail bytes fill the low bytes of one last word and their
+    // count its top byte, so inputs of different lengths differ there.
+    uint64_t tail = static_cast<uint64_t>(size - i) << 56;
+    for (size_t j = i; j < size; ++j) {
+        tail |= static_cast<uint64_t>(p[j]) << (8 * (j - i));
+    }
+    hash_ = mixWord(hash, tail);
     return *this;
 }
 

@@ -27,7 +27,12 @@
 namespace sparsetir {
 namespace engine {
 
-/** Incremental FNV-1a (64-bit) hasher over typed fields. */
+/**
+ * Incremental 64-bit hasher over typed fields. bytes() consumes 8-byte
+ * words, each through a multiply-xorshift mix, and ends every call
+ * with one tail word that carries the leftover bytes and their count;
+ * i64/i32s/str go through it, i32s and str after their length.
+ */
 class Fingerprint
 {
   public:
@@ -56,7 +61,7 @@ class Fingerprint
     uint64_t digest() const { return hash_; }
 
   private:
-    uint64_t hash_ = 14695981039346656037ULL;  // FNV offset basis
+    uint64_t hash_ = 14695981039346656037ULL;
 };
 
 /** Hash of a CSR matrix's sparsity structure (not its values). */
@@ -128,8 +133,12 @@ const char *opKindName(OpKind op);
  *  v11 — dfg spmm, aggregate and update row bodies reduce into a
  *       feature-wide local accumulator with the feature loop
  *       innermost, and masked softmax computes one exp per entry.
+ *  v12 — hyb SpMM bucket kernels take their row count as a scalar
+ *       (core::ScheduleTarget::kHostRowScalar) with an unclamped
+ *       power-of-two rowsPerBlock, and a native module emits each
+ *       distinct kernel body once behind per-entry tables.
  */
-constexpr uint32_t kArtifactVersion = 11;
+constexpr uint32_t kArtifactVersion = 12;
 
 /** Key of one compile-cache entry. */
 struct CacheKey

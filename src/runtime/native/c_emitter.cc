@@ -42,6 +42,11 @@ namespace {
  * the same value or raises the same fault, so no check is dropped.
  * A proven kernel (KernelProof) indexes its views directly instead,
  * behind one entry guard that returns ST_UNPROVEN.
+ *
+ * A kernel body names its slots and scalars by kernel-local index and
+ * reads every per-kernel constant that does not come from the IR
+ * (slot numbers, the guard's fixed scalars and extents) from a
+ * StTable, so kernels that differ only in those share one body.
  */
 const char kPreamble[] = R"(#include <math.h>
 #include <stdint.h>
@@ -237,6 +242,14 @@ static void st_stack(StCtx *ctx, int32_t slot, int64_t n, int32_t kind,
     s->bound = 1;
 }
 
+/* Per-entry constants of a shared kernel body: the module slot of each
+   kernel-local slot, and the proof guard's fixed scalar values and
+   extents in the order the body checks them. */
+typedef struct {
+    const int32_t *slot;
+    const int64_t *guard;
+} StTable;
+
 /* Checked access through a view: one unsigned compare, then either a
    typed load/store or the slot's helper, which returns the same value
    or raises the same fault the helper-only code would. */
@@ -274,6 +287,48 @@ cStringBody(const std::string &text)
     return out;
 }
 
+/** A C integer literal of `value`: int64 values spelled INT64_C(...),
+ *  int (slot number) values plain. */
+std::string
+intLiteral(int64_t value)
+{
+    if (value == INT64_MIN) {
+        return "(-INT64_C(9223372036854775807) - 1)";
+    }
+    return "INT64_C(" + std::to_string(value) + ")";
+}
+
+std::string
+intLiteral(int value)
+{
+    return std::to_string(value);
+}
+
+/** One kernel's StTable entries (see the preamble). */
+struct KernelTable
+{
+    std::vector<int> slot;
+    std::vector<int64_t> guard;
+};
+
+/** Define the C array `name` of `values` in `defs` and return its name,
+ *  or "0" (no array) when empty: C has no zero-length arrays. */
+template <typename T>
+std::string
+cArray(const char *type, const std::string &name,
+       const std::vector<T> &values, std::string *defs)
+{
+    if (values.empty()) {
+        return "0";
+    }
+    *defs += std::string("static const ") + type + " " + name + "[] = {";
+    for (size_t i = 0; i < values.size(); ++i) {
+        *defs += (i == 0 ? "" : ", ") + intLiteral(values[i]);
+    }
+    *defs += "};\n";
+    return name;
+}
+
 /**
  * Stage III -> C translator for one function. Statement-oriented
  * emission: every non-leaf subexpression lands in its own named
@@ -299,10 +354,12 @@ class Emitter
         : func_(func), proof_(proof)
     {}
 
-    /** The kernel's metadata, with `source` holding its definition as
-     *  the module-internal function `entry`. */
+    /**
+     * The kernel's metadata; `body` receives the statements of its
+     * shared body function, `table` its StTable entries.
+     */
     EmitResult
-    run(const std::string &entry)
+    run(std::string *body, KernelTable *table)
     {
         for (const auto &param : func_->params) {
             if (param->dtype.isHandle()) {
@@ -310,14 +367,12 @@ class Emitter
                 slotNames_.push_back(param->name);
                 slotOf_[param.get()] = slot;
             } else {
-                size_t index = scalars_.size();
-                scalarIndex_[param.get()] = index;
+                scalarIndex_[param.get()] = scalars_.size();
                 scalars_.push_back(param->name);
-                vars_[param.get()] =
-                    CVar{false, "s" + std::to_string(index)};
+                // An int; varTok names it by kernel-local index.
+                vars_[param.get()] = CVar{false, ""};
             }
         }
-        scalarUsed_.assign(scalars_.size(), false);
         numParamSlots_ = static_cast<int>(slotNames_.size());
         paramUsed_.assign(slotNames_.size(), false);
         blockLoop_ = findBlockIdxLoop(func_->body);
@@ -340,36 +395,24 @@ class Emitter
         result.proven = proven_;
 
         std::string decls;
-        int published = 0;
-        for (size_t i = 0; i < scalars_.size(); ++i) {
-            if (!scalarUsed_[i]) {
-                continue;
-            }
-            decls += "    const int64_t s" + std::to_string(i) +
-                     " = ctx->scalars[" + std::to_string(published) +
-                     "];\n";
-            result.scalarNames.push_back(scalars_[i]);
-            ++published;
+        for (size_t local = 0; local < scalarOrder_.size(); ++local) {
+            decls += "    const int64_t s" + std::to_string(local) +
+                     " = ctx->scalars[" + std::to_string(local) + "];\n";
+            result.scalarNames.push_back(scalars_[scalarOrder_[local]]);
         }
-        for (const auto &[slot, kind] : paramViews_) {
-            decls += "    const StView " + viewName(slot, kind) +
-                     " = st_view(ctx, " + slotTok(slot) + ", " +
-                     kindToken(kind) + ");\n";
+        for (const auto &[local, kind] : paramViews_) {
+            decls += "    const StView " + viewName(local, kind) +
+                     " = st_view(ctx, tb->slot[" + std::to_string(local) +
+                     "], " + kindToken(kind) + ");\n";
         }
         if (proven_) {
-            decls += entryGuard();
+            decls += entryGuard(&table->guard);
         }
         decls += stackMeta_;
 
-        std::string src;
-        src += "/* kernel: " + func_->name + " */\n";
-        src += "static int32_t " + entry + "(StCtx *ctx) {\n";
-        src += "    (void)ctx;\n";
-        src += decls;
-        src += body_;
-        src += "    return ST_OK;\n";
-        src += "}\n";
-        result.source = std::move(src);
+        *body = "    (void)ctx;\n    (void)tb;\n" + decls + body_ +
+                "    return ST_OK;\n";
+        table->slot = slotTable_;
         return result;
     }
 
@@ -400,19 +443,23 @@ class Emitter
         return "t" + std::to_string(tmpCount_++);
     }
 
-    std::string
-    slotTok(int slot) const
+    /** Kernel-local index of module slot `slot`, in first-use order:
+     *  the body's name for it, mapped back through StTable::slot. */
+    int
+    local(int slot)
     {
-        return std::to_string(slot);
+        auto [it, added] = localSlot_.emplace(
+            slot, static_cast<int>(slotTable_.size()));
+        if (added) {
+            slotTable_.push_back(slot);
+        }
+        return it->second;
     }
 
-    static std::string
-    intLiteral(int64_t value)
+    std::string
+    slotTok(int slot)
     {
-        if (value == INT64_MIN) {
-            return "(-INT64_C(9223372036854775807) - 1)";
-        }
-        return "INT64_C(" + std::to_string(value) + ")";
+        return "tb->slot[" + std::to_string(local(slot)) + "]";
     }
 
     /** Exact hex literal of `value`; a float constant with `f32`. */
@@ -428,13 +475,19 @@ class Emitter
         return "(" + std::string(buf) + (f32 ? "f)" : ")");
     }
 
-    /** Variable token, recording scalar-param usage (lazy binding). */
+    /** Variable token, recording scalar-param usage (lazy binding):
+     *  scalars are named by kernel-local index, in first-use order. */
     std::string
     varTok(const VarNode *var)
     {
-        auto used = scalarIndex_.find(var);
-        if (used != scalarIndex_.end()) {
-            scalarUsed_[used->second] = true;
+        auto scalar = scalarIndex_.find(var);
+        if (scalar != scalarIndex_.end()) {
+            auto pos = std::find(scalarOrder_.begin(), scalarOrder_.end(),
+                                 scalar->second);
+            if (pos == scalarOrder_.end()) {
+                pos = scalarOrder_.insert(pos, scalar->second);
+            }
+            return "s" + std::to_string(pos - scalarOrder_.begin());
         }
         auto it = vars_.find(var);
         ICHECK(it != vars_.end())
@@ -518,24 +571,29 @@ class Emitter
         return true;
     }
 
-    /** The proven kernel's entry guard (see KernelProof). */
+    /**
+     * The proven kernel's entry guard (see KernelProof). Its fixed
+     * scalar values and extents go to `values`, in check order; the
+     * guard reads them from StTable::guard.
+     */
     std::string
-    entryGuard() const
+    entryGuard(std::vector<int64_t> *values) const
     {
         std::string cond;
-        auto disjoin = [&cond](const std::string &term) {
-            cond += (cond.empty() ? "" : " || ") + term;
+        auto disjoin = [&](const std::string &term, int64_t value) {
+            cond += (cond.empty() ? "" : " || ") + term + "tb->guard[" +
+                    std::to_string(values->size()) + "]";
+            values->push_back(value);
         };
-        for (size_t i = 0; i < scalars_.size(); ++i) {
-            auto fact = proof_->scalars.find(scalars_[i]);
-            if (scalarUsed_[i] && fact != proof_->scalars.end()) {
-                disjoin("s" + std::to_string(i) +
-                        " != " + intLiteral(fact->second));
+        for (size_t local = 0; local < scalarOrder_.size(); ++local) {
+            auto fact = proof_->scalars.find(scalars_[scalarOrder_[local]]);
+            if (fact != proof_->scalars.end()) {
+                disjoin("s" + std::to_string(local) + " != ", fact->second);
             }
         }
-        for (const auto &[slot, kind] : paramViews_) {
-            disjoin(viewName(slot, kind) + ".len < " +
-                    intLiteral(guardExtent_.at({slot, kind})));
+        for (const auto &[local, kind] : paramViews_) {
+            disjoin(viewName(local, kind) + ".len < ",
+                    guardExtent_.at({slotTable_[local], kind}));
         }
         return cond.empty() ? ""
                             : "    if (" + cond +
@@ -751,6 +809,20 @@ class Emitter
           case ExprKind::kFloorMod: {
             auto op = static_cast<const BinaryNode *>(e.get());
             std::string a = emitI(op->a);
+            int64_t divisor = 0;
+            if (tryConstInt(op->b, &divisor) && divisor > 0 &&
+                (divisor & (divisor - 1)) == 0) {
+                // By 2^k: an arithmetic shift and a mask are floor
+                // division and modulo for every int64 a.
+                std::string t = tmp();
+                line("int64_t " + t + " = " + a +
+                     (e->kind == ExprKind::kFloorDiv
+                          ? " >> " + std::to_string(__builtin_ctzll(
+                                         static_cast<uint64_t>(divisor)))
+                          : " & " + intLiteral(divisor - 1)) +
+                     ";");
+                return t;
+            }
             std::string b = emitI(op->b);
             line("if (" + b + " == 0) { return st_fault(ctx, "
                  "ST_FAULT_DIV0, -1, 0); }");
@@ -990,12 +1062,13 @@ class Emitter
         return kTokens[static_cast<int>(kind)];
     }
 
-    /** View of `slot` as `kind`; one per (slot, kind) pair, since two
-     *  buffers of different dtypes may share a parameter. */
+    /** View of kernel-local slot `local` as `kind`; one per (slot,
+     *  kind) pair, since two buffers of different dtypes may share a
+     *  parameter. */
     static std::string
-    viewName(int slot, bytecode::ElemKind kind)
+    viewName(int local, bytecode::ElemKind kind)
     {
-        return "w" + std::to_string(slot) + "_" +
+        return "w" + std::to_string(local) + "_" +
                std::to_string(static_cast<int>(kind));
     }
 
@@ -1012,12 +1085,12 @@ class Emitter
             return "";
         }
         if (slot < numParamSlots_) {
-            paramViews_.emplace(slot, kind);
-            return viewName(slot, kind);
+            paramViews_.emplace(local(slot), kind);
+            return viewName(local(slot), kind);
         }
         auto it = scratchKind_.find(slot);
         return it != scratchKind_.end() && it->second == kind
-                   ? viewName(slot, kind)
+                   ? viewName(local(slot), kind)
                    : "";
     }
 
@@ -1359,14 +1432,14 @@ class Emitter
             std::string meta =
                 std::string(kindToken(kind)) + ", " +
                 std::to_string(bytecode::elemKindBytes(kind));
-            std::string view = viewName(slot, kind);
+            std::string view = viewName(local(slot), kind);
             line("{");
             ++indent_;
             int64_t stack = stackExtent(op, kind);
             if (stack > 0) {
                 // Constant-size scratch lives in the kernel's frame,
                 // re-zeroed on every entry like st_alloc's calloc.
-                std::string arr = "a" + slotTok(slot);
+                std::string arr = "a" + std::to_string(local(slot));
                 stackMeta_ += "    st_stack(ctx, " + slotTok(slot) +
                               ", " + intLiteral(stack) + ", " + meta +
                               ");\n";
@@ -1478,13 +1551,20 @@ class Emitter
     std::vector<bool> paramUsed_;
     std::vector<std::string> scalars_;
     std::unordered_map<const VarNode *, size_t> scalarIndex_;
-    std::vector<bool> scalarUsed_;
     std::unordered_map<const VarNode *, CVar> vars_;
     std::unordered_map<const VarNode *, int> slotOf_;
     /** Element kind of every scratch slot allocated so far. */
     std::unordered_map<int, bytecode::ElemKind> scratchKind_;
-    /** Parameter views the body uses, declared at entry. */
+    /** Parameter views the body uses, by kernel-local slot, declared
+     *  at entry. */
     std::set<std::pair<int, bytecode::ElemKind>> paramViews_;
+    /** Kernel-local index of every slot the body names, and the
+     *  module slot of each local index (StTable::slot). */
+    std::unordered_map<int, int> localSlot_;
+    std::vector<int> slotTable_;
+    /** Scalar params the body reads (indices into scalars_), by
+     *  kernel-local index. */
+    std::vector<size_t> scalarOrder_;
     /** Entry-time st_stack() calls of the stack scratch slots. */
     std::string stackMeta_;
     const ForNode *blockLoop_ = nullptr;
@@ -1502,6 +1582,9 @@ emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag,
                   std::to_string(kNativeAbiVersion) + ";tag=" + key_tag;
     std::string entries;
     std::string definitions;
+    // Body text -> its st_body_ index: kernels that differ only in
+    // their tables share one definition.
+    std::map<std::string, int> bodies;
     for (size_t i = 0; i < funcs.size(); ++i) {
         const ir::PrimFunc &func = funcs[i];
         EmitResult emitted;
@@ -1512,14 +1595,30 @@ emitModule(const std::vector<ir::PrimFunc> &funcs, const std::string &key_tag,
             USER_CHECK(diag.empty())
                 << "cannot compile '" << func->name
                 << "' to native code: " << diag;
-            std::string entry =
-                "st_entry_" + std::to_string(module.numEntries);
-            emitted =
-                Emitter(func, proofs.empty() ? nullptr : proofs[i])
-                    .run(entry);
-            definitions += emitted.source + "\n";
-            emitted.source.clear();
-            entries += "    " + entry + ",\n";
+            std::string body;
+            KernelTable table;
+            emitted = Emitter(func, proofs.empty() ? nullptr : proofs[i])
+                          .run(&body, &table);
+            std::string k = std::to_string(module.numEntries);
+            definitions += "/* kernel: " + func->name + " */\n";
+            auto [shared, added] = bodies.emplace(
+                std::move(body), static_cast<int>(bodies.size()));
+            std::string body_fn = "st_body_" + std::to_string(shared->second);
+            if (added) {
+                definitions += "static int32_t " + body_fn +
+                               "(StCtx *ctx, const StTable *tb) {\n" +
+                               shared->first + "}\n";
+            }
+            std::string slots =
+                cArray("int32_t", "st_slot_" + k, table.slot, &definitions);
+            std::string guard =
+                cArray("int64_t", "st_guard_" + k, table.guard, &definitions);
+            definitions += "static const StTable st_table_" + k + " = {" +
+                           slots + ", " + guard + "};\n";
+            definitions += "static int32_t st_entry_" + k +
+                           "(StCtx *ctx) { return " + body_fn +
+                           "(ctx, &st_table_" + k + "); }\n\n";
+            entries += "    st_entry_" + k + ",\n";
             module.meta += ";kernel=" + func->name;
             ++module.numEntries;
         } catch (const UserError &err) {

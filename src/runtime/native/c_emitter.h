@@ -7,8 +7,15 @@
  * row-major dense linearization, floordiv/mod index math, the
  * blockIdx.x grid-window contract) and produces one self-contained C
  * translation unit per module: the fixed preamble once, then one
- * module-internal entry function per kernel, exported through one
- * entry table and one meta string (abi.h). The emitted code reproduces the
+ * module-internal body function per distinct kernel body and one entry
+ * stub per kernel, exported through one entry table and one meta
+ * string (abi.h). A body names slots and scalars by kernel-local index
+ * and reads every per-kernel constant the IR does not spell out (slot
+ * numbers, the proof guard's fixed scalars and extents) from the
+ * static table its stub passes, so kernels that differ only in those
+ * (hyb buckets of one shape, whose row count is a scalar) compile one
+ * body. Floor division and modulo by a power of two are a shift and a
+ * mask. The emitted code reproduces the
  * interpreter's semantics exactly — int64 arithmetic, the
  * float-promotion rules of isFloatExpr, float32 ops in C `float` and
  * float64 ones in `double` (runtime::roundsToFloat32), short-circuit
@@ -64,9 +71,10 @@ struct EmitResult
      */
     std::vector<int> usedParamSlots;
     /**
-     * Scalar params the emitted code reads, in signature order; the
-     * host packs ctx->scalars in exactly this order. Unused scalars
-     * are dropped — lazy-binding parity with the other backends.
+     * Scalar params the emitted code reads, in kernel-local (first
+     * use) order; the host packs ctx->scalars in exactly this order.
+     * Unused scalars are dropped — lazy-binding parity with the other
+     * backends.
      */
     std::vector<std::string> scalarNames;
     /** Kernel has an outermost blockIdx.x-bound loop (windowable). */
@@ -111,8 +119,11 @@ struct ModuleEmitResult
  * fixed scalar the kernel reads equals its proven value and every
  * parameter slot it accesses through a typed view is bound, has the
  * emitted element kind and holds at least its buffer's declared
- * extent evaluated on the fixed scalars. A kernel whose accessed
- * extents do not evaluate on those scalars keeps its checks.
+ * extent evaluated on the fixed scalars. The values and extents live
+ * in the kernel's own table, so an entry whose body another kernel
+ * shares still refuses every binding off its own proof. A kernel
+ * whose accessed extents do not evaluate on those scalars keeps its
+ * checks.
  */
 struct KernelProof
 {
@@ -120,7 +131,9 @@ struct KernelProof
 };
 
 /**
- * Emit `funcs` as one C translation unit. `key_tag` identifies the
+ * Emit `funcs` as one C translation unit: each distinct body once, and
+ * per accepted kernel a stub `st_entry_<i>` that passes the body its
+ * per-entry table. `key_tag` identifies the
  * artifact (cache key + artifact/ABI versions + compiler command) and
  * is baked into the exported meta string, so a persisted .so can be
  * validated against the key it was built for. A function outside the

@@ -340,9 +340,18 @@ Schedule::fuse(const std::string &outer, const std::string &inner)
     Var fused =
         var(outer + "_" + inner + "_f", outer_loop->loopVar->dtype);
     Expr inner_extent = inner_loop->extent;
+    // No later pass folds a division by a symbolic extent away, and
+    // with one outer iteration the fused variable stays below it.
+    // Constant extents keep the division form: host hoisting folds it,
+    // and the GPU IR the simulator reads stays as it was.
+    int64_t ignored = 0;
+    bool unit_outer = isConstInt(outer_loop->extent, 1) &&
+                      !tryConstInt(inner_extent, &ignored);
     std::map<const VarNode *, Expr> subst{
-        {outer_loop->loopVar.get(), floorDiv(fused, inner_extent)},
-        {inner_loop->loopVar.get(), floorMod(fused, inner_extent)}};
+        {outer_loop->loopVar.get(),
+         unit_outer ? intImm(0, fused->dtype) : floorDiv(fused, inner_extent)},
+        {inner_loop->loopVar.get(),
+         unit_outer ? Expr(fused) : floorMod(fused, inner_extent)}};
     Stmt body = substitute(inner_loop->body, subst);
     Stmt fused_loop =
         forLoop(fused, intImm(0),

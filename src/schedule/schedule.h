@@ -47,7 +47,9 @@ class Schedule
 
     /**
      * Fuse directly nested loops `outer` and `inner` into one loop
-     * named `{outer}_{inner}_f`. Returns the fused name.
+     * named `{outer}_{inner}_f`. Returns the fused name. An outer loop
+     * of extent 1 around an inner one of symbolic extent fuses without
+     * a division: outer is 0 and inner the fused variable.
      */
     std::string fuse(const std::string &outer, const std::string &inner);
 

@@ -235,6 +235,14 @@ decomposeFormat(const PrimFunc &func,
             << rule.bufferName << "'";
         for (const auto &axis : rule.newAxes) {
             out->axes.push_back(axis);
+            for (const Expr &size : {axis->length, axis->nnz, axis->nnzCols}) {
+                auto scalar = std::dynamic_pointer_cast<const VarNode>(size);
+                if (scalar != nullptr &&
+                    std::none_of(out->params.begin(), out->params.end(),
+                                 [&](const Var &p) { return p == scalar; })) {
+                    out->params.push_back(scalar);
+                }
+            }
             if (axis->isVariable()) {
                 out->params.push_back(axis->indptr);
             }

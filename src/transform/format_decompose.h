@@ -32,7 +32,11 @@ struct FormatRewriteRule
     std::string name;
     /** Name of the sparse buffer to rewrite (e.g. "A"). */
     std::string bufferName;
-    /** Axes of the new format, in buffer dimension order. */
+    /**
+     * Axes of the new format, in buffer dimension order. A scalar Var
+     * among an axis's lengths becomes a parameter of the decomposed
+     * function.
+     */
     std::vector<ir::Axis> newAxes;
     /** New sparse buffer composed of newAxes. */
     ir::Buffer newBuffer;

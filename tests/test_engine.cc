@@ -88,6 +88,50 @@ TEST(Fingerprint, StructureHashSeesStructure)
     EXPECT_NE(engine::structureHash(a), engine::structureHash(b));
 }
 
+// A cache hit trusts the key, so the structure hash must separate the
+// near misses a real structure change produces, and agree on equal
+// structures however they were built.
+TEST(Fingerprint, StructureHashSeparatesNearMisses)
+{
+    Csr a = randomCsr(40, 40, 0.2, 3);
+    const uint64_t base = engine::structureHash(a);
+    EXPECT_EQ(engine::structureHash(randomCsr(40, 40, 0.2, 3)), base);
+
+    // The first row with two entries, and a row boundary inside the
+    // matrix that has a non-zero on each side.
+    int64_t row = 0;
+    while (a.indptr[row + 1] - a.indptr[row] < 2) {
+        ++row;
+    }
+    const int32_t k = a.indptr[row];
+    ASSERT_NE(a.indices[k], a.indices[k + 1]);
+
+    Csr changed = a;
+    changed.indices[k + 1] = (changed.indices[k + 1] + 1) % 40;
+    EXPECT_NE(engine::structureHash(changed), base) << "changed index";
+
+    Csr swapped = a;
+    std::swap(swapped.indices[k], swapped.indices[k + 1]);
+    EXPECT_NE(engine::structureHash(swapped), base) << "swapped neighbours";
+
+    Csr moved = a;
+    moved.indptr[row + 1] -= 1;
+    EXPECT_NE(engine::structureHash(moved), base) << "moved row boundary";
+
+    // The same leading bytes at every length from 0 to 17 (words and
+    // tails alike), and i32 arrays that differ only by a trailing zero.
+    std::vector<unsigned char> zeros(17, 0);
+    std::set<uint64_t> digests;
+    for (size_t n = 0; n <= zeros.size(); ++n) {
+        digests.insert(engine::Fingerprint().bytes(zeros.data(), n).digest());
+    }
+    EXPECT_EQ(digests.size(), zeros.size() + 1);
+    EXPECT_NE(engine::Fingerprint().i32s({1, 2, 3}).digest(),
+              engine::Fingerprint().i32s({1, 2, 3, 0}).digest());
+    EXPECT_EQ(engine::Fingerprint().i32s({1, 2, 3}).digest(),
+              engine::Fingerprint().i32s({1, 2, 3}).digest());
+}
+
 TEST(Fingerprint, SwappedFeatInOutKeysDistinctly)
 {
     // Regression for the v2 feat-aliasing bug: the key carried one

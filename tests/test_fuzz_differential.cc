@@ -696,23 +696,34 @@ TEST(FuzzDifferential, HostScheduleMatchesGpuScheduleBitwise)
                         kernel->execute();
                     }
                     NDArray expected = out;
-                    std::vector<core::HybKernelPlan> host =
-                        core::compileSpmmHybFuncs(gpu.hyb, feat);
-                    for (runtime::Backend backend :
-                         {runtime::Backend::kInterpreter,
-                          runtime::Backend::kBytecode}) {
-                        out.zero();
-                        runtime::RunOptions options;
-                        options.backend = backend;
+                    // Both host schedules; the row-scalar one binds
+                    // each bucket's row count, as the engine does.
+                    for (core::ScheduleTarget target :
+                         {core::ScheduleTarget::kHost,
+                          core::ScheduleTarget::kHostRowScalar}) {
+                        std::vector<core::HybKernelPlan> host =
+                            core::compileSpmmHybFuncs(gpu.hyb, feat, target);
                         for (const auto &plan : host) {
-                            ASSERT_FALSE(hasBlockInit(plan.func->body));
-                            runtime::run(plan.func, bindings->view(),
-                                         options);
+                            bindings->scalar(core::ellRowsParam(plan.suffix),
+                                             plan.numRows);
                         }
-                        ASSERT_TRUE(bitwiseEqual(expected, out))
-                            << desc << " c=" << c << " cap=" << cap
-                            << " feat=" << feat << " backend "
-                            << static_cast<int>(backend);
+                        for (runtime::Backend backend :
+                             {runtime::Backend::kInterpreter,
+                              runtime::Backend::kBytecode}) {
+                            out.zero();
+                            runtime::RunOptions options;
+                            options.backend = backend;
+                            for (const auto &plan : host) {
+                                ASSERT_FALSE(hasBlockInit(plan.func->body));
+                                runtime::run(plan.func, bindings->view(),
+                                             options);
+                            }
+                            ASSERT_TRUE(bitwiseEqual(expected, out))
+                                << desc << " c=" << c << " cap=" << cap
+                                << " feat=" << feat << " target "
+                                << static_cast<int>(target) << " backend "
+                                << static_cast<int>(backend);
+                        }
                     }
                     for (const auto &bucket_set : gpu.hyb.buckets) {
                         for (const format::Ell &ell : bucket_set) {

@@ -24,6 +24,7 @@
 #include <functional>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -260,12 +261,13 @@ engineHybReference(const Csr &a, int64_t feat,
     return c;
 }
 
-/** The one-kernel module's entry function, without the fixed
- *  preamble, the entry table or the meta string. */
+/** The one-kernel module's body function, without the fixed
+ *  preamble, the entry stub and its table, the entry table or the
+ *  meta string. */
 std::string
 kernelBody(const native::EmitResult &emitted)
 {
-    size_t at = emitted.source.find("static int32_t st_entry_0(");
+    size_t at = emitted.source.find("static int32_t st_body_0(");
     size_t end = emitted.source.find("\n}\n", at);
     EXPECT_NE(at, std::string::npos);
     EXPECT_NE(end, std::string::npos);
@@ -935,6 +937,183 @@ TEST(NativeEmitter, ProvenHybKernelsAreUncheckedAndDivisionFree)
     EXPECT_EQ(kernels.find("ST_ST("), std::string::npos);
     EXPECT_EQ(kernels.find("double "), std::string::npos);
     EXPECT_NE(kernels.find("return ST_UNPROVEN;"), std::string::npos);
+}
+
+/** Occurrences of `needle` in `text`. */
+size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    size_t count = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+        ++count;
+    }
+    return count;
+}
+
+// The kernels the engine serves take each bucket's row count as a
+// scalar, so a module emits one body per bucket shape (width, rows per
+// block) and every kernel is a stub that hands the body its table.
+// The bodies stay proven and division-free.
+TEST(NativeEmitter, HybModuleEmitsOneBodyPerBucketShape)
+{
+    Csr a = graph::powerLawGraph(300, 1800, 2.0, 7919);
+    format::Hyb hyb = format::hybFromCsr(a, 4);
+    const int64_t feat = 32;
+    std::vector<core::HybKernelPlan> plans = core::compileSpmmHybFuncs(
+        hyb, feat, core::ScheduleTarget::kHostRowScalar);
+    native::KernelProof proof;
+    proof.scalars = {{"m", a.rows},
+                     {"n", a.cols},
+                     {"nnz", a.nnz()},
+                     {"feat_size", feat}};
+    std::vector<ir::PrimFunc> funcs;
+    std::set<std::pair<int, int>> shapes;
+    for (const core::HybKernelPlan &plan : plans) {
+        funcs.push_back(plan.func);
+        shapes.emplace(plan.width, plan.rowsPerBlock);
+        proof.scalars[core::ellRowsParam(plan.suffix)] = plan.numRows;
+    }
+    ASSERT_GT(plans.size(), shapes.size()) << "no two buckets share a shape";
+    std::vector<const native::KernelProof *> proofs(funcs.size(), &proof);
+    native::ModuleEmitResult module = native::emitModule(funcs, "shapes", proofs);
+    EXPECT_EQ(module.numEntries, static_cast<int>(plans.size()));
+    EXPECT_EQ(countOf(module.source, "static int32_t st_body_"), shapes.size());
+    EXPECT_EQ(countOf(module.source, "static int32_t st_entry_"), plans.size());
+    for (size_t i = 0; i < plans.size(); ++i) {
+        EXPECT_TRUE(module.kernels[i].proven) << plans[i].suffix;
+        EXPECT_EQ(module.kernels[i].scalarNames,
+                  std::vector<std::string>{core::ellRowsParam(plans[i].suffix)});
+    }
+    std::string kernels =
+        module.source.substr(module.source.find("/* kernel: "));
+    EXPECT_EQ(kernels.find("st_floordiv"), std::string::npos);
+    EXPECT_EQ(kernels.find("ST_LD("), std::string::npos);
+    EXPECT_EQ(kernels.find("ST_ST("), std::string::npos);
+
+    native::EmitResult csr = native::emitC(
+        core::compileSpmmCsrFunc(16, core::SpmmSchedule()), "one");
+    EXPECT_EQ(countOf(csr.source, "static int32_t st_body_"), 1u);
+}
+
+// Two buckets of one width share a native body; each entry still
+// checks its own proof. Bound with the other bucket's row count, or
+// with its shorter row-index array, the entry refuses before any side
+// effect and the execution reruns on bytecode: bitwise the
+// interpreter's result when the bindings stay in bounds, else the
+// same diagnostic.
+TEST(NativeEngine, SharedBodyGuardRefusesAnotherBucketsRows)
+{
+    CacheDirGuard cache;
+    Csr a = graph::powerLawGraph(300, 1800, 2.0, 7919);
+    format::Hyb hyb = format::hybFromCsr(a, 4);
+    const int64_t feat = 8;
+    std::vector<core::HybKernelPlan> plans = core::compileSpmmHybFuncs(
+        hyb, feat, core::ScheduleTarget::kHostRowScalar);
+
+    // The engine's table: the CSR facts, every bucket's row count and
+    // index arrays, and the bindings they describe.
+    verify::VerifyContext facts = csrFacts(a, feat);
+    auto proof = std::make_shared<native::KernelProof>();
+    proof->scalars = {{"m", a.rows},
+                      {"n", a.cols},
+                      {"nnz", a.nnz()},
+                      {"feat_size", feat}};
+    Bindings bound;
+    bound.scalars.insert(proof->scalars.begin(), proof->scalars.end());
+    std::vector<NDArray> storage;
+    storage.reserve(3 * plans.size() + 2);
+    for (const core::HybKernelPlan &plan : plans) {
+        const format::Ell &ell = hyb.buckets[plan.partition][plan.bucket];
+        std::string rows = core::ellRowsParam(plan.suffix);
+        facts.scalar(rows, ell.numRows());
+        proof->scalars[rows] = ell.numRows();
+        bound.scalars[rows] = ell.numRows();
+        facts.int32Array(core::ellRowIndicesParam(plan.suffix), ell.rowIndices);
+        facts.int32Array(core::ellColIndicesParam(plan.suffix), ell.colIndices);
+        storage.push_back(NDArray::fromInt32(ell.rowIndices));
+        bound.arrays[core::ellRowIndicesParam(plan.suffix)] = &storage.back();
+        storage.push_back(NDArray::fromInt32(ell.colIndices));
+        bound.arrays[core::ellColIndicesParam(plan.suffix)] = &storage.back();
+        storage.push_back(NDArray::fromFloat(ell.values));
+        bound.arrays[core::hybValuesParam(plan.suffix)] = &storage.back();
+    }
+    storage.push_back(NDArray::fromFloat(randomVector(a.cols * feat, 31)));
+    bound.arrays["B_data"] = &storage.back();
+    storage.push_back(NDArray({a.rows * feat}, ir::DataType::float32()));
+    bound.arrays["C_data"] = &storage.back();
+
+    // Two buckets of one shape; `big` has more rows than `small`.
+    const core::HybKernelPlan *big = nullptr;
+    const core::HybKernelPlan *small = nullptr;
+    for (const core::HybKernelPlan &p : plans) {
+        for (const core::HybKernelPlan &q : plans) {
+            if (big == nullptr && p.width == q.width &&
+                p.rowsPerBlock == q.rowsPerBlock && p.numRows > q.numRows) {
+                big = &p;
+                small = &q;
+            }
+        }
+    }
+    ASSERT_NE(big, nullptr) << "no two same-shape buckets";
+    std::vector<ir::PrimFunc> funcs = {big->func, small->func};
+    std::vector<const native::KernelProof *> proofs = {proof.get(),
+                                                       proof.get()};
+    EXPECT_EQ(countOf(native::emitModule(funcs, "shared", proofs).source,
+                      "static int32_t st_body_"),
+              1u);
+    engine::CompiledKernel kernel = engine::compileKernel(big->func);
+    ASSERT_TRUE(verify::verifyFunc(kernel.func, facts).ok);
+    kernel.proof = proof;
+    auto natives =
+        native::compileNativeModule(funcs, "shared-body", nullptr, proofs);
+    ASSERT_NE(natives[0], nullptr);
+    ASSERT_TRUE(natives[0]->proven);
+    kernel.native->set(natives[0]);
+
+    engine::ParallelExecutor executor(std::make_shared<engine::ThreadPool>(1));
+    observe::Counter misses;
+    engine::ExecOptions native_exec;
+    native_exec.backend = Backend::kNative;
+    native_exec.guardMisses = &misses;
+    engine::ExecOptions bytecode_exec;
+    NDArray *c = bound.arrays["C_data"];
+    auto interpreted = [&](const Bindings &with) {
+        Bindings ref = with;
+        NDArray out({a.rows * feat}, ir::DataType::float32());
+        ref.arrays["C_data"] = &out;
+        runtime::runInterpreted(big->func, ref);
+        return out;
+    };
+
+    // On its own proof: served natively.
+    executor.run({&kernel}, {&bound}, native_exec);
+    EXPECT_EQ(misses.value(), 0u);
+    EXPECT_TRUE(bitwiseEqual(*c, interpreted(bound)));
+
+    // The small bucket's row count: refused, then bytecode runs the
+    // fewer rows exactly as the interpreter does.
+    Bindings fewer = bound;
+    fewer.scalars[core::ellRowsParam(big->suffix)] = small->numRows;
+    c->zero();
+    executor.run({&kernel}, {&fewer}, native_exec);
+    EXPECT_EQ(misses.value(), 1u);
+    EXPECT_TRUE(bitwiseEqual(*c, interpreted(fewer)));
+
+    // The small bucket's row ids: read past their end on every tier.
+    Bindings shorter = bound;
+    std::string row_ids = core::ellRowIndicesParam(big->suffix);
+    shorter.arrays[row_ids] =
+        bound.arrays[core::ellRowIndicesParam(small->suffix)];
+    std::string native_text =
+        raised([&] { executor.run({&kernel}, {&shorter}, native_exec); });
+    EXPECT_EQ(misses.value(), 2u);
+    std::string vm_text =
+        raised([&] { executor.run({&kernel}, {&shorter}, bytecode_exec); });
+    EXPECT_NE(native_text.find("out of bounds for buffer '" + row_ids + "'"),
+              std::string::npos)
+        << native_text;
+    EXPECT_EQ(native_text, vm_text);
 }
 
 // ---------------------------------------------------------------------
