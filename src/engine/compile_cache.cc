@@ -97,7 +97,6 @@ CompileCache::getOrBuild(
             std::chrono::steady_clock::now() - start)
             .count();
     ICHECK(built != nullptr) << "cache builder returned null artifact";
-    built->key = key;
     buildMs_->record(elapsed_ms);
     // The verdict rides on the artifact (paid once, at build); the
     // registry keeps the aggregate verify cost and outcome counters.
@@ -124,14 +123,6 @@ CompileCache::getOrBuild(
     lru_.push_front(key);
     entries_[key] = Entry{built, lru_.begin()};
     return built;
-}
-
-std::shared_ptr<Artifact>
-CompileCache::peek(const CacheKey &key) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : it->second.value;
 }
 
 CacheStats

@@ -120,13 +120,6 @@ class Artifact
     /** Graph chain: the intermediates a dispatch materializes. */
     std::vector<Temp> temps;
 
-    /**
-     * The cache key this artifact was built under (set by
-     * CompileCache::getOrBuild before insertion). Native promotion
-     * tags the persisted module with it.
-     */
-    CacheKey key;
-
     /** Cached static-verification verdict (see VerifyReport). */
     VerifyReport verify;
 
@@ -195,9 +188,6 @@ class CompileCache
                const std::function<std::shared_ptr<Artifact>()> &builder,
                bool *was_hit = nullptr);
 
-    /** Lookup without building; null on miss. Does not touch stats. */
-    std::shared_ptr<Artifact> peek(const CacheKey &key) const;
-
     CacheStats stats() const;
 
   private:
@@ -210,7 +200,7 @@ class CompileCache
     /** Callers must hold mu_. Moves `key` to the LRU front. */
     void touch(const CacheKey &key, Entry &entry);
 
-    mutable std::mutex mu_;
+    std::mutex mu_;
     size_t capacity_;
     /** Front = most recently used. */
     std::list<CacheKey> lru_;

@@ -32,27 +32,12 @@ msSince(const std::chrono::steady_clock::time_point &start)
 }
 
 /**
- * Identification tag of one artifact's persisted native module: the
- * full cache key and the artifact version. Baked into the .so's meta
- * string, so a restarted process can validate an on-disk file
- * against exactly the key it would build for.
+ * Tag of every module native promotion builds. A module is addressed
+ * by its C source, which carries each kernel's proof guard, so
+ * structures whose kernels emit the same C share one module (one
+ * `cc` run, one `.so`).
  */
-std::string
-nativeKeyTag(const CacheKey &key)
-{
-    std::string tag = "v" + std::to_string(key.version);
-    tag += ".op" + std::to_string(static_cast<int>(key.op));
-    tag += ".s" + std::to_string(key.structure);
-    tag += ".h" + std::to_string(key.schedule);
-    tag += ".fi" + std::to_string(key.featIn);
-    tag += ".fo" + std::to_string(key.featOut);
-    tag += ".r" + std::to_string(key.rows);
-    tag += ".z" + std::to_string(key.nnz);
-    tag += ".b" + std::to_string(key.blockSize);
-    tag += ".t" + std::to_string(key.tileHeight);
-    tag += ".g" + std::to_string(key.groupSize);
-    return tag;
-}
+constexpr const char *kNativeModuleTag = "engine";
 
 /** Every array the artifact's value gathers bind, in gather order,
  *  each filled from its `sources` entry. */
@@ -411,83 +396,19 @@ buildGraph(const dfg::OpGraph &graph, bool fuse)
 // Cache keys
 // ---------------------------------------------------------------------
 
-/** Key of a CSR-backed op over `a` at `feat`. */
+/**
+ * The one key shape: `op`, one digest of every input the op's builder
+ * compiles from (structure hash, schedule / config fields, feature
+ * dims), and the raw row and non-zero counts as the collision guard.
+ */
 CacheKey
-csrKey(OpKind op, const Csr &a, int64_t feat, uint64_t schedule)
+cacheKey(OpKind op, const Fingerprint &inputs, int64_t rows, int64_t nnz)
 {
     CacheKey key;
     key.op = op;
-    key.structure = structureHash(a);
-    key.schedule = schedule;
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.nnz();
-    return key;
-}
-
-CacheKey
-rgcnKey(const format::RelationalCsr &graph, int64_t feat_in,
-        int64_t feat_out, const RgcnConfig &config)
-{
-    CacheKey key;
-    key.op = OpKind::kRgcnHyb;
-    key.structure = structureHash(graph);
-    key.schedule = Fingerprint()
-                       .i64(config.bucketCapLog2)
-                       .i64(config.tensorCores ? 1 : 0)
-                       .digest();
-    key.featIn = feat_in;
-    key.featOut = feat_out;
-    key.rows = graph.rows;
-    key.nnz = graph.totalNnz();
-    return key;
-}
-
-CacheKey
-spmmBsrKey(const format::Bsr &a, int64_t feat,
-           const BsrConfig &config)
-{
-    CacheKey key;
-    key.op = OpKind::kSpmmBsr;
-    key.structure = structureHash(a);
-    key.schedule =
-        Fingerprint().i64(config.tensorCores ? 1 : 0).digest();
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.nnzBlocks();
-    key.blockSize = a.blockSize;
-    return key;
-}
-
-CacheKey
-graphKey(const dfg::OpGraph &graph, bool fuse)
-{
-    CacheKey key;
-    key.op = OpKind::kGraph;
-    // The structure field carries the whole topology: op kinds,
-    // dataflow edges, feature shapes, and every pattern's structure
-    // hash — two graphs differing only in edge sparsity miss.
-    key.structure = graph.topologyFingerprint();
-    key.schedule = Fingerprint().i64(fuse ? 1 : 0).digest();
-    key.rows = graph.rows();
-    key.nnz = graph.totalNnz();
-    return key;
-}
-
-CacheKey
-spmmSrbcrsKey(const format::SrBcrs &a, int64_t feat)
-{
-    CacheKey key;
-    key.op = OpKind::kSpmmSrbcrs;
-    key.structure = structureHash(a);
-    key.featIn = feat;
-    key.featOut = feat;
-    key.rows = a.rows;
-    key.nnz = a.storedTiles();
-    key.tileHeight = a.tileHeight;
-    key.groupSize = a.groupSize;
+    key.digest = inputs.digest();
+    key.rows = rows;
+    key.nnz = nnz;
     return key;
 }
 
@@ -708,7 +629,7 @@ Engine::resolve(OpKind op, const KeyFn &key, const Builder &builder,
     }
     info->cacheHit = hit;
     info->compileMs = msSince(start);
-    maybePromote(artifact);
+    maybePromote(op, artifact);
     return artifact;
 }
 
@@ -757,7 +678,7 @@ Engine::dispatch(OpKind op, const KeyFn &key, const Builder &builder,
 }
 
 void
-Engine::maybePromote(const std::shared_ptr<Artifact> &artifact)
+Engine::maybePromote(OpKind op, const std::shared_ptr<Artifact> &artifact)
 {
     if (options_.backend != runtime::Backend::kNative ||
         options_.nativePromoteAfter < 0) {
@@ -775,14 +696,14 @@ Engine::maybePromote(const std::shared_ptr<Artifact> &artifact)
     if (options_.nativePromoteAfter == 0) {
         // Synchronous promotion: deterministic for tests — the first
         // resolve already serves native.
-        promoteNow(*artifact);
+        promoteNow(op, *artifact);
         return;
     }
     std::shared_ptr<Artifact> keep = artifact;
-    std::future<void> done = pool_->submit([this, keep] {
+    std::future<void> done = pool_->submit([this, op, keep] {
         // promoteNow never submits to or waits on the pool, so a
         // promotion task cannot deadlock behind dispatch work.
-        promoteNow(*keep);
+        promoteNow(op, *keep);
     });
     std::lock_guard<std::mutex> lock(promoMu_);
     promoFutures_.erase(
@@ -796,10 +717,10 @@ Engine::maybePromote(const std::shared_ptr<Artifact> &artifact)
 }
 
 void
-Engine::promoteNow(const Artifact &artifact)
+Engine::promoteNow(OpKind op, const Artifact &artifact)
 {
     SPARSETIR_TRACE_SCOPE1("native", "native.promote", "op",
-                           static_cast<int64_t>(artifact.key.op));
+                           static_cast<int64_t>(op));
     std::vector<const CompiledKernel *> pending;
     std::vector<ir::PrimFunc> funcs;
     std::vector<const runtime::native::KernelProof *> proofs;
@@ -816,7 +737,7 @@ Engine::promoteNow(const Artifact &artifact)
         auto start = std::chrono::steady_clock::now();
         try {
             natives = runtime::native::compileNativeModule(
-                funcs, nativeKeyTag(artifact.key), nullptr, proofs);
+                funcs, kNativeModuleTag, nullptr, proofs);
             nativeCompileMs_->record(msSince(start));
         } catch (...) {
             // cc missing or failed, or its output would not load:
@@ -934,7 +855,17 @@ Engine::dispatchGraph(const dfg::OpGraph &graph,
         }
     } release{this, held_bytes};
     return dispatch(
-        OpKind::kGraph, [&] { return graphKey(graph, options.fuse); },
+        OpKind::kGraph,
+        [&] {
+            // The topology fingerprint carries op kinds, dataflow
+            // edges, feature shapes and every pattern's structure
+            // hash: two graphs differing only in edge sparsity miss.
+            return cacheKey(OpKind::kGraph,
+                            Fingerprint()
+                                .i64(graph.topologyFingerprint())
+                                .i64(options.fuse),
+                            graph.rows(), graph.totalNnz());
+        },
         [&] {
             return buildGraph(graph, options.fuse);
         },
@@ -994,11 +925,13 @@ Engine::sddmm(const Csr &a, int64_t feat, NDArray *x, NDArray *y,
     return dispatch(
         OpKind::kSddmm,
         [&] {
-            return csrKey(OpKind::kSddmm, a, feat,
-                          Fingerprint()
-                              .i64(schedule.workloadsPerBlock)
-                              .i64(schedule.groupSize)
-                              .digest());
+            return cacheKey(OpKind::kSddmm,
+                            Fingerprint()
+                                .i64(structureHash(a))
+                                .i64(schedule.workloadsPerBlock)
+                                .i64(schedule.groupSize)
+                                .i64(feat),
+                            a.rows, a.nnz());
         },
         [&] {
             return buildSddmm(a, feat, schedule);
@@ -1027,7 +960,16 @@ Engine::rgcn(const format::RelationalCsr &graph, int64_t featIn,
     std::vector<NDArray> values;
     return dispatch(
         OpKind::kRgcnHyb,
-        [&] { return rgcnKey(graph, featIn, featOut, config); },
+        [&] {
+            return cacheKey(OpKind::kRgcnHyb,
+                            Fingerprint()
+                                .i64(structureHash(graph))
+                                .i64(config.bucketCapLog2)
+                                .i64(config.tensorCores)
+                                .i64(featIn)
+                                .i64(featOut),
+                            graph.rows, graph.totalNnz());
+        },
         [&] {
             return buildRgcn(graph, featIn, featOut, config);
         },
@@ -1066,9 +1008,12 @@ Engine::spmmCsrBatch(const Csr &a, int64_t feat,
 {
     return spmmBatch(OpKind::kSpmmCsr,
                      [&] {
-                         return csrKey(
-                             OpKind::kSpmmCsr, a, feat,
-                             Fingerprint().i64(schedule.threadX).digest());
+                         return cacheKey(OpKind::kSpmmCsr,
+                                         Fingerprint()
+                                             .i64(structureHash(a))
+                                             .i64(schedule.threadX)
+                                             .i64(feat),
+                                         a.rows, a.nnz());
                      },
                      [&] { return buildSpmmCsr(a, feat, schedule); },
                      a.values, requests, /*zero_outputs=*/false);
@@ -1081,11 +1026,13 @@ Engine::spmmHybBatch(const Csr &a, int64_t feat,
 {
     return spmmBatch(OpKind::kSpmmHyb,
                      [&] {
-                         return csrKey(OpKind::kSpmmHyb, a, feat,
-                                       Fingerprint()
-                                           .i64(config.partitions)
-                                           .i64(config.bucketCapLog2)
-                                           .digest());
+                         return cacheKey(OpKind::kSpmmHyb,
+                                         Fingerprint()
+                                             .i64(structureHash(a))
+                                             .i64(config.partitions)
+                                             .i64(config.bucketCapLog2)
+                                             .i64(feat),
+                                         a.rows, a.nnz());
                      },
                      [&] { return buildSpmmHyb(a, feat, config); },
                      a.values, requests, /*zero_outputs=*/true);
@@ -1097,7 +1044,15 @@ Engine::spmmBsrBatch(const format::Bsr &a, int64_t feat,
                      const BsrConfig &config)
 {
     return spmmBatch(OpKind::kSpmmBsr,
-                     [&] { return spmmBsrKey(a, feat, config); },
+                     [&] {
+                         // The structure hash carries the block size.
+                         return cacheKey(OpKind::kSpmmBsr,
+                                         Fingerprint()
+                                             .i64(structureHash(a))
+                                             .i64(config.tensorCores)
+                                             .i64(feat),
+                                         a.rows, a.nnzBlocks());
+                     },
                      [&] { return buildBsr(a, feat, config); }, a.values,
                      requests, /*zero_outputs=*/false);
 }
@@ -1107,7 +1062,14 @@ Engine::spmmSrbcrsBatch(const format::SrBcrs &a, int64_t feat,
                         const std::vector<SpmmRequest> &requests)
 {
     return spmmBatch(OpKind::kSpmmSrbcrs,
-                     [&] { return spmmSrbcrsKey(a, feat); },
+                     [&] {
+                         // The structure hash carries (t, g).
+                         return cacheKey(OpKind::kSpmmSrbcrs,
+                                         Fingerprint()
+                                             .i64(structureHash(a))
+                                             .i64(feat),
+                                         a.rows, a.storedTiles());
+                     },
                      [&] { return buildSrbcrs(a, feat); }, a.values,
                      requests, /*zero_outputs=*/false);
 }

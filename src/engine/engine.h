@@ -5,9 +5,10 @@
  * A session owns a CompileCache, a ThreadPool and a ParallelExecutor
  * and exposes one-call operator dispatch (spmmCsr / spmmHyb / sddmm /
  * rgcn / dispatchGraph / spmmBsr / spmmSrbcrs, and the spmm*Batch
- * forms). Each dispatch fingerprints the request (operator, sparsity
- * structure, schedule parameters, feature dims, artifact version),
- * reuses the compiled kernel artifact on a hit — skipping Stage I ->
+ * forms). Each dispatch keys the request by one shape, (artifact
+ * version, operator, one digest of every compile input — sparsity
+ * structure, schedule parameters, feature dims — rows, nnz), reuses
+ * the compiled kernel artifact on a hit — skipping Stage I ->
  * III lowering, bytecode compilation and re-bucketing entirely —
  * binds the request's values (via the formats' provenance maps) and
  * executes with deterministic parallelism (see executor.h). Every op
@@ -471,24 +472,26 @@ class Engine
 
     /**
      * Promotion policy hook, called on every resolve of a kNative
-     * session: counts uses of `artifact` and, when the count crosses
-     * EngineOptions::nativePromoteAfter, promotes the artifact —
-     * inline for threshold 0, as a background pool task otherwise
-     * (the artifact is kept alive by the captured shared_ptr;
-     * dispatches keep serving bytecode meanwhile).
+     * session: counts uses of `artifact` (an `op` artifact) and,
+     * when the count crosses EngineOptions::nativePromoteAfter,
+     * promotes the artifact — inline for threshold 0, as a background
+     * pool task otherwise (the artifact is kept alive by the captured
+     * shared_ptr; dispatches keep serving bytecode meanwhile).
      */
-    void maybePromote(const std::shared_ptr<Artifact> &artifact);
+    void maybePromote(OpKind op, const std::shared_ptr<Artifact> &artifact);
 
     /**
-     * Compile every kernel of `artifact` that still lacks native code
-     * as one module (one compiler run) and swap each result into its
-     * kernel's NativeBox. A kernel the emitter rejects, and every
+     * Compile every kernel of `artifact` (an `op` artifact) that
+     * still lacks native code as one module (one compiler run, or a
+     * disk hit when a module with the same C source is persisted,
+     * whatever structure it was built for) and swap each result into
+     * its kernel's NativeBox. A kernel the emitter rejects, and every
      * kernel of a module whose compile or load fails, counts as a
      * fallback and stays on bytecode permanently — transparent
      * degradation, never an error on the request path. Throws
      * nothing; `native.promotions` always goes up by one.
      */
-    void promoteNow(const Artifact &artifact);
+    void promoteNow(OpKind op, const Artifact &artifact);
 
     EngineOptions options_;
     std::shared_ptr<ThreadPool> pool_;

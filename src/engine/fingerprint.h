@@ -113,9 +113,9 @@ const char *opKindName(OpKind op);
  *       artifact carries either one fused kernel or the per-kernel
  *       chain plus its intermediate-buffer plan.
  *  v6 — kernels carry a NativeBox for the tiered native (.so)
- *       backend; the version is also folded into every persisted
- *       native artifact's key tag, so on-disk .so files built by
- *       older code are rejected and rebuilt rather than loaded.
+ *       backend (through v12 the version was also part of every
+ *       persisted module's tag; since v13 a module is addressed by
+ *       its C source, and kNativeAbiVersion guards its entry ABI).
  *  v7 — AccumOutput carries proven per-block element hulls instead
  *       of span windows, and kernels lose the split-row marking; the
  *       task graph orders units by hull overlap (native ABI v3).
@@ -137,56 +137,35 @@ const char *opKindName(OpKind op);
  *       (core::ScheduleTarget::kHostRowScalar) with an unclamped
  *       power-of-two rowsPerBlock, and a native module emits each
  *       distinct kernel body once behind per-entry tables.
+ *  v13 — a key is (op, one digest of every compile input, rows, nnz),
+ *       and a persisted native module is addressed by its C source.
  */
-constexpr uint32_t kArtifactVersion = 12;
+constexpr uint32_t kArtifactVersion = 13;
 
-/** Key of one compile-cache entry. */
+/**
+ * Key of one compile-cache entry. Everything a compile reads beyond
+ * the op is folded into `digest` (see engine.cc's cacheKey); `rows`
+ * and `nnz` ride alongside raw, so a 64-bit digest collision across
+ * different shapes can never match and a stale artifact's provenance
+ * map is never applied to a smaller values array.
+ */
 struct CacheKey
 {
     /** Artifact layout version (kArtifactVersion of the builder). */
     uint32_t version = kArtifactVersion;
     OpKind op = OpKind::kSpmmCsr;
-    /** Sparsity structure fingerprint. */
-    uint64_t structure = 0;
-    /** Schedule / format-parameter fingerprint (c, k, threadX, ...). */
-    uint64_t schedule = 0;
-    /**
-     * Input and output feature dimensions, keyed separately. Square
-     * ops set both to the same value; asymmetric entry points (e.g.
-     * a rectangular RGCN layer) differ — a single shared field would
-     * silently alias (featIn=16, featOut=32) with (32, 16) and serve
-     * a kernel compiled for the wrong shapes.
-     */
-    int64_t featIn = 0;
-    int64_t featOut = 0;
-    /**
-     * Raw shape facts (rows, total nnz) carried alongside the hash:
-     * a 64-bit fingerprint collision across different shapes can
-     * then never match, so a stale artifact's provenance map cannot
-     * be applied to a smaller values array.
-     */
+    /** Fingerprint of the structure hash, the schedule / config
+     *  fields and the feature dims. */
+    uint64_t digest = 0;
     int64_t rows = 0;
     int64_t nnz = 0;
-    /**
-     * Block-structure facts of blocked formats, raw like rows/nnz:
-     * BSR's block edge, SR-BCRS's tile height t and group factor g.
-     * Zero for formats without the notion.
-     */
-    int32_t blockSize = 0;
-    int32_t tileHeight = 0;
-    int32_t groupSize = 0;
 
     bool
     operator==(const CacheKey &other) const
     {
         return version == other.version && op == other.op &&
-               structure == other.structure &&
-               schedule == other.schedule &&
-               featIn == other.featIn && featOut == other.featOut &&
-               rows == other.rows && nnz == other.nnz &&
-               blockSize == other.blockSize &&
-               tileHeight == other.tileHeight &&
-               groupSize == other.groupSize;
+               digest == other.digest && rows == other.rows &&
+               nnz == other.nnz;
     }
 };
 
@@ -195,20 +174,14 @@ struct CacheKeyHash
     size_t
     operator()(const CacheKey &key) const
     {
-        Fingerprint fp;
-        int64_t op = static_cast<int64_t>(key.op);
-        fp.i64(static_cast<int64_t>(key.version))
-            .i64(op)
-            .i64(static_cast<int64_t>(key.structure))
-            .i64(static_cast<int64_t>(key.schedule))
-            .i64(key.featIn)
-            .i64(key.featOut)
-            .i64(key.rows)
-            .i64(key.nnz)
-            .i64(key.blockSize)
-            .i64(key.tileHeight)
-            .i64(key.groupSize);
-        return static_cast<size_t>(fp.digest());
+        return static_cast<size_t>(
+            Fingerprint()
+                .i64(static_cast<int64_t>(key.version))
+                .i64(static_cast<int64_t>(key.op))
+                .i64(static_cast<int64_t>(key.digest))
+                .i64(key.rows)
+                .i64(key.nnz)
+                .digest());
     }
 };
 

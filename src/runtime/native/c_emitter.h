@@ -133,12 +133,15 @@ struct KernelProof
 /**
  * Emit `funcs` as one C translation unit: each distinct body once, and
  * per accepted kernel a stub `st_entry_<i>` that passes the body its
- * per-entry table. `key_tag` identifies the
- * artifact (cache key + artifact/ABI versions + compiler command) and
- * is baked into the exported meta string, so a persisted .so can be
- * validated against the key it was built for. A function outside the
- * native-compilable subset (the stage3ExecDiagnostic gate plus the
- * emitter's own kind checks) is left out and reported in `rejected`.
+ * per-entry table. `key_tag` is the caller's label (the engine passes
+ * one fixed tag; the compiler command is appended to it) and is baked,
+ * with the ABI version and the kernel names, into the exported meta
+ * string, which a persisted .so is validated against on load. The
+ * source embeds the meta string, so a module is addressed by its C
+ * alone: kernels that emit the same C share one module. A function
+ * outside the native-compilable subset (the stage3ExecDiagnostic gate
+ * plus the emitter's own kind checks) is left out and reported in
+ * `rejected`.
  * `proofs`, when not empty, holds one entry per function: the proof
  * the function was verified under, or null for a checked kernel.
  */

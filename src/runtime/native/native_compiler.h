@@ -68,12 +68,12 @@ struct NativeKernel
 /**
  * Compile `funcs` as one native module: one C translation unit, one
  * compiler run, one `.so` whose kernels share a dlopen handle and a
- * `soPath`. A persisted module with a matching meta string (source
- * hash + key tag + ABI version + compiler command and flags + kernel
- * names) in the cache directory is loaded instead, all kernels at
- * once. Returns one kernel per function, in order; null for a
- * function outside the native subset, whose diagnostic lands in
- * `(*rejected)[i]` ("" for accepted ones). `proofs` is emitModule's:
+ * `soPath`, addressed by the hash of its C source. A persisted module
+ * at that path with a matching meta string (`key_tag` + ABI version +
+ * compiler command and flags + kernel names) in the cache directory
+ * is loaded instead, all kernels at once. Returns one kernel per
+ * function, in order; null for a function outside the native subset,
+ * whose diagnostic lands in `(*rejected)[i]` ("" for accepted ones). `proofs` is emitModule's:
  * empty, or per function its proof or null. Throws UserError when the
  * compiler is missing or fails or its output will not load — then
  * every kernel of the module fails. Safe to call concurrently:

@@ -36,18 +36,6 @@ lowered(const std::string &name)
     return out;
 }
 
-/** Fresh iteration variables for a list of axes. */
-std::vector<Var>
-freshIterVars(const std::vector<Axis> &axes)
-{
-    std::vector<Var> vars;
-    vars.reserve(axes.size());
-    for (const auto &axis : axes) {
-        vars.push_back(var(lowered(axis->name), axis->idtype));
-    }
-    return vars;
-}
-
 /**
  * Rewrites accesses of the original buffer into the new buffer and
  * substitutes original iteration variables by inverse-mapped

@@ -14,20 +14,26 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "dfg/op_graph.h"
 #include "engine/compile_cache.h"
 #include "engine/engine.h"
 #include "engine/executor.h"
 #include "engine/fingerprint.h"
 #include "engine/thread_pool.h"
+#include "format/bsr.h"
+#include "format/relational.h"
+#include "format/srbcrs.h"
 #include "graph/generator.h"
 #include "ir/expr.h"
 #include "ir/stmt.h"
@@ -132,72 +138,13 @@ TEST(Fingerprint, StructureHashSeparatesNearMisses)
               engine::Fingerprint().i32s({1, 2, 3}).digest());
 }
 
-TEST(Fingerprint, SwappedFeatInOutKeysDistinctly)
-{
-    // Regression for the v2 feat-aliasing bug: the key carried one
-    // shared `feat` (documented feat_in == feat_out), so a
-    // rectangular op and its transpose-shaped twin collided and the
-    // cache served a kernel compiled for the wrong widths. v3 keys
-    // both dims.
-    engine::CacheKey a;
-    a.op = engine::OpKind::kRgcnHyb;
-    a.structure = 42;
-    a.schedule = 7;
-    a.featIn = 16;
-    a.featOut = 32;
-    engine::CacheKey b = a;
-    b.featIn = 32;
-    b.featOut = 16;
-    EXPECT_FALSE(a == b);
-
-    engine::CompileCache cache(4);
-    int builds = 0;
-    auto builder = [&] {
-        ++builds;
-        return std::make_shared<engine::Artifact>();
-    };
-    cache.getOrBuild(a, builder);
-    cache.getOrBuild(b, builder);
-    EXPECT_EQ(builds, 2) << "swapped featIn/featOut aliased one entry";
-    EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(Fingerprint, BlockStructureFactsKeyDistinctly)
-{
-    engine::CacheKey bsr8;
-    bsr8.op = engine::OpKind::kSpmmBsr;
-    bsr8.structure = 9;
-    bsr8.featIn = bsr8.featOut = 16;
-    bsr8.blockSize = 8;
-    engine::CacheKey bsr4 = bsr8;
-    bsr4.blockSize = 4;
-    EXPECT_FALSE(bsr8 == bsr4);
-
-    engine::CacheKey sr;
-    sr.op = engine::OpKind::kSpmmSrbcrs;
-    sr.structure = 9;
-    sr.featIn = sr.featOut = 16;
-    sr.tileHeight = 4;
-    sr.groupSize = 8;
-    engine::CacheKey sr2 = sr;
-    sr2.tileHeight = 8;
-    sr2.groupSize = 4;
-    EXPECT_FALSE(sr == sr2);
-
-    // The artifact version is part of every key: a layout bump can
-    // never serve an old artifact to new dispatch logic.
-    engine::CacheKey old_version = bsr8;
-    old_version.version = engine::kArtifactVersion - 1;
-    EXPECT_FALSE(bsr8 == old_version);
-}
-
 TEST(CompileCache, HitOnSameKeyMissOnDifferent)
 {
     engine::CompileCache cache(4);
     engine::CacheKey key1;
-    key1.structure = 1;
+    key1.digest = 1;
     engine::CacheKey key2;
-    key2.structure = 2;
+    key2.digest = 2;
 
     int builds = 0;
     auto builder = [&] {
@@ -217,19 +164,138 @@ TEST(CompileCache, HitOnSameKeyMissOnDifferent)
 TEST(CompileCache, EvictsLeastRecentlyUsed)
 {
     engine::CompileCache cache(2);
-    auto builder = [] { return std::make_shared<engine::Artifact>(); };
+    int builds = 0;
+    auto builder = [&] {
+        ++builds;
+        return std::make_shared<engine::Artifact>();
+    };
     engine::CacheKey keys[3];
     for (int i = 0; i < 3; ++i) {
-        keys[i].structure = static_cast<uint64_t>(i + 1);
+        keys[i].digest = static_cast<uint64_t>(i + 1);
     }
     cache.getOrBuild(keys[0], builder);
     cache.getOrBuild(keys[1], builder);
     cache.getOrBuild(keys[0], builder);  // refresh key 0
     cache.getOrBuild(keys[2], builder);  // evicts key 1
-    EXPECT_NE(cache.peek(keys[0]), nullptr);
-    EXPECT_EQ(cache.peek(keys[1]), nullptr);
-    EXPECT_NE(cache.peek(keys[2]), nullptr);
+    EXPECT_EQ(builds, 3);
     EXPECT_EQ(cache.stats().evictions, 1u);
+
+    // Keys 0 and 2 are still cached; key 1 was evicted and rebuilds.
+    cache.getOrBuild(keys[0], builder);
+    cache.getOrBuild(keys[2], builder);
+    EXPECT_EQ(builds, 3);
+    cache.getOrBuild(keys[1], builder);
+    EXPECT_EQ(builds, 4);
+    EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+// Every input an op's builder compiles from is part of its key: after
+// a baseline request per op, changing one compile input at a time
+// costs exactly one miss, and repeating a baseline hits.
+TEST(Engine, EachCompileInputChangeMissesOnce)
+{
+    Engine eng(EngineOptions{});
+    Csr a = randomCsr(32, 32, 0.2, 21);
+    const int64_t feat = 8;
+    NDArray b = NDArray::fromFloat(randomVector(a.cols * feat, 22));
+
+    auto spmm_csr = [&](int thread_x) {
+        core::SpmmSchedule schedule;
+        schedule.threadX = thread_x;
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        return eng.spmmCsr(a, feat, &b, &c, schedule);
+    };
+    NDArray x = NDArray::fromFloat(randomVector(a.rows * feat, 23));
+    NDArray y = NDArray::fromFloat(randomVector(feat * a.cols, 24));
+    auto sddmm = [&](int workloads, int group) {
+        core::SddmmSchedule schedule;
+        schedule.workloadsPerBlock = workloads;
+        schedule.groupSize = group;
+        NDArray out({a.nnz()}, ir::DataType::float32());
+        return eng.sddmm(a, feat, &x, &y, &out, schedule);
+    };
+    auto spmm_hyb = [&](int partitions, int cap_log2) {
+        engine::HybConfig config;
+        config.partitions = partitions;
+        config.bucketCapLog2 = cap_log2;
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        return eng.spmmHyb(a, feat, &b, &c, config);
+    };
+    format::RelationalCsr relational;
+    relational.rows = relational.cols = a.rows;
+    relational.relations = {a, randomCsr(32, 32, 0.1, 25)};
+    NDArray w = NDArray::fromFloat(randomVector(8 * 4, 26));
+    auto rgcn = [&](int64_t feat_in, int64_t feat_out) {
+        NDArray xr = NDArray::fromFloat(
+            randomVector(relational.cols * feat_in, 27));
+        NDArray yr({relational.rows * feat_out}, ir::DataType::float32());
+        return eng.rgcn(relational, feat_in, feat_out, &xr, &w, &yr);
+    };
+    auto spmm_bsr = [&](int32_t block_size) {
+        format::Bsr bsr = format::bsrFromCsr(a, block_size);
+        NDArray bb = NDArray::fromFloat(
+            randomVector(bsr.blockCols * bsr.blockSize * feat, 28));
+        NDArray c({bsr.blockRows * bsr.blockSize * feat},
+                  ir::DataType::float32());
+        return eng.spmmBsr(bsr, feat, &bb, &c);
+    };
+    auto spmm_srbcrs = [&](int32_t t, int32_t g) {
+        format::SrBcrs sr = format::srbcrsFromCsr(a, t, g);
+        NDArray c({sr.stripes * sr.tileHeight * feat},
+                  ir::DataType::float32());
+        return eng.spmmSrbcrs(sr, feat, &b, &c);
+    };
+    dfg::OpGraph op_graph;
+    int h = op_graph.aggregate(dfg::SparsityPattern::fromCsr(a),
+                               op_graph.denseInput("x", a.cols, feat),
+                               /*mean=*/true);
+    op_graph.markOutput(h, "out");
+    auto dispatch_graph = [&](bool fuse) {
+        NDArray out({a.rows * feat}, ir::DataType::float32());
+        engine::GraphDispatchOptions options;
+        options.fuse = fuse;
+        return eng.dispatchGraph(op_graph, {{"x", &b}, {"out", &out}},
+                                 options);
+    };
+
+    using Dispatch = std::function<engine::DispatchInfo()>;
+    // One baseline request per op.
+    std::vector<Dispatch> baselines = {
+        [&] { return spmm_csr(32); },
+        [&] { return sddmm(8, 32); },
+        [&] { return spmm_hyb(1, 2); },
+        [&] { return rgcn(8, 4); },
+        [&] { return spmm_bsr(8); },
+        [&] { return spmm_srbcrs(4, 8); },
+        [&] { return dispatch_graph(true); },
+    };
+    for (const auto &baseline : baselines) {
+        EXPECT_FALSE(baseline().cacheHit);
+    }
+    EXPECT_EQ(eng.cacheStats().misses, baselines.size());
+
+    std::vector<std::pair<const char *, Dispatch>> changes = {
+        {"csr threadX", [&] { return spmm_csr(16); }},
+        {"sddmm workloadsPerBlock", [&] { return sddmm(4, 32); }},
+        {"sddmm groupSize", [&] { return sddmm(8, 16); }},
+        {"hyb partitions", [&] { return spmm_hyb(2, 2); }},
+        {"hyb bucketCapLog2", [&] { return spmm_hyb(1, 3); }},
+        {"rgcn (featIn, featOut) swapped", [&] { return rgcn(4, 8); }},
+        {"bsr block size", [&] { return spmm_bsr(4); }},
+        {"srbcrs (t, g) swapped", [&] { return spmm_srbcrs(8, 4); }},
+        {"graph fuse", [&] { return dispatch_graph(false); }},
+    };
+    for (const auto &[what, change] : changes) {
+        uint64_t before = eng.cacheStats().misses;
+        EXPECT_FALSE(change().cacheHit) << what;
+        EXPECT_EQ(eng.cacheStats().misses, before + 1) << what;
+    }
+
+    uint64_t misses = eng.cacheStats().misses;
+    for (const auto &baseline : baselines) {
+        EXPECT_TRUE(baseline().cacheHit);
+    }
+    EXPECT_EQ(eng.cacheStats().misses, misses);
 }
 
 TEST(Engine, CacheHitOnIdenticalStructure)

@@ -681,7 +681,7 @@ TEST(EngineCacheKeyV5, GraphsDifferingOnlyInEdgeStructureBothMiss)
 
 TEST(EngineCacheKeyV5, FusedAndChainGraphArtifactsAreDistinct)
 {
-    // fuse on/off is part of the schedule fingerprint: dispatching the
+    // fuse on/off is part of the key's digest: dispatching the
     // same graph both ways compiles two artifacts, then both rehit.
     Csr a = randomCsr(24, 24, 0.2, 223);
     dfg::PatternRef pattern = dfg::SparsityPattern::fromCsr(a);

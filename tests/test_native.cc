@@ -1710,6 +1710,90 @@ TEST(NativeEngine, HybArtifactPromotesAsOneModule)
     EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
 }
 
+/** `a` with every column index moved by `shift` (mod cols), each row
+ *  re-sorted: the same row lengths, nnz and shape over other columns. */
+Csr
+shiftedColumns(const Csr &a, int32_t shift)
+{
+    Csr out = a;
+    for (int64_t r = 0; r < a.rows; ++r) {
+        std::vector<std::pair<int32_t, float>> row;
+        for (int32_t q = a.indptr[r]; q < a.indptr[r + 1]; ++q) {
+            row.emplace_back(
+                static_cast<int32_t>((a.indices[q] + shift) % a.cols),
+                a.values[q]);
+        }
+        std::sort(row.begin(), row.end());
+        for (size_t i = 0; i < row.size(); ++i) {
+            out.indices[a.indptr[r] + i] = row[i].first;
+            out.values[a.indptr[r] + i] = row[i].second;
+        }
+    }
+    return out;
+}
+
+// A module is addressed by its C source alone: structures whose
+// kernels emit the same C (for CSR SpMM: equal m, n, nnz and feat; for
+// hyb: equal bucket row counts) load the first one's module from disk
+// instead of running the compiler again.
+TEST(NativeEngine, SameSourceModuleIsServedFromDisk)
+{
+    CacheDirGuard cache;
+    int64_t feat = 8;
+    Csr base = graph::powerLawGraph(180, 1800, 1.8, 111);
+    auto b_host = randomVector(base.cols * feat, 112);
+    NDArray b = NDArray::fromFloat(b_host);
+
+    engine::EngineOptions options;
+    options.backend = Backend::kNative;
+    options.nativePromoteAfter = 0;
+    engine::Engine eng(options);
+
+    auto spmm_csr = [&](const Csr &a) {
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        eng.spmmCsr(a, feat, &b, &c);
+        EXPECT_TRUE(bitwiseEqual(engineSpmmReference(a, feat, b_host), c));
+    };
+    uint64_t cc_before = native::nativeCompileCount();
+    spmm_csr(base);
+    EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
+    for (int32_t shift : {1, 2}) {
+        Csr other = shiftedColumns(base, shift);
+        ASSERT_NE(engine::structureHash(other), engine::structureHash(base));
+        uint64_t disk_hits = eng.nativeStats().diskHits;
+        spmm_csr(other);
+        EXPECT_EQ(native::nativeCompileCount(), cc_before + 1)
+            << "shift " << shift;
+        EXPECT_EQ(eng.nativeStats().diskHits, disk_hits + 1)
+            << "shift " << shift;
+    }
+    // Another nnz is another proof guard, so another module.
+    spmm_csr(graph::powerLawGraph(180, 1500, 1.8, 113));
+    EXPECT_EQ(native::nativeCompileCount(), cc_before + 2);
+
+    engine::HybConfig config;
+    auto spmm_hyb = [&](const Csr &a) {
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        engine::DispatchInfo info = eng.spmmHyb(a, feat, &b, &c, config);
+        EXPECT_TRUE(bitwiseEqual(engineHybReference(a, feat, b_host, config),
+                                 c));
+        return info;
+    };
+    spmm_hyb(base);
+    EXPECT_EQ(native::nativeCompileCount(), cc_before + 3);
+    // One column partition: equal row lengths give equal bucket row
+    // counts.
+    uint64_t disk_hits = eng.nativeStats().diskHits;
+    engine::DispatchInfo info = spmm_hyb(shiftedColumns(base, 3));
+    EXPECT_FALSE(info.cacheHit);
+    ASSERT_GE(info.numKernels, 2);
+    EXPECT_EQ(native::nativeCompileCount(), cc_before + 3);
+    EXPECT_EQ(eng.nativeStats().diskHits,
+              disk_hits + static_cast<uint64_t>(info.numKernels));
+    EXPECT_EQ(eng.nativeStats().fallbacks, 0u);
+    EXPECT_EQ(countModules(cache.dir()), 3);
+}
+
 // A compiler that exits 0 but writes nothing, or writes a file that
 // is not a loadable object: the promotion still completes and counts
 // every kernel of the module as a fallback, no exception reaches the

@@ -43,6 +43,11 @@ using format::Csr;
 using runtime::NDArray;
 using testutil::randomVector;
 
+// With SPARSETIR_NATIVE=1 every engine here may serve natively: its
+// .so files go to a per-process directory removed at exit.
+[[maybe_unused]] const bool kNativeCacheIsolated =
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-verify-native-");
+
 ir::Var
 param(const ir::PrimFunc &func, const std::string &name)
 {
