@@ -98,7 +98,6 @@ def read_run(path: str):
                 data.get("sequential_req_per_s", 0.0)
             )
             batched_rps = float(data["batched_req_per_s"])
-            batched_speedup = float(data.get("batched_speedup", 0.0))
         except (TypeError, ValueError) as err:
             raise BadInput(
                 f"{path} holds a non-numeric batched field: {err}"
@@ -107,8 +106,7 @@ def read_run(path: str):
             f"batched dispatch: "
             f"{data.get('batch_requests', '?')} in flight, "
             f"{sequential_rps:.1f} req/s sequential -> "
-            f"{batched_rps:.1f} req/s batched "
-            f"({batched_speedup:.2f}x), "
+            f"{batched_rps:.1f} req/s batched, "
             f"bitwise_identical="
             f"{data.get('batch_bitwise_identical', 'n/a')}"
         )

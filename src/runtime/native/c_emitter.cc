@@ -304,6 +304,26 @@ intLiteral(int value)
     return std::to_string(value);
 }
 
+/** Whether `var` occurs in `expr`. */
+bool
+usesVar(const Expr &expr, const VarNode *var)
+{
+    struct Find : ExprVisitor
+    {
+        const VarNode *var = nullptr;
+        bool found = false;
+
+        void
+        visitVar(const VarNode *op) override
+        {
+            found = found || op == var;
+        }
+    } find;
+    find.var = var;
+    find.visitExpr(expr);
+    return find.found;
+}
+
 /** One kernel's StTable entries (see the preamble). */
 struct KernelTable
 {
@@ -1525,6 +1545,10 @@ class Emitter
             line("}");
         }
         std::string v = "v" + std::to_string(tmpCount_++);
+        int64_t unroll = accumulatorUnroll(op);
+        if (unroll >= 2) {
+            line("#pragma GCC unroll " + std::to_string(unroll));
+        }
         line("for (int64_t " + v + " = " + lo + "; " + v + " < " + hi +
              "; ++" + v + ") {");
         ++indent_;
@@ -1533,6 +1557,84 @@ class Emitter
         vars_.erase(op->loopVar.get());
         --indent_;
         line("}");
+    }
+
+    /**
+     * The `#pragma GCC unroll` count of a feature-accumulator loop:
+     * constant bounds and a straight-line body (no loop, guard or
+     * call) that indexes a proven kernel's stack array with the loop
+     * variable. The count is the loop's 16-byte vector iterations,
+     * not its extent: gcc then vectorizes first and peels the whole
+     * vector loop, so the array stays in registers. A count of the
+     * extent unrolls the scalar loop before vectorizing, which is
+     * slower than no hint. 0 for any other loop.
+     */
+    int64_t
+    accumulatorUnroll(const ForNode *op) const
+    {
+        int64_t mn = 0;
+        int64_t ext = 0;
+        if (stackArrays_.empty() || !tryConstInt(op->minValue, &mn) ||
+            !tryConstInt(op->extent, &ext)) {
+            return 0;
+        }
+        struct Scan : StmtVisitor
+        {
+            const Emitter *self = nullptr;
+            const VarNode *loopVar = nullptr;
+            bool branches = false;
+            int64_t elemBytes = 0;
+
+            void
+            visitFor(const ForNode *) override
+            {
+                branches = true;
+            }
+            void
+            visitIfThenElse(const IfThenElseNode *) override
+            {
+                branches = true;
+            }
+            void
+            visitCall(const CallNode *) override
+            {
+                branches = true;
+            }
+            void
+            visitBufferLoad(const BufferLoadNode *load) override
+            {
+                note(load->buffer, load->indices);
+                StmtVisitor::visitBufferLoad(load);
+            }
+            void
+            visitBufferStore(const BufferStoreNode *store) override
+            {
+                note(store->buffer, store->indices);
+                StmtVisitor::visitBufferStore(store);
+            }
+
+            /** Record `buffer`'s element size when it is a stack
+             *  array indexed with the loop variable. */
+            void
+            note(const Buffer &buffer, const std::vector<Expr> &indices)
+            {
+                auto slot = self->slotOf_.find(buffer->data.get());
+                if (slot == self->slotOf_.end() ||
+                    self->stackArrays_.count(slot->second) == 0) {
+                    return;
+                }
+                for (const Expr &index : indices) {
+                    if (usesVar(index, loopVar)) {
+                        elemBytes = bytecode::elemKindBytes(
+                            self->scratchKind_.at(slot->second));
+                    }
+                }
+            }
+        } scan;
+        scan.self = this;
+        scan.loopVar = op->loopVar.get();
+        scan.visitStmt(op->body);
+        return scan.branches ? 0 : ext * scan.elemBytes / 16;
     }
 
     PrimFunc func_;

@@ -26,7 +26,13 @@
  *
  * Every access is bounds-checked unless the kernel comes with a
  * KernelProof: then its accesses are plain typed loads and stores,
- * and one entry guard checks the proof's premises instead.
+ * and one entry guard checks the proof's premises instead. A proven
+ * kernel's feature-accumulator loops (constant bounds, a straight-line
+ * body indexing a stack array with the loop variable) carry
+ * `#pragma GCC unroll N`, N their count of 16-byte vector iterations,
+ * so gcc vectorizes them and then peels the vector loop and keeps the
+ * accumulator in registers. Unrolling reorders no element's
+ * operations.
  *
  * Functions outside the subset (Stage I sparse iterations, vector IR,
  * extern calls) are rejected with a UserError message, exactly like

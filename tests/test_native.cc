@@ -996,6 +996,139 @@ TEST(NativeEmitter, HybModuleEmitsOneBodyPerBucketShape)
     EXPECT_EQ(countOf(csr.source, "static int32_t st_body_"), 1u);
 }
 
+/** One `#pragma GCC unroll` loop of an emitted source. */
+struct HintedLoop
+{
+    int64_t count = 0;
+    std::string var;  ///< the loop variable
+    std::string body; ///< the text between the loop's braces
+};
+
+/** Every hinted loop of `source`, in source order. */
+std::vector<HintedLoop>
+hintedLoops(const std::string &source)
+{
+    const std::string pragma = "#pragma GCC unroll ";
+    std::vector<HintedLoop> loops;
+    for (size_t at = source.find(pragma); at != std::string::npos;
+         at = source.find(pragma, at + 1)) {
+        HintedLoop loop;
+        size_t count_end = source.find('\n', at);
+        loop.count = std::stoll(source.substr(
+            at + pragma.size(), count_end - at - pragma.size()));
+        // The pragma's very next line is the loop it hints.
+        size_t header = source.find_first_not_of(' ', count_end + 1);
+        EXPECT_EQ(source.compare(header, 13, "for (int64_t "), 0);
+        size_t var_begin = header + 13;
+        loop.var = source.substr(
+            var_begin, source.find(' ', var_begin) - var_begin);
+        size_t open = source.find('{', header);
+        int depth = 1;
+        size_t close = open + 1;
+        for (; depth > 0; ++close) {
+            depth += source[close] == '{' ? 1 : source[close] == '}' ? -1 : 0;
+        }
+        loop.body = source.substr(open + 1, close - open - 2);
+        loops.push_back(loop);
+    }
+    return loops;
+}
+
+/** The proven hyb module the engine serves at `feat`, one source per
+ *  shared body. */
+std::vector<std::string>
+provenHybBodies(const Csr &a, int64_t feat)
+{
+    format::Hyb hyb = format::hybFromCsr(a, 4);
+    native::KernelProof proof;
+    proof.scalars = {{"m", a.rows},
+                     {"n", a.cols},
+                     {"nnz", a.nnz()},
+                     {"feat_size", feat}};
+    std::vector<ir::PrimFunc> funcs;
+    for (const core::HybKernelPlan &plan : core::compileSpmmHybFuncs(
+             hyb, feat, core::ScheduleTarget::kHostRowScalar)) {
+        funcs.push_back(plan.func);
+        proof.scalars[core::ellRowsParam(plan.suffix)] = plan.numRows;
+    }
+    std::vector<const native::KernelProof *> proofs(funcs.size(), &proof);
+    std::string source = native::emitModule(funcs, "hint", proofs).source;
+    const std::string marker = "static int32_t st_body_";
+    std::vector<std::string> bodies;
+    for (size_t at = source.find(marker); at != std::string::npos;) {
+        size_t next = source.find(marker, at + 1);
+        bodies.push_back(source.substr(at, next - at));
+        at = next;
+    }
+    return bodies;
+}
+
+// A proven kernel's feature-accumulator loops (constant bounds, a
+// straight-line body over a stack array indexed by the loop variable)
+// carry `#pragma GCC unroll` with their count of 16-byte vector
+// iterations, so gcc vectorizes and then peels them and the array
+// stays in registers. No other loop is hinted, and a checked kernel
+// is emitted as before.
+TEST(NativeEmitter, AccumulatorLoopsCarryUnrollHint)
+{
+    Csr a = graph::powerLawGraph(300, 1800, 2.0, 7919);
+    for (auto [feat, count] : {std::pair<int64_t, int64_t>{32, 8},
+                               std::pair<int64_t, int64_t>{8, 2},
+                               std::pair<int64_t, int64_t>{4, 0}}) {
+        SCOPED_TRACE("feat " + std::to_string(feat));
+        std::vector<std::string> bodies = provenHybBodies(a, feat);
+        ASSERT_FALSE(bodies.empty());
+        for (const std::string &body : bodies) {
+            // Zero-init, accumulate over one non-zero, write-back.
+            std::vector<HintedLoop> loops = hintedLoops(body);
+            EXPECT_EQ(loops.size(), count == 0 ? 0u : 3u);
+            for (const HintedLoop &loop : loops) {
+                EXPECT_EQ(loop.count, count);
+                EXPECT_NE(loop.body.find("a0[" + loop.var + "]"),
+                          std::string::npos);
+            }
+        }
+    }
+
+    // The fused attention kernel: only the head-dim accumulator's
+    // loops. The QK dot reduces into a constant-index a3[0], the
+    // softmax loops are guarded per row, one of them calls exp, and
+    // the outer loops nest; none of those is hinted.
+    auto mask = dfg::SparsityPattern::fromCsr(
+        graph::powerLawGraph(64, 512, 1.8, 6));
+    dfg::GraphLowering attention =
+        dfg::lowerGraph(model::buildAttentionGraph(mask, 32), true);
+    ASSERT_EQ(attention.funcs.size(), 1u);
+    native::KernelProof proof;
+    std::vector<const native::KernelProof *> proofs = {&proof};
+    native::ModuleEmitResult fused =
+        native::emitModule(attention.funcs, "hint", proofs);
+    ASSERT_TRUE(fused.kernels[0].proven);
+    std::vector<HintedLoop> loops = hintedLoops(fused.source);
+    EXPECT_EQ(loops.size(), 3u);
+    EXPECT_GT(countOf(fused.source, "for (int64_t "), loops.size());
+    for (const HintedLoop &loop : loops) {
+        EXPECT_EQ(loop.count, 8);
+        EXPECT_EQ(loop.body.find("for ("), std::string::npos);
+        EXPECT_EQ(loop.body.find("if ("), std::string::npos);
+        EXPECT_EQ(loop.body.find("exp("), std::string::npos);
+        EXPECT_EQ(loop.body.find("[INT64_C(0)]"), std::string::npos);
+        EXPECT_NE(loop.body.find("[" + loop.var + "]"), std::string::npos);
+    }
+
+    // Without a proof the kernels keep their checked views and no
+    // loop is hinted.
+    format::Hyb hyb = format::hybFromCsr(a, 4);
+    for (const core::HybKernelPlan &plan : core::compileSpmmHybFuncs(
+             hyb, 32, core::ScheduleTarget::kHostRowScalar)) {
+        EXPECT_EQ(native::emitC(plan.func, "hint").source.find("#pragma"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(native::emitC(attention.funcs[0], "hint").source.find(
+                  "#pragma"),
+              std::string::npos);
+}
+
 // Two buckets of one width share a native body; each entry still
 // checks its own proof. Bound with the other bucket's row count, or
 // with its shorter row-index array, the entry refuses before any side
@@ -1490,42 +1623,47 @@ TEST(NativeEngine, DestructionJoinsInFlightPromotion)
     EXPECT_EQ(native::nativeCompileCount(), cc_before + 1);
 }
 
+// Served proven, the bucket kernels' feature loops carry unroll hints
+// (2, 16 and 32 vector iterations at feat 8, 64 and 128); every width
+// stays bitwise the interpreter's.
 TEST(NativeEngine, HybBucketsPromoteEveryKernel)
 {
     CacheDirGuard cache;
     Csr a = graph::powerLawGraph(200, 2400, 1.9, 87);
-    int64_t feat = 8;
-    auto b_host = randomVector(a.cols * feat, 88);
     engine::HybConfig config;
     config.partitions = 2;
+    for (int64_t feat : {8, 64, 128}) {
+        SCOPED_TRACE("feat " + std::to_string(feat));
+        auto b_host = randomVector(a.cols * feat, 88);
+        NDArray reference({a.rows * feat}, ir::DataType::float32());
+        {
+            engine::EngineOptions options;
+            options.backend = Backend::kInterpreter;
+            engine::Engine eng(options);
+            NDArray b = NDArray::fromFloat(b_host);
+            eng.spmmHyb(a, feat, &b, &reference, config);
+        }
 
-    NDArray reference({a.rows * feat}, ir::DataType::float32());
-    {
         engine::EngineOptions options;
-        options.backend = Backend::kInterpreter;
+        options.backend = Backend::kNative;
+        options.nativePromoteAfter = 0;
         engine::Engine eng(options);
         NDArray b = NDArray::fromFloat(b_host);
-        eng.spmmHyb(a, feat, &b, &reference, config);
+        NDArray c({a.rows * feat}, ir::DataType::float32());
+        eng.spmmHyb(a, feat, &b, &c, config);
+        EXPECT_TRUE(bitwiseEqual(reference, c));
+
+        // One promotion covers every bucket kernel of the artifact.
+        engine::NativeStats stats = eng.nativeStats();
+        EXPECT_EQ(stats.promotions, 1u);
+        EXPECT_GE(stats.compiles, 2u);
+        EXPECT_EQ(stats.fallbacks, 0u);
+
+        NDArray c_warm({a.rows * feat}, ir::DataType::float32());
+        eng.spmmHyb(a, feat, &b, &c_warm, config);
+        EXPECT_TRUE(bitwiseEqual(reference, c_warm));
+        EXPECT_EQ(eng.nativeStats().guardMisses, 0u);
     }
-
-    engine::EngineOptions options;
-    options.backend = Backend::kNative;
-    options.nativePromoteAfter = 0;
-    engine::Engine eng(options);
-    NDArray b = NDArray::fromFloat(b_host);
-    NDArray c({a.rows * feat}, ir::DataType::float32());
-    eng.spmmHyb(a, feat, &b, &c, config);
-    EXPECT_TRUE(bitwiseEqual(reference, c));
-
-    // One promotion covers every bucket kernel of the artifact.
-    engine::NativeStats stats = eng.nativeStats();
-    EXPECT_EQ(stats.promotions, 1u);
-    EXPECT_GE(stats.compiles, 2u);
-    EXPECT_EQ(stats.fallbacks, 0u);
-
-    NDArray c_warm({a.rows * feat}, ir::DataType::float32());
-    eng.spmmHyb(a, feat, &b, &c_warm, config);
-    EXPECT_TRUE(bitwiseEqual(reference, c_warm));
 }
 
 // A batched dispatch counts toward promotion like a single request:
