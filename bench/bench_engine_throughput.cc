@@ -17,7 +17,10 @@
  *  2. Single-request hyb SpMM — median of 50 warm dispatches of one
  *     request over a 1000-row power-law graph (feat 32, hyb(c=4)),
  *     at 1 worker and at pool size, on bytecode and on native; every
- *     output checked bitwise against the 1-worker (serial) run.
+ *     output checked bitwise against the 1-worker (serial) run. A
+ *     second row times a 4-request spmmHybBatch over the same graph
+ *     the same way: what the second worker buys on a batch that
+ *     fills the pool (one executor unit per request).
  *
  *  3. Sustained throughput — warm re-dispatch rate over a stream of
  *     value-varying requests on one cached structure.
@@ -137,8 +140,8 @@ medianMs(int rounds, const std::function<void()> &fn)
     return ms[ms.size() / 2];
 }
 
-/** Medians of one warm single-request dispatch per backend x pool. */
-struct SingleRequestTiming
+/** Medians of one warm dispatch per backend x pool. */
+struct WarmTiming
 {
     /** [backend: bytecode, native][workers: 1, pool size]. */
     double ms[2][2] = {};
@@ -147,18 +150,21 @@ struct SingleRequestTiming
 };
 
 /**
- * Time `dispatch` (one request into `out`, which it may accumulate
- * into) on fresh engines at 1 worker and at `pool_workers`, on
- * bytecode and on native. After the timed rounds each engine zeroes
- * `out`, dispatches once more and compares with the serial run.
+ * Time `dispatch` (into `num_outs` outputs of `out_numel` elements,
+ * which it may accumulate into) on fresh engines at 1 worker and at
+ * `pool_workers`, on bytecode and on native. After the timed rounds
+ * each engine zeroes the outputs, dispatches once more and compares
+ * them with the serial run.
  */
-SingleRequestTiming
-timeSingleRequest(
-    int rounds, int pool_workers, int64_t out_numel,
-    const std::function<void(engine::Engine &, NDArray *)> &dispatch)
+WarmTiming
+timeWarmDispatch(int rounds, int pool_workers, int num_outs,
+                 int64_t out_numel,
+                 const std::function<void(engine::Engine &,
+                                          std::vector<NDArray> &)>
+                     &dispatch)
 {
-    SingleRequestTiming timing;
-    NDArray reference({out_numel}, ir::DataType::float32());
+    WarmTiming timing;
+    std::vector<NDArray> reference;
     const runtime::Backend backends[2] = {runtime::Backend::kBytecode,
                                           runtime::Backend::kNative};
     for (int t = 0; t < 2; ++t) {
@@ -168,17 +174,25 @@ timeSingleRequest(
             options.numThreads = w == 0 ? 1 : pool_workers;
             options.nativePromoteAfter = 0;  // native from the prime
             engine::Engine eng(options);
-            NDArray out({out_numel}, ir::DataType::float32());
-            dispatch(eng, &out);  // prime: compile (and promote)
-            timing.ms[t][w] =
-                medianMs(rounds, [&] { dispatch(eng, &out); });
-            out.zero();
-            dispatch(eng, &out);
+            std::vector<NDArray> outs;
+            for (int i = 0; i < num_outs; ++i) {
+                outs.emplace_back(std::vector<int64_t>{out_numel},
+                                  ir::DataType::float32());
+            }
+            dispatch(eng, outs);  // prime: compile (and promote)
+            timing.ms[t][w] = medianMs(rounds, [&] { dispatch(eng, outs); });
+            for (NDArray &out : outs) {
+                out.zero();
+            }
+            dispatch(eng, outs);
             if (t == 0 && w == 0) {
-                reference = out;
+                reference = outs;
             } else {
-                timing.bitwiseIdentical =
-                    timing.bitwiseIdentical && bitwiseEqual(reference, out);
+                for (int i = 0; i < num_outs; ++i) {
+                    timing.bitwiseIdentical =
+                        timing.bitwiseIdentical &&
+                        bitwiseEqual(reference[i], outs[i]);
+                }
             }
         }
     }
@@ -186,7 +200,7 @@ timeSingleRequest(
 }
 
 void
-printSingleRequest(const SingleRequestTiming &timing, int pool_workers)
+printWarmTiming(const WarmTiming &timing, int pool_workers)
 {
     const char *names[2] = {"bytecode", "native"};
     for (int t = 0; t < 2; ++t) {
@@ -203,9 +217,8 @@ printSingleRequest(const SingleRequestTiming &timing, int pool_workers)
 }
 
 void
-writeSingleRequestJson(std::FILE *json, const char *name,
-                       const SingleRequestTiming &timing,
-                       const char *trailer)
+writeWarmTimingJson(std::FILE *json, const char *name,
+                    const WarmTiming &timing, const char *trailer)
 {
     std::fprintf(json,
                  "    \"%s\": {\"bytecode_1w_ms\": %.4f, "
@@ -324,12 +337,34 @@ main()
                 static_cast<long long>(single_feat), kSingleRounds);
     NDArray single_b = NDArray::fromFloat(
         randomVector(single_g.cols * single_feat, 12));
-    SingleRequestTiming single_hyb = timeSingleRequest(
-        kSingleRounds, pool_workers, single_g.rows * single_feat,
-        [&](engine::Engine &e, NDArray *out) {
-            e.spmmHyb(single_g, single_feat, &single_b, out, config);
+    WarmTiming single_hyb = timeWarmDispatch(
+        kSingleRounds, pool_workers, 1, single_g.rows * single_feat,
+        [&](engine::Engine &e, std::vector<NDArray> &outs) {
+            e.spmmHyb(single_g, single_feat, &single_b, &outs[0], config);
         });
-    printSingleRequest(single_hyb, pool_workers);
+    printWarmTiming(single_hyb, pool_workers);
+
+    constexpr int kBatchRequests = 4;
+    std::printf("  %d-request spmmHybBatch over the same graph (median "
+                "of %d warm dispatches):\n",
+                kBatchRequests, kSingleRounds);
+    std::vector<NDArray> batch4_b;
+    for (int i = 0; i < kBatchRequests; ++i) {
+        batch4_b.push_back(NDArray::fromFloat(
+            randomVector(single_g.cols * single_feat, 13 + i)));
+    }
+    WarmTiming batch_hyb = timeWarmDispatch(
+        kSingleRounds, pool_workers, kBatchRequests,
+        single_g.rows * single_feat,
+        [&](engine::Engine &e, std::vector<NDArray> &outs) {
+            std::vector<engine::SpmmRequest> requests;
+            for (int i = 0; i < kBatchRequests; ++i) {
+                requests.push_back(
+                    engine::SpmmRequest{&batch4_b[i], &outs[i]});
+            }
+            e.spmmHybBatch(single_g, single_feat, requests, config);
+        });
+    printWarmTiming(batch_hyb, pool_workers);
 
     // ------------------------------------------------------------------
     // 3. Sustained warm throughput
@@ -480,12 +515,12 @@ main()
         NDArray::fromFloat(randomVector(rg_nodes * rg_feat, 210));
     NDArray rg_w =
         NDArray::fromFloat(randomVector(rg_feat * rg_feat, 211));
-    SingleRequestTiming single_rgcn = timeSingleRequest(
-        kSingleRounds, pool_workers, rg_nodes * rg_feat,
-        [&](engine::Engine &e, NDArray *out) {
-            e.rgcn(rgraph, rg_feat, &rg_x, &rg_w, out);
+    WarmTiming single_rgcn = timeWarmDispatch(
+        kSingleRounds, pool_workers, 1, rg_nodes * rg_feat,
+        [&](engine::Engine &e, std::vector<NDArray> &outs) {
+            e.rgcn(rgraph, rg_feat, &rg_x, &rg_w, &outs[0]);
         });
-    printSingleRequest(single_rgcn, pool_workers);
+    printWarmTiming(single_rgcn, pool_workers);
 
     // ------------------------------------------------------------------
     // 8. Engine metrics snapshot (registry counters + gauges)
@@ -800,8 +835,14 @@ main()
                      "  \"single_request_pool_workers\": %d,\n"
                      "  \"single_request\": {\n",
                      pool_workers);
-        writeSingleRequestJson(json, "spmm_hyb", single_hyb, ",");
-        writeSingleRequestJson(json, "rgcn", single_rgcn, "");
+        writeWarmTimingJson(json, "spmm_hyb", single_hyb, ",");
+        writeWarmTimingJson(json, "rgcn", single_rgcn, "");
+        std::fprintf(json, "  },\n");
+        // The 4-request batch of [2].
+        std::fprintf(json, "  \"batch_request\": {\n"
+                           "    \"requests\": %d,\n",
+                     kBatchRequests);
+        writeWarmTimingJson(json, "spmm_hyb", batch_hyb, "");
         std::fprintf(json, "  },\n");
         // Build-time verify cost of the warm-latency engine's
         // artifacts (csr + hyb buckets + bsr). Zero kernels means

@@ -464,6 +464,22 @@ evenChunks(int64_t extent, int64_t chunks)
     return ranges;
 }
 
+/** One unit: a block window of one kernel, or whole kernels in order. */
+void
+runUnit(const TaskGraph &graph, const TaskGraph::Unit &unit,
+        const Bindings &bindings, const ExecOptions &options)
+{
+    int count = unit.kernelEnd - unit.kernel;
+    SPARSETIR_TRACE_SCOPE2("exec", "fused.unit",
+                           count == 1 ? "kernel" : "kernels",
+                           count == 1 ? unit.kernel : count, "request",
+                           unit.request);
+    for (int k = unit.kernel; k < unit.kernelEnd; ++k) {
+        execOne(*graph.kernels[k], bindings, options, unit.blockBegin,
+                unit.blockEnd);
+    }
+}
+
 } // namespace
 
 TaskGraph
@@ -480,15 +496,23 @@ ParallelExecutor::buildTaskGraph(
     }
     int64_t num_requests = static_cast<int64_t>(requests.size());
     // Chunks each request asks for: 1 once the requests alone fill the
-    // pool, so a full batch plans one unit per (request, kernel).
+    // pool. Then each request is one unit over its whole kernel list,
+    // in the serial order; requests bind disjoint outputs, so no unit
+    // waits on another.
     int64_t per_request = (pool_->size() + num_requests - 1) / num_requests;
+    if (per_request == 1) {
+        for (int r = 0; r < graph.numRequests; ++r) {
+            TaskGraph::Unit unit;
+            unit.request = r;
+            unit.kernelEnd = static_cast<int>(kernels.size());
+            graph.units.push_back(std::move(unit));
+        }
+        return graph;
+    }
     int64_t min_chunk = std::max<int64_t>(options.minBlocksPerChunk, 1);
     // Hulls are per artifact, not per request: one set of cuts serves
     // every request.
-    std::vector<int64_t> cuts;
-    if (per_request >= 2) {
-        cuts = commonCuts(kernels, per_request, min_chunk);
-    }
+    std::vector<int64_t> cuts = commonCuts(kernels, per_request, min_chunk);
     std::vector<UnitWrites> writes;
     for (int64_t r = 0; r < num_requests; ++r) {
         size_t first = graph.units.size();
@@ -501,7 +525,7 @@ ParallelExecutor::buildTaskGraph(
                               kernel.accums[0].hulls.size()))
                     << "kernel has more grid blocks than block hulls";
                 ranges = cutAt(kernel, cuts);
-            } else if (kernel.accums.empty() && per_request >= 2) {
+            } else if (kernel.accums.empty()) {
                 int64_t extent = blockExtentOf(kernel, *requests[r]);
                 int64_t chunks =
                     std::min(per_request, extent / min_chunk);
@@ -516,6 +540,7 @@ ParallelExecutor::buildTaskGraph(
                 TaskGraph::Unit unit;
                 unit.request = static_cast<int>(r);
                 unit.kernel = static_cast<int>(k);
+                unit.kernelEnd = unit.kernel + 1;
                 unit.blockBegin = range.first;
                 unit.blockEnd = range.second;
                 graph.units.push_back(std::move(unit));
@@ -556,9 +581,15 @@ ParallelExecutor::runTaskGraph(
     // Successor lists (CSR) and outstanding-wait counts.
     std::vector<size_t> succ_begin(num_units + 1, 0);
     std::vector<size_t> waits(num_units, 0);
+    int num_kernels = static_cast<int>(graph.kernels.size());
     for (size_t u = 0; u < num_units; ++u) {
-        waits[u] = graph.units[u].after.size();
-        for (int v : graph.units[u].after) {
+        const TaskGraph::Unit &unit = graph.units[u];
+        ICHECK(unit.kernel >= 0 && unit.kernel < unit.kernelEnd &&
+               unit.kernelEnd <= num_kernels &&
+               (unit.kernelEnd - unit.kernel == 1 || unit.blockEnd < 0))
+            << "task graph unit " << u << " has an invalid kernel range";
+        waits[u] = unit.after.size();
+        for (int v : unit.after) {
             ICHECK(v >= 0 && static_cast<size_t>(v) < u)
                 << "task graph edges must point to earlier units";
             ++succ_begin[v + 1];
@@ -605,12 +636,7 @@ ParallelExecutor::runTaskGraph(
             lock.unlock();
             const TaskGraph::Unit &unit = graph.units[u];
             try {
-                SPARSETIR_TRACE_SCOPE2("exec", "fused.unit", "kernel",
-                                       unit.kernel, "request",
-                                       unit.request);
-                execOne(*graph.kernels[unit.kernel],
-                        *requests[unit.request], options,
-                        unit.blockBegin, unit.blockEnd);
+                runUnit(graph, unit, *requests[unit.request], options);
             } catch (...) {
                 lock.lock();
                 if (error == nullptr) {

@@ -8,8 +8,8 @@
  * sessions (parallel off, or a pool of one) run the kernels in list
  * order per request; that serial order is the oracle. Every other
  * session plans the dispatch as one task graph whose units — a block
- * range of one kernel under one request — all run on the caller's
- * shared storage, under one rule:
+ * range of one kernel, or a run of whole kernels, under one request —
+ * all run on the caller's shared storage, under one rule:
  *
  *   A unit waits on each earlier unit of its request, in serial
  *   (kernel, then chunk) order, whose write hull overlaps its own on
@@ -27,8 +27,10 @@
  * kernels from their ascending scatter rows and attaches them only
  * after the static verifier proves that every block's stores stay
  * inside its hull. The one rule then covers every dispatch shape:
- *  - a batch that fills the pool runs one unit per (request, kernel),
- *    each request a chain in kernel order, requests in parallel;
+ *  - a batch that fills the pool runs one unit per request, which
+ *    runs the request's kernels in list order (the serial oracle's
+ *    order) with no edges: requests bind disjoint outputs, so they
+ *    run in parallel;
  *  - a single request cuts every kernel at common element cuts, so
  *    units of one band chain through the kernels while bands run in
  *    parallel, with edges only where hulls straddle a cut;
@@ -201,18 +203,22 @@ std::vector<Span> blockHulls(const std::vector<int32_t> &rows,
 /**
  * Plan of one parallel dispatch: a DAG over units in serial order.
  *
- * A unit is a block range of one kernel under one request's bindings.
- * Units are listed in the serial oracle's order — request, then
- * kernel, then chunk — and each lists the earlier units it must wait
- * for (see the file comment for the rule). Units on disjoint elements
- * run concurrently on shared storage; there is no barrier anywhere.
+ * A unit runs kernels [kernel, kernelEnd) in list order under one
+ * request's bindings; a unit of one kernel may cover only a block
+ * range of it. Units are listed in the serial oracle's order —
+ * request, then kernel, then chunk — and each lists the earlier units
+ * it must wait for (see the file comment for the rule). Units on
+ * disjoint elements run concurrently on shared storage; there is no
+ * barrier anywhere.
  */
 struct TaskGraph
 {
     struct Unit
     {
         int request = 0;
+        /** Kernels [kernel, kernelEnd), run whole when more than one. */
         int kernel = 0;
+        int kernelEnd = 1;
         /** Grid window [blockBegin, blockEnd); blockEnd -1: unsplit. */
         int64_t blockBegin = 0;
         int64_t blockEnd = -1;
@@ -252,8 +258,9 @@ class ParallelExecutor
     /**
      * Plan a dispatch of `kernels` x `requests` (see TaskGraph). When
      * the requests alone fill the pool (requests >= workers) nothing
-     * is split: one unit per (request, kernel). Otherwise each request
-     * asks for ceil(workers / requests) chunks per kernel. Kernels
+     * is split: one edge-free unit per request covers its whole
+     * kernel list. Otherwise each request asks for
+     * ceil(workers / requests) chunks per kernel. Kernels
      * with block hulls are cut at element cuts common to all of them
      * (quantiles of their blocks' hull starts, found in each kernel by
      * binary search), so chunk c of every kernel covers roughly the
@@ -276,6 +283,10 @@ class ParallelExecutor
      * earliest ready unit, run it on shared storage and release the
      * units waiting on it. If a unit throws, units already running
      * finish, no further unit starts, and the first error is rethrown.
+     * Each unit records one `fused.unit` trace span with args
+     * (kernel, request) for a unit of one kernel, and (kernels,
+     * request) with the kernel count for a unit of several, which
+     * buildTaskGraph plans only over the whole list, [0, kernels).
      */
     void runTaskGraph(
         const TaskGraph &graph,

@@ -903,8 +903,14 @@ AffineAnalyzer::constBounds(const LinExpr &e, int64_t *lo, int64_t *hi,
 bool
 AffineAnalyzer::proveNonNeg(const LinExpr &e)
 {
+    // Range queries nest proofs; the outermost one owns the budget.
+    if (proofNesting_++ == 0) {
+        stepsLeft_ = kProofStepBudget;
+    }
     std::set<std::string> visited;
-    return proveNonNegImpl(e, kProveDepth, &visited);
+    bool proved = proveNonNegImpl(e, kProveDepth, &visited);
+    --proofNesting_;
+    return proved;
 }
 
 bool
@@ -926,9 +932,11 @@ AffineAnalyzer::proveNonNegImpl(const LinExpr &e, int depth,
     if (e.terms.empty()) {
         return e.constant >= 0;
     }
-    if (depth <= 0) {
+    if (depth <= 0 || stepsLeft_ == 0) {
         return false;
     }
+    --stepsLeft_;
+    ++proofSteps_;
     if (!visited->insert(e.key()).second) {
         return false;
     }

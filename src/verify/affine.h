@@ -112,6 +112,16 @@ struct ValueFact
     bool sorted = false;
 };
 
+/**
+ * Search steps one proof may take, the proofs its range queries nest
+ * included: a proof not found by then fails (not provable, as at the
+ * depth bound). The search is exponential in the guards in scope, so
+ * an unprovable obligation under many guards would otherwise run for
+ * tens of milliseconds or more. The largest passing proof in the test
+ * suite takes 200 steps.
+ */
+constexpr int64_t kProofStepBudget = 4096;
+
 class AffineAnalyzer
 {
   public:
@@ -151,7 +161,10 @@ class AffineAnalyzer
      */
     LinExpr toLinExpr(const ir::Expr &e);
 
-    /** Prove e >= 0 under the current scopes and facts. */
+    /**
+     * Prove e >= 0 under the current scopes and facts, in at most
+     * kProofStepBudget search steps.
+     */
     bool proveNonNeg(const LinExpr &e);
     /** Prove a >= 0. */
     bool proveNonNeg(const ir::Expr &a);
@@ -184,6 +197,8 @@ class AffineAnalyzer
     /** Atoms (by id) whose expression is a load from `buffer_name`. */
     std::vector<int> loadAtomsOf(const LinExpr &e,
                                  const std::string &buffer_name) const;
+    /** Search steps every proof of this analyzer took so far. */
+    int64_t proofSteps() const { return proofSteps_; }
     /** LinExpr of a single interned atom. */
     LinExpr atomExpr(int id) const;
     /** IR expression an interned atom stands for. */
@@ -233,6 +248,11 @@ class AffineAnalyzer
     bool proveNonNegImpl(const LinExpr &e, int depth,
                          std::set<std::string> *visited);
 
+    /** Steps the outermost proof in progress may still take. */
+    int64_t stepsLeft_ = 0;
+    /** proveNonNeg calls on the stack (range queries nest them). */
+    int proofNesting_ = 0;
+    int64_t proofSteps_ = 0;
     std::vector<Atom> atoms_;
     /** Atoms whose range query is on the stack (cycle guard). */
     std::set<int> inProgress_;

@@ -291,6 +291,7 @@ class FuncVerifier
         }
         blockLoop_ = runtime::findBlockIdxLoop(func_->body);
         walkStmt(func_->body);
+        result_.proofSteps = az_.proofSteps();
         return std::move(result_);
     }
 

@@ -68,6 +68,8 @@ struct VerifyResult
 {
     bool ok = true;
     std::vector<Diagnostic> diagnostics;
+    /** Prover search steps over every obligation of the kernel. */
+    int64_t proofSteps = 0;
 };
 
 /** Render all diagnostics of a failed result into one report. */

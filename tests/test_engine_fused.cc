@@ -3,7 +3,7 @@
  * Task-graph dispatch: bitwise equality of the parallel schedule
  * against the serial oracle on hyb SpMM (single and batched, cold
  * and warm) and RGCN; the shape of
- * built TaskGraphs (one unit per request and kernel for a full batch,
+ * built TaskGraphs (one unit per request for a full batch,
  * hull-ordered chunks for a single request, split-row kernels split
  * on every backend); no scratch on any hyb dispatch; and determinism
  * under contention — many threads hammering one shared session must
@@ -37,6 +37,11 @@ using format::Csr;
 using runtime::NDArray;
 using testutil::bitwiseEqual;
 using testutil::randomVector;
+
+// Every native engine and module here (SPARSETIR_NATIVE=1 included)
+// keeps its .so files in a per-process directory removed at exit.
+[[maybe_unused]] const bool kNativeCacheIsolated =
+    testutil::isolateNativeCacheDir("/tmp/sparsetir-fused-native-");
 
 Csr
 randomCsr(int64_t rows, int64_t cols, double density, uint64_t seed)
@@ -348,7 +353,7 @@ overlap(const engine::Span &x, const engine::Span &y)
     return x.first < y.second && y.first < x.second;
 }
 
-TEST(EngineFused, FullBatchPlansOneUnitPerRequestAndKernel)
+TEST(EngineFused, FullBatchPlansOneUnitPerRequest)
 {
     HybPlanFixture fx(cyclicRowsCsr(400, 64), 4, 3);
     ASSERT_GE(fx.kernels.size(), 3u);
@@ -372,20 +377,168 @@ TEST(EngineFused, FullBatchPlansOneUnitPerRequestAndKernel)
     options.minBlocksPerChunk = 1;
     engine::TaskGraph graph =
         executor.buildTaskGraph(fx.pointers(), requests, options);
-    size_t num_kernels = fx.kernels.size();
-    ASSERT_EQ(graph.units.size(), requests.size() * num_kernels);
-    for (size_t i = 0; i < graph.units.size(); ++i) {
-        const engine::TaskGraph::Unit &unit = graph.units[i];
-        EXPECT_EQ(unit.request, static_cast<int>(i / num_kernels));
-        EXPECT_EQ(unit.kernel, static_cast<int>(i % num_kernels));
+    // Unit r is request r over the whole kernel list, unsplit: the
+    // serial order of that request, waiting on no other request.
+    ASSERT_EQ(graph.units.size(), requests.size());
+    for (size_t r = 0; r < graph.units.size(); ++r) {
+        const engine::TaskGraph::Unit &unit = graph.units[r];
+        EXPECT_EQ(unit.request, static_cast<int>(r));
+        EXPECT_EQ(unit.kernel, 0);
+        EXPECT_EQ(unit.kernelEnd, static_cast<int>(fx.kernels.size()));
         EXPECT_EQ(unit.blockEnd, -1) << "a full batch split a kernel";
-        // Whole kernels of one request all overlap: a chain in
-        // kernel order, never waiting on another request.
-        std::vector<int> want;
-        for (size_t v = i - i % num_kernels; v < i; ++v) {
-            want.push_back(static_cast<int>(v));
+        EXPECT_TRUE(unit.after.empty()) << "unit " << r << " waits";
+    }
+}
+
+TEST(EngineFused, UnevenFullBatchesMatchSerialOnEveryBackend)
+{
+    // More requests than workers, not a multiple of them: each worker
+    // takes request units off the ready set until none is left.
+    Csr a = graph::powerLawGraph(250, 3000, 1.8, 57);
+    int64_t feat = 8;
+    engine::HybConfig config;
+    config.partitions = 2;
+    Engine serial = makeEngine(runtime::Backend::kInterpreter,
+                               /*parallel=*/false, 1);
+
+    struct Shape
+    {
+        int requests;
+        int workers;
+    };
+    for (Shape shape : {Shape{3, 2}, Shape{5, 4}}) {
+        std::vector<NDArray> bs;
+        std::vector<NDArray> expected;
+        for (int i = 0; i < shape.requests; ++i) {
+            bs.push_back(NDArray::fromFloat(
+                randomVector(a.cols * feat, 120 + i)));
+            expected.emplace_back(std::vector<int64_t>{a.rows * feat},
+                                  ir::DataType::float32());
+            serial.spmmHyb(a, feat, &bs[i], &expected[i], config);
         }
-        EXPECT_EQ(unit.after, want) << "unit " << i;
+        for (runtime::Backend backend :
+             {runtime::Backend::kInterpreter, runtime::Backend::kBytecode,
+              runtime::Backend::kNative}) {
+            EngineOptions options;
+            options.backend = backend;
+            options.numThreads = shape.workers;
+            options.nativePromoteAfter = 0;  // native from the first resolve
+            Engine eng(options);
+            std::vector<NDArray> cs;
+            for (int i = 0; i < shape.requests; ++i) {
+                cs.emplace_back(std::vector<int64_t>{a.rows * feat},
+                                ir::DataType::float32());
+            }
+            std::vector<SpmmRequest> requests;
+            for (int i = 0; i < shape.requests; ++i) {
+                requests.push_back(SpmmRequest{&bs[i], &cs[i]});
+            }
+            auto info = eng.spmmHybBatch(a, feat, requests, config);
+            ASSERT_GE(info.numKernels, 3);
+            for (int i = 0; i < shape.requests; ++i) {
+                EXPECT_TRUE(bitwiseEqual(expected[i], cs[i]))
+                    << shape.requests << " requests on " << shape.workers
+                    << " workers, backend " << static_cast<int>(backend)
+                    << ": request " << i << " diverged";
+            }
+            if (backend == runtime::Backend::kNative) {
+                EXPECT_GT(eng.nativeStats().compiles +
+                              eng.nativeStats().diskHits,
+                          0u);
+                EXPECT_EQ(eng.nativeStats().fallbacks, 0u);
+                EXPECT_EQ(eng.nativeStats().guardMisses, 0u);
+            }
+        }
+    }
+}
+
+TEST(EngineFused, FaultPartwayThroughARequestRaisesTheSerialDiagnostic)
+{
+    // Request 2 of a full batch misses the values of its third bucket
+    // kernel: its first two kernels run, the third faults.
+    HybPlanFixture fx(cyclicRowsCsr(400, 64), 4, 3);
+    ASSERT_GE(fx.kernels.size(), 3u);
+    std::string suffix =
+        core::compileSpmmHybFuncs(fx.hyb, fx.feat)[2].suffix;
+    std::string missing = core::hybValuesParam(suffix);
+    ASSERT_EQ(fx.bindings->view().arrays.count(missing), 1u);
+
+    for (engine::CompiledKernel &kernel : fx.kernels) {
+        auto native =
+            runtime::native::compileNative(kernel.func, "fault-chain");
+        ASSERT_NE(native, nullptr);
+        kernel.native->set(std::move(native));
+    }
+
+    constexpr int kRequests = 4;
+    engine::ParallelExecutor executor(
+        std::make_shared<engine::ThreadPool>(kRequests));
+    for (runtime::Backend backend :
+         {runtime::Backend::kInterpreter, runtime::Backend::kBytecode,
+          runtime::Backend::kNative}) {
+        std::vector<NDArray> cs;
+        for (int r = 0; r < kRequests; ++r) {
+            cs.emplace_back(std::vector<int64_t>{fx.a.rows * fx.feat},
+                            ir::DataType::float32());
+        }
+        std::vector<runtime::Bindings> views;
+        for (NDArray &c : cs) {
+            views.push_back(fx.request(&c));
+        }
+        views[2].arrays.erase(missing);
+        std::vector<const runtime::Bindings *> requests;
+        for (const runtime::Bindings &view : views) {
+            requests.push_back(&view);
+        }
+        engine::ExecOptions options;
+        options.backend = backend;
+        engine::ExecOptions serial = options;
+        serial.parallel = false;
+
+        // Each path raises one error; the parallel one is the serial
+        // one, word for word.
+        auto diagnostics = [&](const engine::ExecOptions &exec) {
+            std::vector<std::string> raised;
+            try {
+                executor.run(fx.pointers(), requests, exec);
+            } catch (const std::exception &e) {
+                raised.push_back(e.what());
+            }
+            return raised;
+        };
+        std::vector<std::string> want = diagnostics(serial);
+        ASSERT_EQ(want.size(), 1u) << "the serial path did not fault";
+        EXPECT_NE(want[0].find("no storage bound for buffer 'A_ell_" +
+                               suffix),
+                  std::string::npos)
+            << want[0];
+        EXPECT_EQ(diagnostics(options), want)
+            << "backend " << static_cast<int>(backend);
+
+        // The executor serves a valid batch afterwards, bitwise.
+        views[2] = fx.request(&cs[2]);
+        std::vector<NDArray> expected;
+        for (int r = 0; r < kRequests; ++r) {
+            expected.emplace_back(
+                std::vector<int64_t>{fx.a.rows * fx.feat},
+                ir::DataType::float32());
+            cs[r].zero();
+        }
+        std::vector<runtime::Bindings> serial_views;
+        for (NDArray &want_c : expected) {
+            serial_views.push_back(fx.request(&want_c));
+        }
+        std::vector<const runtime::Bindings *> serial_requests;
+        for (const runtime::Bindings &view : serial_views) {
+            serial_requests.push_back(&view);
+        }
+        executor.run(fx.pointers(), serial_requests, serial);
+        executor.run(fx.pointers(), requests, options);
+        for (int r = 0; r < kRequests; ++r) {
+            EXPECT_TRUE(bitwiseEqual(expected[r], cs[r]))
+                << "backend " << static_cast<int>(backend)
+                << ": request " << r << " diverged after the fault";
+        }
     }
 }
 
@@ -469,7 +622,6 @@ TEST(EngineFused, DuplicateRowBucketRunsSplitOnEveryBackend)
     }
     ASSERT_NE(dup, nullptr) << "fixture has no split rows";
 
-    testutil::isolateNativeCacheDir("/tmp/sparsetir-fused-native-");
     for (engine::CompiledKernel &kernel : fx.kernels) {
         auto native = runtime::native::compileNative(kernel.func,
                                                      "dup-rows");
@@ -585,7 +737,6 @@ TEST(EngineFused, FullBatchLeasesNoScratchAndMatchesSerial)
         serial.spmmHyb(a, feat, &b[i], &expected[i], config);
     }
 
-    testutil::isolateNativeCacheDir("/tmp/sparsetir-fused-native-");
     for (runtime::Backend backend :
          {runtime::Backend::kBytecode, runtime::Backend::kNative}) {
         const char *name =

@@ -534,6 +534,45 @@ TEST(Observe, FusedDispatchTracesOneComputeSpanPerUnit)
     }
     EXPECT_EQ(seen_pairs, want_pairs);
 
+    // A full batch (requests >= workers) of a multi-kernel list: one
+    // unit per request over the whole list, so one span per request,
+    // which names the kernel count and the request.
+    engine::CompiledKernel second = engine::compileKernel(
+        core::compileSpmmCsrFunc(feat, core::SpmmSchedule()));
+    std::vector<const engine::CompiledKernel *> list{&kernel, &second};
+    constexpr int kFullBatch = 4;
+    for (int r = kRequests; r < kFullBatch; ++r) {
+        outs.emplace_back(std::vector<int64_t>{a.rows * feat},
+                          ir::DataType::float32());
+    }
+    views.clear();
+    requests.clear();
+    for (int r = 0; r < kFullBatch; ++r) {
+        runtime::Bindings view = base;
+        view.arrays["C_data"] = &outs[r];
+        views.push_back(view);
+    }
+    for (const runtime::Bindings &view : views) {
+        requests.push_back(&view);
+    }
+    graph = executor.buildTaskGraph(list, requests, options);
+    ASSERT_EQ(graph.units.size(), static_cast<size_t>(kFullBatch));
+    std::vector<observe::TraceEvent> spans =
+        testutil::collectSpans("fused.unit", [&] {
+            executor.runTaskGraph(graph, requests, options);
+        });
+    EXPECT_EQ(spans.size(), graph.units.size())
+        << "exactly one compute span per task-graph unit";
+    std::multiset<int64_t> seen_requests;
+    for (const observe::TraceEvent &span : spans) {
+        ASSERT_STREQ(span.arg0Name, "kernels");
+        ASSERT_STREQ(span.arg1Name, "request");
+        EXPECT_EQ(span.arg0, static_cast<int64_t>(list.size()));
+        seen_requests.insert(span.arg1);
+    }
+    EXPECT_EQ(seen_requests, (std::multiset<int64_t>{0, 1, 2, 3}))
+        << "each request runs as one unit";
+
     quiesceRecorder();
 }
 

@@ -4,7 +4,8 @@
  * pipeline kernel family clean under symbolic format facts, a
  * known-bad IR regression corpus (dropped spatial guard -> OOB, block
  * hulls one row short or cut at the wrong rows per block, seeded
- * parallel race) that must each be rejected with a category-correct
+ * parallel race, an unprovable bound whose search must stop at the
+ * step budget) that must each be rejected with a category-correct
  * diagnostic, the hull obligation proven on every hyb bucket
  * (split rows included), and the engine-level
  * contract that every session verifies each artifact once, with the
@@ -24,6 +25,7 @@
 #include "format/csr.h"
 #include "format/hyb.h"
 #include "ir/analysis.h"
+#include "ir/buffer.h"
 #include "ir/expr.h"
 #include "ir/functor.h"
 #include "ir/prim_func.h"
@@ -530,6 +532,55 @@ TEST(VerifyCorpus, SeededParallelRaceRejected)
     ASSERT_FALSE(result.ok);
     EXPECT_TRUE(hasCategory(result, verify::DiagCategory::kParallelRace))
         << verify::formatDiagnostics(result);
+}
+
+/**
+ * `out[v0 * f + ... + v{g-1} * f] = 1` under `guards` nested loops
+ * v in [0, m), each guarded by `v * f + g < m * f`, into a buffer of
+ * m * f - 1 elements: the upper bound cannot be proven, and the search
+ * over guard subtractions grows about 4x per guard.
+ */
+ir::PrimFunc
+manyGuardsOneShort(int guards)
+{
+    auto func = ir::primFunc("many_guards_one_short");
+    ir::Var m = ir::var("m");
+    ir::Var f = ir::var("f");
+    ir::Buffer out = ir::denseBuffer(
+        "out", {ir::sub(ir::mul(m, f), ir::intImm(1))},
+        ir::DataType::float32());
+    std::vector<ir::Var> vars;
+    ir::Expr index = ir::intImm(0);
+    for (int g = 0; g < guards; ++g) {
+        vars.push_back(ir::var("v" + std::to_string(g)));
+        index = ir::add(index, ir::mul(vars.back(), f));
+    }
+    ir::Stmt body = ir::bufferStore(out, {index}, ir::floatImm(1.0));
+    for (int g = guards - 1; g >= 0; --g) {
+        body = ir::ifThenElse(
+            ir::lt(ir::add(ir::mul(vars[g], f), ir::intImm(g)),
+                   ir::mul(m, f)),
+            body);
+        body = ir::forLoop(vars[g], ir::intImm(0), m, body);
+    }
+    func->params = {m, f, out->data};
+    func->bufferMap.emplace_back(out->data, out);
+    func->body = body;
+    func->stage = ir::IrStage::kStage3;
+    return func;
+}
+
+TEST(VerifyCorpus, UnprovableBoundStopsAtTheStepBudget)
+{
+    // Unbounded, the failing upper-bound proof of 7 guards searched
+    // 19094 steps (about 35 ms); the other obligations take a few.
+    auto result = verify::verifyFunc(manyGuardsOneShort(7));
+    ASSERT_FALSE(result.ok);
+    ASSERT_EQ(result.diagnostics.size(), 1u)
+        << verify::formatDiagnostics(result);
+    EXPECT_TRUE(hasCategory(result, verify::DiagCategory::kOutOfBounds));
+    EXPECT_GE(result.proofSteps, verify::kProofStepBudget);
+    EXPECT_LT(result.proofSteps, verify::kProofStepBudget + 64);
 }
 
 // ---------------------------------------------------------------------
